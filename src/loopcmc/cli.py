@@ -29,6 +29,7 @@ from .frames import (FrameError, PotentialSpec, SurfaceOptions,
                      extract_curvature, surface_from_potential)
 from .gallery import entry_names, get_entry
 from .grid import DomainGrid, GridError
+from .loops import LoopError
 from .mesh import SurfaceMesh
 from .meshio import write_mesh
 from .symmetry import (SymmetrySpec, check_reflective_data,
@@ -377,6 +378,7 @@ def cmd_dress(args):
                 dressed.f[both] - direct.f[both], axis=-1)))
             report["cross_check"] = {"h": h, "max_deviation": dev}
             print(f"dressed-vs-direct max deviation at h={h:g}: {dev:.3e}")
+            os.makedirs(args.out, exist_ok=True)
             write_mesh(dressed, os.path.join(args.out, "dressed.obj"), "obj")
             write_mesh(direct, os.path.join(args.out, "direct.obj"), "obj")
     emit_report(report, args.out)
@@ -556,7 +558,9 @@ def main(argv=None) -> int:
                 setattr(args, k, v)
     try:
         return args.func(args)
-    except (FrameError, FactorError, ArithmeticError) as err:
+    except (FrameError, FactorError, ArithmeticError, LoopError,
+            np.linalg.LinAlgError) as err:
+        # LoopError and LinAlgError are ValueErrors, so they come first
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
     except (ConfigError, GridError, InvalidDataError, DressingError,

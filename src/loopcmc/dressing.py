@@ -514,8 +514,7 @@ def dress_frame(h_plus: LoopMat, fg: FrameGrid,
     idx = np.nonzero(fg.ok.reshape(-1))[0]
     for start in range(0, len(idx), opts.chunk):
         sel = idx[start:start + opts.chunk]
-        out = iwasawa_batch(pf.lo, flat[sel], margin=opts.margin,
-                            polish=opts.polish)
+        out = iwasawa_batch(pf.lo, flat[sel], margin=opts.margin)
         if out_co is None:
             out_lo = out["f_lo"]
             out_co = np.zeros((ny * nx,) + out["f"].shape[1:], dtype=complex)

@@ -6,7 +6,11 @@ B(0) = diag(rho, 1/rho) with rho real positive.  The factor B is obtained
 as the canonical right spectral factor of the positive loop P = X* X via
 Cholesky factorization of a finite block-Toeplitz section (Bauer's method):
 the bottom block-row of the Cholesky factor of the section built from the
-reversed symbol converges to the factor's coefficients.
+reversed symbol converges to the factor's coefficients.  For a twisted
+loop the section is the direct sum of its two twist-parity halves (the
+twisted/untwisted isomorphism of Dorfmeister-Pedit-Wu), each factored on
+its own.  The unitary factor F = X B^-1 is then solved from values on the
+circle and one FFT back to coefficients.
 
 Birkhoff: X = X- X+ with X-(infinity) = I, computed from the square
 block-Toeplitz linear system expressing that X times a plus-loop inverse
@@ -20,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loops import (LoopMat, LoopError, mul, star, check_membership,
-                    circle_points)
+from .loops import LoopMat, circle_points, inv2, mul
 
 __all__ = ["FactorResult", "FactorError", "BigCellError", "iwasawa",
            "birkhoff", "iwasawa_batch", "DEFAULT_MARGIN"]
@@ -57,144 +60,123 @@ class FactorResult:
 def _gram_coeffs(coeffs):
     """P_m = sum_j X_j^H X_{j+m} for m = 0..band; (n, band+1, 2, 2)."""
     n, nk = coeffs.shape[:2]
+    rows = coeffs.reshape(n, 2 * nk, 2)
+    rows_h = np.conj(np.swapaxes(rows, 1, 2))
     out = np.empty((n, nk, 2, 2), dtype=complex)
     for m in range(nk):
-        out[:, m] = np.einsum("ntji,ntjl->nil",
-                              np.conj(coeffs[:, :nk - m]), coeffs[:, m:])
+        out[:, m] = rows_h[:, :, :2 * (nk - m)] @ rows[:, 2 * m:]
     return out
 
 
-def _toeplitz_section(p_pos, ncap):
-    """Block-Toeplitz section T[i,j] = P_{j-i} of the reversed symbol, as a
-    scalar matrix of size 2*(ncap+1); p_pos holds P_0..P_band."""
+def _mul2(a, b):
+    """Batched 2x2 matrix product, written out (matmul is slow on stacks
+    of tiny matrices)."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    for i in (0, 1):
+        for j in (0, 1):
+            out[..., i, j] = a[..., i, 0] * b[..., 0, j] \
+                + a[..., i, 1] * b[..., 1, j]
+    return out
+
+
+def _parity_halves(p_pos, ncap):
+    """The two Hermitian halves of the block-Toeplitz section
+    T[(i,r),(j,s)] = (P_{j-i})_{rs}, i, j = 0..ncap, of the reversed symbol.
+
+    For a twisted symbol T vanishes unless i+r = j+s (mod 2), so T is the
+    direct sum of the halves c = 0, 1, half c keeping the scalar index
+    (i, i+c mod 2) of each block index i; shaped (n, 2, ncap+1, ncap+1)."""
     n, nb = p_pos.shape[:2]
     band = nb - 1
-    # padded table of P_m for m = -band..band
-    table = np.zeros((n, 2 * band + 1, 2, 2), dtype=complex)
-    table[:, band:] = p_pos
-    table[:, :band] = np.conj(np.transpose(p_pos[:, 1:][:, ::-1], (0, 1, 3, 2)))
+    d = np.arange(-band, band + 1)
+    # table[:, r, band+d] = (P_d)_{r, r+d mod 2}, where P_{-d} = P_d^H
+    table = np.empty((n, 2, 2 * band + 1), dtype=complex)
+    for r in (0, 1):
+        s = (r + d) % 2
+        table[:, r] = np.where(d >= 0, p_pos[:, np.abs(d), r, s],
+                               np.conj(p_pos[:, np.abs(d), s, r]))
     idx = np.arange(ncap + 1)
-    d = np.clip(idx[None, :] - idx[:, None], -band - 1, band + 1)
-    inside = np.abs(d) <= band
-    dmap = np.where(inside, d + band, 0)
-    blocks = table[:, dmap] * inside[None, :, :, None, None]
-    t = np.transpose(blocks, (0, 1, 3, 2, 4)).reshape(
-        n, 2 * (ncap + 1), 2 * (ncap + 1))
-    return t
+    dd = idx[None, :] - idx[:, None]
+    inside = np.abs(dd) <= band
+    rows = (idx[None, :, None] + np.arange(2)[:, None, None]) % 2
+    return table[:, rows, np.where(inside, dd + band, 0)] * inside
 
 
-def _bauer_factor(coeffs, margin, p_pos=None):
-    """Spectral factor coefficients B_0..B_ncap with P = B* B, batched."""
-    band = coeffs.shape[1] - 1
-    ncap = band + margin
-    if p_pos is None:
-        p_pos = _gram_coeffs(coeffs)
-    t = _toeplitz_section(p_pos, ncap)
+def _bauer_factor(coeffs, margin):
+    """Spectral factor coefficients B_0..B_ncap with P = B* B, batched.
+
+    Nodes whose section is not positive definite get ok = False and the
+    identity loop as their factor."""
+    n = coeffs.shape[0]
+    ncap = coeffs.shape[1] - 1 + margin
+    halves = _parity_halves(_gram_coeffs(coeffs), ncap)
     try:
-        chol = np.linalg.cholesky(t)
-        ok = np.ones(coeffs.shape[0], dtype=bool)
+        chol = np.linalg.cholesky(halves)
+        ok = np.ones(n, dtype=bool)
     except np.linalg.LinAlgError:
-        # isolate failures node by node
-        n = coeffs.shape[0]
-        chol = np.zeros_like(t)
-        ok = np.zeros(n, dtype=bool)
-        for idx in range(n):
+        # isolate failures node by node within each half
+        chol = np.zeros_like(halves)
+        good = np.zeros((n, 2), dtype=bool)
+        for idx in np.ndindex(n, 2):
             try:
-                chol[idx] = np.linalg.cholesky(t[idx])
-                ok[idx] = True
+                chol[idx] = np.linalg.cholesky(halves[idx])
+                good[idx] = True
             except np.linalg.LinAlgError:
                 pass
-    # bottom block-row, reversed: C_k = L[last, ncap-k]; B_k = C_k^H
-    last = 2 * ncap
-    bcoef = np.empty((coeffs.shape[0], ncap + 1, 2, 2), dtype=complex)
-    for k in range(ncap + 1):
-        blk = chol[:, last:last + 2, last - 2 * k:last - 2 * k + 2]
-        bcoef[:, k] = np.conj(np.transpose(blk, (0, 2, 1)))
-    diag = np.einsum("nii->ni", chol[:, :, :]).real
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(ok, (np.max(diag, axis=1) /
-                             np.maximum(np.min(diag, axis=1), 1e-300)) ** 2,
-                        np.inf)
+        ok = good.all(axis=1)
+    # bottom block-row of the section's factor, reversed: C_k = L[ncap,
+    # ncap-k] has its entry (r, r+k mod 2) in half ncap+r mod 2; B_k = C_k^H
+    last = np.conj(chol[:, :, ncap, ::-1])
+    k = np.arange(ncap + 1)
+    bcoef = np.zeros((n, ncap + 1, 2, 2), dtype=complex)
+    for r in (0, 1):
+        bcoef[:, k, (r + k) % 2, r] = last[:, (ncap + r) % 2]
+    bcoef[~ok] = 0.0
+    bcoef[~ok, 0] = np.eye(2)
+    diag = np.diagonal(chol, axis1=-2, axis2=-1).real.reshape(n, -1)[ok]
+    cond = np.full(n, np.inf)
+    cond[ok] = (np.max(diag, axis=1) / np.min(diag, axis=1)) ** 2
     return bcoef, ok, cond
 
 
-def _wilson_polish(p_pos, bcoef, iters):
-    """Quadratically convergent refinement of the spectral factor.
-
-    With G = B^{-*} P B^{-1} (= I at the exact factor), the update
-    B <- (I + [G - I]_half+) B halves the error exponent.  The plus-part
-    takes positive Fourier modes fully and half of the zero mode; twisting
-    keeps B(0) diagonal positive along the way.
-    """
-    n, nb = bcoef.shape[:2]
-    band = p_pos.shape[1] - 1
-    m = 1 << int(np.ceil(np.log2(max(64, 6 * nb))))
-    lams = np.exp(2j * np.pi * np.arange(m) / m)
-    # P on the circle from its banded coefficients
-    pv = np.zeros((n, m, 2, 2), dtype=complex)
-    for k in range(band + 1):
-        ph = lams ** k
-        pv += p_pos[:, k][:, None] * ph[None, :, None, None]
-        if k > 0:
-            pv += np.conj(np.transpose(p_pos[:, k], (0, 2, 1)))[:, None] \
-                * np.conj(ph)[None, :, None, None]
-    eye = np.eye(2, dtype=complex)
-    for _ in range(iters):
-        pows = lams[None, :] ** np.arange(nb)[:, None]
-        bv = np.einsum("ks,nkij->nsij", pows, bcoef)
-        binv = np.linalg.inv(bv)
-        g = np.einsum("nsji,nsjl,nslm->nsim", np.conj(binv), pv, binv)
-        e = g - eye[None, None]
-        # fft with numpy's sign convention extracts the coefficient of
-        # power +m at index m; keep positive modes plus half the zero mode
-        em = np.fft.fft(e, axis=1) / m
-        em[:, 0] *= 0.5
-        em[:, m // 2:] = 0.0
-        theta = np.fft.ifft(em, axis=1) * m + eye[None, None]
-        bv_new = np.einsum("nsij,nsjl->nsil", theta, bv)
-        bm = np.fft.fft(bv_new, axis=1) / m
-        bcoef = bm[:, :nb]
-    return bcoef
+def _circle_values(coeffs, lo, m):
+    """Values at the m-th roots of unity exp(2 pi i s/m), s = 0..m-1, of
+    loops whose power lo+k sits at slot k: the powers are folded mod m,
+    which is exact at those points, and summed by one FFT."""
+    n, nk = coeffs.shape[:2]
+    shift = lo % m
+    wraps = -(-(shift + nk) // m)
+    folded = np.zeros((n, wraps * m, 2, 2), dtype=complex)
+    folded[:, shift:shift + nk] = coeffs
+    folded = folded.reshape(n, wraps, m, 2, 2).sum(axis=1)
+    return np.fft.ifft(folded, axis=1, norm="forward")
 
 
 def _solve_unitary(coeffs, lo, bcoef, extra, tail_tol=1e-13):
-    """F with F B = X, forward substitution over powers (B_0 diagonal).
+    """F with F B = X, solved on the circle: X and B on m roots of unity,
+    closed-form 2x2 inverses, one FFT back; powers start at ``lo``.
 
     The series of F decays geometrically (the plus factor is invertible in
-    the disc); powers are computed past the input band until coefficients
-    fall below ``tail_tol`` relative to the input scale, capped at
-    ``nk + extra``.
+    the disc) and m is the power of two above ``nk + extra``, so aliasing
+    stays far below the kept coefficients.  These run past the input band
+    until one falls below ``tail_tol`` relative to the input scale, capped
+    at ``nk + extra``.
     """
     n, nk = coeffs.shape[:2]
-    nb = bcoef.shape[1]
     nf = nk + extra
+    m = 1 << nf.bit_length()
+    xv = _circle_values(coeffs, 0, m)
+    bv = _circle_values(bcoef, 0, m)
+    f = np.fft.fft(_mul2(xv, inv2(bv)), axis=1, norm="forward")[:, :nf]
     scale = max(float(np.max(np.abs(coeffs))), 1.0)
-    f = np.zeros((n, nf, 2, 2), dtype=complex)
-    b0 = bcoef[:, 0]
-    inv_b0 = np.zeros_like(b0)
-    inv_b0[:, 0, 0] = 1.0 / b0[:, 0, 0]
-    inv_b0[:, 1, 1] = 1.0 / b0[:, 1, 1]
-    used = nf
-    for m in range(nf):
-        rhs = coeffs[:, m].copy() if m < nk else np.zeros((n, 2, 2), complex)
-        jmax = min(m, nb - 1)
-        for j in range(1, jmax + 1):
-            rhs -= np.einsum("nij,njl->nil", f[:, m - j], bcoef[:, j])
-        f[:, m] = np.einsum("nij,njl->nil", rhs, inv_b0)
-        if m >= nk and float(np.max(np.abs(f[:, m]))) < tail_tol * scale:
-            used = m + 1
-            break
-    return f[:, :used], lo
+    small = np.max(np.abs(f[:, nk:]), axis=(0, 2, 3)) < tail_tol * scale
+    used = nk + int(np.argmax(small)) + 1 if small.any() else nf
+    return f[:, :used]
 
 
-def _sample_eval(coeffs, lo, lams):
-    pows = lams[:, None] ** (lo + np.arange(coeffs.shape[1]))[None, :]
-    return np.einsum("sk,nkij->nsij", pows, coeffs)
-
-
-def iwasawa_batch(lo, coeffs, margin=DEFAULT_MARGIN, extra=None, nsample=32,
-                  polish=2):
-    """Batched Iwasawa factorization of loops given as coefficient arrays.
+def iwasawa_batch(lo, coeffs, margin=DEFAULT_MARGIN, extra=None, nsample=32):
+    """Batched Iwasawa factorization of twisted loops given as coefficient
+    arrays.
 
     Parameters
     ----------
@@ -207,33 +189,24 @@ def iwasawa_batch(lo, coeffs, margin=DEFAULT_MARGIN, extra=None, nsample=32,
         Cap on additional positive powers kept on the unitary factor
         (default 4 * margin + 32; the solve stops early once the
         coefficients fall below the tail tolerance).
-    polish : int
-        Wilson refinement sweeps applied to the Bauer seed.
 
     Returns a dict with the unitary factor (f_lo, f), the plus factor b
     (powers 0..), rho, per-node reconstruction and unitarity residuals
-    (max over sampled circle points), ok flags and condition estimates.
+    (max over ``nsample`` circle points), ok flags and condition estimates.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     if extra is None:
         extra = 4 * margin + 32
-    p_pos = _gram_coeffs(coeffs)
-    bcoef, ok, cond = _bauer_factor(coeffs, margin, p_pos)
-    bcoef[~ok] = np.eye(2)[None, None]
-    if polish > 0:
-        bcoef = _wilson_polish(p_pos, bcoef, polish)
-        bcoef[~ok] = np.eye(2)[None, None]
-    f, f_lo = _solve_unitary(coeffs, lo, bcoef, extra)
-    lams = circle_points(nsample)
-    xv = _sample_eval(coeffs, lo, lams)
-    fv = _sample_eval(f, f_lo, lams)
-    bv = _sample_eval(bcoef, 0, lams)
-    recon = np.einsum("nsij,nsjl->nsil", fv, bv) - xv
-    resid = np.max(np.abs(recon), axis=(1, 2, 3))
-    gram = np.einsum("nsij,nskj->nsik", fv, np.conj(fv))
-    unit = np.max(np.abs(gram - np.eye(2)[None, None]), axis=(1, 2, 3))
+    bcoef, ok, cond = _bauer_factor(coeffs, margin)
+    f = _solve_unitary(coeffs, lo, bcoef, extra)
+    xv = _circle_values(coeffs, lo, nsample)
+    fv = _circle_values(f, lo, nsample)
+    bv = _circle_values(bcoef, 0, nsample)
+    resid = np.max(np.abs(_mul2(fv, bv) - xv), axis=(1, 2, 3))
+    gram = _mul2(fv, np.conj(np.swapaxes(fv, -1, -2)))
+    unit = np.max(np.abs(gram - np.eye(2)), axis=(1, 2, 3))
     rho = bcoef[:, 0, 0, 0].real
-    return {"f_lo": f_lo, "f": f, "b": bcoef, "rho": rho,
+    return {"f_lo": lo, "f": f, "b": bcoef, "rho": rho,
             "residual": resid, "unitary_residual": unit,
             "ok": ok, "condition": cond}
 

@@ -30,7 +30,8 @@ import numpy as np
 from . import expr as ex
 from .factor import iwasawa_batch
 from .grid import DomainGrid, dilate_invalid
-from .loops import E1, E2, E3, LoopMat, hat_extend, su2_to_vec, matrix_cvec
+from .loops import (E1, E2, E3, LoopMat, hat_extend, inv2, su2_to_vec,
+                    matrix_cvec)
 from .mesh import SurfaceMesh
 from .weier import MeroFunc, as_func, row_first_blocked
 
@@ -94,7 +95,6 @@ class SurfaceOptions:
     tail_fail: float = 1e-6
     substeps: int = 4
     margin: int = 8
-    polish: int = 2
     lambda0: complex = 1.0 + 0j
     unitary_tol: float = 1e-6
     residual_tol: float = 1e-6
@@ -253,13 +253,15 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
                                            opts.ntrunc_cap)
         else:
             n_cand, t_cand = ntrunc, _tail_term(ntrunc + 1, L, ma, mb)
+        if not math.isfinite(t_cand):    # non-finite data: no bound at all
+            t_cand = math.inf
         if mask is None or t_cand < tail:
             mask, tail, used_n = cand, t_cand, n_cand
         if tail <= opts.tail_tol:
             break
     ntrunc = used_n
     work = grid.with_mask(mask)
-    if tail > opts.tail_fail:
+    if not tail <= opts.tail_fail:
         raise TailBoundError(
             f"series tail bound {tail:.3e} above {opts.tail_fail:.1e} at "
             f"truncation {ntrunc}; shrink the domain or raise the cap")
@@ -368,13 +370,7 @@ def _antiherm(m):
 
 def _sym_from_values(f1, fd, h, lam0):
     """Sym-Bobenko point from F(lam0) and dF/dlam(lam0), batched."""
-    det = f1[..., 0, 0] * f1[..., 1, 1] - f1[..., 0, 1] * f1[..., 1, 0]
-    inv = np.empty_like(f1)
-    inv[..., 0, 0] = f1[..., 1, 1]
-    inv[..., 1, 1] = f1[..., 0, 0]
-    inv[..., 0, 1] = -f1[..., 0, 1]
-    inv[..., 1, 0] = -f1[..., 1, 0]
-    inv = inv / det[..., None, None]
+    inv = inv2(f1)
     m = (2j * lam0) * np.einsum("...ij,...jl->...il", fd, inv)
     m = m + np.einsum("...ij,jk,...kl->...il", f1, E3, inv) - E3
     return su2_to_vec(_antiherm(m)) * (-1.0 / (2.0 * h)), inv
@@ -448,8 +444,7 @@ def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
 
     for start in range(0, len(idx), opts.chunk):
         sel = idx[start:start + opts.chunk]
-        out = iwasawa_batch(fg.lo, coeffs[sel], margin=opts.margin,
-                            polish=opts.polish)
+        out = iwasawa_batch(fg.lo, coeffs[sel], margin=opts.margin)
         good = out["ok"] & (out["residual"] < opts.residual_tol) \
             & (out["unitary_residual"] < opts.unitary_tol)
         fcoef = out["f"]

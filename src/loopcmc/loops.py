@@ -19,7 +19,7 @@ __all__ = [
     "LoopMat", "WindowOverflowError", "LoopError", "identity", "constant",
     "hat_extend", "mul", "eval_lambda", "lambda_derivative_at", "star",
     "inverse", "det_series", "check_membership", "to_text", "from_text",
-    "E1", "E2", "E3", "su2_to_vec", "matrix_cvec", "DEFAULT_MAXDEG",
+    "E1", "E2", "E3", "su2_to_vec", "matrix_cvec", "inv2", "DEFAULT_MAXDEG",
     "CIRCLE_SAMPLES", "circle_points",
 ]
 
@@ -318,6 +318,17 @@ def matrix_cvec(m):
     return np.stack([c1, c2, c3], axis=-1)
 
 
+def inv2(m):
+    """Inverses of a stack of 2x2 matrices, in closed form."""
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    inv = np.empty_like(m)
+    inv[..., 0, 0] = m[..., 1, 1]
+    inv[..., 1, 1] = m[..., 0, 0]
+    inv[..., 0, 1] = -m[..., 0, 1]
+    inv[..., 1, 0] = -m[..., 1, 0]
+    return inv / det[..., None, None]
+
+
 # ---------------------------------------------------------------------------
 # Debug serialization: one record per power, row-major complex pairs.
 
@@ -328,9 +339,6 @@ def to_text(a: LoopMat) -> str:
         vals = " ".join(f"({v.real:.17g},{v.imag:.17g})" for v in c.ravel())
         lines.append(f"p={k}: {vals}")
     return "\n".join(lines) + "\n"
-
-
-_REC_RE = None
 
 
 def from_text(text: str) -> LoopMat:

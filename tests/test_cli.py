@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from loopcmc import cli
 from loopcmc.cli import main, parse_complex
+from loopcmc.loops import LoopError
 from conftest import CATENOID_MU, CATENOID_NU, HELICOID_MU, ORDER5_A, ORDER5_P
 
 
@@ -37,6 +39,30 @@ class TestParsing:
     def test_numerical_failure_exit_code(self, tmp_path):
         # absurd mean curvature on a large domain exceeds the series cap
         rc = main(["mesh", "--a", "2", "--Q=-4*z", "--h", "80",
+                   "--grid", "11", "--out", str(tmp_path)])
+        assert rc == 3
+
+    def test_pole_at_basepoint_fails_cleanly(self, tmp_path):
+        # the potential is NaN at the basepoint, so the series tail bound
+        # is too: a clear numerical failure, or a report that is valid JSON
+        rc = main(["mesh", "--a", "1", "--Q=1/z", "--h", "1",
+                   "--grid", "21", "--out", str(tmp_path)])
+        if rc != 3:
+            assert rc == 0
+
+            def reject(token):
+                raise ValueError(f"non-finite value {token} in report")
+            with open(tmp_path / "report.json") as fh:
+                json.loads(fh.read(), parse_constant=reject)
+
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError, LoopError])
+    def test_linear_algebra_errors_are_numerical(self, tmp_path,
+                                                 monkeypatch, error):
+        # both are ValueError subclasses, yet not configuration errors
+        def fail(*args, **kwargs):
+            raise error("singular")
+        monkeypatch.setattr(cli, "surface_from_potential", fail)
+        rc = main(["mesh", "--a", "2", "--Q", "0", "--h", "1",
                    "--grid", "11", "--out", str(tmp_path)])
         assert rc == 3
 
@@ -182,3 +208,12 @@ class TestDress:
         wu = rep["wu_recursion"]["h=1"]
         assert wu["max_relation_residual"] <= 1e-8
         assert wu["max_higher_coefficient"] <= 1e-9
+
+    def test_cross_check_creates_missing_out_dir(self, tmp_path):
+        out = tmp_path / "missing" / "nested"
+        rc = main(["dress", "--a", "(1+0.1*z)^2", "--Q", "1",
+                   "--atilde", "1", "--h", "1", "--K", "4", "--grid", "11",
+                   "--out", str(out)])
+        assert rc == 0
+        assert read_report(out)["cross_check"]["max_deviation"] <= 1e-4
+        assert (out / "dressed.obj").exists() and (out / "direct.obj").exists()

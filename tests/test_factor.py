@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from loopcmc import factor as fa
 from loopcmc.factor import (BigCellError, FactorError, birkhoff, iwasawa,
-                            inverse_plus)
+                            inverse_plus, iwasawa_batch)
 from loopcmc.loops import (LoopMat, check_membership, eval_lambda, identity,
                            mul)
 from conftest import rand_twisted_loop, rand_unimodular_twisted
@@ -80,6 +83,142 @@ class TestIwasawa:
         rng = np.random.default_rng(4)
         r = iwasawa(rand_twisted_loop(rng, band=4, scale=0.05))
         assert r.rho > 0
+
+
+# ---------------------------------------------------------------------------
+# The batched core against dense references: the full block-Toeplitz section
+# with its Cholesky factor, and the forward-substitution solve for F.
+
+def twisted_chunk(rng, band, n=6, scale=1.0, decay=0.6):
+    """n random twisted loops of unit determinant over powers -band..band:
+    X = [[1, u], [0, 1]] [[1, 0], [v, 1]] with u, v odd Laurent polynomials
+    whose random coefficients decay geometrically, as (n, nk, 2, 2)."""
+    ks = np.arange(-band, band + 1)
+    w = np.where((ks % 2 == 1) & (np.abs(ks) <= band // 2),
+                 scale * decay ** np.abs(ks), 0.0)
+    u, v = w * (rng.normal(size=(2, n, ks.size))
+                + 1j * rng.normal(size=(2, n, ks.size)))
+    c = np.zeros((n, ks.size, 2, 2), dtype=complex)
+    c[:, :, 0, 1] = u
+    c[:, :, 1, 0] = v
+    for i in range(n):
+        c[i, :, 0, 0] = np.convolve(u[i], v[i])[band:3 * band + 1]
+    c[:, band] += np.eye(2)
+    return c
+
+
+def dense_section(p_pos, ncap):
+    """T[i,j] = P_{j-i} as a scalar matrix of size 2(ncap+1)."""
+    n, nb = p_pos.shape[:2]
+    t = np.zeros((n, ncap + 1, 2, ncap + 1, 2), dtype=complex)
+    for i in range(ncap + 1):
+        for j in range(ncap + 1):
+            d = j - i
+            if 0 <= d < nb:
+                t[:, i, :, j] = p_pos[:, d]
+            elif 0 < -d < nb:
+                t[:, i, :, j] = np.conj(np.swapaxes(p_pos[:, -d], 1, 2))
+    return t.reshape(n, 2 * (ncap + 1), 2 * (ncap + 1))
+
+
+def dense_bauer(coeffs, margin):
+    """B_k from the bottom block-row of the dense Cholesky factor."""
+    ncap = coeffs.shape[1] - 1 + margin
+    chol = np.linalg.cholesky(dense_section(fa._gram_coeffs(coeffs), ncap))
+    last = 2 * ncap
+    bcoef = np.stack([np.conj(np.swapaxes(
+        chol[:, last:last + 2, last - 2 * k:last - 2 * k + 2], 1, 2))
+        for k in range(ncap + 1)], axis=1)
+    diag = np.einsum("nii->ni", chol).real
+    return bcoef, (diag.max(axis=1) / diag.min(axis=1)) ** 2
+
+
+def forward_substitution(coeffs, bcoef, extra, tail_tol=1e-13):
+    """F with F B = X power by power (B_0 diagonal), truncated where a
+    coefficient past the input band falls below tail_tol."""
+    n, nk = coeffs.shape[:2]
+    nb = bcoef.shape[1]
+    nf = nk + extra
+    scale = max(float(np.max(np.abs(coeffs))), 1.0)
+    f = np.zeros((n, nf, 2, 2), dtype=complex)
+    inv_b0 = np.zeros_like(bcoef[:, 0])
+    inv_b0[:, 0, 0] = 1.0 / bcoef[:, 0, 0, 0]
+    inv_b0[:, 1, 1] = 1.0 / bcoef[:, 0, 1, 1]
+    for m in range(nf):
+        rhs = coeffs[:, m].copy() if m < nk else np.zeros((n, 2, 2), complex)
+        for j in range(1, min(m, nb - 1) + 1):
+            rhs -= f[:, m - j] @ bcoef[:, j]
+        f[:, m] = rhs @ inv_b0
+        if m >= nk and float(np.max(np.abs(f[:, m]))) < tail_tol * scale:
+            return f[:, :m + 1]
+    return f
+
+
+BANDS = (3, 4, 7, 12, 18, 25)
+
+
+class TestIwasawaCore:
+    @pytest.mark.parametrize("band", BANDS)
+    def test_section_splits_by_twist_parity(self, band):
+        rng = np.random.default_rng(100 + band)
+        ncap = 2 * band + fa.DEFAULT_MARGIN
+        p_pos = fa._gram_coeffs(twisted_chunk(rng, band))
+        t = dense_section(p_pos, ncap)
+        i, r = np.divmod(np.arange(2 * (ncap + 1)), 2)
+        par = (i + r) % 2
+        cross = par[:, None] != par[None, :]
+        assert np.all(t[:, cross] == 0)
+        halves = fa._parity_halves(p_pos, ncap)
+        for c in (0, 1):
+            keep = np.nonzero(par == c)[0]
+            assert np.array_equal(halves[:, c], t[:, keep][:, :, keep])
+
+    @pytest.mark.parametrize("band", BANDS)
+    @pytest.mark.parametrize("margin", [7, 8])     # odd and even ncap
+    def test_split_cholesky_matches_dense(self, band, margin):
+        rng = np.random.default_rng(200 + band)
+        coeffs = twisted_chunk(rng, band)
+        bcoef, ok, cond = fa._bauer_factor(coeffs, margin)
+        dense_b, dense_cond = dense_bauer(coeffs, margin)
+        assert ok.all()
+        assert np.max(np.abs(bcoef - dense_b)) <= 1e-13
+        assert np.max(np.abs(cond - dense_cond) / dense_cond) <= 1e-13
+
+    @pytest.mark.parametrize("band", BANDS)
+    def test_fft_solve_matches_forward_substitution(self, band):
+        rng = np.random.default_rng(300 + band)
+        coeffs = twisted_chunk(rng, band)
+        bcoef, _, _ = fa._bauer_factor(coeffs, fa.DEFAULT_MARGIN)
+        extra = 4 * fa.DEFAULT_MARGIN + 32
+        f = fa._solve_unitary(coeffs, -band, bcoef, extra)
+        ref = forward_substitution(coeffs, bcoef, extra)
+        assert f.shape == ref.shape
+        assert np.max(np.abs(f - ref)) <= 1e-13
+        # F is twisted: diagonal entries at even powers, off-diagonal at odd
+        power = -band + np.arange(f.shape[1])[:, None, None]
+        off_twist = (power + np.arange(2)[:, None] + np.arange(2)) % 2 == 1
+        assert np.max(np.abs(f[:, off_twist])) <= 1e-15
+
+    def test_non_positive_definite_node_is_isolated(self):
+        rng = np.random.default_rng(400)
+        band = 3
+        coeffs = twisted_chunk(rng, band, n=5)
+        # second column identically zero: a rank-one Gram symbol
+        coeffs[2] = 0.0
+        coeffs[2, band, 0, 0] = 1.0
+        coeffs[2, band - 1, 1, 0] = 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = iwasawa_batch(-band, coeffs)
+        assert out["ok"].tolist() == [True, True, False, True, True]
+        assert np.array_equal(out["b"][2, 0], np.eye(2))
+        assert not np.any(out["b"][2, 1:])
+        for key in ("f", "b", "residual", "unitary_residual"):
+            assert np.all(np.isfinite(out[key]))
+        rest = iwasawa_batch(-band, np.delete(coeffs, 2, axis=0))
+        keep = [0, 1, 3, 4]
+        assert out["f"].shape[1:] == rest["f"].shape[1:]
+        assert np.max(np.abs(out["f"][keep] - rest["f"])) <= 1e-13
 
 
 def hatprod(rng, n=3):

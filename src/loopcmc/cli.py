@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -84,13 +85,19 @@ def build_grid(args, z0) -> DomainGrid:
 
 def build_options(args) -> SurfaceOptions:
     opts = SurfaceOptions()
-    if getattr(args, "trunc", None):
+    if getattr(args, "trunc", None) is not None:
+        if args.trunc < 1:
+            raise ConfigError("--trunc must be at least 1")
         opts.ntrunc_cap = args.trunc
-    if getattr(args, "tol", None):
+    if getattr(args, "tol", None) is not None:
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise ConfigError("--tol must be a finite positive number")
         opts.tail_tol = args.tol
-    if getattr(args, "substeps", None):
+    if getattr(args, "substeps", None) is not None:
+        if args.substeps < 1:
+            raise ConfigError("--substeps must be at least 1")
         opts.substeps = args.substeps
-    if getattr(args, "lambda0", None):
+    if getattr(args, "lambda0", None) is not None:
         lam = parse_complex(args.lambda0)
         if abs(abs(lam) - 1) > 1e-12:
             raise ConfigError("--lambda0 must lie on the unit circle")
@@ -526,7 +533,6 @@ def build_parser():
     dp.add_argument("--K", type=int, default=6)
     _add_grid_flags(dp)
     dp.add_argument("--out")
-    dp.add_argument("--format", choices=["obj", "ply", "both"], default="obj")
     dp.set_defaults(func=cmd_dress)
 
     gp = sub.add_parser("gallery", help="pinned example families: "

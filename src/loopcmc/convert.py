@@ -175,12 +175,6 @@ class PointClassification:
 class OrderReport:
     points: list
 
-    def all_valid(self):
-        return all(pc.valid for pc in self.points)
-
-    def by_tag(self, tag):
-        return [pc for pc in self.points if pc.tag == tag]
-
 
 def _find_r(target_ord_q, base, max_r=64):
     """Smallest r >= 1 with target = base/(2r) - 2 or (base+2)/(2r) - 2."""

@@ -33,7 +33,7 @@ from .grid import DomainGrid, dilate_invalid
 from .loops import (E1, E2, E3, LoopMat, hat_extend, inv2, su2_to_vec,
                     matrix_cvec)
 from .mesh import SurfaceMesh
-from .weier import MeroFunc, as_func, row_first_blocked
+from .weier import MeroFunc, as_func
 
 __all__ = [
     "PotentialSpec", "SurfaceOptions", "FrameGrid", "FrameError",
@@ -101,7 +101,6 @@ class SurfaceOptions:
     mask_dilate: int = 1
     entry_bound: float = 1e8
     chunk: int = 256
-    path_order: str = "row-first"   # or "col-first" (testing aid)
 
 
 @dataclass
@@ -211,9 +210,10 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
 
     The frame with initial value I has only nonpositive powers; its series
     coefficients are iterated path integrals advanced by a fourth-order
-    sweep along the basepoint row and then the columns (breadth-first
-    rerouting around masked nodes).  The result is premultiplied by the
-    twisted extension of the initial frame.
+    step along each edge of the grid sweep (``DomainGrid.sweep``: the
+    basepoint row, then the columns, then breadth-first rerouting around
+    masked nodes).  The result is premultiplied by the twisted extension of
+    the initial frame.
 
     Raises TailBoundError when the rigorous factorial tail bound cannot be
     pushed below ``options.tail_fail`` at the truncation cap.
@@ -269,48 +269,10 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
     ny, nx = grid.ny, grid.nx
     nk = ntrunc + 1
     psi = np.full((ny, nx, nk, 2, 2), np.nan, dtype=complex)
-    j0, i0 = grid.j0, grid.i0
-    eye = np.zeros((nk, 2, 2), dtype=complex)
-    eye[0] = np.eye(2)
-    psi[j0, i0] = eye
-    xs, ys = grid.xs, grid.ys
-
-    def adv(state, za, zb):
-        return _rk4_loop_advance(state, za, zb, alpha, lower, opts.substeps)
-
-    if opts.path_order == "row-first":
-        for i in range(i0 + 1, nx):
-            psi[j0, i] = adv(psi[j0, i - 1], complex(xs[i - 1], ys[j0]),
-                             complex(xs[i], ys[j0]))
-        for i in range(i0 - 1, -1, -1):
-            psi[j0, i] = adv(psi[j0, i + 1], complex(xs[i + 1], ys[j0]),
-                             complex(xs[i], ys[j0]))
-        for j in range(j0 + 1, ny):
-            psi[j] = adv(psi[j - 1], xs + 1j * ys[j - 1], xs + 1j * ys[j])
-        for j in range(j0 - 1, -1, -1):
-            psi[j] = adv(psi[j + 1], xs + 1j * ys[j + 1], xs + 1j * ys[j])
-        blocked = row_first_blocked(work)
-    elif opts.path_order == "col-first":
-        for j in range(j0 + 1, ny):
-            psi[j, i0] = adv(psi[j - 1, i0], complex(xs[i0], ys[j - 1]),
-                             complex(xs[i0], ys[j]))
-        for j in range(j0 - 1, -1, -1):
-            psi[j, i0] = adv(psi[j + 1, i0], complex(xs[i0], ys[j + 1]),
-                             complex(xs[i0], ys[j]))
-        for i in range(i0 + 1, nx):
-            psi[:, i] = adv(psi[:, i - 1], xs[i - 1] + 1j * ys, xs[i] + 1j * ys)
-        for i in range(i0 - 1, -1, -1):
-            psi[:, i] = adv(psi[:, i + 1], xs[i + 1] + 1j * ys, xs[i] + 1j * ys)
-        blocked = row_first_blocked(
-            DomainGrid(ys, xs, work.j0, work.i0, work.mask.T)).T
-    else:
-        raise ValueError(f"unknown path order {opts.path_order!r}")
-
-    if np.any(blocked):
-        for (jp, ip), (jc, ic) in work.bfs_tree():
-            if blocked[jc, ic]:
-                psi[jc, ic] = adv(psi[jp, ip], grid.node(jp, ip),
-                                  grid.node(jc, ic))
+    psi[grid.j0, grid.i0] = 0.0
+    psi[grid.j0, grid.i0, 0] = np.eye(2)
+    work.sweep(psi, lambda s, za, zb: _rk4_loop_advance(
+        s, za, zb, alpha, lower, opts.substeps))
 
     ok = mask & np.all(np.isfinite(psi), axis=(2, 3, 4))
     # premultiply by the twisted initial loop: powers shift to [-nk, +1];
@@ -398,6 +360,22 @@ def sym_bobenko(fhat: LoopMat, h: float, lam0=1.0 + 0j,
 # ---------------------------------------------------------------------------
 # Full pipeline
 
+def _factor_chunks(lo, coeffs, ok, opts: SurfaceOptions):
+    """Pointwise Iwasawa factorization of the flat frames ``coeffs``
+    (n, nk, 2, 2), lowest power ``lo``, at the nodes where ``ok`` holds, in
+    chunks of ``opts.chunk``.  Yields ``(indices, out, accepted)`` per
+    chunk: the node indices, the ``iwasawa_batch`` output, and the nodes
+    whose factorization succeeded within ``opts.residual_tol`` and
+    ``opts.unitary_tol``."""
+    idx = np.nonzero(ok)[0]
+    for start in range(0, len(idx), opts.chunk):
+        sel = idx[start:start + opts.chunk]
+        out = iwasawa_batch(lo, coeffs[sel], margin=opts.margin)
+        accepted = out["ok"] & (out["residual"] < opts.residual_tol) \
+            & (out["unitary_residual"] < opts.unitary_tol)
+        yield sel, out, accepted
+
+
 def surface_from_potential(p: PotentialSpec, grid: DomainGrid,
                            options: SurfaceOptions | None = None) -> SurfaceMesh:
     """Surface mesh for the potential: loop-group construction for h != 0,
@@ -430,9 +408,7 @@ def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
     nk = fg.coeffs.shape[2]
     lam0 = complex(opts.lambda0)
 
-    flat_ok = fg.ok.reshape(-1)
     coeffs = fg.coeffs.reshape(ny * nx, nk, 2, 2)
-    idx = np.nonzero(flat_ok)[0]
     f = np.full((ny * nx, 3), np.nan)
     normal = np.full((ny * nx, 3), np.nan)
     fzv = np.full((ny * nx, 3), np.nan, dtype=complex)
@@ -442,11 +418,7 @@ def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
     max_unit = 0.0
     a_vals = ex.evaluate(p.a, grid.zz).reshape(-1)
 
-    for start in range(0, len(idx), opts.chunk):
-        sel = idx[start:start + opts.chunk]
-        out = iwasawa_batch(fg.lo, coeffs[sel], margin=opts.margin)
-        good = out["ok"] & (out["residual"] < opts.residual_tol) \
-            & (out["unitary_residual"] < opts.unitary_tol)
+    for sel, out, good in _factor_chunks(fg.lo, coeffs, fg.ok.reshape(-1), opts):
         fcoef = out["f"]
         f_lo = out["f_lo"]
         ks = f_lo + np.arange(fcoef.shape[1])

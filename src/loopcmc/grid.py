@@ -1,11 +1,10 @@
 """Rectangular sampling grids on a domain in the complex plane.
 
 A :class:`DomainGrid` is a rectangular node lattice with a per-node validity
-mask.  The basepoint must be an unmasked node.  Grids also provide the
-axis-aligned integration paths used by the frame and Weierstrass
-integrators: a row-first sweep (along the basepoint row, then along
-columns), its column-first mirror, and a breadth-first fallback that routes
-around masked nodes.
+mask.  The basepoint must be an unmasked node.  :func:`sweep` is the one
+walk from the basepoint that the frame and Weierstrass integrators share:
+along the basepoint row, then down every column at once, then breadth-first
+around masked nodes for the valid nodes that walk cut off.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["DomainGrid", "MaskedPathError", "GridError"]
+__all__ = ["DomainGrid", "MaskedPathError", "GridError", "sweep"]
 
 
 class GridError(ValueError):
@@ -141,25 +140,74 @@ class DomainGrid:
                 raise MaskedPathError(f"path crosses masked node at {self.node(j, i)}")
         return [self.node(j, i) for (j, i) in nodes]
 
-    def bfs_tree(self):
-        """Breadth-first spanning tree of the unmasked nodes from the
-        basepoint; returns a list of ((jfrom, ifrom), (jto, ito)) steps in
-        visit order.  Deterministic: neighbors in E, W, N, S order."""
-        start = (self.j0, self.i0)
-        seen = np.zeros_like(self.mask)
-        seen[start] = True
-        steps = []
-        q = deque([start])
-        while q:
-            j, i = q.popleft()
-            for dj, di in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-                jj, ii = j + dj, i + di
-                if 0 <= jj < self.ny and 0 <= ii < self.nx \
-                        and self.mask[jj, ii] and not seen[jj, ii]:
-                    seen[jj, ii] = True
-                    steps.append(((j, i), (jj, ii)))
-                    q.append((jj, ii))
-        return steps
+    def sweep(self, state, advance):
+        """:func:`sweep` over this grid's nodes and mask."""
+        return sweep(self.zz, self.mask, self.j0, self.i0, state, advance)
+
+
+def row_first_blocked(mask, j0, i0):
+    """Valid nodes whose row-first path from the basepoint crosses an
+    invalid node (they need breadth-first rerouting)."""
+    bad = ~mask
+    rowbad = np.zeros(mask.shape[1], dtype=bool)
+    rowbad[i0:] = np.cumsum(bad[j0, i0:]) > 0
+    rowbad[:i0 + 1] |= (np.cumsum(bad[j0, i0::-1]) > 0)[::-1]
+    colbad = np.zeros_like(bad)
+    colbad[j0:, :] = np.cumsum(bad[j0:, :], axis=0) > 0
+    colbad[:j0 + 1, :] |= (np.cumsum(bad[j0::-1, :], axis=0) > 0)[::-1, :]
+    return mask & (rowbad[None, :] | colbad)
+
+
+def bfs_tree(mask, j0, i0):
+    """Breadth-first spanning tree of the valid nodes from the basepoint;
+    returns a list of ((jfrom, ifrom), (jto, ito)) steps in visit order.
+    Deterministic: neighbors in E, W, N, S order."""
+    ny, nx = mask.shape
+    seen = np.zeros_like(mask)
+    seen[j0, i0] = True
+    steps = []
+    q = deque([(j0, i0)])
+    while q:
+        j, i = q.popleft()
+        for dj, di in ((0, 1), (0, -1), (1, 0), (-1, 0)):
+            jj, ii = j + dj, i + di
+            if 0 <= jj < ny and 0 <= ii < nx and mask[jj, ii] and not seen[jj, ii]:
+                seen[jj, ii] = True
+                steps.append(((j, i), (jj, ii)))
+                q.append((jj, ii))
+    return steps
+
+
+def sweep(zz, mask, j0, i0, state, advance):
+    """Carry a state from the basepoint (j0, i0) to every node of the
+    lattice ``zz`` (ny, nx) and return ``state``, filled in place.
+
+    ``state`` is shaped (ny, nx, ...) and holds the basepoint value at
+    [j0, i0].  ``advance(s, za, zb)`` returns ``s`` carried from za to zb:
+    along the basepoint row it gets one node's state and scalar endpoints,
+    down the columns a whole row of states and row vectors of endpoints.
+    Valid nodes whose row-first path crosses an invalid node are then
+    reached one edge at a time along the breadth-first tree of ``mask``;
+    invalid nodes, and valid ones no path of valid nodes reaches, are left
+    NaN.  A column-first walk is the same call on ``zz.T``, ``mask.T`` and
+    the state with its first two axes swapped.
+    """
+    ny, nx = zz.shape
+    for i in range(i0 + 1, nx):
+        state[j0, i] = advance(state[j0, i - 1], zz[j0, i - 1], zz[j0, i])
+    for i in range(i0 - 1, -1, -1):
+        state[j0, i] = advance(state[j0, i + 1], zz[j0, i + 1], zz[j0, i])
+    for j in range(j0 + 1, ny):
+        state[j] = advance(state[j - 1], zz[j - 1], zz[j])
+    for j in range(j0 - 1, -1, -1):
+        state[j] = advance(state[j + 1], zz[j + 1], zz[j])
+    blocked = row_first_blocked(mask, j0, i0)
+    state[blocked | ~mask] = np.nan
+    if np.any(blocked):
+        for (jp, ip), (jc, ic) in bfs_tree(mask, j0, i0):
+            if blocked[jc, ic]:
+                state[jc, ic] = advance(state[jp, ip], zz[jp, ip], zz[jc, ic])
+    return state
 
 
 def dilate_invalid(mask, cells=1):

@@ -273,87 +273,38 @@ def _gl_stack(za, zb, gl_n=8):
     return pts, wgt
 
 
-def row_first_blocked(grid: DomainGrid):
-    """Valid nodes whose row-first path from the basepoint crosses an
-    invalid node (they need breadth-first rerouting)."""
-    mask = grid.mask
-    j0, i0 = grid.j0, grid.i0
-    bad = ~mask
-    rowbad = np.zeros(grid.nx, dtype=bool)
-    rowbad[i0:] = np.cumsum(bad[j0, i0:]) > 0
-    rowbad[:i0 + 1] |= (np.cumsum(bad[j0, i0::-1]) > 0)[::-1]
-    colbad = np.zeros_like(bad)
-    colbad[j0:, :] = np.cumsum(bad[j0:, :], axis=0) > 0
-    colbad[:j0 + 1, :] |= (np.cumsum(bad[j0::-1, :], axis=0) > 0)[::-1, :]
-    return mask & (rowbad[None, :] | colbad)
-
-
 def _cumulative_grid_integral(fvec, grid: DomainGrid, gl_n=8):
-    """Cumulative integral of a vector-valued integrand over row-first paths
-    from the basepoint; ``fvec(points)`` must return (..., m).  Nodes cut
-    off from the basepoint row/column sweep are rerouted breadth-first."""
-    ny, nx = grid.ny, grid.nx
-    probe = np.asarray(fvec(np.array([grid.z0])))
-    m = probe.shape[-1]
-    vals = np.full((ny, nx, m), np.nan, dtype=complex)
-    j0, i0 = grid.j0, grid.i0
-    vals[j0, i0] = 0.0
+    """Cumulative integral of a vector-valued integrand over the grid sweep
+    from the basepoint (``DomainGrid.sweep``), one Gauss-Legendre segment
+    per edge; ``fvec(points)`` must return (..., m)."""
+    m = np.asarray(fvec(np.array([grid.z0]))).shape[-1]
+    vals = np.full((grid.ny, grid.nx, m), np.nan, dtype=complex)
+    vals[grid.j0, grid.i0] = 0.0
 
-    def seg(za, zb):
-        pts, wgt = _gl_stack(za, zb, gl_n)
-        fv = np.asarray(fvec(pts.reshape(-1)))
-        fv = fv.reshape(pts.shape + (m,))
-        return (zb - za)[..., None] / 2.0 * np.einsum("...gm,g->...m", fv, wgt)
+    def seg(v, za, zb):
+        pts, wgt = _gl_stack(np.asarray(za), np.asarray(zb), gl_n)
+        fv = np.asarray(fvec(pts.reshape(-1))).reshape(pts.shape + (m,))
+        return v + (zb - za)[..., None] / 2.0 * np.einsum("...gm,g->...m", fv, wgt)
 
-    xs, ys = grid.xs, grid.ys
-    # basepoint row
-    for i in range(i0 + 1, nx):
-        za = np.array([complex(xs[i - 1], ys[j0])])
-        zb = np.array([complex(xs[i], ys[j0])])
-        vals[j0, i] = vals[j0, i - 1] + seg(za, zb)[0]
-    for i in range(i0 - 1, -1, -1):
-        za = np.array([complex(xs[i + 1], ys[j0])])
-        zb = np.array([complex(xs[i], ys[j0])])
-        vals[j0, i] = vals[j0, i + 1] + seg(za, zb)[0]
-    # columns in parallel
-    for j in range(j0 + 1, ny):
-        za = xs + 1j * ys[j - 1]
-        zb = xs + 1j * ys[j]
-        vals[j] = vals[j - 1] + seg(za, zb)
-    for j in range(j0 - 1, -1, -1):
-        za = xs + 1j * ys[j + 1]
-        zb = xs + 1j * ys[j]
-        vals[j] = vals[j + 1] + seg(za, zb)
-    blocked = row_first_blocked(grid)
-    if np.any(blocked):
-        for (jp, ip), (jc, ic) in grid.bfs_tree():
-            if blocked[jc, ic]:
-                za = np.array([grid.node(jp, ip)])
-                zb = np.array([grid.node(jc, ic)])
-                vals[jc, ic] = vals[jp, ip] + seg(za, zb)[0]
-    return vals
+    return grid.sweep(vals, seg)
 
 
 def _rk4_grid_integral(rhs, extra0, grid: DomainGrid, substeps=8):
     """Cumulative integral with the auxiliary quantity integrated alongside:
-    state (F in C^3, aux in C); rhs(z, aux) returns (f_z rows, daux).
+    state (F in C^3, aux in C); rhs(z, aux) returns (f_z rows, daux).  Both
+    ride the grid sweep as one packed (..., 4) state.
 
     Used when nu itself is only known through its derivative."""
-    ny, nx = grid.ny, grid.nx
-    F = np.full((ny, nx, 3), np.nan, dtype=complex)
-    aux = np.full((ny, nx), np.nan, dtype=complex)
-    j0, i0 = grid.j0, grid.i0
-    F[j0, i0] = 0.0
-    aux[j0, i0] = extra0
+    state = np.full((grid.ny, grid.nx, 4), np.nan, dtype=complex)
+    state[grid.j0, grid.i0] = [0.0, 0.0, 0.0, extra0]
 
-    def advance(Fv, av, za, zb):
+    def advance(s, za, zb):
         za = np.asarray(za, dtype=complex)
         zb = np.asarray(zb, dtype=complex)
-        Fv = np.array(Fv, copy=True)
-        av = np.array(av, copy=True)
-        for s in range(substeps):
-            t0 = za + (zb - za) * (s / substeps)
-            t1 = za + (zb - za) * ((s + 1) / substeps)
+        Fv, av = s[..., :3], s[..., 3]
+        for k in range(substeps):
+            t0 = za + (zb - za) * (k / substeps)
+            t1 = za + (zb - za) * ((k + 1) / substeps)
             dz = t1 - t0
             k1F, k1a = rhs(t0, av)
             k2F, k2a = rhs(t0 + dz / 2, av + dz * k1a / 2)
@@ -361,30 +312,10 @@ def _rk4_grid_integral(rhs, extra0, grid: DomainGrid, substeps=8):
             k4F, k4a = rhs(t1, av + dz * k3a)
             Fv = Fv + dz[..., None] / 6 * (k1F + 2 * k2F + 2 * k3F + k4F)
             av = av + dz / 6 * (k1a + 2 * k2a + 2 * k3a + k4a)
-        return Fv, av
+        return np.concatenate([Fv, av[..., None]], axis=-1)
 
-    xs, ys = grid.xs, grid.ys
-    for i in range(i0 + 1, nx):
-        F[j0, i], aux[j0, i] = advance(F[j0, i - 1], aux[j0, i - 1],
-                                       complex(xs[i - 1], ys[j0]),
-                                       complex(xs[i], ys[j0]))
-    for i in range(i0 - 1, -1, -1):
-        F[j0, i], aux[j0, i] = advance(F[j0, i + 1], aux[j0, i + 1],
-                                       complex(xs[i + 1], ys[j0]),
-                                       complex(xs[i], ys[j0]))
-    for j in range(j0 + 1, ny):
-        F[j], aux[j] = advance(F[j - 1], aux[j - 1], xs + 1j * ys[j - 1],
-                               xs + 1j * ys[j])
-    for j in range(j0 - 1, -1, -1):
-        F[j], aux[j] = advance(F[j + 1], aux[j + 1], xs + 1j * ys[j + 1],
-                               xs + 1j * ys[j])
-    blocked = row_first_blocked(grid)
-    if np.any(blocked):
-        for (jp, ip), (jc, ic) in grid.bfs_tree():
-            if blocked[jc, ic]:
-                F[jc, ic], aux[jc, ic] = advance(
-                    F[jp, ip], aux[jp, ip], grid.node(jp, ip), grid.node(jc, ic))
-    return F, aux
+    grid.sweep(state, advance)
+    return state[..., :3], state[..., 3]
 
 
 def _fz_components(mu, nu):

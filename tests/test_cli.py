@@ -66,6 +66,15 @@ class TestParsing:
                    "--grid", "11", "--out", str(tmp_path)])
         assert rc == 3
 
+    @pytest.mark.parametrize("flag", [
+        "--substeps=-1", "--substeps=0", "--trunc=0", "--trunc=-3",
+        "--tol=0", "--tol=-1e-12", "--tol=nan", "--tol=inf"])
+    def test_out_of_range_numeric_flag_is_config_error(self, tmp_path, flag):
+        rc = main(["mesh", "--a", "2", "--Q=-4*z", "--h", "1",
+                   "--grid", "5", flag, "--out", str(tmp_path)])
+        assert rc == 2
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestGallery:
     def test_sphere_radius_report(self, tmp_path):

@@ -214,6 +214,23 @@ class TestDressFrame:
             assert np.max(np.abs(_power(twice, k)
                                  - _power(combined, k))) <= 1e-8
 
+    def test_residual_reported_over_accepted_nodes(self, monkeypatch):
+        # a node rejected for its residual is masked and left out of
+        # max_iwasawa_residual
+        from loopcmc import dressing, factor, frames
+
+        def one_bad_node(*args, **kwargs):
+            out = factor.iwasawa_batch(*args, **kwargs)
+            out["residual"][0] = 1.0
+            return out
+        monkeypatch.setattr(frames, "iwasawa_batch", one_bad_node)
+        monkeypatch.setattr(dressing, "iwasawa_batch", one_bad_node)
+        fg = integrate_frame(PotentialSpec.normalized("2", "-4*z", 1.0),
+                             DomainGrid.square(0.5, 7))
+        out = dress_frame(identity(), fg)
+        assert np.count_nonzero(fg.ok & ~out.ok) == 1
+        assert out.meta["max_iwasawa_residual"] <= 1e-12
+
     def test_hopf_invariant_under_dressing(self):
         res = h_independent_dressing(A_PAIR, AT_PAIR, Q_PAIR)
         g = DomainGrid.square(0.8, 31)

@@ -1,0 +1,59 @@
+import numpy as np
+import pytest
+
+from loopcmc import expr as ex
+from loopcmc.grid import DomainGrid
+from loopcmc.weier import _cumulative_grid_integral
+
+
+@pytest.fixture
+def walled():
+    """21x21 grid on [-1, 1]^2 with basepoint 0: a masked wall crosses the
+    basepoint column above the basepoint (the row-first paths of the nodes
+    behind it are cut), and a masked ring encloses one valid node that no
+    path of valid nodes reaches."""
+    g = DomainGrid.square(1.0, 21)
+    mask = np.ones((g.ny, g.nx), dtype=bool)
+    mask[g.j0 + 4, g.i0 - 5:g.i0 + 6] = False
+    mask[1:4, 1:4] = False
+    mask[2, 2] = True
+    return g.with_mask(mask)
+
+
+def reached(g):
+    """Nodes joined to the basepoint by a path of valid nodes."""
+    out = np.zeros_like(g.mask)
+    out[g.j0, g.i0] = True
+    while True:
+        p = np.pad(out, 1)
+        grown = g.mask & (out | p[:-2, 1:-1] | p[2:, 1:-1]
+                          | p[1:-1, :-2] | p[1:-1, 2:])
+        if np.array_equal(grown, out):
+            return out
+        out = grown
+
+
+class TestSweep:
+    def test_reroute_reaches_every_connected_node(self, walled):
+        g = walled
+        state = np.full((g.ny, g.nx), np.nan, dtype=complex)
+        state[g.j0, g.i0] = 0.0
+        g.sweep(state, lambda s, za, zb: s + (zb - za))
+        conn = reached(g)
+        assert np.count_nonzero(g.mask & ~conn) == 1
+        # the nodes right behind the wall are only reached by rerouting
+        assert conn[g.j0 + 5, g.i0]
+        assert np.max(np.abs(state - (g.zz - g.z0))[conn]) <= 1e-14
+        assert np.all(np.isnan(state[~conn]))
+
+    def test_cumulative_integral_behind_the_wall(self, walled):
+        g = walled
+        vals = _cumulative_grid_integral(
+            lambda pts: ex.evaluate(ex.parse("exp(z)"), pts)[..., None], g)
+        conn = reached(g)
+        exact = np.exp(g.zz) - np.exp(g.z0)
+        assert np.max(np.abs(vals[..., 0] - exact)[conn]) <= 1e-12
+        behind = conn & (np.arange(g.ny)[:, None] > g.j0 + 4) \
+            & (np.abs(np.arange(g.nx) - g.i0) <= 5)[None, :]
+        assert np.count_nonzero(behind) > 0
+        assert np.all(np.isnan(vals[~conn]))

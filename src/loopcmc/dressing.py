@@ -39,7 +39,7 @@ from .factor import iwasawa_batch  # noqa: F401
 from .frames import (FrameGrid, PotentialSpec, SurfaceOptions,
                      _factor_chunks, integrate_frame, _assemble_mesh)
 from .grid import DomainGrid
-from .loops import LoopMat, check_membership
+from .loops import LoopMat, check_membership, conv
 from .mesh import SurfaceMesh
 
 __all__ = ["gauge_potential", "h_independent_dressing", "HIndependentResult",
@@ -469,14 +469,9 @@ def gauge_ode_residual(coeffs: DressingCoeffs, sample_stride=10) -> float:
 
 def _left_multiply(h_plus: LoopMat, fg: FrameGrid) -> FrameGrid:
     hp = h_plus.trim(0.0)
-    ny, nx, nk = fg.coeffs.shape[:3]
-    nh = hp.coeffs.shape[0]
-    prod = np.zeros((ny, nx, nk + nh - 1, 2, 2), dtype=complex)
-    for k in range(nh):
-        prod[:, :, k:k + nk] += np.einsum("ij,yxkjl->yxkil",
-                                          hp.coeffs[k], fg.coeffs)
-    return FrameGrid(lo=fg.lo + hp.lo, coeffs=prod, ok=fg.ok, grid=fg.grid,
-                     ntrunc=fg.ntrunc, tail_bound=fg.tail_bound,
+    return FrameGrid(lo=fg.lo + hp.lo, coeffs=conv(hp.coeffs, fg.coeffs),
+                     ok=fg.ok, grid=fg.grid, ntrunc=fg.ntrunc,
+                     tail_bound=fg.tail_bound,
                      meta={**fg.meta, "dressed": True})
 
 

@@ -587,20 +587,12 @@ def gauss_segment(f, za, zb, max_step=0.25, gl_n=12):
     return complex((zb - za) / (2 * pieces) * np.sum(vals * w[None, :]))
 
 
-def integrate_path(e: ExprNode, z0: complex, z1: complex, grid=None,
+def integrate_path(e: ExprNode, z0: complex, z1: complex,
                    max_step=0.25, gl_n=12) -> complex:
-    """Integrate ``e`` along an axis-aligned polyline from z0 to z1.
-
-    With no grid the path is horizontal-then-vertical.  With a grid the
-    polyline is routed through grid nodes and raises if it crosses a masked
-    cell (the holomorphic integrand makes the value path-independent on the
-    valid region).
-    """
-    if grid is not None:
-        nodes = grid.lpath(z0, z1)
-    else:
-        corner = complex(z1.real, z0.imag)
-        nodes = [complex(z0), corner, complex(z1)]
+    """Integrate ``e`` along the horizontal-then-vertical polyline from z0
+    to z1."""
+    corner = complex(z1.real, z0.imag)
+    nodes = [complex(z0), corner, complex(z1)]
     total = 0.0 + 0.0j
     f = lambda pts: evaluate(e, pts)
     for za, zb in zip(nodes[:-1], nodes[1:]):

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loops import LoopMat, circle_points, inv2, mul
+from .loops import (LoopMat, _mul2, circle_values, inv2, mul,
+                    unitary_defect)
 
 __all__ = ["FactorResult", "FactorError", "BigCellError", "iwasawa",
            "birkhoff", "iwasawa_batch", "DEFAULT_MARGIN"]
@@ -65,17 +66,6 @@ def _gram_coeffs(coeffs):
     out = np.empty((n, nk, 2, 2), dtype=complex)
     for m in range(nk):
         out[:, m] = rows_h[:, :, :2 * (nk - m)] @ rows[:, 2 * m:]
-    return out
-
-
-def _mul2(a, b):
-    """Batched 2x2 matrix product, written out (matmul is slow on stacks
-    of tiny matrices)."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    for i in (0, 1):
-        for j in (0, 1):
-            out[..., i, j] = a[..., i, 0] * b[..., 0, j] \
-                + a[..., i, 1] * b[..., 1, j]
     return out
 
 
@@ -139,19 +129,6 @@ def _bauer_factor(coeffs, margin):
     return bcoef, ok, cond
 
 
-def _circle_values(coeffs, lo, m):
-    """Values at the m-th roots of unity exp(2 pi i s/m), s = 0..m-1, of
-    loops whose power lo+k sits at slot k: the powers are folded mod m,
-    which is exact at those points, and summed by one FFT."""
-    n, nk = coeffs.shape[:2]
-    shift = lo % m
-    wraps = -(-(shift + nk) // m)
-    folded = np.zeros((n, wraps * m, 2, 2), dtype=complex)
-    folded[:, shift:shift + nk] = coeffs
-    folded = folded.reshape(n, wraps, m, 2, 2).sum(axis=1)
-    return np.fft.ifft(folded, axis=1, norm="forward")
-
-
 def _solve_unitary(coeffs, lo, bcoef, extra, tail_tol=1e-13):
     """F with F B = X, solved on the circle: X and B on m roots of unity,
     closed-form 2x2 inverses, one FFT back; powers start at ``lo``.
@@ -165,8 +142,8 @@ def _solve_unitary(coeffs, lo, bcoef, extra, tail_tol=1e-13):
     n, nk = coeffs.shape[:2]
     nf = nk + extra
     m = 1 << nf.bit_length()
-    xv = _circle_values(coeffs, 0, m)
-    bv = _circle_values(bcoef, 0, m)
+    xv = circle_values(coeffs, 0, m)
+    bv = circle_values(bcoef, 0, m)
     f = np.fft.fft(_mul2(xv, inv2(bv)), axis=1, norm="forward")[:, :nf]
     scale = max(float(np.max(np.abs(coeffs))), 1.0)
     small = np.max(np.abs(f[:, nk:]), axis=(0, 2, 3)) < tail_tol * scale
@@ -199,12 +176,11 @@ def iwasawa_batch(lo, coeffs, margin=DEFAULT_MARGIN, extra=None, nsample=32):
         extra = 4 * margin + 32
     bcoef, ok, cond = _bauer_factor(coeffs, margin)
     f = _solve_unitary(coeffs, lo, bcoef, extra)
-    xv = _circle_values(coeffs, lo, nsample)
-    fv = _circle_values(f, lo, nsample)
-    bv = _circle_values(bcoef, 0, nsample)
+    xv = circle_values(coeffs, lo, nsample)
+    fv = circle_values(f, lo, nsample)
+    bv = circle_values(bcoef, 0, nsample)
     resid = np.max(np.abs(_mul2(fv, bv) - xv), axis=(1, 2, 3))
-    gram = _mul2(fv, np.conj(np.swapaxes(fv, -1, -2)))
-    unit = np.max(np.abs(gram - np.eye(2)), axis=(1, 2, 3))
+    unit = unitary_defect(fv)
     rho = bcoef[:, 0, 0, 0].real
     return {"f_lo": lo, "f": f, "b": bcoef, "rho": rho,
             "residual": resid, "unitary_residual": unit,
@@ -267,12 +243,8 @@ def birkhoff(x: LoopMat, margin: int = DEFAULT_MARGIN,
                default=0.0)
     plus = inverse_plus(yloop)
     recon = mul(minus, plus, maxdeg=abs(minus.lo) + plus.hi + 4)
-    lams = circle_points(32)
-    resid = 0.0
-    for lam in lams:
-        from .loops import eval_lambda
-        resid = max(resid, float(np.max(np.abs(
-            eval_lambda(recon, lam) - eval_lambda(x, lam)))))
+    resid = float(np.max(np.abs(circle_values(recon.coeffs, recon.lo, 32)
+                                - circle_values(x.coeffs, x.lo, 32))))
     return FactorResult(unitary_part=None, plus_part=plus, minus_part=minus,
                         residual=float(max(resid, tail)), condition=float(cond))
 

@@ -29,9 +29,9 @@ import numpy as np
 
 from . import expr as ex
 from .factor import iwasawa_batch
-from .grid import DomainGrid, dilate_invalid
-from .loops import (E1, E2, E3, LoopMat, hat_extend, inv2, su2_to_vec,
-                    matrix_cvec)
+from .grid import DomainGrid, _erode
+from .loops import (E1, E2, E3, LoopMat, conv, hat_extend, inv2, su2_to_vec,
+                    matrix_cvec, values_at)
 from .mesh import SurfaceMesh
 from .weier import MeroFunc, as_func
 
@@ -87,20 +87,24 @@ class PotentialSpec:
         return np.eye(2, dtype=complex)
 
 
+# A frame whose series tail bound stays above TAIL_FAIL at the truncation
+# cap is an error; nodes where a potential entry is non-finite or above
+# ENTRY_BOUND are masked, with MASK_DILATE rings around them; Iwasawa
+# factorization runs in chunks of CHUNK nodes.
+TAIL_FAIL = 1e-6
+ENTRY_BOUND = 1e8
+MASK_DILATE = 1
+CHUNK = 256
+
+
 @dataclass
 class SurfaceOptions:
-    ntrunc: int | None = None      # fixed truncation order (None = adaptive)
     ntrunc_cap: int = 24
     tail_tol: float = 1e-12
-    tail_fail: float = 1e-6
     substeps: int = 4
-    margin: int = 8
     lambda0: complex = 1.0 + 0j
     unitary_tol: float = 1e-6
     residual_tol: float = 1e-6
-    mask_dilate: int = 1
-    entry_bound: float = 1e8
-    chunk: int = 256
 
 
 @dataclass
@@ -153,15 +157,14 @@ def _potential_functions(p: PotentialSpec):
     return alpha, lower
 
 
-def _potential_mask(p, grid, opts, entry_bound=None):
+def _potential_mask(p, grid, bound):
     alpha, lower = _potential_functions(p)
     av = ex.evaluate(alpha, grid.zz)
     pv = ex.evaluate(lower, grid.zz)
-    bound = opts.entry_bound if entry_bound is None else entry_bound
     good = np.isfinite(av) & np.isfinite(pv)
     good &= (np.abs(av) < bound) & (np.abs(pv) < bound)
     good &= grid.mask
-    return dilate_invalid(good, opts.mask_dilate) | _basepoint_only(grid)
+    return _erode(good, MASK_DILATE, outside=True) | _basepoint_only(grid)
 
 
 def _basepoint_only(grid):
@@ -171,8 +174,11 @@ def _basepoint_only(grid):
 
 
 def _rk4_loop_advance(psi, za, zb, alpha, lower, substeps):
-    """Advance d Psi/dz = Psi A(z) / lam (coefficient recursion
-    Psi_k' = Psi_{k-1} A) from za to zb; psi shaped (..., nk, 2, 2)."""
+    """Advance d Psi/dz = Psi A(z) / lam from za to zb; psi (..., nk, 2, 2)
+    holds powers -(nk-1)..0 in ascending order, so the coefficient
+    recursion Psi_{-k}' = Psi_{-k+1} A feeds slot t from slot t+1.  Each
+    substep starts from the potential its predecessor ended on, so an edge
+    evaluates the potential 2 * substeps + 1 times."""
     za = np.asarray(za, dtype=complex)
     zb = np.asarray(zb, dtype=complex)
     psi = np.array(psi, copy=True)
@@ -185,16 +191,15 @@ def _rk4_loop_advance(psi, za, zb, alpha, lower, substeps):
 
     def deriv(state, a):
         d = np.zeros_like(state)
-        d[..., 1:, :, :] = np.einsum("...kij,...jl->...kil", state[..., :-1, :, :], a)
+        d[..., :-1, :, :] = np.einsum("...kij,...jl->...kil",
+                                      state[..., 1:, :, :], a)
         return d
 
-    for s in range(substeps):
-        t0 = za + (zb - za) * (s / substeps)
-        t1 = za + (zb - za) * ((s + 1) / substeps)
+    ts = [za + (zb - za) * (s / substeps) for s in range(substeps + 1)]
+    a1 = amat(ts[0])
+    for t0, t1 in zip(ts[:-1], ts[1:]):
         dz = (t1 - t0)[..., None, None, None]
-        a0 = amat(t0)
-        ah = amat(t0 + (t1 - t0) / 2)
-        a1 = amat(t1)
+        a0, ah, a1 = a1, amat(t0 + (t1 - t0) / 2), amat(t1)
         k1 = deriv(psi, a0)
         k2 = deriv(psi + dz / 2 * k1, ah)
         k3 = deriv(psi + dz / 2 * k2, ah)
@@ -204,7 +209,6 @@ def _rk4_loop_advance(psi, za, zb, alpha, lower, substeps):
 
 
 def integrate_frame(p: PotentialSpec, grid: DomainGrid,
-                    ntrunc: int | None = None,
                     options: SurfaceOptions | None = None) -> FrameGrid:
     """Integrate the holomorphic frame over the grid.
 
@@ -216,11 +220,9 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
     the initial frame.
 
     Raises TailBoundError when the rigorous factorial tail bound cannot be
-    pushed below ``options.tail_fail`` at the truncation cap.
+    pushed below ``TAIL_FAIL`` at the truncation cap.
     """
     opts = options or SurfaceOptions()
-    if ntrunc is None:
-        ntrunc = opts.ntrunc
     alpha, lower = _potential_functions(p)
     zz = grid.zz
     av = np.abs(ex.evaluate(alpha, zz))
@@ -239,20 +241,16 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
     singular = (not np.all(finite[grid.mask])) or (
         np.any(finite) and float(np.max(biggest[finite])) > 1e2 * max(med, 1e-12))
     if singular:
-        ladder = [t for t in (opts.entry_bound, 1e4, 1e2, 30.0, 10.0, 3.0)
-                  if t <= opts.entry_bound]
+        ladder = (ENTRY_BOUND, 1e4, 1e2, 30.0, 10.0, 3.0)
     else:
-        ladder = [opts.entry_bound]
+        ladder = (ENTRY_BOUND,)
     mask = tail = None
     for bound in ladder:
-        cand = _potential_mask(p, grid, opts, bound)
+        cand = _potential_mask(p, grid, bound)
         ma = float(np.max(av[cand], initial=0.0))
         mb = float(np.max(pv[cand], initial=0.0))
-        if ntrunc is None:
-            n_cand, t_cand = choose_ntrunc(L, ma, mb, opts.tail_tol,
-                                           opts.ntrunc_cap)
-        else:
-            n_cand, t_cand = ntrunc, _tail_term(ntrunc + 1, L, ma, mb)
+        n_cand, t_cand = choose_ntrunc(L, ma, mb, opts.tail_tol,
+                                       opts.ntrunc_cap)
         if not math.isfinite(t_cand):    # non-finite data: no bound at all
             t_cand = math.inf
         if mask is None or t_cand < tail:
@@ -261,32 +259,25 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
             break
     ntrunc = used_n
     work = grid.with_mask(mask)
-    if not tail <= opts.tail_fail:
+    if not tail <= TAIL_FAIL:
         raise TailBoundError(
-            f"series tail bound {tail:.3e} above {opts.tail_fail:.1e} at "
+            f"series tail bound {tail:.3e} above {TAIL_FAIL:.1e} at "
             f"truncation {ntrunc}; shrink the domain or raise the cap")
 
-    ny, nx = grid.ny, grid.nx
     nk = ntrunc + 1
-    psi = np.full((ny, nx, nk, 2, 2), np.nan, dtype=complex)
+    psi = np.full((grid.ny, grid.nx, nk, 2, 2), np.nan, dtype=complex)
     psi[grid.j0, grid.i0] = 0.0
-    psi[grid.j0, grid.i0, 0] = np.eye(2)
+    psi[grid.j0, grid.i0, -1] = np.eye(2)
     work.sweep(psi, lambda s, za, zb: _rk4_loop_advance(
         s, za, zb, alpha, lower, opts.substeps))
 
     ok = mask & np.all(np.isfinite(psi), axis=(2, 3, 4))
-    # premultiply by the twisted initial loop: powers shift to [-nk, +1];
-    # slot t of the result holds the coefficient of power t - nk, and psi
-    # slot k holds the Psi coefficient of power -k
-    e0hat = hat_extend(p.initial_frame())
-    full = np.zeros((ny, nx, nk + 2, 2, 2), dtype=complex)
-    for m in range(e0hat.lo, e0hat.hi + 1):
-        c = e0hat.coeff(m)
-        if np.any(c != 0):
-            full[:, :, m + 1:m + 1 + nk] += np.einsum(
-                "ij,yxkjl->yxkil", c, psi[:, :, ::-1])
-    return FrameGrid(lo=-nk, coeffs=full, ok=ok, grid=work, ntrunc=ntrunc,
-                     tail_bound=tail, meta={"ma": ma, "mb": mb, "L": L})
+    # premultiply by the twisted initial loop (powers -1..1): the frames
+    # carry powers -nk..1
+    e0hat = hat_extend(p.initial_frame()).window(-1, 1)
+    return FrameGrid(lo=-nk, coeffs=conv(e0hat.coeffs, psi), ok=ok, grid=work,
+                     ntrunc=ntrunc, tail_bound=tail,
+                     meta={"ma": ma, "mb": mb, "L": L})
 
 
 def flatness_residual(p: PotentialSpec, fg: FrameGrid, samples=20, seed=0):
@@ -363,14 +354,14 @@ def sym_bobenko(fhat: LoopMat, h: float, lam0=1.0 + 0j,
 def _factor_chunks(lo, coeffs, ok, opts: SurfaceOptions):
     """Pointwise Iwasawa factorization of the flat frames ``coeffs``
     (n, nk, 2, 2), lowest power ``lo``, at the nodes where ``ok`` holds, in
-    chunks of ``opts.chunk``.  Yields ``(indices, out, accepted)`` per
+    chunks of ``CHUNK``.  Yields ``(indices, out, accepted)`` per
     chunk: the node indices, the ``iwasawa_batch`` output, and the nodes
     whose factorization succeeded within ``opts.residual_tol`` and
     ``opts.unitary_tol``."""
     idx = np.nonzero(ok)[0]
-    for start in range(0, len(idx), opts.chunk):
-        sel = idx[start:start + opts.chunk]
-        out = iwasawa_batch(lo, coeffs[sel], margin=opts.margin)
+    for start in range(0, len(idx), CHUNK):
+        sel = idx[start:start + CHUNK]
+        out = iwasawa_batch(lo, coeffs[sel])
         accepted = out["ok"] & (out["residual"] < opts.residual_tol) \
             & (out["unitary_residual"] < opts.unitary_tol)
         yield sel, out, accepted
@@ -419,13 +410,8 @@ def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
     a_vals = ex.evaluate(p.a, grid.zz).reshape(-1)
 
     for sel, out, good in _factor_chunks(fg.lo, coeffs, fg.ok.reshape(-1), opts):
-        fcoef = out["f"]
-        f_lo = out["f_lo"]
-        ks = f_lo + np.arange(fcoef.shape[1])
-        pows = lam0 ** ks
-        dpows = np.array([k * lam0 ** (k - 1) if k != 0 else 0.0 for k in ks])
-        f1 = np.einsum("k,nkij->nij", pows, fcoef)
-        fd = np.einsum("k,nkij->nij", dpows, fcoef)
+        f1 = values_at(out["f"], out["f_lo"], lam0)
+        fd = values_at(out["f"], out["f_lo"], lam0, derivative=True)
         vec, inv = _sym_from_values(f1, fd, p.h, lam0)
         nrm = su2_to_vec(_antiherm(
             np.einsum("nij,jk,nkl->nil", f1, E3, inv)))
@@ -474,24 +460,16 @@ class CurvatureField:
     valid: np.ndarray      # bool
 
 
-def _deriv_x(field, dx, order):
-    out = np.full_like(field, np.nan)
+def _deriv(field, d, order, axis):
+    """Centered difference of spacing ``d`` and order 4 or 2 along ``axis``;
+    NaN where the stencil leaves the array."""
+    f = np.moveaxis(field, axis, 0)
+    out = np.full_like(f, np.nan)
     if order == 4:
-        out[:, 2:-2] = (-field[:, 4:] + 8 * field[:, 3:-1]
-                        - 8 * field[:, 1:-3] + field[:, :-4]) / (12 * dx)
+        out[2:-2] = (-f[4:] + 8 * f[3:-1] - 8 * f[1:-3] + f[:-4]) / (12 * d)
     else:
-        out[:, 1:-1] = (field[:, 2:] - field[:, :-2]) / (2 * dx)
-    return out
-
-
-def _deriv_y(field, dy, order):
-    out = np.full_like(field, np.nan)
-    if order == 4:
-        out[2:-2, :] = (-field[4:, :] + 8 * field[3:-1, :]
-                        - 8 * field[1:-3, :] + field[:-4, :]) / (12 * dy)
-    else:
-        out[1:-1, :] = (field[2:, :] - field[:-2, :]) / (2 * dy)
-    return out
+        out[1:-1] = (f[2:] - f[:-2]) / (2 * d)
+    return np.moveaxis(out, 0, axis)
 
 
 def extract_curvature(mesh: SurfaceMesh, potential=None, stencil=4) -> CurvatureField:
@@ -507,8 +485,8 @@ def extract_curvature(mesh: SurfaceMesh, potential=None, stencil=4) -> Curvature
     valid = mesh.interior(ring)
     dx, dy = mesh.grid.dx, mesh.grid.dy
     fz = np.where(mesh.mask[..., None], mesh.fz, np.nan + 0j)
-    dzx = np.stack([_deriv_x(fz[..., c], dx, stencil) for c in range(3)], axis=-1)
-    dzy = np.stack([_deriv_y(fz[..., c], dy, stencil) for c in range(3)], axis=-1)
+    dzx = _deriv(fz, dx, stencil, axis=1)
+    dzy = _deriv(fz, dy, stencil, axis=0)
     f_zz = 0.5 * (dzx - 1j * dzy)
     f_zzbar = 0.5 * (dzx + 1j * dzy)
     n = mesh.normal

@@ -14,14 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["DomainGrid", "MaskedPathError", "GridError", "sweep"]
+__all__ = ["DomainGrid", "GridError", "sweep"]
 
 
 class GridError(ValueError):
-    pass
-
-
-class MaskedPathError(GridError):
     pass
 
 
@@ -105,12 +101,7 @@ class DomainGrid:
 
     def interior(self, ring=1):
         """Mask of nodes whose full (2*ring+1)-square neighborhood is valid."""
-        m = self.mask.copy()
-        for _ in range(ring):
-            p = np.pad(m, 1, constant_values=False)
-            m = (p[1:-1, 1:-1] & p[:-2, 1:-1] & p[2:, 1:-1] & p[1:-1, :-2]
-                 & p[1:-1, 2:] & p[:-2, :-2] & p[:-2, 2:] & p[2:, :-2] & p[2:, 2:])
-        return m
+        return _erode(self.mask, ring, outside=False)
 
     def max_l1_pathlength(self):
         """Worst-case |dx|+|dy| from the basepoint to any node."""
@@ -120,25 +111,6 @@ class DomainGrid:
 
     def with_mask(self, mask):
         return DomainGrid(self.xs, self.ys, self.i0, self.j0, mask)
-
-    # -- paths ---------------------------------------------------------------
-
-    def lpath(self, za, zb):
-        """Axis-aligned polyline through nodes from za to zb (horizontal then
-        vertical); raises MaskedPathError if it crosses a masked node."""
-        ja, ia = self.index_of(za)
-        jb, ib = self.index_of(zb)
-        nodes = [(ja, ia)]
-        step = 1 if ib >= ia else -1
-        for i in range(ia + step, ib + step, step) if ib != ia else []:
-            nodes.append((ja, i))
-        step = 1 if jb >= ja else -1
-        for j in range(ja + step, jb + step, step) if jb != ja else []:
-            nodes.append((j, ib))
-        for (j, i) in nodes:
-            if not self.mask[j, i]:
-                raise MaskedPathError(f"path crosses masked node at {self.node(j, i)}")
-        return [self.node(j, i) for (j, i) in nodes]
 
     def sweep(self, state, advance):
         """:func:`sweep` over this grid's nodes and mask."""
@@ -210,11 +182,12 @@ def sweep(zz, mask, j0, i0, state, advance):
     return state
 
 
-def dilate_invalid(mask, cells=1):
-    """Grow the invalid (False) region of a mask by ``cells`` rings."""
-    m = np.asarray(mask, dtype=bool)
-    for _ in range(cells):
-        p = np.pad(m, 1, constant_values=True)
+def _erode(mask, rings, outside):
+    """Grow the invalid (False) region of a mask by ``rings`` rings of the
+    3x3 neighborhood; nodes beyond the lattice count as ``outside``."""
+    m = np.array(mask, dtype=bool)
+    for _ in range(rings):
+        p = np.pad(m, 1, constant_values=outside)
         m = (p[1:-1, 1:-1] & p[:-2, 1:-1] & p[2:, 1:-1] & p[1:-1, :-2]
              & p[1:-1, 2:] & p[:-2, :-2] & p[:-2, 2:] & p[2:, :-2] & p[2:, 2:])
     return m

@@ -1,11 +1,22 @@
 """Truncated Laurent-polynomial loops of 2x2 matrices.
 
-A :class:`LoopMat` stores coefficients of powers ``lo .. lo+nk-1`` of the
-circle parameter as a ``(nk, 2, 2)`` complex array.  The twisting convention
-throughout: diagonal entries live at even powers, off-diagonal entries at
-odd powers.  Values are immutable by convention; all operations are pure
-and return fresh objects.
+One coefficient layout is used throughout the package: a loop is a stack
+``(..., nk, 2, 2)`` of complex coefficients together with its lowest power
+``lo``, the coefficient of power ``lo + k`` sitting at slot ``k``.  A
+:class:`LoopMat` is one such loop; frame grids and factorization batches are
+stacks of them.  The twisting convention throughout: diagonal entries live
+at even powers, off-diagonal entries at odd powers.  Values are immutable by
+convention; all operations are pure and return fresh objects.
 
+Every loop operation has one batched kernel on coefficient stacks:
+
+* :func:`conv` -- the Cauchy product of one loop with a stack of loops;
+* :func:`values_at` -- values (or lambda-derivatives) at one lambda;
+* :func:`circle_values` -- values at the m-th roots of unity, by one FFT;
+* :func:`unitary_defect` -- max |F F* - I| over sampled circle values.
+
+The :class:`LoopMat` functions (:func:`mul`, :func:`eval_lambda`,
+:func:`lambda_derivative_at`, :func:`check_membership`) are thin wrappers.
 Products are truncated to a configurable window; the largest discarded
 coefficient norm is tracked on the result (``truncation_discard``) and an
 overflow beyond tolerance raises :class:`WindowOverflowError`.
@@ -17,10 +28,10 @@ import numpy as np
 
 __all__ = [
     "LoopMat", "WindowOverflowError", "LoopError", "identity", "constant",
-    "hat_extend", "mul", "eval_lambda", "lambda_derivative_at", "star",
-    "inverse", "det_series", "check_membership", "to_text", "from_text",
-    "E1", "E2", "E3", "su2_to_vec", "matrix_cvec", "inv2", "DEFAULT_MAXDEG",
-    "CIRCLE_SAMPLES", "circle_points",
+    "hat_extend", "conv", "values_at", "circle_values", "unitary_defect",
+    "mul", "eval_lambda", "lambda_derivative_at", "star", "check_membership",
+    "to_text", "from_text", "E1", "E2", "E3", "su2_to_vec", "matrix_cvec",
+    "inv2", "DEFAULT_MAXDEG", "CIRCLE_SAMPLES",
 ]
 
 DEFAULT_MAXDEG = 16
@@ -140,40 +151,92 @@ def hat_extend(e0) -> LoopMat:
     return LoopMat(-1, coeffs).trim()
 
 
+# ---------------------------------------------------------------------------
+# Batched kernels on coefficient stacks (..., nk, 2, 2)
+
+def conv(a, b):
+    """Cauchy product of the loop ``a`` (na, 2, 2) with every loop of the
+    stack ``b`` (..., nb, 2, 2); the lowest power of the result is the sum
+    of the two lowest powers.  All-zero blocks of ``a`` are skipped."""
+    nb = b.shape[-3]
+    out = np.zeros(b.shape[:-3] + (a.shape[0] + nb - 1, 2, 2), dtype=complex)
+    for k, c in enumerate(a):
+        if np.any(c != 0):
+            # one shifted block-row of the convolution at a time
+            out[..., k:k + nb, :, :] += np.einsum("ij,...kjl->...kil", c, b)
+    return out
+
+
+def values_at(coeffs, lo, lam, derivative=False):
+    """Values at ``lam`` of the loops ``coeffs`` (..., nk, 2, 2) with lowest
+    power ``lo``, or their lambda-derivatives there."""
+    lam = complex(lam)
+    ks = lo + np.arange(coeffs.shape[-3])
+    if derivative:
+        pows = np.array([k * lam ** (k - 1) if k != 0 else 0.0 for k in ks])
+    else:
+        pows = lam ** ks
+    return np.einsum("k,...kij->...ij", pows, coeffs)
+
+
+def circle_values(coeffs, lo, m):
+    """Values at the m-th roots of unity exp(2 pi i s/m), s = 0..m-1, of the
+    loops ``coeffs`` (..., nk, 2, 2) with lowest power ``lo``, shaped
+    (..., m, 2, 2): the powers are folded mod m, which is exact at those
+    points, and summed by one FFT."""
+    nk = coeffs.shape[-3]
+    lead = coeffs.shape[:-3]
+    shift = lo % m
+    wraps = -(-(shift + nk) // m)
+    folded = np.zeros(lead + (wraps * m, 2, 2), dtype=complex)
+    folded[..., shift:shift + nk, :, :] = coeffs
+    folded = folded.reshape(lead + (wraps, m, 2, 2)).sum(axis=-4)
+    return np.fft.ifft(folded, axis=-3, norm="forward")
+
+
+def _mul2(a, b):
+    """Batched 2x2 matrix product, written out (matmul is slow on stacks
+    of tiny matrices)."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    for i in (0, 1):
+        for j in (0, 1):
+            out[..., i, j] = a[..., i, 0] * b[..., 0, j] \
+                + a[..., i, 1] * b[..., 1, j]
+    return out
+
+
+def unitary_defect(vals):
+    """max |F F* - I| over the sampled circle values ``vals``
+    (..., m, 2, 2), one number per leading index."""
+    gram = _mul2(vals, np.conj(np.swapaxes(vals, -1, -2)))
+    return np.max(np.abs(gram - np.eye(2)), axis=(-3, -2, -1))
+
+
+# ---------------------------------------------------------------------------
+# LoopMat operations
+
 def mul(a: LoopMat, b: LoopMat, maxdeg=None, discard_tol=1e-9) -> LoopMat:
     """Cauchy product, truncated to |power| <= maxdeg (default module-wide
     DEFAULT_MAXDEG, or wide enough for the inputs if they already exceed
     it).  Raises WindowOverflowError if truncation would discard more than
     ``discard_tol``."""
-    lo = a.lo + b.lo
-    hi = a.hi + b.hi
-    nk = hi - lo + 1
-    out = np.zeros((nk, 2, 2), dtype=complex)
-    for ka in range(a.coeffs.shape[0]):
-        # one shifted block-row of the convolution at a time
-        out[ka:ka + b.coeffs.shape[0]] += np.einsum(
-            "ij,kjl->kil", a.coeffs[ka], b.coeffs)
-    prod = LoopMat(lo, out)
+    prod = LoopMat(a.lo + b.lo, conv(a.coeffs, b.coeffs))
     if maxdeg is None:
         maxdeg = max(DEFAULT_MAXDEG, abs(a.lo), abs(a.hi), abs(b.lo), abs(b.hi))
-    if lo < -maxdeg or hi > maxdeg:
-        prod = prod.window(max(lo, -maxdeg), min(hi, maxdeg), discard_tol)
+    if prod.lo < -maxdeg or prod.hi > maxdeg:
+        prod = prod.window(max(prod.lo, -maxdeg), min(prod.hi, maxdeg),
+                           discard_tol)
     return prod.trim(0.0)
 
 
 def eval_lambda(a: LoopMat, lam) -> np.ndarray:
     """Sum of coeff[k] * lam**k."""
-    lam = complex(lam)
-    pows = lam ** np.arange(a.lo, a.hi + 1)
-    return np.einsum("k,kij->ij", pows, a.coeffs)
+    return values_at(a.coeffs, a.lo, lam)
 
 
 def lambda_derivative_at(a: LoopMat, lam) -> np.ndarray:
     """d/dlambda at lam: sum of k * coeff[k] * lam**(k-1)."""
-    lam = complex(lam)
-    ks = np.arange(a.lo, a.hi + 1)
-    pows = np.array([k * lam ** (k - 1) if k != 0 else 0.0 for k in ks])
-    return np.einsum("k,kij->ij", pows, a.coeffs)
+    return values_at(a.coeffs, a.lo, lam, derivative=True)
 
 
 def star(a: LoopMat) -> LoopMat:
@@ -181,79 +244,6 @@ def star(a: LoopMat) -> LoopMat:
     transpose (power k goes to -k, matrix transposed-conjugated)."""
     return LoopMat(-a.hi, np.conj(np.transpose(a.coeffs[::-1], (0, 2, 1))),
                    a.truncation_discard)
-
-
-def _scalar_conv(u, v):
-    return np.convolve(u, v)
-
-
-def det_series(a: LoopMat):
-    """Determinant as a scalar Laurent series: (lo, coeffs)."""
-    c = a.coeffs
-    d = _scalar_conv(c[:, 0, 0], c[:, 1, 1]) - _scalar_conv(c[:, 0, 1], c[:, 1, 0])
-    return 2 * a.lo, d
-
-
-def inverse(a: LoopMat, maxdeg=None, unitary_tol=None) -> LoopMat:
-    """Inverse loop.
-
-    If ``unitary_tol`` is given and the loop is unitary within it, the
-    adjoint loop is returned (exact).  Otherwise the inverse is
-    adj(a)/det(a) with 1/det expanded as a truncated Neumann series around
-    the lowest determinant coefficient; the discarded series tail is
-    recorded on the result.  This is intended for loops whose determinant
-    is dominated by a single power (plus/minus loops, frames near the
-    identity).
-    """
-    if unitary_tol is not None and check_membership(a, "unitary") <= unitary_tol:
-        return star(a)
-    dlo, d = det_series(a)
-    lead = int(np.argmax(np.abs(d) > 1e-14 * max(1.0, np.max(np.abs(d)))))
-    d0 = d[lead]
-    if abs(d0) < 1e-300:
-        raise LoopError("determinant numerically zero; cannot invert")
-    # 1/det = lam^-(dlo+lead)/d0 * 1/(1 + eps(lam)),  eps strictly higher order
-    eps = d[lead + 1:] / d0
-    if maxdeg is None:
-        maxdeg = max(DEFAULT_MAXDEG, abs(a.lo) + abs(a.hi) + 8)
-    nterms = maxdeg + 1
-    inv = np.zeros(nterms, dtype=complex)
-    inv[0] = 1.0
-    # Neumann series: sum (-eps)^m, exact once eps is nilpotent in the window
-    acc = np.zeros(nterms, dtype=complex)
-    acc[0] = 1.0
-    discard = 0.0
-    for _ in range(nterms):
-        nxt = -np.convolve(acc, eps)
-        if len(nxt) > nterms:
-            discard = max(discard, float(np.max(np.abs(nxt[nterms:]), initial=0.0)))
-        acc = nxt[:nterms]
-        if not np.any(np.abs(acc) > 1e-18):
-            break
-        inv[:len(acc)] += acc
-    inv /= d0
-    # adjugate
-    adj = np.empty_like(a.coeffs)
-    adj[:, 0, 0] = a.coeffs[:, 1, 1]
-    adj[:, 1, 1] = a.coeffs[:, 0, 0]
-    adj[:, 0, 1] = -a.coeffs[:, 0, 1]
-    adj[:, 1, 0] = -a.coeffs[:, 1, 0]
-    adj_loop = LoopMat(a.lo, adj)
-    out = np.zeros((adj_loop.coeffs.shape[0] + nterms - 1, 2, 2), dtype=complex)
-    for k in range(nterms):
-        if inv[k] != 0:
-            out[k:k + adj_loop.coeffs.shape[0]] += inv[k] * adj_loop.coeffs
-    res = LoopMat(a.lo - (dlo + lead), out, discard).trim(1e-18)
-    return res
-
-
-def circle_points(n=CIRCLE_SAMPLES):
-    return np.exp(2j * np.pi * np.arange(n) / n)
-
-
-def _eval_many(a: LoopMat, lams):
-    pows = lams[:, None] ** np.arange(a.lo, a.hi + 1)[None, :]
-    return np.einsum("sk,kij->sij", pows, a.coeffs)
 
 
 def check_membership(a: LoopMat, which: str, samples=CIRCLE_SAMPLES) -> float:
@@ -276,10 +266,7 @@ def check_membership(a: LoopMat, which: str, samples=CIRCLE_SAMPLES) -> float:
                 resid = max(resid, abs(c[0, 0]), abs(c[1, 1]))
         return float(resid)
     if which == "unitary":
-        lams = circle_points(samples)
-        vals = _eval_many(a, lams)
-        gram = np.einsum("sij,skj->sik", vals, np.conj(vals))
-        return float(np.max(np.abs(gram - np.eye(2)[None, :, :])))
+        return float(unitary_defect(circle_values(a.coeffs, a.lo, samples)))
     if which == "plus":
         return float(max((np.max(np.abs(a.coeff(k))) for k in a.powers if k < 0),
                          default=0.0))

@@ -39,15 +39,12 @@ class SymmetrySpec:
     kind: str                 # "reflective" | "rotational"
     n: int = 0                # rotation order (>= 2)
     theta: float = field(init=False, default=0.0)
-    T: np.ndarray = field(init=False, default=None)
 
     def __post_init__(self):
         if self.kind == "rotational":
             if self.n < 2:
                 raise ValueError("rotation order must be >= 2")
             self.theta = 2.0 * np.pi / self.n
-            half = np.exp(0.5j * self.theta)
-            self.T = np.diag([half, np.conj(half)])
         elif self.kind != "reflective":
             raise ValueError(f"unknown symmetry kind {self.kind!r}")
 

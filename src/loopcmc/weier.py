@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .grid import DomainGrid, dilate_invalid
+from .grid import DomainGrid, _erode
 from .mesh import SurfaceMesh
 
 __all__ = [
@@ -261,7 +261,7 @@ def regularity_mask(w: WeierstrassData, grid: DomainGrid, dilate=1):
     scale = np.median(eu[good & (eu > 0)]) if np.any(good & (eu > 0)) else 1.0
     good &= eu > 1e-12 * scale
     good &= eu < 1e12 * scale
-    return dilate_invalid(good & grid.mask, dilate)
+    return _erode(good & grid.mask, dilate, outside=True)
 
 
 # ---------------------------------------------------------------------------

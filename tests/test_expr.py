@@ -167,13 +167,6 @@ class TestIntegratePath:
                                           max_step=0.05)
             assert abs(total) <= 1e-10
 
-    def test_masked_path_raises(self):
-        from loopcmc.grid import DomainGrid, MaskedPathError
-        g = DomainGrid.square(1.0, 11)
-        g.mask[5, 7] = False
-        with pytest.raises(MaskedPathError):
-            ex.integrate_path(ex.ONE, 0j, 1.0 + 0j, grid=g)
-
 
 class TestContinuedSqrt:
     def test_continuity_across_branch_cut(self):

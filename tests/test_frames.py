@@ -63,6 +63,24 @@ class TestIntegrateFrame:
         fg = integrate_frame(pot, DomainGrid.square(0.4, 81))
         assert flatness_residual(pot, fg) <= 1e-8
 
+    def test_advance_reuses_substep_endpoints(self, monkeypatch):
+        # each substep starts from the potential its predecessor ended on,
+        # so one edge evaluates each entry 2 * substeps + 1 times
+        from loopcmc.frames import _potential_functions, _rk4_loop_advance
+        alpha, lower = _potential_functions(
+            PotentialSpec.normalized("1+z", "z^2", 1.0))
+        calls = []
+        evaluate = ex.evaluate
+
+        def counted(e, z):
+            calls.append(e)
+            return evaluate(e, z)
+        monkeypatch.setattr(ex, "evaluate", counted)
+        psi = np.zeros((3, 2, 2), dtype=complex)
+        psi[-1] = np.eye(2)
+        _rk4_loop_advance(psi, 0j, 0.1 + 0.05j, alpha, lower, substeps=4)
+        assert len(calls) == 2 * (2 * 4 + 1)
+
     def test_path_independence(self, catenoid, monkeypatch):
         # the column-first walk is the same sweep on the transposed lattice
         pot = minimal_to_potential(catenoid, 1.0)

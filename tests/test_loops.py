@@ -3,9 +3,9 @@ import pytest
 
 from loopcmc import loops
 from loopcmc.loops import (LoopMat, WindowOverflowError, check_membership,
-                           constant, det_series, eval_lambda, from_text,
-                           hat_extend, identity, inverse, lambda_derivative_at,
-                           mul, star, to_text)
+                           circle_values, conv, eval_lambda, from_text,
+                           hat_extend, identity, lambda_derivative_at, mul,
+                           star, to_text, unitary_defect, values_at)
 from conftest import rand_twisted_loop
 
 
@@ -179,35 +179,42 @@ class TestMembership:
         assert check_membership(LoopMat(0, c), "unitary") > 1.0
 
 
-class TestInverse:
-    def test_plus_loop_exact(self):
-        _, b = f0_b0_closed_form(0.9 + 0.4j)
-        binv = inverse(b)
-        p = mul(b, binv)
-        assert np.allclose(eval_lambda(p, 1.0), np.eye(2), atol=1e-12)
-        assert check_membership(p, "minus-star") < 1e-12
+class TestBatchedKernels:
+    def test_stack_matches_per_loop(self):
+        # every kernel on a (3, 4, nk, 2, 2) stack agrees with the LoopMat
+        # operations applied loop by loop
+        rng = np.random.default_rng(10)
+        lo, nk = -5, 7
+        stack = rng.normal(size=(3, 4, nk, 2, 2)) \
+            + 1j * rng.normal(size=(3, 4, nk, 2, 2))
+        left = rand_twisted_loop(rng, band=2)
+        prods = conv(left.coeffs, stack)
+        lam = np.exp(0.7j)
+        vals = values_at(stack, lo, lam)
+        ders = values_at(stack, lo, lam, derivative=True)
+        circ = circle_values(stack, lo, 16)
+        roots = np.exp(2j * np.pi * np.arange(16) / 16)
+        for j, i in np.ndindex(3, 4):
+            a = LoopMat(lo, stack[j, i])
+            p = mul(left, a, maxdeg=64)
+            q = LoopMat(left.lo + lo, prods[j, i])
+            for k in range(q.lo, q.hi + 1):
+                assert np.allclose(q.coeff(k), p.coeff(k), atol=1e-14)
+            assert np.array_equal(vals[j, i], eval_lambda(a, lam))
+            assert np.array_equal(ders[j, i], lambda_derivative_at(a, lam))
+            for s, r in enumerate(roots):
+                assert np.allclose(circ[j, i, s], eval_lambda(a, r),
+                                   atol=1e-13)
 
-    def test_unitary_uses_star(self):
+    def test_unitary_defect_of_star(self):
+        # F F* = I on the circle exactly when F* (the adjoint loop) is the
+        # pointwise inverse there
         f, _ = f0_b0_closed_form(0.5 - 0.3j)
-        finv = inverse(f, unitary_tol=1e-10)
-        s = star(f)
-        for k in s.powers:
-            assert np.allclose(finv.coeff(k), s.coeff(k))
-
-    def test_parity_preserved_by_inverse(self):
-        _, b = f0_b0_closed_form(0.8 + 0.2j)
-        assert check_membership(inverse(b), "twisted") <= 1e-13
-        f, _ = f0_b0_closed_form(0.8 + 0.2j)
-        assert check_membership(inverse(f, unitary_tol=1e-8),
-                                "twisted") <= 1e-13
-
-    def test_det_series(self):
-        g = 1.4 + 0.2j
-        lo, d = det_series(phi0_loop(g))
-        # det = 1 identically: single unit coefficient at power 0
-        nz = np.nonzero(np.abs(d) > 1e-14)[0]
-        assert len(nz) == 1 and lo + nz[0] == 0
-        assert d[nz[0]] == pytest.approx(1.0)
+        fv = circle_values(f.coeffs, f.lo, 32)
+        sv = circle_values(star(f).coeffs, star(f).lo, 32)
+        assert np.allclose(sv, np.conj(np.swapaxes(fv, -1, -2)), atol=1e-14)
+        assert unitary_defect(fv) <= 1e-13
+        assert unitary_defect(2 * fv) == pytest.approx(3.0)
 
 
 class TestSerialization:

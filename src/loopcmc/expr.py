@@ -573,31 +573,53 @@ def _gl_nodes(n):
 
 
 def gauss_segment(f, za, zb, max_step=0.25, gl_n=12):
-    """Integral of callable ``f`` along the straight segment za -> zb."""
-    za = complex(za)
-    zb = complex(zb)
-    length = abs(zb - za)
-    if length == 0.0:
-        return 0.0 + 0.0j
-    pieces = max(1, int(np.ceil(length / max_step)))
+    """Integral of callable ``f`` along the straight segments za -> zb.
+
+    ``za`` and ``zb`` broadcast against each other.  Each segment is cut
+    into ceil(|zb - za| / max_step) pieces of ``gl_n``-point Gauss-Legendre;
+    segments with the same piece count share one call of ``f`` on a flat
+    array of points.  Scalar endpoints return a complex.
+    """
+    za_b, zb_b = np.broadcast_arrays(np.asarray(za, dtype=complex),
+                                     np.asarray(zb, dtype=complex))
+    if not (np.all(np.isfinite(za_b)) and np.all(np.isfinite(zb_b))):
+        raise ValueError("path endpoints must be finite")
+    start, dz = za_b.ravel(), (zb_b - za_b).ravel()
+    length = np.abs(dz)
+    pieces = np.where(length == 0.0, 0,
+                      np.maximum(1, np.ceil(length / max_step))).astype(int)
+    out = np.zeros(dz.shape, dtype=complex)
     x, w = _gl_nodes(gl_n)
-    ts = (np.arange(pieces)[:, None] + (x[None, :] + 1) / 2) / pieces
-    pts = za + ts.ravel() * (zb - za)
-    vals = f(pts).reshape(pieces, gl_n)
-    return complex((zb - za) / (2 * pieces) * np.sum(vals * w[None, :]))
+    for p in np.unique(pieces[pieces > 0]):
+        sel = np.flatnonzero(pieces == p)
+        ts = ((np.arange(p)[:, None] + (x[None, :] + 1) / 2) / p).ravel()
+        pts = start[sel, None] + ts[None, :] * dz[sel, None]
+        vals = np.asarray(f(pts.ravel())).reshape(len(sel), p * gl_n)
+        total = np.sum(vals * np.tile(w, p), axis=-1)
+        # dz / (2p) * total in real arithmetic, operation for operation as
+        # the scalar complex division and product, so results do not depend
+        # on how the endpoints were batched
+        sr, si = dz[sel].real / (2 * p), dz[sel].imag / (2 * p)
+        out.real[sel] = sr * total.real - si * total.imag
+        out.imag[sel] = sr * total.imag + si * total.real
+    if np.ndim(za) == 0 and np.ndim(zb) == 0:
+        return complex(out[0])
+    return out.reshape(za_b.shape)
 
 
-def integrate_path(e: ExprNode, z0: complex, z1: complex,
-                   max_step=0.25, gl_n=12) -> complex:
+def integrate_path(e: ExprNode, z0, z1, max_step=0.25, gl_n=12):
     """Integrate ``e`` along the horizontal-then-vertical polyline from z0
-    to z1."""
-    corner = complex(z1.real, z0.imag)
-    nodes = [complex(z0), corner, complex(z1)]
-    total = 0.0 + 0.0j
-    f = lambda pts: evaluate(e, pts)
-    for za, zb in zip(nodes[:-1], nodes[1:]):
-        total += gauss_segment(f, za, zb, max_step=max_step, gl_n=gl_n)
-    return total
+    to z1; both endpoints broadcast, and the two legs of every path share
+    the :func:`gauss_segment` calls."""
+    z0, z1 = np.broadcast_arrays(np.asarray(z0, dtype=complex),
+                                 np.asarray(z1, dtype=complex))
+    corner = np.empty(z1.shape, dtype=complex)
+    corner.real, corner.imag = z1.real, z0.imag
+    legs = gauss_segment(lambda pts: evaluate(e, pts),
+                         np.stack([z0, corner]), np.stack([corner, z1]),
+                         max_step=max_step, gl_n=gl_n)
+    total = legs[0] + legs[1]
+    return complex(total) if total.ndim == 0 else total
 
 
 # ---------------------------------------------------------------------------

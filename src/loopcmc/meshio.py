@@ -3,11 +3,15 @@
 Vertices and vertex normals are emitted for valid nodes only, quad faces
 over grid cells whose four corners are valid.  Float formatting is fixed
 (%.12e) so identical meshes produce identical bytes.
+
+Both writers are array-built: the face table comes from the four shifted
+masks at once, OBJ formats each block with one ``%`` over a per-row format
+string, and PLY packs the vertices and the faces as one little-endian
+array each.  The bytes are those of a writer that goes vertex by vertex
+and cell by cell in row-major order.
 """
 
 from __future__ import annotations
-
-import struct
 
 import numpy as np
 
@@ -15,39 +19,33 @@ from .mesh import SurfaceMesh
 
 __all__ = ["obj_bytes", "ply_bytes", "write_mesh"]
 
+_PLY_FACE = np.dtype([("n", "u1"), ("idx", "<i4", (4,))])
+
 
 def _vertex_table(mesh: SurfaceMesh):
-    ny, nx = mesh.mask.shape
-    index = -np.ones((ny, nx), dtype=int)
-    order = np.nonzero(mesh.mask)
+    m = mesh.mask
+    index = -np.ones(m.shape, dtype=int)
+    order = np.nonzero(m)
     index[order] = np.arange(len(order[0]))
-    verts = mesh.f[order]
-    normals = mesh.normal[order]
-    faces = []
-    for j in range(ny - 1):
-        for i in range(nx - 1):
-            if mesh.mask[j, i] and mesh.mask[j, i + 1] \
-                    and mesh.mask[j + 1, i + 1] and mesh.mask[j + 1, i]:
-                faces.append((index[j, i], index[j, i + 1],
-                              index[j + 1, i + 1], index[j + 1, i]))
-    return verts, normals, faces
+    quad = m[:-1, :-1] & m[:-1, 1:] & m[1:, 1:] & m[1:, :-1]
+    faces = np.stack([index[:-1, :-1][quad], index[:-1, 1:][quad],
+                      index[1:, 1:][quad], index[1:, :-1][quad]], axis=-1)
+    return mesh.f[order], mesh.normal[order], faces
+
+
+def _rows(fmt, table) -> str:
+    return (fmt * len(table)) % tuple(np.ravel(table).tolist())
 
 
 def obj_bytes(mesh: SurfaceMesh, comment="") -> bytes:
     verts, normals, faces = _vertex_table(mesh)
-    lines = []
-    if comment:
-        for ln in comment.splitlines():
-            lines.append(f"# {ln}")
-    lines.append(f"# vertices {len(verts)} faces {len(faces)}")
-    for v in verts:
-        lines.append("v %.12e %.12e %.12e" % (v[0], v[1], v[2]))
-    for n in normals:
-        lines.append("vn %.12e %.12e %.12e" % (n[0], n[1], n[2]))
-    for f in faces:
-        a, b, c, d = (k + 1 for k in f)
-        lines.append(f"f {a}//{a} {b}//{b} {c}//{c} {d}//{d}")
-    return ("\n".join(lines) + "\n").encode()
+    head = [f"# {ln}\n" for ln in comment.splitlines()]
+    head.append(f"# vertices {len(verts)} faces {len(faces)}\n")
+    return "".join(head + [
+        _rows("v %.12e %.12e %.12e\n", verts),
+        _rows("vn %.12e %.12e %.12e\n", normals),
+        _rows("f %d//%d %d//%d %d//%d %d//%d\n", np.repeat(faces + 1, 2, axis=1)),
+    ]).encode()
 
 
 def ply_bytes(mesh: SurfaceMesh) -> bytes:
@@ -61,12 +59,11 @@ def ply_bytes(mesh: SurfaceMesh) -> bytes:
         f"element face {len(faces)}",
         "property list uchar int vertex_indices",
         "end_header", ""]).encode()
-    body = bytearray()
-    for v, n in zip(verts, normals):
-        body += struct.pack("<6d", v[0], v[1], v[2], n[0], n[1], n[2])
-    for f in faces:
-        body += struct.pack("<B4i", 4, *f)
-    return header + bytes(body)
+    body = np.concatenate([verts, normals], axis=1).astype("<f8")
+    cells = np.empty(len(faces), dtype=_PLY_FACE)
+    cells["n"] = 4
+    cells["idx"] = faces
+    return header + body.tobytes() + cells.tobytes()
 
 
 def write_mesh(mesh: SurfaceMesh, path, fmt="obj", comment="") -> None:

@@ -12,7 +12,10 @@ tangent at the basepoint.
 
 Data components are ``MeroFunc`` values: symbolic expressions, numeric
 antiderivatives (path integrals from the basepoint), or Moebius transforms
-of either; all evaluate vectorised and know their derivative.
+of either; all evaluate vectorised and know their derivative.  A numeric
+antiderivative evaluates a whole array of points with one batched
+quadrature, so every kind of data rides the same Gauss-Legendre grid
+sweep.
 """
 
 from __future__ import annotations
@@ -97,16 +100,7 @@ class AntiderivativeFunc(MeroFunc):
     def __call__(self, z):
         if self.expr is not None:
             return ex.evaluate(self.expr, z)
-        zz = np.asarray(z, dtype=complex)
-        flat = zz.ravel()
-        out = np.empty(flat.shape, dtype=complex)
-        for idx, zt in enumerate(flat):
-            out[idx] = self.constant + ex.integrate_path(
-                self.integrand, self.z0, complex(zt))
-        out = out.reshape(zz.shape)
-        if np.isscalar(z) or np.ndim(z) == 0:
-            return complex(out)
-        return out
+        return self.constant + ex.integrate_path(self.integrand, self.z0, z)
 
     def value_grid(self, grid):
         if self.expr is not None:
@@ -289,66 +283,29 @@ def _cumulative_grid_integral(fvec, grid: DomainGrid, gl_n=8):
     return grid.sweep(vals, seg)
 
 
-def _rk4_grid_integral(rhs, extra0, grid: DomainGrid, substeps=8):
-    """Cumulative integral with the auxiliary quantity integrated alongside:
-    state (F in C^3, aux in C); rhs(z, aux) returns (f_z rows, daux).  Both
-    ride the grid sweep as one packed (..., 4) state.
-
-    Used when nu itself is only known through its derivative."""
-    state = np.full((grid.ny, grid.nx, 4), np.nan, dtype=complex)
-    state[grid.j0, grid.i0] = [0.0, 0.0, 0.0, extra0]
-
-    def advance(s, za, zb):
-        za = np.asarray(za, dtype=complex)
-        zb = np.asarray(zb, dtype=complex)
-        Fv, av = s[..., :3], s[..., 3]
-        for k in range(substeps):
-            t0 = za + (zb - za) * (k / substeps)
-            t1 = za + (zb - za) * ((k + 1) / substeps)
-            dz = t1 - t0
-            k1F, k1a = rhs(t0, av)
-            k2F, k2a = rhs(t0 + dz / 2, av + dz * k1a / 2)
-            k3F, k3a = rhs(t0 + dz / 2, av + dz * k2a / 2)
-            k4F, k4a = rhs(t1, av + dz * k3a)
-            Fv = Fv + dz[..., None] / 6 * (k1F + 2 * k2F + 2 * k3F + k4F)
-            av = av + dz / 6 * (k1a + 2 * k2a + 2 * k3a + k4a)
-        return np.concatenate([Fv, av[..., None]], axis=-1)
-
-    grid.sweep(state, advance)
-    return state[..., :3], state[..., 3]
-
-
 def _fz_components(mu, nu):
     return np.stack([mu * (1.0 - nu ** 2),
                      -1j * mu * (1.0 + nu ** 2),
                      -2.0 * mu * nu], axis=-1)
 
 
-def minimal_surface(w: WeierstrassData, grid: DomainGrid,
-                    substeps=8) -> SurfaceMesh:
+def minimal_surface(w: WeierstrassData, grid: DomainGrid) -> SurfaceMesh:
     """Minimal surface mesh from Weierstrass data, f(z0) = 0.
 
-    Symbolic nu integrates by Gauss-Legendre segments; a purely numeric nu
-    rides along a fourth-order sweep as an auxiliary unknown.
+    The integrand is swept over the grid by Gauss-Legendre segments
+    (``_cumulative_grid_integral``); mu and nu are evaluated at the
+    segments' nodes, whether they are symbolic or numeric primitives.
     """
     mask = regularity_mask(w, grid)
     if not mask[grid.j0, grid.i0]:
         raise InvalidDataError("basepoint fails the regularity conditions")
     work = grid.with_mask(mask)
 
-    if w.nu.expr is not None or isinstance(w.nu, (ExprFunc, MobiusFunc)):
-        def fvec(pts):
-            return _fz_components(w.mu(pts), w.nu(pts))
-        F = _cumulative_grid_integral(fvec, work)
-        nu_vals = w.nu.value_grid(work)
-    else:
-        dnu = w.nu.derivative()
+    def fvec(pts):
+        return _fz_components(w.mu(pts), w.nu(pts))
 
-        def rhs(z, nu_val):
-            return _fz_components(w.mu(z), nu_val), dnu(z)
-
-        F, nu_vals = _rk4_grid_integral(rhs, w.nu(w.z0), work, substeps)
-
+    F = _cumulative_grid_integral(fvec, work)
+    nu_vals = w.nu.value_grid(work)
     mu_vals = w.mu.value_grid(work)
     f = 2.0 * F.real
     fz = _fz_components(mu_vals, nu_vals)

@@ -167,6 +167,23 @@ class TestIntegratePath:
                                           max_step=0.05)
             assert abs(total) <= 1e-10
 
+    def test_batched_segments_match_scalar(self):
+        # array endpoints broadcast; each segment gives what the scalar
+        # call gives, and zero-length segments give 0
+        e = ex.parse("exp(z)/(z-3)")
+        f = lambda p: ex.evaluate(e, p)
+        za = 0.2 - 0.1j
+        zb = np.array([[za, za + 0.1, za + 0.9j], [za - 0.6 + 0.3j, -1.0, 2j]])
+        got = ex.gauss_segment(f, za, zb)
+        assert got.shape == zb.shape
+        assert got[0, 0] == 0
+        for idx in np.ndindex(*zb.shape):
+            ref = ex.gauss_segment(f, za, complex(zb[idx]))
+            assert isinstance(ref, complex)
+            assert got[idx] == ref
+        with pytest.raises(ValueError):
+            ex.gauss_segment(f, za, np.array([1.0, np.nan]))
+
 
 class TestContinuedSqrt:
     def test_continuity_across_branch_cut(self):

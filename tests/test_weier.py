@@ -69,6 +69,66 @@ class TestMinimalSurface:
         assert np.max(np.linalg.norm(m_num.f - m_sym.f, axis=-1)[both]) <= 1e-7
 
 
+class TestAntiderivativeBatch:
+    # q = int_{z0} exp(z)/(z-3): non-polynomial, so values come from the
+    # quadrature; z0 is off the lattice axes so both legs have length
+    Z0 = 0.1 - 0.2j
+    INTEGRAND = "exp(z)/(z-3)"
+
+    def points(self):
+        rng = np.random.default_rng(5)
+        far = self.Z0 + 0.9 * np.exp(2j * np.pi * rng.random(20))
+        near = self.Z0 + 0.1 * (rng.random(20) - 0.5 + 1j * rng.random(20))
+        return np.concatenate([
+            [self.Z0],
+            self.Z0.real + 1j * np.array([-0.7, -0.05, 0.3, 0.8]),   # column
+            np.array([-0.6, 0.02, 0.45, 0.95]) + 1j * self.Z0.imag,  # row
+            far, near])
+
+    def test_matches_scalar_path_integral(self):
+        q = AntiderivativeFunc(self.INTEGRAND, self.Z0, constant=0.25j)
+        assert q.expr is None
+        pts = self.points()
+        got = q(pts)
+        e = ex.parse(self.INTEGRAND)
+        ref = np.array([0.25j + ex.integrate_path(e, self.Z0, complex(z))
+                        for z in pts])
+        assert np.max(np.abs(got - ref)) <= 1e-15
+        assert got[0] == 0.25j
+
+    def test_closed_form(self):
+        q = AntiderivativeFunc("exp(z)", self.Z0)
+        pts = self.points()
+        assert np.max(np.abs(q(pts) - (np.exp(pts) - np.exp(self.Z0)))) <= 1e-12
+
+    def test_shapes(self):
+        q = AntiderivativeFunc(self.INTEGRAND, self.Z0)
+        assert type(q(0.3 + 0.4j)) is complex
+        assert type(q(np.array(0.3 + 0.4j))) is complex
+        grid = self.points()[1:].reshape(8, 6)
+        vals = q(grid)
+        assert vals.shape == (8, 6)
+        assert vals[2, 3] == q(complex(grid[2, 3]))
+
+    def test_evaluate_calls_do_not_grow_with_points(self, monkeypatch):
+        # one array call groups the legs by piece count: the legs of these
+        # points are at most 0.35 long, so there are at most two groups
+        # (one or two pieces of length <= 0.25) for any number of points
+        q = AntiderivativeFunc(self.INTEGRAND, self.Z0)
+        calls = []
+        evaluate = ex.evaluate
+
+        def counted(e, z):
+            calls.append(np.size(z))
+            return evaluate(e, z)
+        monkeypatch.setattr(ex, "evaluate", counted)
+        for n in (5, 500):
+            calls.clear()
+            rng = np.random.default_rng(n)
+            q(self.Z0 + 0.7 * (rng.random(n) - 0.5 + 1j * rng.random(n) - 0.5j))
+            assert 1 <= len(calls) <= 2
+
+
 class TestMetricHopf:
     def test_plane_zero_hopf(self):
         w = WeierstrassData("1", "0.3", 0j)

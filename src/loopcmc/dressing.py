@@ -12,9 +12,17 @@ has twisted Fourier coefficients a_n (even), b_n, c_n (odd), d_n (even)
 determined by a first-order recursion: a0 = 1/d0 = sqrt(a/atilde), a linear
 ODE for each b_n whose inhomogeneity involves the previous even
 coefficient, algebraic formulas for c_n and for the even levels.  The
-recursion here keeps full derivative jets at every sample point, so the
-ODE right-hand sides and the residual checks are exact up to the ODE
+recursion here keeps every coefficient as normalized Taylor coefficients
+u^(m)/m! at every sample point (series arithmetic of ``expr.taylor``), so
+the ODE right-hand sides and the residual checks are exact up to the ODE
 integration itself.
+
+The b-system is not affine (a_{n+1} contains b_1 c_1), but it is
+lower-triangular: b_n' = c1 b_n + c0_n, where c0_n depends only on the
+levels below n.  RK4 therefore runs one odd level at a time: c0_n at all
+stage points of the path comes from one batched evaluation given the lower
+levels' stage inputs, which is the same arithmetic as stepping all levels
+jointly.
 
 The gauge extends to the minimal limit exactly when it is constant in the
 mean curvature, which pins W+ to
@@ -29,7 +37,6 @@ minimal surfaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -94,12 +101,10 @@ def h_independent_dressing(a, atilde, Q, z0=0j, samples=None) -> HIndependentRes
             f"(found order {q0.order})")
     a0 = ex.Sqrt(ex.Div(a, atilde))
     b1 = ex.Div(atilde, Q) * ex.diff(a0)
-    db1 = ex.diff(b1)
     if samples is None:
         samples = z0 + 0.4 * np.exp(2j * np.pi * (np.arange(16) + 0.27) / 16)
-    samples = np.asarray(samples, dtype=complex)
-    b1v = ex.evaluate(b1, samples)
-    db1v = np.abs(ex.evaluate(db1, samples))
+    b1v, db1v = np.moveaxis(ex.taylor(b1, samples, 1), -1, 0)
+    db1v = np.abs(db1v)
     ok = np.isfinite(b1v) & np.isfinite(db1v)
     verdict = bool(np.all(ok)) and bool(
         np.all(db1v[ok] <= 1e-8 * (1.0 + np.abs(b1v[ok]))))
@@ -119,72 +124,7 @@ def h_independent_dressing(a, atilde, Q, z0=0j, samples=None) -> HIndependentRes
 
 
 # ---------------------------------------------------------------------------
-# Jet arithmetic (truncated derivative towers at a point)
-
-def _jet_mul(u, v):
-    n = min(len(u), len(v))
-    out = np.zeros(n, dtype=complex)
-    for m in range(n):
-        out[m] = sum(comb(m, i) * u[i] * v[m - i] for i in range(m + 1))
-    return out
-
-
-def _jet_div(u, v):
-    n = min(len(u), len(v))
-    out = np.zeros(n, dtype=complex)
-    for m in range(n):
-        s = u[m] - sum(comb(m, i) * out[i] * v[m - i] for i in range(m))
-        out[m] = s / v[0]
-    return out
-
-
-def _jet_shift(u, k=1):
-    """Jet of the k-th derivative."""
-    return u[k:]
-
-
-def _jet_add(u, v):
-    n = min(len(u), len(v))
-    return u[:n] + v[:n]
-
-
-def _jet_sub(u, v):
-    n = min(len(u), len(v))
-    return u[:n] - v[:n]
-
-
-def _jet_sqrt(u):
-    """Jet of the principal square root (s^2 = u solved order by order)."""
-    n = len(u)
-    s = np.zeros(n, dtype=complex)
-    s[0] = np.sqrt(u[0])
-    for m in range(1, n):
-        acc = sum(comb(m, i) * s[i] * s[m - i] for i in range(1, m))
-        s[m] = (u[m] - acc) / (2.0 * s[0])
-    return s
-
-
-class _ExprJet:
-    """Derivative tower of a symbolic expression, evaluated on demand (with
-    a tiny cache: half-steps recur within one RK4 stage)."""
-
-    def __init__(self, e, depth):
-        self.chain = [e]
-        for _ in range(depth):
-            self.chain.append(ex.diff(self.chain[-1]))
-        self._cache = {}
-
-    def at(self, z):
-        key = complex(z)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = np.array([ex.evaluate(c, z) for c in self.chain],
-                           dtype=complex)
-            if len(self._cache) > 64:
-                self._cache.clear()
-            self._cache[key] = hit
-        return hit
-
+# Gauge-coefficient recursion
 
 @dataclass
 class DressingCoeffs:
@@ -200,267 +140,212 @@ class DressingCoeffs:
 
 
 class _WuSystem:
-    """Pointwise jet evaluation of all gauge coefficients given the b-state."""
+    """Taylor series of all gauge coefficients at the points ``z``, given
+    the values of the b_n there.
 
-    def __init__(self, a, atilde, Q, h, K, depth=None):
+    With qa = Q/(a atilde) and g_n = a_(n-1)'/a, the odd levels solve
+    2 qa b_n' + qa' b_n = g_n' and give c_n = (2/h) (g_n - qa b_n); the even
+    level n+1 is algebraic in the lower levels and b_n'.
+    """
+
+    def __init__(self, a, atilde, Q, h, K, z):
         self.h = h
         self.K = K
-        self.odd = [n for n in range(1, K + 1) if n % 2 == 1]
-        depth = depth if depth is not None else K + 4
-        self.j_a = _ExprJet(a, depth)
-        self.j_at = _ExprJet(atilde, depth)
-        self.j_q = _ExprJet(Q, depth)
+        self.odd = list(range(1, K + 1, 2))
+        depth = K + 4
+        self.a, self.at, self.q = (ex.taylor(e, z, depth)
+                                   for e in (a, atilde, Q))
+        data = np.stack([self.a, self.at, self.q])
+        if (not np.all(np.isfinite(data))
+                or np.min(np.abs(data[..., 0])) < 1e-12):
+            raise DressingError(
+                "a, atilde and Q must be finite and nonvanishing along the "
+                "path, basepoint included")
+        self.a0 = ex.series_sqrt(ex.series_div(self.a, self.at))
+        self.d0 = ex.series_div(ex.taylor(ex.ONE, z, depth), self.a0)
+        self.qa = ex.series_div(self.q, ex.series_mul(self.a, self.at))
+        # b_n' = c1 b_n + c0_n
+        self.c1 = ex.series_div(-ex.series_diff(self.qa), 2.0 * self.qa)
 
-    def jets(self, z, bvals):
-        """All coefficient jets at one point; ``bvals[n]`` is the value of
-        b_n there.  Returns dict n -> {"a","b","c","d"} jets."""
-        ja = self.j_a.at(z)
-        jat = self.j_at.at(z)
-        jq = self.j_q.at(z)
-        a0 = _jet_sqrt(_jet_div(ja, jat))
-        one = np.zeros_like(a0)
-        one[0] = 1.0
-        d0 = _jet_div(one, a0)
+    def jets(self, i, bvals):
+        """Series of every coefficient at the points ``i`` (any index or
+        slice of ``z``), given b_n there as ``bvals[n]``.  Levels stop at
+        the first odd n missing from ``bvals``, whose entry then holds only
+        the inhomogeneity ``c0`` of b_n' = c1 b_n + c0.  Returns dict
+        n -> {"a", "d"} (even n) or {"b", "c"} (odd n)."""
+        mul, div, diff = ex.series_mul, ex.series_div, ex.series_diff
+        a, at, qa, c1 = self.a[i], self.at[i], self.qa[i], self.c1[i]
+        a0, d0 = self.a0[i], self.d0[i]
         out = {0: {"a": a0, "d": d0}}
-        # b' = c1 b + c0 with 2 Q b' + b (Q' - (a'/a + at'/at) Q) = R_n
-        lograt = _jet_add(_jet_div(_jet_shift(ja), ja),
-                          _jet_div(_jet_shift(jat), jat))
-        gcoef = _jet_sub(_jet_shift(jq), _jet_mul(lograt, jq))
-        twoq = 2.0 * jq
-        c1 = _jet_div(-gcoef, twoq)
         prev_a = a0
         for n in self.odd:
-            rn = _jet_mul(_jet_sub(_jet_shift(prev_a, 2),
-                                   _jet_mul(_jet_shift(prev_a),
-                                            _jet_div(_jet_shift(ja), ja))), jat)
-            c0 = _jet_div(rn, twoq)
-            depth = min(len(c1), len(c0))
-            bj = np.zeros(depth + 1, dtype=complex)
-            bj[0] = bvals[n]
-            for m in range(depth):
-                bj[m + 1] = sum(comb(m, i) * c1[i] * bj[m - i]
-                                for i in range(m + 1)) + c0[m]
-            cj = (2.0 / self.h) * _jet_add(
-                -_jet_div(_jet_mul(bj, jq), _jet_mul(ja, jat)),
-                _jet_div(_jet_shift(prev_a), ja))
-            out[n] = {"b": bj, "c": cj}
-            if n + 1 > self.K:
+            g = div(diff(prev_a), a)
+            c0 = div(diff(g), 2.0 * qa)
+            if n not in bvals:
+                out[n] = {"c0": c0}
                 break
-            # even level n+1
-            bprime = _jet_shift(bj)
+            # forward substitution of b' = c1 b + c0, order by order
+            bj = np.zeros(c0.shape[:-1] + (c0.shape[-1] + 1,), dtype=complex)
+            bj[..., 0] = bvals[n]
+            for m in range(c0.shape[-1]):
+                bj[..., m + 1] = (np.sum(c1[..., :m + 1] * bj[..., m::-1],
+                                         axis=-1) + c0[..., m]) / (m + 1)
+            out[n] = {"b": bj, "c": (2.0 / self.h) * (g - mul(bj, qa))}
             m = n + 1
-            s = None
-            for jj in range(0, m // 2):
-                term = _jet_mul(out[2 * jj + 1]["b"], out[m - 2 * jj - 1]["c"])
-                s = term if s is None else _jet_add(s, term)
-            for jj in range(1, m // 2):
-                s = _jet_sub(s, _jet_mul(out[2 * jj]["a"], out[m - 2 * jj]["d"]))
-            an1 = _jet_sub(0.5 * _jet_mul(a0, s),
-                           _jet_div(bprime, self.h * jat))
-            dn1 = _jet_add(0.5 * _jet_mul(d0, s),
-                           _jet_div(bprime, self.h * ja))
-            out[m] = {"a": an1, "d": dn1}
-            prev_a = an1
+            if m > self.K:
+                break
+            L = c0.shape[-1]
+            s = (sum(mul(out[k]["b"], out[m - k]["c"])[..., :L]
+                     for k in range(1, m, 2))
+                 - sum(mul(out[k]["a"], out[m - k]["d"])[..., :L]
+                       for k in range(2, m - 1, 2)))
+            bprime = diff(bj)
+            prev_a = 0.5 * mul(a0, s) - div(bprime, self.h * at)
+            out[m] = {"a": prev_a, "d": 0.5 * mul(d0, s) + div(bprime, self.h * a)}
         return out
 
-    def b_rhs(self, z, bvals):
-        """db_n/dz for every odd n at one point."""
-        jets = self.jets(z, bvals)
-        return {n: complex(jets[n]["b"][1]) for n in self.odd}
-
-    def default_b_init(self, z0):
-        """Regularity-forced initial values b_n(z0) = a_{n-1}'(z0)
-        atilde(z0) / Q(z0) (the minimal-limit-compatible choice).  The even
-        level n-1 only involves lower odd coefficients, so the values are
-        determined sequentially."""
-        q0 = complex(self.j_q.at(z0)[0])
-        if abs(q0) < 1e-300:
-            raise DressingError(
-                "default initial values need Q(z0) != 0; supply b_init")
-        at0 = complex(self.j_at.at(z0)[0])
+    def default_b_init(self):
+        """Regularity-forced initial values b_n(z0) = a_(n-1)'(z0)
+        atilde(z0) / Q(z0) at the first point (the minimal-limit-compatible
+        choice).  The even level n-1 only involves lower odd coefficients,
+        so the values are determined sequentially."""
+        at0, q0 = complex(self.at[0, 0]), complex(self.q[0, 0])
         init = {}
-        bvals = {n: 0.0 for n in self.odd}
         for n in self.odd:
-            jets = self.jets(z0, bvals)
-            aprev = jets[n - 1]["a"] if n > 1 else jets[0]["a"]
+            aprev = self.jets(0, init)[n - 1]["a"]
             init[n] = complex(aprev[1]) * at0 / q0
-            bvals[n] = init[n]
         return init
 
 
-def wu_recursion(a, atilde, Q, h, K=6, path=None, b_init=None,
-                 nsteps=200) -> DressingCoeffs:
+def _rk4_affine(c1, c0, b0, dz):
+    """Fourth-order steps of b' = c1 b + c0 from b0; rows 0..3 of ``c1`` and
+    ``c0`` hold their values at the four stage points of every step.
+    Returns b at the nodes and the stage inputs, flattened like ``c0``."""
+    c1, c0 = c1.tolist(), c0.tolist()
+    b = [complex(b0)]
+    stages = []
+    for t, step in enumerate(dz.tolist()):
+        y1 = b[-1]
+        k1 = c1[0][t] * y1 + c0[0][t]
+        y2 = y1 + step / 2 * k1
+        k2 = c1[1][t] * y2 + c0[1][t]
+        y3 = y1 + step / 2 * k2
+        k3 = c1[2][t] * y3 + c0[2][t]
+        y4 = y1 + step * k3
+        k4 = c1[3][t] * y4 + c0[3][t]
+        b.append(y1 + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
+        stages.append((y1, y2, y3, y4))
+    return np.array(b), np.array(stages, dtype=complex).T.ravel()
+
+
+def wu_recursion(a, atilde, Q, h, K=6, path=(0j, 1.0, 200),
+                 b_init=None) -> DressingCoeffs:
     """Integrate the gauge-coefficient recursion along a path from the
     basepoint.
 
-    ``path`` is (z0, z1, nsamples) or an array of sample points starting at
-    z0 (default: the segment z0=0 to 1 with ``nsteps`` samples).  The
-    linear ODEs for the odd coefficients are advanced jointly by
-    fourth-order steps; even coefficients are algebraic in the jets.
-    ``b_init`` overrides the regularity-forced initial values.
+    ``path`` is (z0, z1, nsamples): ``nsamples`` equally spaced points of
+    the segment from the basepoint z0 to z1.  The linear ODEs for the odd
+    coefficients are advanced by fourth-order steps, one level at a time;
+    even coefficients are algebraic in the series.  ``b_init`` overrides
+    the regularity-forced initial values.
 
-    Requires h != 0 and Q nonvanishing along the path (the basepoint may be
-    a simple root if explicit ``b_init`` is given).
+    Requires h != 0 and a, atilde and Q finite and nonvanishing at every
+    node and step midpoint of the path, basepoint included.
     """
     if h == 0:
         raise DressingError("use h_independent_dressing for the h = 0 gauge")
     a = a if isinstance(a, ex.ExprNode) else ex.parse(a)
     atilde = atilde if isinstance(atilde, ex.ExprNode) else ex.parse(atilde)
     Q = Q if isinstance(Q, ex.ExprNode) else ex.parse(Q)
-    if path is None:
-        path = (0j, 1.0 + 0j, nsteps)
-    if isinstance(path, tuple):
-        z0, z1, ns = path
-        zs = np.linspace(complex(z0), complex(z1), int(ns))
-    else:
-        zs = np.asarray(path, dtype=complex)
-    sys_ = _WuSystem(a, atilde, Q, float(h), int(K))
-    z0 = complex(zs[0])
+    z0, z1, ns = path
+    zs = np.linspace(complex(z0), complex(z1), int(ns))
+    dz = zs[1:] - zs[:-1]
+    nodes = len(zs)
+    sys_ = _WuSystem(a, atilde, Q, float(h), int(K),
+                     np.concatenate([zs, zs[:-1] + dz / 2]))
     if b_init is None:
-        b_init = sys_.default_b_init(z0)
+        b_init = sys_.default_b_init()
     else:
         b_init = {int(n): complex(v) for n, v in b_init.items()}
         for n in sys_.odd:
             b_init.setdefault(n, 0.0)
-    qs = ex.evaluate(Q, zs)
-    if not np.all(np.isfinite(qs)) or np.min(np.abs(qs[1:])) < 1e-12:
-        raise DressingError("Q must be nonvanishing along the path")
 
-    odd = sys_.odd
-    bvals = {n: b_init[n] for n in odd}
-    rows = {n: {"b": [], "c": []} for n in odd}
-    evens = {n: {"a": [], "d": []} for n in range(0, K + 1, 2)}
-
-    def record(z, bv):
-        jets = sys_.jets(z, bv)
-        for n in odd:
-            rows[n]["b"].append(jets[n]["b"][0])
-            rows[n]["c"].append(jets[n]["c"][0])
-        for n in evens:
-            if n in jets:
-                evens[n]["a"].append(jets[n]["a"][0])
-                evens[n]["d"].append(jets[n]["d"][0])
-
-    record(z0, bvals)
-    for t in range(len(zs) - 1):
-        za, zb = complex(zs[t]), complex(zs[t + 1])
-        dz = zb - za
-
-        def rhs(z, bv):
-            return sys_.b_rhs(z, bv)
-
-        k1 = rhs(za, bvals)
-        k2 = rhs(za + dz / 2, {n: bvals[n] + dz / 2 * k1[n] for n in odd})
-        k3 = rhs(za + dz / 2, {n: bvals[n] + dz / 2 * k2[n] for n in odd})
-        k4 = rhs(zb, {n: bvals[n] + dz * k3[n] for n in odd})
-        bvals = {n: bvals[n] + dz / 6 * (k1[n] + 2 * k2[n] + 2 * k3[n] + k4[n])
-                 for n in odd}
-        record(zb, bvals)
-
-    values = {}
-    for n in evens:
-        if evens[n]["a"]:
-            values[n] = {"a": np.array(evens[n]["a"]),
-                         "d": np.array(evens[n]["d"])}
-    for n in odd:
-        values[n] = {"b": np.array(rows[n]["b"]),
-                     "c": np.array(rows[n]["c"])}
+    # RK4 stage points of every step: z_t, the midpoint twice, z_(t+1)
+    steps = np.arange(nodes - 1)
+    stage = np.concatenate([steps, nodes + steps, nodes + steps, steps + 1])
+    c1 = sys_.c1[stage, 0].reshape(4, -1)
+    bnodes, bstages = {}, {}
+    for n in sys_.odd:
+        # level n only sees lower levels, so it can be integrated on its own
+        c0 = sys_.jets(stage, bstages)[n]["c0"][:, 0].reshape(4, -1)
+        bnodes[n], bstages[n] = _rk4_affine(c1, c0, b_init[n], dz)
+    jets = sys_.jets(slice(0, nodes), bnodes)
+    values = {n: {w: s[:, 0] for w, s in jets[n].items()} for n in jets}
     return DressingCoeffs(z=zs, h=float(h), K=int(K), values=values,
                           b_init=b_init, a_expr=a, atilde_expr=atilde,
                           Q_expr=Q)
 
 
-def relation_residuals(coeffs: DressingCoeffs, sample_stride=10) -> dict:
-    """Plug the computed coefficients back into every recursion relation and
-    report the max absolute residuals (keys: 'a0', 'b{n}', 'c{n}', 'a2',
-    'd2', 'a{n}', 'd{n}')."""
+def _jets_at_samples(coeffs: DressingCoeffs):
     sys_ = _WuSystem(coeffs.a_expr, coeffs.atilde_expr, coeffs.Q_expr,
-                     coeffs.h, coeffs.K)
-    odd = sys_.odd
-    out = {}
-    idxs = range(0, len(coeffs.z), sample_stride)
-    for t in idxs:
-        z = complex(coeffs.z[t])
-        bv = {n: complex(coeffs.values[n]["b"][t]) for n in odd}
-        jets = sys_.jets(z, bv)
-        ja = sys_.j_a.at(z)
-        jat = sys_.j_at.at(z)
-        jq = sys_.j_q.at(z)
-        a0 = jets[0]["a"]
-        _acc(out, "a0", abs(a0[0] ** 2 - ja[0] / jat[0]) +
-             abs(a0[0] * jets[0]["d"][0] - 1.0))
-        lograt = ja[1] / ja[0] + jat[1] / jat[0]
-        for n in odd:
-            bj = jets[n]["b"]
-            cj = jets[n]["c"]
-            aprev = jets[n - 1]["a"] if n > 1 else a0
-            lhs = 2 * jq[0] * bj[1] + bj[0] * (jq[1] - lograt * jq[0])
-            rhs = (aprev[2] - aprev[1] * ja[1] / ja[0]) * jat[0]
-            _acc(out, f"b{n}", abs(lhs - rhs))
-            crhs = (2.0 / coeffs.h) * (-bj[0] * jq[0] / (ja[0] * jat[0])
-                                       + aprev[1] / ja[0])
-            _acc(out, f"c{n}", abs(cj[0] - crhs))
-            m = n + 1
-            if m > coeffs.K or m not in jets:
-                continue
-            if m == 2:
-                arhs = 0.5 * a0[0] * bj[0] * cj[0] - bj[1] / (coeffs.h * jat[0])
-                drhs = 0.5 * jets[0]["d"][0] * bj[0] * cj[0] \
-                    + bj[1] / (coeffs.h * ja[0])
-            else:
-                s = sum(jets[2 * jj + 1]["b"][0] * jets[m - 2 * jj - 1]["c"][0]
-                        for jj in range(m // 2))
-                s2 = sum(jets[2 * jj]["a"][0] * jets[m - 2 * jj]["d"][0]
-                         for jj in range(1, m // 2))
-                arhs = 0.5 * a0[0] * (s - s2) - bj[1] / (coeffs.h * jat[0])
-                drhs = 0.5 * jets[0]["d"][0] * (s - s2) + bj[1] / (coeffs.h * ja[0])
-            _acc(out, f"a{m}", abs(jets[m]["a"][0] - arhs))
-            _acc(out, f"d{m}", abs(jets[m]["d"][0] - drhs))
-    return out
+                     coeffs.h, coeffs.K, coeffs.z)
+    bvals = {n: coeffs.values[n]["b"] for n in sys_.odd}
+    return sys_, sys_.jets(slice(None), bvals)
 
 
-def _acc(d, k, v):
-    d[k] = max(d.get(k, 0.0), float(v))
+def relation_residuals(coeffs: DressingCoeffs) -> dict:
+    """Plug the computed coefficients back into every recursion relation at
+    every sample and report the max absolute residuals (keys: 'a0',
+    'b{n}', 'c{n}', 'a{n}', 'd{n}')."""
+    sys_, jets = _jets_at_samples(coeffs)
+    ja, jat, jq = sys_.a, sys_.at, sys_.q
+    a0, d0 = jets[0]["a"][:, 0], jets[0]["d"][:, 0]
+    out = {"a0": np.abs(a0 ** 2 - ja[:, 0] / jat[:, 0]) + np.abs(a0 * d0 - 1.0)}
+    lograt = ja[:, 1] / ja[:, 0] + jat[:, 1] / jat[:, 0]
+    for n in sys_.odd:
+        bj, cj = jets[n]["b"], jets[n]["c"]
+        aprev = jets[n - 1]["a"]
+        # 2 Q b' + b (Q' - (a'/a + at'/at) Q) = (a_(n-1)'' - a_(n-1)' a'/a) at
+        lhs = 2 * jq[:, 0] * bj[:, 1] + bj[:, 0] * (jq[:, 1] - lograt * jq[:, 0])
+        rhs = (2 * aprev[:, 2] - aprev[:, 1] * ja[:, 1] / ja[:, 0]) * jat[:, 0]
+        out[f"b{n}"] = np.abs(lhs - rhs)
+        crhs = (2.0 / coeffs.h) * (-bj[:, 0] * jq[:, 0] / (ja[:, 0] * jat[:, 0])
+                                   + aprev[:, 1] / ja[:, 0])
+        out[f"c{n}"] = np.abs(cj[:, 0] - crhs)
+        m = n + 1
+        if m not in jets:
+            continue
+        s = (sum(jets[k]["b"][:, 0] * jets[m - k]["c"][:, 0]
+                 for k in range(1, m, 2))
+             - sum(jets[k]["a"][:, 0] * jets[m - k]["d"][:, 0]
+                   for k in range(2, m - 1, 2)))
+        arhs = 0.5 * a0 * s - bj[:, 1] / (coeffs.h * jat[:, 0])
+        drhs = 0.5 * d0 * s + bj[:, 1] / (coeffs.h * ja[:, 0])
+        out[f"a{m}"] = np.abs(jets[m]["a"][:, 0] - arhs)
+        out[f"d{m}"] = np.abs(jets[m]["d"][:, 0] - drhs)
+    return {k: float(np.max(v)) for k, v in out.items()}
 
 
-def gauge_ode_residual(coeffs: DressingCoeffs, sample_stride=10) -> float:
+def gauge_ode_residual(coeffs: DressingCoeffs) -> float:
     """First-principles check: the reconstructed gauge must satisfy
     dW = W etatilde_z - eta_z W coefficientwise.  Returns the max residual
-    over sampled points and powers up to K."""
-    sys_ = _WuSystem(coeffs.a_expr, coeffs.atilde_expr, coeffs.Q_expr,
-                     coeffs.h, coeffs.K)
-    odd = sys_.odd
+    over all samples and powers up to K."""
+    sys_, jets = _jets_at_samples(coeffs)
+    ja, jat, jq = sys_.a[:, 0], sys_.at[:, 0], sys_.q[:, 0]
+    h = coeffs.h
     worst = 0.0
-    for t in range(0, len(coeffs.z), sample_stride):
-        z = complex(coeffs.z[t])
-        bv = {n: complex(coeffs.values[n]["b"][t]) for n in odd}
-        jets = sys_.jets(z, bv)
-        ja = sys_.j_a.at(z)[0]
-        jat = sys_.j_at.at(z)[0]
-        jq = sys_.j_q.at(z)[0]
-        K = coeffs.K
-        a_j = {n: jets[n]["a"] for n in jets if "a" in jets[n]}
-        d_j = {n: jets[n]["d"] for n in jets if "d" in jets[n]}
-        b_j = {n: jets[n]["b"] for n in odd}
-        c_j = {n: jets[n]["c"] for n in odd}
-        # A' = (Q/at) B + (h/2) a C  at each even power; etc.
-        for m in range(0, K + 1):
-            if m % 2 == 0 and m in a_j:
-                bn = b_j.get(m + 1)
-                cn = c_j.get(m + 1)
-                if bn is not None:
-                    worst = max(worst, abs(a_j[m][1] - (jq / jat) * bn[0]
-                                           - 0.5 * coeffs.h * ja * cn[0]))
-                    worst = max(worst, abs(d_j[m][1] + 0.5 * coeffs.h * jat * cn[0]
-                                           + (jq / ja) * bn[0]))
-            if m % 2 == 1 and m in b_j:
-                an = a_j.get(m + 1)
-                dn = d_j.get(m + 1)
-                if an is not None:
-                    worst = max(worst, abs(b_j[m][1] - 0.5 * coeffs.h
-                                           * (ja * dn[0] - jat * an[0])))
-                    worst = max(worst, abs(c_j[m][1] - jq * (dn[0] / jat
-                                                             - an[0] / ja)))
+    for m in sys_.odd:
+        aj, dj = jets[m - 1]["a"], jets[m - 1]["d"]
+        bj, cj = jets[m]["b"], jets[m]["c"]
+        # even power m-1: A' = (Q/at) B + (h/2) a C, D' = -(h/2) at C - (Q/a) B
+        res = [aj[:, 1] - (jq / jat) * bj[:, 0] - 0.5 * h * ja * cj[:, 0],
+               dj[:, 1] + 0.5 * h * jat * cj[:, 0] + (jq / ja) * bj[:, 0]]
+        if m + 1 in jets:
+            # odd power m: B' = (h/2)(a D - at A), C' = Q (D/at - A/a)
+            an, dn = jets[m + 1]["a"][:, 0], jets[m + 1]["d"][:, 0]
+            res += [bj[:, 1] - 0.5 * h * (ja * dn - jat * an),
+                    cj[:, 1] - jq * (dn / jat - an / ja)]
+        worst = max([worst] + [float(np.max(np.abs(r))) for r in res])
     return worst
 
 

@@ -2,9 +2,11 @@
 
 Text expressions over ``+ - * /``, integer ``^``, ``exp``, ``sqrt``, the
 variable ``z`` and the imaginary unit ``i`` are parsed into small immutable
-ASTs.  Evaluation is numpy-vectorised, differentiation is symbolic, and a
-two-circle exponent fit estimates zero/pole orders.  These expressions carry
-all Weierstrass-type data used elsewhere in the package.
+ASTs.  Evaluation is numpy-vectorised, differentiation is symbolic,
+:func:`taylor` gives normalized Taylor coefficients to any depth in
+truncated series arithmetic, and a two-circle exponent fit estimates
+zero/pole orders.  These expressions carry all Weierstrass-type data used
+elsewhere in the package.
 
 Expressions are evaluated exactly as written; there is no simplification
 beyond constant folding in derivative construction.  ``sqrt`` uses the
@@ -22,8 +24,10 @@ import numpy as np
 __all__ = [
     "ExprNode", "Const", "Var", "Add", "Sub", "Mul", "Div", "Neg", "Pow",
     "Exp", "Sqrt", "ExprSyntaxError", "IndeterminateOrderError", "parse",
-    "evaluate", "diff", "to_text", "OrderResult", "order_at", "order_at_int",
-    "integrate_path", "gauss_segment", "continued_sqrt", "as_polynomial",
+    "evaluate", "diff", "taylor", "series_mul", "series_div", "series_sqrt",
+    "series_exp", "series_diff", "to_text", "OrderResult", "order_at",
+    "order_at_int", "integrate_path", "gauss_segment", "continued_sqrt",
+    "as_polynomial",
 ]
 
 
@@ -422,6 +426,109 @@ def diff(e: ExprNode) -> ExprNode:
         return _mul(e, diff(e.arg))
     if isinstance(e, Sqrt):
         return _div(diff(e.arg), _mul(Const(2), e))
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+# ---------------------------------------------------------------------------
+# Truncated Taylor series
+#
+# A series is an array whose last axis holds the normalized coefficients
+# u_m = u^(m)/m!; the kernels below work pointwise over the leading axes and
+# truncate to the shorter operand (Griewank & Walther, Evaluating
+# Derivatives, 2nd ed., ch. 13).
+
+def series_mul(u, v):
+    """Product of two series: c_m = sum_i u_i v_(m-i)."""
+    n = min(u.shape[-1], v.shape[-1])
+    out = np.empty(np.broadcast_shapes(u.shape[:-1], v.shape[:-1]) + (n,),
+                   dtype=complex)
+    for m in range(n):
+        out[..., m] = np.sum(u[..., :m + 1] * v[..., m::-1], axis=-1)
+    return out
+
+
+def series_div(u, v):
+    """Quotient u/v by forward substitution (a zero v_0 gives inf/nan)."""
+    n = min(u.shape[-1], v.shape[-1])
+    q = np.empty(np.broadcast_shapes(u.shape[:-1], v.shape[:-1]) + (n,),
+                 dtype=complex)
+    for m in range(n):
+        q[..., m] = (u[..., m] - np.sum(q[..., :m] * v[..., m:0:-1], axis=-1)
+                     ) / v[..., 0]
+    return q
+
+
+def series_sqrt(u):
+    """Principal square root, s^2 = u solved order by order."""
+    s = np.empty(u.shape, dtype=complex)
+    s[..., 0] = np.sqrt(u[..., 0])
+    for m in range(1, u.shape[-1]):
+        s[..., m] = (u[..., m] - np.sum(s[..., 1:m] * s[..., m - 1:0:-1],
+                                        axis=-1)) / (2.0 * s[..., 0])
+    return s
+
+
+def series_exp(u):
+    """Exponential from e' = u' e: m e_m = sum_k k u_k e_(m-k)."""
+    e = np.empty(u.shape, dtype=complex)
+    e[..., 0] = np.exp(u[..., 0])
+    for m in range(1, u.shape[-1]):
+        k = np.arange(1, m + 1)
+        e[..., m] = np.sum(k * u[..., 1:m + 1] * e[..., m - 1::-1],
+                           axis=-1) / m
+    return e
+
+
+def series_diff(u):
+    """Series of the derivative; one order shorter."""
+    return u[..., 1:] * np.arange(1, u.shape[-1])
+
+
+def taylor(e: ExprNode, z, depth: int):
+    """Normalized Taylor coefficients u^(m)(z)/m!, m = 0..depth, of ``e`` at
+    every point of ``z``: shape ``z.shape + (depth + 1,)``.
+
+    One walk of the tree in series arithmetic, so the cost does not grow
+    with ``depth`` the way iterated :func:`diff` trees do.  Integer powers
+    are repeated products (``z^5`` at 0 stays exact).  Poles give
+    non-finite coefficients, as in :func:`evaluate`.
+    """
+    zz = np.asarray(z, dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _taylor(e, zz, depth + 1)
+
+
+def _taylor(e, z, n):
+    if isinstance(e, (Const, Var)):
+        out = np.zeros(z.shape + (n,), dtype=complex)
+        if isinstance(e, Const):
+            out[..., 0] = e.value
+        else:
+            out[..., 0] = z
+            out[..., 1:2] = 1.0
+        return out
+    if isinstance(e, Add):
+        return _taylor(e.left, z, n) + _taylor(e.right, z, n)
+    if isinstance(e, Sub):
+        return _taylor(e.left, z, n) - _taylor(e.right, z, n)
+    if isinstance(e, Mul):
+        return series_mul(_taylor(e.left, z, n), _taylor(e.right, z, n))
+    if isinstance(e, Div):
+        return series_div(_taylor(e.left, z, n), _taylor(e.right, z, n))
+    if isinstance(e, Neg):
+        return -_taylor(e.arg, z, n)
+    if isinstance(e, Pow):
+        if e.power == 0:
+            return _taylor(ONE, z, n)
+        base = _taylor(e.base, z, n)
+        out = base
+        for _ in range(abs(e.power) - 1):
+            out = series_mul(out, base)
+        return out if e.power > 0 else series_div(_taylor(ONE, z, n), out)
+    if isinstance(e, Exp):
+        return series_exp(_taylor(e.arg, z, n))
+    if isinstance(e, Sqrt):
+        return series_sqrt(_taylor(e.arg, z, n))
     raise TypeError(f"not an expression node: {e!r}")
 
 

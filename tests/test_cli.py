@@ -218,6 +218,21 @@ class TestDress:
         assert wu["max_relation_residual"] <= 1e-8
         assert wu["max_higher_coefficient"] <= 1e-9
 
+    def test_quotient_potential_recursion(self, tmp_path):
+        # the symbolic derivative towers of 1/(2-z) made this hang
+        rc = main(["dress", "--a", "1/(2-z)", "--Q", "1", "--atilde", "1",
+                   "--h", "1", "--K", "6", "--grid", "21",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        wu = read_report(tmp_path)["wu_recursion"]["h=1"]
+        assert np.isfinite(wu["max_relation_residual"])
+        assert wu["max_relation_residual"] <= 1e-8
+
+    def test_zero_of_a_on_path_is_config_error(self, tmp_path):
+        rc = main(["dress", "--a", "(0.5-z)^2", "--Q", "1", "--atilde", "1",
+                   "--h", "1", "--K", "6", "--out", str(tmp_path)])
+        assert rc == 2
+
     def test_cross_check_creates_missing_out_dir(self, tmp_path):
         out = tmp_path / "missing" / "nested"
         rc = main(["dress", "--a", "(1+0.1*z)^2", "--Q", "1",

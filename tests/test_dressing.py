@@ -122,10 +122,15 @@ class TestWuRecursion:
         assert gauge_ode_residual(co) <= 1e-9
 
     def test_gauge_ode_oracle_nonconstant_hopf(self):
-        co = wu_recursion("1+0.2*z", "(1+0.2*z)*(1+0.1*z)^2", "1+0.3*z",
-                          1.0, K=4, path=(0j, 0.5, 161))
-        assert gauge_ode_residual(co) <= 1e-9
-        assert max(relation_residuals(co).values()) <= 1e-9
+        # polynomial, quotient, square-root and exponential data
+        for a, atilde, Q in [
+                ("1+0.2*z", "(1+0.2*z)*(1+0.1*z)^2", "1+0.3*z"),
+                ("1/(2-z)", "1", "1"),
+                ("sqrt(1+z^2)", "1+0.1*z", "1+0.3*z"),
+                ("exp(0.3*z)/(2-z)", "1", "1+0.3*z")]:
+            co = wu_recursion(a, atilde, Q, 1.0, K=4, path=(0j, 0.5, 161))
+            assert gauge_ode_residual(co) <= 1e-9, a
+            assert max(relation_residuals(co).values()) <= 1e-9, a
 
     def test_consistency_with_closed_form(self):
         # when the gauge is h-independent the recursion reproduces
@@ -152,6 +157,19 @@ class TestWuRecursion:
         with pytest.raises(DressingError):
             wu_recursion("2", "2+z", "z-0.5", 1.0, path=(0j, 1.0, 41),
                          b_init={1: 0.0})
+
+    def test_q_zero_at_basepoint_rejected(self):
+        # a simple root of Q at z0 used to give NaN coefficients silently
+        with pytest.raises(DressingError):
+            wu_recursion("2+z", "2+z", "z", 1.0, K=2, path=(0j, 0.5, 41),
+                         b_init={1: 0})
+
+    def test_a_zero_on_path_rejected(self):
+        # a double zero of a on the path used to give coefficients ~1e192
+        with pytest.raises(DressingError):
+            wu_recursion("(0.5-z)^2", "1", "1", 1.0, K=6, path=(0j, 0.8, 81))
+        with pytest.raises(DressingError):
+            wu_recursion("1", "(0.5-z)^2", "1", 1.0, K=6, path=(0j, 0.8, 81))
 
 
 class TestDressFrame:

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from loopcmc import expr as ex
 from conftest import gallery_exprs, KUSNER_NU
@@ -108,6 +111,114 @@ class TestDiff:
                 / (2 * step)
             good = np.isfinite(dv) & np.isfinite(fd)
             assert np.all(np.abs(dv - fd)[good] <= 1e-6 * (1 + np.abs(dv[good])))
+
+
+def _binom_half_series(x, n):
+    """Coefficients of (1 + x s)^(1/2) in s, m = 0..n-1."""
+    out = np.ones(np.shape(x) + (n,), dtype=complex)
+    for m in range(1, n):
+        out[..., m] = out[..., m - 1] * (0.5 - (m - 1)) / m * x
+    return out
+
+
+def _conv(u, v):
+    n = u.shape[-1]
+    return np.stack([np.sum(u[..., :m + 1] * v[..., m::-1], axis=-1)
+                     for m in range(n)], axis=-1)
+
+
+class TestTaylor:
+    DEPTH = 12
+    PTS = np.array([0.0, 0.3 + 0.2j, -0.25 - 0.4j, 0.5j])
+
+    def closed_forms(self):
+        z = self.PTS[:, None]
+        m = np.arange(self.DEPTH + 1)
+        fact = np.array([math.factorial(k) for k in m])
+        inv = 1.0 / (2.0 - z) ** (m + 1)
+        expo = np.exp(z) / fact
+        # sqrt(1+z^2) = sqrt(1+z0^2) (1 + s/(z0-i))^(1/2) (1 + s/(z0+i))^(1/2)
+        z0 = self.PTS
+        root = np.sqrt(1 + z0 ** 2)[:, None] * _conv(
+            _binom_half_series(1 / (z0 - 1j), self.DEPTH + 1),
+            _binom_half_series(1 / (z0 + 1j), self.DEPTH + 1))
+        return {"1/(2-z)": inv, "exp(z)": expo, "sqrt(1+z^2)": root,
+                "exp(z)*sqrt(1+z^2)/(2-z)": _conv(_conv(expo, root), inv)}
+
+    def test_closed_form_coefficients(self):
+        for text, ref in self.closed_forms().items():
+            got = ex.taylor(ex.parse(text), self.PTS, self.DEPTH)
+            assert got.shape == (len(self.PTS), self.DEPTH + 1)
+            assert np.max(np.abs(got - ref)) <= 1e-13, text
+
+    def test_powers(self):
+        got = ex.taylor(ex.parse("z^5"), 0j, 7)
+        assert np.array_equal(got, np.eye(8)[5])
+        z0 = 0.6 - 0.3j
+        m = np.arange(9)
+        ref = (-1.0) ** m * (m + 1) * z0 ** (-(m + 2.0))
+        got = ex.taylor(ex.parse("z^-2"), z0, 8)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_shapes(self):
+        e = ex.parse("sqrt(1+z^2)*exp(z)")
+        assert ex.taylor(e, 0.25, 4).shape == (5,)
+        grid = (np.linspace(-0.3, 0.3, 3)[None, :]
+                + 1j * np.linspace(-0.2, 0.2, 2)[:, None])
+        got = ex.taylor(e, grid, 4)
+        assert got.shape == (2, 3, 5)
+        assert np.allclose(got[..., 0], ex.evaluate(e, grid))
+        assert ex.taylor(ex.ONE, grid, 2).shape == (2, 3, 3)
+
+    def test_pole_is_nonfinite_not_an_error(self):
+        got = ex.taylor(ex.parse("1/(2-z)"), np.array([2.0, 0.5]), 4)
+        assert not np.any(np.isfinite(got[0]))
+        assert np.allclose(got[1], 1 / 1.5 ** np.arange(1, 6))
+
+
+# random expression trees of at most six leaves, for the property test
+_CONSTS = st.builds(lambda re, im: ex.Const(complex(re, im)),
+                    st.floats(-2, 2), st.floats(-2, 2))
+_TREES = st.recursive(
+    st.one_of(st.just(ex.Z), _CONSTS),
+    lambda kids: st.one_of(
+        st.builds(ex.Add, kids, kids), st.builds(ex.Sub, kids, kids),
+        st.builds(ex.Mul, kids, kids), st.builds(ex.Div, kids, kids),
+        st.builds(ex.Neg, kids), st.builds(ex.Pow, kids, st.integers(-2, 3)),
+        st.builds(ex.Exp, kids), st.builds(ex.Sqrt, kids)),
+    max_leaves=6)
+
+
+def _tame(e, z):
+    """Every subtree of ``e`` is at most 10 in size at ``z``, and every
+    divisor, square-root argument and base of a negative power at least 0.5:
+    then neither derivative formula loses more than a few digits to
+    cancellation, and a relative check is meaningful."""
+    kids = [getattr(e, f, None) for f in ("left", "right", "arg", "base")]
+    kids = [k for k in kids if isinstance(k, ex.ExprNode)]
+    near = None
+    if isinstance(e, ex.Div):
+        near = e.right
+    elif isinstance(e, ex.Sqrt) or (isinstance(e, ex.Pow) and e.power < 0):
+        near = kids[0]
+    if near is not None and abs(ex.evaluate(near, z)[0]) < 0.5:
+        return False
+    return abs(ex.evaluate(e, z)[0]) <= 10 and all(_tame(k, z) for k in kids)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(e=_TREES, re=st.floats(-0.5, 0.5), im=st.floats(0.05, 0.5))
+def test_taylor_matches_iterated_diff(e, re, im):
+    # m! u_m is the m-th derivative; symbolic diff is the oracle
+    z = np.array([complex(re, im)])
+    assume(_tame(e, z))
+    got = ex.taylor(e, z, 4)[0] * [math.factorial(m) for m in range(5)]
+    ref, d = [], e
+    for _ in range(5):
+        ref.append(ex.evaluate(d, z)[0])
+        d = ex.diff(d)
+    ref = np.array(ref)
+    assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
 
 
 class TestOrderAt:

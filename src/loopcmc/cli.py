@@ -279,9 +279,7 @@ def cmd_convert(args):
         if not (args.a and args.Q):
             raise ConfigError("potential-to-classical needs --a and --Q")
         w = potential_to_minimal(ex.parse(args.a), ex.parse(args.Q), z0)
-        mu_text = ex.to_text(w.mu.expr) if w.mu.expr is not None else "(numeric)"
-        nu_text = ex.to_text(w.nu.expr) if w.nu.expr is not None \
-            else "(numeric primitive of -Q/a)"
+        mu_text, nu_text = ex.to_text(w.mu), ex.to_text(w.nu)
         report["weierstrass"] = {"mu": mu_text, "nu": nu_text}
         print(f"mu = {mu_text}")
         print(f"nu = {nu_text}")

@@ -26,8 +26,7 @@ from . import expr as ex
 from .frames import PotentialSpec, SurfaceOptions, surface_from_potential
 from .grid import DomainGrid
 from .mesh import SurfaceMesh
-from .weier import (AntiderivativeFunc, ExprFunc, MeroFunc, MobiusFunc,
-                    WeierstrassData, InvalidDataError, initial_frame)
+from .weier import WeierstrassData, InvalidDataError, initial_frame
 
 __all__ = [
     "minimal_to_potential", "potential_to_minimal", "limit_member_data",
@@ -42,24 +41,20 @@ def minimal_to_potential(w: WeierstrassData, h: float) -> PotentialSpec:
     """Normalized potential of the CMC-h member of the family through the
     minimal surface with data ``w`` (kept just as valid at h = 0, where the
     potential degenerates to the minimal one).
-
-    Requires symbolic data (the potential entries are expressions).
     """
-    if w.mu.expr is None or w.nu.expr is None:
-        raise InvalidDataError("symbolic Weierstrass data required")
     mu0, nu0 = w.mu0, w.nu0
     if not np.isfinite(mu0) or abs(mu0) < 1e-300:
         raise InvalidDataError("mu must be finite and nonzero at the basepoint")
-    nu_z = ex.diff(w.nu.expr)
+    nu_z = ex.diff(w.nu)
     gamma0 = np.conj(mu0) / (abs(mu0) * (abs(nu0) ** 2 + 1.0))
     if nu0 == 0 and abs(gamma0 - 1.0) < 1e-15:
         # normalized data: upper -h mu, lower -nu_z
-        a = ex.Const(2.0) * w.mu.expr
-        q = ex.Const(-2.0) * w.mu.expr * nu_z
+        a = ex.Const(2.0) * w.mu
+        q = ex.Const(-2.0) * w.mu * nu_z
     else:
-        shape = ex.Const(gamma0) * (ex.Const(np.conj(nu0)) * w.nu.expr + 1) ** 2
-        a = ex.Const(2.0) * w.mu.expr * shape
-        q = ex.Const(-2.0) * w.mu.expr * nu_z
+        shape = ex.Const(gamma0) * (ex.Const(np.conj(nu0)) * w.nu + 1) ** 2
+        a = ex.Const(2.0) * w.mu * shape
+        q = ex.Const(-2.0) * w.mu * nu_z
     e0 = initial_frame(w)
     return PotentialSpec(h=float(h), z0=w.z0, a=a, Q=q, E0=e0)
 
@@ -67,61 +62,25 @@ def minimal_to_potential(w: WeierstrassData, h: float) -> PotentialSpec:
 # ---------------------------------------------------------------------------
 # Normalized potential -> Weierstrass data
 
-def _nu_from_q(p: PotentialSpec):
-    """The primitive q = int_{z0} Q/a (symbolic when polynomial)."""
-    return AntiderivativeFunc(ex.Div(p.Q, p.a), p.z0)
-
-
 def limit_member_data(p: PotentialSpec) -> WeierstrassData:
     """Weierstrass data of the h = 0 member tangent to the loop-group
     family built from ``p`` with its stored initial frame: the frame enters
-    as a Moebius action on the primitive of Q/a."""
+    as a Moebius action on the primitive q = int_{z0} Q/a."""
     e0 = p.initial_frame()
     a0c = complex(ex.evaluate(p.a, p.z0))
     if not np.isfinite(a0c) or a0c == 0:
         raise InvalidDataError("a must be finite and nonzero at the basepoint")
-    q = _nu_from_q(p)
+    q = ex.primitive(ex.Div(p.Q, p.a), p.z0)
     A0, B0 = e0[0, 0], e0[0, 1]
     if abs(B0) < 1e-15 and abs(A0 - 1.0) < 1e-15:
         # nu = -q, mu = a/2
-        mu = ExprFunc(ex.Const(0.5) * p.a)
-        if q.expr is not None:
-            nu = ExprFunc(ex.Neg(q.expr))
-        else:
-            nu = MobiusFunc(np.array([[-1.0, 0.0], [0.0, 1.0]]), q)
-        return WeierstrassData(mu, nu, p.z0)
+        return WeierstrassData(ex.Const(0.5) * p.a, ex.Neg(q), p.z0)
     # general initial frame: nu = (conj(B0) - conj(A0) q)/(A0 + B0 q),
     # mu = (a/2) (A0 + B0 q)^2
-    m = np.array([[-np.conj(A0), np.conj(B0)], [B0, A0]], dtype=complex)
-    nu = MobiusFunc(m, q)
-    if q.expr is not None:
-        mu = ExprFunc(ex.Const(0.5) * p.a *
-                      (ex.Const(A0) + ex.Const(B0) * q.expr) ** 2)
-    else:
-        mu = _CallableMu(p, q, A0, B0)
+    nu = (ex.Const(-np.conj(A0)) * q + ex.Const(np.conj(B0))) \
+        / (ex.Const(B0) * q + ex.Const(A0))
+    mu = ex.Const(0.5) * p.a * (ex.Const(A0) + ex.Const(B0) * q) ** 2
     return WeierstrassData(mu, nu, p.z0)
-
-
-class _CallableMu(MeroFunc):
-    """mu = (a/2)(A0 + B0 q)^2 with a numeric primitive q."""
-
-    expr = None
-
-    def __init__(self, p, q, a0, b0):
-        self.p = p
-        self.q = q
-        self.a0 = a0
-        self.b0 = b0
-
-    def __call__(self, z):
-        return 0.5 * ex.evaluate(self.p.a, z) * (self.a0 + self.b0 * self.q(z)) ** 2
-
-    def value_grid(self, grid):
-        return 0.5 * ex.evaluate(self.p.a, grid.zz) \
-            * (self.a0 + self.b0 * self.q.value_grid(grid)) ** 2
-
-    def derivative(self):
-        raise NotImplementedError("derivative of the general mu is not needed")
 
 
 def potential_to_minimal(a, Q, z0=0j, E0=None) -> WeierstrassData:
@@ -133,25 +92,18 @@ def potential_to_minimal(a, Q, z0=0j, E0=None) -> WeierstrassData:
     nu = -int Q/a; a non-real a(z0) is normalized by the principal fourth
     root so that mu(z0) > 0 (the leftover phase is a rigid rotation).
     """
-    a = a if isinstance(a, ex.ExprNode) else ex.parse(a)
-    Q = Q if isinstance(Q, ex.ExprNode) else ex.parse(Q)
+    a = ex.as_expr(a)
+    Q = ex.as_expr(Q)
     z0 = complex(z0)
     a0 = complex(ex.evaluate(a, z0))
     if not np.isfinite(a0) or a0 == 0:
         raise InvalidDataError("a(z0) must be finite and nonzero")
-    p = PotentialSpec(h=0.0, z0=z0, a=a, Q=Q, E0=E0)
-    if E0 is not None:
-        return limit_member_data(p)
-    if abs(a0.imag) <= 1e-12 * abs(a0):
-        return limit_member_data(PotentialSpec(h=0.0, z0=z0, a=a, Q=Q))
+    if E0 is not None or abs(a0.imag) <= 1e-12 * abs(a0):
+        return limit_member_data(PotentialSpec(h=0.0, z0=z0, a=a, Q=Q, E0=E0))
     # |a0| e^{i phi}: bar A0 = e^{i phi / 2} from the principal fourth root
     bar_a0 = (a0 / np.conj(a0)) ** 0.25
-    q = _nu_from_q(p)
-    if q.expr is not None:
-        nu = ExprFunc(ex.Const(-bar_a0 ** 2) * q.expr)
-    else:
-        nu = MobiusFunc(np.array([[-bar_a0 ** 2, 0.0], [0.0, 1.0]]), q)
-    mu = ExprFunc(ex.Const(0.5 / bar_a0 ** 2) * a)
+    nu = ex.Const(-bar_a0 ** 2) * ex.primitive(ex.Div(Q, a), z0)
+    mu = ex.Const(0.5 / bar_a0 ** 2) * a
     return WeierstrassData(mu, nu, z0)
 
 
@@ -215,8 +167,8 @@ def validate_orders(a, Q, points, radius=1e-3) -> OrderReport:
     Orders come from the two-circle exponent fit; an ambiguous fit
     propagates as an indeterminate classification rather than a guess.
     """
-    a = a if isinstance(a, ex.ExprNode) else ex.parse(a)
-    Q = Q if isinstance(Q, ex.ExprNode) else ex.parse(Q)
+    a = ex.as_expr(a)
+    Q = ex.as_expr(Q)
     out = []
     for z in points:
         z = complex(z)

@@ -64,9 +64,9 @@ class DressingError(ValueError):
 
 def gauge_potential(a, Q, rho):
     """Dress the data: (a, Q) -> (rho^2 a, Q)."""
-    a = a if isinstance(a, ex.ExprNode) else ex.parse(a)
-    Q = Q if isinstance(Q, ex.ExprNode) else ex.parse(Q)
-    rho = rho if isinstance(rho, ex.ExprNode) else ex.parse(rho)
+    a = ex.as_expr(a)
+    Q = ex.as_expr(Q)
+    rho = ex.as_expr(rho)
     return ex.Pow(rho, 2) * a, Q
 
 
@@ -90,9 +90,9 @@ def h_independent_dressing(a, atilde, Q, z0=0j, samples=None) -> HIndependentRes
     (max |db1/dz| <= 1e-8 (1 + |b1|)); the dressing element h+ = W+(z0)^{-1}
     is returned on a pass.  Requires Q(z0) nonzero or a simple root there.
     """
-    a = a if isinstance(a, ex.ExprNode) else ex.parse(a)
-    atilde = atilde if isinstance(atilde, ex.ExprNode) else ex.parse(atilde)
-    Q = Q if isinstance(Q, ex.ExprNode) else ex.parse(Q)
+    a = ex.as_expr(a)
+    atilde = ex.as_expr(atilde)
+    Q = ex.as_expr(Q)
     z0 = complex(z0)
     q0 = ex.order_at(Q, z0)
     if q0.order is None or q0.order not in (0, 1):
@@ -254,9 +254,9 @@ def wu_recursion(a, atilde, Q, h, K=6, path=(0j, 1.0, 200),
     """
     if h == 0:
         raise DressingError("use h_independent_dressing for the h = 0 gauge")
-    a = a if isinstance(a, ex.ExprNode) else ex.parse(a)
-    atilde = atilde if isinstance(atilde, ex.ExprNode) else ex.parse(atilde)
-    Q = Q if isinstance(Q, ex.ExprNode) else ex.parse(Q)
+    a = ex.as_expr(a)
+    atilde = ex.as_expr(atilde)
+    Q = ex.as_expr(Q)
     z0, z1, ns = path
     zs = np.linspace(complex(z0), complex(z1), int(ns))
     dz = zs[1:] - zs[:-1]

@@ -12,22 +12,27 @@ Expressions are evaluated exactly as written; there is no simplification
 beyond constant folding in derivative construction.  ``sqrt`` uses the
 principal branch per evaluation; continuity along a path is the caller's
 job (see :func:`continued_sqrt`).
+
+A :class:`Prim` node is the primitive of an integrand from a basepoint,
+evaluated by path quadrature (:func:`integrate_path`); :func:`primitive`
+builds one, or a symbolic antiderivative when the integrand is polynomial.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 __all__ = [
     "ExprNode", "Const", "Var", "Add", "Sub", "Mul", "Div", "Neg", "Pow",
-    "Exp", "Sqrt", "ExprSyntaxError", "IndeterminateOrderError", "parse",
-    "evaluate", "diff", "taylor", "series_mul", "series_div", "series_sqrt",
-    "series_exp", "series_diff", "to_text", "OrderResult", "order_at",
-    "order_at_int", "integrate_path", "gauss_segment", "continued_sqrt",
-    "as_polynomial",
+    "Exp", "Sqrt", "Prim", "ExprSyntaxError", "IndeterminateOrderError",
+    "as_expr", "parse", "evaluate", "primitive", "diff", "taylor",
+    "series_mul", "series_div", "series_sqrt", "series_exp", "series_diff",
+    "to_text", "OrderResult", "order_at", "order_at_int", "integrate_path",
+    "gauss_segment", "continued_sqrt", "as_polynomial",
 ]
 
 
@@ -54,28 +59,28 @@ class ExprNode:
     __slots__ = ()
 
     def __add__(self, other):
-        return Add(self, _as_expr(other))
+        return Add(self, as_expr(other))
 
     def __radd__(self, other):
-        return Add(_as_expr(other), self)
+        return Add(as_expr(other), self)
 
     def __sub__(self, other):
-        return Sub(self, _as_expr(other))
+        return Sub(self, as_expr(other))
 
     def __rsub__(self, other):
-        return Sub(_as_expr(other), self)
+        return Sub(as_expr(other), self)
 
     def __mul__(self, other):
-        return Mul(self, _as_expr(other))
+        return Mul(self, as_expr(other))
 
     def __rmul__(self, other):
-        return Mul(_as_expr(other), self)
+        return Mul(as_expr(other), self)
 
     def __truediv__(self, other):
-        return Div(self, _as_expr(other))
+        return Div(self, as_expr(other))
 
     def __rtruediv__(self, other):
-        return Div(_as_expr(other), self)
+        return Div(as_expr(other), self)
 
     def __pow__(self, n):
         return Pow(self, int(n))
@@ -148,14 +153,29 @@ class Sqrt(ExprNode):
     arg: ExprNode
 
 
+@dataclass(frozen=True, slots=True, repr=False)
+class Prim(ExprNode):
+    """int_{z0}^{z} integrand along the horizontal-then-vertical polyline
+    of :func:`integrate_path`; its derivative is the integrand."""
+    integrand: ExprNode
+    z0: complex
+
+    def __post_init__(self):
+        object.__setattr__(self, "z0", complex(self.z0))
+
+
 Z = Var()
 ZERO = Const(0.0 + 0.0j)
 ONE = Const(1.0 + 0.0j)
 
 
-def _as_expr(x):
+def as_expr(x) -> ExprNode:
+    """An expression from a node (returned as is), expression text (parsed)
+    or a number (wrapped as a constant)."""
     if isinstance(x, ExprNode):
         return x
+    if isinstance(x, str):
+        return parse(x)
     if isinstance(x, (int, float, complex, np.integer, np.floating, np.complexfloating)):
         return Const(complex(x))
     raise TypeError(f"cannot coerce {type(x).__name__} to an expression")
@@ -301,7 +321,9 @@ def parse(text: str) -> ExprNode:
     Raises ExprSyntaxError (with offset) on malformed input or unknown
     identifiers.
     """
-    if not isinstance(text, str) or text.strip() == "":
+    if not isinstance(text, str):
+        raise TypeError(f"expression text expected, got {type(text).__name__}")
+    if text.strip() == "":
         raise ExprSyntaxError("empty expression", 0)
     return _Parser(_tokenize(text)).parse()
 
@@ -328,7 +350,7 @@ def evaluate(e: ExprNode, z):
 
 def _eval(e, z):
     if isinstance(e, Const):
-        return np.full(z.shape, e.value, dtype=complex) if z.shape else e.value
+        return np.full(z.shape, e.value, dtype=complex)
     if isinstance(e, Var):
         return z
     if isinstance(e, Add):
@@ -348,6 +370,8 @@ def _eval(e, z):
         return np.exp(_eval(e.arg, z))
     if isinstance(e, Sqrt):
         return np.sqrt(_eval(e.arg, z))
+    if isinstance(e, Prim):
+        return np.asarray(integrate_path(e.integrand, e.z0, z))
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -426,6 +450,8 @@ def diff(e: ExprNode) -> ExprNode:
         return _mul(e, diff(e.arg))
     if isinstance(e, Sqrt):
         return _div(diff(e.arg), _mul(Const(2), e))
+    if isinstance(e, Prim):
+        return e.integrand
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -564,7 +590,9 @@ def _fmt_const(v):
 
 
 def to_text(e: ExprNode) -> str:
-    """Render the AST as parseable text (minimal parentheses)."""
+    """Render the AST as text (minimal parentheses).  The text parses back
+    unless the tree holds a :class:`Prim`, rendered ``int(<integrand>)``,
+    which :func:`parse` does not read."""
     txt, _ = _to_text(e)
     return txt
 
@@ -609,6 +637,8 @@ def _to_text(e):
         return f"exp({to_text(e.arg)})", "atom"
     if isinstance(e, Sqrt):
         return f"sqrt({to_text(e.arg)})", "atom"
+    if isinstance(e, Prim):
+        return f"int({to_text(e.integrand)})", "atom"
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -727,6 +757,20 @@ def integrate_path(e: ExprNode, z0, z1, max_step=0.25, gl_n=12):
                          max_step=max_step, gl_n=gl_n)
     total = legs[0] + legs[1]
     return complex(total) if total.ndim == 0 else total
+
+
+def primitive(integrand, z0) -> ExprNode:
+    """The primitive of ``integrand`` vanishing at ``z0``: a symbolic
+    antiderivative when the integrand is a polynomial, else a :class:`Prim`
+    node evaluated by quadrature."""
+    integrand = as_expr(integrand)
+    poly = as_polynomial(integrand)
+    if poly is None:
+        return Prim(integrand, z0)
+    terms = [Const(c / (k + 1)) * Pow(Z, k + 1) if k != 0 else Const(c) * Z
+             for k, c in sorted(poly.items())]
+    prim = reduce(Add, terms) if terms else ZERO
+    return prim - Const(evaluate(prim, complex(z0)))
 
 
 # ---------------------------------------------------------------------------

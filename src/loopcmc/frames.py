@@ -33,7 +33,6 @@ from .grid import DomainGrid, _erode
 from .loops import (E1, E2, E3, LoopMat, conv, hat_extend, inv2, su2_to_vec,
                     matrix_cvec, values_at)
 from .mesh import SurfaceMesh
-from .weier import MeroFunc, as_func
 
 __all__ = [
     "PotentialSpec", "SurfaceOptions", "FrameGrid", "FrameError",
@@ -60,19 +59,19 @@ class PotentialSpec:
     z0: complex = 0j
     a: ex.ExprNode | None = None
     Q: ex.ExprNode | None = None
-    mu: MeroFunc | None = None
-    nu: MeroFunc | None = None
+    mu: ex.ExprNode | None = None
+    nu: ex.ExprNode | None = None
     E0: np.ndarray | None = None
 
     @classmethod
     def normalized(cls, a, Q, h, z0=0j, E0=None):
-        a = a if isinstance(a, ex.ExprNode) else ex.parse(a)
-        Q = Q if isinstance(Q, ex.ExprNode) else ex.parse(Q)
-        return cls(h=float(h), z0=complex(z0), a=a, Q=Q, E0=E0)
+        return cls(h=float(h), z0=complex(z0), a=ex.as_expr(a),
+                   Q=ex.as_expr(Q), E0=E0)
 
     @classmethod
     def classical(cls, mu, nu, h, z0=0j):
-        return cls(h=float(h), z0=complex(z0), mu=as_func(mu), nu=as_func(nu))
+        return cls(h=float(h), z0=complex(z0), mu=ex.as_expr(mu),
+                   nu=ex.as_expr(nu))
 
     @property
     def kind(self):

@@ -67,9 +67,7 @@ def _data_pair(data):
     tagged with which convention applies."""
     if isinstance(data, PotentialSpec):
         if data.kind == "normalized":
-            a = data.a
-            p = ex.Div(data.Q, data.a)
-            return (lambda z: ex.evaluate(a, z)), (lambda z: ex.evaluate(p, z)), "potential"
+            return data.a, ex.Div(data.Q, data.a), "potential"
         return data.mu, data.nu, "classical"
     if isinstance(data, WeierstrassData):
         return data.mu, data.nu, "classical"
@@ -100,8 +98,8 @@ def check_rotational_data(data, n, samples) -> float:
 def laurent_rotational_check(a, p, n):
     """Coefficient-support test for polynomial data: a supported on powers
     0 mod n and p on powers -2 mod n.  Returns (ok, offending powers)."""
-    a = a if isinstance(a, ex.ExprNode) else ex.parse(a)
-    p = p if isinstance(p, ex.ExprNode) else ex.parse(p)
+    a = ex.as_expr(a)
+    p = ex.as_expr(p)
     pa = ex.as_polynomial(a)
     pp = ex.as_polynomial(p)
     if pa is None or pp is None:

@@ -10,12 +10,9 @@ metric |mu|(1+|nu|^2), Hopf function -2 mu nu_z) follows the same
 conventions as the loop-group pipeline so that deformation families stay
 tangent at the basepoint.
 
-Data components are ``MeroFunc`` values: symbolic expressions, numeric
-antiderivatives (path integrals from the basepoint), or Moebius transforms
-of either; all evaluate vectorised and know their derivative.  A numeric
-antiderivative evaluates a whole array of points with one batched
-quadrature, so every kind of data rides the same Gauss-Legendre grid
-sweep.
+Data components are expressions (``expr.ExprNode``); a primitive such as
+nu = -int Q/a is an ``expr.Prim`` node, evaluated by path quadrature, so
+every kind of data evaluates vectorised and differentiates symbolically.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ from .grid import DomainGrid, _erode
 from .mesh import SurfaceMesh
 
 __all__ = [
-    "MeroFunc", "ExprFunc", "AntiderivativeFunc", "MobiusFunc", "as_func",
     "WeierstrassData", "InvalidDataError", "minimal_surface", "metric_hopf",
     "initial_frame", "regularity_mask", "regularity_report",
     "coordinate_frame_grid", "pcomponent_residual",
@@ -41,145 +37,26 @@ class InvalidDataError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Function carriers
-
-class MeroFunc:
-    """A meromorphic function: vectorised evaluation plus a derivative."""
-
-    expr = None  # symbolic form when available
-
-    def __call__(self, z):
-        raise NotImplementedError
-
-    def derivative(self) -> "MeroFunc":
-        raise NotImplementedError
-
-    def value_grid(self, grid: DomainGrid):
-        return self(grid.zz)
-
-
-class ExprFunc(MeroFunc):
-    def __init__(self, e):
-        self.expr = e if isinstance(e, ex.ExprNode) else ex.parse(e)
-
-    def __call__(self, z):
-        return ex.evaluate(self.expr, z)
-
-    def derivative(self):
-        return ExprFunc(ex.diff(self.expr))
-
-    def __repr__(self):
-        return f"ExprFunc({ex.to_text(self.expr)})"
-
-
-class AntiderivativeFunc(MeroFunc):
-    """F(z) = c + int_{z0}^{z} g dz along axis-aligned paths.
-
-    If the integrand is polynomial the antiderivative is formed
-    symbolically; otherwise values come from composite Gauss-Legendre
-    quadrature (path independence holds because g is holomorphic on the
-    contractible working domain)."""
-
-    def __init__(self, integrand, z0, constant=0.0 + 0.0j):
-        self.integrand = integrand if isinstance(integrand, ex.ExprNode) \
-            else ex.parse(integrand)
-        self.z0 = complex(z0)
-        self.constant = complex(constant)
-        poly = ex.as_polynomial(self.integrand)
-        if poly is not None:
-            prim = None
-            for k, c in sorted(poly.items()):
-                term = ex.Const(c / (k + 1)) * ex.Pow(ex.Z, k + 1) if k != 0 \
-                    else ex.Const(c) * ex.Z
-                prim = term if prim is None else prim + term
-            if prim is None:
-                prim = ex.Const(0.0)
-            offset = ex.evaluate(prim, self.z0) - self.constant
-            self.expr = prim - ex.Const(offset)
-
-    def __call__(self, z):
-        if self.expr is not None:
-            return ex.evaluate(self.expr, z)
-        return self.constant + ex.integrate_path(self.integrand, self.z0, z)
-
-    def value_grid(self, grid):
-        if self.expr is not None:
-            return ex.evaluate(self.expr, grid.zz)
-        vals = _cumulative_grid_integral(
-            lambda pts: ex.evaluate(self.integrand, pts)[..., None], grid)
-        return self.constant + vals[..., 0]
-
-    def derivative(self):
-        return ExprFunc(self.integrand)
-
-
-class MobiusFunc(MeroFunc):
-    """(m00 w + m01) / (m10 w + m11) applied to an inner function."""
-
-    def __init__(self, m, inner: MeroFunc):
-        self.m = np.asarray(m, dtype=complex)
-        self.inner = inner
-
-    def __call__(self, z):
-        w = self.inner(z)
-        return (self.m[0, 0] * w + self.m[0, 1]) / (self.m[1, 0] * w + self.m[1, 1])
-
-    def value_grid(self, grid):
-        w = self.inner.value_grid(grid)
-        return (self.m[0, 0] * w + self.m[0, 1]) / (self.m[1, 0] * w + self.m[1, 1])
-
-    def derivative(self):
-        return _MobiusDeriv(self.m, self.inner)
-
-
-class _MobiusDeriv(MeroFunc):
-    def __init__(self, m, inner):
-        self.m = m
-        self.inner = inner
-        self.det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        self.dinner = inner.derivative()
-
-    def __call__(self, z):
-        w = self.inner(z)
-        return self.det * self.dinner(z) / (self.m[1, 0] * w + self.m[1, 1]) ** 2
-
-    def derivative(self):
-        raise NotImplementedError("second Moebius derivative not needed")
-
-
-def as_func(x) -> MeroFunc:
-    if isinstance(x, MeroFunc):
-        return x
-    if isinstance(x, ex.ExprNode):
-        return ExprFunc(x)
-    if isinstance(x, str):
-        return ExprFunc(ex.parse(x))
-    if isinstance(x, (int, float, complex)):
-        return ExprFunc(ex.Const(complex(x)))
-    raise TypeError(f"cannot treat {type(x).__name__} as a function")
-
-
-# ---------------------------------------------------------------------------
 # Weierstrass data
 
 @dataclass
 class WeierstrassData:
-    mu: MeroFunc
-    nu: MeroFunc
+    mu: ex.ExprNode
+    nu: ex.ExprNode
     z0: complex = 0j
 
     def __post_init__(self):
-        self.mu = as_func(self.mu)
-        self.nu = as_func(self.nu)
+        self.mu = ex.as_expr(self.mu)
+        self.nu = ex.as_expr(self.nu)
         self.z0 = complex(self.z0)
 
     @property
     def mu0(self):
-        return complex(self.mu(self.z0))
+        return ex.evaluate(self.mu, self.z0)
 
     @property
     def nu0(self):
-        return complex(self.nu(self.z0))
+        return ex.evaluate(self.nu, self.z0)
 
 
 def initial_frame(w: WeierstrassData) -> np.ndarray:
@@ -200,20 +77,12 @@ def initial_frame(w: WeierstrassData) -> np.ndarray:
 
 def metric_hopf(w: WeierstrassData):
     """Conformal factor evaluator e^u = |mu| (1 + |nu|^2) and the Hopf
-    function Q = -2 mu nu_z (symbolic when the data is symbolic)."""
+    function Q = -2 mu nu_z as an expression."""
 
     def eu(z):
         return np.abs(w.mu(z)) * (1.0 + np.abs(w.nu(z)) ** 2)
 
-    dnu = w.nu.derivative()
-    if w.mu.expr is not None and dnu.expr is not None:
-        q = ex.Const(-2.0) * w.mu.expr * dnu.expr
-        return eu, q
-
-    def qfun(z):
-        return -2.0 * w.mu(z) * dnu(z)
-
-    return eu, qfun
+    return eu, ex.Const(-2.0) * w.mu * ex.diff(w.nu)
 
 
 def regularity_report(w: WeierstrassData, points, radius=1e-3):
@@ -221,18 +90,16 @@ def regularity_report(w: WeierstrassData, points, radius=1e-3):
     is regular where Ord(mu) = 0 with Ord(nu) >= 0, or where
     0 <= Ord(mu) = -2 Ord(nu); mu nu^2 must be holomorphic throughout.
 
-    Needs symbolic data (the orders come from the two-circle fit).  Returns
-    one dict per point with the orders and flags; ambiguous fits surface as
-    order None with regular=False.
+    The orders come from the two-circle fit.  Returns one dict per point
+    with the orders and flags; ambiguous fits surface as order None with
+    regular=False.
     """
-    if w.mu.expr is None or w.nu.expr is None:
-        raise InvalidDataError("order-based regularity needs symbolic data")
-    munu2 = ex.Mul(w.mu.expr, ex.Pow(w.nu.expr, 2))
+    munu2 = ex.Mul(w.mu, ex.Pow(w.nu, 2))
     out = []
     for z in points:
         z = complex(z)
-        om = ex.order_at(w.mu.expr, z, radius=radius).order
-        on = ex.order_at(w.nu.expr, z, radius=radius).order
+        om = ex.order_at(w.mu, z, radius=radius).order
+        on = ex.order_at(w.nu, z, radius=radius).order
         o2 = ex.order_at(munu2, z, radius=radius).order
         if om is None or on is None:
             regular = False
@@ -248,8 +115,8 @@ def regularity_report(w: WeierstrassData, points, radius=1e-3):
 def regularity_mask(w: WeierstrassData, grid: DomainGrid, dilate=1):
     """Valid-node mask: data finite and the conformal factor bounded away
     from zero (branch points and poles are excluded, then dilated)."""
-    mu = w.mu.value_grid(grid)
-    nu = w.nu.value_grid(grid)
+    mu = w.mu(grid.zz)
+    nu = w.nu(grid.zz)
     eu = np.abs(mu) * (1.0 + np.abs(nu) ** 2)
     good = np.isfinite(mu) & np.isfinite(nu) & np.isfinite(eu)
     scale = np.median(eu[good & (eu > 0)]) if np.any(good & (eu > 0)) else 1.0
@@ -294,7 +161,7 @@ def minimal_surface(w: WeierstrassData, grid: DomainGrid) -> SurfaceMesh:
 
     The integrand is swept over the grid by Gauss-Legendre segments
     (``_cumulative_grid_integral``); mu and nu are evaluated at the
-    segments' nodes, whether they are symbolic or numeric primitives.
+    segments' nodes.
     """
     mask = regularity_mask(w, grid)
     if not mask[grid.j0, grid.i0]:
@@ -305,8 +172,8 @@ def minimal_surface(w: WeierstrassData, grid: DomainGrid) -> SurfaceMesh:
         return _fz_components(w.mu(pts), w.nu(pts))
 
     F = _cumulative_grid_integral(fvec, work)
-    nu_vals = w.nu.value_grid(work)
-    mu_vals = w.mu.value_grid(work)
+    nu_vals = w.nu(work.zz)
+    mu_vals = w.mu(work.zz)
     f = 2.0 * F.real
     fz = _fz_components(mu_vals, nu_vals)
     denom = 1.0 + np.abs(nu_vals) ** 2
@@ -329,8 +196,8 @@ def minimal_surface(w: WeierstrassData, grid: DomainGrid) -> SurfaceMesh:
 def coordinate_frame_grid(w: WeierstrassData, grid: DomainGrid):
     """SU(2) coordinate frame at every node, with the square-root branch of
     mu propagated continuously from the basepoint along the sweep order."""
-    mu = w.mu.value_grid(grid)
-    nu = w.nu.value_grid(grid)
+    mu = w.mu(grid.zz)
+    nu = w.nu(grid.zz)
     j0, i0 = grid.j0, grid.i0
     s = np.empty_like(mu)
     s0 = ex.continued_sqrt(mu[j0, i0:].ravel())
@@ -356,7 +223,7 @@ def pcomponent_residual(w: WeierstrassData, grid: DomainGrid):
     e^{-u}.  Vanishes exactly when the Gauss map is holomorphic (the
     surface is minimal); the residual reproduces |H|."""
     frame = coordinate_frame_grid(w, grid)
-    eu = np.abs(w.mu.value_grid(grid)) * (1 + np.abs(w.nu.value_grid(grid)) ** 2)
+    eu = np.abs(w.mu(grid.zz)) * (1 + np.abs(w.nu(grid.zz)) ** 2)
     dx, dy = grid.dx, grid.dy
     dfdx = np.gradient(frame, dx, axis=1)
     dfdy = np.gradient(frame, dy, axis=0)

@@ -157,6 +157,14 @@ class TestConvert:
         mu = ex.evaluate(ex.parse(rep["weierstrass"]["mu"]), zs)
         assert np.allclose(mu, 1.0)
 
+    def test_potential_to_minimal_primitive_text(self, tmp_path, capsys):
+        # Q/a = 1/(1+z) is not a polynomial: nu is printed as a primitive
+        rc = main(["convert", "--a", "1+z", "--Q", "1", "--out", str(tmp_path)])
+        assert rc == 0
+        rep = read_report(tmp_path)
+        assert rep["weierstrass"] == {"mu": "0.5*(1 + z)",
+                                      "nu": "-int(1/(1 + z))"}
+
 
 class TestCheck:
     def test_order5_rotational_pass(self, tmp_path):

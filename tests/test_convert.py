@@ -83,8 +83,7 @@ class TestPotentialToMinimal:
         w = potential_to_minimal("2", "-2", 0j)
         zs = ring()
         assert np.allclose(w.nu(zs), zs)
-        pot = minimal_to_potential(
-            WeierstrassData(w.mu.expr, w.nu.expr, 0j), 1.0)
+        pot = minimal_to_potential(WeierstrassData(w.mu, w.nu, 0j), 1.0)
         assert np.allclose(ex.evaluate(pot.a, zs), 2.0)
         assert np.allclose(ex.evaluate(pot.Q, zs), -2.0)
 
@@ -115,8 +114,7 @@ class TestPotentialToMinimal:
         pot = minimal_to_potential(catenoid, 1.0)
         w = potential_to_minimal(pot.a, pot.Q, 0j, E0=pot.initial_frame())
         zs = ring(0.5, 30)
-        dnu = w.nu.derivative()
-        q_back = -2.0 * w.mu(zs) * dnu(zs)
+        q_back = -2.0 * w.mu(zs) * ex.evaluate(ex.diff(w.nu), zs)
         assert np.max(np.abs(q_back - ex.evaluate(pot.Q, zs))) <= 1e-10
 
     def test_q_formula_derived_check(self, catenoid):
@@ -235,3 +233,36 @@ class TestLimitMemberData:
         eu0 = abs(w.mu(0j)) * (1 + abs(w.nu(0j)) ** 2)
         a0 = ex.evaluate(pot.a, 0j)
         assert eu0 == pytest.approx(abs(a0) / 2)
+
+
+class TestRoundTripPrimitive:
+    # Q/a is not a polynomial, so q = int Q/a is a quadrature node and the
+    # limit-member data carry it inside their expression trees
+    A, Q = "1+z+0.3*z^2", "exp(z)"
+
+    @pytest.fixture(params=["identity", "rotation"])
+    def spec(self, request):
+        e0 = None if request.param == "identity" \
+            else np.array([[0.6, 0.8], [-0.8, 0.6]])
+        return PotentialSpec.normalized(self.A, self.Q, 0.0, E0=e0)
+
+    def test_potential_reproduced(self, spec):
+        w = limit_member_data(spec)
+        pot = minimal_to_potential(w, 1)
+        zs = ring()
+        a, q = ex.parse(self.A), ex.parse(self.Q)
+        assert np.max(np.abs(ex.evaluate(pot.a, zs) - ex.evaluate(a, zs))) <= 1e-12
+        assert np.max(np.abs(ex.evaluate(pot.Q, zs) - ex.evaluate(q, zs))) <= 1e-12
+
+    def test_regularity_classified(self, spec):
+        from loopcmc.weier import regularity_report
+        rows = regularity_report(limit_member_data(spec), [0j, 0.3 - 0.2j])
+        assert all(r["ord_mu"] == 0 and r["ord_nu"] >= 0 for r in rows)
+        assert all(r["regular"] and r["mu_nu2_holomorphic"] for r in rows)
+
+    def test_hopf_is_an_expression(self, spec):
+        w = limit_member_data(spec)
+        _, q = metric_hopf(w)
+        assert isinstance(q, ex.ExprNode)
+        zs = ring()
+        assert np.max(np.abs(ex.evaluate(q, zs) - ex.evaluate(ex.parse(self.Q), zs))) <= 1e-12

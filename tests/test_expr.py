@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -76,10 +77,39 @@ class TestEvaluate:
         val = ex.evaluate(ex.parse("1/z"), 0j)
         assert not np.isfinite(val)
 
+    def test_constant_division_by_zero_nonfinite(self):
+        # a subtree without z is evaluated in numpy at a scalar point too
+        for e in (ex.parse("1/0"), ex.Pow(ex.Const(0), -1)):
+            val = ex.evaluate(e, 0.5)
+            assert type(val) is complex and not np.isfinite(val)
+
     def test_sqrt_squares_back(self):
         e = ex.parse("sqrt(z)")
         pts = np.array([0.3 + 0.4j, -2.0 + 0.1j, 5.0])
         assert np.allclose(ex.evaluate(e, pts) ** 2, pts)
+
+
+class TestAsExpr:
+    def test_node_passes_through(self):
+        e = ex.parse("exp(z)")
+        assert ex.as_expr(e) is e
+
+    def test_text_is_parsed(self):
+        assert ex.as_expr("z^2 + 1") == ex.parse("z^2 + 1")
+        with pytest.raises(ex.ExprSyntaxError):
+            ex.as_expr("z+")
+
+    def test_numbers_are_wrapped(self):
+        for x in (2, 0.5, 1 - 2j, np.float64(3.0)):
+            e = ex.as_expr(x)
+            assert isinstance(e, ex.Const) and e.value == complex(x)
+
+    def test_other_types_rejected(self):
+        for x in (None, [1], b"z"):
+            with pytest.raises(TypeError):
+                ex.as_expr(x)
+        with pytest.raises(TypeError):
+            ex.parse(2)
 
 
 class TestDiff:
@@ -294,6 +324,61 @@ class TestIntegratePath:
             assert got[idx] == ref
         with pytest.raises(ValueError):
             ex.gauss_segment(f, za, np.array([1.0, np.nan]))
+
+
+class TestPrimitive:
+    def test_polynomial_is_symbolic(self):
+        q = ex.primitive("3*z^2 - 1", 0.5)
+        assert ex.as_polynomial(q) is not None
+        assert ex.evaluate(q, 0.5) == 0
+        z = 0.2 - 0.7j
+        assert ex.evaluate(q, z) == pytest.approx(z ** 3 - z - 0.125 + 0.5)
+
+    def test_quadrature_node(self):
+        q = ex.primitive("exp(z)/(z-3)", 0.1j)
+        assert q == ex.Prim(ex.parse("exp(z)/(z-3)"), 0.1j)
+        assert ex.diff(q) is q.integrand
+        assert ex.evaluate(q, 0.1j) == 0
+        assert not np.isfinite(ex.evaluate(q / q, 0.1j))
+        assert ex.to_text(-q) == "-int(exp(z)/(z - 3))"
+        with pytest.raises(ex.ExprSyntaxError):
+            ex.parse(ex.to_text(q))
+
+
+_POLYS = st.lists(st.complex_numbers(max_magnitude=2.0), min_size=1,
+                  max_size=9)
+_POINTS = st.complex_numbers(max_magnitude=1.0)
+
+
+def _poly_expr(coeffs):
+    """sum_k c_k z^k as a tree of constants, powers and sums."""
+    terms = [ex.Const(c) * ex.Pow(ex.Z, k) for k, c in enumerate(coeffs)]
+    return functools.reduce(ex.Add, terms)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(coeffs=_POLYS, z0=_POINTS, z=_POINTS)
+def test_primitive_symbolic_matches_quadrature(coeffs, z0, z):
+    # degree <= 8: the symbolic antiderivative and the forced quadrature
+    # node agree to 1e-12 of the magnitude of the terms they sum
+    e = _poly_expr(coeffs)
+    sym = ex.primitive(e, z0)
+    assert not isinstance(sym, ex.Prim)
+    got, ref = ex.evaluate(sym, z), ex.evaluate(ex.Prim(e, z0), z)
+    scale = sum(abs(c) * (abs(z) ** (k + 1) + abs(z0) ** (k + 1)) / (k + 1)
+                for k, c in enumerate(coeffs))
+    assert abs(got - ref) <= 1e-12 * max(scale, abs(ref), 1e-300)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(e=st.one_of(_TREES, _POLYS.map(_poly_expr)), z0=_POINTS,
+       re=st.floats(-0.5, 0.5), im=st.floats(0.05, 0.5))
+def test_derivative_of_primitive_is_integrand(e, z0, re, im):
+    z = np.array([complex(re, im)])
+    assume(_tame(e, z))
+    got = ex.evaluate(ex.diff(ex.primitive(e, z0)), z)
+    ref = ex.evaluate(e, z)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
 class TestContinuedSqrt:

@@ -27,7 +27,8 @@ from .dressing import (DressingError, gauge_potential, h_independent_dressing,
                        relation_residuals, wu_recursion, dress_surface)
 from .factor import FactorError
 from .frames import (FrameError, PotentialSpec, SurfaceOptions,
-                     extract_curvature, surface_from_potential)
+                     extract_curvature, potential_entries,
+                     surface_from_potential)
 from .gallery import entry_names, get_entry
 from .grid import DomainGrid, GridError
 from .loops import LoopError
@@ -199,7 +200,14 @@ def run_mesh_job(p: PotentialSpec, h_list, grid_for, opts, outdir, prefix,
 
 
 def emit_report(report, outdir):
-    text = json.dumps(report, sort_keys=True, indent=2, default=_json_default)
+    """Print the report as strict JSON (and write it to ``outdir``): each
+    non-finite number becomes null, and the top-level ``non_finite`` list
+    names its dotted key path."""
+    bad = []
+    report = _finite_only(report, (), bad)
+    if bad:
+        report["non_finite"] = sorted(bad)
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     if outdir:
         os.makedirs(outdir, exist_ok=True)
         with open(os.path.join(outdir, "report.json"), "w") as fh:
@@ -207,14 +215,23 @@ def emit_report(report, outdir):
     print(text)
 
 
-def _json_default(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
+def _finite_only(v, path, bad):
+    """``v`` in plain JSON types, with each non-finite float replaced by
+    None and its dotted key path appended to ``bad``."""
+    if isinstance(v, dict):
+        return {k: _finite_only(x, path + (str(k),), bad) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite_only(x, path + (str(i),), bad) for i, x in enumerate(v)]
     if isinstance(v, complex):
-        return [v.real, v.imag]
+        return _finite_only([v.real, v.imag], path, bad)
     if isinstance(v, np.ndarray):
-        return v.tolist()
-    raise TypeError(f"not JSON serializable: {type(v)}")
+        return _finite_only(v.tolist(), path, bad)
+    if isinstance(v, (np.floating, np.integer)):
+        v = v.item()
+    if isinstance(v, float) and not math.isfinite(v):
+        bad.append(".".join(path))
+        return None
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +270,7 @@ def cmd_convert(args):
         h = parse_h_list(args.h)[0]
         w = WeierstrassData(args.mu, args.nu, z0)
         p = minimal_to_potential(w, h)
-        upper = ex.Mul(ex.Const(-p.h / 2.0), p.a)
-        lower = ex.Div(p.Q, p.a)
+        upper, lower = potential_entries(p)
         report["potential"] = {
             "h": h,
             "upper": ex.to_text(upper),

@@ -47,14 +47,13 @@ def minimal_to_potential(w: WeierstrassData, h: float) -> PotentialSpec:
         raise InvalidDataError("mu must be finite and nonzero at the basepoint")
     nu_z = ex.diff(w.nu)
     gamma0 = np.conj(mu0) / (abs(mu0) * (abs(nu0) ** 2 + 1.0))
+    q = ex.Const(-2.0) * w.mu * nu_z
     if nu0 == 0 and abs(gamma0 - 1.0) < 1e-15:
         # normalized data: upper -h mu, lower -nu_z
         a = ex.Const(2.0) * w.mu
-        q = ex.Const(-2.0) * w.mu * nu_z
     else:
         shape = ex.Const(gamma0) * (ex.Const(np.conj(nu0)) * w.nu + 1) ** 2
         a = ex.Const(2.0) * w.mu * shape
-        q = ex.Const(-2.0) * w.mu * nu_z
     e0 = initial_frame(w)
     return PotentialSpec(h=float(h), z0=w.z0, a=a, Q=q, E0=e0)
 

@@ -237,12 +237,12 @@ def birkhoff(x: LoopMat, margin: int = DEFAULT_MARGIN,
     y = np.linalg.solve(a, rhs)
     ycoef = y.reshape(ncap + 1, 2, 2)
     yloop = LoopMat(0, ycoef).trim(1e-300)
-    prod = mul(x, yloop, maxdeg=abs(x.lo) + 2 * ncap + 4)
+    prod = mul(x, yloop)
     minus = prod.window(prod.lo, 0)
     tail = max((float(np.max(np.abs(prod.coeff(k)))) for k in prod.powers if k > 0),
                default=0.0)
     plus = inverse_plus(yloop)
-    recon = mul(minus, plus, maxdeg=abs(minus.lo) + plus.hi + 4)
+    recon = mul(minus, plus)
     resid = float(np.max(np.abs(circle_values(recon.coeffs, recon.lo, 32)
                                 - circle_values(x.coeffs, x.lo, 32))))
     return FactorResult(unitary_part=None, plus_part=plus, minus_part=minus,

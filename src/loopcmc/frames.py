@@ -1,12 +1,17 @@
 """Holomorphic frame integration, pointwise Iwasawa factorization, and the
 Sym-Bobenko evaluation: potential in, surface mesh out.
 
-The potential in normalized form is
+The potential in normalized form is off-diagonal,
 
-    ( 0          -(h/2) a(z) )
-    ( Q(z)/a(z)   0          )  lam^-1 dz.
+    ( 0       upper )                  upper = -(h/2) a(z),
+    ( lower   0     )  lam^-1 dz,      lower = Q(z)/a(z),
 
-Its holomorphic frame Phi solves d Phi = Phi eta with Phi(z0) equal to the
+and it is held as those two entries only (``potential_entries``).  Right
+multiplication by it swaps the two columns of a matrix and scales them by
+(lower, upper), which is the one kernel that the frame sweep and the
+flatness check use.
+
+The holomorphic frame Phi solves d Phi = Phi eta with Phi(z0) equal to the
 twisted extension of the initial unitary frame.  Writing the solution with
 initial value I as a series in nonpositive powers, the coefficients are
 iterated path integrals; they are integrated here by a fourth-order sweep
@@ -36,8 +41,9 @@ from .mesh import SurfaceMesh
 
 __all__ = [
     "PotentialSpec", "SurfaceOptions", "FrameGrid", "FrameError",
-    "TailBoundError", "integrate_frame", "sym_bobenko", "flatness_residual",
-    "surface_from_potential", "extract_curvature", "CurvatureField",
+    "TailBoundError", "potential_entries", "integrate_frame", "sym_bobenko",
+    "flatness_residual", "surface_from_potential", "extract_curvature",
+    "CurvatureField",
 ]
 
 
@@ -148,57 +154,47 @@ def choose_ntrunc(L, ma, mb, tol=1e-12, cap=24):
 # ---------------------------------------------------------------------------
 # Frame integration
 
-def _potential_functions(p: PotentialSpec):
+def potential_entries(p: PotentialSpec):
+    """The two off-diagonal entries (upper, lower) = (-(h/2) a, Q/a) of the
+    normalized potential, as expressions."""
     if p.kind != "normalized":
         raise FrameError("frame integration needs a normalized potential")
-    alpha = ex.Const(-p.h / 2.0) * p.a
-    lower = ex.Div(p.Q, p.a)
-    return alpha, lower
+    return ex.Const(-p.h / 2.0) * p.a, ex.Div(p.Q, p.a)
 
 
-def _potential_mask(p, grid, bound):
-    alpha, lower = _potential_functions(p)
-    av = ex.evaluate(alpha, grid.zz)
-    pv = ex.evaluate(lower, grid.zz)
-    good = np.isfinite(av) & np.isfinite(pv)
-    good &= (np.abs(av) < bound) & (np.abs(pv) < bound)
-    good &= grid.mask
-    return _erode(good, MASK_DILATE, outside=True) | _basepoint_only(grid)
+def _times_potential(psi, upper, lower):
+    """Psi [[0, upper], [lower, 0]] for a stack psi (..., nk, 2, 2) and
+    entries that are scalars or shaped like its leading axes (...): the two
+    columns of psi swapped, then scaled by (lower, upper)."""
+    scale = np.stack([lower, upper], axis=-1)
+    return psi[..., ::-1] * scale[..., None, None, :]
 
 
-def _basepoint_only(grid):
-    m = np.zeros((grid.ny, grid.nx), dtype=bool)
-    m[grid.j0, grid.i0] = True
-    return m
-
-
-def _rk4_loop_advance(psi, za, zb, alpha, lower, substeps):
-    """Advance d Psi/dz = Psi A(z) / lam from za to zb; psi (..., nk, 2, 2)
-    holds powers -(nk-1)..0 in ascending order, so the coefficient
-    recursion Psi_{-k}' = Psi_{-k+1} A feeds slot t from slot t+1.  Each
-    substep starts from the potential its predecessor ended on, so an edge
-    evaluates the potential 2 * substeps + 1 times."""
+def _rk4_loop_advance(psi, za, zb, upper, lower, substeps):
+    """Advance d Psi/dz = Psi A(z) / lam from za to zb, where
+    A = [[0, upper], [lower, 0]] is the off-diagonal potential; psi
+    (..., nk, 2, 2) holds powers -(nk-1)..0 in ascending order, so the
+    coefficient recursion Psi_{-k}' = Psi_{-k+1} A feeds slot t from slot
+    t+1 through :func:`_times_potential`.  Each substep starts from the
+    entries its predecessor ended on, so an edge evaluates each entry
+    2 * substeps + 1 times."""
     za = np.asarray(za, dtype=complex)
     zb = np.asarray(zb, dtype=complex)
     psi = np.array(psi, copy=True)
 
-    def amat(z):
-        a = np.zeros(np.shape(z) + (2, 2), dtype=complex)
-        a[..., 0, 1] = ex.evaluate(alpha, z)
-        a[..., 1, 0] = ex.evaluate(lower, z)
-        return a
+    def entries(z):
+        return ex.evaluate(upper, z), ex.evaluate(lower, z)
 
     def deriv(state, a):
         d = np.zeros_like(state)
-        d[..., :-1, :, :] = np.einsum("...kij,...jl->...kil",
-                                      state[..., 1:, :, :], a)
+        d[..., :-1, :, :] = _times_potential(state[..., 1:, :, :], *a)
         return d
 
     ts = [za + (zb - za) * (s / substeps) for s in range(substeps + 1)]
-    a1 = amat(ts[0])
+    a1 = entries(ts[0])
     for t0, t1 in zip(ts[:-1], ts[1:]):
         dz = (t1 - t0)[..., None, None, None]
-        a0, ah, a1 = a1, amat(t0 + (t1 - t0) / 2), amat(t1)
+        a0, ah, a1 = a1, entries(t0 + (t1 - t0) / 2), entries(t1)
         k1 = deriv(psi, a0)
         k2 = deriv(psi + dz / 2 * k1, ah)
         k3 = deriv(psi + dz / 2 * k2, ah)
@@ -222,10 +218,9 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
     pushed below ``TAIL_FAIL`` at the truncation cap.
     """
     opts = options or SurfaceOptions()
-    alpha, lower = _potential_functions(p)
-    zz = grid.zz
-    av = np.abs(ex.evaluate(alpha, zz))
-    pv = np.abs(ex.evaluate(lower, zz))
+    upper, lower = potential_entries(p)
+    av = np.abs(ex.evaluate(upper, grid.zz))
+    pv = np.abs(ex.evaluate(lower, grid.zz))
     L = grid.max_l1_pathlength()
 
     # tighten the entry threshold until the series bound is met: domains
@@ -245,7 +240,10 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
         ladder = (ENTRY_BOUND,)
     mask = tail = None
     for bound in ladder:
-        cand = _potential_mask(p, grid, bound)
+        # nodes whose entries are finite and below the bound, eroded by
+        # MASK_DILATE rings; the basepoint always stays
+        cand = _erode((biggest < bound) & grid.mask, MASK_DILATE, outside=True)
+        cand[grid.j0, grid.i0] = True
         ma = float(np.max(av[cand], initial=0.0))
         mb = float(np.max(pv[cand], initial=0.0))
         n_cand, t_cand = choose_ntrunc(L, ma, mb, opts.tail_tol,
@@ -268,7 +266,7 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
     psi[grid.j0, grid.i0] = 0.0
     psi[grid.j0, grid.i0, -1] = np.eye(2)
     work.sweep(psi, lambda s, za, zb: _rk4_loop_advance(
-        s, za, zb, alpha, lower, opts.substeps))
+        s, za, zb, upper, lower, opts.substeps))
 
     ok = mask & np.all(np.isfinite(psi), axis=(2, 3, 4))
     # premultiply by the twisted initial loop (powers -1..1): the frames
@@ -282,7 +280,7 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
 def flatness_residual(p: PotentialSpec, fg: FrameGrid, samples=20, seed=0):
     """Fourth-order finite-difference check of d Phi = Phi eta at random
     interior nodes (the checker's own truncation error is O(dx^4))."""
-    alpha, lower = _potential_functions(p)
+    upper, lower = potential_entries(p)
     g = fg.grid
     inner = g.interior(2) & fg.ok
     js, is_ = np.nonzero(inner)
@@ -298,11 +296,10 @@ def flatness_residual(p: PotentialSpec, fg: FrameGrid, samples=20, seed=0):
         dphi = (-c[j, i + 2] + 8 * c[j, i + 1] - 8 * c[j, i - 1] + c[j, i - 2]) \
             / (12 * dx)
         z = g.node(j, i)
-        amat = np.array([[0, ex.evaluate(alpha, z)],
-                         [ex.evaluate(lower, z), 0]], dtype=complex)
         # (Phi A)_k sits one power below Phi_k
         rhs = np.zeros_like(dphi)
-        rhs[:-1] = np.einsum("kij,jl->kil", fg.coeffs[j, i][1:], amat)
+        rhs[:-1] = _times_potential(c[j, i][1:], ex.evaluate(upper, z),
+                                   ex.evaluate(lower, z))
         scale = max(1.0, float(np.max(np.abs(fg.coeffs[j, i]))))
         worst = max(worst, float(np.max(np.abs(dphi - rhs))) / scale)
     return worst

@@ -16,10 +16,8 @@ Every loop operation has one batched kernel on coefficient stacks:
 * :func:`unitary_defect` -- max |F F* - I| over sampled circle values.
 
 The :class:`LoopMat` functions (:func:`mul`, :func:`eval_lambda`,
-:func:`lambda_derivative_at`, :func:`check_membership`) are thin wrappers.
-Products are truncated to a configurable window; the largest discarded
-coefficient norm is tracked on the result (``truncation_discard``) and an
-overflow beyond tolerance raises :class:`WindowOverflowError`.
+:func:`lambda_derivative_at`, :func:`check_membership`) are thin wrappers;
+products are exact.
 """
 
 from __future__ import annotations
@@ -27,14 +25,13 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "LoopMat", "WindowOverflowError", "LoopError", "identity", "constant",
+    "LoopMat", "LoopError", "identity", "constant",
     "hat_extend", "conv", "values_at", "circle_values", "unitary_defect",
     "mul", "eval_lambda", "lambda_derivative_at", "star", "check_membership",
     "to_text", "from_text", "E1", "E2", "E3", "su2_to_vec", "matrix_cvec",
-    "inv2", "DEFAULT_MAXDEG", "CIRCLE_SAMPLES",
+    "inv2", "CIRCLE_SAMPLES",
 ]
 
-DEFAULT_MAXDEG = 16
 CIRCLE_SAMPLES = 64
 
 # su(2) basis, orthonormal for <X,Y> = -Trace(XY)/2
@@ -47,10 +44,6 @@ class LoopError(ValueError):
     pass
 
 
-class WindowOverflowError(LoopError):
-    pass
-
-
 class LoopMat:
     """2x2 matrix of truncated Laurent polynomials.
 
@@ -60,19 +53,15 @@ class LoopMat:
         Lowest power carried.
     coeffs : (nk, 2, 2) complex ndarray
         Coefficient of power ``lo + k`` at index ``k``.
-    truncation_discard : float
-        Largest coefficient norm discarded by the operation that produced
-        this value (0.0 when nothing was lost).
     """
 
-    __slots__ = ("lo", "coeffs", "truncation_discard")
+    __slots__ = ("lo", "coeffs")
 
-    def __init__(self, lo, coeffs, truncation_discard=0.0):
+    def __init__(self, lo, coeffs):
         self.lo = int(lo)
         self.coeffs = np.asarray(coeffs, dtype=complex)
         if self.coeffs.ndim != 3 or self.coeffs.shape[1:] != (2, 2):
             raise LoopError("coeffs must have shape (nk, 2, 2)")
-        self.truncation_discard = float(truncation_discard)
 
     @property
     def hi(self):
@@ -93,28 +82,18 @@ class LoopMat:
         norms = np.max(np.abs(self.coeffs), axis=(1, 2))
         nz = np.nonzero(norms > tol)[0]
         if len(nz) == 0:
-            return LoopMat(0, np.zeros((1, 2, 2), dtype=complex),
-                           self.truncation_discard)
+            return LoopMat(0, np.zeros((1, 2, 2), dtype=complex))
         a, b = int(nz[0]), int(nz[-1])
-        return LoopMat(self.lo + a, self.coeffs[a:b + 1].copy(),
-                       self.truncation_discard)
+        return LoopMat(self.lo + a, self.coeffs[a:b + 1].copy())
 
-    def window(self, lo, hi, discard_tol=None):
-        """Restrict to powers lo..hi, recording what was discarded."""
-        nk = hi - lo + 1
-        out = np.zeros((nk, 2, 2), dtype=complex)
+    def window(self, lo, hi):
+        """Restrict to powers lo..hi (zero-padded where absent)."""
+        out = np.zeros((hi - lo + 1, 2, 2), dtype=complex)
         a = max(self.lo, lo)
         b = min(self.hi, hi)
-        discarded = 0.0
         if a <= b:
             out[a - lo:b - lo + 1] = self.coeffs[a - self.lo:b - self.lo + 1]
-        for k in self.powers:
-            if k < lo or k > hi:
-                discarded = max(discarded, float(np.max(np.abs(self.coeff(k)))))
-        if discard_tol is not None and discarded > discard_tol:
-            raise WindowOverflowError(
-                f"truncation to [{lo},{hi}] discards norm {discarded:.3e}")
-        return LoopMat(lo, out, max(self.truncation_discard, discarded))
+        return LoopMat(lo, out)
 
     def __repr__(self):
         return f"<LoopMat powers {self.lo}..{self.hi}>"
@@ -215,18 +194,9 @@ def unitary_defect(vals):
 # ---------------------------------------------------------------------------
 # LoopMat operations
 
-def mul(a: LoopMat, b: LoopMat, maxdeg=None, discard_tol=1e-9) -> LoopMat:
-    """Cauchy product, truncated to |power| <= maxdeg (default module-wide
-    DEFAULT_MAXDEG, or wide enough for the inputs if they already exceed
-    it).  Raises WindowOverflowError if truncation would discard more than
-    ``discard_tol``."""
-    prod = LoopMat(a.lo + b.lo, conv(a.coeffs, b.coeffs))
-    if maxdeg is None:
-        maxdeg = max(DEFAULT_MAXDEG, abs(a.lo), abs(a.hi), abs(b.lo), abs(b.hi))
-    if prod.lo < -maxdeg or prod.hi > maxdeg:
-        prod = prod.window(max(prod.lo, -maxdeg), min(prod.hi, maxdeg),
-                           discard_tol)
-    return prod.trim(0.0)
+def mul(a: LoopMat, b: LoopMat) -> LoopMat:
+    """Exact Cauchy product, trimmed of all-zero end blocks."""
+    return LoopMat(a.lo + b.lo, conv(a.coeffs, b.coeffs)).trim(0.0)
 
 
 def eval_lambda(a: LoopMat, lam) -> np.ndarray:
@@ -242,8 +212,7 @@ def lambda_derivative_at(a: LoopMat, lam) -> np.ndarray:
 def star(a: LoopMat) -> LoopMat:
     """Adjoint loop: on the unit circle this is the pointwise conjugate
     transpose (power k goes to -k, matrix transposed-conjugated)."""
-    return LoopMat(-a.hi, np.conj(np.transpose(a.coeffs[::-1], (0, 2, 1))),
-                   a.truncation_discard)
+    return LoopMat(-a.hi, np.conj(np.transpose(a.coeffs[::-1], (0, 2, 1))))
 
 
 def check_membership(a: LoopMat, which: str, samples=CIRCLE_SAMPLES) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .frames import PotentialSpec
+from .frames import PotentialSpec, potential_entries
 from .mesh import SurfaceMesh
 from .weier import WeierstrassData
 
@@ -63,11 +63,12 @@ def ring_samples(radius=0.7, count=24, center=0j):
 
 
 def _data_pair(data):
-    """Normalized entries (a, p) or classical (mu, nu) as evaluators,
-    tagged with which convention applies."""
+    """Normalized data (a, p = Q/a) or classical (mu, nu) as evaluators,
+    tagged with which convention applies.  The upper potential entry is
+    -(h/2) a, so a is checked directly and stays checked at h = 0."""
     if isinstance(data, PotentialSpec):
         if data.kind == "normalized":
-            return data.a, ex.Div(data.Q, data.a), "potential"
+            return data.a, potential_entries(data)[1], "potential"
         return data.mu, data.nu, "classical"
     if isinstance(data, WeierstrassData):
         return data.mu, data.nu, "classical"

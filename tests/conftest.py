@@ -88,7 +88,7 @@ def rand_unimodular_twisted(rng, band=4, scale=0.05):
             c[abs(k)] = np.eye(2)
             c[k + abs(k)][slot] = scale * (rng.normal() + 1j * rng.normal())
             elem = LoopMat(-abs(k), c).trim()
-            out = elem if out is None else mul(out, elem, maxdeg=64)
+            out = elem if out is None else mul(out, elem)
     return out
 
 

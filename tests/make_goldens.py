@@ -8,7 +8,9 @@ import pathlib
 import shutil
 import sys
 
-from loopcmc.cli import main
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from loopcmc.cli import main  # noqa: E402
 
 GOLDEN_JOBS = (
     ("catenoid", ["gallery", "catenoid"]),

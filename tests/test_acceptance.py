@@ -8,7 +8,10 @@ plain relative 1% bound; for near-minimal members (h ~ 1e-10) it is 1% of
 the surface's own curvature magnitude.
 """
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -257,3 +260,23 @@ def test_criterion_10_figure_regression(tmp_path):
     print(f"ACCEPTANCE 10: gallery regression, {len(golden_files)} files "
           f"bit-compared -> {'PASS' if not mismatches else 'FAIL'}")
     assert not mismatches, mismatches
+
+
+def test_make_goldens_imports_without_pythonpath(tmp_path):
+    # a fresh checkout has no installed package and no PYTHONPATH; importing
+    # the script (not running it) must resolve loopcmc and write nothing
+    script = pathlib.Path(__file__).parent / "make_goldens.py"
+    golden = script.parent / "golden"
+    before = sorted((p, p.stat().st_mtime_ns) for p in golden.rglob("*"))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    code = ("import importlib.util as u\n"
+            f"s = u.spec_from_file_location('make_goldens', {str(script)!r})\n"
+            "m = u.module_from_spec(s)\n"
+            "s.loader.exec_module(m)\n"
+            "print(m.main.__module__)\n")
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "loopcmc.cli"
+    assert sorted((p, p.stat().st_mtime_ns) for p in golden.rglob("*")) \
+        == before

@@ -241,6 +241,25 @@ class TestDress:
                    "--h", "1", "--K", "6", "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_non_finite_report_is_strict_json(self, tmp_path):
+        # |db1/dz| overflows to inf: the report says null and names the key
+        rc = main(["dress", "--a", "exp(2000*z)", "--Q", "1", "--atilde", "1",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+
+        def reject(name):
+            raise ValueError(f"non-finite constant {name} in report")
+        with open(tmp_path / "report.json") as fh:
+            rep = json.load(fh, parse_constant=reject)
+        assert rep["h_independent"]["max_db1"] is None
+        assert rep["non_finite"] == ["h_independent.max_db1"]
+
+    def test_finite_report_has_no_non_finite_key(self, tmp_path):
+        rc = main(["dress", "--a", "(1+0.1*z)^2", "--Q", "1", "--atilde", "1",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert "non_finite" not in read_report(tmp_path)
+
     def test_cross_check_creates_missing_out_dir(self, tmp_path):
         out = tmp_path / "missing" / "nested"
         rc = main(["dress", "--a", "(1+0.1*z)^2", "--Q", "1",

@@ -9,8 +9,8 @@ from loopcmc.frames import (FrameError, PotentialSpec, SurfaceOptions,
                             surface_from_potential)
 from loopcmc.grid import DomainGrid, sweep
 from loopcmc.loops import LoopMat, check_membership, hat_extend
-from loopcmc.weier import minimal_surface
-from conftest import sphere_oracle
+from loopcmc.weier import WeierstrassData, minimal_surface
+from conftest import KUSNER_MU, KUSNER_NU, sphere_oracle
 from test_loops import f0_b0_closed_form, phi0_loop, random_su2
 
 
@@ -66,8 +66,8 @@ class TestIntegrateFrame:
     def test_advance_reuses_substep_endpoints(self, monkeypatch):
         # each substep starts from the potential its predecessor ended on,
         # so one edge evaluates each entry 2 * substeps + 1 times
-        from loopcmc.frames import _potential_functions, _rk4_loop_advance
-        alpha, lower = _potential_functions(
+        from loopcmc.frames import _rk4_loop_advance, potential_entries
+        upper, lower = potential_entries(
             PotentialSpec.normalized("1+z", "z^2", 1.0))
         calls = []
         evaluate = ex.evaluate
@@ -78,8 +78,27 @@ class TestIntegrateFrame:
         monkeypatch.setattr(ex, "evaluate", counted)
         psi = np.zeros((3, 2, 2), dtype=complex)
         psi[-1] = np.eye(2)
-        _rk4_loop_advance(psi, 0j, 0.1 + 0.05j, alpha, lower, substeps=4)
+        _rk4_loop_advance(psi, 0j, 0.1 + 0.05j, upper, lower, substeps=4)
         assert len(calls) == 2 * (2 * 4 + 1)
+
+    @pytest.mark.parametrize("mu, nu, grid", [
+        ("1", "z^2", DomainGrid.square(0.9, 61)),           # smyth, smooth
+        (KUSNER_MU, KUSNER_NU, DomainGrid.square(0.85, 25)),  # full ladder
+    ])
+    def test_entries_evaluated_once_over_the_grid(self, mu, nu, grid,
+                                                   monkeypatch):
+        # the ladder masks reuse |upper| and |lower|: one grid-shaped
+        # evaluation per entry, whatever the number of rungs
+        pot = minimal_to_potential(WeierstrassData(mu, nu, 0j), 1.0)
+        shapes = []
+        evaluate = ex.evaluate
+
+        def counted(e, z):
+            shapes.append(np.shape(z))
+            return evaluate(e, z)
+        monkeypatch.setattr(ex, "evaluate", counted)
+        integrate_frame(pot, grid)
+        assert shapes.count(grid.zz.shape) == 2
 
     def test_path_independence(self, catenoid, monkeypatch):
         # the column-first walk is the same sweep on the transposed lattice
@@ -103,6 +122,23 @@ class TestIntegrateFrame:
             integrate_frame(p, DomainGrid.square(1.0, 11),
                             options=SurfaceOptions(ntrunc_cap=8))
 
+
+class TestTimesPotential:
+    def test_matches_dense_product(self):
+        from loopcmc.frames import _times_potential
+        rng = np.random.default_rng(7)
+
+        def cplx(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        psi = cplx(3, 4, 5, 2, 2)
+        for u, l in ((cplx(3, 4), cplx(3, 4)), (0.3 - 1.2j, -0.7 + 0.4j)):
+            a = np.zeros(np.shape(u) + (2, 2), dtype=complex)
+            a[..., 0, 1] = u
+            a[..., 1, 0] = l
+            dense = psi @ a[..., None, :, :]
+            got = _times_potential(psi, u, l)
+            assert got.shape == psi.shape
+            assert np.max(np.abs(got - dense)) <= 1e-15 * np.max(np.abs(dense))
 
 class TestSymBobenko:
     def test_identity_maps_to_zero(self):

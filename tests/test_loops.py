@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from loopcmc import loops
-from loopcmc.loops import (LoopMat, WindowOverflowError, check_membership,
-                           circle_values, conv, eval_lambda, from_text,
-                           hat_extend, identity, lambda_derivative_at, mul,
-                           star, to_text, unitary_defect, values_at)
+from loopcmc.loops import (LoopMat, check_membership, circle_values, conv,
+                           eval_lambda, from_text, hat_extend, identity,
+                           lambda_derivative_at, mul, star, to_text,
+                           unitary_defect, values_at)
 from conftest import rand_twisted_loop
 
 
@@ -74,8 +74,8 @@ class TestMul:
             a = rand_twisted_loop(rng, band=2)
             b = rand_twisted_loop(rng, band=2)
             c = rand_twisted_loop(rng, band=2)
-            lhs = mul(mul(a, b, maxdeg=12), c, maxdeg=12)
-            rhs = mul(a, mul(b, c, maxdeg=12), maxdeg=12)
+            lhs = mul(mul(a, b), c)
+            rhs = mul(a, mul(b, c))
             for k in range(-6, 7):
                 assert np.allclose(lhs.coeff(k), rhs.coeff(k), atol=1e-13)
 
@@ -83,20 +83,8 @@ class TestMul:
         rng = np.random.default_rng(3)
         a = rand_twisted_loop(rng)
         b = rand_twisted_loop(rng)
-        assert check_membership(mul(a, b, maxdeg=16), "twisted") < 1e-14
+        assert check_membership(mul(a, b), "twisted") < 1e-14
         assert check_membership(hat_extend(random_su2(rng)), "twisted") == 0.0
-
-    def test_window_overflow_raises(self):
-        rng = np.random.default_rng(4)
-        a = rand_twisted_loop(rng, band=4, scale=0.5)
-        with pytest.raises(WindowOverflowError):
-            mul(a, a, maxdeg=2, discard_tol=1e-12)
-
-    def test_discard_tracking(self):
-        rng = np.random.default_rng(5)
-        a = rand_twisted_loop(rng, band=4, scale=0.5)
-        p = mul(a, a, maxdeg=4, discard_tol=np.inf)
-        assert p.truncation_discard > 0
 
 
 class TestHatExtend:
@@ -196,7 +184,7 @@ class TestBatchedKernels:
         roots = np.exp(2j * np.pi * np.arange(16) / 16)
         for j, i in np.ndindex(3, 4):
             a = LoopMat(lo, stack[j, i])
-            p = mul(left, a, maxdeg=64)
+            p = mul(left, a)
             q = LoopMat(left.lo + lo, prods[j, i])
             for k in range(q.lo, q.hi + 1):
                 assert np.allclose(q.coeff(k), p.coeff(k), atol=1e-14)

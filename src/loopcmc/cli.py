@@ -21,8 +21,8 @@ import sys
 import numpy as np
 
 from . import expr as ex
-from .convert import (limit_member_data, minimal_to_potential,
-                      potential_to_minimal, validate_orders)
+from .convert import (member, minimal_to_potential, potential_to_minimal,
+                      validate_orders)
 from .dressing import (DressingError, gauge_potential, h_independent_dressing,
                        relation_residuals, wu_recursion, dress_surface)
 from .factor import FactorError
@@ -106,8 +106,9 @@ def build_options(args) -> SurfaceOptions:
     return opts
 
 
-def load_data(args, need_h=True):
-    """PotentialSpec from --mu/--nu or --a/--Q flags (one data source)."""
+def load_data(args):
+    """The one data source of a command: a WeierstrassData from --mu/--nu
+    or a PotentialSpec (h = 0) from --a/--Q."""
     has_classical = bool(getattr(args, "mu", None)) or bool(getattr(args, "nu", None))
     has_normalized = bool(getattr(args, "a", None)) or bool(getattr(args, "Q", None))
     if has_classical == has_normalized:
@@ -117,7 +118,7 @@ def load_data(args, need_h=True):
         if has_classical:
             if not (args.mu and args.nu):
                 raise ConfigError("classical data needs both --mu and --nu")
-            return PotentialSpec.classical(args.mu, args.nu, 0.0, z0)
+            return WeierstrassData(args.mu, args.nu, z0)
         if not (args.a and args.Q):
             raise ConfigError("normalized data needs both --a and --Q")
         return PotentialSpec.normalized(args.a, args.Q, 0.0, z0)
@@ -174,15 +175,14 @@ def mesh_item_report(mesh: SurfaceMesh, name):
     return rep
 
 
-def run_mesh_job(p: PotentialSpec, h_list, grid_for, opts, outdir, prefix,
-                 fmt, checks=None):
-    """Build one mesh per h, export, and assemble the report items."""
+def run_mesh_job(data, h_list, grid_for, opts, outdir, prefix, fmt,
+                 checks=None):
+    """Build one mesh per h from the family through ``data`` (either
+    carrier), export, and assemble the report items."""
     items = []
     meshes = []
     for h in h_list:
-        spec = p.with_h(h)
-        grid = grid_for(h)
-        mesh = surface_from_potential(spec, grid, opts)
+        mesh = surface_from_potential(member(data, h), grid_for(h), opts)
         fname = f"{prefix}_h{h:g}.obj"
         if outdir:
             os.makedirs(outdir, exist_ok=True)
@@ -238,10 +238,10 @@ def _finite_only(v, path, bad):
 # Subcommands
 
 def cmd_mesh(args):
-    p = load_data(args)
+    data = load_data(args)
     h_list = parse_h_list(args.h)
     opts = build_options(args)
-    grid = build_grid(args, p.z0)
+    grid = build_grid(args, data.z0)
 
     def checks(mesh):
         out = {}
@@ -253,7 +253,7 @@ def cmd_mesh(args):
                 mesh, SymmetrySpec.reflective())
         return out
 
-    items, _ = run_mesh_job(p, h_list, lambda h: grid, opts, args.out,
+    items, _ = run_mesh_job(data, h_list, lambda h: grid, opts, args.out,
                             args.prefix, args.format,
                             checks if (args.symmetry or args.reflective) else None)
     emit_report({"command": "mesh", "items": items,
@@ -262,14 +262,13 @@ def cmd_mesh(args):
 
 
 def cmd_convert(args):
-    z0 = parse_complex(args.basepoint) if args.basepoint else 0j
+    data = load_data(args)
     report = {"command": "convert"}
-    if args.mu or args.nu:
-        if not (args.mu and args.nu and args.h):
-            raise ConfigError("classical-to-potential needs --mu, --nu and --h")
+    if isinstance(data, WeierstrassData):
+        if not args.h:
+            raise ConfigError("classical-to-potential needs --h")
         h = parse_h_list(args.h)[0]
-        w = WeierstrassData(args.mu, args.nu, z0)
-        p = minimal_to_potential(w, h)
+        p = minimal_to_potential(data, h)
         upper, lower = potential_entries(p)
         report["potential"] = {
             "h": h,
@@ -283,18 +282,16 @@ def cmd_convert(args):
         print(f"  U = {report['potential']['upper']}")
         print(f"  L = {report['potential']['lower']}")
         if args.round_trip:
-            w2 = potential_to_minimal(p.a, p.Q, z0, E0=p.initial_frame())
-            zs = ring_samples(0.5, 40, z0)
-            dmu = np.max(np.abs(w.mu(zs) - w2.mu(zs)))
-            dnu = np.max(np.abs(w.nu(zs) - w2.nu(zs)))
+            w2 = potential_to_minimal(p.a, p.Q, data.z0, E0=p.initial_frame())
+            zs = ring_samples(0.5, 40, data.z0)
+            dmu = np.max(np.abs(data.mu(zs) - w2.mu(zs)))
+            dnu = np.max(np.abs(data.nu(zs) - w2.nu(zs)))
             report["round_trip"] = {"max_mu_dev": float(dmu),
                                     "max_nu_dev": float(dnu),
                                     "ok": bool(max(dmu, dnu) < 1e-8)}
             print(f"round trip: max |d mu| = {dmu:.3e}, max |d nu| = {dnu:.3e}")
     else:
-        if not (args.a and args.Q):
-            raise ConfigError("potential-to-classical needs --a and --Q")
-        w = potential_to_minimal(ex.parse(args.a), ex.parse(args.Q), z0)
+        w = potential_to_minimal(data.a, data.Q, data.z0)
         mu_text, nu_text = ex.to_text(w.mu), ex.to_text(w.nu)
         report["weierstrass"] = {"mu": mu_text, "nu": nu_text}
         print(f"mu = {mu_text}")
@@ -304,10 +301,9 @@ def cmd_convert(args):
 
 
 def cmd_check(args):
-    p = load_data(args)
+    data = load_data(args)
     report = {"command": "check", "checks": {}}
-    samples = ring_samples(args.sample_radius, 24, p.z0)
-    data = p if p.kind == "normalized" else WeierstrassData(p.mu, p.nu, p.z0)
+    samples = ring_samples(args.sample_radius, 24, data.z0)
     if args.symmetry:
         r = check_rotational_data(data, args.symmetry, samples)
         report["checks"]["rotational"] = {
@@ -321,14 +317,9 @@ def cmd_check(args):
         print(f"reflective: residual {r:.3e} "
               f"{'pass' if r <= args.tol else 'FAIL'}")
     if args.orders:
-        if p.kind != "normalized":
-            pot = minimal_to_potential(
-                WeierstrassData(p.mu, p.nu, p.z0), 1.0)
-            a_e, q_e = pot.a, pot.Q
-        else:
-            a_e, q_e = p.a, p.Q
+        pot = member(data, 1.0)
         pts = [parse_complex(s) for s in args.orders.split(";") if s]
-        rep = validate_orders(a_e, q_e, pts)
+        rep = validate_orders(pot.a, pot.Q, pts)
         rows = []
         for pc in rep.points:
             rows.append({"z": pc.z, "ord_a": pc.ord_a, "ord_Q": pc.ord_q,
@@ -342,12 +333,11 @@ def cmd_check(args):
 
 
 def cmd_dress(args):
-    if not (args.a and args.Q):
+    p = load_data(args)
+    if isinstance(p, WeierstrassData):
         raise ConfigError("dressing needs normalized data --a and --Q")
-    z0 = parse_complex(args.basepoint) if args.basepoint else 0j
+    z0, a_e, q_e = p.z0, p.a, p.Q
     report = {"command": "dress"}
-    a_e = ex.parse(args.a)
-    q_e = ex.parse(args.Q)
     if args.rho:
         at_e, q2 = gauge_potential(a_e, q_e, ex.parse(args.rho))
         report["dressed"] = {"a": ex.to_text(at_e), "Q": ex.to_text(q2)}
@@ -389,9 +379,7 @@ def cmd_dress(args):
             h = h_list[0]
             grid = build_grid(args, z0)
             opts = build_options(args)
-            dressed = dress_surface(res.h_plus,
-                                    PotentialSpec.normalized(a_e, q_e, h, z0),
-                                    grid, opts)
+            dressed = dress_surface(res.h_plus, p.with_h(h), grid, opts)
             direct = surface_from_potential(
                 PotentialSpec.normalized(at_e, q_e, h, z0), grid, opts)
             both = dressed.mask & direct.mask
@@ -413,17 +401,15 @@ def cmd_gallery(args):
         raise ConfigError(str(err))
     h_list = parse_h_list(args.h) if args.h else list(entry.h_list)
     opts = build_options(args)
-    opts.ntrunc_cap = max(opts.ntrunc_cap, entry.ntrunc_cap)
-    p = entry.potential(0.0)
+    data = entry.data
 
     def checks(mesh):
         out = {}
         if entry.name == "sphere":
             out["sphere"] = sphere_radius_report(mesh)
         if entry.symmetry:
-            data = entry.data()
             samples = ring_samples(0.5 * min(
-                g[2] for g in entry.grids), 24, entry.z0)
+                g[2] for g in entry.grids), 24, data.z0)
             if entry.symmetry[0] == "rotational":
                 n = entry.symmetry[1]
                 r = check_rotational_data(data, n, samples)
@@ -436,10 +422,10 @@ def cmd_gallery(args):
                 out["reflective_data_residual"] = r
                 out["reflective_expected_pass"] = entry.expect_symmetry_pass
         if entry.name == "kusner":
-            out["orders"] = _kusner_orders(p)
+            out["orders"] = _kusner_orders(data)
         return out
 
-    items, _ = run_mesh_job(p, h_list, entry.grid_for, opts, args.out,
+    items, _ = run_mesh_job(data, h_list, entry.grid_for, opts, args.out,
                             entry.name, args.format, checks)
     emit_report({"command": "gallery", "name": entry.name,
                  "description": entry.description, "items": items,
@@ -447,14 +433,11 @@ def cmd_gallery(args):
     return 0
 
 
-def _kusner_orders(p: PotentialSpec):
+def _kusner_orders(data):
     """Order report at the basepoint and at the numerically-found roots of
     the two factors in the data (zeros of a where the potential has poles,
     and the double zeros of a)."""
-    if p.kind == "classical":
-        pot = minimal_to_potential(WeierstrassData(p.mu, p.nu, p.z0), 1.0)
-    else:
-        pot = p
+    pot = member(data, 1.0)
     s5 = np.sqrt(5.0)
     pole_roots = np.roots([1, 0, 0, s5, 0, 0, -1])       # z^6 + s5 z^3 - 1
     zero_roots = np.roots([s5, 0, 0, 1])                 # s5 z^3 + 1

@@ -14,6 +14,11 @@ inverse direction recovers (mu, nu) from (a, Q): with the frame known the
 inversion is exact; without it, the basepoint-normalized choice
 mu = a/2, nu = -int Q/a (real a(z0)) or its fourth-root-normalized variant
 is returned.
+
+Deformation families start from one of two carriers: classical data
+(mu, nu) as a ``WeierstrassData``, which is the minimal member itself, or a
+normalized potential (a, Q) as a ``PotentialSpec``.  :func:`member` is the
+one place that turns either into the data of the CMC-h member.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ from .weier import WeierstrassData, InvalidDataError, initial_frame
 
 __all__ = [
     "minimal_to_potential", "potential_to_minimal", "limit_member_data",
-    "validate_orders", "OrderReport", "PointClassification", "family",
+    "validate_orders", "OrderReport", "PointClassification", "member",
+    "family",
 ]
 
 
@@ -183,6 +189,15 @@ def validate_orders(a, Q, points, radius=1e-3) -> OrderReport:
 # ---------------------------------------------------------------------------
 # Deformation families
 
+def member(data, h):
+    """Data of the CMC-h member of the family through ``data``: classical
+    data unchanged at h = 0 and as their potential otherwise; a potential
+    with its ``h`` replaced."""
+    if isinstance(data, WeierstrassData):
+        return data if h == 0 else minimal_to_potential(data, h)
+    return data.with_h(h)
+
+
 def family(data, h_list, grid: DomainGrid,
            options: SurfaceOptions | None = None) -> list[SurfaceMesh]:
     """One mesh per h, all tangent at the basepoint with f(z0) = 0.
@@ -190,11 +205,5 @@ def family(data, h_list, grid: DomainGrid,
     ``data`` is either WeierstrassData or a normalized PotentialSpec whose
     ``h`` field is ignored in favor of ``h_list``.
     """
-    meshes = []
-    for h in h_list:
-        if isinstance(data, WeierstrassData):
-            spec = PotentialSpec.classical(data.mu, data.nu, h, data.z0)
-        else:
-            spec = data.with_h(h)
-        meshes.append(surface_from_potential(spec, grid, options))
-    return meshes
+    return [surface_from_potential(member(data, h), grid, options)
+            for h in h_list]

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import expr as ex
+from . import weier
 from .factor import iwasawa_batch
 from .grid import DomainGrid, _erode
 from .loops import (E1, E2, E3, LoopMat, conv, hat_extend, inv2, su2_to_vec,
@@ -57,31 +58,21 @@ class TailBoundError(FrameError):
 
 @dataclass
 class PotentialSpec:
-    """Surface data: either a normalized potential (a, Q) or classical
-    Weierstrass data (mu, nu), plus the target mean curvature h, the
-    basepoint, and the initial unitary frame."""
+    """A normalized potential (a, Q) with the target mean curvature h, the
+    basepoint, and the initial unitary frame.  Classical Weierstrass data
+    (mu, nu) are not held here: they stay a ``weier.WeierstrassData``, and
+    ``convert.member`` turns them into the potential of a CMC-h member."""
 
     h: float
     z0: complex = 0j
     a: ex.ExprNode | None = None
     Q: ex.ExprNode | None = None
-    mu: ex.ExprNode | None = None
-    nu: ex.ExprNode | None = None
     E0: np.ndarray | None = None
 
     @classmethod
     def normalized(cls, a, Q, h, z0=0j, E0=None):
         return cls(h=float(h), z0=complex(z0), a=ex.as_expr(a),
                    Q=ex.as_expr(Q), E0=E0)
-
-    @classmethod
-    def classical(cls, mu, nu, h, z0=0j):
-        return cls(h=float(h), z0=complex(z0), mu=ex.as_expr(mu),
-                   nu=ex.as_expr(nu))
-
-    @property
-    def kind(self):
-        return "normalized" if self.a is not None else "classical"
 
     def with_h(self, h):
         return replace(self, h=float(h))
@@ -157,8 +148,6 @@ def choose_ntrunc(L, ma, mb, tol=1e-12, cap=24):
 def potential_entries(p: PotentialSpec):
     """The two off-diagonal entries (upper, lower) = (-(h/2) a, Q/a) of the
     normalized potential, as expressions."""
-    if p.kind != "normalized":
-        raise FrameError("frame integration needs a normalized potential")
     return ex.Const(-p.h / 2.0) * p.a, ex.Div(p.Q, p.a)
 
 
@@ -273,8 +262,7 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
     # carry powers -nk..1
     e0hat = hat_extend(p.initial_frame()).window(-1, 1)
     return FrameGrid(lo=-nk, coeffs=conv(e0hat.coeffs, psi), ok=ok, grid=work,
-                     ntrunc=ntrunc, tail_bound=tail,
-                     meta={"ma": ma, "mb": mb, "L": L})
+                     ntrunc=ntrunc, tail_bound=tail)
 
 
 def flatness_residual(p: PotentialSpec, fg: FrameGrid, samples=20, seed=0):
@@ -318,11 +306,13 @@ def _antiherm(m):
 
 
 def _sym_from_values(f1, fd, h, lam0):
-    """Sym-Bobenko point from F(lam0) and dF/dlam(lam0), batched."""
+    """Sym-Bobenko point from F(lam0) and dF/dlam(lam0), batched, with
+    F^-1 and F e3 F^-1 (the normal direction) for the caller to reuse."""
     inv = inv2(f1)
+    fe3 = np.einsum("...ij,jk,...kl->...il", f1, E3, inv)
     m = (2j * lam0) * np.einsum("...ij,...jl->...il", fd, inv)
-    m = m + np.einsum("...ij,jk,...kl->...il", f1, E3, inv) - E3
-    return su2_to_vec(_antiherm(m)) * (-1.0 / (2.0 * h)), inv
+    m = m + fe3 - E3
+    return su2_to_vec(_antiherm(m)) * (-1.0 / (2.0 * h)), inv, fe3
 
 
 def sym_bobenko(fhat: LoopMat, h: float, lam0=1.0 + 0j,
@@ -340,7 +330,7 @@ def sym_bobenko(fhat: LoopMat, h: float, lam0=1.0 + 0j,
         raise FrameError(f"frame is not unitary (residual {ures:.3e})")
     f1 = eval_lambda(fhat, lam0)
     fd = lambda_derivative_at(fhat, lam0)
-    vec, _ = _sym_from_values(f1[None], fd[None], h, lam0)
+    vec, _, _ = _sym_from_values(f1[None], fd[None], h, lam0)
     return vec[0]
 
 
@@ -363,27 +353,25 @@ def _factor_chunks(lo, coeffs, ok, opts: SurfaceOptions):
         yield sel, out, accepted
 
 
-def surface_from_potential(p: PotentialSpec, grid: DomainGrid,
+def surface_from_potential(p: PotentialSpec | weier.WeierstrassData,
+                           grid: DomainGrid,
                            options: SurfaceOptions | None = None) -> SurfaceMesh:
-    """Surface mesh for the potential: loop-group construction for h != 0,
-    classical Weierstrass construction for h = 0 (the limit member of the
-    deformation family).  Factorization or integration failures mask nodes
-    instead of aborting the mesh."""
-    opts = options or SurfaceOptions()
-    if p.kind == "classical":
-        from .convert import minimal_to_potential
-        from .weier import WeierstrassData, minimal_surface
-        w = WeierstrassData(p.mu, p.nu, p.z0)
-        if p.h == 0.0:
-            return minimal_surface(w, grid)
-        return surface_from_potential(minimal_to_potential(w, p.h), grid, opts)
-    if p.h == 0.0:
-        from .convert import limit_member_data
-        from .weier import minimal_surface
-        return minimal_surface(limit_member_data(p), grid)
+    """Surface mesh for one member of a deformation family.
 
-    fg = integrate_frame(p, grid, options=opts)
-    return _assemble_mesh(p, fg, opts)
+    ``p`` is either classical Weierstrass data (``weier.WeierstrassData``),
+    built by the classical construction, or a normalized ``PotentialSpec``:
+    at h = 0 the classical construction of its limit member, otherwise the
+    loop-group construction.  ``convert.member`` picks the carrier for a
+    given h.  Factorization or integration failures mask nodes instead of
+    aborting the mesh."""
+    if isinstance(p, PotentialSpec) and p.h != 0.0:
+        opts = options or SurfaceOptions()
+        fg = integrate_frame(p, grid, options=opts)
+        return _assemble_mesh(p, fg, opts)
+    from . import convert
+    w = p if isinstance(p, weier.WeierstrassData) \
+        else convert.limit_member_data(p)
+    return weier.minimal_surface(w, grid)
 
 
 def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
@@ -408,9 +396,8 @@ def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
     for sel, out, good in _factor_chunks(fg.lo, coeffs, fg.ok.reshape(-1), opts):
         f1 = values_at(out["f"], out["f_lo"], lam0)
         fd = values_at(out["f"], out["f_lo"], lam0, derivative=True)
-        vec, inv = _sym_from_values(f1, fd, p.h, lam0)
-        nrm = su2_to_vec(_antiherm(
-            np.einsum("nij,jk,nkl->nil", f1, E3, inv)))
+        vec, inv, fe3 = _sym_from_values(f1, fd, p.h, lam0)
+        nrm = su2_to_vec(_antiherm(fe3))
         nrm /= np.linalg.norm(nrm, axis=-1, keepdims=True)
         mvec = matrix_cvec(np.einsum("nij,jk,nkl->nil", f1, (E1 - 1j * E2), inv))
         rho = out["rho"]
@@ -468,7 +455,7 @@ def _deriv(field, d, order, axis):
     return np.moveaxis(out, 0, axis)
 
 
-def extract_curvature(mesh: SurfaceMesh, potential=None, stencil=4) -> CurvatureField:
+def extract_curvature(mesh: SurfaceMesh, stencil=4) -> CurvatureField:
     """Numerical mean curvature, principal curvatures and Hopf function.
 
     Second derivatives come from differencing the analytic tangent field

@@ -6,11 +6,16 @@ constant-mean-curvature companions (Smyth surfaces), a potential with an
 order-5 rotational symmetry, and Kusner's projective-plane minimal surface.
 Grids shrink for large mean curvature, where the surface wraps a sphere of
 radius 1/h and only a small disc around the basepoint is informative.
+
+Each entry keeps its data in one carrier, ``GalleryEntry.data``: classical
+data (mu, nu) as a ``WeierstrassData``, or a normalized potential (a, Q) as
+a ``PotentialSpec`` (order5).  ``convert.member`` gives the member at each
+h, and the basepoint is ``data.z0``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from . import expr as ex
 from .frames import PotentialSpec
@@ -25,50 +30,37 @@ class GalleryEntry:
     name: str
     description: str
     h_list: tuple
-    kind: str                      # "classical" | "normalized"
-    mu: str = None
-    nu: str = None
-    a: str = None
-    p: str = None                  # lower potential entry; Q = a * p
-    z0: complex = 0j
+    data: WeierstrassData | PotentialSpec
     grids: tuple = ()              # ((hmin, hmax, half, n), ...) first match
     symmetry: tuple = None         # ("rotational", n) | ("reflective",)
     expect_symmetry_pass: bool = True
-    ntrunc_cap: int = 24
 
     def grid_for(self, h) -> DomainGrid:
         for hmin, hmax, half, n in self.grids:
             if hmin <= abs(h) <= hmax:
-                return DomainGrid.square(half, n, self.z0)
+                return DomainGrid.square(half, n, self.data.z0)
         hmin, hmax, half, n = self.grids[-1]
-        return DomainGrid.square(half, n, self.z0)
+        return DomainGrid.square(half, n, self.data.z0)
 
-    def data(self):
-        if self.kind == "classical":
-            return WeierstrassData(self.mu, self.nu, self.z0)
-        a = ex.parse(self.a)
-        q = ex.Mul(a, ex.parse(self.p))
-        return PotentialSpec(h=0.0, z0=self.z0, a=a, Q=q)
 
-    def potential(self, h) -> PotentialSpec:
-        if self.kind == "classical":
-            return PotentialSpec.classical(self.mu, self.nu, h, self.z0)
-        base = self.data()
-        return base.with_h(h)
+def _potential(a, p):
+    """Normalized data from a and the lower potential entry p = Q/a."""
+    a = ex.parse(a)
+    return PotentialSpec(h=0.0, a=a, Q=ex.Mul(a, ex.parse(p)))
 
 
 GALLERY = {
     "sphere": GalleryEntry(
         name="sphere",
         description="plane data; the CMC h member is a round sphere of radius 1/h",
-        kind="classical", mu="1", nu="0",
+        data=WeierstrassData("1", "0"),
         h_list=(1.0,),
         grids=((0.0, 1e9, 1.0, 61),),
     ),
     "catenoid": GalleryEntry(
         name="catenoid",
         description="catenoid family, basepoint on the waist",
-        kind="classical", mu="-exp(-z)/2", nu="-exp(z)",
+        data=WeierstrassData("-exp(-z)/2", "-exp(z)"),
         h_list=(1e-10, 0.1, 10.0),
         grids=((5.0, 1e9, 0.15, 41), (0.0, 5.0, 1.0, 41)),
         symmetry=("reflective",),
@@ -76,7 +68,7 @@ GALLERY = {
     "helicoid": GalleryEntry(
         name="helicoid",
         description="helicoid family (catenoid data with mu times i)",
-        kind="classical", mu="-i*exp(-z)/2", nu="-exp(z)",
+        data=WeierstrassData("-i*exp(-z)/2", "-exp(z)"),
         h_list=(1e-10, 0.1, 5.0),
         grids=((4.0, 1e9, 0.2, 41), (0.0, 4.0, 1.0, 41)),
         symmetry=("reflective",),
@@ -85,7 +77,7 @@ GALLERY = {
     "enneper": GalleryEntry(
         name="enneper",
         description="Enneper surface of order k (minimal member only)",
-        kind="classical", mu="1", nu="z^2",
+        data=WeierstrassData("1", "z^2"),
         h_list=(0.0,),
         grids=((0.0, 1e9, 1.0, 41),),
         symmetry=("rotational", 3),
@@ -93,7 +85,7 @@ GALLERY = {
     "smyth": GalleryEntry(
         name="smyth",
         description="CMC companions of Enneper order k ((k+1)-legged surfaces)",
-        kind="classical", mu="1", nu="z^2",
+        data=WeierstrassData("1", "z^2"),
         h_list=(1e-8, 1.0),
         grids=((0.0, 1e9, 0.9, 61),),
         symmetry=("rotational", 3),
@@ -101,8 +93,7 @@ GALLERY = {
     "order5": GalleryEntry(
         name="order5",
         description="potential with an order-5 rotational symmetry",
-        kind="normalized",
-        a="5.1 + 1.5*z^5 + 0.35*z^10", p="1.25*z^3 + 4.15*z^8",
+        data=_potential("5.1 + 1.5*z^5 + 0.35*z^10", "1.25*z^3 + 4.15*z^8"),
         h_list=(1e-8, 2.0),
         grids=((0.0, 1e9, 0.4, 51),),
         symmetry=("rotational", 5),
@@ -110,9 +101,9 @@ GALLERY = {
     "kusner": GalleryEntry(
         name="kusner",
         description="Kusner's minimal surface and its CMC companions",
-        kind="classical",
-        mu="i*(sqrt(5)*z^3+1)^2/(z^6+sqrt(5)*z^3-1)^2",
-        nu="z^2*(z^3-sqrt(5))/(sqrt(5)*z^3+1)",
+        data=WeierstrassData(
+            "i*(sqrt(5)*z^3+1)^2/(z^6+sqrt(5)*z^3-1)^2",
+            "z^2*(z^3-sqrt(5))/(sqrt(5)*z^3+1)"),
         h_list=(1.0,),
         grids=((0.0, 1e9, 0.3, 41),),
         symmetry=("rotational", 3),
@@ -139,7 +130,6 @@ def get_entry(name, k=None) -> GalleryEntry:
                        f"choose from {', '.join(entry_names())}")
     entry = GALLERY[key]
     if k is not None and key in ("enneper", "smyth"):
-        from dataclasses import replace
-        entry = replace(entry, nu=f"z^{int(k)}",
+        entry = replace(entry, data=replace(entry.data, nu=f"z^{int(k)}"),
                         symmetry=("rotational", int(k) + 1))
     return entry

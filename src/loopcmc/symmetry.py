@@ -67,9 +67,7 @@ def _data_pair(data):
     tagged with which convention applies.  The upper potential entry is
     -(h/2) a, so a is checked directly and stays checked at h = 0."""
     if isinstance(data, PotentialSpec):
-        if data.kind == "normalized":
-            return data.a, potential_entries(data)[1], "potential"
-        return data.mu, data.nu, "classical"
+        return data.a, potential_entries(data)[1], "potential"
     if isinstance(data, WeierstrassData):
         return data.mu, data.nu, "classical"
     raise TypeError("expected PotentialSpec or WeierstrassData")

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from loopcmc import expr as ex
-from loopcmc.convert import (family, minimal_to_potential,
+from loopcmc.convert import (family, member, minimal_to_potential,
                              potential_to_minimal, validate_orders)
 from loopcmc.dressing import (dress_surface, h_independent_dressing,
                               wu_recursion)
@@ -54,7 +54,7 @@ def kabsch_align(p, q):
 
 def test_criterion_1_sphere_radius():
     # plane data mu0 = 1, nu0 = 0, h = 1, 61x61 grid on [-1,1]^2
-    p = PotentialSpec.classical("1", "0", 1.0)
+    p = minimal_to_potential(WeierstrassData("1", "0"), 1.0)
     mesh = surface_from_potential(p, DomainGrid.square(1.0, 61))
     j0, i0 = mesh.basepoint_index()
     center = mesh.f[j0, i0] + mesh.normal[j0, i0] / mesh.h
@@ -131,7 +131,7 @@ def test_criterion_5_cmc_and_conformality():
         for h in entry.h_list:
             if h == 0:
                 continue
-            mesh = surface_from_potential(entry.potential(h),
+            mesh = surface_from_potential(member(entry.data, h),
                                           entry.grid_for(h))
             cf = extract_curvature(mesh)
             scale = max(abs(h), float(np.median(

@@ -101,6 +101,13 @@ class TestGallery:
         assert checks["rotational_data_residual"] <= 1e-12
         assert checks["rotational_mesh_deviation"] <= 1e-5
 
+    def test_trunc_cap_is_honored(self, tmp_path):
+        # smyth h = 1 needs a series order above 4: the cap must not be
+        # raised behind the flag, so the run fails as `mesh` does
+        rc = main(["gallery", "smyth", "--h", "1", "--trunc", "4",
+                   "--out", str(tmp_path)])
+        assert rc == 3
+
     def test_unknown_entry(self, tmp_path):
         assert main(["gallery", "nope", "--out", str(tmp_path)]) == 2
 
@@ -132,6 +139,12 @@ class TestGallery:
 
 
 class TestConvert:
+    def test_two_data_sources_rejected(self, tmp_path):
+        rc = main(["convert", "--mu", "1", "--nu", "z", "--h", "1",
+                   "--a", "1", "--Q", "1", "--out", str(tmp_path)])
+        assert rc == 2
+        assert not (tmp_path / "report.json").exists()
+
     def test_catenoid_potential_text(self, tmp_path, capsys):
         rc = main(["convert", f"--mu={CATENOID_MU}", f"--nu={CATENOID_NU}",
                    "--h", "1", "--round-trip", "--out", str(tmp_path)])
@@ -204,6 +217,12 @@ class TestCheck:
 
 
 class TestDress:
+    def test_two_data_sources_rejected(self, tmp_path):
+        rc = main(["dress", "--a", "2", "--Q", "1", "--atilde", "2",
+                   "--mu", "1", "--nu", "0", "--out", str(tmp_path)])
+        assert rc == 2
+        assert not (tmp_path / "report.json").exists()
+
     def test_identity_gauge(self, tmp_path):
         rc = main(["dress", "--a", "2+z", "--Q", "1", "--rho", "1",
                    "--out", str(tmp_path)])

@@ -3,8 +3,8 @@ import pytest
 
 from loopcmc import expr as ex
 from loopcmc.convert import (classify_point, family, limit_member_data,
-                             minimal_to_potential, potential_to_minimal,
-                             validate_orders)
+                             member, minimal_to_potential,
+                             potential_to_minimal, validate_orders)
 from loopcmc.frames import PotentialSpec, extract_curvature
 from loopcmc.grid import DomainGrid
 from loopcmc.weier import WeierstrassData, metric_hopf
@@ -215,6 +215,28 @@ class TestFamily:
                 both = np.isfinite(q) & np.isfinite(ref)
                 assert np.max(np.abs(q[both] - ref[both])
                               / np.abs(ref[both])) <= 0.02
+
+
+class TestMember:
+    def test_classical_data_at_h_zero_are_returned(self, catenoid):
+        assert member(catenoid, 0.0) is catenoid
+
+    def test_classical_data_at_h_one_give_their_potential(self, catenoid):
+        got = member(catenoid, 1.0)
+        want = minimal_to_potential(catenoid, 1.0)
+        assert isinstance(got, PotentialSpec)
+        assert got.h == 1.0
+        assert ex.to_text(got.a) == ex.to_text(want.a)
+        assert ex.to_text(got.Q) == ex.to_text(want.Q)
+        assert np.array_equal(got.E0, want.E0)
+
+    def test_potential_gets_only_its_h_replaced(self):
+        e0 = np.array([[0.6, 0.8], [-0.8, 0.6]], dtype=complex)
+        p = PotentialSpec.normalized("2+z", "z^2", 0.0, 0.1j, E0=e0)
+        got = member(p, 2.5)
+        assert got.h == 2.5
+        assert (got.z0, got.a, got.Q, got.E0) == (p.z0, p.a, p.Q, p.E0)
+        assert p.h == 0.0
 
 
 class TestLimitMemberData:

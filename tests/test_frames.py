@@ -213,6 +213,15 @@ class TestSurfaceFromPotential:
         assert np.allclose(mesh.f, direct.f, atol=1e-12)
         assert mesh.h == 0.0
 
+    def test_classical_data_take_the_classical_construction(self, catenoid,
+                                                            grid41):
+        mesh = surface_from_potential(catenoid, grid41)
+        direct = minimal_surface(catenoid, grid41)
+        for name in ("f", "normal", "eu", "fz", "mask"):
+            assert np.array_equal(getattr(mesh, name), getattr(direct, name),
+                                  equal_nan=name != "mask"), name
+        assert mesh.h == direct.h == 0.0
+
     def test_minimal_limit(self, catenoid, grid41):
         classical = minimal_surface(catenoid, grid41)
         loop_mesh = surface_from_potential(

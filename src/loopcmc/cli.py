@@ -267,7 +267,10 @@ def cmd_convert(args):
     if isinstance(data, WeierstrassData):
         if not args.h:
             raise ConfigError("classical-to-potential needs --h")
-        h = parse_h_list(args.h)[0]
+        h_list = parse_h_list(args.h)
+        if len(h_list) != 1:
+            raise ConfigError(f"convert takes one --h value, got {len(h_list)}")
+        h = h_list[0]
         p = minimal_to_potential(data, h)
         upper, lower = potential_entries(p)
         report["potential"] = {
@@ -291,6 +294,9 @@ def cmd_convert(args):
                                     "ok": bool(max(dmu, dnu) < 1e-8)}
             print(f"round trip: max |d mu| = {dmu:.3e}, max |d nu| = {dnu:.3e}")
     else:
+        if args.h:
+            raise ConfigError("--h does not apply to potential-to-classical "
+                              "conversion, which gives the h = 0 data")
         w = potential_to_minimal(data.a, data.Q, data.z0)
         mu_text, nu_text = ex.to_text(w.mu), ex.to_text(w.nu)
         report["weierstrass"] = {"mu": mu_text, "nu": nu_text}

@@ -9,8 +9,17 @@ the bottom block-row of the Cholesky factor of the section built from the
 reversed symbol converges to the factor's coefficients.  For a twisted
 loop the section is the direct sum of its two twist-parity halves (the
 twisted/untwisted isomorphism of Dorfmeister-Pedit-Wu), each factored on
-its own.  The unitary factor F = X B^-1 is then solved from values on the
-circle and one FFT back to coefficients.
+its own.  The unitary factor F = X B^-1 is then solved on the untwisted
+loops Y(mu) = D^-1 X(lambda) D, D = diag(lambda^1/2, lambda^-1/2), which
+are functions of mu = lambda^2 carrying the same numbers without the twist
+zeros (``loops.untwist``).  X and B are sampled on m roots of unity in mu,
+m the power of two above the section size nk + margin; one FFT of length
+m and a retwist give F.  The m mu-points determine the first 2m twisted
+coefficients of F up to aliasing from 2m powers on, so m doubles while F's
+truncation test has not passed within its first m twisted coefficients.
+The reconstruction and unitarity checks sample mu too: D is diagonal and
+unitary on the circle and X(-lambda) = s X(lambda) s, s = diag(1, -1), so
+n/2 points of mu give the maxima over n points of lambda.
 
 Birkhoff: X = X- X+ with X-(infinity) = I, computed from the square
 block-Toeplitz linear system expressing that X times a plus-loop inverse
@@ -24,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loops import (LoopMat, _mul2, circle_values, inv2, mul,
-                    unitary_defect)
+from .loops import (LoopMat, _mul2, circle_values, inv2, mul, retwist,
+                    unitary_defect, untwist)
 
 __all__ = ["FactorResult", "FactorError", "BigCellError", "iwasawa",
            "birkhoff", "iwasawa_batch", "DEFAULT_MARGIN"]
@@ -130,23 +139,32 @@ def _bauer_factor(coeffs, margin):
 
 
 def _solve_unitary(coeffs, lo, bcoef, extra, tail_tol=1e-13):
-    """F with F B = X, solved on the circle: X and B on m roots of unity,
-    closed-form 2x2 inverses, one FFT back; powers start at ``lo``.
+    """F with F B = X, solved on the untwisted loops in mu = lambda^2: X
+    and B on m roots of unity in mu, closed-form 2x2 inverses, one FFT back
+    and a retwist; powers start at ``lo``.
 
     The series of F decays geometrically (the plus factor is invertible in
-    the disc) and m is the power of two above ``nk + extra``, so aliasing
-    stays far below the kept coefficients.  These run past the input band
-    until one falls below ``tail_tol`` relative to the input scale, capped
-    at ``nk + extra``.
+    the disc).  Its coefficients run past the input band until one falls
+    below ``tail_tol`` relative to the input scale, capped at
+    ``nk + extra``.  m starts at the power of two above the section size
+    ``nk + margin`` (the length of ``bcoef``), and the m mu-points fix the
+    first 2m twisted coefficients up to aliasing from 2m powers on; m
+    doubles while the tail test has not passed within the first m of them.
     """
     n, nk = coeffs.shape[:2]
     nf = nk + extra
-    m = 1 << nf.bit_length()
-    xv = circle_values(coeffs, 0, m)
-    bv = circle_values(bcoef, 0, m)
-    f = np.fft.fft(_mul2(xv, inv2(bv)), axis=1, norm="forward")[:, :nf]
+    lo_y, xy = untwist(coeffs, lo)
+    _, by = untwist(bcoef, 0)
     scale = max(float(np.max(np.abs(coeffs))), 1.0)
-    small = np.max(np.abs(f[:, nk:]), axis=(0, 2, 3)) < tail_tol * scale
+    m = 1 << bcoef.shape[1].bit_length()
+    while True:
+        yv = _mul2(circle_values(xy, 0, m), inv2(circle_values(by, 0, m)))
+        fy = np.fft.fft(yv, axis=1, norm="forward")
+        f = retwist(fy, lo_y, lo, min(m, nf))
+        small = np.max(np.abs(f[:, nk:]), axis=(0, 2, 3)) < tail_tol * scale
+        if small.any() or m >= nf:
+            break
+        m *= 2
     used = nk + int(np.argmax(small)) + 1 if small.any() else nf
     return f[:, :used]
 
@@ -154,6 +172,13 @@ def _solve_unitary(coeffs, lo, bcoef, extra, tail_tol=1e-13):
 def iwasawa_batch(lo, coeffs, margin=DEFAULT_MARGIN, extra=None, nsample=32):
     """Batched Iwasawa factorization of twisted loops given as coefficient
     arrays.
+
+    The circle work runs on the untwisted loops in mu = lambda^2 (see the
+    module docstring): the unitary solve samples m points of mu, m the
+    power of two above ``nk + margin``, doubled while F's truncation test
+    has not passed within its first m twisted coefficients; the checks
+    sample ``nsample // 2`` points of mu, which give the maxima over
+    ``nsample`` points of lambda.
 
     Parameters
     ----------
@@ -176,9 +201,11 @@ def iwasawa_batch(lo, coeffs, margin=DEFAULT_MARGIN, extra=None, nsample=32):
         extra = 4 * margin + 32
     bcoef, ok, cond = _bauer_factor(coeffs, margin)
     f = _solve_unitary(coeffs, lo, bcoef, extra)
-    xv = circle_values(coeffs, lo, nsample)
-    fv = circle_values(f, lo, nsample)
-    bv = circle_values(bcoef, 0, nsample)
+    ms = nsample // 2
+    lo_y, xy = untwist(coeffs, lo)
+    xv = circle_values(xy, lo_y, ms)
+    fv = circle_values(untwist(f, lo)[1], lo_y, ms)
+    bv = circle_values(untwist(bcoef, 0)[1], 0, ms)
     resid = np.max(np.abs(_mul2(fv, bv) - xv), axis=(1, 2, 3))
     unit = unitary_defect(fv)
     rho = bcoef[:, 0, 0, 0].real

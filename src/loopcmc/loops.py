@@ -13,7 +13,12 @@ Every loop operation has one batched kernel on coefficient stacks:
 * :func:`conv` -- the Cauchy product of one loop with a stack of loops;
 * :func:`values_at` -- values (or lambda-derivatives) at one lambda;
 * :func:`circle_values` -- values at the m-th roots of unity, by one FFT;
-* :func:`unitary_defect` -- max |F F* - I| over sampled circle values.
+* :func:`unitary_defect` -- max |F F* - I| over sampled circle values;
+* :func:`untwist` / :func:`retwist` -- a twisted stack as its untwisted
+  loops Y(mu) = D^-1 X(lambda) D in mu = lambda^2 (D = diag(lambda^1/2,
+  lambda^-1/2)) and back.  Twisted loops keep 2 of the 4 entries of each
+  coefficient, so Y carries the same numbers on half the powers; the two
+  are exact index moves, with no arithmetic.
 
 The :class:`LoopMat` functions (:func:`mul`, :func:`eval_lambda`,
 :func:`lambda_derivative_at`, :func:`check_membership`) are thin wrappers;
@@ -29,7 +34,7 @@ __all__ = [
     "hat_extend", "conv", "values_at", "circle_values", "unitary_defect",
     "mul", "eval_lambda", "lambda_derivative_at", "star", "check_membership",
     "to_text", "from_text", "E1", "E2", "E3", "su2_to_vec", "matrix_cvec",
-    "inv2", "CIRCLE_SAMPLES",
+    "inv2", "untwist", "retwist", "CIRCLE_SAMPLES",
 ]
 
 CIRCLE_SAMPLES = 64
@@ -171,6 +176,48 @@ def circle_values(coeffs, lo, m):
     folded[..., shift:shift + nk, :, :] = coeffs
     folded = folded.reshape(lead + (wraps, m, 2, 2)).sum(axis=-4)
     return np.fft.ifft(folded, axis=-3, norm="forward")
+
+
+def _twist_entries(lo):
+    """For each entry (r, s) of a twisted stack with lowest power ``lo``:
+    the first slot k0 holding a twisted power of that entry, and the power
+    of mu that slot moves to, (lo + k0 + r - s) / 2."""
+    for r in (0, 1):
+        for s in (0, 1):
+            k0 = (lo + r - s) % 2
+            yield r, s, k0, (lo + k0 + r - s) // 2
+
+
+def untwist(coeffs, lo):
+    """The untwisted loops Y(mu) = D^-1 X(lambda) D, D = diag(lambda^1/2,
+    lambda^-1/2), mu = lambda^2, of the twisted stack ``coeffs``
+    (..., nk, 2, 2) with lowest power ``lo``: returns (lo_y, y), y shaped
+    (..., ny, 2, 2) with mu-power lo_y + j at slot j.  Entry (r, s) of
+    lambda-power p moves to mu-power (p + r - s) / 2; off-twist entries are
+    dropped.  Only indices move, so ``retwist`` undoes it exactly."""
+    nk = coeffs.shape[-3]
+    lo_y = lo // 2
+    y = np.zeros(coeffs.shape[:-3] + ((lo + nk) // 2 - lo_y + 1, 2, 2),
+                 dtype=complex)
+    for r, s, k0, j0 in _twist_entries(lo):
+        src = coeffs[..., k0::2, r, s]
+        y[..., j0 - lo_y:j0 - lo_y + src.shape[-1], r, s] = src
+    return lo_y, y
+
+
+def retwist(y, lo_y, lo, n):
+    """The twisted stack with lowest power ``lo`` and ``n`` slots whose
+    untwisted loops are ``y`` (mu-powers from ``lo_y``); powers outside
+    either window are dropped or left zero, off-twist entries are zero."""
+    ny = y.shape[-3]
+    out = np.zeros(y.shape[:-3] + (n, 2, 2), dtype=complex)
+    for r, s, k0, j0 in _twist_entries(lo):
+        a = j0 - lo_y
+        i0, i1 = max(0, -a), min(len(range(k0, n, 2)), ny - a)
+        if i1 > i0:
+            out[..., k0 + 2 * i0:k0 + 2 * i1:2, r, s] = \
+                y[..., a + i0:a + i1, r, s]
+    return out
 
 
 def _mul2(a, b):

@@ -280,3 +280,38 @@ def test_make_goldens_imports_without_pythonpath(tmp_path):
     assert run.stdout.strip() == "loopcmc.cli"
     assert sorted((p, p.stat().st_mtime_ns) for p in golden.rglob("*")) \
         == before
+
+
+def test_make_goldens_reports_deltas(tmp_path):
+    # the comparison the script prints after regenerating, run on two
+    # scratch trees; tests/golden/ is neither read nor written
+    from make_goldens import golden_deltas, read_files
+    golden = pathlib.Path(__file__).parent / "golden"
+    before = sorted((p, p.stat().st_mtime_ns) for p in golden.rglob("*"))
+    old, new = tmp_path / "old", tmp_path / "new"
+    for base in (old, new):
+        (base / "m").mkdir(parents=True)
+    mesh = ("# m\nv 1.000000000000e+00 0.000000000000e+00 2.0e+00\n"
+            "v 0.0 1.0 0.0\nvn 0.0 0.0 1.0\nvn 0.0 1.0 0.0\nf 1 2 1\n")
+    (old / "m" / "a.obj").write_text(mesh)
+    (new / "m" / "a.obj").write_text(mesh.replace("2.0e+00", "2.5e+00")
+                                     .replace("vn 0.0 1.0", "vn 0.0 1.25"))
+    (old / "m" / "same.obj").write_text(mesh)
+    (new / "m" / "same.obj").write_text(mesh)
+    (old / "m" / "report.json").write_text(
+        '{"items": [{"h": 1.0, "r": 2.0, "ok": true, "name": "x"}], "n": 3}')
+    (new / "m" / "report.json").write_text(
+        '{"items": [{"h": 1.0, "r": 2.001, "ok": false, "name": "y"}],'
+        ' "n": 5}')
+    (old / "m" / "gone.obj").write_text(mesh)
+    (new / "m" / "added.obj").write_text(mesh)
+    lines = golden_deltas(read_files(old), read_files(new))
+    assert lines == [
+        "m/a.obj: max vertex delta 5.0e-01, max normal delta 2.5e-01",
+        "m/added.obj: new file",
+        "m/gone.obj: removed",
+        "m/report.json: 2 numbers changed, max delta 2.0e+00 at n",
+        "m/same.obj: unchanged",
+    ]
+    assert sorted((p, p.stat().st_mtime_ns) for p in golden.rglob("*")) \
+        == before

@@ -145,6 +145,21 @@ class TestConvert:
         assert rc == 2
         assert not (tmp_path / "report.json").exists()
 
+    def test_h_rejected_for_potential_to_classical(self, tmp_path, capsys):
+        rc = main(["convert", "--a", "2", "--Q=-2*z", "--h", "5",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "--h" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_h_list_rejected_for_classical_to_potential(self, tmp_path,
+                                                        capsys):
+        rc = main(["convert", "--mu", "1", "--nu=z^2", "--h", "0.5,2",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "--h" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_catenoid_potential_text(self, tmp_path, capsys):
         rc = main(["convert", f"--mu={CATENOID_MU}", f"--nu={CATENOID_NU}",
                    "--h", "1", "--round-trip", "--out", str(tmp_path)])

@@ -6,8 +6,8 @@ import pytest
 from loopcmc import factor as fa
 from loopcmc.factor import (BigCellError, FactorError, birkhoff, iwasawa,
                             inverse_plus, iwasawa_batch)
-from loopcmc.loops import (LoopMat, check_membership, eval_lambda, identity,
-                           mul)
+from loopcmc.loops import (LoopMat, check_membership, circle_values,
+                           eval_lambda, identity, mul)
 from conftest import rand_twisted_loop, rand_unimodular_twisted
 from test_loops import f0_b0_closed_form, phi0_loop, random_su2
 
@@ -198,6 +198,42 @@ class TestIwasawaCore:
         power = -band + np.arange(f.shape[1])[:, None, None]
         off_twist = (power + np.arange(2)[:, None] + np.arange(2)) % 2 == 1
         assert np.max(np.abs(f[:, off_twist])) <= 1e-15
+
+    def test_window_doubles_on_slow_decay(self):
+        # band 7 with slowly decaying coefficients: F's tail test has not
+        # passed within the first m = 32 twisted coefficients, so the solve
+        # doubles m and keeps the length forward substitution finds
+        band = 7
+        rng = np.random.default_rng(507)
+        coeffs = twisted_chunk(rng, band, scale=0.3, decay=0.9)
+        bcoef, ok, _ = fa._bauer_factor(coeffs, fa.DEFAULT_MARGIN)
+        extra = 4 * fa.DEFAULT_MARGIN + 32
+        f = fa._solve_unitary(coeffs, -band, bcoef, extra)
+        ref = forward_substitution(coeffs, bcoef, extra)
+        assert ok.all()
+        assert f.shape == ref.shape
+        assert 1 << bcoef.shape[1].bit_length() < f.shape[1] \
+            < coeffs.shape[1] + extra
+        assert np.max(np.abs(f - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("band", BANDS)
+    def test_checks_match_lambda_samples(self, band):
+        # the checks sample 16 points of mu; the 32 lambda points give the
+        # same maxima up to roundoff in the sampled products
+        rng = np.random.default_rng(600 + band)
+        coeffs = twisted_chunk(rng, band)
+        out = iwasawa_batch(-band, coeffs)
+        xv = circle_values(coeffs, -band, 32)
+        fv = circle_values(out["f"], out["f_lo"], 32)
+        fh = np.conj(np.swapaxes(fv, -1, -2))
+        bv = circle_values(out["b"], 0, 32)
+        resid = np.max(np.abs(fv @ bv - xv), axis=(1, 2, 3))
+        unit = np.max(np.abs(fv @ fh - np.eye(2)), axis=(1, 2, 3))
+        fb_size = np.max(np.abs(fv) @ np.abs(bv), axis=(1, 2, 3))
+        ff_size = np.max(np.abs(fv) @ np.abs(fh), axis=(1, 2, 3))
+        assert np.all(np.abs(out["residual"] - resid) <= 1e-15 * fb_size)
+        assert np.all(np.abs(out["unitary_residual"] - unit)
+                      <= 1e-15 * ff_size)
 
     def test_non_positive_definite_node_is_isolated(self):
         rng = np.random.default_rng(400)

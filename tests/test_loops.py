@@ -4,8 +4,8 @@ import pytest
 from loopcmc import loops
 from loopcmc.loops import (LoopMat, check_membership, circle_values, conv,
                            eval_lambda, from_text, hat_extend, identity,
-                           lambda_derivative_at, mul, star, to_text,
-                           unitary_defect, values_at)
+                           lambda_derivative_at, mul, retwist, star,
+                           to_text, unitary_defect, untwist, values_at)
 from conftest import rand_twisted_loop
 
 
@@ -203,6 +203,52 @@ class TestBatchedKernels:
         assert np.allclose(sv, np.conj(np.swapaxes(fv, -1, -2)), atol=1e-14)
         assert unitary_defect(fv) <= 1e-13
         assert unitary_defect(2 * fv) == pytest.approx(3.0)
+
+
+def random_twisted_stack(rng, lo, nk, lead=(3,)):
+    """Random coefficients with the off-twist entries set to zero."""
+    shape = lead + (nk, 2, 2)
+    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    power = lo + np.arange(nk)[:, None, None]
+    c[..., (power + np.arange(2)[:, None] + np.arange(2)) % 2 == 1] = 0
+    return c
+
+
+class TestUntwist:
+    @pytest.mark.parametrize("lo", [-6, -5, 0, 3])
+    @pytest.mark.parametrize("nk", [1, 4, 7, 12])
+    def test_round_trip_is_exact(self, lo, nk):
+        rng = np.random.default_rng(20 + nk)
+        c = random_twisted_stack(rng, lo, nk, lead=(2, 3))
+        lo_y, y = untwist(c, lo)
+        assert lo_y == lo // 2
+        assert np.array_equal(retwist(y, lo_y, lo, nk), c)
+        # the same numbers on half the powers: nothing is dropped or made up
+        assert np.count_nonzero(y) == np.count_nonzero(c)
+        assert y.shape[-3] <= nk // 2 + 2
+
+    def test_circle_values_are_conjugated_lambda_values(self):
+        # Y(mu_t) = D^-1 X(lambda_t) D at mu_t = exp(2 pi i t/m), lambda_t =
+        # exp(pi i t/m), D = diag(lambda_t^1/2, lambda_t^-1/2); X summed
+        # directly, with the exponents reduced mod 2m before the exp
+        rng = np.random.default_rng(30)
+        m = 8
+        t = np.arange(m)
+        half = np.exp(1j * np.pi * t / (2 * m))
+        d = np.stack([half, 1 / half], axis=-1)
+        for lo in (-6, -5, 0, 3):
+            for nk in (1, 4, 7, 12):
+                c = random_twisted_stack(rng, lo, nk)
+                p = lo + np.arange(nk)
+                lam_p = np.exp(1j * np.pi * ((t[:, None] * p) % (2 * m)) / m)
+                xv = np.einsum("tk,nkij->ntij", lam_p, c)
+                ref = xv / d[:, :, None] * d[:, None, :]
+                lo_y, y = untwist(c, lo)
+                yv = circle_values(y, lo_y, m)
+                # roundoff relative to the sum of |coefficients| of each
+                # entry, which bounds its values on the circle
+                l1 = np.abs(c).sum(axis=-3)[:, None]
+                assert np.all(np.abs(yv - ref) <= 1e-15 * l1)
 
 
 class TestSerialization:

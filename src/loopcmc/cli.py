@@ -67,7 +67,10 @@ def parse_h_list(values):
     for v in values:
         for piece in str(v).split(","):
             if piece:
-                out.append(float(piece))
+                h = float(piece)
+                if not math.isfinite(h):
+                    raise ConfigError(f"--h values must be finite, got {piece!r}")
+                out.append(h)
     if not out:
         raise ConfigError("empty mean curvature list")
     return out

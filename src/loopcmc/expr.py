@@ -335,11 +335,12 @@ def evaluate(e: ExprNode, z):
     """Evaluate ``e`` at ``z`` (scalar or ndarray).
 
     Poles produce non-finite values (inf/nan) rather than raising; callers
-    mask them.  The result matches the shape of ``z``.
+    mask them.  The result matches the shape of ``z``.  A :class:`Prim`
+    node that occurs several times in ``e`` is integrated once.
     """
     zz = np.asarray(z, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = _eval(e, zz)
+        out = _eval(e, zz, {})
         out = np.asarray(out, dtype=complex)
         if out.shape != zz.shape:
             out = np.broadcast_to(out, zz.shape).copy()
@@ -348,30 +349,34 @@ def evaluate(e: ExprNode, z):
     return out
 
 
-def _eval(e, z):
+def _eval(e, z, prims):
+    """``e`` at the points ``z``; ``prims`` holds the values of the
+    :class:`Prim` nodes met so far in this walk, keyed by node identity."""
     if isinstance(e, Const):
         return np.full(z.shape, e.value, dtype=complex)
     if isinstance(e, Var):
         return z
     if isinstance(e, Add):
-        return _eval(e.left, z) + _eval(e.right, z)
+        return _eval(e.left, z, prims) + _eval(e.right, z, prims)
     if isinstance(e, Sub):
-        return _eval(e.left, z) - _eval(e.right, z)
+        return _eval(e.left, z, prims) - _eval(e.right, z, prims)
     if isinstance(e, Mul):
-        return _eval(e.left, z) * _eval(e.right, z)
+        return _eval(e.left, z, prims) * _eval(e.right, z, prims)
     if isinstance(e, Div):
-        return _eval(e.left, z) / _eval(e.right, z)
+        return _eval(e.left, z, prims) / _eval(e.right, z, prims)
     if isinstance(e, Neg):
-        return -_eval(e.arg, z)
+        return -_eval(e.arg, z, prims)
     if isinstance(e, Pow):
-        base = _eval(e.base, z)
+        base = _eval(e.base, z, prims)
         return base ** e.power
     if isinstance(e, Exp):
-        return np.exp(_eval(e.arg, z))
+        return np.exp(_eval(e.arg, z, prims))
     if isinstance(e, Sqrt):
-        return np.sqrt(_eval(e.arg, z))
+        return np.sqrt(_eval(e.arg, z, prims))
     if isinstance(e, Prim):
-        return np.asarray(integrate_path(e.integrand, e.z0, z))
+        if id(e) not in prims:
+            prims[id(e)] = np.asarray(integrate_path(e.integrand, e.z0, z))
+        return prims[id(e)]
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -16,8 +16,10 @@ twisted extension of the initial unitary frame.  Writing the solution with
 initial value I as a series in nonpositive powers, the coefficients are
 iterated path integrals; they are integrated here by a fourth-order sweep
 over grid paths, truncated where a rigorous factorial tail bound drops
-below tolerance.  Pointwise Iwasawa factorization then yields the unitary
-frame, and the Sym-Bobenko formula
+below tolerance.  The two entries are evaluated once per mesh, on the
+lattice of every substep and half-substep point of the grid walk, and the
+sweep only indexes those values.  Pointwise Iwasawa factorization then
+yields the unitary frame, and the Sym-Bobenko formula
 
     -(1/2h) ( 2 i lam dF/dlam F^-1 + F e3 F^-1 - e3 ) at lam = lam0
 
@@ -35,7 +37,7 @@ import numpy as np
 from . import expr as ex
 from . import weier
 from .factor import iwasawa_batch
-from .grid import DomainGrid, _erode
+from .grid import DomainGrid, _erode, sweep
 from .loops import (E1, E2, E3, LoopMat, conv, hat_extend, inv2, su2_to_vec,
                     matrix_cvec, values_at)
 from .mesh import SurfaceMesh
@@ -151,44 +153,70 @@ def potential_entries(p: PotentialSpec):
     return ex.Const(-p.h / 2.0) * p.a, ex.Div(p.Q, p.a)
 
 
-def _times_potential(psi, upper, lower):
-    """Psi [[0, upper], [lower, 0]] for a stack psi (..., nk, 2, 2) and
-    entries that are scalars or shaped like its leading axes (...): the two
+def _times_potential(psi, scale):
+    """Psi [[0, upper], [lower, 0]] for a stack psi (..., nk, 2, 2) and the
+    entries stacked as ``scale`` = (lower, upper) along a last axis of
+    length 2, its leading axes empty or shaped like psi's (...): the two
     columns of psi swapped, then scaled by (lower, upper)."""
-    scale = np.stack([lower, upper], axis=-1)
     return psi[..., ::-1] * scale[..., None, None, :]
 
 
-def _rk4_loop_advance(psi, za, zb, upper, lower, substeps):
+def _entry_lattice(upper, lower, zz, steps, substeps):
+    """The potential's entries on every substep and half-substep point of
+    every step of a :func:`grid.walk` over the lattice ``zz``: one
+    ``evaluate`` call per entry for the whole walk.  Returns one array per
+    step, shaped (..., 2 * substeps + 1, 2) with the step's leading shape
+    (empty along the basepoint row and the reroutes, a row down the
+    columns), point t at fraction t / (2 * substeps) of the edge, and
+    (lower, upper) along the last axis."""
+    frac = np.arange(2 * substeps + 1) / (2 * substeps)
+    pts = [zz[src][..., None] + (zz[dst] - zz[src])[..., None] * frac
+           for src, dst in steps]
+    flat = np.concatenate([q.ravel() for q in pts])
+    vals = np.stack([ex.evaluate(lower, flat), ex.evaluate(upper, flat)],
+                    axis=-1)
+    ends = np.cumsum([q.size for q in pts])
+    return [v.reshape(q.shape + (2,))
+            for v, q in zip(np.split(vals, ends[:-1]), pts)]
+
+
+def _rk4_loop_advance(psi, za, zb, entries, substeps):
     """Advance d Psi/dz = Psi A(z) / lam from za to zb, where
     A = [[0, upper], [lower, 0]] is the off-diagonal potential; psi
-    (..., nk, 2, 2) holds powers -(nk-1)..0 in ascending order, so the
-    coefficient recursion Psi_{-k}' = Psi_{-k+1} A feeds slot t from slot
-    t+1 through :func:`_times_potential`.  Each substep starts from the
-    entries its predecessor ended on, so an edge evaluates each entry
-    2 * substeps + 1 times."""
-    za = np.asarray(za, dtype=complex)
-    zb = np.asarray(zb, dtype=complex)
-    psi = np.array(psi, copy=True)
+    (..., nk, 2, 2) holds powers -(nk-1)..0 in ascending order, and the
+    product with lam^-m feeds slot t from slot t+m.  The entries are not
+    evaluated here: ``entries`` (..., 2 * substeps + 1, 2) holds (lower,
+    upper) on the edge's substep lattice (:func:`_entry_lattice`), evaluated
+    once per mesh, and substep s reads its points 2s, 2s + 1 and 2s + 2.
 
-    def entries(z):
-        return ex.evaluate(upper, z), ex.evaluate(lower, z)
+    For this linear equation one classical fourth-order Runge-Kutta substep
+    of length dz is the right factor I + sum_m R_m lam^-m, with A0, Ah, A1
+    the potential at the substep's start, middle and end:
 
-    def deriv(state, a):
-        d = np.zeros_like(state)
-        d[..., :-1, :, :] = _times_potential(state[..., 1:, :, :], *a)
-        return d
+        R_1 = dz/6 (A0 + 4 Ah + A1),   R_2 = dz^2/6 (A0 Ah + Ah^2 + Ah A1),
+        R_3 = dz^3/12 Ah^2 (A0 + A1),  R_4 = dz^4/24 A0 Ah^2 A1.
 
-    ts = [za + (zb - za) * (s / substeps) for s in range(substeps + 1)]
-    a1 = entries(ts[0])
-    for t0, t1 in zip(ts[:-1], ts[1:]):
-        dz = (t1 - t0)[..., None, None, None]
-        a0, ah, a1 = a1, entries(t0 + (t1 - t0) / 2), entries(t1)
-        k1 = deriv(psi, a0)
-        k2 = deriv(psi + dz / 2 * k1, ah)
-        k3 = deriv(psi + dz / 2 * k2, ah)
-        k4 = deriv(psi + dz * k3, a1)
-        psi = psi + dz / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    Ah^2 = upper_h lower_h I is scalar, so R_1 and R_3 are off-diagonal and
+    act through :func:`_times_potential`, and R_2 and R_4 are diagonal."""
+    dz = ((np.asarray(zb, dtype=complex) - za) / substeps)[..., None]
+
+    def diag(x, y):
+        # the diagonal of X Y for off-diagonal X, Y, as stacked entries
+        return x[..., ::-1] * y
+
+    for s in range(substeps):
+        a0, ah, a1 = (entries[..., 2 * s + t, :] for t in range(3))
+        sq = ah[..., :1] * ah[..., 1:]
+        r1 = dz / 6 * (a0 + 4 * ah + a1)
+        r2 = dz ** 2 / 6 * (diag(a0, ah) + sq + diag(ah, a1))
+        r3 = dz ** 3 / 12 * sq * (a0 + a1)
+        r4 = dz ** 4 / 24 * sq * diag(a0, a1)
+        out = psi.copy()
+        out[..., :-1, :, :] += _times_potential(psi[..., 1:, :, :], r1)
+        out[..., :-2, :, :] += psi[..., 2:, :, :] * r2[..., None, None, :]
+        out[..., :-3, :, :] += _times_potential(psi[..., 3:, :, :], r3)
+        out[..., :-4, :, :] += psi[..., 4:, :, :] * r4[..., None, None, :]
+        psi = out
     return psi
 
 
@@ -198,10 +226,11 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
 
     The frame with initial value I has only nonpositive powers; its series
     coefficients are iterated path integrals advanced by a fourth-order
-    step along each edge of the grid sweep (``DomainGrid.sweep``: the
+    step along each edge of the grid walk (``DomainGrid.walk``: the
     basepoint row, then the columns, then breadth-first rerouting around
-    masked nodes).  The result is premultiplied by the twisted extension of
-    the initial frame.
+    masked nodes).  The potential's entries are evaluated once, on the
+    substep lattice of that walk (:func:`_entry_lattice`).  The result is
+    premultiplied by the twisted extension of the initial frame.
 
     Raises TailBoundError when the rigorous factorial tail bound cannot be
     pushed below ``TAIL_FAIL`` at the truncation cap.
@@ -254,8 +283,10 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
     psi = np.full((grid.ny, grid.nx, nk, 2, 2), np.nan, dtype=complex)
     psi[grid.j0, grid.i0] = 0.0
     psi[grid.j0, grid.i0, -1] = np.eye(2)
-    work.sweep(psi, lambda s, za, zb: _rk4_loop_advance(
-        s, za, zb, upper, lower, opts.substeps))
+    steps, reached = work.walk()
+    lattice = _entry_lattice(upper, lower, work.zz, steps, opts.substeps)
+    sweep(work.zz, steps, reached, psi, lambda s, za, zb, k: _rk4_loop_advance(
+        s, za, zb, lattice[k], opts.substeps))
 
     ok = mask & np.all(np.isfinite(psi), axis=(2, 3, 4))
     # premultiply by the twisted initial loop (powers -1..1): the frames
@@ -286,8 +317,8 @@ def flatness_residual(p: PotentialSpec, fg: FrameGrid, samples=20, seed=0):
         z = g.node(j, i)
         # (Phi A)_k sits one power below Phi_k
         rhs = np.zeros_like(dphi)
-        rhs[:-1] = _times_potential(c[j, i][1:], ex.evaluate(upper, z),
-                                   ex.evaluate(lower, z))
+        rhs[:-1] = _times_potential(c[j, i][1:], np.array(
+            [ex.evaluate(lower, z), ex.evaluate(upper, z)]))
         scale = max(1.0, float(np.max(np.abs(fg.coeffs[j, i]))))
         worst = max(worst, float(np.max(np.abs(dphi - rhs))) / scale)
     return worst

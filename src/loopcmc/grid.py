@@ -1,10 +1,12 @@
 """Rectangular sampling grids on a domain in the complex plane.
 
 A :class:`DomainGrid` is a rectangular node lattice with a per-node validity
-mask.  The basepoint must be an unmasked node.  :func:`sweep` is the one
-walk from the basepoint that the frame and Weierstrass integrators share:
-along the basepoint row, then down every column at once, then breadth-first
-around masked nodes for the valid nodes that walk cut off.
+mask.  The basepoint must be an unmasked node.  :func:`walk` is the one
+ordered list of steps from the basepoint that the frame and Weierstrass
+integrators share: along the basepoint row, then down every column at once,
+then breadth-first around masked nodes for the valid nodes that walk cut
+off.  :func:`sweep` carries a state along it; the frame integrator also
+reads it to place its substep lattice.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["DomainGrid", "GridError", "sweep"]
+__all__ = ["DomainGrid", "GridError", "walk", "sweep"]
 
 
 class GridError(ValueError):
@@ -112,9 +114,13 @@ class DomainGrid:
     def with_mask(self, mask):
         return DomainGrid(self.xs, self.ys, self.i0, self.j0, mask)
 
+    def walk(self):
+        """:func:`walk` over this grid's nodes and mask."""
+        return walk(self.mask, self.j0, self.i0)
+
     def sweep(self, state, advance):
-        """:func:`sweep` over this grid's nodes and mask."""
-        return sweep(self.zz, self.mask, self.j0, self.i0, state, advance)
+        """:func:`sweep` along this grid's :meth:`walk`."""
+        return sweep(self.zz, *self.walk(), state, advance)
 
 
 def row_first_blocked(mask, j0, i0):
@@ -150,35 +156,51 @@ def bfs_tree(mask, j0, i0):
     return steps
 
 
-def sweep(zz, mask, j0, i0, state, advance):
-    """Carry a state from the basepoint (j0, i0) to every node of the
-    lattice ``zz`` (ny, nx) and return ``state``, filled in place.
+def walk(mask, j0, i0):
+    """The ordered steps that carry a state from the basepoint (j0, i0) to
+    the valid nodes of ``mask`` (ny, nx), and the mask of the nodes they
+    reach.
 
-    ``state`` is shaped (ny, nx, ...) and holds the basepoint value at
-    [j0, i0].  ``advance(s, za, zb)`` returns ``s`` carried from za to zb:
-    along the basepoint row it gets one node's state and scalar endpoints,
-    down the columns a whole row of states and row vectors of endpoints.
-    Valid nodes whose row-first path crosses an invalid node are then
-    reached one edge at a time along the breadth-first tree of ``mask``;
-    invalid nodes, and valid ones no path of valid nodes reaches, are left
-    NaN.  A column-first walk is the same call on ``zz.T``, ``mask.T`` and
-    the state with its first two axes swapped.
+    Each step is a pair ``(src, dst)`` of index tuples into (ny, nx)
+    arrays, to be taken in list order: first single nodes along the
+    basepoint row, east then west; then whole rows ``(j, slice(None))``,
+    down from the basepoint row and then up.  Valid nodes whose row-first
+    path crosses an invalid node are then reached one edge at a time along
+    the breadth-first tree of ``mask``.  Invalid nodes, and valid ones no
+    path of valid nodes reaches, are not reached.  The column-first walk is
+    ``walk(mask.T, i0, j0)`` with both tuples of every step reversed and the
+    reached mask transposed.
     """
-    ny, nx = zz.shape
-    for i in range(i0 + 1, nx):
-        state[j0, i] = advance(state[j0, i - 1], zz[j0, i - 1], zz[j0, i])
-    for i in range(i0 - 1, -1, -1):
-        state[j0, i] = advance(state[j0, i + 1], zz[j0, i + 1], zz[j0, i])
-    for j in range(j0 + 1, ny):
-        state[j] = advance(state[j - 1], zz[j - 1], zz[j])
-    for j in range(j0 - 1, -1, -1):
-        state[j] = advance(state[j + 1], zz[j + 1], zz[j])
+    ny, nx = mask.shape
+    every = slice(None)
+    steps = [((j0, i - 1), (j0, i)) for i in range(i0 + 1, nx)]
+    steps += [((j0, i + 1), (j0, i)) for i in range(i0 - 1, -1, -1)]
+    steps += [((j - 1, every), (j, every)) for j in range(j0 + 1, ny)]
+    steps += [((j + 1, every), (j, every)) for j in range(j0 - 1, -1, -1)]
     blocked = row_first_blocked(mask, j0, i0)
-    state[blocked | ~mask] = np.nan
+    reached = mask & ~blocked
     if np.any(blocked):
-        for (jp, ip), (jc, ic) in bfs_tree(mask, j0, i0):
-            if blocked[jc, ic]:
-                state[jc, ic] = advance(state[jp, ip], zz[jp, ip], zz[jc, ic])
+        for src, dst in bfs_tree(mask, j0, i0):
+            if blocked[dst]:
+                steps.append((src, dst))
+                reached[dst] = True
+    return steps, reached
+
+
+def sweep(zz, steps, reached, state, advance):
+    """Carry a state along the ``steps`` of a :func:`walk` over the lattice
+    ``zz`` (ny, nx) and return ``state``, filled in place.
+
+    ``state`` is shaped (ny, nx, ...) and holds the basepoint value.  For
+    the k-th step ``(src, dst)``, ``advance(state[src], zz[src], zz[dst],
+    k)`` returns the state carried from ``zz[src]`` to ``zz[dst]``: one
+    node's state and scalar endpoints along the basepoint row and the
+    reroutes, a whole row of states and row vectors of endpoints down the
+    columns.  Nodes outside ``reached`` are left NaN.
+    """
+    for k, (src, dst) in enumerate(steps):
+        state[dst] = advance(state[src], zz[src], zz[dst], k)
+    state[~reached] = np.nan
     return state
 
 

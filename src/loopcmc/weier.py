@@ -142,7 +142,7 @@ def _cumulative_grid_integral(fvec, grid: DomainGrid, gl_n=8):
     vals = np.full((grid.ny, grid.nx, m), np.nan, dtype=complex)
     vals[grid.j0, grid.i0] = 0.0
 
-    def seg(v, za, zb):
+    def seg(v, za, zb, k):
         pts, wgt = _gl_stack(np.asarray(za), np.asarray(zb), gl_n)
         fv = np.asarray(fvec(pts.reshape(-1))).reshape(pts.shape + (m,))
         return v + (zb - za)[..., None] / 2.0 * np.einsum("...gm,g->...m", fv, wgt)

@@ -26,6 +26,14 @@ class TestParsing:
                    "--out", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("h", ["nan", "inf", "1,nan"])
+    def test_non_finite_h_is_config_error(self, tmp_path, capsys, h):
+        rc = main(["mesh", "--a", "1", "--Q", "1", "--h", h, "--grid", "11",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "--h" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_two_data_sources_rejected(self, tmp_path):
         rc = main(["mesh", "--a", "2", "--Q", "0", "--mu", "1", "--nu", "0",
                    "--h", "1", "--out", str(tmp_path)])

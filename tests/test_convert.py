@@ -282,6 +282,25 @@ class TestRoundTripPrimitive:
         assert all(r["ord_mu"] == 0 and r["ord_nu"] >= 0 for r in rows)
         assert all(r["regular"] and r["mu_nu2_holomorphic"] for r in rows)
 
+    def test_one_quadrature_per_evaluation(self, monkeypatch):
+        # nu's Moebius tree holds q twice; one evaluation integrates it once
+        spec = PotentialSpec.normalized(
+            self.A, self.Q, 0.0, E0=np.array([[0.6, 0.8], [-0.8, 0.6]]))
+        nu = limit_member_data(spec).nu
+        zs = ring()
+        q = ex.evaluate(ex.primitive(ex.Div(spec.Q, spec.a), 0j), zs)
+        expected = (-0.6 * q + 0.8) / (0.8 * q + 0.6)
+        calls = []
+        integrate_path = ex.integrate_path
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return integrate_path(*args, **kwargs)
+        monkeypatch.setattr(ex, "integrate_path", counted)
+        got = ex.evaluate(nu, zs)
+        assert len(calls) == 1
+        assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
+
     def test_hopf_is_an_expression(self, spec):
         w = limit_member_data(spec)
         _, q = metric_hopf(w)

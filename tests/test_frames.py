@@ -7,15 +7,33 @@ from loopcmc.frames import (FrameError, PotentialSpec, SurfaceOptions,
                             TailBoundError, extract_curvature,
                             flatness_residual, integrate_frame, sym_bobenko,
                             surface_from_potential)
-from loopcmc.grid import DomainGrid, sweep
+from loopcmc.grid import DomainGrid, walk
 from loopcmc.loops import LoopMat, check_membership, hat_extend
 from loopcmc.weier import WeierstrassData, minimal_surface
-from conftest import KUSNER_MU, KUSNER_NU, sphere_oracle
+from conftest import (CATENOID_MU, CATENOID_NU, KUSNER_MU, KUSNER_NU,
+                      enneper, sphere_oracle)
 from test_loops import f0_b0_closed_form, phi0_loop, random_su2
 
 
 def plane_potential(h, a0=2.0):
     return PotentialSpec.normalized(str(a0), "0", h)
+
+
+def column_first_deviation(pot, grid, monkeypatch):
+    """Max deviation between the row-first frames and those of the
+    column-first walk, which is the same steps on the transposed lattice;
+    both must reach the same nodes."""
+    row = integrate_frame(pot, grid)
+
+    def col_first(g):
+        steps, reached = walk(g.mask.T, g.i0, g.j0)
+        return [(s[::-1], d[::-1]) for s, d in steps], reached.T
+    with monkeypatch.context() as m:
+        m.setattr(DomainGrid, "walk", col_first)
+        col = integrate_frame(pot, grid)
+    assert np.array_equal(row.ok, col.ok)
+    assert np.all(np.isfinite(col.coeffs[col.ok]))
+    return float(np.max(np.abs(row.coeffs - col.coeffs)[row.ok]))
 
 
 class TestIntegrateFrame:
@@ -63,23 +81,37 @@ class TestIntegrateFrame:
         fg = integrate_frame(pot, DomainGrid.square(0.4, 81))
         assert flatness_residual(pot, fg) <= 1e-8
 
-    def test_advance_reuses_substep_endpoints(self, monkeypatch):
-        # each substep starts from the potential its predecessor ended on,
-        # so one edge evaluates each entry 2 * substeps + 1 times
-        from loopcmc.frames import _rk4_loop_advance, potential_entries
-        upper, lower = potential_entries(
-            PotentialSpec.normalized("1+z", "z^2", 1.0))
+    def test_sweep_evaluates_each_entry_once(self, monkeypatch):
+        # the masks take one grid-shaped call per entry and the sweep one
+        # call per entry on its whole substep lattice; evaluating per edge
+        # makes thousands
+        pot = minimal_to_potential(enneper(2), 1.0)
         calls = []
         evaluate = ex.evaluate
 
         def counted(e, z):
-            calls.append(e)
+            calls.append(np.shape(z))
             return evaluate(e, z)
         monkeypatch.setattr(ex, "evaluate", counted)
-        psi = np.zeros((3, 2, 2), dtype=complex)
-        psi[-1] = np.eye(2)
-        _rk4_loop_advance(psi, 0j, 0.1 + 0.05j, upper, lower, substeps=4)
-        assert len(calls) == 2 * (2 * 4 + 1)
+        integrate_frame(pot, DomainGrid.square(0.9, 61))
+        assert len(calls) <= 4
+
+    @pytest.mark.parametrize("data, grid", [
+        (WeierstrassData(CATENOID_MU, CATENOID_NU, 0j),
+         DomainGrid.square(1.0, 11)),
+        (enneper(2), DomainGrid.square(0.9, 11)),
+    ], ids=["catenoid", "smyth"])
+    def test_substep_lattice_keeps_fourth_order(self, data, grid):
+        # halving the step cuts the error 16x for a fourth-order step; a
+        # misplaced half-substep point would drop the order
+        pot = minimal_to_potential(data, 1.0)
+
+        def frame(substeps):
+            return integrate_frame(pot, grid, SurfaceOptions(
+                substeps=substeps)).coeffs
+        ref = frame(32)
+        errs = [np.max(np.abs(frame(s) - ref)) for s in (1, 2, 4)]
+        assert errs[0] >= 12 * errs[1] and errs[1] >= 12 * errs[2]
 
     @pytest.mark.parametrize("mu, nu, grid", [
         ("1", "z^2", DomainGrid.square(0.9, 61)),           # smyth, smooth
@@ -101,20 +133,21 @@ class TestIntegrateFrame:
         assert shapes.count(grid.zz.shape) == 2
 
     def test_path_independence(self, catenoid, monkeypatch):
-        # the column-first walk is the same sweep on the transposed lattice
+        # the column-first walk is the same steps on the transposed lattice
         pot = minimal_to_potential(catenoid, 1.0)
-        g = DomainGrid.square(1.0, 41)
-        row = integrate_frame(pot, g)
-
-        def col_first(grid, state, advance):
-            sweep(grid.zz.T, grid.mask.T, grid.i0, grid.j0,
-                  np.swapaxes(state, 0, 1), advance)
-            return state
-        monkeypatch.setattr(DomainGrid, "sweep", col_first)
-        col = integrate_frame(pot, g)
-        assert np.all(np.isfinite(col.coeffs))
-        dev = np.max(np.abs(row.coeffs - col.coeffs))
+        dev = column_first_deviation(pot, DomainGrid.square(1.0, 41),
+                                     monkeypatch)
         assert dev <= 1e-8
+
+    def test_path_independence_through_reroutes(self, monkeypatch):
+        # the Kusner pole domain has valid nodes that only rerouting reaches,
+        # so the reroute edges must read their own lattice values
+        pot = minimal_to_potential(
+            WeierstrassData(KUSNER_MU, KUSNER_NU, 0j), 1.0)
+        grid = DomainGrid.square(0.85, 25)
+        steps, _ = integrate_frame(pot, grid).grid.walk()
+        assert len(steps) > (grid.nx - 1) + (grid.ny - 1)
+        assert column_first_deviation(pot, grid, monkeypatch) <= 1e-8
 
     def test_tail_bound_error(self):
         p = PotentialSpec.normalized("2", "-4*z", 40.0)
@@ -136,7 +169,7 @@ class TestTimesPotential:
             a[..., 0, 1] = u
             a[..., 1, 0] = l
             dense = psi @ a[..., None, :, :]
-            got = _times_potential(psi, u, l)
+            got = _times_potential(psi, np.stack([l, u], axis=-1))
             assert got.shape == psi.shape
             assert np.max(np.abs(got - dense)) <= 1e-15 * np.max(np.abs(dense))
 

@@ -38,7 +38,7 @@ class TestSweep:
         g = walled
         state = np.full((g.ny, g.nx), np.nan, dtype=complex)
         state[g.j0, g.i0] = 0.0
-        g.sweep(state, lambda s, za, zb: s + (zb - za))
+        g.sweep(state, lambda s, za, zb, k: s + (zb - za))
         conn = reached(g)
         assert np.count_nonzero(g.mask & ~conn) == 1
         # the nodes right behind the wall are only reached by rerouting

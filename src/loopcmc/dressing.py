@@ -375,22 +375,21 @@ def dress_frame(h_plus: LoopMat, fg: FrameGrid,
     pf = _left_multiply(h_plus, fg)
     ny, nx = pf.coeffs.shape[:2]
     flat = pf.coeffs.reshape(ny * nx, -1, 2, 2)
-    out_co = None
-    out_lo = None
     ok_all = np.zeros(ny * nx, dtype=bool)
     max_resid = 0.0
+    # each chunk is cut to its own band, so its unitary parts start at its
+    # own power: place every chunk at its f_lo in one common window
+    chunks = []
     for sel, out, good in _factor_chunks(pf.lo, flat, fg.ok.reshape(-1), opts):
-        if out_co is None:
-            out_lo = out["f_lo"]
-            out_co = np.zeros((ny * nx,) + out["f"].shape[1:], dtype=complex)
-        need = out["f"].shape[1]
-        if need > out_co.shape[1]:
-            pad = np.zeros((ny * nx, need - out_co.shape[1], 2, 2), complex)
-            out_co = np.concatenate([out_co, pad], axis=1)
-        out_co[sel, :need] = out["f"][:, :out_co.shape[1]]
+        chunks.append((sel, out["f_lo"], out["f"]))
         ok_all[sel] = good
         max_resid = max(max_resid, float(np.max(out["residual"][good],
                                                 initial=0.0)))
+    out_lo = min((lo for _, lo, _ in chunks), default=pf.lo)
+    out_hi = max((lo + f.shape[1] for _, lo, f in chunks), default=pf.lo + 1)
+    out_co = np.zeros((ny * nx, out_hi - out_lo, 2, 2), dtype=complex)
+    for sel, lo, f in chunks:
+        out_co[sel, lo - out_lo:lo - out_lo + f.shape[1]] = f
     return FrameGrid(lo=out_lo, coeffs=out_co.reshape(ny, nx, -1, 2, 2),
                      ok=ok_all.reshape(ny, nx) & fg.ok, grid=fg.grid,
                      ntrunc=fg.ntrunc, tail_bound=fg.tail_bound,

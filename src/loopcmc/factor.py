@@ -9,12 +9,45 @@ the bottom block-row of the Cholesky factor of the section built from the
 reversed symbol converges to the factor's coefficients.  For a twisted
 loop the section is the direct sum of its two twist-parity halves (the
 twisted/untwisted isomorphism of Dorfmeister-Pedit-Wu), each factored on
-its own.  The unitary factor F = X B^-1 is then solved on the untwisted
-loops Y(mu) = D^-1 X(lambda) D, D = diag(lambda^1/2, lambda^-1/2), which
-are functions of mu = lambda^2 carrying the same numbers without the twist
+its own.
+
+The section is sized per node by a convergence check, not by a fixed
+margin.  The leading blocks of a Cholesky factor are the factors of the
+shorter leading sections (Kailath and Sayed, "Displacement structure",
+SIAM Rev. 37, 1995), so block row ncap - 2 of the one factor already gives
+B of the section two blocks shorter, and the gap between the two costs
+nothing extra.  The section starts at the input band nk plus
+MARGIN_START = 2 blocks; the nodes whose gap exceeds GAP_TOL times their
+largest input entry are factored again at twice the margin, and so on up to
+MARGIN_CAP, where a node still above it comes back ok = False.  The band
+nk itself is the caller's: ``frames._factor_chunks`` cuts each node's frame
+to the slots outside of which its coefficients sum to at most machine
+epsilon of its largest entry, and factors the nodes in band-sorted chunks,
+each at the lowest power and band of its own nodes (on the gallery this
+takes Smyth h = 1 from 24 slots to a median of 16 and a maximum of 21).
+
+Why the frames stop at the first section: when X is polynomial in
+lambda^-1 of degree N with unit determinant (a unitary initial frame on
+the left leaves P unchanged), P is a Laurent polynomial of degree N, its
+outer factor B is a polynomial of degree N (matrix Fejer-Riesz), det B = 1
+and B^-1 = adj B is one too.  The section is then exact once it holds
+about 2N blocks, and exact to rounding far sooner when B's coefficients
+decay fast: those of a holomorphic frame are iterated integrals and decay
+factorially.  Measured on every pinned gallery member, each node at its
+trimmed band, the gap at margin 2 is at most 1.1e-14 of the node's
+largest entry (Smyth, h = 1; at most 1.8e-15 on the others), and B at
+margin 2 matches B at margin 24 to 9.4e-16.  Loops with slowly decaying
+coefficients do need growth: random twisted loops of band 18 whose
+coefficients decay by 0.9 per power converge at margin 64 with unitarity
+residuals of about 3e-12, where a fixed margin of 8 left residuals up to
+15.
+
+The unitary factor F = X B^-1 is then solved on the untwisted loops
+Y(mu) = D^-1 X(lambda) D, D = diag(lambda^1/2, lambda^-1/2), which are
+functions of mu = lambda^2 carrying the same numbers without the twist
 zeros (``loops.untwist``).  X and B are sampled on m roots of unity in mu,
-m the power of two above the section size nk + margin; one FFT of length
-m and a retwist give F.  The m mu-points determine the first 2m twisted
+m the power of two above the longest section used; one FFT of length m and
+a retwist give F.  The m mu-points determine the first 2m twisted
 coefficients of F up to aliasing from 2m powers on, so m doubles while F's
 truncation test has not passed within its first m twisted coefficients.
 The reconstruction and unitarity checks sample mu too: D is diagonal and
@@ -39,6 +72,14 @@ from .loops import (LoopMat, _mul2, circle_values, inv2, mul, retwist,
 __all__ = ["FactorResult", "FactorError", "BigCellError", "iwasawa",
            "birkhoff", "iwasawa_batch", "DEFAULT_MARGIN"]
 
+# Iwasawa sections start at the input band plus MARGIN_START blocks and
+# double their margin while the convergence gap exceeds GAP_TOL, up to
+# MARGIN_CAP; the unitary factor keeps at most EXTRA powers past the input
+# band.  Birkhoff's square system uses the fixed DEFAULT_MARGIN.
+MARGIN_START = 2
+MARGIN_CAP = 128
+GAP_TOL = 1e-12
+EXTRA = 64
 DEFAULT_MARGIN = 8
 
 
@@ -101,17 +142,14 @@ def _parity_halves(p_pos, ncap):
     return table[:, rows, np.where(inside, dd + band, 0)] * inside
 
 
-def _bauer_factor(coeffs, margin):
-    """Spectral factor coefficients B_0..B_ncap with P = B* B, batched.
-
-    Nodes whose section is not positive definite get ok = False and the
-    identity loop as their factor."""
+def _section_cholesky(coeffs, ncap):
+    """Cholesky factors of the two parity halves of the section with block
+    indices 0..ncap, batched; nodes whose section is not positive definite
+    get ok = False (and zeros in the halves that failed)."""
     n = coeffs.shape[0]
-    ncap = coeffs.shape[1] - 1 + margin
     halves = _parity_halves(_gram_coeffs(coeffs), ncap)
     try:
-        chol = np.linalg.cholesky(halves)
-        ok = np.ones(n, dtype=bool)
+        return np.linalg.cholesky(halves), np.ones(n, dtype=bool)
     except np.linalg.LinAlgError:
         # isolate failures node by node within each half
         chol = np.zeros_like(halves)
@@ -122,20 +160,89 @@ def _bauer_factor(coeffs, margin):
                 good[idx] = True
             except np.linalg.LinAlgError:
                 pass
-        ok = good.all(axis=1)
-    # bottom block-row of the section's factor, reversed: C_k = L[ncap,
-    # ncap-k] has its entry (r, r+k mod 2) in half ncap+r mod 2; B_k = C_k^H
-    last = np.conj(chol[:, :, ncap, ::-1])
-    k = np.arange(ncap + 1)
-    bcoef = np.zeros((n, ncap + 1, 2, 2), dtype=complex)
+        return chol, good.all(axis=1)
+
+
+def _row_factor(chol, row):
+    """B_0..B_row from block row ``row`` of the sections' factor: reversed,
+    C_k = L[row, row-k] has its entry (r, r+k mod 2) in half row+r mod 2,
+    and B_k = C_k^H.  The leading blocks of a Cholesky factor are the
+    factors of the leading sections, so row < ncap gives the spectral
+    factor of the section ncap - row blocks shorter."""
+    last = np.conj(chol[:, :, row, row::-1])
+    k = np.arange(row + 1)
+    bcoef = np.zeros((chol.shape[0], row + 1, 2, 2), dtype=complex)
     for r in (0, 1):
-        bcoef[:, k, (r + k) % 2, r] = last[:, (ncap + r) % 2]
+        bcoef[:, k, (r + k) % 2, r] = last[:, (row + r) % 2]
+    return bcoef
+
+
+def _condition(chol):
+    """Condition estimate (max/min of the factor's diagonal)^2."""
+    diag = np.diagonal(chol, axis1=-2, axis2=-1).real
+    return (np.max(diag, axis=(1, 2)) / np.min(diag, axis=(1, 2))) ** 2
+
+
+def _bauer_factor(coeffs, margin):
+    """Spectral factor coefficients B_0..B_ncap with P = B* B from the
+    section of ncap + 1 = nk + margin blocks, batched.
+
+    Nodes whose section is not positive definite get ok = False and the
+    identity loop as their factor."""
+    n = coeffs.shape[0]
+    ncap = coeffs.shape[1] - 1 + margin
+    chol, ok = _section_cholesky(coeffs, ncap)
+    bcoef = _row_factor(chol, ncap)
     bcoef[~ok] = 0.0
     bcoef[~ok, 0] = np.eye(2)
-    diag = np.diagonal(chol, axis1=-2, axis2=-1).real.reshape(n, -1)[ok]
     cond = np.full(n, np.inf)
-    cond[ok] = (np.max(diag, axis=1) / np.min(diag, axis=1)) ** 2
+    cond[ok] = _condition(chol[ok])
     return bcoef, ok, cond
+
+
+def _converged_factor(coeffs):
+    """Spectral factors from the shortest sections that pass the
+    convergence check, batched.
+
+    The section starts at nk + MARGIN_START blocks.  Block row ncap - 2 of
+    the same factor gives B of the section two blocks shorter, so the gap
+    between the two costs no second factorization.  Nodes whose gap exceeds
+    ``GAP_TOL`` times their largest input entry are factored again at
+    twice the margin, up to MARGIN_CAP; a node still above it there gets
+    ok = False.  Returns (bcoef, ok, cond, section), bcoef padded with zero
+    coefficients to the longest section used and section the number of
+    blocks of each node's last section."""
+    n, nk = coeffs.shape[:2]
+    scale = np.max(np.abs(coeffs), axis=(1, 2, 3))
+    ok = np.zeros(n, dtype=bool)
+    cond = np.full(n, np.inf)
+    section = np.zeros(n, dtype=int)
+    parts = []
+    todo = np.arange(n)
+    margin = MARGIN_START
+    while todo.size:
+        ncap = nk - 1 + margin
+        chol, pd = _section_cholesky(coeffs[todo], ncap)
+        bcoef = _row_factor(chol, ncap)
+        gap = np.max(np.abs(bcoef[:, :ncap - 1] - _row_factor(chol, ncap - 2)),
+                     axis=(1, 2, 3))
+        gap = np.maximum(gap, np.max(np.abs(bcoef[:, ncap - 1:]),
+                                     axis=(1, 2, 3)))
+        conv = pd & (gap <= GAP_TOL * scale[todo])
+        done = conv | ~pd | (margin >= MARGIN_CAP)
+        ok[todo[conv]] = True
+        cond[todo[conv]] = _condition(chol[conv])
+        section[todo[done]] = ncap + 1
+        if conv.any():
+            parts.append((todo[conv], bcoef[conv]))
+        todo = todo[~done]
+        margin *= 2
+    length = max((b.shape[1] for _, b in parts), default=1)
+    bcoef = np.zeros((n, length, 2, 2), dtype=complex)
+    bcoef[~ok, 0] = np.eye(2)
+    for idx, b in parts:
+        bcoef[idx, :b.shape[1]] = b
+    return bcoef, ok, cond, section
 
 
 def _solve_unitary(coeffs, lo, bcoef, extra, tail_tol=1e-13):
@@ -147,7 +254,7 @@ def _solve_unitary(coeffs, lo, bcoef, extra, tail_tol=1e-13):
     the disc).  Its coefficients run past the input band until one falls
     below ``tail_tol`` relative to the input scale, capped at
     ``nk + extra``.  m starts at the power of two above the section size
-    ``nk + margin`` (the length of ``bcoef``), and the m mu-points fix the
+    (the length of ``bcoef``), and the m mu-points fix the
     first 2m twisted coefficients up to aliasing from 2m powers on; m
     doubles while the tail test has not passed within the first m of them.
     """
@@ -169,37 +276,39 @@ def _solve_unitary(coeffs, lo, bcoef, extra, tail_tol=1e-13):
     return f[:, :used]
 
 
-def iwasawa_batch(lo, coeffs, margin=DEFAULT_MARGIN, extra=None, nsample=32):
+def iwasawa_batch(lo, coeffs, extra=EXTRA, nsample=32):
     """Batched Iwasawa factorization of twisted loops given as coefficient
     arrays.
 
-    The circle work runs on the untwisted loops in mu = lambda^2 (see the
-    module docstring): the unitary solve samples m points of mu, m the
-    power of two above ``nk + margin``, doubled while F's truncation test
-    has not passed within its first m twisted coefficients; the checks
-    sample ``nsample // 2`` points of mu, which give the maxima over
-    ``nsample`` points of lambda.
+    The plus factor comes from the shortest Toeplitz section that passes
+    the convergence check of the module docstring: nk + 2 blocks, grown
+    by doubling the margin only at the nodes whose gap between the factors
+    of block rows ncap and ncap - 2 is above ``GAP_TOL`` relative to their
+    largest input entry, up to a margin of ``MARGIN_CAP``; a node still
+    above it there comes back ok = False.  The circle work runs on the
+    untwisted loops in mu = lambda^2: the unitary solve samples m points
+    of mu, m the power of two above the longest section, doubled while
+    F's truncation test has not passed within its first m twisted
+    coefficients; the checks sample ``nsample // 2`` points of mu, which
+    give the maxima over ``nsample`` points of lambda.
 
     Parameters
     ----------
     lo : int
         Lowest power of the input loops.
     coeffs : (n, nk, 2, 2) complex ndarray
-    margin : int
-        Toeplitz truncation is input bandwidth + margin.
     extra : int
-        Cap on additional positive powers kept on the unitary factor
-        (default 4 * margin + 32; the solve stops early once the
-        coefficients fall below the tail tolerance).
+        Cap on additional positive powers kept on the unitary factor (the
+        solve stops early once the coefficients fall below the tail
+        tolerance).
 
     Returns a dict with the unitary factor (f_lo, f), the plus factor b
     (powers 0..), rho, per-node reconstruction and unitarity residuals
-    (max over ``nsample`` circle points), ok flags and condition estimates.
+    (max over ``nsample`` circle points), ok flags, condition estimates
+    and the number of blocks of the section each node was factored at.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    if extra is None:
-        extra = 4 * margin + 32
-    bcoef, ok, cond = _bauer_factor(coeffs, margin)
+    bcoef, ok, cond, section = _converged_factor(coeffs)
     f = _solve_unitary(coeffs, lo, bcoef, extra)
     ms = nsample // 2
     lo_y, xy = untwist(coeffs, lo)
@@ -211,20 +320,22 @@ def iwasawa_batch(lo, coeffs, margin=DEFAULT_MARGIN, extra=None, nsample=32):
     rho = bcoef[:, 0, 0, 0].real
     return {"f_lo": lo, "f": f, "b": bcoef, "rho": rho,
             "residual": resid, "unitary_residual": unit,
-            "ok": ok, "condition": cond}
+            "ok": ok, "condition": cond, "section": section}
 
 
-def iwasawa(phi: LoopMat, margin: int = DEFAULT_MARGIN) -> FactorResult:
+def iwasawa(phi: LoopMat) -> FactorResult:
     """Iwasawa decomposition phi = F B (F unitary loop, B plus-loop with
     B(0) = diag(rho, 1/rho), rho > 0).
 
     Raises FactorError when the Gram section is not positive definite
-    (the input is not an invertible loop at this truncation).
+    (the input is not an invertible loop at this truncation) or the
+    section does not converge by ``MARGIN_CAP``.
     """
     phi = phi.trim(0.0)
-    out = iwasawa_batch(phi.lo, phi.coeffs[None, :, :, :], margin=margin)
+    out = iwasawa_batch(phi.lo, phi.coeffs[None, :, :, :])
     if not out["ok"][0]:
-        raise FactorError("Gram matrix not positive definite")
+        raise FactorError("Gram section not positive definite or not "
+                          "converged")
     f = LoopMat(out["f_lo"], out["f"][0]).trim(1e-300)
     b = LoopMat(0, out["b"][0]).trim(1e-300)
     return FactorResult(unitary_part=f, plus_part=b, minus_part=None,

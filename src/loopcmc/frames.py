@@ -88,11 +88,14 @@ class PotentialSpec:
 # A frame whose series tail bound stays above TAIL_FAIL at the truncation
 # cap is an error; nodes where a potential entry is non-finite or above
 # ENTRY_BOUND are masked, with MASK_DILATE rings around them; Iwasawa
-# factorization runs in chunks of CHUNK nodes.
+# factorization runs in chunks of CHUNK nodes, each node's frame cut to the
+# band outside of which its slots sum to at most TRIM_EPS of its largest
+# entry.
 TAIL_FAIL = 1e-6
 ENTRY_BOUND = 1e8
 MASK_DILATE = 1
 CHUNK = 256
+TRIM_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -230,7 +233,8 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
     basepoint row, then the columns, then breadth-first rerouting around
     masked nodes).  The potential's entries are evaluated once, on the
     substep lattice of that walk (:func:`_entry_lattice`).  The result is
-    premultiplied by the twisted extension of the initial frame.
+    premultiplied by the twisted extension of the initial frame, unless
+    that frame is the identity.
 
     Raises TailBoundError when the rigorous factorial tail bound cannot be
     pushed below ``TAIL_FAIL`` at the truncation cap.
@@ -289,9 +293,13 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
         s, za, zb, lattice[k], opts.substeps))
 
     ok = mask & np.all(np.isfinite(psi), axis=(2, 3, 4))
+    e0 = p.initial_frame()
+    if np.array_equal(e0, np.eye(2)):
+        return FrameGrid(lo=1 - nk, coeffs=psi, ok=ok, grid=work,
+                         ntrunc=ntrunc, tail_bound=tail)
     # premultiply by the twisted initial loop (powers -1..1): the frames
     # carry powers -nk..1
-    e0hat = hat_extend(p.initial_frame()).window(-1, 1)
+    e0hat = hat_extend(e0).window(-1, 1)
     return FrameGrid(lo=-nk, coeffs=conv(e0hat.coeffs, psi), ok=ok, grid=work,
                      ntrunc=ntrunc, tail_bound=tail)
 
@@ -368,17 +376,39 @@ def sym_bobenko(fhat: LoopMat, h: float, lam0=1.0 + 0j,
 # ---------------------------------------------------------------------------
 # Full pipeline
 
+def _trimmed_band(coeffs):
+    """Per node of the flat frames ``coeffs`` (n, nk, 2, 2), the slots
+    (first, stop) that remain once the end slots at both the lowest and the
+    highest power are dropped: at each end, drop while the summed max-abs
+    entries of the dropped slots stay within TRIM_EPS / 2 of the node's
+    largest entry, so that all the dropped slots together cannot move the
+    loop on the circle beyond rounding."""
+    size = np.max(np.abs(coeffs), axis=(2, 3))
+    budget = 0.5 * TRIM_EPS * np.max(size, axis=1, keepdims=True)
+    first = np.sum(np.cumsum(size, axis=1) <= budget, axis=1)
+    last = np.sum(np.cumsum(size[:, ::-1], axis=1) <= budget, axis=1)
+    return first, coeffs.shape[1] - last
+
+
 def _factor_chunks(lo, coeffs, ok, opts: SurfaceOptions):
     """Pointwise Iwasawa factorization of the flat frames ``coeffs``
-    (n, nk, 2, 2), lowest power ``lo``, at the nodes where ``ok`` holds, in
-    chunks of ``CHUNK``.  Yields ``(indices, out, accepted)`` per
+    (n, nk, 2, 2), lowest power ``lo``, at the nodes where ``ok`` holds.
+
+    Each node is cut to the band its own frame needs (:func:`_trimmed_band`);
+    the nodes are stably sorted by that band and factored in slices of
+    ``CHUNK``, each at the lowest power and band of its own nodes, so a
+    chunk's ``f_lo`` is its own.  Yields ``(indices, out, accepted)`` per
     chunk: the node indices, the ``iwasawa_batch`` output, and the nodes
     whose factorization succeeded within ``opts.residual_tol`` and
     ``opts.unitary_tol``."""
     idx = np.nonzero(ok)[0]
+    first, stop = _trimmed_band(coeffs[idx])
+    order = np.argsort(stop - first, kind="stable")
     for start in range(0, len(idx), CHUNK):
-        sel = idx[start:start + CHUNK]
-        out = iwasawa_batch(lo, coeffs[sel])
+        part = order[start:start + CHUNK]
+        sel = idx[part]
+        k0, k1 = first[part].min(), stop[part].max()
+        out = iwasawa_batch(lo + int(k0), coeffs[sel, k0:k1])
         accepted = out["ok"] & (out["residual"] < opts.residual_tol) \
             & (out["unitary_residual"] < opts.unitary_tol)
         yield sel, out, accepted
@@ -420,8 +450,8 @@ def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
     fzv = np.full((ny * nx, 3), np.nan, dtype=complex)
     rho_all = np.full(ny * nx, np.nan)
     ok_all = np.zeros(ny * nx, dtype=bool)
-    max_resid = 0.0
-    max_unit = 0.0
+    max_resid = max_unit = max_cond = 0.0
+    max_section = 0
     a_vals = ex.evaluate(p.a, grid.zz).reshape(-1)
 
     for sel, out, good in _factor_chunks(fg.lo, coeffs, fg.ok.reshape(-1), opts):
@@ -438,9 +468,11 @@ def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
         fzv[sel] = fz
         rho_all[sel] = rho
         ok_all[sel] = good
+        max_section = max(max_section, int(np.max(out["section"])))
         if np.any(good):
             max_resid = max(max_resid, float(np.max(out["residual"][good])))
             max_unit = max(max_unit, float(np.max(out["unitary_residual"][good])))
+            max_cond = max(max_cond, float(np.max(out["condition"][good])))
 
     f = f.reshape(ny, nx, 3)
     normal = normal.reshape(ny, nx, 3)
@@ -456,6 +488,7 @@ def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
         "kind": "dpw", "h": p.h, "ntrunc": fg.ntrunc,
         "tail_bound": fg.tail_bound, "lambda0": lam0,
         "max_iwasawa_residual": max_resid, "max_unitary_residual": max_unit,
+        "max_condition": max_cond, "max_section": max_section,
         "dressed": bool(fg.meta.get("dressed", False)),
     }
     return SurfaceMesh(grid=fg.grid, h=p.h, f=f, normal=normal, eu=eu,

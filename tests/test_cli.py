@@ -100,6 +100,10 @@ class TestGallery:
         item = read_report(tmp_path)["items"][0]
         assert "tail_bound" in item
         assert "max_iwasawa_residual" in item
+        # plane data: Phi = I + (upper) lam^-1 is factored at its two
+        # slots plus the starting margin, and is well conditioned
+        assert item["max_section"] == 4
+        assert 1.0 <= item["max_condition"] < 1e2
 
     def test_smyth_symmetry_report(self, tmp_path):
         rc = main(["gallery", "smyth", "--k", "2", "--h", "1",

@@ -10,7 +10,7 @@ from loopcmc.dressing import (DressingError, dress_frame, dress_surface,
 from loopcmc.frames import (PotentialSpec, SurfaceOptions, integrate_frame,
                             surface_from_potential, extract_curvature)
 from loopcmc.grid import DomainGrid
-from loopcmc.loops import LoopMat, check_membership, identity, mul
+from loopcmc.loops import LoopMat, check_membership, conv, identity, mul
 from conftest import rand_unimodular_twisted
 
 
@@ -231,6 +231,30 @@ class TestDressFrame:
         for k in range(lo, hi):
             assert np.max(np.abs(_power(twice, k)
                                  - _power(combined, k))) <= 1e-8
+
+    def test_chunks_placed_at_their_own_powers(self, catenoid, monkeypatch):
+        # chunks cut to different bands start their unitary parts at
+        # different powers; each node must match its own factorization
+        from loopcmc import frames
+        from loopcmc.factor import iwasawa
+        monkeypatch.setattr(frames, "CHUNK", 16)
+        rng = np.random.default_rng(5)
+        hp = iwasawa(rand_unimodular_twisted(rng, band=2, scale=0.05)).plus_part
+        fg = integrate_frame(minimal_to_potential(catenoid, 1.0),
+                             DomainGrid.square(0.8, 9))
+        out = dress_frame(hp, fg)
+        prod = conv(hp.coeffs, fg.coeffs)
+        first, _ = frames._trimmed_band(prod.reshape(-1, *prod.shape[2:]))
+        assert len(set(first.tolist())) >= 2
+        assert out.ok.all()
+        for j, i in np.ndindex(out.ok.shape):
+            f = iwasawa(LoopMat(hp.lo + fg.lo, prod[j, i])).unitary_part
+            for k in range(min(f.lo, out.lo),
+                           max(f.hi, out.lo + out.coeffs.shape[2] - 1) + 1):
+                node = np.zeros((2, 2), dtype=complex)
+                if 0 <= k - out.lo < out.coeffs.shape[2]:
+                    node = out.coeffs[j, i, k - out.lo]
+                assert np.max(np.abs(node - f.coeff(k))) <= 1e-13
 
     def test_residual_reported_over_accepted_nodes(self, monkeypatch):
         # a node rejected for its residual is masked and left out of

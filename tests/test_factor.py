@@ -235,6 +235,57 @@ class TestIwasawaCore:
         assert np.all(np.abs(out["unitary_residual"] - unit)
                       <= 1e-15 * ff_size)
 
+    @pytest.mark.parametrize("band", BANDS)
+    def test_shorter_row_is_shorter_section(self, band):
+        # block row ncap - 2 of one factor is the factor of the section two
+        # blocks shorter: the convergence gap needs no second Cholesky
+        rng = np.random.default_rng(700 + band)
+        coeffs = twisted_chunk(rng, band)
+        ncap = coeffs.shape[1] - 1 + 4
+        chol, ok = fa._section_cholesky(coeffs, ncap)
+        short, _, _ = fa._bauer_factor(coeffs, 2)
+        assert ok.all()
+        assert np.max(np.abs(fa._row_factor(chol, ncap - 2) - short)) <= 1e-13
+
+    @pytest.mark.parametrize("band", [12, 18, 25])
+    def test_slow_decay_converges_or_fails(self, band):
+        # wide bands with slowly decaying coefficients need sections far
+        # past band + 2: every node either converges to a unitary factor
+        # or comes back ok = False, never ok = True with a large residual
+        rng = np.random.default_rng(800 + band)
+        coeffs = twisted_chunk(rng, band, scale=1.0, decay=0.9)
+        out = iwasawa_batch(-band, coeffs)
+        assert np.all(~out["ok"] | (out["unitary_residual"] <= 1e-10))
+        assert np.all(~out["ok"] | (out["residual"] <= 1e-10))
+        assert np.all(out["section"] > coeffs.shape[1] + fa.MARGIN_START)
+        assert np.all(out["section"] <= coeffs.shape[1] + fa.MARGIN_CAP)
+        if band == 12:
+            assert out["ok"].all()
+
+    def test_unit_determinant_minus_loops_have_polynomial_factors(self):
+        # X polynomial in lambda^-1 of degree N with unit determinant, like
+        # the frames: B and B^-1 = adj B are polynomials of degree N, and
+        # the section is exact once it holds about 2N blocks, so the
+        # doubling stops below margin 2N
+        rng = np.random.default_rng(900)
+        n, nk = 6, 11
+        # X = [[1, u], [0, 1]] [[1, 0], [v, 1]], u and v odd polynomials
+        # in lambda^-1 of degree 5: powers -10..0
+        u, v = np.zeros((2, n, nk), dtype=complex)
+        u[:, 5::2], v[:, 5::2] = rng.normal(size=(2, n, 3)) \
+            + 1j * rng.normal(size=(2, n, 3))
+        x = np.zeros((n, nk, 2, 2), dtype=complex)
+        x[:, :, 0, 1] = u
+        x[:, :, 1, 0] = v
+        for i in range(n):
+            x[i, :, 0, 0] = np.convolve(u[i], v[i])[nk - 1:]
+        x[:, -1] += np.eye(2)
+        out = iwasawa_batch(1 - nk, x)
+        assert out["ok"].all()
+        assert np.all(out["section"] < nk + 2 * (nk - 1))
+        assert np.max(np.abs(out["b"][:, nk:])) <= 1e-12
+        assert np.max(out["unitary_residual"]) <= 1e-12
+
     def test_non_positive_definite_node_is_isolated(self):
         rng = np.random.default_rng(400)
         band = 3

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from loopcmc import expr as ex
+from loopcmc import factor, frames
 from loopcmc.convert import minimal_to_potential
 from loopcmc.frames import (FrameError, PotentialSpec, SurfaceOptions,
-                            TailBoundError, extract_curvature,
+                            TailBoundError, _trimmed_band, extract_curvature,
                             flatness_residual, integrate_frame, sym_bobenko,
                             surface_from_potential)
 from loopcmc.grid import DomainGrid, walk
-from loopcmc.loops import LoopMat, check_membership, hat_extend
+from loopcmc.loops import LoopMat, check_membership, conv, hat_extend
 from loopcmc.weier import WeierstrassData, minimal_surface
 from conftest import (CATENOID_MU, CATENOID_NU, KUSNER_MU, KUSNER_NU,
                       enneper, sphere_oracle)
@@ -75,6 +76,19 @@ class TestIntegrateFrame:
         loop = fg.loopmat(g.j0, g.i0)
         for k in (-1, 0, 1):
             assert np.allclose(loop.coeff(k), e0hat.coeff(k), atol=1e-14)
+
+    def test_identity_initial_frame_skips_the_product(self):
+        # E0 = I: the frames are Psi itself, equal bit for bit to the
+        # product with the twisted identity (powers -1..1) once aligned
+        pot = PotentialSpec.normalized("2+z", "-4*z", 1.0)
+        fg = integrate_frame(pot, DomainGrid.square(0.6, 13))
+        ref = conv(hat_extend(np.eye(2)).window(-1, 1).coeffs, fg.coeffs)
+        assert fg.lo == 1 - fg.coeffs.shape[2] == -fg.ntrunc
+        ok = fg.ok
+        assert ok.all()
+        assert not np.any(ref[ok][:, [0, -1]])
+        assert np.array_equal(ref[ok][:, 1:-1].view(np.uint64),
+                              fg.coeffs[ok].view(np.uint64))
 
     def test_flatness(self, catenoid):
         pot = minimal_to_potential(catenoid, 1.0)
@@ -293,6 +307,45 @@ class TestSurfaceFromPotential:
         assert np.all(np.isfinite(mesh.f[mesh.mask]))
         cf = extract_curvature(mesh)
         assert np.nanmax(np.abs(cf.H[cf.valid] - 1.0)) <= 0.02
+
+    def test_trimmed_band_drops_only_rounding(self):
+        eps = np.finfo(float).eps
+        sizes = np.array([[1e-20, 1e-17, 1.0, 0.5, 1e-17, 1e-16],
+                          [2e-16, 1.0, 1e-16, 1e-16, 0.0, 0.0],
+                          [0.0, 2.0, 0.0, 0.0, 0.0, 3.0]])
+        coeffs = np.zeros(sizes.shape + (2, 2), dtype=complex)
+        coeffs[..., 0, 1] = sizes
+        first, stop = _trimmed_band(coeffs)
+        assert first.tolist() == [2, 0, 1]
+        assert stop.tolist() == [4, 3, 6]
+        for row, k0, k1 in zip(sizes, first, stop):
+            dropped = row[:k0].sum() + row[k1:].sum()
+            assert dropped <= eps * row.max()
+
+    def test_frames_factor_at_their_trimmed_band(self, catenoid,
+                                                 monkeypatch):
+        # every chunk is cut to the band of its nodes, sorted by band, and
+        # the frames' plus factors pass the convergence check at the first
+        # section, so no node grows past band + MARGIN_START
+        calls = []
+
+        def record(lo, coeffs, *args, **kwargs):
+            out = factor.iwasawa_batch(lo, coeffs, *args, **kwargs)
+            calls.append((coeffs.shape[1], out["section"]))
+            return out
+        monkeypatch.setattr(frames, "iwasawa_batch", record)
+        monkeypatch.setattr(frames, "CHUNK", 64)
+        pot = minimal_to_potential(catenoid, 1.0)
+        g = DomainGrid.square(0.8, 21)
+        fg = integrate_frame(pot, g)
+        mesh = surface_from_potential(pot, g)
+        bands = [nk for nk, _ in calls]
+        assert len(calls) > 2 and bands == sorted(bands)
+        assert bands[-1] < fg.coeffs.shape[2]
+        for nk, section in calls:
+            assert np.all(section == nk + factor.MARGIN_START)
+        assert mesh.meta["max_section"] == bands[-1] + factor.MARGIN_START
+        assert 1.0 <= mesh.meta["max_condition"] < 1e3
 
     def test_lambda0_associated_family_smoke(self, catenoid):
         g = DomainGrid.square(0.5, 11)

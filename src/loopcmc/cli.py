@@ -169,7 +169,7 @@ def mesh_item_report(mesh: SurfaceMesh, name):
     }
     for key in ("ntrunc", "tail_bound", "max_iwasawa_residual",
                 "max_unitary_residual", "max_condition", "max_section",
-                "lambda0"):
+                "mask_causes", "lambda0"):
         if key in mesh.meta:
             v = mesh.meta[key]
             rep[key] = (complex(v).real if key == "lambda0" and

@@ -43,8 +43,10 @@ import numpy as np
 from . import expr as ex
 # not called here: perfbench/spans.py traces dress jobs by wrapping this name
 from .factor import iwasawa_batch  # noqa: F401
+from .factor import unitary_loops
 from .frames import (FrameGrid, PotentialSpec, SurfaceOptions,
-                     _factor_chunks, integrate_frame, _assemble_mesh)
+                     _factor_chunks, _mask_causes, integrate_frame,
+                     _assemble_mesh)
 from .grid import DomainGrid
 from .loops import LoopMat, check_membership, conv
 from .mesh import SurfaceMesh
@@ -363,7 +365,10 @@ def _left_multiply(h_plus: LoopMat, fg: FrameGrid) -> FrameGrid:
 def dress_frame(h_plus: LoopMat, fg: FrameGrid,
                 options: SurfaceOptions | None = None) -> FrameGrid:
     """Unitary parts of the pointwise factorization of h_plus times the
-    frames; factorization failures mark nodes invalid.
+    frames; factorization failures mark nodes invalid.  A node is kept when
+    its factorization passes the pointwise checks of ``_factor_chunks``
+    and the series of its unitary part passes its own reconstruction and
+    unitarity checks (``factor.unitary_loops``).
 
     ``fg`` may hold holomorphic frames or already-unitary frames (repeated
     dressing); the group law dress(h2, dress(h1, .)) = dress(h2 h1, .)
@@ -377,11 +382,19 @@ def dress_frame(h_plus: LoopMat, fg: FrameGrid,
     flat = pf.coeffs.reshape(ny * nx, -1, 2, 2)
     ok_all = np.zeros(ny * nx, dtype=bool)
     max_resid = 0.0
+    causes = _mask_causes(fg.meta)
     # each chunk is cut to its own band, so its unitary parts start at its
-    # own power: place every chunk at its f_lo in one common window
+    # own power: place every chunk at its lowest power in one common window
     chunks = []
-    for sel, out, good in _factor_chunks(pf.lo, flat, fg.ok.reshape(-1), opts):
-        chunks.append((sel, out["f_lo"], out["f"]))
+    for sel, lo, x, out, good in _factor_chunks(
+            pf.lo, flat, fg.ok.reshape(-1), opts, causes):
+        # the returned loop F is its own series: check it as a loop too
+        f, recon, unit = unitary_loops(lo, x, out["b"])
+        for cause, passed in (("residual", recon < opts.residual_tol),
+                              ("unitarity", unit < opts.unitary_tol)):
+            causes[cause] += int(np.count_nonzero(good & ~passed))
+            good &= passed
+        chunks.append((sel, lo, f))
         ok_all[sel] = good
         max_resid = max(max_resid, float(np.max(out["residual"][good],
                                                 initial=0.0)))
@@ -394,7 +407,8 @@ def dress_frame(h_plus: LoopMat, fg: FrameGrid,
                      ok=ok_all.reshape(ny, nx) & fg.ok, grid=fg.grid,
                      ntrunc=fg.ntrunc, tail_bound=fg.tail_bound,
                      meta={**fg.meta, "dressed": True, "unitary": True,
-                           "max_iwasawa_residual": max_resid})
+                           "max_iwasawa_residual": max_resid,
+                           "mask_causes": causes})
 
 
 def dress_surface(h_plus: LoopMat, p: PotentialSpec, grid: DomainGrid,

@@ -42,7 +42,27 @@ coefficients decay by 0.9 per power converge at margin 64 with unitarity
 residuals of about 3e-12, where a fixed margin of 8 left residuals up to
 15.
 
-The unitary factor F = X B^-1 is then solved on the untwisted loops
+The unitary factor F = X B^-1 holds at every point of the circle, so its
+values need no series.  B^-1 is read from the same section as B: the last
+row of the inverse of the section's Cholesky factor, reversed, is the
+inverse of the section's spectral factor (its reversed Szego polynomial),
+one back substitution per node (``_inverse_row``).  Measured, this is the
+more accurate B^-1: on unit-determinant polynomial loops with |X| up to 13,
+F = X B(lambda)^-1 with the computed B inverted point by point is off a
+40-digit reference by up to 8.3e-13 (unitarity residual 1.7e-12), and
+F = X B^-1 with B^-1 read from the factor by up to 2.8e-13 (5.5e-13),
+close to the solved series of F (2.1e-13); on random loops whose
+coefficients decay by 0.9 per power, the two differ from that series by up
+to 2e-11 and 3e-12.  ``iwasawa_batch`` checks the factorization at the m
+points lambda = exp(i pi s/m), s = 0..m-1 (``loops.half_circle_values``):
+their squares are the m-th roots of unity, and X(-lambda) = s X(lambda) s,
+s = diag(1, -1), so they give the maxima over 2m points of the circle.  The
+mesh reads F and dF/dlambda at one point lambda0 the same way, from X and
+B^-1 and their derivatives there.
+
+F's Fourier series is solved (``unitary_loops``) only where the loop F is
+itself the output: ``iwasawa`` and the dressed frames of
+``dressing.dress_frame``.  It works on the untwisted loops
 Y(mu) = D^-1 X(lambda) D, D = diag(lambda^1/2, lambda^-1/2), which are
 functions of mu = lambda^2 carrying the same numbers without the twist
 zeros (``loops.untwist``).  X and B are sampled on m roots of unity in mu,
@@ -50,9 +70,6 @@ m the power of two above the longest section used; one FFT of length m and
 a retwist give F.  The m mu-points determine the first 2m twisted
 coefficients of F up to aliasing from 2m powers on, so m doubles while F's
 truncation test has not passed within its first m twisted coefficients.
-The reconstruction and unitarity checks sample mu too: D is diagonal and
-unitary on the circle and X(-lambda) = s X(lambda) s, s = diag(1, -1), so
-n/2 points of mu give the maxima over n points of lambda.
 
 Birkhoff: X = X- X+ with X-(infinity) = I, computed from the square
 block-Toeplitz linear system expressing that X times a plus-loop inverse
@@ -66,20 +83,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loops import (LoopMat, _mul2, circle_values, inv2, mul, retwist,
-                    unitary_defect, untwist)
+from .loops import (LoopMat, _mul2, circle_values, half_circle_values,
+                    inv2, mul, retwist, unitary_defect, untwist)
 
 __all__ = ["FactorResult", "FactorError", "BigCellError", "iwasawa",
-           "birkhoff", "iwasawa_batch", "DEFAULT_MARGIN"]
+           "birkhoff", "iwasawa_batch", "unitary_loops", "DEFAULT_MARGIN"]
 
 # Iwasawa sections start at the input band plus MARGIN_START blocks and
 # double their margin while the convergence gap exceeds GAP_TOL, up to
-# MARGIN_CAP; the unitary factor keeps at most EXTRA powers past the input
-# band.  Birkhoff's square system uses the fixed DEFAULT_MARGIN.
+# MARGIN_CAP; the series of the unitary factor keeps at most EXTRA powers
+# past the input band and stops at the first below TAIL_TOL; the checks
+# sample NSAMPLE points of the circle.  Birkhoff's square system uses the
+# fixed DEFAULT_MARGIN.
 MARGIN_START = 2
 MARGIN_CAP = 128
 GAP_TOL = 1e-12
 EXTRA = 64
+TAIL_TOL = 1e-13
+NSAMPLE = 32
 DEFAULT_MARGIN = 8
 
 
@@ -169,12 +190,37 @@ def _row_factor(chol, row):
     and B_k = C_k^H.  The leading blocks of a Cholesky factor are the
     factors of the leading sections, so row < ncap gives the spectral
     factor of the section ncap - row blocks shorter."""
-    last = np.conj(chol[:, :, row, row::-1])
-    k = np.arange(row + 1)
-    bcoef = np.zeros((chol.shape[0], row + 1, 2, 2), dtype=complex)
+    return _row_loop(chol[:, :, row, :row + 1])
+
+
+def _row_loop(rows):
+    """The plus loop read from the last rows ``rows`` (n, 2, row+1) of
+    the two halves' triangular factors, as :func:`_row_factor` reads it."""
+    row = rows.shape[2] - 1
+    last = np.conj(rows[:, :, ::-1])
+    bcoef = np.zeros((rows.shape[0], row + 1, 2, 2), dtype=complex)
     for r in (0, 1):
-        bcoef[:, k, (r + k) % 2, r] = last[:, (row + r) % 2]
+        # entry (r + k mod 2, r) of coefficient k, from half row + r mod 2
+        half = last[:, (row + r) % 2]
+        bcoef[:, r::2, 0, r] = half[:, r::2]
+        bcoef[:, 1 - r::2, 1, r] = half[:, 1 - r::2]
     return bcoef
+
+
+def _inverse_row(chol):
+    """The last rows of the inverses of the factors ``chol`` (..., N, N),
+    by back substitution: row u with u L = e_N^T, so u_N = 1 / L_NN and
+    u_k = -sum_{j>k} u_j L_jk / L_kk.  Read by :func:`_row_loop` it gives
+    the inverse of the section's spectral factor (the reversed Szego
+    polynomial of the section)."""
+    n = chol.shape[-1]
+    diag = np.diagonal(chol, axis1=-2, axis2=-1)
+    u = np.zeros(chol.shape[:-1], dtype=complex)
+    u[..., n - 1] = 1.0 / diag[..., n - 1]
+    for k in range(n - 2, -1, -1):
+        u[..., k] = -np.einsum("...j,...j->...", chol[..., k + 1:, k],
+                               u[..., k + 1:]) / diag[..., k]
+    return u
 
 
 def _condition(chol):
@@ -202,16 +248,18 @@ def _bauer_factor(coeffs, margin):
 
 def _converged_factor(coeffs):
     """Spectral factors from the shortest sections that pass the
-    convergence check, batched.
+    convergence check, and their inverses, batched.
 
     The section starts at nk + MARGIN_START blocks.  Block row ncap - 2 of
     the same factor gives B of the section two blocks shorter, so the gap
     between the two costs no second factorization.  Nodes whose gap exceeds
     ``GAP_TOL`` times their largest input entry are factored again at
     twice the margin, up to MARGIN_CAP; a node still above it there gets
-    ok = False.  Returns (bcoef, ok, cond, section), bcoef padded with zero
-    coefficients to the longest section used and section the number of
-    blocks of each node's last section."""
+    ok = False.  B^-1 is read from the last row of the inverse of the same
+    factor (:func:`_inverse_row`).  Returns (bcoef, binv, ok, cond,
+    section): bcoef and binv padded with zero coefficients to the longest
+    section used (the identity where ok is False) and section the number
+    of blocks of each node's last section."""
     n, nk = coeffs.shape[:2]
     scale = np.max(np.abs(coeffs), axis=(1, 2, 3))
     ok = np.zeros(n, dtype=bool)
@@ -223,109 +271,134 @@ def _converged_factor(coeffs):
     while todo.size:
         ncap = nk - 1 + margin
         chol, pd = _section_cholesky(coeffs[todo], ncap)
-        bcoef = _row_factor(chol, ncap)
-        gap = np.max(np.abs(bcoef[:, :ncap - 1] - _row_factor(chol, ncap - 2)),
-                     axis=(1, 2, 3))
-        gap = np.maximum(gap, np.max(np.abs(bcoef[:, ncap - 1:]),
-                                     axis=(1, 2, 3)))
+        # B of rows ncap and ncap - 2 read from the same halves: entry j of
+        # row ncap is coefficient ncap - j, entry j - 2 of row ncap - 2 is
+        # the same coefficient of the shorter section, and the shorter
+        # section has no coefficients ncap - 1 and ncap
+        gap = np.maximum(
+            np.max(np.abs(chol[:, :, ncap, 2:] - chol[:, :, ncap - 2, :-2]),
+                   axis=(1, 2)),
+            np.max(np.abs(chol[:, :, ncap, :2]), axis=(1, 2)))
         conv = pd & (gap <= GAP_TOL * scale[todo])
         done = conv | ~pd | (margin >= MARGIN_CAP)
         ok[todo[conv]] = True
-        cond[todo[conv]] = _condition(chol[conv])
         section[todo[done]] = ncap + 1
         if conv.any():
-            parts.append((todo[conv], bcoef[conv]))
+            good = chol[conv]
+            cond[todo[conv]] = _condition(good)
+            parts.append((todo[conv], _row_factor(good, ncap),
+                          _row_loop(_inverse_row(good))))
         todo = todo[~done]
         margin *= 2
-    length = max((b.shape[1] for _, b in parts), default=1)
+    length = max((b.shape[1] for _, b, _ in parts), default=1)
     bcoef = np.zeros((n, length, 2, 2), dtype=complex)
-    bcoef[~ok, 0] = np.eye(2)
-    for idx, b in parts:
+    binv = np.zeros((n, length, 2, 2), dtype=complex)
+    bcoef[~ok, 0] = binv[~ok, 0] = np.eye(2)
+    for idx, b, g in parts:
         bcoef[idx, :b.shape[1]] = b
-    return bcoef, ok, cond, section
+        binv[idx, :g.shape[1]] = g
+    return bcoef, binv, ok, cond, section
 
 
-def _solve_unitary(coeffs, lo, bcoef, extra, tail_tol=1e-13):
-    """F with F B = X, solved on the untwisted loops in mu = lambda^2: X
-    and B on m roots of unity in mu, closed-form 2x2 inverses, one FFT back
-    and a retwist; powers start at ``lo``.
+def _gram(vals):
+    """V* V of the sampled values ``vals`` (..., 2, 2)."""
+    return _mul2(np.conj(np.swapaxes(vals, -1, -2)), vals)
 
-    The series of F decays geometrically (the plus factor is invertible in
-    the disc).  Its coefficients run past the input band until one falls
-    below ``tail_tol`` relative to the input scale, capped at
-    ``nk + extra``.  m starts at the power of two above the section size
-    (the length of ``bcoef``), and the m mu-points fix the
-    first 2m twisted coefficients up to aliasing from 2m powers on; m
-    doubles while the tail test has not passed within the first m of them.
+
+def unitary_loops(lo, coeffs, b):
+    """The unitary factors F = X B^-1 of the loops ``coeffs`` (n, nk, 2, 2)
+    with lowest power ``lo`` and plus factors ``b`` (powers 0..), as
+    coefficients from power ``lo``, with their reconstruction residual
+    max |F B - X| and unitarity residual max |F F* - I| over ``NSAMPLE``
+    points of the circle, one of each per node.
+
+    For callers whose output is the loop F itself (``iwasawa``,
+    ``dressing.dress_frame``); the mesh needs F only at one point and
+    takes it from X and B^-1 there.  F is solved on the untwisted loops in
+    mu = lambda^2: X and B on m roots of unity in mu, closed-form 2x2
+    inverses, one FFT back and a retwist.  The series of F decays
+    geometrically (the plus factor is invertible in the disc).  Its
+    coefficients run past the input band until one falls below
+    ``TAIL_TOL`` relative to the input scale, capped at ``nk + EXTRA``.
+    m starts at the power of two above the length of ``b``, and the m
+    mu-points fix the first 2m twisted coefficients up to aliasing from 2m
+    powers on; m doubles while the tail test has not passed within the
+    first m of them.  The residuals sample ``NSAMPLE // 2`` points of mu,
+    which give the maxima over ``NSAMPLE`` points of lambda.
     """
-    n, nk = coeffs.shape[:2]
-    nf = nk + extra
+    coeffs = np.asarray(coeffs, dtype=complex)
+    nk = coeffs.shape[1]
+    nf = nk + EXTRA
     lo_y, xy = untwist(coeffs, lo)
-    _, by = untwist(bcoef, 0)
+    _, by = untwist(b, 0)
     scale = max(float(np.max(np.abs(coeffs))), 1.0)
-    m = 1 << bcoef.shape[1].bit_length()
+    m = 1 << b.shape[1].bit_length()
     while True:
         yv = _mul2(circle_values(xy, 0, m), inv2(circle_values(by, 0, m)))
         fy = np.fft.fft(yv, axis=1, norm="forward")
         f = retwist(fy, lo_y, lo, min(m, nf))
-        small = np.max(np.abs(f[:, nk:]), axis=(0, 2, 3)) < tail_tol * scale
+        small = np.max(np.abs(f[:, nk:]), axis=(0, 2, 3)) < TAIL_TOL * scale
         if small.any() or m >= nf:
             break
         m *= 2
     used = nk + int(np.argmax(small)) + 1 if small.any() else nf
-    return f[:, :used]
+    f = f[:, :used]
+    ms = NSAMPLE // 2
+    fv = circle_values(untwist(f, lo)[1], lo_y, ms)
+    resid = np.max(np.abs(_mul2(fv, circle_values(by, 0, ms))
+                          - circle_values(xy, lo_y, ms)), axis=(1, 2, 3))
+    return f, resid, unitary_defect(fv)
 
 
-def iwasawa_batch(lo, coeffs, extra=EXTRA, nsample=32):
+def iwasawa_batch(lo, coeffs):
     """Batched Iwasawa factorization of twisted loops given as coefficient
-    arrays.
+    arrays: the plus factor B and its inverse as coefficients, and the
+    checks of X = F B at sampled circle points, with F = X B^-1 taken
+    point by point.
 
     The plus factor comes from the shortest Toeplitz section that passes
     the convergence check of the module docstring: nk + 2 blocks, grown
     by doubling the margin only at the nodes whose gap between the factors
     of block rows ncap and ncap - 2 is above ``GAP_TOL`` relative to their
     largest input entry, up to a margin of ``MARGIN_CAP``; a node still
-    above it there comes back ok = False.  The circle work runs on the
-    untwisted loops in mu = lambda^2: the unitary solve samples m points
-    of mu, m the power of two above the longest section, doubled while
-    F's truncation test has not passed within its first m twisted
-    coefficients; the checks sample ``nsample // 2`` points of mu, which
-    give the maxima over ``nsample`` points of lambda.
+    above it there comes back ok = False.  B^-1 comes from the same
+    section's factor (:func:`_inverse_row`).  X, B and B^-1 are sampled
+    once each at the ``NSAMPLE // 2`` points of the upper half circle that
+    give the maxima over ``NSAMPLE`` points of the circle
+    (``loops.half_circle_values``).  F's coefficients are not computed:
+    callers that need the loop F pass ``b`` to :func:`unitary_loops`.
 
     Parameters
     ----------
     lo : int
         Lowest power of the input loops.
     coeffs : (n, nk, 2, 2) complex ndarray
-    extra : int
-        Cap on additional positive powers kept on the unitary factor (the
-        solve stops early once the coefficients fall below the tail
-        tolerance).
 
-    Returns a dict with the unitary factor (f_lo, f), the plus factor b
-    (powers 0..), rho, per-node reconstruction and unitarity residuals
-    (max over ``nsample`` circle points), ok flags, condition estimates
-    and the number of blocks of the section each node was factored at.
+    Returns a dict with the plus factor b and its inverse binv (powers
+    0..), rho, per node the Bauer residual max |X*X - B*B| / max(1,
+    max |X|)^2 and the unitarity residual max |F F* - I| of
+    F = X binv (both maxima over the sampled points), ok flags, condition
+    estimates and the number of blocks of the section each node was
+    factored at.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    bcoef, ok, cond, section = _converged_factor(coeffs)
-    f = _solve_unitary(coeffs, lo, bcoef, extra)
-    ms = nsample // 2
-    lo_y, xy = untwist(coeffs, lo)
-    xv = circle_values(xy, lo_y, ms)
-    fv = circle_values(untwist(f, lo)[1], lo_y, ms)
-    bv = circle_values(untwist(bcoef, 0)[1], 0, ms)
-    resid = np.max(np.abs(_mul2(fv, bv) - xv), axis=(1, 2, 3))
-    unit = unitary_defect(fv)
+    bcoef, binv, ok, cond, section = _converged_factor(coeffs)
+    ms = NSAMPLE // 2
+    xv = half_circle_values(coeffs, lo, ms)
+    bv, gv = half_circle_values(np.stack([bcoef, binv]), 0, ms)
+    size = np.maximum(np.max(np.abs(xv), axis=(1, 2, 3)), 1.0)
+    resid = np.max(np.abs(_gram(xv) - _gram(bv)), axis=(1, 2, 3)) / size ** 2
+    unit = unitary_defect(_mul2(xv, gv))
     rho = bcoef[:, 0, 0, 0].real
-    return {"f_lo": lo, "f": f, "b": bcoef, "rho": rho,
+    return {"b": bcoef, "binv": binv, "rho": rho,
             "residual": resid, "unitary_residual": unit,
             "ok": ok, "condition": cond, "section": section}
 
 
 def iwasawa(phi: LoopMat) -> FactorResult:
     """Iwasawa decomposition phi = F B (F unitary loop, B plus-loop with
-    B(0) = diag(rho, 1/rho), rho > 0).
+    B(0) = diag(rho, 1/rho), rho > 0); the residual is F's reconstruction
+    residual max |F B - phi| on the circle.
 
     Raises FactorError when the Gram section is not positive definite
     (the input is not an invertible loop at this truncation) or the
@@ -336,10 +409,10 @@ def iwasawa(phi: LoopMat) -> FactorResult:
     if not out["ok"][0]:
         raise FactorError("Gram section not positive definite or not "
                           "converged")
-    f = LoopMat(out["f_lo"], out["f"][0]).trim(1e-300)
-    b = LoopMat(0, out["b"][0]).trim(1e-300)
-    return FactorResult(unitary_part=f, plus_part=b, minus_part=None,
-                        residual=float(out["residual"][0]),
+    f, resid, _ = unitary_loops(phi.lo, phi.coeffs[None], out["b"])
+    return FactorResult(unitary_part=LoopMat(phi.lo, f[0]).trim(1e-300),
+                        plus_part=LoopMat(0, out["b"][0]).trim(1e-300),
+                        minus_part=None, residual=float(resid[0]),
                         condition=float(out["condition"][0]))
 
 

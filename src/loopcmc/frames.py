@@ -18,13 +18,17 @@ iterated path integrals; they are integrated here by a fourth-order sweep
 over grid paths, truncated where a rigorous factorial tail bound drops
 below tolerance.  The two entries are evaluated once per mesh, on the
 lattice of every substep and half-substep point of the grid walk, and the
-sweep only indexes those values.  Pointwise Iwasawa factorization then
-yields the unitary frame, and the Sym-Bobenko formula
+sweep only indexes those values.  Pointwise Iwasawa factorization X = F B
+of the frames then yields the plus factor B and its inverse, and the
+Sym-Bobenko formula
 
     -(1/2h) ( 2 i lam dF/dlam F^-1 + F e3 F^-1 - e3 ) at lam = lam0
 
-the immersion.  Tangents, normals and the conformal factor come from the
-frame and the plus-factor normalization, not from differencing positions.
+gives the immersion.  It reads the unitary frame only at lam0, where
+F = X B^-1 and dF/dlam = dX/dlam B^-1 + X dB^-1/dlam, with B^-1 read from
+the same factorization as B.  Tangents, normals and the conformal factor
+come from the frame and the plus-factor normalization, not from
+differencing positions.
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ from . import expr as ex
 from . import weier
 from .factor import iwasawa_batch
 from .grid import DomainGrid, _erode, sweep
-from .loops import (E1, E2, E3, LoopMat, conv, hat_extend, inv2, su2_to_vec,
-                    matrix_cvec, values_at)
+from .loops import (E1, E2, E3, LoopMat, _mul2, conv, hat_extend, inv2,
+                    su2_to_vec, matrix_cvec, values_at)
 from .mesh import SurfaceMesh
 
 __all__ = [
@@ -96,6 +100,16 @@ ENTRY_BOUND = 1e8
 MASK_DILATE = 1
 CHUNK = 256
 TRIM_EPS = float(np.finfo(float).eps)
+
+# Why a node is masked, in pipeline order: outside the grid's own mask; an
+# entry of the potential non-finite or above the entry bound, or within
+# MASK_DILATE rings of one; not reached from the basepoint; a non-finite
+# frame; a factorization not converged or not positive definite; the
+# factorization residual, or the unitarity residual, over its tolerance.
+# meta["mask_causes"] counts every masked node once, under the first cause
+# that applies.
+MASK_CAUSES = ("domain", "entry", "unreachable", "frame", "factorization",
+               "residual", "unitarity")
 
 
 @dataclass
@@ -292,16 +306,29 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
     sweep(work.zz, steps, reached, psi, lambda s, za, zb, k: _rk4_loop_advance(
         s, za, zb, lattice[k], opts.substeps))
 
-    ok = mask & np.all(np.isfinite(psi), axis=(2, 3, 4))
+    ok = reached & np.all(np.isfinite(psi), axis=(2, 3, 4))
+    causes = dict.fromkeys(MASK_CAUSES, 0)
+    causes["domain"] = int(np.count_nonzero(~grid.mask))
+    causes["entry"] = int(np.count_nonzero(grid.mask & ~mask))
+    causes["unreachable"] = int(np.count_nonzero(mask & ~reached))
+    causes["frame"] = int(np.count_nonzero(reached & ~ok))
+    meta = {"mask_causes": causes}
     e0 = p.initial_frame()
     if np.array_equal(e0, np.eye(2)):
         return FrameGrid(lo=1 - nk, coeffs=psi, ok=ok, grid=work,
-                         ntrunc=ntrunc, tail_bound=tail)
+                         ntrunc=ntrunc, tail_bound=tail, meta=meta)
     # premultiply by the twisted initial loop (powers -1..1): the frames
     # carry powers -nk..1
     e0hat = hat_extend(e0).window(-1, 1)
     return FrameGrid(lo=-nk, coeffs=conv(e0hat.coeffs, psi), ok=ok, grid=work,
-                     ntrunc=ntrunc, tail_bound=tail)
+                     ntrunc=ntrunc, tail_bound=tail, meta=meta)
+
+
+def _mask_causes(meta):
+    """A fresh count per cause of ``MASK_CAUSES``, starting from the
+    counts in ``meta`` (a FrameGrid's, which cover the nodes it does not
+    mark ok)."""
+    return {c: meta.get("mask_causes", {}).get(c, 0) for c in MASK_CAUSES}
 
 
 def flatness_residual(p: PotentialSpec, fg: FrameGrid, samples=20, seed=0):
@@ -390,17 +417,18 @@ def _trimmed_band(coeffs):
     return first, coeffs.shape[1] - last
 
 
-def _factor_chunks(lo, coeffs, ok, opts: SurfaceOptions):
+def _factor_chunks(lo, coeffs, ok, opts: SurfaceOptions, causes):
     """Pointwise Iwasawa factorization of the flat frames ``coeffs``
     (n, nk, 2, 2), lowest power ``lo``, at the nodes where ``ok`` holds.
 
     Each node is cut to the band its own frame needs (:func:`_trimmed_band`);
     the nodes are stably sorted by that band and factored in slices of
-    ``CHUNK``, each at the lowest power and band of its own nodes, so a
-    chunk's ``f_lo`` is its own.  Yields ``(indices, out, accepted)`` per
-    chunk: the node indices, the ``iwasawa_batch`` output, and the nodes
-    whose factorization succeeded within ``opts.residual_tol`` and
-    ``opts.unitary_tol``."""
+    ``CHUNK``, each at the lowest power and band of its own nodes.  Yields
+    ``(indices, chunk_lo, chunk, out, accepted)`` per chunk: the node
+    indices, the chunk's lowest power and its frames cut to its band, the
+    ``iwasawa_batch`` output, and the nodes whose factorization succeeded
+    within ``opts.residual_tol`` and ``opts.unitary_tol``.  The rejected
+    nodes are added to ``causes`` under their first failed check."""
     idx = np.nonzero(ok)[0]
     first, stop = _trimmed_band(coeffs[idx])
     order = np.argsort(stop - first, kind="stable")
@@ -408,10 +436,16 @@ def _factor_chunks(lo, coeffs, ok, opts: SurfaceOptions):
         part = order[start:start + CHUNK]
         sel = idx[part]
         k0, k1 = first[part].min(), stop[part].max()
-        out = iwasawa_batch(lo + int(k0), coeffs[sel, k0:k1])
-        accepted = out["ok"] & (out["residual"] < opts.residual_tol) \
-            & (out["unitary_residual"] < opts.unitary_tol)
-        yield sel, out, accepted
+        chunk_lo, chunk = lo + int(k0), coeffs[sel, k0:k1]
+        out = iwasawa_batch(chunk_lo, chunk)
+        accepted = np.ones(len(sel), dtype=bool)
+        for cause, passed in (
+                ("factorization", out["ok"]),
+                ("residual", out["residual"] < opts.residual_tol),
+                ("unitarity", out["unitary_residual"] < opts.unitary_tol)):
+            causes[cause] += int(np.count_nonzero(accepted & ~passed))
+            accepted &= passed
+        yield sel, chunk_lo, chunk, out, accepted
 
 
 def surface_from_potential(p: PotentialSpec | weier.WeierstrassData,
@@ -435,10 +469,24 @@ def surface_from_potential(p: PotentialSpec | weier.WeierstrassData,
     return weier.minimal_surface(w, grid)
 
 
+def _unitary_at(x, lo, out, lam0):
+    """F and dF/dlambda at ``lam0`` of the Iwasawa factors of the loops
+    ``x`` (n, nk, 2, 2) with lowest power ``lo``, from the plus factors'
+    inverses ``out["binv"]`` (powers 0..) of their ``iwasawa_batch`` output
+    ``out``: F = X B^-1 holds at every point of the circle, so
+    F(lam0) = X(lam0) B^-1(lam0) and, by the product rule,
+    dF = dX B^-1 + X dB^-1 there; no Fourier series of F is needed."""
+    xv, gv = values_at(x, lo, lam0), values_at(out["binv"], 0, lam0)
+    fd = _mul2(values_at(x, lo, lam0, derivative=True), gv) \
+        + _mul2(xv, values_at(out["binv"], 0, lam0, derivative=True))
+    return _mul2(xv, gv), fd
+
+
 def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
                    opts: SurfaceOptions) -> SurfaceMesh:
     """Pointwise factorization of the holomorphic frames followed by the
-    Sym-Bobenko evaluation, normals, tangents and the conformal factor."""
+    Sym-Bobenko evaluation at lambda0 (:func:`_unitary_at`), normals,
+    tangents and the conformal factor."""
     grid = fg.grid
     ny, nx = grid.ny, grid.nx
     nk = fg.coeffs.shape[2]
@@ -452,11 +500,12 @@ def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
     ok_all = np.zeros(ny * nx, dtype=bool)
     max_resid = max_unit = max_cond = 0.0
     max_section = 0
+    causes = _mask_causes(fg.meta)
     a_vals = ex.evaluate(p.a, grid.zz).reshape(-1)
 
-    for sel, out, good in _factor_chunks(fg.lo, coeffs, fg.ok.reshape(-1), opts):
-        f1 = values_at(out["f"], out["f_lo"], lam0)
-        fd = values_at(out["f"], out["f_lo"], lam0, derivative=True)
+    for sel, lo, x, out, good in _factor_chunks(
+            fg.lo, coeffs, fg.ok.reshape(-1), opts, causes):
+        f1, fd = _unitary_at(x, lo, out, lam0)
         vec, inv, fe3 = _sym_from_values(f1, fd, p.h, lam0)
         nrm = su2_to_vec(_antiherm(fe3))
         nrm /= np.linalg.norm(nrm, axis=-1, keepdims=True)
@@ -489,6 +538,7 @@ def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
         "tail_bound": fg.tail_bound, "lambda0": lam0,
         "max_iwasawa_residual": max_resid, "max_unitary_residual": max_unit,
         "max_condition": max_cond, "max_section": max_section,
+        "mask_causes": causes,
         "dressed": bool(fg.meta.get("dressed", False)),
     }
     return SurfaceMesh(grid=fg.grid, h=p.h, f=f, normal=normal, eu=eu,

@@ -180,6 +180,24 @@ def circle_values(coeffs, lo, m):
     return np.fft.ifft(folded, axis=-3, norm="forward")
 
 
+def half_circle_values(coeffs, lo, m):
+    """Values at lambda = exp(i pi s/m), s = 0..m-1, of the loops
+    ``coeffs`` (..., nk, 2, 2) with lowest power ``lo``, shaped
+    (..., m, 2, 2), by one product with the matrix of the powers.
+
+    Their squares are the m-th roots of unity, so for a twisted loop,
+    X(-lambda) = s X(lambda) s with s = diag(1, -1), these points give
+    every entry modulus the loop takes at the 2m-th roots of unity."""
+    nk = coeffs.shape[-3]
+    lead = coeffs.shape[:-3]
+    # lambda_s^p = exp(i pi (s p mod 2m) / m): reduced exponents stay exact
+    pw = np.outer(lo + np.arange(nk), np.arange(m)) % (2 * m)
+    flat = np.moveaxis(coeffs, -3, -1).reshape(-1, nk)
+    vals = (flat @ np.exp(1j * np.pi / m * pw)).reshape(lead + (2, 2, m))
+    # each entry's m values stay contiguous for the entrywise 2x2 kernels
+    return np.moveaxis(vals, -1, -3)
+
+
 def _twist_entries(lo):
     """For each entry (r, s) of a twisted stack with lowest power ``lo``:
     the first slot k0 holding a twisted power of that entry, and the power

@@ -1,24 +1,57 @@
 """The benchmark in ``perfbench/`` traces the library by wrapping functions at
-the names its callers look up.  Installing its tracer here makes a renamed
-or dropped name fail the test suite instead of the benchmark run."""
+the names its callers look up, and counts from their return values.
+Installing its tracer here makes a renamed or dropped name, or a dropped
+output key, fail the test suite instead of the benchmark run."""
 
+import contextlib
 import os
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_traced_names_resolve(monkeypatch):
+@contextlib.contextmanager
+def installed_tracer(monkeypatch):
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     import spans
-    import loopcmc.frames as frames
-
-    original = frames.integrate_frame
-    restore = spans.install(spans.Tracer())
+    tracer = spans.Tracer()
+    restore = spans.install(tracer)
     try:
-        assert frames.integrate_frame is not original
+        yield spans, tracer
     finally:
         restore()
         sys.modules.pop("spans", None)
         sys.modules.pop("stats", None)
+
+
+def test_traced_names_resolve(monkeypatch):
+    import loopcmc.frames as frames
+
+    original = frames.integrate_frame
+    with installed_tracer(monkeypatch):
+        assert frames.integrate_frame is not original
     assert frames.integrate_frame is original
+
+
+def test_iwasawa_counter_reads_the_factor_output(monkeypatch):
+    # one 9 x 9 sphere mesh: the counter of every factorization call reads
+    # the output keys of iwasawa_batch that the per-layer metrics use
+    import loopcmc.frames as frames
+    from loopcmc.grid import DomainGrid
+
+    pot = frames.PotentialSpec.normalized("1", "0", 1.0)
+    with installed_tracer(monkeypatch) as (spans, tracer):
+        mesh = frames.surface_from_potential(pot, DomainGrid.square(0.5, 9))
+        metrics = spans.layer_metrics(tracer.spans)
+    calls = [s for s in tracer.spans if s.name == "factor.iwasawa_batch"]
+    assert calls
+    for s in calls:
+        assert {"good", "max_residual", "max_unitary",
+                "max_condition"} <= set(s.counts)
+    assert metrics["factor.iwasawa_batch.nodes"][0] == 81
+    assert metrics["factor.ok_ratio"][0] == 1.0
+    assert metrics["factor.max_unitary_residual"][0] \
+        == mesh.meta["max_unitary_residual"]
+    assert metrics["factor.max_residual"][0] \
+        == mesh.meta["max_iwasawa_residual"]
+    assert metrics["factor.max_condition"][0] == mesh.meta["max_condition"]

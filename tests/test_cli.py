@@ -63,6 +63,20 @@ class TestParsing:
             with open(tmp_path / "report.json") as fh:
                 json.loads(fh.read(), parse_constant=reject)
 
+    def test_masked_nodes_say_why(self, tmp_path):
+        # exp(10 z) spans a range of e^20 over the square: the entry-bound
+        # ladder masks most of the grid, and the report counts each masked
+        # node under its cause
+        rc = main(["mesh", "--a", "exp(10*z)", "--Q", "1", "--h", "1",
+                   "--grid", "31", "--out", str(tmp_path)])
+        assert rc == 0
+        item = read_report(tmp_path)["items"][0]
+        causes = item["mask_causes"]
+        masked = round(item["masked_fraction"] * 31 * 31)
+        assert masked > 0.9 * 31 * 31
+        assert sum(causes.values()) == masked
+        assert causes["entry"] == masked
+
     @pytest.mark.parametrize("error", [np.linalg.LinAlgError, LoopError])
     def test_linear_algebra_errors_are_numerical(self, tmp_path,
                                                  monkeypatch, error):

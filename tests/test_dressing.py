@@ -271,7 +271,28 @@ class TestDressFrame:
                              DomainGrid.square(0.5, 7))
         out = dress_frame(identity(), fg)
         assert np.count_nonzero(fg.ok & ~out.ok) == 1
+        assert out.meta["mask_causes"]["residual"] == 1
         assert out.meta["max_iwasawa_residual"] <= 1e-12
+
+    def test_meshes_never_solve_the_series(self, catenoid, monkeypatch):
+        # the mesh reads F at lambda0 from X and B^-1 there: with the series
+        # solve made to fail, plain and dressed meshes are still built
+        from loopcmc import dressing, factor, frames
+        from loopcmc.factor import iwasawa
+        rng = np.random.default_rng(7)
+        hp = iwasawa(rand_unimodular_twisted(rng, band=2, scale=0.05)).plus_part
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the series of F was solved")
+        for mod in (factor, frames, dressing):
+            if hasattr(mod, "unitary_loops"):
+                monkeypatch.setattr(mod, "unitary_loops", refuse)
+        pot = minimal_to_potential(catenoid, 1.0)
+        g = DomainGrid.square(0.5, 9)
+        assert surface_from_potential(pot, g).mask.all()
+        assert dress_surface(hp, pot, g).mask.all()
+        with pytest.raises(AssertionError):
+            dress_frame(hp, integrate_frame(pot, g))
 
     def test_hopf_invariant_under_dressing(self):
         res = h_independent_dressing(A_PAIR, AT_PAIR, Q_PAIR)

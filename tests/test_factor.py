@@ -7,7 +7,7 @@ from loopcmc import factor as fa
 from loopcmc.factor import (BigCellError, FactorError, birkhoff, iwasawa,
                             inverse_plus, iwasawa_batch)
 from loopcmc.loops import (LoopMat, check_membership, circle_values,
-                           eval_lambda, identity, mul)
+                           eval_lambda, identity, mul, unitary_defect)
 from conftest import rand_twisted_loop, rand_unimodular_twisted
 from test_loops import f0_b0_closed_form, phi0_loop, random_su2
 
@@ -189,9 +189,8 @@ class TestIwasawaCore:
         rng = np.random.default_rng(300 + band)
         coeffs = twisted_chunk(rng, band)
         bcoef, _, _ = fa._bauer_factor(coeffs, fa.DEFAULT_MARGIN)
-        extra = 4 * fa.DEFAULT_MARGIN + 32
-        f = fa._solve_unitary(coeffs, -band, bcoef, extra)
-        ref = forward_substitution(coeffs, bcoef, extra)
+        f, _, _ = fa.unitary_loops(-band, coeffs, bcoef)
+        ref = forward_substitution(coeffs, bcoef, fa.EXTRA)
         assert f.shape == ref.shape
         assert np.max(np.abs(f - ref)) <= 1e-13
         # F is twisted: diagonal entries at even powers, off-diagonal at odd
@@ -207,33 +206,78 @@ class TestIwasawaCore:
         rng = np.random.default_rng(507)
         coeffs = twisted_chunk(rng, band, scale=0.3, decay=0.9)
         bcoef, ok, _ = fa._bauer_factor(coeffs, fa.DEFAULT_MARGIN)
-        extra = 4 * fa.DEFAULT_MARGIN + 32
-        f = fa._solve_unitary(coeffs, -band, bcoef, extra)
-        ref = forward_substitution(coeffs, bcoef, extra)
+        f, _, _ = fa.unitary_loops(-band, coeffs, bcoef)
+        ref = forward_substitution(coeffs, bcoef, fa.EXTRA)
         assert ok.all()
         assert f.shape == ref.shape
         assert 1 << bcoef.shape[1].bit_length() < f.shape[1] \
-            < coeffs.shape[1] + extra
+            < coeffs.shape[1] + fa.EXTRA
         assert np.max(np.abs(f - ref)) <= 1e-13
 
     @pytest.mark.parametrize("band", BANDS)
     def test_checks_match_lambda_samples(self, band):
         # the checks sample 16 points of mu; the 32 lambda points give the
-        # same maxima up to roundoff in the sampled products
+        # same maxima of X* X - B* B and of F = X B^-1 up to roundoff in
+        # the sampled products
         rng = np.random.default_rng(600 + band)
         coeffs = twisted_chunk(rng, band)
         out = iwasawa_batch(-band, coeffs)
         xv = circle_values(coeffs, -band, 32)
-        fv = circle_values(out["f"], out["f_lo"], 32)
+        bv = circle_values(out["b"], 0, 32)
+        gv = circle_values(out["binv"], 0, 32)
+        fv = xv @ gv
+        fh = np.conj(np.swapaxes(fv, -1, -2))
+        xh, bh = (np.conj(np.swapaxes(v, -1, -2)) for v in (xv, bv))
+        norm = np.maximum(np.max(np.abs(xv), axis=(1, 2, 3)), 1.0) ** 2
+        resid = np.max(np.abs(xh @ xv - bh @ bv), axis=(1, 2, 3)) / norm
+        unit = np.max(np.abs(fv @ fh - np.eye(2)), axis=(1, 2, 3))
+        # sizes of the sampled products each check rounds: X* X and B* B,
+        # and F F* with F itself the product X B^-1, whose rounding scales
+        # with |X| |B^-1| rather than with |F|
+        gram_size = np.max(np.abs(xh) @ np.abs(xv) + np.abs(bh) @ np.abs(bv),
+                           axis=(1, 2, 3)) / norm
+        ff_size = np.max((np.abs(xv) @ np.abs(gv)) @ np.abs(fh),
+                         axis=(1, 2, 3))
+        assert np.all(np.abs(out["residual"] - resid) <= 1e-15 * gram_size)
+        assert np.all(np.abs(out["unitary_residual"] - unit)
+                      <= 1e-15 * ff_size)
+
+    @pytest.mark.parametrize("band", BANDS)
+    def test_loop_residuals_match_lambda_samples(self, band):
+        # the residuals of the solved loops sample 16 points of mu; the 32
+        # lambda points give the same maxima of |F B - X| and |F F* - I|
+        rng = np.random.default_rng(600 + band)
+        coeffs = twisted_chunk(rng, band)
+        out = iwasawa_batch(-band, coeffs)
+        f, recon, unit_f = fa.unitary_loops(-band, coeffs, out["b"])
+        xv = circle_values(coeffs, -band, 32)
+        fv = circle_values(f, -band, 32)
         fh = np.conj(np.swapaxes(fv, -1, -2))
         bv = circle_values(out["b"], 0, 32)
         resid = np.max(np.abs(fv @ bv - xv), axis=(1, 2, 3))
-        unit = np.max(np.abs(fv @ fh - np.eye(2)), axis=(1, 2, 3))
         fb_size = np.max(np.abs(fv) @ np.abs(bv), axis=(1, 2, 3))
         ff_size = np.max(np.abs(fv) @ np.abs(fh), axis=(1, 2, 3))
-        assert np.all(np.abs(out["residual"] - resid) <= 1e-15 * fb_size)
-        assert np.all(np.abs(out["unitary_residual"] - unit)
-                      <= 1e-15 * ff_size)
+        assert np.all(np.abs(recon - resid) <= 1e-15 * fb_size)
+        assert np.all(np.abs(unit_f - unitary_defect(fv)) <= 1e-15 * ff_size)
+
+    @pytest.mark.parametrize("band", BANDS)
+    def test_inverse_row_inverts_the_factor(self, band):
+        # the last row of the inverse Cholesky factor gives B^-1 of the
+        # same section: B binv = I on the circle, to the accuracy of the
+        # factorization; failed nodes get the identity
+        rng = np.random.default_rng(700 + band)
+        coeffs = twisted_chunk(rng, band)
+        coeffs[0, :, :, 1] = 0.0
+        out = iwasawa_batch(-band, coeffs)
+        assert out["ok"].tolist() == [False] + [True] * (len(coeffs) - 1)
+        assert np.array_equal(out["binv"][0, 0], np.eye(2))
+        assert not np.any(out["binv"][0, 1:])
+        prod = circle_values(out["b"][1:], 0, 32) \
+            @ circle_values(out["binv"][1:], 0, 32)
+        assert np.max(np.abs(prod - np.eye(2))) <= 1e-12
+        # B^-1 is twisted like B: diagonal at even powers, off-diagonal odd
+        assert not np.any(out["binv"][:, 1::2, 0, 0])
+        assert not np.any(out["binv"][:, 0::2, 0, 1])
 
     @pytest.mark.parametrize("band", BANDS)
     def test_shorter_row_is_shorter_section(self, band):
@@ -297,15 +341,19 @@ class TestIwasawaCore:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = iwasawa_batch(-band, coeffs)
+            f, recon, unit = fa.unitary_loops(-band, coeffs, out["b"])
         assert out["ok"].tolist() == [True, True, False, True, True]
         assert np.array_equal(out["b"][2, 0], np.eye(2))
         assert not np.any(out["b"][2, 1:])
-        for key in ("f", "b", "residual", "unitary_residual"):
-            assert np.all(np.isfinite(out[key]))
+        for v in (f, recon, unit, out["b"], out["binv"], out["residual"],
+                  out["unitary_residual"]):
+            assert np.all(np.isfinite(v))
         rest = iwasawa_batch(-band, np.delete(coeffs, 2, axis=0))
+        f_rest, _, _ = fa.unitary_loops(-band, np.delete(coeffs, 2, axis=0),
+                                        rest["b"])
         keep = [0, 1, 3, 4]
-        assert out["f"].shape[1:] == rest["f"].shape[1:]
-        assert np.max(np.abs(out["f"][keep] - rest["f"])) <= 1e-13
+        assert f.shape[1:] == f_rest.shape[1:]
+        assert np.max(np.abs(f[keep] - f_rest)) <= 1e-13
 
 
 def hatprod(rng, n=3):

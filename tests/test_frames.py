@@ -9,7 +9,8 @@ from loopcmc.frames import (FrameError, PotentialSpec, SurfaceOptions,
                             flatness_residual, integrate_frame, sym_bobenko,
                             surface_from_potential)
 from loopcmc.grid import DomainGrid, walk
-from loopcmc.loops import LoopMat, check_membership, conv, hat_extend
+from loopcmc.loops import (LoopMat, check_membership, conv, hat_extend,
+                           values_at)
 from loopcmc.weier import WeierstrassData, minimal_surface
 from conftest import (CATENOID_MU, CATENOID_NU, KUSNER_MU, KUSNER_NU,
                       enneper, sphere_oracle)
@@ -304,6 +305,8 @@ class TestSurfaceFromPotential:
         pot = minimal_to_potential(w, 1.0)
         mesh = surface_from_potential(pot, DomainGrid.square(0.85, 25))
         assert 0.1 < mesh.masked_fraction() < 0.95
+        assert sum(mesh.meta["mask_causes"].values()) \
+            == np.count_nonzero(~mesh.mask)
         assert np.all(np.isfinite(mesh.f[mesh.mask]))
         cf = extract_curvature(mesh)
         assert np.nanmax(np.abs(cf.H[cf.valid] - 1.0)) <= 0.02
@@ -346,6 +349,53 @@ class TestSurfaceFromPotential:
             assert np.all(section == nk + factor.MARGIN_START)
         assert mesh.meta["max_section"] == bands[-1] + factor.MARGIN_START
         assert 1.0 <= mesh.meta["max_condition"] < 1e3
+
+    @pytest.mark.parametrize("data, h, grid, lam0", [
+        # Smyth h = 1: E0 is the identity, frames in powers <= 0
+        (WeierstrassData("1", "z^2"), 1.0, DomainGrid.square(0.9, 21), 1.0),
+        # catenoid h = 0.1: E0 is not the identity, frames reach power +1
+        (WeierstrassData(CATENOID_MU, CATENOID_NU), 0.1,
+         DomainGrid.square(1.0, 21), 1.0),
+        (WeierstrassData(CATENOID_MU, CATENOID_NU), 0.1,
+         DomainGrid.square(1.0, 21), np.exp(0.5j)),
+    ])
+    def test_closed_form_matches_series(self, data, h, grid, lam0,
+                                        monkeypatch):
+        # F(lam0) = X(lam0) B^-1(lam0) and its derivative give the mesh
+        # that summing the solved Fourier series of F at lam0 gives
+        def series_at(x, lo, out, lam):
+            f, _, _ = factor.unitary_loops(lo, x, out["b"])
+            return values_at(f, lo, lam), values_at(f, lo, lam,
+                                                    derivative=True)
+        pot = minimal_to_potential(data, h)
+        opts = SurfaceOptions(lambda0=lam0)
+        mesh = surface_from_potential(pot, grid, opts)
+        monkeypatch.setattr(frames, "_unitary_at", series_at)
+        ref = surface_from_potential(pot, grid, opts)
+        assert mesh.mask.all() and ref.mask.all()
+        tol = 1e-12 * ref.diameter()
+        assert np.max(np.abs(mesh.f - ref.f)) <= tol
+        assert np.max(np.abs(mesh.normal - ref.normal)) <= tol
+
+    def test_rejections_are_counted_by_cause(self, monkeypatch):
+        # the last four nodes of every chunk fail the factorization, the
+        # residual, the unitarity, and both residuals: each masked node is
+        # counted once, under its first failed check
+        def flag(lo, coeffs, *args, **kwargs):
+            out = factor.iwasawa_batch(lo, coeffs, *args, **kwargs)
+            out["ok"][-1] = False
+            out["residual"][-2] = 1.0
+            out["unitary_residual"][-3] = 1.0
+            out["residual"][-4] = out["unitary_residual"][-4] = 1.0
+            return out
+        monkeypatch.setattr(frames, "iwasawa_batch", flag)
+        monkeypatch.setattr(frames, "CHUNK", 27)
+        mesh = surface_from_potential(plane_potential(1.0),
+                                      DomainGrid.square(0.5, 9))
+        assert mesh.meta["mask_causes"] == {
+            "domain": 0, "entry": 0, "unreachable": 0, "frame": 0,
+            "factorization": 3, "residual": 6, "unitarity": 3}
+        assert np.count_nonzero(~mesh.mask) == 12
 
     def test_lambda0_associated_family_smoke(self, catenoid):
         g = DomainGrid.square(0.5, 11)

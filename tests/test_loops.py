@@ -3,7 +3,8 @@ import pytest
 
 from loopcmc import loops
 from loopcmc.loops import (LoopMat, check_membership, circle_values, conv,
-                           eval_lambda, from_text, hat_extend, identity,
+                           eval_lambda, from_text, half_circle_values,
+                           hat_extend, identity,
                            lambda_derivative_at, mul, retwist, star,
                            to_text, unitary_defect, untwist, values_at)
 from conftest import rand_twisted_loop
@@ -249,6 +250,23 @@ class TestUntwist:
                 # entry, which bounds its values on the circle
                 l1 = np.abs(c).sum(axis=-3)[:, None]
                 assert np.all(np.abs(yv - ref) <= 1e-15 * l1)
+
+    @pytest.mark.parametrize("lo", [-6, -5, 0, 3])
+    @pytest.mark.parametrize("nk", [1, 4, 7, 12])
+    def test_half_circle_values_are_lambda_values(self, lo, nk):
+        # the values at exp(i pi s/m), s < m, are the first m of the 2m
+        # roots of unity; for a twisted stack the other m repeat their
+        # entry moduli, so both halves give the same maxima
+        rng = np.random.default_rng(40 + nk)
+        m = 8
+        c = random_twisted_stack(rng, lo, nk, lead=(2, 3))
+        hv = half_circle_values(c, lo, m)
+        full = circle_values(c, lo, 2 * m)
+        l1 = np.abs(c).sum(axis=-3)[..., None, :, :]
+        assert hv.shape == (2, 3, m, 2, 2)
+        assert np.all(np.abs(hv - full[..., :m, :, :]) <= 1e-15 * l1)
+        assert np.all(np.abs(np.abs(full[..., m:, :, :]) - np.abs(hv))
+                      <= 1e-15 * l1)
 
 
 class TestSerialization:

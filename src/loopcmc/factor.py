@@ -1,4 +1,4 @@
-"""Numerical Iwasawa and Birkhoff factorization of twisted loops.
+"""Numerical Iwasawa factorization of twisted loops.
 
 Iwasawa: a loop X with unit determinant splits as X = F B with F unitary on
 the circle and B extending holomorphically into the disc, normalized so
@@ -7,9 +7,9 @@ as the canonical right spectral factor of the positive loop P = X* X via
 Cholesky factorization of a finite block-Toeplitz section (Bauer's method):
 the bottom block-row of the Cholesky factor of the section built from the
 reversed symbol converges to the factor's coefficients.  For a twisted
-loop the section is the direct sum of its two twist-parity halves (the
-twisted/untwisted isomorphism of Dorfmeister-Pedit-Wu), each factored on
-its own.
+loop the section is the direct sum of its two twist-parity halves (a
+consequence of the twisting, as in Dorfmeister-Pedit-Wu), each factored
+on its own.
 
 The section is sized per node by a convergence check, not by a fixed
 margin.  The leading blocks of a Cholesky factor are the factors of the
@@ -62,19 +62,11 @@ B^-1 and their derivatives there.
 
 F's Fourier series is solved (``unitary_loops``) only where the loop F is
 itself the output: ``iwasawa`` and the dressed frames of
-``dressing.dress_frame``.  It works on the untwisted loops
-Y(mu) = D^-1 X(lambda) D, D = diag(lambda^1/2, lambda^-1/2), which are
-functions of mu = lambda^2 carrying the same numbers without the twist
-zeros (``loops.untwist``).  X and B are sampled on m roots of unity in mu,
-m the power of two above the longest section used; one FFT of length m and
-a retwist give F.  The m mu-points determine the first 2m twisted
-coefficients of F up to aliasing from 2m powers on, so m doubles while F's
-truncation test has not passed within its first m twisted coefficients.
-
-Birkhoff: X = X- X+ with X-(infinity) = I, computed from the square
-block-Toeplitz linear system expressing that X times a plus-loop inverse
-has no positive powers.  A large condition number signals leaving the open
-dense set on which the normalized factorization exists.
+``dressing.dress_frame``.  X and B are sampled at m roots of unity, F is
+taken there as X B(lambda)^-1 point by point, and one FFT gives its
+coefficients.  The m points determine the coefficients of m consecutive
+powers up to aliasing from m powers on, so m doubles while F's truncation
+test has not passed within the first m/2 of them.
 """
 
 from __future__ import annotations
@@ -84,39 +76,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from .loops import (LoopMat, _mul2, circle_values, half_circle_values,
-                    inv2, mul, retwist, unitary_defect, untwist)
+                    inv2, unitary_defect)
 
-__all__ = ["FactorResult", "FactorError", "BigCellError", "iwasawa",
-           "birkhoff", "iwasawa_batch", "unitary_loops", "DEFAULT_MARGIN"]
+__all__ = ["FactorResult", "FactorError", "iwasawa", "iwasawa_batch",
+           "unitary_loops"]
 
 # Iwasawa sections start at the input band plus MARGIN_START blocks and
 # double their margin while the convergence gap exceeds GAP_TOL, up to
 # MARGIN_CAP; the series of the unitary factor keeps at most EXTRA powers
 # past the input band and stops at the first below TAIL_TOL; the checks
-# sample NSAMPLE points of the circle.  Birkhoff's square system uses the
-# fixed DEFAULT_MARGIN.
+# sample NSAMPLE points of the circle.
 MARGIN_START = 2
 MARGIN_CAP = 128
 GAP_TOL = 1e-12
 EXTRA = 64
 TAIL_TOL = 1e-13
 NSAMPLE = 32
-DEFAULT_MARGIN = 8
 
 
 class FactorError(ArithmeticError):
     pass
 
 
-class BigCellError(FactorError):
-    pass
-
-
 @dataclass
 class FactorResult:
-    unitary_part: LoopMat | None
+    unitary_part: LoopMat
     plus_part: LoopMat
-    minus_part: LoopMat | None
     residual: float
     condition: float
 
@@ -229,23 +214,6 @@ def _condition(chol):
     return (np.max(diag, axis=(1, 2)) / np.min(diag, axis=(1, 2))) ** 2
 
 
-def _bauer_factor(coeffs, margin):
-    """Spectral factor coefficients B_0..B_ncap with P = B* B from the
-    section of ncap + 1 = nk + margin blocks, batched.
-
-    Nodes whose section is not positive definite get ok = False and the
-    identity loop as their factor."""
-    n = coeffs.shape[0]
-    ncap = coeffs.shape[1] - 1 + margin
-    chol, ok = _section_cholesky(coeffs, ncap)
-    bcoef = _row_factor(chol, ncap)
-    bcoef[~ok] = 0.0
-    bcoef[~ok, 0] = np.eye(2)
-    cond = np.full(n, np.inf)
-    cond[ok] = _condition(chol[ok])
-    return bcoef, ok, cond
-
-
 def _converged_factor(coeffs):
     """Spectral factors from the shortest sections that pass the
     convergence check, and their inverses, batched.
@@ -314,39 +282,39 @@ def unitary_loops(lo, coeffs, b):
 
     For callers whose output is the loop F itself (``iwasawa``,
     ``dressing.dress_frame``); the mesh needs F only at one point and
-    takes it from X and B^-1 there.  F is solved on the untwisted loops in
-    mu = lambda^2: X and B on m roots of unity in mu, closed-form 2x2
-    inverses, one FFT back and a retwist.  The series of F decays
-    geometrically (the plus factor is invertible in the disc).  Its
-    coefficients run past the input band until one falls below
-    ``TAIL_TOL`` relative to the input scale, capped at ``nk + EXTRA``.
-    m starts at the power of two above the length of ``b``, and the m
-    mu-points fix the first 2m twisted coefficients up to aliasing from 2m
-    powers on; m doubles while the tail test has not passed within the
-    first m of them.  The residuals sample ``NSAMPLE // 2`` points of mu,
-    which give the maxima over ``NSAMPLE`` points of lambda.
+    takes it from X and B^-1 there.  X and B are sampled at m roots of
+    unity, F = X B^-1 is formed there with closed-form 2x2 inverses, and
+    one FFT gives its coefficients.  The series of F decays geometrically
+    (the plus factor is invertible in the disc).  Its coefficients run past
+    the input band until one falls below ``TAIL_TOL`` relative to the input
+    scale, capped at ``nk + EXTRA``.  m starts at twice the power of two
+    above the length of ``b``; the m points fix the coefficients of m
+    consecutive powers up to aliasing from m powers on, so m doubles while
+    the tail test has not passed within the first m/2 of them.  The
+    residuals sample the ``NSAMPLE // 2`` points of the upper half circle
+    that give the maxima over ``NSAMPLE`` points of the circle.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     nk = coeffs.shape[1]
     nf = nk + EXTRA
-    lo_y, xy = untwist(coeffs, lo)
-    _, by = untwist(b, 0)
     scale = max(float(np.max(np.abs(coeffs))), 1.0)
-    m = 1 << b.shape[1].bit_length()
+    m = 2 << b.shape[1].bit_length()
     while True:
-        yv = _mul2(circle_values(xy, 0, m), inv2(circle_values(by, 0, m)))
-        fy = np.fft.fft(yv, axis=1, norm="forward")
-        f = retwist(fy, lo_y, lo, min(m, nf))
+        fv = _mul2(circle_values(coeffs, lo, m), inv2(circle_values(b, 0, m)))
+        # slot k of the FFT holds the powers congruent to k mod m
+        f = np.roll(np.fft.fft(fv, axis=1, norm="forward"), -lo, axis=1)
+        f = f[:, :min(m // 2, nf)]
         small = np.max(np.abs(f[:, nk:]), axis=(0, 2, 3)) < TAIL_TOL * scale
-        if small.any() or m >= nf:
+        if small.any() or m // 2 >= nf:
             break
         m *= 2
     used = nk + int(np.argmax(small)) + 1 if small.any() else nf
     f = f[:, :used]
     ms = NSAMPLE // 2
-    fv = circle_values(untwist(f, lo)[1], lo_y, ms)
-    resid = np.max(np.abs(_mul2(fv, circle_values(by, 0, ms))
-                          - circle_values(xy, lo_y, ms)), axis=(1, 2, 3))
+    fv = half_circle_values(f, lo, ms)
+    resid = np.max(np.abs(_mul2(fv, half_circle_values(b, 0, ms))
+                          - half_circle_values(coeffs, lo, ms)),
+                   axis=(1, 2, 3))
     return f, resid, unitary_defect(fv)
 
 
@@ -412,67 +380,5 @@ def iwasawa(phi: LoopMat) -> FactorResult:
     f, resid, _ = unitary_loops(phi.lo, phi.coeffs[None], out["b"])
     return FactorResult(unitary_part=LoopMat(phi.lo, f[0]).trim(1e-300),
                         plus_part=LoopMat(0, out["b"][0]).trim(1e-300),
-                        minus_part=None, residual=float(resid[0]),
+                        residual=float(resid[0]),
                         condition=float(out["condition"][0]))
-
-
-# ---------------------------------------------------------------------------
-# Birkhoff
-
-def birkhoff(x: LoopMat, margin: int = DEFAULT_MARGIN,
-             cond_limit: float = 1e12) -> FactorResult:
-    """Normalized Birkhoff factorization x = x_minus x_plus with
-    x_minus(infinity) = I.
-
-    Solves the square block-Toeplitz system for y = x_plus^{-1} (a plus
-    loop) such that x y has no positive powers and unit constant term.
-    Condition number above ``cond_limit`` raises BigCellError.
-    """
-    x = x.trim(0.0)
-    band = max(x.hi, 0)
-    ncap = band + margin
-    # unknowns y_0..y_ncap; equations: (x y)_m = delta_{m0} I for m=0..ncap
-    a = np.zeros((2 * (ncap + 1), 2 * (ncap + 1)), dtype=complex)
-    for m in range(ncap + 1):
-        for k in range(ncap + 1):
-            c = x.coeff(m - k)
-            a[2 * m:2 * m + 2, 2 * k:2 * k + 2] = c
-    rhs = np.zeros((2 * (ncap + 1), 2), dtype=complex)
-    rhs[0, 0] = 1.0
-    rhs[1, 1] = 1.0
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise BigCellError(
-            f"Birkhoff system condition {cond:.3e} exceeds {cond_limit:.0e}; "
-            "loop is outside the big cell at this truncation")
-    y = np.linalg.solve(a, rhs)
-    ycoef = y.reshape(ncap + 1, 2, 2)
-    yloop = LoopMat(0, ycoef).trim(1e-300)
-    prod = mul(x, yloop)
-    minus = prod.window(prod.lo, 0)
-    tail = max((float(np.max(np.abs(prod.coeff(k)))) for k in prod.powers if k > 0),
-               default=0.0)
-    plus = inverse_plus(yloop)
-    recon = mul(minus, plus)
-    resid = float(np.max(np.abs(circle_values(recon.coeffs, recon.lo, 32)
-                                - circle_values(x.coeffs, x.lo, 32))))
-    return FactorResult(unitary_part=None, plus_part=plus, minus_part=minus,
-                        residual=float(max(resid, tail)), condition=float(cond))
-
-
-def inverse_plus(y: LoopMat, extra=16) -> LoopMat:
-    """Inverse of a plus loop by forward recursion, carrying ``extra``
-    powers beyond the input band for the (geometrically decaying) tail."""
-    if y.lo != 0:
-        y = y.window(0, max(y.hi, 0))
-    n = y.coeffs.shape[0]
-    nout = n + extra
-    z = np.zeros((nout, 2, 2), dtype=complex)
-    y0inv = np.linalg.inv(y.coeffs[0])
-    z[0] = y0inv
-    for m in range(1, nout):
-        acc = np.zeros((2, 2), dtype=complex)
-        for j in range(1, min(m, n - 1) + 1):
-            acc += z[m - j] @ y.coeffs[j]
-        z[m] = -acc @ y0inv
-    return LoopMat(0, z).trim(1e-300)

@@ -42,13 +42,13 @@ from . import expr as ex
 from . import weier
 from .factor import iwasawa_batch
 from .grid import DomainGrid, _erode, sweep
-from .loops import (E1, E2, E3, LoopMat, _mul2, conv, hat_extend, inv2,
-                    su2_to_vec, matrix_cvec, values_at)
+from .loops import (E1, E2, E3, _mul2, conv, hat_extend, inv2, su2_to_vec,
+                    matrix_cvec, values_at)
 from .mesh import SurfaceMesh
 
 __all__ = [
     "PotentialSpec", "SurfaceOptions", "FrameGrid", "FrameError",
-    "TailBoundError", "potential_entries", "integrate_frame", "sym_bobenko",
+    "TailBoundError", "potential_entries", "integrate_frame",
     "flatness_residual", "surface_from_potential", "extract_curvature",
     "CurvatureField",
 ]
@@ -133,9 +133,6 @@ class FrameGrid:
     ntrunc: int
     tail_bound: float
     meta: dict = field(default_factory=dict)
-
-    def loopmat(self, j, i) -> LoopMat:
-        return LoopMat(self.lo, self.coeffs[j, i]).trim(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -381,25 +378,6 @@ def _sym_from_values(f1, fd, h, lam0):
     return su2_to_vec(_antiherm(m)) * (-1.0 / (2.0 * h)), inv, fe3
 
 
-def sym_bobenko(fhat: LoopMat, h: float, lam0=1.0 + 0j,
-                unitary_tol=1e-6) -> np.ndarray:
-    """Immersion point from a unitary frame loop; h must be nonzero and
-    |lam0| = 1."""
-    if h == 0:
-        raise ValueError("the Sym-Bobenko formula needs h != 0")
-    lam0 = complex(lam0)
-    if abs(abs(lam0) - 1.0) > 1e-12:
-        raise ValueError("lam0 must lie on the unit circle")
-    from .loops import check_membership, eval_lambda, lambda_derivative_at
-    ures = check_membership(fhat, "unitary")
-    if ures > unitary_tol:
-        raise FrameError(f"frame is not unitary (residual {ures:.3e})")
-    f1 = eval_lambda(fhat, lam0)
-    fd = lambda_derivative_at(fhat, lam0)
-    vec, _, _ = _sym_from_values(f1[None], fd[None], h, lam0)
-    return vec[0]
-
-
 # ---------------------------------------------------------------------------
 # Full pipeline
 
@@ -486,11 +464,14 @@ def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
                    opts: SurfaceOptions) -> SurfaceMesh:
     """Pointwise factorization of the holomorphic frames followed by the
     Sym-Bobenko evaluation at lambda0 (:func:`_unitary_at`), normals,
-    tangents and the conformal factor."""
+    tangents and the conformal factor.  An off-circle lambda0 raises
+    ValueError."""
+    lam0 = complex(opts.lambda0)
+    if abs(abs(lam0) - 1.0) > 1e-12:
+        raise ValueError("lambda0 must lie on the unit circle")
     grid = fg.grid
     ny, nx = grid.ny, grid.nx
     nk = fg.coeffs.shape[2]
-    lam0 = complex(opts.lambda0)
 
     coeffs = fg.coeffs.reshape(ny * nx, nk, 2, 2)
     f = np.full((ny * nx, 3), np.nan)

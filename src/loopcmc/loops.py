@@ -13,16 +13,13 @@ Every loop operation has one batched kernel on coefficient stacks:
 * :func:`conv` -- the Cauchy product of one loop with a stack of loops;
 * :func:`values_at` -- values (or lambda-derivatives) at one lambda;
 * :func:`circle_values` -- values at the m-th roots of unity, by one FFT;
+* :func:`half_circle_values` -- values at the upper half of the 2m-th
+  roots of unity, which give a twisted loop's maxima over all of them;
 * :func:`unitary_defect` -- max |F F* - I| over sampled circle values;
-* :func:`untwist` / :func:`retwist` -- a twisted stack as its untwisted
-  loops Y(mu) = D^-1 X(lambda) D in mu = lambda^2 (D = diag(lambda^1/2,
-  lambda^-1/2)) and back.  Twisted loops keep 2 of the 4 entries of each
-  coefficient, so Y carries the same numbers on half the powers; the two
-  are exact index moves, with no arithmetic.
+* :func:`inv2` -- closed-form inverses of stacked 2x2 matrices.
 
-The :class:`LoopMat` functions (:func:`mul`, :func:`eval_lambda`,
-:func:`lambda_derivative_at`, :func:`check_membership`) are thin wrappers;
-products are exact.
+The :class:`LoopMat` functions (:func:`mul`, :func:`check_membership`)
+are thin wrappers for single loops; products are exact.
 """
 
 from __future__ import annotations
@@ -30,14 +27,11 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "LoopMat", "LoopError", "identity", "constant",
-    "hat_extend", "conv", "values_at", "circle_values", "unitary_defect",
-    "mul", "eval_lambda", "lambda_derivative_at", "star", "check_membership",
-    "to_text", "from_text", "E1", "E2", "E3", "su2_to_vec", "matrix_cvec",
-    "inv2", "untwist", "retwist", "CIRCLE_SAMPLES",
+    "LoopMat", "LoopError", "identity", "hat_extend", "conv", "values_at",
+    "circle_values", "half_circle_values", "unitary_defect", "mul",
+    "check_membership", "E1", "E2", "E3", "su2_to_vec", "matrix_cvec",
+    "inv2",
 ]
-
-CIRCLE_SAMPLES = 64
 
 # su(2) basis, orthonormal for <X,Y> = -Trace(XY)/2
 E1 = np.array([[0, -1j], [-1j, 0]], dtype=complex)
@@ -106,14 +100,6 @@ class LoopMat:
 
 def identity():
     return LoopMat(0, np.eye(2, dtype=complex)[None, :, :])
-
-
-def constant(m):
-    """Constant loop from a 2x2 matrix."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise LoopError("constant loop needs a 2x2 matrix")
-    return LoopMat(0, m[None, :, :])
 
 
 def hat_extend(e0) -> LoopMat:
@@ -198,48 +184,6 @@ def half_circle_values(coeffs, lo, m):
     return np.moveaxis(vals, -1, -3)
 
 
-def _twist_entries(lo):
-    """For each entry (r, s) of a twisted stack with lowest power ``lo``:
-    the first slot k0 holding a twisted power of that entry, and the power
-    of mu that slot moves to, (lo + k0 + r - s) / 2."""
-    for r in (0, 1):
-        for s in (0, 1):
-            k0 = (lo + r - s) % 2
-            yield r, s, k0, (lo + k0 + r - s) // 2
-
-
-def untwist(coeffs, lo):
-    """The untwisted loops Y(mu) = D^-1 X(lambda) D, D = diag(lambda^1/2,
-    lambda^-1/2), mu = lambda^2, of the twisted stack ``coeffs``
-    (..., nk, 2, 2) with lowest power ``lo``: returns (lo_y, y), y shaped
-    (..., ny, 2, 2) with mu-power lo_y + j at slot j.  Entry (r, s) of
-    lambda-power p moves to mu-power (p + r - s) / 2; off-twist entries are
-    dropped.  Only indices move, so ``retwist`` undoes it exactly."""
-    nk = coeffs.shape[-3]
-    lo_y = lo // 2
-    y = np.zeros(coeffs.shape[:-3] + ((lo + nk) // 2 - lo_y + 1, 2, 2),
-                 dtype=complex)
-    for r, s, k0, j0 in _twist_entries(lo):
-        src = coeffs[..., k0::2, r, s]
-        y[..., j0 - lo_y:j0 - lo_y + src.shape[-1], r, s] = src
-    return lo_y, y
-
-
-def retwist(y, lo_y, lo, n):
-    """The twisted stack with lowest power ``lo`` and ``n`` slots whose
-    untwisted loops are ``y`` (mu-powers from ``lo_y``); powers outside
-    either window are dropped or left zero, off-twist entries are zero."""
-    ny = y.shape[-3]
-    out = np.zeros(y.shape[:-3] + (n, 2, 2), dtype=complex)
-    for r, s, k0, j0 in _twist_entries(lo):
-        a = j0 - lo_y
-        i0, i1 = max(0, -a), min(len(range(k0, n, 2)), ny - a)
-        if i1 > i0:
-            out[..., k0 + 2 * i0:k0 + 2 * i1:2, r, s] = \
-                y[..., a + i0:a + i1, r, s]
-    return out
-
-
 def _mul2(a, b):
     """Batched 2x2 matrix product, written out (matmul is slow on stacks
     of tiny matrices)."""
@@ -266,58 +210,15 @@ def mul(a: LoopMat, b: LoopMat) -> LoopMat:
     return LoopMat(a.lo + b.lo, conv(a.coeffs, b.coeffs)).trim(0.0)
 
 
-def eval_lambda(a: LoopMat, lam) -> np.ndarray:
-    """Sum of coeff[k] * lam**k."""
-    return values_at(a.coeffs, a.lo, lam)
-
-
-def lambda_derivative_at(a: LoopMat, lam) -> np.ndarray:
-    """d/dlambda at lam: sum of k * coeff[k] * lam**(k-1)."""
-    return values_at(a.coeffs, a.lo, lam, derivative=True)
-
-
-def star(a: LoopMat) -> LoopMat:
-    """Adjoint loop: on the unit circle this is the pointwise conjugate
-    transpose (power k goes to -k, matrix transposed-conjugated)."""
-    return LoopMat(-a.hi, np.conj(np.transpose(a.coeffs[::-1], (0, 2, 1))))
-
-
-def check_membership(a: LoopMat, which: str, samples=CIRCLE_SAMPLES) -> float:
+def check_membership(a: LoopMat, which: str) -> float:
     """Residual of membership in a loop-group subset; 0 means member.
 
     which:
-      'twisted'    parity: diagonal even, off-diagonal odd powers
-      'unitary'    F F* = I on sampled circle points
-      'plus'       no negative powers
-      'minus-star' no positive powers and power-0 coefficient = I
-      'plus-P'     'plus' and power-0 coefficient diag(rho, 1/rho), rho > 0
+      'plus'  no negative powers (the largest entry of a negative power)
     """
-    if which == "twisted":
-        resid = 0.0
-        for k in a.powers:
-            c = a.coeff(k)
-            if k % 2 == 0:
-                resid = max(resid, abs(c[0, 1]), abs(c[1, 0]))
-            else:
-                resid = max(resid, abs(c[0, 0]), abs(c[1, 1]))
-        return float(resid)
-    if which == "unitary":
-        return float(unitary_defect(circle_values(a.coeffs, a.lo, samples)))
     if which == "plus":
-        return float(max((np.max(np.abs(a.coeff(k))) for k in a.powers if k < 0),
-                         default=0.0))
-    if which == "minus-star":
-        pos = max((np.max(np.abs(a.coeff(k))) for k in a.powers if k > 0),
-                  default=0.0)
-        return float(max(pos, np.max(np.abs(a.coeff(0) - np.eye(2)))))
-    if which == "plus-P":
-        neg = check_membership(a, "plus")
-        c0 = a.coeff(0)
-        rho = c0[0, 0].real
-        if rho <= 0:
-            return float("inf")
-        target = np.diag([rho, 1.0 / rho]).astype(complex)
-        return float(max(neg, np.max(np.abs(c0 - target))))
+        return float(max((np.max(np.abs(a.coeff(k))) for k in a.powers
+                          if k < 0), default=0.0))
     raise ValueError(f"unknown membership {which!r}")
 
 
@@ -350,36 +251,3 @@ def inv2(m):
     inv[..., 0, 1] = -m[..., 0, 1]
     inv[..., 1, 0] = -m[..., 1, 0]
     return inv / det[..., None, None]
-
-
-# ---------------------------------------------------------------------------
-# Debug serialization: one record per power, row-major complex pairs.
-
-def to_text(a: LoopMat) -> str:
-    lines = [f"loopmat lo={a.lo} hi={a.hi}"]
-    for k in a.powers:
-        c = a.coeff(k)
-        vals = " ".join(f"({v.real:.17g},{v.imag:.17g})" for v in c.ravel())
-        lines.append(f"p={k}: {vals}")
-    return "\n".join(lines) + "\n"
-
-
-def from_text(text: str) -> LoopMat:
-    import re as _re
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    head = _re.match(r"loopmat lo=(-?\d+) hi=(-?\d+)", lines[0])
-    if not head:
-        raise LoopError("bad loopmat header")
-    lo, hi = int(head.group(1)), int(head.group(2))
-    coeffs = np.zeros((hi - lo + 1, 2, 2), dtype=complex)
-    for ln in lines[1:]:
-        m = _re.match(r"p=(-?\d+): (.*)", ln)
-        if not m:
-            raise LoopError(f"bad loopmat record: {ln!r}")
-        k = int(m.group(1))
-        pairs = _re.findall(r"\(([^,]+),([^)]+)\)", m.group(2))
-        if len(pairs) != 4:
-            raise LoopError(f"bad loopmat record: {ln!r}")
-        vals = np.array([complex(float(re_), float(im)) for re_, im in pairs])
-        coeffs[k - lo] = vals.reshape(2, 2)
-    return LoopMat(lo, coeffs)

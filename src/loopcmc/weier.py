@@ -161,7 +161,10 @@ def minimal_surface(w: WeierstrassData, grid: DomainGrid) -> SurfaceMesh:
 
     The integrand is swept over the grid by Gauss-Legendre segments
     (``_cumulative_grid_integral``); mu and nu are evaluated at the
-    segments' nodes.
+    segments' nodes.  meta["mask_causes"] counts the masked nodes under
+    the first cause that applies: outside the grid's own mask
+    (``domain``), failing ``regularity_mask`` (``regularity``), or a
+    non-finite position (``position``).
     """
     mask = regularity_mask(w, grid)
     if not mask[grid.j0, grid.i0]:
@@ -184,8 +187,14 @@ def minimal_surface(w: WeierstrassData, grid: DomainGrid) -> SurfaceMesh:
     good = mask & np.all(np.isfinite(f), axis=-1)
     jj, ii = work.j0, work.i0
     f -= f[jj, ii]
+    # good lies inside mask, and mask inside the grid's mask
+    n_grid, n_mask, n_good = (int(np.count_nonzero(m))
+                              for m in (grid.mask, mask, good))
+    causes = {"domain": grid.mask.size - n_grid,
+              "regularity": n_grid - n_mask, "position": n_mask - n_good}
     meta = {"kind": "weierstrass", "ntrunc": 0, "tail_bound": 0.0,
-            "max_iwasawa_residual": 0.0, "max_unitary_residual": 0.0}
+            "max_iwasawa_residual": 0.0, "max_unitary_residual": 0.0,
+            "mask_causes": causes}
     return SurfaceMesh(grid=work, h=0.0, f=f, normal=normal, eu=eu, fz=fz,
                        mask=good, meta=meta)
 

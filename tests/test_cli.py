@@ -77,6 +77,26 @@ class TestParsing:
         assert sum(causes.values()) == masked
         assert causes["entry"] == masked
 
+    def test_weierstrass_masked_nodes_say_why(self, tmp_path):
+        # the double pole of mu at 0.3 fails the regularity mask; the
+        # classical construction counts those nodes under their cause too
+        rc = main(["mesh", "--mu", "1/(z-0.3)^2", "--nu", "z", "--h", "0",
+                   "--grid", "21", "--out", str(tmp_path)])
+        assert rc == 0
+        item = read_report(tmp_path)["items"][0]
+        causes = item["mask_causes"]
+        masked = round(item["masked_fraction"] * 21 * 21)
+        assert masked > 0
+        assert sorted(causes) == ["domain", "position", "regularity"]
+        assert sum(causes.values()) == masked
+        assert causes["regularity"] == masked
+
+    def test_off_circle_lambda0_is_config_error(self, tmp_path):
+        rc = main(["mesh", "--a", "2", "--Q", "0", "--h", "1",
+                   "--grid", "11", "--lambda0", "2", "--out", str(tmp_path)])
+        assert rc == 2
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("error", [np.linalg.LinAlgError, LoopError])
     def test_linear_algebra_errors_are_numerical(self, tmp_path,
                                                  monkeypatch, error):

@@ -10,8 +10,9 @@ from loopcmc.dressing import (DressingError, dress_frame, dress_surface,
 from loopcmc.frames import (PotentialSpec, SurfaceOptions, integrate_frame,
                             surface_from_potential, extract_curvature)
 from loopcmc.grid import DomainGrid
-from loopcmc.loops import LoopMat, check_membership, conv, identity, mul
+from loopcmc.loops import LoopMat, conv, identity, mul
 from conftest import rand_unimodular_twisted
+from test_loops import plus_p_defect
 
 
 A_PAIR = "(1+0.1*z)^2"     # a = Q (1+0.1 z)^2 with Q = 1
@@ -80,7 +81,7 @@ class TestHIndependent:
         hp = res.h_plus
         assert hp.coeff(0)[0, 0] == pytest.approx(1.0)
         assert hp.coeff(1)[0, 1] == pytest.approx(-0.1)
-        assert check_membership(hp, "plus-P") <= 1e-12
+        assert plus_p_defect(hp) <= 1e-12
 
     def test_negative_verdict(self):
         # a0 = sqrt(1+z): b1 = (1/Q) a0' is not constant

@@ -4,19 +4,20 @@ import numpy as np
 import pytest
 
 from loopcmc import factor as fa
-from loopcmc.factor import (BigCellError, FactorError, birkhoff, iwasawa,
-                            inverse_plus, iwasawa_batch)
-from loopcmc.loops import (LoopMat, check_membership, circle_values,
-                           eval_lambda, identity, mul, unitary_defect)
+from loopcmc.factor import FactorError, iwasawa, iwasawa_batch
+from loopcmc.loops import (LoopMat, circle_values, identity, mul,
+                           unitary_defect, values_at)
 from conftest import rand_twisted_loop, rand_unimodular_twisted
-from test_loops import f0_b0_closed_form, phi0_loop, random_su2
+from test_loops import (f0_b0_closed_form, phi0_loop, plus_p_defect,
+                        random_su2, twist_defect)
 
 
 class TestIwasawa:
     def test_identity(self):
         r = iwasawa(identity())
-        assert np.allclose(eval_lambda(r.unitary_part, 1.0), np.eye(2))
-        assert np.allclose(eval_lambda(r.plus_part, 1.0), np.eye(2))
+        f, b = r.unitary_part, r.plus_part
+        assert np.allclose(values_at(f.coeffs, f.lo, 1.0), np.eye(2))
+        assert np.allclose(values_at(b.coeffs, b.lo, 1.0), np.eye(2))
         assert r.residual < 1e-14
 
     def test_minimal_limit_closed_form(self):
@@ -40,9 +41,10 @@ class TestIwasawa:
             x = rand_unimodular_twisted(rng, band=4, scale=0.05)
             r = iwasawa(x)
             assert r.residual <= 1e-9
-            assert check_membership(r.unitary_part, "unitary") <= 1e-9
-            assert check_membership(r.plus_part, "plus-P") <= 1e-9
-            assert check_membership(r.unitary_part, "twisted") <= 1e-11
+            f = r.unitary_part
+            assert unitary_defect(circle_values(f.coeffs, f.lo, 64)) <= 1e-9
+            assert plus_p_defect(r.plus_part) <= 1e-9
+            assert twist_defect(f) <= 1e-11
 
     def test_uniqueness(self):
         # factoring F B recovers the same F and B
@@ -133,6 +135,14 @@ def dense_bauer(coeffs, margin):
     return bcoef, (diag.max(axis=1) / diag.min(axis=1)) ** 2
 
 
+def bauer_factor(coeffs, margin):
+    """B_0..B_ncap and the condition estimates from the last block row of
+    the section of nk + margin blocks, as iwasawa_batch reads them."""
+    ncap = coeffs.shape[1] - 1 + margin
+    chol, ok = fa._section_cholesky(coeffs, ncap)
+    return fa._row_factor(chol, ncap), ok, fa._condition(chol)
+
+
 def forward_substitution(coeffs, bcoef, extra, tail_tol=1e-13):
     """F with F B = X power by power (B_0 diagonal), truncated where a
     coefficient past the input band falls below tail_tol."""
@@ -161,7 +171,7 @@ class TestIwasawaCore:
     @pytest.mark.parametrize("band", BANDS)
     def test_section_splits_by_twist_parity(self, band):
         rng = np.random.default_rng(100 + band)
-        ncap = 2 * band + fa.DEFAULT_MARGIN
+        ncap = 2 * band + 8
         p_pos = fa._gram_coeffs(twisted_chunk(rng, band))
         t = dense_section(p_pos, ncap)
         i, r = np.divmod(np.arange(2 * (ncap + 1)), 2)
@@ -178,7 +188,7 @@ class TestIwasawaCore:
     def test_split_cholesky_matches_dense(self, band, margin):
         rng = np.random.default_rng(200 + band)
         coeffs = twisted_chunk(rng, band)
-        bcoef, ok, cond = fa._bauer_factor(coeffs, margin)
+        bcoef, ok, cond = bauer_factor(coeffs, margin)
         dense_b, dense_cond = dense_bauer(coeffs, margin)
         assert ok.all()
         assert np.max(np.abs(bcoef - dense_b)) <= 1e-13
@@ -188,7 +198,7 @@ class TestIwasawaCore:
     def test_fft_solve_matches_forward_substitution(self, band):
         rng = np.random.default_rng(300 + band)
         coeffs = twisted_chunk(rng, band)
-        bcoef, _, _ = fa._bauer_factor(coeffs, fa.DEFAULT_MARGIN)
+        bcoef, _, _ = bauer_factor(coeffs, 8)
         f, _, _ = fa.unitary_loops(-band, coeffs, bcoef)
         ref = forward_substitution(coeffs, bcoef, fa.EXTRA)
         assert f.shape == ref.shape
@@ -205,7 +215,7 @@ class TestIwasawaCore:
         band = 7
         rng = np.random.default_rng(507)
         coeffs = twisted_chunk(rng, band, scale=0.3, decay=0.9)
-        bcoef, ok, _ = fa._bauer_factor(coeffs, fa.DEFAULT_MARGIN)
+        bcoef, ok, _ = bauer_factor(coeffs, 8)
         f, _, _ = fa.unitary_loops(-band, coeffs, bcoef)
         ref = forward_substitution(coeffs, bcoef, fa.EXTRA)
         assert ok.all()
@@ -287,7 +297,7 @@ class TestIwasawaCore:
         coeffs = twisted_chunk(rng, band)
         ncap = coeffs.shape[1] - 1 + 4
         chol, ok = fa._section_cholesky(coeffs, ncap)
-        short, _, _ = fa._bauer_factor(coeffs, 2)
+        short, _, _ = bauer_factor(coeffs, 2)
         assert ok.all()
         assert np.max(np.abs(fa._row_factor(chol, ncap - 2) - short)) <= 1e-13
 
@@ -363,64 +373,3 @@ def hatprod(rng, n=3):
         h = hat_extend(random_su2(rng))
         out = h if out is None else mul(out, h)
     return out
-
-
-class TestBirkhoff:
-    def test_identity(self):
-        r = birkhoff(identity())
-        assert np.allclose(eval_lambda(r.minus_part, 1.0), np.eye(2))
-        assert np.allclose(eval_lambda(r.plus_part, 1.0), np.eye(2))
-
-    def test_idempotent_on_minus_loops(self):
-        g = 1.7 - 0.4j
-        phi = phi0_loop(g)
-        r = birkhoff(phi)
-        for k in range(-2, 2):
-            assert np.allclose(r.minus_part.coeff(k), phi.coeff(k), atol=1e-10)
-        assert check_membership(r.plus_part, "minus-star") < 1e-10
-        assert r.residual < 1e-10
-
-    def test_catenoid_frame_reconstructs(self, catenoid):
-        # unitary frame from the minimal-limit factorization at an interior
-        # point of the catenoid data
-        from loopcmc import expr as ex
-        from loopcmc.convert import minimal_to_potential
-        pot = minimal_to_potential(catenoid, 1.0)
-        g = ex.integrate_path(ex.Div(pot.Q, pot.a), 0j, 0.5 + 0.3j)
-        fhat = iwasawa(phi0_loop(g)).unitary_part
-        r = birkhoff(fhat)
-        assert r.residual <= 1e-9
-        assert check_membership(r.minus_part, "minus-star") <= 1e-9
-        assert check_membership(r.plus_part, "plus") <= 1e-12
-
-    def test_roundtrip_on_image(self):
-        rng = np.random.default_rng(5)
-        for _ in range(4):
-            minus = rand_twisted_loop(rng, band=3, scale=0.04).window(-3, 0)
-            c0 = minus.coeffs.copy()
-            c0[3] = np.eye(2)   # normalize constant term
-            minus = LoopMat(-3, c0)
-            plus = iwasawa(rand_unimodular_twisted(rng, band=2,
-                                                   scale=0.04)).plus_part
-            x = mul(minus, plus)
-            r = birkhoff(x)
-            for k in range(-4, 1):
-                assert np.max(np.abs(r.minus_part.coeff(k)
-                                     - minus.coeff(k))) < 1e-8
-
-    def test_outside_big_cell(self):
-        # off-diagonal twisted loop whose constant Birkhoff coefficient is
-        # singular: [[0, -lam], [lam^-1, 0]]
-        c = np.zeros((3, 2, 2), dtype=complex)
-        c[0, 1, 0] = 1.0
-        c[2, 0, 1] = -1.0
-        with pytest.raises(BigCellError):
-            birkhoff(LoopMat(-1, c))
-
-    def test_inverse_plus(self):
-        rng = np.random.default_rng(6)
-        b = iwasawa(rand_unimodular_twisted(rng, band=2, scale=0.05)).plus_part
-        binv = inverse_plus(b)
-        prod = mul(b, binv)
-        lam = (0.7 + 0.714j) / abs(0.7 + 0.714j)
-        assert np.allclose(eval_lambda(prod, lam), np.eye(2), atol=1e-11)

@@ -5,20 +5,29 @@ from loopcmc import expr as ex
 from loopcmc import factor, frames
 from loopcmc.convert import minimal_to_potential
 from loopcmc.frames import (FrameError, PotentialSpec, SurfaceOptions,
-                            TailBoundError, _trimmed_band, extract_curvature,
-                            flatness_residual, integrate_frame, sym_bobenko,
+                            TailBoundError, _sym_from_values,
+                            _trimmed_band, extract_curvature,
+                            flatness_residual, integrate_frame,
                             surface_from_potential)
 from loopcmc.grid import DomainGrid, walk
-from loopcmc.loops import (LoopMat, check_membership, conv, hat_extend,
-                           values_at)
+from loopcmc.loops import (LoopMat, circle_values, conv, hat_extend, identity,
+                           unitary_defect, values_at)
 from loopcmc.weier import WeierstrassData, minimal_surface
 from conftest import (CATENOID_MU, CATENOID_NU, KUSNER_MU, KUSNER_NU,
                       enneper, sphere_oracle)
-from test_loops import f0_b0_closed_form, phi0_loop, random_su2
+from test_loops import random_su2
 
 
 def plane_potential(h, a0=2.0):
     return PotentialSpec.normalized(str(a0), "0", h)
+
+
+def sym_point(loop, h, lam0=1.0):
+    """The Sym-Bobenko point of the unitary frame ``loop`` at ``lam0``, from
+    its value and lambda-derivative there."""
+    f1 = values_at(loop.coeffs, loop.lo, lam0)
+    fd = values_at(loop.coeffs, loop.lo, lam0, derivative=True)
+    return _sym_from_values(f1[None], fd[None], h, lam0)[0][0]
 
 
 def column_first_deviation(pot, grid, monkeypatch):
@@ -48,14 +57,14 @@ class TestIntegrateFrame:
         fg = integrate_frame(pot_id, g)
         zt = 0.6 - 0.4j
         j, i = g.index_of(zt)
-        loop = fg.loopmat(j, i)
+        # slot k holds power fg.lo + k: power 0 is the last slot
+        c = fg.coeffs[j, i]
+        assert fg.lo + c.shape[0] - 1 == 0
         gval = ex.integrate_path(ex.Div(pot.a * 0 + pot.Q, pot.a), 0j, zt)
-        assert np.allclose(loop.coeff(0), np.eye(2), atol=1e-10)
-        assert loop.coeff(-1)[1, 0] == pytest.approx(gval, abs=1e-9)
-        assert abs(loop.coeff(-1)[0, 1]) < 1e-12
-        for k in loop.powers:
-            if k not in (0, -1):
-                assert np.max(np.abs(loop.coeff(k))) < 1e-10
+        assert np.allclose(c[-1], np.eye(2), atol=1e-10)
+        assert c[-2, 1, 0] == pytest.approx(gval, abs=1e-9)
+        assert abs(c[-2, 0, 1]) < 1e-12
+        assert np.max(np.abs(c[:-2]), initial=0.0) < 1e-10
 
     def test_plane_data_closed_form(self):
         # A is constant nilpotent: the series terminates after one step and
@@ -65,18 +74,18 @@ class TestIntegrateFrame:
         fg = integrate_frame(p, g)
         for zt in (0.4 + 0.6j, -1.0 - 1.0j):
             j, i = g.index_of(zt)
-            loop = fg.loopmat(j, i)
-            assert loop.coeff(-1)[0, 1] == pytest.approx(-zt, abs=1e-13)
-            assert np.allclose(loop.coeff(0), np.eye(2), atol=1e-13)
+            c = fg.coeffs[j, i]
+            assert c[-1 - fg.lo, 0, 1] == pytest.approx(-zt, abs=1e-13)
+            assert np.allclose(c[-fg.lo], np.eye(2), atol=1e-13)
 
     def test_initial_condition(self, catenoid):
         pot = minimal_to_potential(catenoid, 1.0)
         g = DomainGrid.square(0.5, 11)
         fg = integrate_frame(pot, g)
         e0hat = hat_extend(pot.initial_frame())
-        loop = fg.loopmat(g.j0, g.i0)
+        c = fg.coeffs[g.j0, g.i0]
         for k in (-1, 0, 1):
-            assert np.allclose(loop.coeff(k), e0hat.coeff(k), atol=1e-14)
+            assert np.allclose(c[k - fg.lo], e0hat.coeff(k), atol=1e-14)
 
     def test_identity_initial_frame_skips_the_product(self):
         # E0 = I: the frames are Psi itself, equal bit for bit to the
@@ -190,8 +199,7 @@ class TestTimesPotential:
 
 class TestSymBobenko:
     def test_identity_maps_to_zero(self):
-        from loopcmc.loops import identity
-        assert np.allclose(sym_bobenko(identity(), 1.0), 0.0)
+        assert np.allclose(sym_point(identity(), 1.0), 0.0)
 
     def test_zero_form_loops(self):
         # loops [[A, -lam conj(B)], [lam^-1 B, conj(A)]] give zero for any h
@@ -206,13 +214,13 @@ class TestSymBobenko:
             c[2, 0, 1] = -np.conj(b) / n
             loop = LoopMat(-1, c)
             for h in (0.5, 1.0, 2.0):
-                assert np.max(np.abs(sym_bobenko(loop, h))) <= 1e-13
+                assert np.max(np.abs(sym_point(loop, h))) <= 1e-13
 
     def test_hat_extended_initial_conditions_map_to_zero(self):
         rng = np.random.default_rng(1)
         for _ in range(3):
             loop = hat_extend(random_su2(rng))
-            assert np.max(np.abs(sym_bobenko(loop, 1.0))) <= 1e-13
+            assert np.max(np.abs(sym_point(loop, 1.0))) <= 1e-13
 
     def test_plane_frame_on_sphere(self):
         # closed-form factorization of the plane-data frame at z
@@ -224,20 +232,27 @@ class TestSymBobenko:
             c[1, 0, 0] = 1 / d
             c[1, 1, 1] = 1 / d
             c[2, 1, 0] = -np.conj(w) / d
-            f = LoopMat(-1, c)
-            assert check_membership(f, "unitary") < 1e-12
-            pt = sym_bobenko(f, 1.0)
+            assert unitary_defect(circle_values(c, -1, 64)) < 1e-12
+            pt = sym_point(LoopMat(-1, c), 1.0)
             center = np.array([0.0, 0.0, 1.0])
             assert abs(np.linalg.norm(pt - center) - 1.0) <= 1e-12
 
     def test_rejects_non_unitary(self):
+        # with a zero unitarity tolerance no node's F counts as unitary, so
+        # the mesh has no basepoint to evaluate the formula at
         with pytest.raises(FrameError):
-            sym_bobenko(phi0_loop(1.0), 1.0)
+            surface_from_potential(plane_potential(1.0),
+                                   DomainGrid.square(0.5, 11),
+                                   SurfaceOptions(unitary_tol=0.0))
 
-    def test_rejects_h_zero(self):
-        from loopcmc.loops import identity
+    @pytest.mark.parametrize("lam0", [2.0, 0.5j, 0.0])
+    def test_rejects_off_circle_lambda0(self, lam0):
+        # an off-circle lambda0 would give a valid-looking mesh of the
+        # wrong size (2.0 wide at lambda0 = 2 where the sphere is 1.6)
         with pytest.raises(ValueError):
-            sym_bobenko(identity(), 0.0)
+            surface_from_potential(plane_potential(1.0),
+                                   DomainGrid.square(0.5, 11),
+                                   SurfaceOptions(lambda0=lam0))
 
 
 class TestSurfaceFromPotential:

@@ -1,11 +1,14 @@
-"""Source hygiene: every name a module of the package imports is used there.
+"""Source hygiene: every name a module of the package imports is used there,
+every name its ``__all__`` lists exists, and every name it defines at module
+level is either exported or read somewhere in the package.
 
 Names listed in the module's ``__all__`` (re-exports) and import lines
 marked ``# noqa`` (kept on purpose, e.g. for a tracer that wraps the name)
-are exempt.
+are exempt from the import check.
 """
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -56,3 +59,74 @@ def test_check_flags_an_unused_import(tmp_path):
     src.write_text("import os\nimport sys  # noqa\n"
                    "from math import pi, tau\n__all__ = ['tau']\n")
     assert unused_imports(src) == [(1, "os"), (3, "pi")]
+
+
+def _parse(path):
+    return ast.parse(path.read_text())
+
+
+def _defined(tree):
+    """Names bound at module level by a def, a class or an assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        yield n.id
+
+
+def _referenced(trees):
+    """Every name the modules read, as a bare name, an attribute or an
+    imported name."""
+    out = set()
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+                out.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                out.add(n.attr)
+            elif isinstance(n, ast.alias):
+                out.add(n.name)
+    return out
+
+
+def unreferenced_names(path, package):
+    """Module-level names of ``path`` that no module of ``package`` (a list
+    of paths) reads and that the module's ``__all__`` does not export."""
+    tree = _parse(path)
+    refs = _referenced(_parse(p) for p in package)
+    exempt = _exported(tree)
+    return [name for name in _defined(tree)
+            if name not in refs and name not in exempt
+            and not (name.startswith("__") and name.endswith("__"))]
+
+
+MODULES = sorted(SRC.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_exports_resolve(path):
+    name = "loopcmc" if path.stem == "__init__" else f"loopcmc.{path.stem}"
+    mod = importlib.import_module(name)
+    missing = [n for n in getattr(mod, "__all__", []) if not hasattr(mod, n)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unreferenced_names(path):
+    assert unreferenced_names(path, MODULES) == []
+
+
+def test_check_flags_an_unreferenced_name(tmp_path):
+    a, b = tmp_path / "a.py", tmp_path / "b.py"
+    a.write_text("__all__ = ['f']\nLIMIT = 3\nTAIL = 4\n\n\n"
+                 "def f():\n    return g()\n\n\ndef g():\n    return 0\n\n\n"
+                 "def _dead():\n    return LIMIT\n\n\nclass Unused:\n"
+                 "    pass\n")
+    b.write_text("from a import TAIL\n")
+    assert unreferenced_names(a, [a, b]) == ["_dead", "Unused"]

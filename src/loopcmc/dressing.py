@@ -48,7 +48,7 @@ from .frames import (FrameGrid, PotentialSpec, SurfaceOptions,
                      _factor_chunks, _mask_causes, integrate_frame,
                      _assemble_mesh)
 from .grid import DomainGrid
-from .loops import LoopMat, check_membership, conv
+from .loops import LoopMat, conv, plus_defect
 from .mesh import SurfaceMesh
 
 __all__ = ["gauge_potential", "h_independent_dressing", "HIndependentResult",
@@ -375,7 +375,7 @@ def dress_frame(h_plus: LoopMat, fg: FrameGrid,
     holds up to factorization accuracy either way.
     """
     opts = options or SurfaceOptions()
-    if check_membership(h_plus, "plus") > 1e-10:
+    if plus_defect(h_plus) > 1e-10:
         raise DressingError("dressing element must be a plus loop")
     pf = _left_multiply(h_plus, fg)
     ny, nx = pf.coeffs.shape[:2]
@@ -421,7 +421,7 @@ def dress_surface(h_plus: LoopMat, p: PotentialSpec, grid: DomainGrid,
     opts = options or SurfaceOptions()
     if p.h == 0:
         raise DressingError("dressing acts on frames of nonzero mean curvature")
-    if check_membership(h_plus, "plus") > 1e-10:
+    if plus_defect(h_plus) > 1e-10:
         raise DressingError("dressing element must be a plus loop")
     fg = integrate_frame(p, grid, options=opts)
     return _assemble_mesh(p, _left_multiply(h_plus, fg), opts)

@@ -18,7 +18,7 @@ Every loop operation has one batched kernel on coefficient stacks:
 * :func:`unitary_defect` -- max |F F* - I| over sampled circle values;
 * :func:`inv2` -- closed-form inverses of stacked 2x2 matrices.
 
-The :class:`LoopMat` functions (:func:`mul`, :func:`check_membership`)
+The :class:`LoopMat` functions (:func:`mul`, :func:`plus_defect`)
 are thin wrappers for single loops; products are exact.
 """
 
@@ -29,7 +29,7 @@ import numpy as np
 __all__ = [
     "LoopMat", "LoopError", "identity", "hat_extend", "conv", "values_at",
     "circle_values", "half_circle_values", "unitary_defect", "mul",
-    "check_membership", "E1", "E2", "E3", "su2_to_vec", "matrix_cvec",
+    "plus_defect", "E1", "E2", "E3", "su2_to_vec", "matrix_cvec",
     "inv2",
 ]
 
@@ -210,16 +210,11 @@ def mul(a: LoopMat, b: LoopMat) -> LoopMat:
     return LoopMat(a.lo + b.lo, conv(a.coeffs, b.coeffs)).trim(0.0)
 
 
-def check_membership(a: LoopMat, which: str) -> float:
-    """Residual of membership in a loop-group subset; 0 means member.
-
-    which:
-      'plus'  no negative powers (the largest entry of a negative power)
-    """
-    if which == "plus":
-        return float(max((np.max(np.abs(a.coeff(k))) for k in a.powers
-                          if k < 0), default=0.0))
-    raise ValueError(f"unknown membership {which!r}")
+def plus_defect(a: LoopMat) -> float:
+    """Distance of ``a`` from the plus loops (no negative powers): the
+    largest entry of a negative power; 0 means a plus loop."""
+    return float(max((np.max(np.abs(a.coeff(k))) for k in a.powers
+                      if k < 0), default=0.0))
 
 
 # ---------------------------------------------------------------------------

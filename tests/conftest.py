@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from loopcmc import expr as ex
 from loopcmc.grid import DomainGrid
 from loopcmc.weier import WeierstrassData
 

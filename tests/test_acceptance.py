@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from loopcmc import expr as ex
-from loopcmc.convert import (family, member, minimal_to_potential,
+from loopcmc.convert import (member, minimal_to_potential,
                              potential_to_minimal, validate_orders)
 from loopcmc.dressing import (dress_surface, h_independent_dressing,
                               wu_recursion)

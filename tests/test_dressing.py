@@ -7,7 +7,7 @@ from loopcmc.dressing import (DressingError, dress_frame, dress_surface,
                               gauge_potential, gauge_ode_residual,
                               h_independent_dressing, relation_residuals,
                               wu_recursion)
-from loopcmc.frames import (PotentialSpec, SurfaceOptions, integrate_frame,
+from loopcmc.frames import (PotentialSpec, integrate_frame,
                             surface_from_potential, extract_curvature)
 from loopcmc.grid import DomainGrid
 from loopcmc.loops import LoopMat, conv, identity, mul

@@ -1,6 +1,7 @@
-"""Source hygiene: every name a module of the package imports is used there,
-every name its ``__all__`` lists exists, and every name it defines at module
-level is either exported or read somewhere in the package.
+"""Source hygiene: every name a module of the package or of its tests
+imports is used there, every name a package module's ``__all__`` lists
+exists, and every name it defines at module level is either exported or
+read somewhere in the package.
 
 Names listed in the module's ``__all__`` (re-exports) and import lines
 marked ``# noqa`` (kept on purpose, e.g. for a tracer that wraps the name)
@@ -13,7 +14,8 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "loopcmc"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "loopcmc"
 
 
 def _exported(tree):
@@ -48,8 +50,9 @@ def unused_imports(path):
     return out
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from loopcmc import loops
-from loopcmc.loops import (LoopMat, check_membership, circle_values, conv,
-                           half_circle_values, hat_extend, identity, mul,
+from loopcmc.loops import (LoopMat, circle_values, conv, half_circle_values,
+                           hat_extend, identity, mul, plus_defect,
                            unitary_defect, values_at)
 from conftest import rand_twisted_loop
 
@@ -49,7 +49,7 @@ def plus_p_defect(b):
     rho = c0[0, 0].real
     if rho <= 0:
         return np.inf
-    return max(check_membership(b, "plus"),
+    return max(plus_defect(b),
                float(np.max(np.abs(c0 - np.diag([rho, 1.0 / rho])))))
 
 
@@ -173,7 +173,7 @@ class TestMembership:
         i = identity()
         assert twist_defect(i) <= 1e-15
         assert unitary_defect(circle_values(i.coeffs, i.lo, 64)) <= 1e-15
-        assert check_membership(i, "plus") <= 1e-15
+        assert plus_defect(i) <= 1e-15
         assert plus_p_defect(i) <= 1e-15
 
     def test_explicit_unitary_part(self):
@@ -182,12 +182,10 @@ class TestMembership:
         assert plus_p_defect(b) <= 1e-14
 
     def test_nonmember_detected(self):
-        assert check_membership(phi0_loop(1.0), "plus") == 1.0
+        assert plus_defect(phi0_loop(1.0)) == 1.0
         c = np.zeros((1, 2, 2), dtype=complex)
         c[0] = np.diag([2.0, 0.5])
         assert unitary_defect(circle_values(c, 0, 64)) > 1.0
-        with pytest.raises(ValueError):
-            check_membership(identity(), "unitary")
 
 
 class TestBatchedKernels:

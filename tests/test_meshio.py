@@ -2,10 +2,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopcmc.grid import DomainGrid
 from loopcmc.mesh import SurfaceMesh
-from loopcmc.meshio import obj_bytes, ply_bytes, write_mesh
+from loopcmc.meshio import (_face_rows, _float_fields, _float_rows,
+                            _int_fields, obj_bytes, ply_bytes, write_mesh)
 
 
 # Reference writers: the vertex-by-vertex, cell-by-cell export the
@@ -73,12 +75,45 @@ def _mesh(ny, nx, mask=None, seed=0):
                        mask=mask)
 
 
+# ties of %.12e: 14 significant digits ending in 5, exact in binary
+TIES = [1234567890123.5, -2.0 ** -20, 123456789013 / 8, 1234567 / 1024]
+
+
+def _wide_range():
+    """Magnitudes from 1e-300 to 1e300, both zeros and exact ties, so rows
+    go both ways: through the arrays and through the % fallback."""
+    mesh = _mesh(7, 9, seed=4)
+    rng = np.random.default_rng(4)
+    for a in (mesh.f, mesh.normal):
+        a[...] = rng.choice([-1.0, 1.0], a.shape) \
+            * 10.0 ** rng.uniform(-300, 300, a.shape)
+    mesh.f[0, :3, 0] = [0.0, -0.0, 1e-300]
+    mesh.f[1, :4, 1] = TIES
+    mesh.normal[2, :3, 2] = [1e300, -0.0, TIES[0]]
+    return mesh
+
+
+def _nonfinite():
+    """NaN or inf in one coordinate of some valid nodes: their rows take the
+    % fallback and must land back in row order."""
+    mask = np.random.default_rng(5).random((9, 7)) < 0.8
+    mesh = _mesh(9, 7, mask=mask, seed=5)
+    nodes = np.argwhere(mask)
+    cases = zip(nodes[[1, 5, 6, -1]], (mesh.f, mesh.f, mesh.normal, mesh.f),
+                (0, 2, 1, 1), (np.nan, np.inf, -np.inf, -np.nan))
+    for (j, i), a, c, v in cases:
+        a[j, i, c] = v
+    return mesh
+
+
 MESHES = {
     "full": lambda: _mesh(9, 13),
     "masked": lambda: _mesh(
         11, 7, mask=np.random.default_rng(3).random((11, 7)) < 0.7, seed=1),
     "single_row": lambda: _mesh(1, 7, seed=2),
     "fully_masked": lambda: _mesh(5, 5, mask=np.zeros((5, 5), dtype=bool)),
+    "wide_range": _wide_range,
+    "nonfinite": _nonfinite,
 }
 
 
@@ -103,3 +138,87 @@ def test_write_mesh_formats(tmp_path):
     assert (tmp_path / "m.ply").read_bytes() == _reference_ply(mesh)
     with pytest.raises(ValueError):
         write_mesh(mesh, tmp_path / "m.stl", "stl")
+
+
+# The array-built %.12e and %d fields, value by value against %.
+
+def _field(row):
+    return row[row != 0].tobytes().decode()
+
+
+def _lines(head, table):
+    fmt = head + " %.12e" * table.shape[1] + "\n"
+    return "".join(fmt % tuple(row) for row in table.tolist()).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=24))
+def test_float_fields_match_percent(xs):
+    x = np.array(xs)
+    fields, undecided = _float_fields(x)
+    assert fields.shape == (len(x), 20)
+    assert undecided[~np.isfinite(x)].all()
+    for v, row, u in zip(xs, fields, undecided):
+        if not u:
+            assert _field(row) == "%.12e" % v
+    table = x[:len(x) // 3 * 3].reshape(-1, 3)
+    assert _float_rows(b"v", table) == _lines("v", table)
+    assert _float_rows(b"vn", x[:, None]) == _lines("vn", x[:, None])
+
+
+def test_float_fields_edge_values():
+    # every power of ten in range and its neighbours, the last-digit
+    # roll-overs 9.9999999999995e+k, the smallest and largest doubles
+    p = 10.0 ** np.arange(-307, 309)
+    roll = 9.9999999999995 * 10.0 ** np.arange(-300, 300)
+    x = np.concatenate([
+        p, np.nextafter(p, 0), np.nextafter(p, np.inf), roll,
+        np.nextafter(roll, 0), np.nextafter(roll, np.inf),
+        [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]])
+    x = np.concatenate([x, -x])
+    fields, undecided = _float_fields(x)
+    for v, row, u in zip(x.tolist(), fields, undecided):
+        if not u:
+            assert _field(row) == "%.12e" % v
+    decided = (np.abs(x) >= 1e-290) & (np.abs(x) <= 1e290)
+    assert np.mean(undecided[decided]) < 0.01
+    assert _float_rows(b"v", x[:, None]) == _lines("v", x[:, None])
+
+
+@st.composite
+def dyadic_ties(draw):
+    """k / 2**s whose decimal expansion k 5**s / 10**s has exactly 14
+    significant digits, the last a 5: a tie of %.12e, exact in binary."""
+    s = draw(st.integers(0, 19))
+    lo, hi = -(-10 ** 13 // 5 ** s), 10 ** 14 // 5 ** s
+    k = draw(st.integers(lo, hi - 1))
+    k = k // 10 * 10 + 5 if s == 0 else k | 1
+    sign = draw(st.sampled_from([1, -1]))
+    return sign * k / 2 ** s
+
+
+@settings(max_examples=300, deadline=None)
+@given(dyadic_ties())
+def test_dyadic_ties_take_the_fallback(x):
+    fields, undecided = _float_fields(np.array([x]))
+    assert undecided[0]
+    table = np.array([[x, 1.0, -x]])
+    assert _float_rows(b"v", table) == _lines("v", table)
+
+
+def test_mesh_ties_take_the_fallback():
+    assert _float_fields(np.array(TIES))[1].all()
+
+
+@pytest.mark.parametrize("below, above", [
+    (9, 10), (99_999, 100_000), (999_999, 1_000_000)])
+def test_int_fields_across_width_change(below, above):
+    values = [0, 1, below, above, below, 7]
+    fields = _int_fields(np.array(values))
+    assert fields.shape == (len(values), len(str(above)))
+    assert [_field(row) for row in fields] == [str(v) for v in values]
+    assert _int_fields(np.array([below])).shape == (1, len(str(below)))
+    faces = np.array([[1, below, above, 2]])
+    a, b, c, d = faces[0]
+    assert _face_rows(faces) == \
+        f"f {a}//{a} {b}//{b} {c}//{c} {d}//{d}\n".encode()

@@ -8,7 +8,6 @@ from loopcmc.grid import DomainGrid
 from loopcmc.symmetry import (SymmetrySpec, check_reflective_data,
                               check_rotational_data, laurent_rotational_check,
                               ring_samples, verify_mesh_symmetry)
-from loopcmc.weier import WeierstrassData
 from conftest import enneper, ORDER5_A, ORDER5_P
 
 

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -497,7 +498,10 @@ def _add_out_flags(sp):
     sp.add_argument("--prefix", default="mesh")
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process and shared: each
+    ``parse_args`` (and ``--config``) fills a fresh namespace."""
     ap = argparse.ArgumentParser(
         prog="loopcmc",
         description="constant mean curvature and minimal surfaces from "

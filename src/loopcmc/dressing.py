@@ -114,11 +114,8 @@ def h_independent_dressing(a, atilde, Q, z0=0j, samples=None) -> HIndependentRes
     if verdict:
         a00 = complex(ex.evaluate(a0, z0))
         b10 = complex(ex.evaluate(b1, z0))
-        coeffs = np.zeros((2, 2, 2), dtype=complex)
-        coeffs[0, 0, 0] = 1.0 / a00
-        coeffs[0, 1, 1] = a00
-        coeffs[1, 0, 1] = -b10
-        h_plus = LoopMat(0, coeffs).trim()
+        # W+(z0)^-1 = [[1/a0, -b1 lam], [0, a0]] in the loops layout
+        h_plus = LoopMat(0, [[1.0 / a00, a00], [0.0, -b10]]).trim()
     return HIndependentResult(a0=a0, b1=b1, verdict=verdict,
                               max_db1=float(np.max(db1v[ok], initial=np.inf
                                                    if not np.all(ok) else 0.0)),
@@ -356,7 +353,8 @@ def gauge_ode_residual(coeffs: DressingCoeffs) -> float:
 
 def _left_multiply(h_plus: LoopMat, fg: FrameGrid) -> FrameGrid:
     hp = h_plus.trim(0.0)
-    return FrameGrid(lo=fg.lo + hp.lo, coeffs=conv(hp.coeffs, fg.coeffs),
+    return FrameGrid(lo=fg.lo + hp.lo,
+                     coeffs=conv(hp.coeffs, fg.coeffs, fg.lo),
                      ok=fg.ok, grid=fg.grid, ntrunc=fg.ntrunc,
                      tail_bound=fg.tail_bound,
                      meta={**fg.meta, "dressed": True})
@@ -379,7 +377,7 @@ def dress_frame(h_plus: LoopMat, fg: FrameGrid,
         raise DressingError("dressing element must be a plus loop")
     pf = _left_multiply(h_plus, fg)
     ny, nx = pf.coeffs.shape[:2]
-    flat = pf.coeffs.reshape(ny * nx, -1, 2, 2)
+    flat = pf.coeffs.reshape(ny * nx, -1, 2)
     ok_all = np.zeros(ny * nx, dtype=bool)
     max_resid = 0.0
     causes = _mask_causes(fg.meta)
@@ -400,10 +398,10 @@ def dress_frame(h_plus: LoopMat, fg: FrameGrid,
                                                 initial=0.0)))
     out_lo = min((lo for _, lo, _ in chunks), default=pf.lo)
     out_hi = max((lo + f.shape[1] for _, lo, f in chunks), default=pf.lo + 1)
-    out_co = np.zeros((ny * nx, out_hi - out_lo, 2, 2), dtype=complex)
+    out_co = np.zeros((ny * nx, out_hi - out_lo, 2), dtype=complex)
     for sel, lo, f in chunks:
         out_co[sel, lo - out_lo:lo - out_lo + f.shape[1]] = f
-    return FrameGrid(lo=out_lo, coeffs=out_co.reshape(ny, nx, -1, 2, 2),
+    return FrameGrid(lo=out_lo, coeffs=out_co.reshape(ny, nx, -1, 2),
                      ok=ok_all.reshape(ny, nx) & fg.ok, grid=fg.grid,
                      ntrunc=fg.ntrunc, tail_bound=fg.tail_bound,
                      meta={**fg.meta, "dressed": True, "unitary": True,

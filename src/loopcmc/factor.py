@@ -9,7 +9,8 @@ the bottom block-row of the Cholesky factor of the section built from the
 reversed symbol converges to the factor's coefficients.  For a twisted
 loop the section is the direct sum of its two twist-parity halves (a
 consequence of the twisting, as in Dorfmeister-Pedit-Wu), each factored
-on its own.
+on its own.  The halves come straight from the compact Gram: one
+correlation per lag of the ``loops`` layout's slots (``_gram_coeffs``).
 
 The section is sized per node by a convergence check, not by a fixed
 margin.  The leading blocks of a Cholesky factor are the factors of the
@@ -112,40 +113,44 @@ class FactorResult:
 
 
 # ---------------------------------------------------------------------------
-# Batched core (arrays shaped (n, nk, 2, 2)); LoopMat wrappers below.
+# Batched core (arrays shaped (n, nk, 2)); LoopMat wrappers below.
 
 def _gram_coeffs(coeffs):
-    """P_m = sum_j X_j^H X_{j+m} for m = 0..band; (n, band+1, 2, 2)."""
-    n, nk = coeffs.shape[:2]
-    rows = coeffs.reshape(n, 2 * nk, 2)
-    rows_h = np.conj(np.swapaxes(rows, 1, 2))
-    out = np.empty((n, nk, 2, 2), dtype=complex)
+    """G[:, m, r] = (P_m)[r, (r+m) mod 2], m = 0..nk-1, of the lags
+    P_m = sum_j X_j^H X_{j+m}; (n, nk, 2).  Column r of X_j and column
+    r+m mod 2 of X_{j+m} have their entry in one row, so these are the only
+    nonzero entries, each one correlation of compact slots."""
+    nk = coeffs.shape[1]
+    conj = np.conj(coeffs)
+    swapped = coeffs[:, :, ::-1]
+    out = np.empty(coeffs.shape, dtype=complex)
     for m in range(nk):
-        out[:, m] = rows_h[:, :, :2 * (nk - m)] @ rows[:, 2 * m:]
+        other = swapped if m % 2 else coeffs
+        out[:, m] = np.einsum("njr,njr->nr", conj[:, :nk - m], other[:, m:])
     return out
 
 
-def _parity_halves(p_pos, ncap):
+def _parity_halves(gram, ncap):
     """The two Hermitian halves of the block-Toeplitz section
-    T[(i,r),(j,s)] = (P_{j-i})_{rs}, i, j = 0..ncap, of the reversed symbol.
+    T[(i,r),(j,s)] = (P_{j-i})_{rs}, i, j = 0..ncap, of the reversed symbol,
+    from the compact Gram ``gram`` (n, band+1, 2) of :func:`_gram_coeffs`.
 
     For a twisted symbol T vanishes unless i+r = j+s (mod 2), so T is the
     direct sum of the halves c = 0, 1, half c keeping the scalar index
     (i, i+c mod 2) of each block index i; shaped (n, 2, ncap+1, ncap+1)."""
-    n, nb = p_pos.shape[:2]
+    n, nb = gram.shape[:2]
     band = nb - 1
-    d = np.arange(-band, band + 1)
-    # table[:, r, band+d] = (P_d)_{r, r+d mod 2}, where P_{-d} = P_d^H
-    table = np.empty((n, 2, 2 * band + 1), dtype=complex)
-    for r in (0, 1):
-        s = (r + d) % 2
-        table[:, r] = np.where(d >= 0, p_pos[:, np.abs(d), r, s],
-                               np.conj(p_pos[:, np.abs(d), s, r]))
+    m = np.arange(nb)
+    pos = np.swapaxes(gram, 1, 2)                     # d = m
+    neg = np.conj(pos[:, (np.arange(2)[:, None] + m) % 2, m])   # d = -m
+    # t[:, r, ncap+d] = (P_d)_{r, r+d mod 2} (P_{-d} = P_d^H, 0 past the
+    # band); row i of half c is t[:, i+c mod 2, ncap-i:2 ncap-i+1]
+    t = np.zeros((n, 2, 2 * ncap + 1), dtype=complex)
+    t[:, :, ncap - band:ncap] = neg[:, :, :0:-1]
+    t[:, :, ncap:ncap + nb] = pos
+    win = np.lib.stride_tricks.sliding_window_view(t, ncap + 1, axis=2)
     idx = np.arange(ncap + 1)
-    dd = idx[None, :] - idx[:, None]
-    inside = np.abs(dd) <= band
-    rows = (idx[None, :, None] + np.arange(2)[:, None, None]) % 2
-    return table[:, rows, np.where(inside, dd + band, 0)] * inside
+    return win[:, (idx + np.arange(2)[:, None]) % 2, ncap - idx]
 
 
 def _section_cholesky(coeffs, ncap):
@@ -180,16 +185,11 @@ def _row_factor(chol, row):
 
 def _row_loop(rows):
     """The plus loop read from the last rows ``rows`` (n, 2, row+1) of
-    the two halves' triangular factors, as :func:`_row_factor` reads it."""
+    the two halves' triangular factors, as :func:`_row_factor` reads it:
+    column r of the coefficients is half row + r mod 2, reversed."""
     row = rows.shape[2] - 1
-    last = np.conj(rows[:, :, ::-1])
-    bcoef = np.zeros((rows.shape[0], row + 1, 2, 2), dtype=complex)
-    for r in (0, 1):
-        # entry (r + k mod 2, r) of coefficient k, from half row + r mod 2
-        half = last[:, (row + r) % 2]
-        bcoef[:, r::2, 0, r] = half[:, r::2]
-        bcoef[:, 1 - r::2, 1, r] = half[:, 1 - r::2]
-    return bcoef
+    halves = rows[:, ::-1] if row % 2 else rows
+    return np.conj(np.swapaxes(halves, 1, 2)[:, ::-1])
 
 
 def _inverse_row(chol):
@@ -229,7 +229,7 @@ def _converged_factor(coeffs):
     section used (the identity where ok is False) and section the number
     of blocks of each node's last section."""
     n, nk = coeffs.shape[:2]
-    scale = np.max(np.abs(coeffs), axis=(1, 2, 3))
+    scale = np.max(np.abs(coeffs), axis=(1, 2))
     ok = np.zeros(n, dtype=bool)
     cond = np.full(n, np.inf)
     section = np.zeros(n, dtype=int)
@@ -252,16 +252,16 @@ def _converged_factor(coeffs):
         ok[todo[conv]] = True
         section[todo[done]] = ncap + 1
         if conv.any():
-            good = chol[conv]
+            good = chol if conv.all() else chol[conv]
             cond[todo[conv]] = _condition(good)
             parts.append((todo[conv], _row_factor(good, ncap),
                           _row_loop(_inverse_row(good))))
         todo = todo[~done]
         margin *= 2
     length = max((b.shape[1] for _, b, _ in parts), default=1)
-    bcoef = np.zeros((n, length, 2, 2), dtype=complex)
-    binv = np.zeros((n, length, 2, 2), dtype=complex)
-    bcoef[~ok, 0] = binv[~ok, 0] = np.eye(2)
+    bcoef = np.zeros((n, length, 2), dtype=complex)
+    binv = np.zeros((n, length, 2), dtype=complex)
+    bcoef[~ok, 0] = binv[~ok, 0] = 1.0
     for idx, b, g in parts:
         bcoef[idx, :b.shape[1]] = b
         binv[idx, :g.shape[1]] = g
@@ -274,17 +274,18 @@ def _gram(vals):
 
 
 def unitary_loops(lo, coeffs, b):
-    """The unitary factors F = X B^-1 of the loops ``coeffs`` (n, nk, 2, 2)
+    """The unitary factors F = X B^-1 of the loops ``coeffs`` (n, nk, 2)
     with lowest power ``lo`` and plus factors ``b`` (powers 0..), as
-    coefficients from power ``lo``, with their reconstruction residual
-    max |F B - X| and unitarity residual max |F F* - I| over ``NSAMPLE``
-    points of the circle, one of each per node.
+    coefficients (n, nf, 2) from power ``lo``, with their reconstruction
+    residual max |F B - X| and unitarity residual max |F F* - I| over
+    ``NSAMPLE`` points of the circle, one of each per node.
 
     For callers whose output is the loop F itself (``iwasawa``,
     ``dressing.dress_frame``); the mesh needs F only at one point and
     takes it from X and B^-1 there.  X and B are sampled at m roots of
     unity, F = X B^-1 is formed there with closed-form 2x2 inverses, and
-    one FFT gives its coefficients.  The series of F decays geometrically
+    one FFT of F's column sums (1, 1) F gives its compact coefficients,
+    so F comes back exactly twisted.  The series of F decays geometrically
     (the plus factor is invertible in the disc).  Its coefficients run past
     the input band until one falls below ``TAIL_TOL`` relative to the input
     scale, capped at ``nk + EXTRA``.  m starts at twice the power of two
@@ -301,10 +302,10 @@ def unitary_loops(lo, coeffs, b):
     m = 2 << b.shape[1].bit_length()
     while True:
         fv = _mul2(circle_values(coeffs, lo, m), inv2(circle_values(b, 0, m)))
-        # slot k of the FFT holds the powers congruent to k mod m
-        f = np.roll(np.fft.fft(fv, axis=1, norm="forward"), -lo, axis=1)
-        f = f[:, :min(m // 2, nf)]
-        small = np.max(np.abs(f[:, nk:]), axis=(0, 2, 3)) < TAIL_TOL * scale
+        # FFT of (1, 1) F: slot k holds the powers congruent to k mod m
+        f = np.fft.fft(fv.sum(axis=2), axis=1, norm="forward")
+        f = np.roll(f, -lo, axis=1)[:, :min(m // 2, nf)]
+        small = np.max(np.abs(f[:, nk:]), axis=(0, 2)) < TAIL_TOL * scale
         if small.any() or m // 2 >= nf:
             break
         m *= 2
@@ -319,10 +320,10 @@ def unitary_loops(lo, coeffs, b):
 
 
 def iwasawa_batch(lo, coeffs):
-    """Batched Iwasawa factorization of twisted loops given as coefficient
-    arrays: the plus factor B and its inverse as coefficients, and the
-    checks of X = F B at sampled circle points, with F = X B^-1 taken
-    point by point.
+    """Batched Iwasawa factorization of twisted loops given as compact
+    coefficient arrays: the plus factor B and its inverse as compact
+    coefficients, and the checks of X = F B at sampled circle points, with
+    F = X B^-1 taken point by point.
 
     The plus factor comes from the shortest Toeplitz section that passes
     the convergence check of the module docstring: nk + 2 blocks, grown
@@ -340,10 +341,10 @@ def iwasawa_batch(lo, coeffs):
     ----------
     lo : int
         Lowest power of the input loops.
-    coeffs : (n, nk, 2, 2) complex ndarray
+    coeffs : (n, nk, 2) complex ndarray, the ``loops`` layout
 
-    Returns a dict with the plus factor b and its inverse binv (powers
-    0..), rho, per node the Bauer residual max |X*X - B*B| / max(1,
+    Returns a dict with the plus factor b and its inverse binv (n, nb, 2,
+    powers 0..), rho, per node the Bauer residual max |X*X - B*B| / max(1,
     max |X|)^2 and the unitarity residual max |F F* - I| of
     F = X binv (both maxima over the sampled points), ok flags, condition
     estimates and the number of blocks of the section each node was
@@ -357,7 +358,7 @@ def iwasawa_batch(lo, coeffs):
     size = np.maximum(np.max(np.abs(xv), axis=(1, 2, 3)), 1.0)
     resid = np.max(np.abs(_gram(xv) - _gram(bv)), axis=(1, 2, 3)) / size ** 2
     unit = unitary_defect(_mul2(xv, gv))
-    rho = bcoef[:, 0, 0, 0].real
+    rho = bcoef[:, 0, 0].real
     return {"b": bcoef, "binv": binv, "rho": rho,
             "residual": resid, "unitary_residual": unit,
             "ok": ok, "condition": cond, "section": section}
@@ -373,7 +374,7 @@ def iwasawa(phi: LoopMat) -> FactorResult:
     section does not converge by ``MARGIN_CAP``.
     """
     phi = phi.trim(0.0)
-    out = iwasawa_batch(phi.lo, phi.coeffs[None, :, :, :])
+    out = iwasawa_batch(phi.lo, phi.coeffs[None])
     if not out["ok"][0]:
         raise FactorError("Gram section not positive definite or not "
                           "converged")

@@ -127,7 +127,7 @@ class FrameGrid:
     """Holomorphic frames Phi over a grid: coefficient of power lo+k at
     slot k; ok marks nodes where integration succeeded."""
     lo: int
-    coeffs: np.ndarray        # (ny, nx, nk, 2, 2)
+    coeffs: np.ndarray        # (ny, nx, nk, 2), the loops layout
     ok: np.ndarray            # (ny, nx)
     grid: DomainGrid
     ntrunc: int
@@ -168,11 +168,12 @@ def potential_entries(p: PotentialSpec):
 
 
 def _times_potential(psi, scale):
-    """Psi [[0, upper], [lower, 0]] for a stack psi (..., nk, 2, 2) and the
-    entries stacked as ``scale`` = (lower, upper) along a last axis of
-    length 2, its leading axes empty or shaped like psi's (...): the two
-    columns of psi swapped, then scaled by (lower, upper)."""
-    return psi[..., ::-1] * scale[..., None, None, :]
+    """Psi [[0, upper], [lower, 0]], one power lower, for a stack psi
+    (..., nk, 2) and the entries stacked as ``scale`` = (lower, upper)
+    along a last axis of length 2, its leading axes empty or shaped like
+    psi's (...): the two columns of psi swapped, then scaled by (lower,
+    upper); the swapped slots are compact at the power below."""
+    return psi[..., ::-1] * scale[..., None, :]
 
 
 def _entry_lattice(upper, lower, zz, steps, substeps):
@@ -197,11 +198,12 @@ def _entry_lattice(upper, lower, zz, steps, substeps):
 def _rk4_loop_advance(psi, za, zb, entries, substeps):
     """Advance d Psi/dz = Psi A(z) / lam from za to zb, where
     A = [[0, upper], [lower, 0]] is the off-diagonal potential; psi
-    (..., nk, 2, 2) holds powers -(nk-1)..0 in ascending order, and the
-    product with lam^-m feeds slot t from slot t+m.  The entries are not
-    evaluated here: ``entries`` (..., 2 * substeps + 1, 2) holds (lower,
-    upper) on the edge's substep lattice (:func:`_entry_lattice`), evaluated
-    once per mesh, and substep s reads its points 2s, 2s + 1 and 2s + 2.
+    (..., nk, 2) holds powers -(nk-1)..0 in ascending order in the
+    ``loops`` layout, and the product with lam^-m feeds slot t from slot
+    t+m: the dense 2x2 step without its zeros, bit for bit.  The entries
+    are not evaluated here: ``entries`` (..., 2 * substeps + 1, 2) holds
+    (lower, upper) on the edge's substep lattice (:func:`_entry_lattice`),
+    evaluated once per mesh, and substep s reads points 2s, 2s+1, 2s+2.
 
     For this linear equation one classical fourth-order Runge-Kutta substep
     of length dz is the right factor I + sum_m R_m lam^-m, with A0, Ah, A1
@@ -211,25 +213,27 @@ def _rk4_loop_advance(psi, za, zb, entries, substeps):
         R_3 = dz^3/12 Ah^2 (A0 + A1),  R_4 = dz^4/24 A0 Ah^2 A1.
 
     Ah^2 = upper_h lower_h I is scalar, so R_1 and R_3 are off-diagonal and
-    act through :func:`_times_potential`, and R_2 and R_4 are diagonal."""
-    dz = ((np.asarray(zb, dtype=complex) - za) / substeps)[..., None]
+    act through :func:`_times_potential`, and R_2 and R_4 are diagonal, so
+    they scale the columns of each slot."""
+    dz = ((np.asarray(zb, dtype=complex) - za) / substeps)[..., None, None]
 
     def diag(x, y):
         # the diagonal of X Y for off-diagonal X, Y, as stacked entries
         return x[..., ::-1] * y
 
+    # the factors of every substep at once, substep s along axis -2
+    a0, ah, a1 = (entries[..., t:t + 2 * substeps:2, :] for t in range(3))
+    sq = ah[..., :1] * ah[..., 1:]
+    r1 = dz / 6 * (a0 + 4 * ah + a1)
+    r2 = dz ** 2 / 6 * (diag(a0, ah) + sq + diag(ah, a1))
+    r3 = dz ** 3 / 12 * sq * (a0 + a1)
+    r4 = dz ** 4 / 24 * sq * diag(a0, a1)
     for s in range(substeps):
-        a0, ah, a1 = (entries[..., 2 * s + t, :] for t in range(3))
-        sq = ah[..., :1] * ah[..., 1:]
-        r1 = dz / 6 * (a0 + 4 * ah + a1)
-        r2 = dz ** 2 / 6 * (diag(a0, ah) + sq + diag(ah, a1))
-        r3 = dz ** 3 / 12 * sq * (a0 + a1)
-        r4 = dz ** 4 / 24 * sq * diag(a0, a1)
         out = psi.copy()
-        out[..., :-1, :, :] += _times_potential(psi[..., 1:, :, :], r1)
-        out[..., :-2, :, :] += psi[..., 2:, :, :] * r2[..., None, None, :]
-        out[..., :-3, :, :] += _times_potential(psi[..., 3:, :, :], r3)
-        out[..., :-4, :, :] += psi[..., 4:, :, :] * r4[..., None, None, :]
+        out[..., :-1, :] += _times_potential(psi[..., 1:, :], r1[..., s, :])
+        out[..., :-2, :] += psi[..., 2:, :] * r2[..., s:s + 1, :]
+        out[..., :-3, :] += _times_potential(psi[..., 3:, :], r3[..., s, :])
+        out[..., :-4, :] += psi[..., 4:, :] * r4[..., s:s + 1, :]
         psi = out
     return psi
 
@@ -295,30 +299,28 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
             f"truncation {ntrunc}; shrink the domain or raise the cap")
 
     nk = ntrunc + 1
-    psi = np.full((grid.ny, grid.nx, nk, 2, 2), np.nan, dtype=complex)
+    psi = np.full((grid.ny, grid.nx, nk, 2), np.nan, dtype=complex)
     psi[grid.j0, grid.i0] = 0.0
-    psi[grid.j0, grid.i0, -1] = np.eye(2)
+    psi[grid.j0, grid.i0, -1] = 1.0         # the identity at power 0
     steps, reached = work.walk()
     lattice = _entry_lattice(upper, lower, work.zz, steps, opts.substeps)
     sweep(work.zz, steps, reached, psi, lambda s, za, zb, k: _rk4_loop_advance(
         s, za, zb, lattice[k], opts.substeps))
 
-    ok = reached & np.all(np.isfinite(psi), axis=(2, 3, 4))
+    ok = reached & np.all(np.isfinite(psi), axis=(2, 3))
     causes = dict.fromkeys(MASK_CAUSES, 0)
     causes["domain"] = int(np.count_nonzero(~grid.mask))
     causes["entry"] = int(np.count_nonzero(grid.mask & ~mask))
     causes["unreachable"] = int(np.count_nonzero(mask & ~reached))
     causes["frame"] = int(np.count_nonzero(reached & ~ok))
     meta = {"mask_causes": causes}
-    e0 = p.initial_frame()
-    if np.array_equal(e0, np.eye(2)):
-        return FrameGrid(lo=1 - nk, coeffs=psi, ok=ok, grid=work,
-                         ntrunc=ntrunc, tail_bound=tail, meta=meta)
-    # premultiply by the twisted initial loop (powers -1..1): the frames
-    # carry powers -nk..1
-    e0hat = hat_extend(e0).window(-1, 1)
-    return FrameGrid(lo=-nk, coeffs=conv(e0hat.coeffs, psi), ok=ok, grid=work,
-                     ntrunc=ntrunc, tail_bound=tail, meta=meta)
+    lo, e0 = 1 - nk, p.initial_frame()
+    if not np.array_equal(e0, np.eye(2)):
+        # premultiply by the twisted initial loop (powers -1..1 at most)
+        e0hat = hat_extend(e0)
+        psi, lo = conv(e0hat.coeffs, psi, lo), lo + e0hat.lo
+    return FrameGrid(lo=lo, coeffs=psi, ok=ok, grid=work, ntrunc=ntrunc,
+                     tail_bound=tail, meta=meta)
 
 
 def _mask_causes(meta):
@@ -382,13 +384,13 @@ def _sym_from_values(f1, fd, h, lam0):
 # Full pipeline
 
 def _trimmed_band(coeffs):
-    """Per node of the flat frames ``coeffs`` (n, nk, 2, 2), the slots
+    """Per node of the flat frames ``coeffs`` (n, nk, 2), the slots
     (first, stop) that remain once the end slots at both the lowest and the
     highest power are dropped: at each end, drop while the summed max-abs
     entries of the dropped slots stay within TRIM_EPS / 2 of the node's
     largest entry, so that all the dropped slots together cannot move the
     loop on the circle beyond rounding."""
-    size = np.max(np.abs(coeffs), axis=(2, 3))
+    size = np.max(np.abs(coeffs), axis=2)
     budget = 0.5 * TRIM_EPS * np.max(size, axis=1, keepdims=True)
     first = np.sum(np.cumsum(size, axis=1) <= budget, axis=1)
     last = np.sum(np.cumsum(size[:, ::-1], axis=1) <= budget, axis=1)
@@ -397,7 +399,7 @@ def _trimmed_band(coeffs):
 
 def _factor_chunks(lo, coeffs, ok, opts: SurfaceOptions, causes):
     """Pointwise Iwasawa factorization of the flat frames ``coeffs``
-    (n, nk, 2, 2), lowest power ``lo``, at the nodes where ``ok`` holds.
+    (n, nk, 2), lowest power ``lo``, at the nodes where ``ok`` holds.
 
     Each node is cut to the band its own frame needs (:func:`_trimmed_band`);
     the nodes are stably sorted by that band and factored in slices of
@@ -449,7 +451,7 @@ def surface_from_potential(p: PotentialSpec | weier.WeierstrassData,
 
 def _unitary_at(x, lo, out, lam0):
     """F and dF/dlambda at ``lam0`` of the Iwasawa factors of the loops
-    ``x`` (n, nk, 2, 2) with lowest power ``lo``, from the plus factors'
+    ``x`` (n, nk, 2) with lowest power ``lo``, from the plus factors'
     inverses ``out["binv"]`` (powers 0..) of their ``iwasawa_batch`` output
     ``out``: F = X B^-1 holds at every point of the circle, so
     F(lam0) = X(lam0) B^-1(lam0) and, by the product rule,
@@ -473,7 +475,7 @@ def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
     ny, nx = grid.ny, grid.nx
     nk = fg.coeffs.shape[2]
 
-    coeffs = fg.coeffs.reshape(ny * nx, nk, 2, 2)
+    coeffs = fg.coeffs.reshape(ny * nx, nk, 2)
     f = np.full((ny * nx, 3), np.nan)
     normal = np.full((ny * nx, 3), np.nan)
     fzv = np.full((ny * nx, 3), np.nan, dtype=complex)

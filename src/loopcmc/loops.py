@@ -1,25 +1,29 @@
 """Truncated Laurent-polynomial loops of 2x2 matrices.
 
-One coefficient layout is used throughout the package: a loop is a stack
-``(..., nk, 2, 2)`` of complex coefficients together with its lowest power
-``lo``, the coefficient of power ``lo + k`` sitting at slot ``k``.  A
-:class:`LoopMat` is one such loop; frame grids and factorization batches are
-stacks of them.  The twisting convention throughout: diagonal entries live
-at even powers, off-diagonal entries at odd powers.  Values are immutable by
-convention; all operations are pure and return fresh objects.
+Every loop the package builds is twisted (Dorfmeister-Pedit-Wu): diagonal
+entries live at even powers and off-diagonal entries at odd powers, so a
+coefficient has one entry per column that can be nonzero.  The one
+coefficient layout holds just those: a loop is a stack ``(..., nk, 2)`` of
+complex numbers with its lowest power ``lo``, slot ``k`` holding the
+coefficient of power ``p = lo + k`` column by column, the entry of column
+``c`` sitting in row ``(p + c) mod 2``; a slot is the column sums (1, 1) X_p.
+A :class:`LoopMat` is one such loop; frame grids and factorization batches
+are stacks of them, and 2x2 matrices appear only as point values.  Values
+are immutable by convention; all operations are pure and return fresh
+objects.
 
 Every loop operation has one batched kernel on coefficient stacks:
 
 * :func:`conv` -- the Cauchy product of one loop with a stack of loops;
 * :func:`values_at` -- values (or lambda-derivatives) at one lambda;
-* :func:`circle_values` -- values at the m-th roots of unity, by one FFT;
+* :func:`circle_values` -- values at the m-th roots of unity;
 * :func:`half_circle_values` -- values at the upper half of the 2m-th
   roots of unity, which give a twisted loop's maxima over all of them;
 * :func:`unitary_defect` -- max |F F* - I| over sampled circle values;
 * :func:`inv2` -- closed-form inverses of stacked 2x2 matrices.
 
-The :class:`LoopMat` functions (:func:`mul`, :func:`plus_defect`)
-are thin wrappers for single loops; products are exact.
+The :class:`LoopMat` functions (:func:`mul`, :func:`plus_defect`) are
+thin wrappers for single loops; products are exact.
 """
 
 from __future__ import annotations
@@ -44,14 +48,15 @@ class LoopError(ValueError):
 
 
 class LoopMat:
-    """2x2 matrix of truncated Laurent polynomials.
+    """2x2 matrix of truncated Laurent polynomials, twisted.
 
     Attributes
     ----------
     lo : int
         Lowest power carried.
-    coeffs : (nk, 2, 2) complex ndarray
-        Coefficient of power ``lo + k`` at index ``k``.
+    coeffs : (nk, 2) complex ndarray
+        The two nonzero entries of the coefficient of power ``lo + k`` at
+        index ``k``, column by column (see the module docstring).
     """
 
     __slots__ = ("lo", "coeffs")
@@ -59,47 +64,35 @@ class LoopMat:
     def __init__(self, lo, coeffs):
         self.lo = int(lo)
         self.coeffs = np.asarray(coeffs, dtype=complex)
-        if self.coeffs.ndim != 3 or self.coeffs.shape[1:] != (2, 2):
-            raise LoopError("coeffs must have shape (nk, 2, 2)")
+        if self.coeffs.ndim != 2 or self.coeffs.shape[1] != 2:
+            raise LoopError("coeffs must have shape (nk, 2)")
 
     @property
     def hi(self):
         return self.lo + self.coeffs.shape[0] - 1
 
-    @property
-    def powers(self):
-        return range(self.lo, self.hi + 1)
-
     def coeff(self, k):
         """Coefficient matrix of power k (zero outside the window)."""
+        out = np.zeros((2, 2), dtype=complex)
         if self.lo <= k <= self.hi:
-            return self.coeffs[k - self.lo].copy()
-        return np.zeros((2, 2), dtype=complex)
+            out[k % 2, 0], out[1 - k % 2, 1] = self.coeffs[k - self.lo]
+        return out
 
     def trim(self, tol=0.0):
-        """Drop leading/trailing coefficient blocks of max-norm <= tol."""
-        norms = np.max(np.abs(self.coeffs), axis=(1, 2))
+        """Drop leading/trailing coefficients of max-norm <= tol."""
+        norms = np.max(np.abs(self.coeffs), axis=1)
         nz = np.nonzero(norms > tol)[0]
         if len(nz) == 0:
-            return LoopMat(0, np.zeros((1, 2, 2), dtype=complex))
+            return LoopMat(0, np.zeros((1, 2), dtype=complex))
         a, b = int(nz[0]), int(nz[-1])
         return LoopMat(self.lo + a, self.coeffs[a:b + 1].copy())
-
-    def window(self, lo, hi):
-        """Restrict to powers lo..hi (zero-padded where absent)."""
-        out = np.zeros((hi - lo + 1, 2, 2), dtype=complex)
-        a = max(self.lo, lo)
-        b = min(self.hi, hi)
-        if a <= b:
-            out[a - lo:b - lo + 1] = self.coeffs[a - self.lo:b - self.lo + 1]
-        return LoopMat(lo, out)
 
     def __repr__(self):
         return f"<LoopMat powers {self.lo}..{self.hi}>"
 
 
 def identity():
-    return LoopMat(0, np.eye(2, dtype=complex)[None, :, :])
+    return LoopMat(0, np.ones((1, 2), dtype=complex))
 
 
 def hat_extend(e0) -> LoopMat:
@@ -113,75 +106,88 @@ def hat_extend(e0) -> LoopMat:
         raise LoopError("initial condition must be unitary")
     if abs(np.linalg.det(e0) - 1.0) > 1e-8:
         raise LoopError("initial condition must have determinant 1")
-    coeffs = np.zeros((3, 2, 2), dtype=complex)
-    coeffs[0, 1, 0] = e0[1, 0]          # power -1
-    coeffs[1, 0, 0] = e0[0, 0]          # power 0
-    coeffs[1, 1, 1] = e0[1, 1]
-    coeffs[2, 0, 1] = e0[0, 1]          # power +1
+    coeffs = np.array([[e0[1, 0], 0.0],             # power -1
+                       [e0[0, 0], e0[1, 1]],        # power 0
+                       [0.0, e0[0, 1]]])            # power +1
     return LoopMat(-1, coeffs).trim()
 
 
 # ---------------------------------------------------------------------------
-# Batched kernels on coefficient stacks (..., nk, 2, 2)
+# Batched kernels on coefficient stacks (..., nk, 2)
 
-def conv(a, b):
-    """Cauchy product of the loop ``a`` (na, 2, 2) with every loop of the
-    stack ``b`` (..., nb, 2, 2); the lowest power of the result is the sum
-    of the two lowest powers.  All-zero blocks of ``a`` are skipped."""
-    nb = b.shape[-3]
-    out = np.zeros(b.shape[:-3] + (a.shape[0] + nb - 1, 2, 2), dtype=complex)
+def conv(a, b, lo):
+    """Cauchy product of the loop ``a`` (na, 2) with every loop of the
+    stack ``b`` (..., nb, 2) whose lowest power is ``lo``; the lowest power
+    of the result is the sum of the two lowest powers.  All-zero slots of
+    ``a`` are skipped.  Column c of A_p B_q is entry (q + c) mod 2 of
+    A_p's slot times entry c of B_q's: one product per pair of entries."""
+    nb = b.shape[-2]
+    # pick[t, c]: which entry of a's slot multiplies column c of b's slot t
+    pick = (lo + np.arange(nb)[:, None] + np.arange(2)) % 2
+    out = np.zeros(b.shape[:-2] + (a.shape[0] + nb - 1, 2), dtype=complex)
     for k, c in enumerate(a):
         if np.any(c != 0):
-            # one shifted block-row of the convolution at a time, c @ b
-            # spelled out over c's two columns (einsum is slower here)
-            out[..., k:k + nb, :, :] += c[:, :1] * b[..., None, 0, :] \
-                + c[:, 1:] * b[..., None, 1, :]
+            out[..., k:k + nb, :] += c[pick] * b
     return out
 
 
+def _dense(even, odd):
+    """Point values (..., 2, 2) from the sums (..., 2) of a loop's slots
+    of even powers (the diagonal) and of odd powers (the off-diagonal)."""
+    out = np.empty(even.shape[:-1] + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 1, 1] = even[..., 0], even[..., 1]
+    out[..., 1, 0], out[..., 0, 1] = odd[..., 0], odd[..., 1]
+    return out
+
+
+def _parity_sums(coeffs, lo, weights):
+    """Point values sum_p weights[p - lo, s] X_p, shaped (..., m, 2, 2),
+    of the loops ``coeffs`` (..., nk, 2) with lowest power ``lo``, for
+    the weights (nk, m) of m points: each parity half of the slots meets
+    its half of the weights in one matrix product."""
+    lead, nk = coeffs.shape[:-2], coeffs.shape[-2]
+    sums = []
+    for first in (lo % 2, 1 - lo % 2):          # even powers, odd powers
+        part = np.swapaxes(coeffs[..., first::2, :], -1, -2)
+        vals = part.reshape(coeffs.size // nk, part.shape[-1]) \
+            @ weights[first::2]
+        sums.append(np.swapaxes(vals.reshape(lead + (2, -1)), -1, -2))
+    return _dense(*sums)
+
+
 def values_at(coeffs, lo, lam, derivative=False):
-    """Values at ``lam`` of the loops ``coeffs`` (..., nk, 2, 2) with lowest
-    power ``lo``, or their lambda-derivatives there."""
+    """Values at ``lam`` of the loops ``coeffs`` (..., nk, 2) with lowest
+    power ``lo``, or their lambda-derivatives there, shaped (..., 2, 2)."""
     lam = complex(lam)
-    ks = lo + np.arange(coeffs.shape[-3])
+    ks = lo + np.arange(coeffs.shape[-2])
     if derivative:
         pows = np.array([k * lam ** (k - 1) if k != 0 else 0.0 for k in ks])
     else:
         pows = lam ** ks
-    return np.einsum("k,...kij->...ij", pows, coeffs)
+    return _dense(*(np.einsum("k,...kc->...c", pows[first::2],
+                              coeffs[..., first::2, :])
+                    for first in (lo % 2, 1 - lo % 2)))
 
 
 def circle_values(coeffs, lo, m):
     """Values at the m-th roots of unity exp(2 pi i s/m), s = 0..m-1, of the
-    loops ``coeffs`` (..., nk, 2, 2) with lowest power ``lo``, shaped
-    (..., m, 2, 2): the powers are folded mod m, which is exact at those
-    points, and summed by one FFT."""
-    nk = coeffs.shape[-3]
-    lead = coeffs.shape[:-3]
-    shift = lo % m
-    wraps = -(-(shift + nk) // m)
-    folded = np.zeros(lead + (wraps * m, 2, 2), dtype=complex)
-    folded[..., shift:shift + nk, :, :] = coeffs
-    folded = folded.reshape(lead + (wraps, m, 2, 2)).sum(axis=-4)
-    return np.fft.ifft(folded, axis=-3, norm="forward")
+    loops ``coeffs`` (..., nk, 2) with lowest power ``lo``, shaped
+    (..., m, 2, 2)."""
+    # lambda_s^p = exp(2 pi i (s p mod m) / m): reduced exponents stay exact
+    pw = np.outer(lo + np.arange(coeffs.shape[-2]), np.arange(m)) % m
+    return _parity_sums(coeffs, lo, np.exp(2j * np.pi / m * pw))
 
 
 def half_circle_values(coeffs, lo, m):
     """Values at lambda = exp(i pi s/m), s = 0..m-1, of the loops
-    ``coeffs`` (..., nk, 2, 2) with lowest power ``lo``, shaped
-    (..., m, 2, 2), by one product with the matrix of the powers.
+    ``coeffs`` (..., nk, 2) with lowest power ``lo``, shaped
+    (..., m, 2, 2).
 
     Their squares are the m-th roots of unity, so for a twisted loop,
     X(-lambda) = s X(lambda) s with s = diag(1, -1), these points give
     every entry modulus the loop takes at the 2m-th roots of unity."""
-    nk = coeffs.shape[-3]
-    lead = coeffs.shape[:-3]
-    # lambda_s^p = exp(i pi (s p mod 2m) / m): reduced exponents stay exact
-    pw = np.outer(lo + np.arange(nk), np.arange(m)) % (2 * m)
-    flat = np.moveaxis(coeffs, -3, -1).reshape(-1, nk)
-    vals = (flat @ np.exp(1j * np.pi / m * pw)).reshape(lead + (2, 2, m))
-    # each entry's m values stay contiguous for the entrywise 2x2 kernels
-    return np.moveaxis(vals, -1, -3)
+    pw = np.outer(lo + np.arange(coeffs.shape[-2]), np.arange(m)) % (2 * m)
+    return _parity_sums(coeffs, lo, np.exp(1j * np.pi / m * pw))
 
 
 def _mul2(a, b):
@@ -206,15 +212,14 @@ def unitary_defect(vals):
 # LoopMat operations
 
 def mul(a: LoopMat, b: LoopMat) -> LoopMat:
-    """Exact Cauchy product, trimmed of all-zero end blocks."""
-    return LoopMat(a.lo + b.lo, conv(a.coeffs, b.coeffs)).trim(0.0)
+    """Exact Cauchy product, trimmed of all-zero end coefficients."""
+    return LoopMat(a.lo + b.lo, conv(a.coeffs, b.coeffs, b.lo)).trim(0.0)
 
 
 def plus_defect(a: LoopMat) -> float:
     """Distance of ``a`` from the plus loops (no negative powers): the
     largest entry of a negative power; 0 means a plus loop."""
-    return float(max((np.max(np.abs(a.coeff(k))) for k in a.powers
-                      if k < 0), default=0.0))
+    return float(np.max(np.abs(a.coeffs[:max(0, -a.lo)]), initial=0.0))
 
 
 # ---------------------------------------------------------------------------

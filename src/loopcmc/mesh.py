@@ -10,6 +10,7 @@ frames themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +39,20 @@ class SurfaceMesh:
 
     def valid_points(self):
         return self.f[self.mask]
+
+    @cached_property
+    def vertex_table(self):
+        """(vertices, normals, faces) of the valid nodes in row order and
+        the quads of four valid corners, built at the first export and
+        shared by the next: export a mesh only once its arrays are final."""
+        m = self.mask
+        index = -np.ones(m.shape, dtype=int)
+        order = np.nonzero(m)
+        index[order] = np.arange(len(order[0]))
+        quad = m[:-1, :-1] & m[:-1, 1:] & m[1:, 1:] & m[1:, :-1]
+        faces = np.stack([index[:-1, :-1][quad], index[:-1, 1:][quad],
+                          index[1:, 1:][quad], index[1:, :-1][quad]], axis=-1)
+        return self.f[order], self.normal[order], faces
 
     def diameter(self):
         """Bounding-box diagonal of the valid points (used to normalize

@@ -4,8 +4,9 @@ Vertices and vertex normals are emitted for valid nodes only, quad faces
 over grid cells whose four corners are valid.  Float formatting is fixed
 (%.12e) so identical meshes produce identical bytes.
 
-Both writers are array-built: the face table comes from the four shifted
-masks at once, and PLY packs the vertices and the faces as one
+Both writers are array-built and share one vertex table per mesh
+(``SurfaceMesh.vertex_table``): its face table comes from the four shifted
+masks at once.  PLY packs the vertices and the faces as one
 little-endian array each.  The bytes are those of a writer that goes
 vertex by vertex and cell by cell in row-major order.
 
@@ -51,17 +52,6 @@ _FIELD = 20                     # widest %.12e field: -1.797693134862e+308
 _SMALL, _LARGE = 1e-290, 1e290  # beyond, 10**(12 - e) or its split overflows
 _TIE = 1e-6                     # this close to a rounding tie, % decides
 _M_LO, _M_HI = 10 ** 12, 10 ** 13
-
-
-def _vertex_table(mesh: SurfaceMesh):
-    m = mesh.mask
-    index = -np.ones(m.shape, dtype=int)
-    order = np.nonzero(m)
-    index[order] = np.arange(len(order[0]))
-    quad = m[:-1, :-1] & m[:-1, 1:] & m[1:, 1:] & m[1:, :-1]
-    faces = np.stack([index[:-1, :-1][quad], index[:-1, 1:][quad],
-                      index[1:, 1:][quad], index[1:, :-1][quad]], axis=-1)
-    return mesh.f[order], mesh.normal[order], faces
 
 
 def _pow10_pairs(ks):
@@ -209,7 +199,7 @@ def _face_rows(faces) -> bytes:
 
 def _obj_blocks(mesh: SurfaceMesh, comment=""):
     """The OBJ text as four byte blocks: header, ``v``, ``vn`` and ``f``."""
-    verts, normals, faces = _vertex_table(mesh)
+    verts, normals, faces = mesh.vertex_table
     head = [f"# {ln}\n" for ln in comment.splitlines()]
     head.append(f"# vertices {len(verts)} faces {len(faces)}\n")
     return ["".join(head).encode(), _float_rows(b"v", verts),
@@ -221,7 +211,7 @@ def obj_bytes(mesh: SurfaceMesh, comment="") -> bytes:
 
 
 def ply_bytes(mesh: SurfaceMesh) -> bytes:
-    verts, normals, faces = _vertex_table(mesh)
+    verts, normals, faces = mesh.vertex_table
     header = "\n".join([
         "ply",
         "format binary_little_endian 1.0",

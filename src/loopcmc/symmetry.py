@@ -25,13 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import expr as ex
 from .frames import PotentialSpec, potential_entries
 from .mesh import SurfaceMesh
 from .weier import WeierstrassData
 
 __all__ = ["SymmetrySpec", "check_reflective_data", "check_rotational_data",
-           "laurent_rotational_check", "verify_mesh_symmetry", "ring_samples"]
+           "verify_mesh_symmetry", "ring_samples"]
 
 
 @dataclass
@@ -92,20 +91,6 @@ def check_rotational_data(data, n, samples) -> float:
     shift = np.exp(-2j * th) if kind == "potential" else np.exp(-1j * th)
     r2 = np.abs(g(w * z) - shift * g(z))
     return float(max(np.max(r1), np.max(r2)))
-
-
-def laurent_rotational_check(a, p, n):
-    """Coefficient-support test for polynomial data: a supported on powers
-    0 mod n and p on powers -2 mod n.  Returns (ok, offending powers)."""
-    a = ex.as_expr(a)
-    p = ex.as_expr(p)
-    pa = ex.as_polynomial(a)
-    pp = ex.as_polynomial(p)
-    if pa is None or pp is None:
-        raise ValueError("Laurent support test needs polynomial data")
-    bad = [k for k, c in pa.items() if k % n != 0 and abs(c) > 1e-14]
-    bad += [k for k, c in pp.items() if (k + 2) % n != 0 and abs(c) > 1e-14]
-    return (len(bad) == 0), sorted(bad)
 
 
 # ---------------------------------------------------------------------------

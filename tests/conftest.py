@@ -58,10 +58,48 @@ def sphere_oracle(grid, h):
                      2 * h * n2 * np.abs(zz) ** 2], axis=-1)
 
 
+def _twist_index(lo, nk):
+    """(slot, row, column) index arrays, each (nk, 2), of the entries a
+    twisted stack with lowest power ``lo`` can make nonzero: the entry of
+    column c at power lo + k sits in row (lo + k + c) mod 2."""
+    k = np.arange(nk)[:, None]
+    c = np.arange(2)[None, :]
+    return k, (lo + k + c) % 2, c
+
+
+def compact(dense, lo):
+    """The compact coefficients (..., nk, 2) of the twisted dense stack
+    ``dense`` (..., nk, 2, 2) with lowest power ``lo`` (the library's
+    layout; its off-twist entries are dropped)."""
+    dense = np.asarray(dense, dtype=complex)
+    return dense[(...,) + _twist_index(lo, dense.shape[-3])]
+
+
+def expand(coeffs, lo):
+    """The dense stack (..., nk, 2, 2) of the compact coefficients
+    ``coeffs`` (..., nk, 2) with lowest power ``lo``."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    out = np.zeros(coeffs.shape + (2,), dtype=complex)
+    out[(...,) + _twist_index(lo, coeffs.shape[-2])] = coeffs
+    return out
+
+
+def off_twist(dense, lo):
+    """Mask (nk, 2, 2) of the entries of a dense stack with lowest power
+    ``lo`` that a twisted loop leaves zero."""
+    power = lo + np.arange(np.shape(dense)[-3])[:, None, None]
+    return (power + np.arange(2)[:, None] + np.arange(2)) % 2 == 1
+
+
+def dense_loop(dense, lo):
+    """A LoopMat from a twisted dense stack (nk, 2, 2)."""
+    from loopcmc.loops import LoopMat
+    return LoopMat(lo, compact(dense, lo))
+
+
 def rand_twisted_loop(rng, band=4, scale=0.05):
     """Identity plus a random twisted perturbation over the given band
     (determinant is close to, but not exactly, one)."""
-    from loopcmc.loops import LoopMat
     c = np.zeros((2 * band + 1, 2, 2), dtype=complex)
     for k in range(-band, band + 1):
         m = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) * scale
@@ -71,13 +109,13 @@ def rand_twisted_loop(rng, band=4, scale=0.05):
             m[0, 0] = m[1, 1] = 0
         c[k + band] = m
     c[band] += np.eye(2)
-    return LoopMat(-band, c)
+    return dense_loop(c, -band)
 
 
 def rand_unimodular_twisted(rng, band=4, scale=0.05):
     """Random twisted loop with determinant exactly one: a product of
     elementary triangular loops with entries at odd powers."""
-    from loopcmc.loops import LoopMat, mul
+    from loopcmc.loops import mul
     out = None
     for k in range(-band, band + 1):
         if k % 2 == 0:
@@ -86,7 +124,7 @@ def rand_unimodular_twisted(rng, band=4, scale=0.05):
             c = np.zeros((abs(k) * 2 + 1, 2, 2), dtype=complex)
             c[abs(k)] = np.eye(2)
             c[k + abs(k)][slot] = scale * (rng.normal() + 1j * rng.normal())
-            elem = LoopMat(-abs(k), c).trim()
+            elem = dense_loop(c, -abs(k)).trim()
             out = elem if out is None else mul(out, elem)
     return out
 

@@ -55,3 +55,29 @@ def test_iwasawa_counter_reads_the_factor_output(monkeypatch):
     assert metrics["factor.max_residual"][0] \
         == mesh.meta["max_iwasawa_residual"]
     assert metrics["factor.max_condition"][0] == mesh.meta["max_condition"]
+
+
+def test_iwasawa_counter_reads_the_compact_input(monkeypatch):
+    # the counter takes nodes and band from axes 0 and 1 of the compact
+    # (n, nk, 2) input of every call, and factor.band.max is the widest
+    # chunk band the mesh factored
+    import loopcmc.frames as frames
+    from loopcmc.grid import DomainGrid
+
+    inputs = []
+    batch = frames.iwasawa_batch
+
+    def record(lo, coeffs):
+        inputs.append(coeffs.shape)
+        return batch(lo, coeffs)
+    monkeypatch.setattr(frames, "iwasawa_batch", record)
+    pot = frames.PotentialSpec.normalized("1", "0", 1.0)
+    with installed_tracer(monkeypatch) as (spans, tracer):
+        frames.surface_from_potential(pot, DomainGrid.square(0.5, 9))
+        metrics = spans.layer_metrics(tracer.spans)
+    calls = [s for s in tracer.spans if s.name == "factor.iwasawa_batch"]
+    assert len(calls) == len(inputs) > 0
+    for s, shape in zip(calls, inputs):
+        assert len(shape) == 3 and shape[2] == 2
+        assert (s.counts["nodes"], s.counts["band"]) == shape[:2]
+    assert metrics["factor.band.max"][0] == max(n[1] for n in inputs)

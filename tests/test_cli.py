@@ -184,6 +184,34 @@ class TestGallery:
         assert read_report(out)["items"][0]["h"] == 1.0
 
 
+class TestParserOnce:
+    def test_tree_built_once_and_config_does_not_leak(self, tmp_path,
+                                                      monkeypatch):
+        # two calls of main share one argparse tree; the --config values of
+        # the first land in its namespace only, so the second call, given
+        # no data, is a config error
+        import argparse
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if self.prog == "loopcmc":
+                built.append(self)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli.build_parser.cache_clear()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"h": ["1"], "a": "2", "Q": "0",
+                                   "grid": [9]}))
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["--config", str(cfg), "mesh", "--out", str(first)]) == 0
+        assert main(["mesh", "--out", str(second)]) == 2
+        assert len(built) == 1
+        assert cli.build_parser() is built[0]
+        assert read_report(first)["items"][0]["h"] == 1.0
+        assert not (second / "report.json").exists()
+
+
 class TestConvert:
     def test_two_data_sources_rejected(self, tmp_path):
         rc = main(["convert", "--mu", "1", "--nu", "z", "--h", "1",

@@ -25,7 +25,7 @@ def _power(fg, k):
     idx = k - fg.lo
     if 0 <= idx < fg.coeffs.shape[2]:
         return fg.coeffs[:, :, idx]
-    return np.zeros(fg.coeffs.shape[:2] + (2, 2), dtype=complex)
+    return np.zeros(fg.coeffs.shape[:2] + (2,), dtype=complex)
 
 
 def higher_coefficient_max(co):
@@ -190,7 +190,7 @@ class TestDressFrame:
         # diag(c, 1/c) dresses plane data to rescaled plane data: the mesh
         # stays a round sphere of radius 1/h
         c = 1.3
-        hp = LoopMat(0, np.diag([c, 1 / c])[None].astype(complex))
+        hp = LoopMat(0, [[c, 1 / c]])                  # diag(c, 1/c)
         p = PotentialSpec.normalized("2", "0", 1.0)
         g = DomainGrid.square(1.0, 31)
         mesh = dress_surface(hp, p, g)
@@ -244,18 +244,16 @@ class TestDressFrame:
         fg = integrate_frame(minimal_to_potential(catenoid, 1.0),
                              DomainGrid.square(0.8, 9))
         out = dress_frame(hp, fg)
-        prod = conv(hp.coeffs, fg.coeffs)
+        prod = conv(hp.coeffs, fg.coeffs, fg.lo)
         first, _ = frames._trimmed_band(prod.reshape(-1, *prod.shape[2:]))
         assert len(set(first.tolist())) >= 2
         assert out.ok.all()
         for j, i in np.ndindex(out.ok.shape):
             f = iwasawa(LoopMat(hp.lo + fg.lo, prod[j, i])).unitary_part
+            node = LoopMat(out.lo, out.coeffs[j, i])
             for k in range(min(f.lo, out.lo),
                            max(f.hi, out.lo + out.coeffs.shape[2] - 1) + 1):
-                node = np.zeros((2, 2), dtype=complex)
-                if 0 <= k - out.lo < out.coeffs.shape[2]:
-                    node = out.coeffs[j, i, k - out.lo]
-                assert np.max(np.abs(node - f.coeff(k))) <= 1e-13
+                assert np.max(np.abs(node.coeff(k) - f.coeff(k))) <= 1e-13
 
     def test_residual_reported_over_accepted_nodes(self, monkeypatch):
         # a node rejected for its residual is masked and left out of
@@ -304,10 +302,7 @@ class TestDressFrame:
         assert np.max(np.abs(cf.Q[cf.valid] - 1.0)) <= 0.02
 
     def test_rejects_non_plus(self):
-        c = np.zeros((2, 2, 2), dtype=complex)
-        c[0, 1, 0] = 1.0
-        c[1] = np.eye(2)
-        bad = LoopMat(-1, c)
+        bad = LoopMat(-1, [[1.0, 0.0], [1.0, 1.0]])    # (1, 0) at power -1
         p = PotentialSpec.normalized("2", "0", 1.0)
         with pytest.raises(DressingError):
             dress_surface(bad, p, DomainGrid.square(0.3, 5))

@@ -2,14 +2,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopcmc import factor as fa
 from loopcmc.factor import FactorError, iwasawa, iwasawa_batch
 from loopcmc.loops import (LoopMat, circle_values, identity, mul,
                            unitary_defect, values_at)
-from conftest import rand_twisted_loop, rand_unimodular_twisted
+from conftest import (compact, expand, off_twist, rand_twisted_loop,
+                      rand_unimodular_twisted)
 from test_loops import (f0_b0_closed_form, phi0_loop, plus_p_defect,
-                        random_su2, twist_defect)
+                        random_su2)
 
 
 class TestIwasawa:
@@ -44,7 +46,6 @@ class TestIwasawa:
             f = r.unitary_part
             assert unitary_defect(circle_values(f.coeffs, f.lo, 64)) <= 1e-9
             assert plus_p_defect(r.plus_part) <= 1e-9
-            assert twist_defect(f) <= 1e-11
 
     def test_uniqueness(self):
         # factoring F B recovers the same F and B
@@ -67,19 +68,15 @@ class TestIwasawa:
         rng = np.random.default_rng(3)
         x = rand_twisted_loop(rng, band=2, scale=0.05)
         th = rng.uniform(0, 2 * np.pi)
-        d = LoopMat(0, np.diag([np.exp(1j * th),
-                                np.exp(-1j * th)])[None].astype(complex))
+        d = LoopMat(0, [[np.exp(1j * th), np.exp(-1j * th)]])
         r = iwasawa(mul(x, d))
         assert r.residual <= 1e-10
 
     def test_not_positive_definite(self):
         # an everywhere-singular loop: second column identically zero, so
         # the Gram symbol is rank one and its sections are not PD
-        c = np.zeros((2, 2, 2), dtype=complex)
-        c[1, 0, 0] = 1.0
-        c[0, 1, 0] = 0.5
         with pytest.raises(FactorError):
-            iwasawa(LoopMat(-1, c))
+            iwasawa(LoopMat(-1, [[0.5, 0.0], [1.0, 0.0]]))
 
     def test_rho_positive(self):
         rng = np.random.default_rng(4)
@@ -94,7 +91,8 @@ class TestIwasawa:
 def twisted_chunk(rng, band, n=6, scale=1.0, decay=0.6):
     """n random twisted loops of unit determinant over powers -band..band:
     X = [[1, u], [0, 1]] [[1, 0], [v, 1]] with u, v odd Laurent polynomials
-    whose random coefficients decay geometrically, as (n, nk, 2, 2)."""
+    whose random coefficients decay geometrically, as compact coefficients
+    (n, nk, 2) from power -band."""
     ks = np.arange(-band, band + 1)
     w = np.where((ks % 2 == 1) & (np.abs(ks) <= band // 2),
                  scale * decay ** np.abs(ks), 0.0)
@@ -106,7 +104,26 @@ def twisted_chunk(rng, band, n=6, scale=1.0, decay=0.6):
     for i in range(n):
         c[i, :, 0, 0] = np.convolve(u[i], v[i])[band:3 * band + 1]
     c[:, band] += np.eye(2)
-    return c
+    return compact(c, -band)
+
+
+def dense_gram(dense):
+    """P_m = sum_j X_j^H X_{j+m}, m = 0..nk-1, of the dense stacks
+    ``dense`` (n, nk, 2, 2), lag by lag; (n, nk, 2, 2)."""
+    nk = dense.shape[1]
+    herm = np.conj(np.swapaxes(dense, -1, -2))
+    return np.stack([np.sum(herm[:, :nk - m] @ dense[:, m:], axis=1)
+                     for m in range(nk)], axis=1)
+
+
+def gram_lags(gram):
+    """The dense lags P_m (n, nb, 2, 2) that hold the compact Gram
+    ``gram`` (n, nb, 2): entry (r, r + m mod 2) of P_m is gram[:, m, r],
+    and the twisting leaves the others zero."""
+    m, r = np.ogrid[:gram.shape[1], :2]
+    out = np.zeros(gram.shape + (2,), dtype=complex)
+    out[:, m, r, (r + m) % 2] = gram
+    return out
 
 
 def dense_section(p_pos, ncap):
@@ -126,7 +143,8 @@ def dense_section(p_pos, ncap):
 def dense_bauer(coeffs, margin):
     """B_k from the bottom block-row of the dense Cholesky factor."""
     ncap = coeffs.shape[1] - 1 + margin
-    chol = np.linalg.cholesky(dense_section(fa._gram_coeffs(coeffs), ncap))
+    chol = np.linalg.cholesky(dense_section(gram_lags(fa._gram_coeffs(coeffs)),
+                                            ncap))
     last = 2 * ncap
     bcoef = np.stack([np.conj(np.swapaxes(
         chol[:, last:last + 2, last - 2 * k:last - 2 * k + 2], 1, 2))
@@ -167,18 +185,52 @@ def forward_substitution(coeffs, bcoef, extra, tail_tol=1e-13):
 BANDS = (3, 4, 7, 12, 18, 25)
 
 
+class TestCompactFactor:
+    """The factorization on the compact layout against dense references."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), lo=st.integers(-12, 2),
+           nk=st.integers(1, 30), spread=st.floats(0.0, 6.0))
+    def test_gram_is_the_dense_lags(self, seed, lo, nk, spread):
+        # one correlation per lag gives the entries of sum_j X_j^H X_{j+m}
+        # the twisting leaves nonzero, to rounding of that sum
+        rng = np.random.default_rng(seed)
+        c = (rng.normal(size=(3, nk, 2)) + 1j * rng.normal(size=(3, nk, 2))) \
+            * 10.0 ** rng.uniform(-spread / 2, spread / 2, size=(nk, 1))
+        dense = expand(c, lo)
+        ref = dense_gram(dense)
+        size = dense_gram(np.abs(dense)).real
+        err = np.abs(gram_lags(fa._gram_coeffs(c)) - ref)
+        assert np.all(err <= 1e-15 * size)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), band=st.integers(1, 6))
+    def test_unitary_part_is_exactly_twisted(self, seed, band):
+        # F's coefficients come from the FFT of its column sums, so its
+        # dense form has no off-twist roundoff, and F is unitary with
+        # F B = X
+        rng = np.random.default_rng(seed)
+        x = rand_unimodular_twisted(rng, band=band, scale=0.3)
+        r = iwasawa(x)
+        f = r.unitary_part
+        dense = expand(f.coeffs, f.lo)
+        assert not np.any(dense[off_twist(dense, f.lo)])
+        assert unitary_defect(circle_values(f.coeffs, f.lo, 64)) <= 1e-12
+        assert r.residual <= 1e-12
+
+
 class TestIwasawaCore:
     @pytest.mark.parametrize("band", BANDS)
     def test_section_splits_by_twist_parity(self, band):
         rng = np.random.default_rng(100 + band)
         ncap = 2 * band + 8
-        p_pos = fa._gram_coeffs(twisted_chunk(rng, band))
-        t = dense_section(p_pos, ncap)
+        gram = fa._gram_coeffs(twisted_chunk(rng, band))
+        t = dense_section(gram_lags(gram), ncap)
         i, r = np.divmod(np.arange(2 * (ncap + 1)), 2)
         par = (i + r) % 2
         cross = par[:, None] != par[None, :]
         assert np.all(t[:, cross] == 0)
-        halves = fa._parity_halves(p_pos, ncap)
+        halves = fa._parity_halves(gram, ncap)
         for c in (0, 1):
             keep = np.nonzero(par == c)[0]
             assert np.array_equal(halves[:, c], t[:, keep][:, :, keep])
@@ -191,7 +243,7 @@ class TestIwasawaCore:
         bcoef, ok, cond = bauer_factor(coeffs, margin)
         dense_b, dense_cond = dense_bauer(coeffs, margin)
         assert ok.all()
-        assert np.max(np.abs(bcoef - dense_b)) <= 1e-13
+        assert np.max(np.abs(expand(bcoef, 0) - dense_b)) <= 1e-13
         assert np.max(np.abs(cond - dense_cond) / dense_cond) <= 1e-13
 
     @pytest.mark.parametrize("band", BANDS)
@@ -200,13 +252,10 @@ class TestIwasawaCore:
         coeffs = twisted_chunk(rng, band)
         bcoef, _, _ = bauer_factor(coeffs, 8)
         f, _, _ = fa.unitary_loops(-band, coeffs, bcoef)
-        ref = forward_substitution(coeffs, bcoef, fa.EXTRA)
-        assert f.shape == ref.shape
-        assert np.max(np.abs(f - ref)) <= 1e-13
-        # F is twisted: diagonal entries at even powers, off-diagonal at odd
-        power = -band + np.arange(f.shape[1])[:, None, None]
-        off_twist = (power + np.arange(2)[:, None] + np.arange(2)) % 2 == 1
-        assert np.max(np.abs(f[:, off_twist])) <= 1e-15
+        ref = forward_substitution(expand(coeffs, -band), expand(bcoef, 0),
+                                   fa.EXTRA)
+        assert f.shape == ref.shape[:-1]
+        assert np.max(np.abs(expand(f, -band) - ref)) <= 1e-13
 
     def test_window_doubles_on_slow_decay(self):
         # band 7 with slowly decaying coefficients: F's tail test has not
@@ -217,12 +266,13 @@ class TestIwasawaCore:
         coeffs = twisted_chunk(rng, band, scale=0.3, decay=0.9)
         bcoef, ok, _ = bauer_factor(coeffs, 8)
         f, _, _ = fa.unitary_loops(-band, coeffs, bcoef)
-        ref = forward_substitution(coeffs, bcoef, fa.EXTRA)
+        ref = forward_substitution(expand(coeffs, -band), expand(bcoef, 0),
+                                   fa.EXTRA)
         assert ok.all()
-        assert f.shape == ref.shape
+        assert f.shape == ref.shape[:-1]
         assert 1 << bcoef.shape[1].bit_length() < f.shape[1] \
             < coeffs.shape[1] + fa.EXTRA
-        assert np.max(np.abs(f - ref)) <= 1e-13
+        assert np.max(np.abs(expand(f, -band) - ref)) <= 1e-13
 
     @pytest.mark.parametrize("band", BANDS)
     def test_checks_match_lambda_samples(self, band):
@@ -277,17 +327,14 @@ class TestIwasawaCore:
         # factorization; failed nodes get the identity
         rng = np.random.default_rng(700 + band)
         coeffs = twisted_chunk(rng, band)
-        coeffs[0, :, :, 1] = 0.0
+        coeffs[0, :, 1] = 0.0
         out = iwasawa_batch(-band, coeffs)
         assert out["ok"].tolist() == [False] + [True] * (len(coeffs) - 1)
-        assert np.array_equal(out["binv"][0, 0], np.eye(2))
+        assert np.array_equal(out["binv"][0, 0], [1, 1])
         assert not np.any(out["binv"][0, 1:])
         prod = circle_values(out["b"][1:], 0, 32) \
             @ circle_values(out["binv"][1:], 0, 32)
         assert np.max(np.abs(prod - np.eye(2))) <= 1e-12
-        # B^-1 is twisted like B: diagonal at even powers, off-diagonal odd
-        assert not np.any(out["binv"][:, 1::2, 0, 0])
-        assert not np.any(out["binv"][:, 0::2, 0, 1])
 
     @pytest.mark.parametrize("band", BANDS)
     def test_shorter_row_is_shorter_section(self, band):
@@ -334,7 +381,7 @@ class TestIwasawaCore:
         for i in range(n):
             x[i, :, 0, 0] = np.convolve(u[i], v[i])[nk - 1:]
         x[:, -1] += np.eye(2)
-        out = iwasawa_batch(1 - nk, x)
+        out = iwasawa_batch(1 - nk, compact(x, 1 - nk))
         assert out["ok"].all()
         assert np.all(out["section"] < nk + 2 * (nk - 1))
         assert np.max(np.abs(out["b"][:, nk:])) <= 1e-12
@@ -346,14 +393,14 @@ class TestIwasawaCore:
         coeffs = twisted_chunk(rng, band, n=5)
         # second column identically zero: a rank-one Gram symbol
         coeffs[2] = 0.0
-        coeffs[2, band, 0, 0] = 1.0
-        coeffs[2, band - 1, 1, 0] = 0.5
+        coeffs[2, band, 0] = 1.0            # X_00 at power 0
+        coeffs[2, band - 1, 0] = 0.5        # X_10 at power -1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = iwasawa_batch(-band, coeffs)
             f, recon, unit = fa.unitary_loops(-band, coeffs, out["b"])
         assert out["ok"].tolist() == [True, True, False, True, True]
-        assert np.array_equal(out["b"][2, 0], np.eye(2))
+        assert np.array_equal(out["b"][2, 0], [1, 1])
         assert not np.any(out["b"][2, 1:])
         for v in (f, recon, unit, out["b"], out["binv"], out["residual"],
                   out["unitary_residual"]):

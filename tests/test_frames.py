@@ -14,7 +14,7 @@ from loopcmc.loops import (LoopMat, circle_values, conv, hat_extend, identity,
                            unitary_defect, values_at)
 from loopcmc.weier import WeierstrassData, minimal_surface
 from conftest import (CATENOID_MU, CATENOID_NU, KUSNER_MU, KUSNER_NU,
-                      enneper, sphere_oracle)
+                      compact, dense_loop, enneper, expand, sphere_oracle)
 from test_loops import random_su2
 
 
@@ -61,9 +61,9 @@ class TestIntegrateFrame:
         c = fg.coeffs[j, i]
         assert fg.lo + c.shape[0] - 1 == 0
         gval = ex.integrate_path(ex.Div(pot.a * 0 + pot.Q, pot.a), 0j, zt)
-        assert np.allclose(c[-1], np.eye(2), atol=1e-10)
-        assert c[-2, 1, 0] == pytest.approx(gval, abs=1e-9)
-        assert abs(c[-2, 0, 1]) < 1e-12
+        assert np.allclose(c[-1], [1, 1], atol=1e-10)       # the identity
+        assert c[-2, 0] == pytest.approx(gval, abs=1e-9)    # (1, 0) entry
+        assert abs(c[-2, 1]) < 1e-12                        # (0, 1) entry
         assert np.max(np.abs(c[:-2]), initial=0.0) < 1e-10
 
     def test_plane_data_closed_form(self):
@@ -75,24 +75,26 @@ class TestIntegrateFrame:
         for zt in (0.4 + 0.6j, -1.0 - 1.0j):
             j, i = g.index_of(zt)
             c = fg.coeffs[j, i]
-            assert c[-1 - fg.lo, 0, 1] == pytest.approx(-zt, abs=1e-13)
-            assert np.allclose(c[-fg.lo], np.eye(2), atol=1e-13)
+            # the (0, 1) entry at power -1 and the identity at power 0
+            assert c[-1 - fg.lo, 1] == pytest.approx(-zt, abs=1e-13)
+            assert np.allclose(c[-fg.lo], [1, 1], atol=1e-13)
 
     def test_initial_condition(self, catenoid):
         pot = minimal_to_potential(catenoid, 1.0)
         g = DomainGrid.square(0.5, 11)
         fg = integrate_frame(pot, g)
         e0hat = hat_extend(pot.initial_frame())
-        c = fg.coeffs[g.j0, g.i0]
+        c = LoopMat(fg.lo, fg.coeffs[g.j0, g.i0])
         for k in (-1, 0, 1):
-            assert np.allclose(c[k - fg.lo], e0hat.coeff(k), atol=1e-14)
+            assert np.allclose(c.coeff(k), e0hat.coeff(k), atol=1e-14)
 
     def test_identity_initial_frame_skips_the_product(self):
         # E0 = I: the frames are Psi itself, equal bit for bit to the
         # product with the twisted identity (powers -1..1) once aligned
         pot = PotentialSpec.normalized("2+z", "-4*z", 1.0)
         fg = integrate_frame(pot, DomainGrid.square(0.6, 13))
-        ref = conv(hat_extend(np.eye(2)).window(-1, 1).coeffs, fg.coeffs)
+        eye = np.pad(hat_extend(np.eye(2)).coeffs, ((1, 1), (0, 0)))
+        ref = conv(eye, fg.coeffs, fg.lo)
         assert fg.lo == 1 - fg.coeffs.shape[2] == -fg.ntrunc
         ok = fg.ok
         assert ok.all()
@@ -187,15 +189,18 @@ class TestTimesPotential:
 
         def cplx(*shape):
             return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        psi = cplx(3, 4, 5, 2, 2)
+        # the product with the potential at power p sits at power p - 1
+        lo = -4
+        psi = cplx(3, 4, 5, 2)
         for u, l in ((cplx(3, 4), cplx(3, 4)), (0.3 - 1.2j, -0.7 + 0.4j)):
             a = np.zeros(np.shape(u) + (2, 2), dtype=complex)
             a[..., 0, 1] = u
             a[..., 1, 0] = l
-            dense = psi @ a[..., None, :, :]
+            dense = expand(psi, lo) @ a[..., None, :, :]
             got = _times_potential(psi, np.stack([l, u], axis=-1))
             assert got.shape == psi.shape
-            assert np.max(np.abs(got - dense)) <= 1e-15 * np.max(np.abs(dense))
+            assert np.max(np.abs(expand(got, lo - 1) - dense)) \
+                <= 1e-15 * np.max(np.abs(dense))
 
 class TestSymBobenko:
     def test_identity_maps_to_zero(self):
@@ -212,7 +217,7 @@ class TestSymBobenko:
             c[1, 0, 0] = a / n
             c[1, 1, 1] = np.conj(a) / n
             c[2, 0, 1] = -np.conj(b) / n
-            loop = LoopMat(-1, c)
+            loop = dense_loop(c, -1)
             for h in (0.5, 1.0, 2.0):
                 assert np.max(np.abs(sym_point(loop, h))) <= 1e-13
 
@@ -232,8 +237,9 @@ class TestSymBobenko:
             c[1, 0, 0] = 1 / d
             c[1, 1, 1] = 1 / d
             c[2, 1, 0] = -np.conj(w) / d
-            assert unitary_defect(circle_values(c, -1, 64)) < 1e-12
-            pt = sym_point(LoopMat(-1, c), 1.0)
+            assert unitary_defect(circle_values(compact(c, -1), -1, 64)) \
+                < 1e-12
+            pt = sym_point(dense_loop(c, -1), 1.0)
             center = np.array([0.0, 0.0, 1.0])
             assert abs(np.linalg.norm(pt - center) - 1.0) <= 1e-12
 
@@ -331,8 +337,8 @@ class TestSurfaceFromPotential:
         sizes = np.array([[1e-20, 1e-17, 1.0, 0.5, 1e-17, 1e-16],
                           [2e-16, 1.0, 1e-16, 1e-16, 0.0, 0.0],
                           [0.0, 2.0, 0.0, 0.0, 0.0, 3.0]])
-        coeffs = np.zeros(sizes.shape + (2, 2), dtype=complex)
-        coeffs[..., 0, 1] = sizes
+        coeffs = np.zeros(sizes.shape + (2,), dtype=complex)
+        coeffs[..., 1] = sizes
         first, stop = _trimmed_band(coeffs)
         assert first.tolist() == [2, 0, 1]
         assert stop.tolist() == [4, 3, 6]

@@ -1,20 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopcmc import loops
+from loopcmc.frames import _rk4_loop_advance
 from loopcmc.loops import (LoopMat, circle_values, conv, half_circle_values,
                            hat_extend, identity, mul, plus_defect,
                            unitary_defect, values_at)
-from conftest import rand_twisted_loop
+from conftest import (compact, dense_loop, expand, off_twist,
+                      rand_twisted_loop)
 
 
 def phi0_loop(g):
     """Minimal-limit holomorphic frame [[1, 0], [g lam^-1, 1]]."""
-    c = np.zeros((2, 2, 2), dtype=complex)
-    c[0, 1, 0] = g
-    c[1, 0, 0] = 1
-    c[1, 1, 1] = 1
-    return LoopMat(-1, c)
+    return LoopMat(-1, [[g, 0], [1, 1]])
 
 
 def f0_b0_closed_form(g):
@@ -31,15 +30,18 @@ def f0_b0_closed_form(g):
     b[0, 0, 0] = d
     b[0, 1, 1] = 1 / d
     b[1, 0, 1] = np.conj(g) / d
-    return LoopMat(-1, f), LoopMat(0, b)
+    return dense_loop(f, -1), dense_loop(b, 0)
 
 
-def twist_defect(a):
-    """Largest entry of the loop ``a`` off the twist: a diagonal entry at
-    an odd power or an off-diagonal entry at an even one."""
-    power = a.lo + np.arange(a.coeffs.shape[0])[:, None, None]
-    off = (power + np.arange(2)[:, None] + np.arange(2)) % 2 == 1
-    return float(np.max(np.abs(a.coeffs * off)))
+def dense_cauchy(a, b):
+    """Cauchy product of the dense loop ``a`` (na, 2, 2) with each dense
+    loop of the stack ``b`` (..., nb, 2, 2), block by block."""
+    out = np.zeros(b.shape[:-3] + (len(a) + b.shape[-3] - 1, 2, 2),
+                   dtype=complex)
+    for k, blk in enumerate(a):
+        for t in range(b.shape[-3]):
+            out[..., k + t, :, :] += blk @ b[..., t, :, :]
+    return out
 
 
 def plus_p_defect(b):
@@ -65,7 +67,7 @@ class TestMul:
         rng = np.random.default_rng(0)
         a = rand_twisted_loop(rng)
         p = mul(identity(), a)
-        for k in a.powers:
+        for k in range(a.lo, a.hi + 1):
             assert np.allclose(p.coeff(k), a.coeff(k))
 
     def test_hat_extend_inverse(self):
@@ -99,11 +101,15 @@ class TestMul:
                 assert np.allclose(lhs.coeff(k), rhs.coeff(k), atol=1e-13)
 
     def test_parity_preserved(self):
+        # the dense product of twisted loops is twisted: nothing is lost by
+        # keeping only the compact entries
         rng = np.random.default_rng(3)
         a = rand_twisted_loop(rng)
         b = rand_twisted_loop(rng)
-        assert twist_defect(mul(a, b)) < 1e-14
-        assert twist_defect(hat_extend(random_su2(rng))) == 0.0
+        dense = dense_cauchy(expand(a.coeffs, a.lo), expand(b.coeffs, b.lo))
+        assert not np.any(dense[off_twist(dense, a.lo + b.lo)])
+        assert np.allclose(expand(mul(a, b).coeffs, a.lo + b.lo), dense,
+                           atol=1e-14)
 
 
 class TestHatExtend:
@@ -156,7 +162,8 @@ class TestEval:
     def test_derivative_single_power(self):
         c = np.zeros((1, 2, 2), dtype=complex)
         c[0, 0, 1] = 2.0
-        assert np.allclose(values_at(c, 1, 1.0, derivative=True), c[0])
+        assert np.allclose(values_at(compact(c, 1), 1, 1.0, derivative=True),
+                           c[0])
 
     def test_unit_determinant_on_circle(self):
         rng = np.random.default_rng(8)
@@ -171,7 +178,6 @@ class TestEval:
 class TestMembership:
     def test_identity_belongs_everywhere(self):
         i = identity()
-        assert twist_defect(i) <= 1e-15
         assert unitary_defect(circle_values(i.coeffs, i.lo, 64)) <= 1e-15
         assert plus_defect(i) <= 1e-15
         assert plus_p_defect(i) <= 1e-15
@@ -183,21 +189,20 @@ class TestMembership:
 
     def test_nonmember_detected(self):
         assert plus_defect(phi0_loop(1.0)) == 1.0
-        c = np.zeros((1, 2, 2), dtype=complex)
-        c[0] = np.diag([2.0, 0.5])
+        c = np.array([[2.0, 0.5]], dtype=complex)     # diag(2, 1/2)
         assert unitary_defect(circle_values(c, 0, 64)) > 1.0
 
 
 class TestBatchedKernels:
     def test_stack_matches_per_loop(self):
-        # every kernel on a (3, 4, nk, 2, 2) stack agrees with the LoopMat
+        # every kernel on a (3, 4, nk, 2) stack agrees with the LoopMat
         # operations applied loop by loop
         rng = np.random.default_rng(10)
         lo, nk = -5, 7
-        stack = rng.normal(size=(3, 4, nk, 2, 2)) \
-            + 1j * rng.normal(size=(3, 4, nk, 2, 2))
+        stack = rng.normal(size=(3, 4, nk, 2)) \
+            + 1j * rng.normal(size=(3, 4, nk, 2))
         left = rand_twisted_loop(rng, band=2)
-        prods = conv(left.coeffs, stack)
+        prods = conv(left.coeffs, stack, lo)
         lam = np.exp(0.7j)
         vals = values_at(stack, lo, lam)
         ders = values_at(stack, lo, lam, derivative=True)
@@ -221,7 +226,8 @@ class TestBatchedKernels:
         # to -k, each coefficient conjugate-transposed) is the pointwise
         # inverse there
         f, _ = f0_b0_closed_form(0.5 - 0.3j)
-        star = np.conj(np.swapaxes(f.coeffs[::-1], -1, -2))
+        dense = expand(f.coeffs, f.lo)
+        star = compact(np.conj(np.swapaxes(dense[::-1], -1, -2)), -f.hi)
         fv = circle_values(f.coeffs, f.lo, 32)
         sv = circle_values(star, -f.hi, 32)
         assert np.allclose(sv, np.conj(np.swapaxes(fv, -1, -2)), atol=1e-14)
@@ -229,13 +235,10 @@ class TestBatchedKernels:
         assert unitary_defect(2 * fv) == pytest.approx(3.0)
 
 
-def random_twisted_stack(rng, lo, nk, lead=(3,)):
-    """Random coefficients with the off-twist entries set to zero."""
-    shape = lead + (nk, 2, 2)
-    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    power = lo + np.arange(nk)[:, None, None]
-    c[..., (power + np.arange(2)[:, None] + np.arange(2)) % 2 == 1] = 0
-    return c
+def random_twisted_stack(rng, nk, lead=(3,)):
+    """Random compact coefficients (lead..., nk, 2)."""
+    shape = lead + (nk, 2)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
 class TestUntwist:
@@ -250,11 +253,104 @@ class TestUntwist:
         # entry moduli, so both halves give the same maxima
         rng = np.random.default_rng(40 + nk)
         m = 8
-        c = random_twisted_stack(rng, lo, nk, lead=(2, 3))
+        c = random_twisted_stack(rng, nk, lead=(2, 3))
         hv = half_circle_values(c, lo, m)
         full = circle_values(c, lo, 2 * m)
-        l1 = np.abs(c).sum(axis=-3)[..., None, :, :]
+        l1 = np.abs(expand(c, lo)).sum(axis=-3)[..., None, :, :]
         assert hv.shape == (2, 3, m, 2, 2)
         assert np.all(np.abs(hv - full[..., :m, :, :]) <= 1e-15 * l1)
         assert np.all(np.abs(np.abs(full[..., m:, :, :]) - np.abs(hv))
                       <= 1e-15 * l1)
+
+
+def dense_rk4(psi, za, zb, entries, substeps):
+    """The frame sweep's fourth-order substeps on a dense stack psi
+    (..., nk, 2, 2): the same arithmetic as ``frames._rk4_loop_advance``,
+    with every entry of every coefficient carried."""
+    dz = ((np.asarray(zb, dtype=complex) - za) / substeps)[..., None]
+
+    def times_potential(x, scale):
+        return x[..., ::-1] * scale[..., None, None, :]
+
+    def diag(x, y):
+        return x[..., ::-1] * y
+
+    for s in range(substeps):
+        a0, ah, a1 = (entries[..., 2 * s + t, :] for t in range(3))
+        sq = ah[..., :1] * ah[..., 1:]
+        r1 = dz / 6 * (a0 + 4 * ah + a1)
+        r2 = dz ** 2 / 6 * (diag(a0, ah) + sq + diag(ah, a1))
+        r3 = dz ** 3 / 12 * sq * (a0 + a1)
+        r4 = dz ** 4 / 24 * sq * diag(a0, a1)
+        out = psi.copy()
+        out[..., :-1, :, :] += times_potential(psi[..., 1:, :, :], r1)
+        out[..., :-2, :, :] += psi[..., 2:, :, :] * r2[..., None, None, :]
+        out[..., :-3, :, :] += times_potential(psi[..., 3:, :, :], r3)
+        out[..., :-4, :, :] += psi[..., 4:, :, :] * r4[..., None, None, :]
+        psi = out
+    return psi
+
+
+def cplx(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
+LOS = st.integers(-9, 4)
+BANDS = st.integers(1, 14)
+
+
+class TestCompactLayout:
+    """The compact kernels against dense 2x2 references on random twisted
+    loops."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, lo_a=st.integers(-2, 1), na=st.integers(1, 4),
+           lo_b=LOS, nb=BANDS)
+    def test_conv_is_the_dense_cauchy_product(self, seed, lo_a, na, lo_b, nb):
+        rng = np.random.default_rng(seed)
+        a, b = cplx(rng, na, 2), cplx(rng, 3, nb, 2)
+        dense = dense_cauchy(expand(a, lo_a), expand(b, lo_b))
+        got = expand(conv(a, b, lo_b), lo_a + lo_b)
+        assert not np.any(dense[..., off_twist(dense, lo_a + lo_b)])
+        assert np.max(np.abs(got - dense)) \
+            <= 4e-16 * np.max(np.abs(a)) * np.max(np.abs(b)) * min(na, nb)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, lo=LOS, nk=BANDS, m=st.integers(1, 24),
+           lam_arg=st.floats(0.0, 2 * np.pi))
+    def test_values_are_those_of_the_dense_form(self, seed, lo, nk, m,
+                                                lam_arg):
+        rng = np.random.default_rng(seed)
+        c = cplx(rng, 2, nk, 2)
+        dense = expand(c, lo)
+        ks = lo + np.arange(nk)
+        lam = np.exp(1j * lam_arg)
+        l1 = np.abs(dense).sum(axis=-3)
+        vals = np.einsum("k,...kij->...ij", lam ** ks, dense)
+        ders = np.einsum("k,...kij->...ij", ks * lam ** (ks - 1.0), dense)
+        assert np.all(np.abs(values_at(c, lo, lam) - vals) <= 1e-14 * l1)
+        assert np.all(np.abs(values_at(c, lo, lam, derivative=True) - ders)
+                      <= 1e-14 * np.abs(ks).max() * l1)
+        pts = np.exp(1j * np.pi * np.arange(m) / m)
+        half = np.einsum("sk,...kij->...sij", pts[:, None] ** ks, dense)
+        assert np.all(np.abs(half_circle_values(c, lo, m) - half)
+                      <= 1e-14 * l1[..., None, :, :])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, nk=st.integers(1, 26), substeps=st.integers(1, 4),
+           lead=st.sampled_from([(), (5,)]))
+    def test_rk4_step_is_bit_identical_to_dense(self, seed, nk, substeps,
+                                                lead):
+        # the compact step is the dense step with the structural zeros left
+        # out: the same products and sums in the same order
+        rng = np.random.default_rng(seed)
+        lo = 1 - nk
+        psi = cplx(rng, *lead, nk, 2)
+        za, zb = cplx(rng, *lead), cplx(rng, *lead)
+        entries = cplx(rng, *lead, 2 * substeps + 1, 2)
+        got = _rk4_loop_advance(psi, za, zb, entries, substeps)
+        ref = dense_rk4(expand(psi, lo), za, zb, entries, substeps)
+        assert not np.any(ref[..., off_twist(ref, lo)])
+        assert np.array_equal(expand(got, lo).view(np.uint64),
+                              ref.view(np.uint64))

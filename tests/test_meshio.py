@@ -222,3 +222,29 @@ def test_int_fields_across_width_change(below, above):
     a, b, c, d = faces[0]
     assert _face_rows(faces) == \
         f"f {a}//{a} {b}//{b} {c}//{c} {d}//{d}\n".encode()
+
+
+def test_format_both_builds_one_vertex_table(tmp_path, monkeypatch):
+    # the OBJ and the PLY of one mesh share one vertex table, and both keep
+    # the bytes of the reference writers
+    from functools import cached_property
+    from loopcmc.cli import main
+
+    built = []
+    table = SurfaceMesh.vertex_table.func
+
+    def counted(mesh):
+        built.append(mesh)
+        return table(mesh)
+    prop = cached_property(counted)
+    prop.__set_name__(SurfaceMesh, "vertex_table")
+    monkeypatch.setattr(SurfaceMesh, "vertex_table", prop)
+    rc = main(["mesh", "--a", "2", "--Q", "0", "--h", "1,2", "--grid", "9",
+               "--format", "both", "--out", str(tmp_path)])
+    assert rc == 0
+    assert len(built) == 2 and built[0] is not built[1]
+    for mesh, h in zip(built, ("1", "2")):
+        obj = (tmp_path / f"mesh_h{h}.obj").read_bytes()
+        assert obj == _reference_obj(mesh, f"mesh h={h}")
+        assert (tmp_path / f"mesh_h{h}.ply").read_bytes() \
+            == _reference_ply(mesh)

@@ -6,8 +6,8 @@ from loopcmc.convert import minimal_to_potential
 from loopcmc.frames import PotentialSpec, surface_from_potential
 from loopcmc.grid import DomainGrid
 from loopcmc.symmetry import (SymmetrySpec, check_reflective_data,
-                              check_rotational_data, laurent_rotational_check,
-                              ring_samples, verify_mesh_symmetry)
+                              check_rotational_data, ring_samples,
+                              verify_mesh_symmetry)
 from conftest import enneper, ORDER5_A, ORDER5_P
 
 
@@ -48,25 +48,18 @@ class TestRotationalData:
         assert check_rotational_data(order5_potential(1.0), 5, SAMPLES) <= 1e-12
 
     def test_enneper2_wrong_order_fails(self):
-        r = check_rotational_data(enneper(2), 2, ring_samples(1.0, 16))
-        assert r >= 0.1
+        # nu = z^2 has order 3, not 2, in both conventions: classically and
+        # as the potential entries a = 2, p = -2z
+        for data in (enneper(2), minimal_to_potential(enneper(2), 1.0)):
+            assert check_rotational_data(data, 3, SAMPLES) <= 1e-12
+            r = check_rotational_data(data, 2, ring_samples(1.0, 16))
+            assert r >= 0.1
 
     def test_h_independent_residual(self):
         # potential entries tested are (a, Q/a); the h value cannot matter
         rs = [check_rotational_data(order5_potential(h), 5, SAMPLES)
               for h in (1e-6, 0.5, 1.0, 2.0)]
         assert np.ptp(rs) == 0.0
-
-    def test_laurent_support_agrees_with_pointwise(self):
-        ok, bad = laurent_rotational_check(ORDER5_A, ORDER5_P, 5)
-        assert ok and bad == []
-        # Enneper k = 2 potential entries: a = 2, p = -2z: order 3 passes
-        ok3, _ = laurent_rotational_check("2", "-2*z", 3)
-        assert ok3
-        # but order 2 fails, matching the pointwise verdict
-        ok2, bad2 = laurent_rotational_check("2", "-2*z", 2)
-        assert not ok2 and 1 in bad2
-        assert check_rotational_data(enneper(2), 3, SAMPLES) <= 1e-12
 
 
 class TestMeshSymmetry:

@@ -169,8 +169,8 @@ def mesh_item_report(mesh: SurfaceMesh, name):
         "diameter": mesh.diameter(),
     }
     for key in ("ntrunc", "tail_bound", "max_iwasawa_residual",
-                "max_unitary_residual", "max_condition", "max_section",
-                "mask_causes", "lambda0"):
+                "max_unitary_residual", "max_condition", "condition_p99",
+                "max_section", "mask_causes", "lambda0"):
         if key in mesh.meta:
             v = mesh.meta[key]
             rep[key] = (complex(v).real if key == "lambda0" and

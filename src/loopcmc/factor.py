@@ -76,8 +76,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loops import (LoopMat, _mul2, circle_values, half_circle_values,
-                    inv2, unitary_defect)
+from .loops import (LoopMat, _mul2, circle_values, half_circle_entries,
+                    half_circle_values, inv2, mul_entries, unitary_defect)
 
 __all__ = ["FactorResult", "FactorError", "iwasawa", "iwasawa_batch",
            "unitary_loops"]
@@ -268,9 +268,17 @@ def _converged_factor(coeffs):
     return bcoef, binv, ok, cond, section
 
 
-def _gram(vals):
-    """V* V of the sampled values ``vals`` (..., 2, 2)."""
-    return _mul2(np.conj(np.swapaxes(vals, -1, -2)), vals)
+def _gram_defect(v, w=None):
+    """Per node, max |V* V - W* W| over the sampled values ``v`` and ``w``
+    (2, 2, m, n), entry-first; ``w`` None stands for W* W = I.  The real
+    diagonal and entry (0, 1) of the Hermitian V* V give every modulus."""
+    def herm(u):
+        sq = u.real ** 2 + u.imag ** 2
+        return (sq[0] + sq[1],
+                np.conj(u[0, 0]) * u[0, 1] + np.conj(u[1, 0]) * u[1, 1])
+    (dv, ov), (dw, ow) = herm(v), (1.0, 0.0) if w is None else herm(w)
+    return np.maximum(np.max(np.abs(dv - dw), axis=(0, 1)),
+                      np.max(np.abs(ov - ow), axis=0))
 
 
 def unitary_loops(lo, coeffs, b):
@@ -333,9 +341,11 @@ def iwasawa_batch(lo, coeffs):
     above it there comes back ok = False.  B^-1 comes from the same
     section's factor (:func:`_inverse_row`).  X, B and B^-1 are sampled
     once each at the ``NSAMPLE // 2`` points of the upper half circle that
-    give the maxima over ``NSAMPLE`` points of the circle
-    (``loops.half_circle_values``).  F's coefficients are not computed:
-    callers that need the loop F pass ``b`` to :func:`unitary_loops`.
+    give the maxima over ``NSAMPLE`` points of the circle, one array per
+    entry over points and nodes (``loops.half_circle_entries``), and the
+    residuals come from the entries of X* X, B* B and F F* in closed form.
+    F's coefficients are not computed: callers that need the loop F pass
+    ``b`` to :func:`unitary_loops`.
 
     Parameters
     ----------
@@ -351,13 +361,15 @@ def iwasawa_batch(lo, coeffs):
     factored at.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
+    n = coeffs.shape[0]
     bcoef, binv, ok, cond, section = _converged_factor(coeffs)
     ms = NSAMPLE // 2
-    xv = half_circle_values(coeffs, lo, ms)
-    bv, gv = half_circle_values(np.stack([bcoef, binv]), 0, ms)
-    size = np.maximum(np.max(np.abs(xv), axis=(1, 2, 3)), 1.0)
-    resid = np.max(np.abs(_gram(xv) - _gram(bv)), axis=(1, 2, 3)) / size ** 2
-    unit = unitary_defect(_mul2(xv, gv))
+    x = half_circle_entries(coeffs, lo, ms)
+    bg = half_circle_entries(np.concatenate([bcoef, binv]), 0, ms)
+    size = np.maximum(np.max(np.abs(x), axis=(0, 1, 2)), 1.0)
+    resid = _gram_defect(x, bg[..., :n]) / size ** 2
+    # F F* - I is the conjugate of (F^T)* F^T - I
+    unit = _gram_defect(mul_entries(x, bg[..., n:]).swapaxes(0, 1))
     rho = bcoef[:, 0, 0].real
     return {"b": bcoef, "binv": binv, "rho": rho,
             "residual": resid, "unitary_residual": unit,

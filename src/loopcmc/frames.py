@@ -8,8 +8,8 @@ The potential in normalized form is off-diagonal,
 
 and it is held as those two entries only (``potential_entries``).  Right
 multiplication by it swaps the two columns of a matrix and scales them by
-(lower, upper), which is the one kernel that the frame sweep and the
-flatness check use.
+(lower, upper), which is all the frame sweep and the flatness check do
+with it.
 
 The holomorphic frame Phi solves d Phi = Phi eta with Phi(z0) equal to the
 twisted extension of the initial unitary frame.  Writing the solution with
@@ -18,17 +18,17 @@ iterated path integrals; they are integrated here by a fourth-order sweep
 over grid paths, truncated where a rigorous factorial tail bound drops
 below tolerance.  The two entries are evaluated once per mesh, on the
 lattice of every substep and half-substep point of the grid walk, and the
-sweep only indexes those values.  Pointwise Iwasawa factorization X = F B
-of the frames then yields the plus factor B and its inverse, and the
-Sym-Bobenko formula
+sweep only indexes the fourth-order factors formed from them, node axis
+innermost.  Pointwise Iwasawa factorization X = F B of the frames then
+yields the plus factor B and its inverse, and the Sym-Bobenko formula
 
     -(1/2h) ( 2 i lam dF/dlam F^-1 + F e3 F^-1 - e3 ) at lam = lam0
 
 gives the immersion.  It reads the unitary frame only at lam0, where
 F = X B^-1 and dF/dlam = dX/dlam B^-1 + X dB^-1/dlam, with B^-1 read from
-the same factorization as B.  Tangents, normals and the conformal factor
-come from the frame and the plus-factor normalization, not from
-differencing positions.
+the same factorization as B, each entry one array over the nodes; the
+point, normal, tangents and conformal factor come from those entries and
+the plus-factor normalization in closed form, not from differencing.
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ from . import expr as ex
 from . import weier
 from .factor import iwasawa_batch
 from .grid import DomainGrid, _erode, sweep
-from .loops import (E1, E2, E3, _mul2, conv, hat_extend, inv2, su2_to_vec,
-                    matrix_cvec, values_at)
+from .loops import conv, entries_at, hat_extend, mul_entries
 from .mesh import SurfaceMesh
 
 __all__ = [
@@ -176,64 +175,49 @@ def _times_potential(psi, scale):
     return psi[..., ::-1] * scale[..., None, :]
 
 
-def _entry_lattice(upper, lower, zz, steps, substeps):
-    """The potential's entries on every substep and half-substep point of
-    every step of a :func:`grid.walk` over the lattice ``zz``: one
-    ``evaluate`` call per entry for the whole walk.  Returns one array per
-    step, shaped (..., 2 * substeps + 1, 2) with the step's leading shape
-    (empty along the basepoint row and the reroutes, a row down the
-    columns), point t at fraction t / (2 * substeps) of the edge, and
-    (lower, upper) along the last axis."""
-    frac = np.arange(2 * substeps + 1) / (2 * substeps)
-    pts = [zz[src][..., None] + (zz[dst] - zz[src])[..., None] * frac
-           for src, dst in steps]
-    flat = np.concatenate([q.ravel() for q in pts])
-    vals = np.stack([ex.evaluate(lower, flat), ex.evaluate(upper, flat)],
-                    axis=-1)
-    ends = np.cumsum([q.size for q in pts])
-    return [v.reshape(q.shape + (2,))
-            for v, q in zip(np.split(vals, ends[:-1]), pts)]
+def _rk4_factors(entries, dz):
+    """The right factors of the fourth-order substeps of a batch of edges,
+    node-last, from (lower, upper) at the 2 * substeps + 1 points of each
+    edge's substep lattice, ``entries`` (2 * substeps + 1, 2, ...), and
+    each edge's substep length ``dz`` (...).
 
-
-def _rk4_loop_advance(psi, za, zb, entries, substeps):
-    """Advance d Psi/dz = Psi A(z) / lam from za to zb, where
-    A = [[0, upper], [lower, 0]] is the off-diagonal potential; psi
-    (..., nk, 2) holds powers -(nk-1)..0 in ascending order in the
-    ``loops`` layout, and the product with lam^-m feeds slot t from slot
-    t+m: the dense 2x2 step without its zeros, bit for bit.  The entries
-    are not evaluated here: ``entries`` (..., 2 * substeps + 1, 2) holds
-    (lower, upper) on the edge's substep lattice (:func:`_entry_lattice`),
-    evaluated once per mesh, and substep s reads points 2s, 2s+1, 2s+2.
-
-    For this linear equation one classical fourth-order Runge-Kutta substep
-    of length dz is the right factor I + sum_m R_m lam^-m, with A0, Ah, A1
-    the potential at the substep's start, middle and end:
+    One classical Runge-Kutta substep of d Psi/dz = Psi A(z) / lam,
+    A = [[0, upper], [lower, 0]], is the right factor I + sum_m R_m lam^-m,
+    with A0, Ah, A1 the potential at its start, middle and end:
 
         R_1 = dz/6 (A0 + 4 Ah + A1),   R_2 = dz^2/6 (A0 Ah + Ah^2 + Ah A1),
         R_3 = dz^3/12 Ah^2 (A0 + A1),  R_4 = dz^4/24 A0 Ah^2 A1.
 
-    Ah^2 = upper_h lower_h I is scalar, so R_1 and R_3 are off-diagonal and
-    act through :func:`_times_potential`, and R_2 and R_4 are diagonal, so
-    they scale the columns of each slot."""
-    dz = ((np.asarray(zb, dtype=complex) - za) / substeps)[..., None, None]
+    Ah^2 = upper_h lower_h I is scalar, so R_1 and R_3 are off-diagonal,
+    held as (lower, upper), and R_2 and R_4 diagonal, held as their
+    diagonal.  Returns (4, substeps, 2, ...), R_m at index m - 1."""
+    dz = np.asarray(dz)
 
     def diag(x, y):
         # the diagonal of X Y for off-diagonal X, Y, as stacked entries
-        return x[..., ::-1] * y
+        return x[:, ::-1] * y
 
-    # the factors of every substep at once, substep s along axis -2
-    a0, ah, a1 = (entries[..., t:t + 2 * substeps:2, :] for t in range(3))
-    sq = ah[..., :1] * ah[..., 1:]
-    r1 = dz / 6 * (a0 + 4 * ah + a1)
-    r2 = dz ** 2 / 6 * (diag(a0, ah) + sq + diag(ah, a1))
-    r3 = dz ** 3 / 12 * sq * (a0 + a1)
-    r4 = dz ** 4 / 24 * sq * diag(a0, a1)
-    for s in range(substeps):
+    a0, ah, a1 = entries[:-1:2], entries[1::2], entries[2::2]
+    sq = ah[:, :1] * ah[:, 1:]
+    return np.stack([dz / 6 * (a0 + 4 * ah + a1),
+                     dz ** 2 / 6 * (diag(a0, ah) + sq + diag(ah, a1)),
+                     dz ** 3 / 12 * sq * (a0 + a1),
+                     dz ** 4 / 24 * sq * diag(a0, a1)])
+
+
+def _rk4_advance(psi, r):
+    """Advance the frames ``psi`` (nk, 2, ...), node-last, holding powers
+    -(nk-1)..0 in ascending order in the ``loops`` layout, through the
+    substeps whose factors ``r`` (4, substeps, 2, ...) :func:`_rk4_factors`
+    gives.  The product with R_m lam^-m feeds slot t from slot t+m, the
+    off-diagonal R_1 and R_3 after swapping the two columns: the dense 2x2
+    step without its zeros, bit for bit."""
+    for r1, r2, r3, r4 in r.swapaxes(0, 1):
         out = psi.copy()
-        out[..., :-1, :] += _times_potential(psi[..., 1:, :], r1[..., s, :])
-        out[..., :-2, :] += psi[..., 2:, :] * r2[..., s:s + 1, :]
-        out[..., :-3, :] += _times_potential(psi[..., 3:, :], r3[..., s, :])
-        out[..., :-4, :] += psi[..., 4:, :] * r4[..., s:s + 1, :]
+        out[:-1] += psi[1:, ::-1] * r1
+        out[:-2] += psi[2:] * r2
+        out[:-3] += psi[3:, ::-1] * r3
+        out[:-4] += psi[4:] * r4
         psi = out
     return psi
 
@@ -247,7 +231,8 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
     step along each edge of the grid walk (``DomainGrid.walk``: the
     basepoint row, then the columns, then breadth-first rerouting around
     masked nodes).  The potential's entries are evaluated once, on the
-    substep lattice of that walk (:func:`_entry_lattice`).  The result is
+    substep lattice of that walk, and the factors of every substep of every
+    edge are formed at once (:func:`_rk4_factors`).  The result is
     premultiplied by the twisted extension of the initial frame, unless
     that frame is the identity.
 
@@ -303,9 +288,26 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
     psi[grid.j0, grid.i0] = 0.0
     psi[grid.j0, grid.i0, -1] = 1.0         # the identity at power 0
     steps, reached = work.walk()
-    lattice = _entry_lattice(upper, lower, work.zz, steps, opts.substeps)
-    sweep(work.zz, steps, reached, psi, lambda s, za, zb, k: _rk4_loop_advance(
-        s, za, zb, lattice[k], opts.substeps))
+    # every edge of the walk in one batch, node-last: one evaluate call per
+    # entry, then all substep factors; edge k ends at slice ends[k], and
+    # each step runs on a node-last working copy of its node or row
+    zz = work.zz
+    za = np.concatenate([np.ravel(zz[src]) for src, _ in steps])
+    zb = np.concatenate([np.ravel(zz[dst]) for _, dst in steps])
+    npts = 2 * opts.substeps + 1
+    pts = (za[:, None] + (zb - za)[:, None] * (np.arange(npts) / (npts - 1)))
+    entries = np.stack([ex.evaluate(e, pts.ravel()).reshape(-1, npts).T
+                        for e in (lower, upper)], axis=1)
+    r = _rk4_factors(entries, (zb - za) / opts.substeps)
+    ends = np.cumsum([np.size(zz[dst]) for _, dst in steps])
+
+    def advance(state, za, zb, k):
+        flat = state.reshape(-1, nk, 2)
+        out = _rk4_advance(np.ascontiguousarray(flat.transpose(1, 2, 0)),
+                           r[..., ends[k] - len(flat):ends[k]])
+        return out.transpose(2, 0, 1).reshape(state.shape)
+
+    sweep(zz, steps, reached, psi, advance)
 
     ok = reached & np.all(np.isfinite(psi), axis=(2, 3))
     causes = dict.fromkeys(MASK_CAUSES, 0)
@@ -361,23 +363,36 @@ def flatness_residual(p: PotentialSpec, fg: FrameGrid, samples=20, seed=0):
 # ---------------------------------------------------------------------------
 # Sym-Bobenko formula
 
-def _antiherm(m):
-    out = 0.5 * (m - np.conj(np.swapaxes(m, -1, -2)))
-    tr = 0.5 * (out[..., 0, 0] + out[..., 1, 1])
-    out = out.copy()
-    out[..., 0, 0] -= tr
-    out[..., 1, 1] -= tr
-    return out
+def _sym_bobenko(f, df, h, lam0):
+    """The Sym-Bobenko point, the unit normal and the complex tangent
+    direction at ``lam0``, (n, 3) each, from F and dF/dlambda there held
+    entry-first (2, 2, n), in closed form with F^-1 = adj F / det F: the
+    su(2) parts of -(1/2h) (2 i lam0 dF F^-1 + F e3 F^-1 - e3) and of
+    F e3 F^-1, and the components -Trace(M Ei)/2 of M = F (E1 - i E2) F^-1,
+    (f00^2 - f10^2, -i (f00^2 + f10^2), 2 f00 f10) / det F."""
+    def su2(m01, m10, mdiff):
+        # (E1, E2, E3) components of the traceless anti-Hermitian part of
+        # the matrices with entries m01, m10 and m00 - m11 = mdiff
+        x01 = 0.5 * (m01 - np.conj(m10))
+        return np.stack([-x01.imag, x01.real, 0.5 * mdiff.imag], axis=-1)
 
-
-def _sym_from_values(f1, fd, h, lam0):
-    """Sym-Bobenko point from F(lam0) and dF/dlam(lam0), batched, with
-    F^-1 and F e3 F^-1 (the normal direction) for the caller to reuse."""
-    inv = inv2(f1)
-    fe3 = np.einsum("...ij,jk,...kl->...il", f1, E3, inv)
-    m = (2j * lam0) * np.einsum("...ij,...jl->...il", fd, inv)
-    m = m + fe3 - E3
-    return su2_to_vec(_antiherm(m)) * (-1.0 / (2.0 * h)), inv, fe3
+    (f00, f01), (f10, f11) = f
+    (d00, d01), (d10, d11) = df
+    c = 2j / (f00 * f11 - f01 * f10)
+    # F e3 F^-1: entries (0, 1), (1, 0) and the diagonal difference
+    n01, n10, ndiff = -c * f00 * f01, c * f10 * f11, c * (f00 * f11
+                                                          + f01 * f10)
+    cl = c * lam0
+    point = su2(cl * (d01 * f00 - d00 * f01) + n01,
+                cl * (d10 * f11 - d11 * f10) + n10,
+                cl * (d00 * f11 - d01 * f10 + d10 * f01 - d11 * f00)
+                + ndiff - 2j) * (-1.0 / (2.0 * h))
+    normal = su2(n01, n10, ndiff)
+    normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
+    sq0, sq1 = f00 ** 2, f10 ** 2
+    tangent = np.stack([sq0 - sq1, -1j * (sq0 + sq1), 2 * f00 * f10],
+                       axis=-1) * (c / 2j)[:, None]
+    return point, normal, tangent
 
 
 # ---------------------------------------------------------------------------
@@ -449,25 +464,25 @@ def surface_from_potential(p: PotentialSpec | weier.WeierstrassData,
     return weier.minimal_surface(w, grid)
 
 
-def _unitary_at(x, lo, out, lam0):
-    """F and dF/dlambda at ``lam0`` of the Iwasawa factors of the loops
-    ``x`` (n, nk, 2) with lowest power ``lo``, from the plus factors'
-    inverses ``out["binv"]`` (powers 0..) of their ``iwasawa_batch`` output
-    ``out``: F = X B^-1 holds at every point of the circle, so
-    F(lam0) = X(lam0) B^-1(lam0) and, by the product rule,
+def _frame_at(x, lo, out, lam0):
+    """F and dF/dlambda at ``lam0``, entry-first (2, 2, n) each, of the
+    Iwasawa factors of the loops ``x`` (n, nk, 2) with lowest power ``lo``,
+    from the plus factors' inverses ``out["binv"]`` (powers 0..) of their
+    ``iwasawa_batch`` output ``out``: F = X B^-1 holds at every point of
+    the circle, so F(lam0) = X(lam0) B^-1(lam0) and, by the product rule,
     dF = dX B^-1 + X dB^-1 there; no Fourier series of F is needed."""
-    xv, gv = values_at(x, lo, lam0), values_at(out["binv"], 0, lam0)
-    fd = _mul2(values_at(x, lo, lam0, derivative=True), gv) \
-        + _mul2(xv, values_at(out["binv"], 0, lam0, derivative=True))
-    return _mul2(xv, gv), fd
+    xv, gv = entries_at(x, lo, lam0), entries_at(out["binv"], 0, lam0)
+    x0, g0 = xv[..., 0, :], gv[..., 0, :]
+    return mul_entries(x0, g0), (mul_entries(xv[..., 1, :], g0)
+                                 + mul_entries(x0, gv[..., 1, :]))
 
 
 def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
                    opts: SurfaceOptions) -> SurfaceMesh:
     """Pointwise factorization of the holomorphic frames followed by the
-    Sym-Bobenko evaluation at lambda0 (:func:`_unitary_at`), normals,
-    tangents and the conformal factor.  An off-circle lambda0 raises
-    ValueError."""
+    Sym-Bobenko evaluation at lambda0 (:func:`_frame_at`,
+    :func:`_sym_bobenko`), normals, tangents and the conformal factor.  An
+    off-circle lambda0 raises ValueError."""
     lam0 = complex(opts.lambda0)
     if abs(abs(lam0) - 1.0) > 1e-12:
         raise ValueError("lambda0 must lie on the unit circle")
@@ -481,30 +496,22 @@ def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
     fzv = np.full((ny * nx, 3), np.nan, dtype=complex)
     rho_all = np.full(ny * nx, np.nan)
     ok_all = np.zeros(ny * nx, dtype=bool)
-    max_resid = max_unit = max_cond = 0.0
     max_section = 0
+    accepted = []
     causes = _mask_causes(fg.meta)
     a_vals = ex.evaluate(p.a, grid.zz).reshape(-1)
 
     for sel, lo, x, out, good in _factor_chunks(
             fg.lo, coeffs, fg.ok.reshape(-1), opts, causes):
-        f1, fd = _unitary_at(x, lo, out, lam0)
-        vec, inv, fe3 = _sym_from_values(f1, fd, p.h, lam0)
-        nrm = su2_to_vec(_antiherm(fe3))
-        nrm /= np.linalg.norm(nrm, axis=-1, keepdims=True)
-        mvec = matrix_cvec(np.einsum("nij,jk,nkl->nil", f1, (E1 - 1j * E2), inv))
+        f[sel], normal[sel], tangent = _sym_bobenko(
+            *_frame_at(x, lo, out, lam0), p.h, lam0)
         rho = out["rho"]
-        fz = 0.5 / lam0 * (a_vals[sel] * rho ** 2)[:, None] * mvec
-        f[sel] = vec
-        normal[sel] = nrm
-        fzv[sel] = fz
+        fzv[sel] = 0.5 / lam0 * (a_vals[sel] * rho ** 2)[:, None] * tangent
         rho_all[sel] = rho
         ok_all[sel] = good
         max_section = max(max_section, int(np.max(out["section"])))
-        if np.any(good):
-            max_resid = max(max_resid, float(np.max(out["residual"][good])))
-            max_unit = max(max_unit, float(np.max(out["unitary_residual"][good])))
-            max_cond = max(max_cond, float(np.max(out["condition"][good])))
+        accepted.append([out[k][good] for k in (
+            "residual", "unitary_residual", "condition")])
 
     f = f.reshape(ny, nx, 3)
     normal = normal.reshape(ny, nx, 3)
@@ -516,11 +523,16 @@ def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
         raise FrameError("factorization failed at the basepoint")
     f -= f[j0, i0]
     eu = 0.5 * np.abs(a_vals.reshape(ny, nx)) * rho_all ** 2
+    # over the accepted nodes, which hold the basepoint
+    resid, unit, cond = (np.concatenate(a) for a in zip(*accepted))
     meta = {
         "kind": "dpw", "h": p.h, "ntrunc": fg.ntrunc,
         "tail_bound": fg.tail_bound, "lambda0": lam0,
-        "max_iwasawa_residual": max_resid, "max_unitary_residual": max_unit,
-        "max_condition": max_cond, "max_section": max_section,
+        "max_iwasawa_residual": float(np.max(resid)),
+        "max_unitary_residual": float(np.max(unit)),
+        "max_condition": float(np.max(cond)),
+        "condition_p99": float(np.percentile(cond, 99)),
+        "max_section": max_section,
         "mask_causes": causes,
         "dressed": bool(fg.meta.get("dressed", False)),
     }

@@ -20,7 +20,9 @@ Every loop operation has one batched kernel on coefficient stacks:
 * :func:`half_circle_values` -- values at the upper half of the 2m-th
   roots of unity, which give a twisted loop's maxima over all of them;
 * :func:`unitary_defect` -- max |F F* - I| over sampled circle values;
-* :func:`inv2` -- closed-form inverses of stacked 2x2 matrices.
+* :func:`inv2` -- closed-form inverses of stacked 2x2 matrices;
+* :func:`entries_at`, :func:`half_circle_entries`, :func:`mul_entries` --
+  point values entry-first and node-last, (2, 2, ..., n), for the mesh.
 
 The :class:`LoopMat` functions (:func:`mul`, :func:`plus_defect`) are
 thin wrappers for single loops; products are exact.
@@ -32,7 +34,8 @@ import numpy as np
 
 __all__ = [
     "LoopMat", "LoopError", "identity", "hat_extend", "conv", "values_at",
-    "circle_values", "half_circle_values", "unitary_defect", "mul",
+    "circle_values", "half_circle_values", "entries_at",
+    "half_circle_entries", "mul_entries", "unitary_defect", "mul",
     "plus_defect", "E1", "E2", "E3", "su2_to_vec", "matrix_cvec",
     "inv2",
 ]
@@ -131,42 +134,62 @@ def conv(a, b, lo):
     return out
 
 
-def _dense(even, odd):
-    """Point values (..., 2, 2) from the sums (..., 2) of a loop's slots
-    of even powers (the diagonal) and of odd powers (the off-diagonal)."""
+def _entry_sums(coeffs, lo, weights):
+    """Point values sum_p weights[p - lo, s] X_p of the loops ``coeffs``
+    (n, nk, 2) with lowest power ``lo`` at m points, weights (nk, m),
+    entry-first: (2, 2, m, n).  Each parity half of the slots meets its
+    half of the weights in one matrix product."""
+    n, m = coeffs.shape[0], weights.shape[1]
+    out = np.empty((2, 2, m, n), dtype=complex)
+    for q, first in enumerate((lo % 2, 1 - lo % 2)):    # even, odd powers
+        part = coeffs[:, first::2].transpose(1, 2, 0)
+        vals = (weights[first::2].T @ part.reshape(part.shape[0], 2 * n)) \
+            .reshape(m, 2, n)
+        out[q, 0], out[1 - q, 1] = vals[:, 0], vals[:, 1]
+    return out
+
+
+def _parity_sums(coeffs, lo, weights):
+    """:func:`_entry_sums` of the loops ``coeffs`` (..., nk, 2) in the
+    layout of point values, (..., m, 2, 2)."""
+    lead, nk = coeffs.shape[:-2], coeffs.shape[-2]
+    vals = _entry_sums(coeffs.reshape(-1, nk, 2), lo, weights)
+    return vals.transpose(3, 2, 0, 1).reshape(lead + vals.shape[2:3] + (2, 2))
+
+
+def _lambda_weights(lo, nk, lam):
+    """(nk, 2): the powers lam^p and their derivatives p lam^(p-1) of the
+    slots p = lo..lo+nk-1."""
+    lam = complex(lam)
+    ks = lo + np.arange(nk)
+    return np.stack([lam ** ks, [k * lam ** (k - 1) if k != 0 else 0.0
+                                 for k in ks]], axis=1)
+
+
+def _half_circle_weights(lo, nk, m):
+    """(nk, m): the powers lambda^p at lambda = exp(i pi s/m) of the slots
+    p = lo..lo+nk-1; reduced exponents stay exact."""
+    pw = np.outer(lo + np.arange(nk), np.arange(m)) % (2 * m)
+    return np.exp(1j * np.pi / m * pw)
+
+
+def values_at(coeffs, lo, lam, derivative=False):
+    """Values at ``lam`` of the loops ``coeffs`` (..., nk, 2) with lowest
+    power ``lo``, or their lambda-derivatives there, shaped (..., 2, 2)."""
+    pows = _lambda_weights(lo, coeffs.shape[-2], lam)[:, int(derivative)]
+    even, odd = (np.einsum("k,...kc->...c", pows[first::2],
+                           coeffs[..., first::2, :])
+                 for first in (lo % 2, 1 - lo % 2))
     out = np.empty(even.shape[:-1] + (2, 2), dtype=complex)
     out[..., 0, 0], out[..., 1, 1] = even[..., 0], even[..., 1]
     out[..., 1, 0], out[..., 0, 1] = odd[..., 0], odd[..., 1]
     return out
 
 
-def _parity_sums(coeffs, lo, weights):
-    """Point values sum_p weights[p - lo, s] X_p, shaped (..., m, 2, 2),
-    of the loops ``coeffs`` (..., nk, 2) with lowest power ``lo``, for
-    the weights (nk, m) of m points: each parity half of the slots meets
-    its half of the weights in one matrix product."""
-    lead, nk = coeffs.shape[:-2], coeffs.shape[-2]
-    sums = []
-    for first in (lo % 2, 1 - lo % 2):          # even powers, odd powers
-        part = np.swapaxes(coeffs[..., first::2, :], -1, -2)
-        vals = part.reshape(coeffs.size // nk, part.shape[-1]) \
-            @ weights[first::2]
-        sums.append(np.swapaxes(vals.reshape(lead + (2, -1)), -1, -2))
-    return _dense(*sums)
-
-
-def values_at(coeffs, lo, lam, derivative=False):
-    """Values at ``lam`` of the loops ``coeffs`` (..., nk, 2) with lowest
-    power ``lo``, or their lambda-derivatives there, shaped (..., 2, 2)."""
-    lam = complex(lam)
-    ks = lo + np.arange(coeffs.shape[-2])
-    if derivative:
-        pows = np.array([k * lam ** (k - 1) if k != 0 else 0.0 for k in ks])
-    else:
-        pows = lam ** ks
-    return _dense(*(np.einsum("k,...kc->...c", pows[first::2],
-                              coeffs[..., first::2, :])
-                    for first in (lo % 2, 1 - lo % 2)))
+def entries_at(coeffs, lo, lam):
+    """Values ([..., 0, :]) and lambda-derivatives ([..., 1, :]) at ``lam``
+    of the loops ``coeffs`` (n, nk, 2), entry-first: (2, 2, 2, n)."""
+    return _entry_sums(coeffs, lo, _lambda_weights(lo, coeffs.shape[1], lam))
 
 
 def circle_values(coeffs, lo, m):
@@ -186,8 +209,15 @@ def half_circle_values(coeffs, lo, m):
     Their squares are the m-th roots of unity, so for a twisted loop,
     X(-lambda) = s X(lambda) s with s = diag(1, -1), these points give
     every entry modulus the loop takes at the 2m-th roots of unity."""
-    pw = np.outer(lo + np.arange(coeffs.shape[-2]), np.arange(m)) % (2 * m)
-    return _parity_sums(coeffs, lo, np.exp(1j * np.pi / m * pw))
+    return _parity_sums(coeffs, lo,
+                        _half_circle_weights(lo, coeffs.shape[-2], m))
+
+
+def half_circle_entries(coeffs, lo, m):
+    """:func:`half_circle_values` of the loops ``coeffs`` (n, nk, 2),
+    entry-first: (2, 2, m, n)."""
+    return _entry_sums(coeffs, lo,
+                       _half_circle_weights(lo, coeffs.shape[1], m))
 
 
 def _mul2(a, b):
@@ -199,6 +229,12 @@ def _mul2(a, b):
             out[..., i, j] = a[..., i, 0] * b[..., 0, j] \
                 + a[..., i, 1] * b[..., 1, j]
     return out
+
+
+def mul_entries(a, b):
+    """2x2 products of point values held entry-first, (2, 2, ...): entry
+    (i, j) is a[i, 0] b[0, j] + a[i, 1] b[1, j]."""
+    return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
 
 
 def unitary_defect(vals):

@@ -138,6 +138,7 @@ class TestGallery:
         # slots plus the starting margin, and is well conditioned
         assert item["max_section"] == 4
         assert 1.0 <= item["max_condition"] < 1e2
+        assert 1.0 <= item["condition_p99"] <= item["max_condition"]
 
     def test_smyth_symmetry_report(self, tmp_path):
         rc = main(["gallery", "smyth", "--k", "2", "--h", "1",

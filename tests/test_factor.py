@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from loopcmc import factor as fa
 from loopcmc.factor import FactorError, iwasawa, iwasawa_batch
-from loopcmc.loops import (LoopMat, circle_values, identity, mul,
-                           unitary_defect, values_at)
+from loopcmc.loops import (LoopMat, _mul2, circle_values, half_circle_values,
+                           identity, mul, unitary_defect, values_at)
 from conftest import (compact, expand, off_twist, rand_twisted_loop,
                       rand_unimodular_twisted)
 from test_loops import (f0_b0_closed_form, phi0_loop, plus_p_defect,
@@ -217,6 +217,41 @@ class TestCompactFactor:
         assert not np.any(dense[off_twist(dense, f.lo)])
         assert unitary_defect(circle_values(f.coeffs, f.lo, 64)) <= 1e-12
         assert r.residual <= 1e-12
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), band=st.integers(1, 12),
+           n=st.integers(1, 9), scale=st.floats(0.1, 3.0),
+           decay=st.floats(0.3, 0.9))
+    def test_checks_are_the_dense_products(self, seed, band, n, scale,
+                                           decay):
+        # the residuals formed from the closed-form entries of the
+        # Hermitian X* X, B* B and F F* are those of the dense 2x2
+        # products of the same half-circle samples, to their rounding
+        rng = np.random.default_rng(seed)
+        coeffs = twisted_chunk(rng, band, n=n, scale=scale, decay=decay)
+        out = iwasawa_batch(-band, coeffs)
+        ms = fa.NSAMPLE // 2
+        xv = half_circle_values(coeffs, -band, ms)
+        bv = half_circle_values(out["b"], 0, ms)
+        gv = half_circle_values(out["binv"], 0, ms)
+        fv = _mul2(xv, gv)
+        xh, bh, fh = (np.conj(np.swapaxes(v, -1, -2)) for v in (xv, bv, fv))
+        norm = np.maximum(np.max(np.abs(xv), axis=(1, 2, 3)), 1.0) ** 2
+        resid = np.max(np.abs(_mul2(xh, xv) - _mul2(bh, bv)),
+                       axis=(1, 2, 3)) / norm
+        unit = np.max(np.abs(_mul2(fv, fh) - np.eye(2)), axis=(1, 2, 3))
+        # the sampled entry scales of the rounded products: |X*| |X| +
+        # |B*| |B| (over the norm), and |X| |B^-1| |F*|, since F is itself
+        # the sampled product X B^-1
+        gram_size = np.max(_mul2(np.abs(xh), np.abs(xv))
+                           + _mul2(np.abs(bh), np.abs(bv)),
+                           axis=(1, 2, 3)).real / norm
+        ff_size = np.max(_mul2(_mul2(np.abs(xv), np.abs(gv)), np.abs(fh)),
+                         axis=(1, 2, 3)).real
+        assert np.all(np.abs(out["residual"] - resid) <= 1e-15 * gram_size)
+        assert np.all(np.abs(out["unitary_residual"] - unit)
+                      <= 1e-15 * ff_size)
 
 
 class TestIwasawaCore:

@@ -5,13 +5,12 @@ from loopcmc import expr as ex
 from loopcmc import factor, frames
 from loopcmc.convert import minimal_to_potential
 from loopcmc.frames import (FrameError, PotentialSpec, SurfaceOptions,
-                            TailBoundError, _sym_from_values,
-                            _trimmed_band, extract_curvature,
+                            TailBoundError, _sym_bobenko, _trimmed_band, extract_curvature,
                             flatness_residual, integrate_frame,
                             surface_from_potential)
 from loopcmc.grid import DomainGrid, walk
-from loopcmc.loops import (LoopMat, circle_values, conv, hat_extend, identity,
-                           unitary_defect, values_at)
+from loopcmc.loops import (LoopMat, circle_values, conv, entries_at,
+                           hat_extend, identity, unitary_defect, values_at)
 from loopcmc.weier import WeierstrassData, minimal_surface
 from conftest import (CATENOID_MU, CATENOID_NU, KUSNER_MU, KUSNER_NU,
                       compact, dense_loop, enneper, expand, sphere_oracle)
@@ -25,9 +24,8 @@ def plane_potential(h, a0=2.0):
 def sym_point(loop, h, lam0=1.0):
     """The Sym-Bobenko point of the unitary frame ``loop`` at ``lam0``, from
     its value and lambda-derivative there."""
-    f1 = values_at(loop.coeffs, loop.lo, lam0)
-    fd = values_at(loop.coeffs, loop.lo, lam0, derivative=True)
-    return _sym_from_values(f1[None], fd[None], h, lam0)[0][0]
+    v = entries_at(loop.coeffs[None], loop.lo, lam0)
+    return _sym_bobenko(v[..., 0, :], v[..., 1, :], h, lam0)[0][0]
 
 
 def column_first_deviation(pot, grid, monkeypatch):
@@ -371,6 +369,32 @@ class TestSurfaceFromPotential:
         assert mesh.meta["max_section"] == bands[-1] + factor.MARGIN_START
         assert 1.0 <= mesh.meta["max_condition"] < 1e3
 
+    def test_condition_p99_of_the_accepted_nodes(self, catenoid,
+                                                  monkeypatch):
+        # the 99th percentile of the accepted nodes' condition estimates,
+        # next to their maximum; a node rejected for its residual does not
+        # count, and the value repeats exactly
+        conds = []
+
+        def record(lo, coeffs):
+            out = factor.iwasawa_batch(lo, coeffs)
+            out["residual"][-1] = 1.0
+            out["condition"][-1] = 1e9
+            conds.append(out["condition"][:-1])
+            return out
+        monkeypatch.setattr(frames, "iwasawa_batch", record)
+        monkeypatch.setattr(frames, "CHUNK", 64)
+        pot = minimal_to_potential(catenoid, 1.0)
+        g = DomainGrid.square(0.8, 21)
+        meta = surface_from_potential(pot, g).meta
+        cond = np.concatenate(conds)
+        assert meta["mask_causes"]["residual"] == len(conds)
+        assert meta["max_condition"] == np.max(cond) < 1e9
+        assert meta["condition_p99"] == np.percentile(cond, 99)
+        assert 1.0 <= meta["condition_p99"] < meta["max_condition"]
+        assert surface_from_potential(pot, g).meta["condition_p99"] \
+            == meta["condition_p99"]
+
     @pytest.mark.parametrize("data, h, grid, lam0", [
         # Smyth h = 1: E0 is the identity, frames in powers <= 0
         (WeierstrassData("1", "z^2"), 1.0, DomainGrid.square(0.9, 21), 1.0),
@@ -384,15 +408,20 @@ class TestSurfaceFromPotential:
                                         monkeypatch):
         # F(lam0) = X(lam0) B^-1(lam0) and its derivative give the mesh
         # that summing the solved Fourier series of F at lam0 gives
+        calls = []
+
         def series_at(x, lo, out, lam):
             f, _, _ = factor.unitary_loops(lo, x, out["b"])
-            return values_at(f, lo, lam), values_at(f, lo, lam,
-                                                    derivative=True)
+            calls.append(len(f))
+            v = np.moveaxis(np.stack([values_at(f, lo, lam), values_at(
+                f, lo, lam, derivative=True)]), (0, 1), (-2, -1))
+            return v[..., 0, :], v[..., 1, :]
         pot = minimal_to_potential(data, h)
         opts = SurfaceOptions(lambda0=lam0)
         mesh = surface_from_potential(pot, grid, opts)
-        monkeypatch.setattr(frames, "_unitary_at", series_at)
+        monkeypatch.setattr(frames, "_frame_at", series_at)
         ref = surface_from_potential(pot, grid, opts)
+        assert sum(calls) == grid.nx * grid.ny
         assert mesh.mask.all() and ref.mask.all()
         tol = 1e-12 * ref.diameter()
         assert np.max(np.abs(mesh.f - ref.f)) <= tol

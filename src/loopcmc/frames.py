@@ -295,13 +295,13 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
     za = np.concatenate([np.ravel(zz[src]) for src, _ in steps])
     zb = np.concatenate([np.ravel(zz[dst]) for _, dst in steps])
     npts = 2 * opts.substeps + 1
-    pts = (za[:, None] + (zb - za)[:, None] * (np.arange(npts) / (npts - 1)))
+    pts = za[:, None] + (zb - za)[:, None] * (np.arange(npts) / (npts - 1))
     entries = np.stack([ex.evaluate(e, pts.ravel()).reshape(-1, npts).T
                         for e in (lower, upper)], axis=1)
     r = _rk4_factors(entries, (zb - za) / opts.substeps)
     ends = np.cumsum([np.size(zz[dst]) for _, dst in steps])
 
-    def advance(state, za, zb, k):
+    def advance(state, _za, _zb, k):
         flat = state.reshape(-1, nk, 2)
         out = _rk4_advance(np.ascontiguousarray(flat.transpose(1, 2, 0)),
                            r[..., ends[k] - len(flat):ends[k]])

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -222,33 +223,44 @@ class TestCompactFactor:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), band=st.integers(1, 12),
            n=st.integers(1, 9), scale=st.floats(0.1, 3.0),
-           decay=st.floats(0.3, 0.9))
+           decay=st.floats(0.3, 0.9), factors=st.booleans())
     def test_checks_are_the_dense_products(self, seed, band, n, scale,
-                                           decay):
+                                           decay, factors):
         # the residuals formed from the closed-form entries of the
         # Hermitian X* X, B* B and F F* are those of the dense 2x2
-        # products of the same half-circle samples, to their rounding
+        # products of the same half-circle samples, to their rounding:
+        # for the loops' own factors, and for random plus loops in their
+        # place, whose residuals are of order one in every entry
         rng = np.random.default_rng(seed)
         coeffs = twisted_chunk(rng, band, n=n, scale=scale, decay=decay)
-        out = iwasawa_batch(-band, coeffs)
+        if factors:
+            out = iwasawa_batch(-band, coeffs)
+        else:
+            b, g = scale * (rng.normal(size=(2, n, band + 1, 2))
+                            + 1j * rng.normal(size=(2, n, band + 1, 2)))
+            ones = np.ones(n)
+            with mock.patch.object(fa, "_converged_factor", return_value=(
+                    b, g, ones > 0, ones, ones.astype(int))):
+                out = iwasawa_batch(-band, coeffs)
         ms = fa.NSAMPLE // 2
+        # sampled as iwasawa_batch samples them, B and B^-1 in one stack
         xv = half_circle_values(coeffs, -band, ms)
-        bv = half_circle_values(out["b"], 0, ms)
-        gv = half_circle_values(out["binv"], 0, ms)
+        bv, gv = half_circle_values(np.stack([out["b"], out["binv"]]), 0, ms)
         fv = _mul2(xv, gv)
         xh, bh, fh = (np.conj(np.swapaxes(v, -1, -2)) for v in (xv, bv, fv))
         norm = np.maximum(np.max(np.abs(xv), axis=(1, 2, 3)), 1.0) ** 2
         resid = np.max(np.abs(_mul2(xh, xv) - _mul2(bh, bv)),
                        axis=(1, 2, 3)) / norm
         unit = np.max(np.abs(_mul2(fv, fh) - np.eye(2)), axis=(1, 2, 3))
-        # the sampled entry scales of the rounded products: |X*| |X| +
+        # the sampled entry scales of the rounded results: |X*| |X| +
         # |B*| |B| (over the norm), and |X| |B^-1| |F*|, since F is itself
-        # the sampled product X B^-1
+        # the sampled product X B^-1, or 1, the scale of F F* - I
         gram_size = np.max(_mul2(np.abs(xh), np.abs(xv))
                            + _mul2(np.abs(bh), np.abs(bv)),
                            axis=(1, 2, 3)).real / norm
-        ff_size = np.max(_mul2(_mul2(np.abs(xv), np.abs(gv)), np.abs(fh)),
-                         axis=(1, 2, 3)).real
+        ff_size = np.maximum(np.max(
+            _mul2(_mul2(np.abs(xv), np.abs(gv)), np.abs(fh)),
+            axis=(1, 2, 3)).real, 1.0)
         assert np.all(np.abs(out["residual"] - resid) <= 1e-15 * gram_size)
         assert np.all(np.abs(out["unitary_residual"] - unit)
                       <= 1e-15 * ff_size)

@@ -369,7 +369,9 @@ def _sym_bobenko(f, df, h, lam0):
     entry-first (2, 2, n), in closed form with F^-1 = adj F / det F: the
     su(2) parts of -(1/2h) (2 i lam0 dF F^-1 + F e3 F^-1 - e3) and of
     F e3 F^-1, and the components -Trace(M Ei)/2 of M = F (E1 - i E2) F^-1,
-    (f00^2 - f10^2, -i (f00^2 + f10^2), 2 f00 f10) / det F."""
+    (f00^2 - f10^2, -i (f00^2 + f10^2), 2 f00 f10) / det F, in the basis
+    E1 = [[0, -i], [-i, 0]], E2 = [[0, 1], [-1, 0]], E3 = e3 = diag(i, -i),
+    orthonormal for <X, Y> = -Trace(XY)/2."""
     def su2(m01, m10, mdiff):
         # (E1, E2, E3) components of the traceless anti-Hermitian part of
         # the matrices with entries m01, m10 and m00 - m11 = mdiff

@@ -36,15 +36,8 @@ __all__ = [
     "LoopMat", "LoopError", "identity", "hat_extend", "conv", "values_at",
     "circle_values", "half_circle_values", "entries_at",
     "half_circle_entries", "mul_entries", "unitary_defect", "mul",
-    "plus_defect", "E1", "E2", "E3", "su2_to_vec", "matrix_cvec",
-    "inv2",
+    "plus_defect", "inv2",
 ]
-
-# su(2) basis, orthonormal for <X,Y> = -Trace(XY)/2
-E1 = np.array([[0, -1j], [-1j, 0]], dtype=complex)
-E2 = np.array([[0, 1], [-1, 0]], dtype=complex)
-E3 = np.array([[1j, 0], [0, -1j]], dtype=complex)
-
 
 class LoopError(ValueError):
     pass
@@ -256,26 +249,6 @@ def plus_defect(a: LoopMat) -> float:
     """Distance of ``a`` from the plus loops (no negative powers): the
     largest entry of a negative power; 0 means a plus loop."""
     return float(np.max(np.abs(a.coeffs[:max(0, -a.lo)]), initial=0.0))
-
-
-# ---------------------------------------------------------------------------
-# su(2) <-> R^3
-
-def su2_to_vec(x):
-    """Components of an su(2) matrix in the (E1, E2, E3) basis."""
-    x = np.asarray(x)
-    return np.stack([-x[..., 0, 1].imag, x[..., 0, 1].real, x[..., 0, 0].imag],
-                    axis=-1)
-
-
-def matrix_cvec(m):
-    """Complex-bilinear components -Trace(M Ei)/2 of an arbitrary 2x2 matrix
-    (used for complexified tangent vectors)."""
-    m = np.asarray(m)
-    c1 = 0.5j * (m[..., 0, 1] + m[..., 1, 0])
-    c2 = 0.5 * (m[..., 0, 1] - m[..., 1, 0])
-    c3 = -0.5j * (m[..., 0, 0] - m[..., 1, 1])
-    return np.stack([c1, c2, c3], axis=-1)
 
 
 def inv2(m):

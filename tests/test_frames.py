@@ -5,9 +5,9 @@ from loopcmc import expr as ex
 from loopcmc import factor, frames
 from loopcmc.convert import minimal_to_potential
 from loopcmc.frames import (FrameError, PotentialSpec, SurfaceOptions,
-                            TailBoundError, _sym_bobenko, _trimmed_band, extract_curvature,
-                            flatness_residual, integrate_frame,
-                            surface_from_potential)
+                            TailBoundError, _sym_bobenko, _trimmed_band,
+                            extract_curvature, flatness_residual,
+                            integrate_frame, surface_from_potential)
 from loopcmc.grid import DomainGrid, walk
 from loopcmc.loops import (LoopMat, circle_values, conv, entries_at,
                            hat_extend, identity, unitary_defect, values_at)

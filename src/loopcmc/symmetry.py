@@ -15,8 +15,9 @@ Laurent support of a sits at powers 0 mod n and that of p at -2 mod n.
 Mesh level: reflective symmetry is f(zbar) = (f1, -f2, f3)(z) checked by
 exact node pairing on a conjugation-symmetric grid; rotational symmetry is
 f(w z) = R_theta f(z) with R_theta the rotation by theta about the third
-axis, checked by resampling at the rotated preimages (bicubic spline on a
-fully valid grid, bilinear with valid-corner checks otherwise).
+axis, checked by resampling at the rotated preimages (the not-a-knot bicubic
+spline on a fully valid grid of at least 4 x 4 nodes, bilinear with
+valid-corner checks otherwise).
 """
 
 from __future__ import annotations
@@ -122,14 +123,62 @@ def _bilinear(mesh, wre, wim):
     return vals, corners_ok
 
 
+def _notaknot_slopes(x, f):
+    """Node slopes, along axis 0, of the not-a-knot cubic spline through
+    ``f`` at the nodes ``x``; each column of ``f`` (n, m) is one
+    right-hand side of one dense solve."""
+    h = np.diff(x)
+    d = np.diff(f, axis=0) / h[:, None]
+    n = len(x)
+    a = np.zeros((n, n))
+    r = np.empty_like(f)
+    i = np.arange(1, n - 1)
+    a[i, i - 1], a[i, i], a[i, i + 1] = h[1:], 2.0 * (h[:-1] + h[1:]), h[:-1]
+    r[1:-1] = 3.0 * (h[1:, None] * d[:-1] + h[:-1, None] * d[1:])
+    # third derivative continuous across the first and last interior node
+    w0, w1 = h[0] + h[1], h[-1] + h[-2]
+    a[0, :2] = h[1], w0
+    r[0] = ((h[0] + 2.0 * w0) * h[1] * d[0] + h[0] ** 2 * d[1]) / w0
+    a[-1, -2:] = w1, h[-2]
+    r[-1] = (h[-1] ** 2 * d[-2] + (2.0 * w1 + h[-1]) * h[-2] * d[-1]) / w1
+    return np.linalg.solve(a, r)
+
+
+def _hermite_weights(t, h):
+    """Cubic Hermite weights on a cell of width h at the fractions t, as
+    (corner, derivative order, point)."""
+    s = 1.0 - t
+    return np.array([[(1.0 + 2.0 * t) * s * s, h * t * s * s],
+                     [t * t * (3.0 - 2.0 * t), -h * t * t * s]])
+
+
 def _spline_eval(mesh, wre, wim):
-    from scipy.interpolate import RectBivariateSpline
+    """The not-a-knot bicubic interpolant of the mesh positions (FITPACK's
+    ``kx = ky = 3, s = 0`` spline) at the points ``wre + i wim``.
+
+    The tensor-product spline is cubic on each cell, so it is the bicubic
+    Hermite patch on the node values, the x- and y-slopes of the spline
+    along each grid line, and the y-slopes of the x-slopes.
+    """
     g = mesh.grid
-    vals = np.empty(wre.shape + (3,))
-    for c in range(3):
-        sp = RectBivariateSpline(g.ys, g.xs, mesh.f[..., c], kx=3, ky=3, s=0)
-        vals[..., c] = sp.ev(wim, wre)
-    return vals
+    xs, ys, f = g.xs, g.ys, mesh.f
+    ny, nx = f.shape[:2]
+    fx = _notaknot_slopes(xs, f.transpose(1, 0, 2).reshape(nx, -1))
+    fx = fx.reshape(nx, ny, 3).transpose(1, 0, 2)
+    # derivatives (y-order q, x-order p) at every node: f, fx, fy, fxy
+    both = np.concatenate([f, fx], axis=-1).reshape(ny, -1)
+    dy = _notaknot_slopes(ys, both).reshape(ny, nx, 2, 3)
+    nodal = np.stack([np.stack([f, fx], axis=2), dy], axis=2)
+    i = np.clip(np.searchsorted(xs, wre) - 1, 0, nx - 2)
+    j = np.clip(np.searchsorted(ys, wim) - 1, 0, ny - 2)
+    hx, hy = xs[i + 1] - xs[i], ys[j + 1] - ys[j]
+    wx = _hermite_weights((wre - xs[i]) / hx, hx)
+    wy = _hermite_weights((wim - ys[j]) / hy, hy)
+    # cell corners (cy, cx): nodal values (n, q, p, 3) and weights (q, p, n)
+    corner = np.array([0, 1])
+    c = nodal[j + corner[:, None, None], i + corner[:, None]]
+    w = wy[:, None, :, None] * wx[None, :, None]
+    return np.einsum("abqpn,abnqpc->nc", w, c)
 
 
 def verify_mesh_symmetry(mesh: SurfaceMesh, spec: SymmetrySpec,
@@ -139,8 +188,10 @@ def verify_mesh_symmetry(mesh: SurfaceMesh, spec: SymmetrySpec,
 
     Reflective: the grid must be conjugation-symmetric (exact node
     pairing).  Rotational: positions are resampled at the rotated
-    preimages; ``method`` is 'spline' (bicubic; needs a fully valid grid),
-    'bilinear', or 'auto'.
+    preimages; ``method`` is 'spline' (the not-a-knot bicubic interpolant,
+    FITPACK's ``kx = ky = 3, s = 0`` spline; needs a fully valid grid with
+    at least 4 nodes per axis), 'bilinear', or 'auto' (the spline where it
+    applies, else bilinear).
     """
     g = mesh.grid
     diam = mesh.diameter()
@@ -166,9 +217,13 @@ def verify_mesh_symmetry(mesh: SurfaceMesh, spec: SymmetrySpec,
     sel = mesh.mask & inside
     if not np.any(sel):
         raise ValueError("no resampling points inside the grid")
+    spline_ok = min(g.nx, g.ny) >= 4 and mesh.mask.all()
     if method == "auto":
-        method = "spline" if mesh.mask.all() else "bilinear"
+        method = "spline" if spline_ok else "bilinear"
     if method == "spline":
+        if not spline_ok:
+            raise ValueError("spline resampling needs a fully valid grid "
+                             "with at least 4 nodes per axis")
         vals = _spline_eval(mesh, target.real[sel], target.imag[sel])
         ok = np.ones(vals.shape[:-1], dtype=bool)
     else:

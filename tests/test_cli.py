@@ -1,5 +1,9 @@
 import json
+import math
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -183,6 +187,38 @@ class TestGallery:
         rc = main(["--config", str(cfg), "mesh", "--out", str(out)])
         assert rc == 0
         assert read_report(out)["items"][0]["h"] == 1.0
+
+
+class TestMeshSymmetryFlag:
+    def test_three_node_grid_falls_back_to_bilinear(self, tmp_path):
+        # too few nodes for a cubic spline: the check resamples bilinearly
+        # and the run still writes its report
+        rc = main(["mesh", "--a", "2", "--Q=-4*z", "--h", "1", "--grid", "3",
+                   "--symmetry", "3", "--out", str(tmp_path)])
+        assert rc == 0
+        dev = read_report(tmp_path)["items"][0]["checks"][
+            "rotational_mesh_deviation"]
+        assert math.isfinite(dev)
+
+    @pytest.mark.parametrize("argv", [
+        ["gallery", "smyth", "--h", "1"],
+        ["mesh", "--a", "2", "--Q=-4*z", "--h", "1", "--grid", "21",
+         "--symmetry", "3"]], ids=["gallery", "mesh"])
+    def test_symmetry_check_imports_no_scipy(self, tmp_path, argv):
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = ("import sys\n"
+                "from loopcmc import cli\n"
+                f"rc = cli.main({argv + ['--out', str(tmp_path)]!r})\n"
+                "print(rc, 'scipy' in sys.modules)\n")
+        run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                             env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "0 False"
+        # the check ran: the 21-node mesh deviates by about 1.4e-4
+        item = read_report(tmp_path)["items"][0]
+        assert item["checks"]["rotational_mesh_deviation"] <= 1e-3
 
 
 class TestParserOnce:

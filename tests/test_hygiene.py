@@ -1,7 +1,8 @@
 """Source hygiene: every name a module of the package or of its tests
-imports is used there, every name a package module's ``__all__`` lists
-exists, and every name it defines at module level is either exported or
-read somewhere in the package.
+imports is used there, every module the package imports is the standard
+library, numpy or the package itself, every name a package module's
+``__all__`` lists exists, and every name it defines at module level is
+either exported or read somewhere in the package.
 
 Names listed in the module's ``__all__`` (re-exports) and import lines
 marked ``# noqa`` (kept on purpose, e.g. for a tracer that wraps the name)
@@ -11,6 +12,7 @@ are exempt from the import check.
 import ast
 import importlib
 import pathlib
+import sys
 
 import pytest
 
@@ -62,6 +64,42 @@ def test_check_flags_an_unused_import(tmp_path):
     src.write_text("import os\nimport sys  # noqa\n"
                    "from math import pi, tau\n__all__ = ['tau']\n")
     assert unused_imports(src) == [(1, "os"), (3, "pi")]
+
+
+ALLOWED_IMPORTS = set(sys.stdlib_module_names) | {"numpy", "loopcmc"}
+
+
+def foreign_imports(path):
+    """(line, module) of each import, function-level ones included, that
+    resolves outside the standard library, numpy and the package."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            mods = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            mods = [node.module]
+        else:
+            continue
+        out += [(node.lineno, m) for m in mods
+                if m.split(".")[0] not in ALLOWED_IMPORTS]
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_imports_are_allowed(path):
+    assert foreign_imports(path) == []
+
+
+def test_check_flags_a_foreign_import(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import os.path\nimport numpy as np\n"
+                   "from . import frames\nfrom loopcmc.grid import walk\n"
+                   "import scipy\n\n\ndef f():\n"
+                   "    from scipy.interpolate import RectBivariateSpline\n"
+                   "    import sympy, json\n")
+    assert foreign_imports(src) == [(5, "scipy"), (9, "scipy.interpolate"),
+                                    (10, "sympy")]
 
 
 def _parse(path):

@@ -1,13 +1,16 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from loopcmc import expr as ex
 from loopcmc.convert import minimal_to_potential
 from loopcmc.frames import PotentialSpec, surface_from_potential
 from loopcmc.grid import DomainGrid
-from loopcmc.symmetry import (SymmetrySpec, check_reflective_data,
-                              check_rotational_data, ring_samples,
-                              verify_mesh_symmetry)
+from loopcmc.symmetry import (SymmetrySpec, _spline_eval,
+                              check_reflective_data, check_rotational_data,
+                              ring_samples, verify_mesh_symmetry)
 from conftest import enneper, ORDER5_A, ORDER5_P
 
 
@@ -106,6 +109,22 @@ class TestMeshSymmetry:
         dev = verify_mesh_symmetry(mesh, SymmetrySpec.rotational(3),
                                    method="bilinear")
         assert dev <= 1e-3
+        assert verify_mesh_symmetry(mesh, SymmetrySpec.rotational(3)) == dev
+        with pytest.raises(ValueError, match="fully valid"):
+            verify_mesh_symmetry(mesh, SymmetrySpec.rotational(3),
+                                 method="spline")
+
+    def test_auto_falls_back_below_four_nodes(self):
+        # a 3 x 3 grid has no cubic spline; only the centre node maps
+        # inside the margin, onto itself
+        g = DomainGrid.square(0.9, 3)
+        mesh = surface_from_potential(
+            PotentialSpec.normalized("2", "-4*z", 1.0), g)
+        dev = verify_mesh_symmetry(mesh, SymmetrySpec.rotational(3))
+        assert dev == 0.0
+        with pytest.raises(ValueError, match="4 nodes"):
+            verify_mesh_symmetry(mesh, SymmetrySpec.rotational(3),
+                                 method="spline")
 
     def test_rejects_asymmetric_grid(self):
         g = DomainGrid.make(-1, 1, 21, -0.5, 1.0, 16, 0j)
@@ -122,3 +141,36 @@ class TestSymmetrySpec:
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             SymmetrySpec.rotational(1)
+
+
+class TestSplineResampler:
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), nx=st.integers(4, 14),
+           ny=st.integers(4, 14), width=st.floats(0.2, 3.0),
+           aspect=st.floats(0.3, 2.5))
+    @example(seed=0, nx=4, ny=9, width=1.0, aspect=0.5)
+    @example(seed=1, nx=11, ny=4, width=2.0, aspect=1.7)
+    def test_matches_fitpack(self, seed, nx, ny, width, aspect):
+        # the resampler is FITPACK's interpolating spline kx = ky = 3,
+        # s = 0, to rounding, on grids with nx != ny and dx != dy
+        from scipy.interpolate import RectBivariateSpline
+        rng = np.random.default_rng(seed)
+        if nx == ny:
+            ny += 1
+        x0, y0 = rng.uniform(-1.0, 1.0, 2)
+        xs = np.linspace(x0, x0 + width, nx)
+        ys = np.linspace(y0, y0 + width * aspect * 1.01, ny)
+        yy, xx = np.meshgrid(ys, xs, indexing="ij")
+        k, phase = rng.uniform(-3.0, 3.0, (2, 3, 3))
+        f = np.stack([np.sin(k[c, 0] * xx + k[c, 1] * yy + phase[c, 0])
+                      + phase[c, 1] * xx * yy + phase[c, 2] * xx ** 3
+                      for c in range(3)], axis=-1)
+        mesh = SimpleNamespace(grid=SimpleNamespace(xs=xs, ys=ys), f=f)
+        wre = rng.uniform(xs[0], xs[-1], 64)
+        wim = rng.uniform(ys[0], ys[-1], 64)
+        ref = np.stack([RectBivariateSpline(ys, xs, f[..., c], kx=3, ky=3,
+                                            s=0).ev(wim, wre)
+                        for c in range(3)], axis=-1)
+        got = _spline_eval(mesh, wre, wim)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(f))

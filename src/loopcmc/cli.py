@@ -459,6 +459,46 @@ def _kusner_orders(data):
              "valid": pc.valid, "r": pc.r} for pc in rep.points]
 
 
+# The values of the flags that neither the command line nor --config sets,
+# per subcommand; every other flag stays None (or False).  check's --tol
+# bounds a data residual, the others' is the series tail tolerance, whose
+# default is SurfaceOptions'.
+DEFAULTS = {
+    "mesh": {"grid": [41], "format": "obj", "prefix": "mesh"},
+    "convert": {},
+    "check": {"sample_radius": 0.7, "tol": 1e-10},
+    "dress": {"grid": [41], "K": 6},
+    "gallery": {"format": "obj", "prefix": "mesh"},
+}
+
+
+def apply_config(args):
+    """Fill each flag the command line left unset (None or False) from the
+    JSON object of the ``--config`` file, then from the command's
+    ``DEFAULTS``.  The file's keys are flag names as the namespace holds
+    them (``sample_radius`` for ``--sample-radius``); a key that is no flag
+    of the command is a config error."""
+    config = {}
+    if args.config:
+        try:
+            with open(args.config) as fh:
+                config = json.load(fh)
+        except (OSError, json.JSONDecodeError) as err:
+            raise ConfigError(str(err))
+        if not isinstance(config, dict):
+            raise ConfigError(f"{args.config}: not a JSON object")
+        unknown = sorted(set(config) - set(vars(args))
+                         - {"config", "cmd", "func"})
+        if unknown:
+            raise ConfigError(f"{args.config}: no {args.cmd} flag named "
+                              + ", ".join(map(repr, unknown)))
+    for source in (config, DEFAULTS[args.cmd]):
+        for k, v in source.items():
+            # identity tests: 0 == False, yet an explicit 0 is set
+            if getattr(args, k) is None or getattr(args, k) is False:
+                setattr(args, k, v)
+
+
 def _echo_config(args):
     # paths are excluded so identical jobs yield identical report bytes
     skip = {"func", "config", "out"}
@@ -482,8 +522,8 @@ def _add_data_flags(sp):
 
 
 def _add_grid_flags(sp):
-    sp.add_argument("--grid", type=int, nargs="+", default=[41],
-                    help="grid size NX [NY]")
+    sp.add_argument("--grid", type=int, nargs="+",
+                    help="grid size NX [NY] (default 41)")
     sp.add_argument("--xrange", type=float, nargs=2)
     sp.add_argument("--yrange", type=float, nargs=2)
     sp.add_argument("--trunc", type=int, help="series truncation cap")
@@ -494,19 +534,22 @@ def _add_grid_flags(sp):
 
 def _add_out_flags(sp):
     sp.add_argument("--out", help="output directory (report.json, meshes)")
-    sp.add_argument("--format", choices=["obj", "ply", "both"], default="obj")
-    sp.add_argument("--prefix", default="mesh")
+    sp.add_argument("--format", choices=["obj", "ply", "both"],
+                    help="mesh file format (default obj)")
+    sp.add_argument("--prefix", help="mesh file name prefix (default mesh)")
 
 
 @functools.cache
 def build_parser():
     """The command-line parser, built once per process and shared: each
-    ``parse_args`` (and ``--config``) fills a fresh namespace."""
+    ``parse_args`` fills a fresh namespace, and :func:`apply_config` fills
+    the flags it leaves unset there."""
     ap = argparse.ArgumentParser(
         prog="loopcmc",
         description="constant mean curvature and minimal surfaces from "
                     "Weierstrass-type data via loop group factorization")
-    ap.add_argument("--config", help="JSON file with default flag values")
+    ap.add_argument("--config", help="JSON file of flag values (keyed by "
+                    "flag name) that the command line overrides")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     mp = sub.add_parser("mesh", help="generate surface meshes")
@@ -531,8 +574,10 @@ def build_parser():
     kp.add_argument("--symmetry", type=int)
     kp.add_argument("--reflective", action="store_true")
     kp.add_argument("--orders", help="semicolon-separated points")
-    kp.add_argument("--sample-radius", type=float, default=0.7)
-    kp.add_argument("--tol", type=float, default=1e-10)
+    kp.add_argument("--sample-radius", type=float,
+                    help="radius of the sample ring (default 0.7)")
+    kp.add_argument("--tol", type=float,
+                    help="residual bound of a pass (default 1e-10)")
     kp.add_argument("--out")
     kp.set_defaults(func=cmd_check)
 
@@ -541,7 +586,7 @@ def build_parser():
     dp.add_argument("--rho", help="gauge the data by (a, Q) -> (rho^2 a, Q)")
     dp.add_argument("--atilde", help="target data for an h-independent element")
     dp.add_argument("--h", action="append")
-    dp.add_argument("--K", type=int, default=6)
+    dp.add_argument("--K", type=int, help="recursion depth (default 6)")
     _add_grid_flags(dp)
     dp.add_argument("--out")
     dp.set_defaults(func=cmd_dress)
@@ -561,19 +606,9 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                overrides = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
-            print(f"config error: {err}", file=sys.stderr)
-            return 2
-        for k, v in overrides.items():
-            if getattr(args, k, None) in (None, False):
-                setattr(args, k, v)
+    args = build_parser().parse_args(argv)
     try:
+        apply_config(args)
         return args.func(args)
     except (FrameError, FactorError, ArithmeticError, LoopError,
             np.linalg.LinAlgError) as err:

@@ -11,7 +11,7 @@ elsewhere in the package.
 Expressions are evaluated exactly as written; there is no simplification
 beyond constant folding in derivative construction.  ``sqrt`` uses the
 principal branch per evaluation; continuity along a path is the caller's
-job (see :func:`continued_sqrt`).
+job (``weier.coordinate_frame_grid`` carries it along the grid sweep).
 
 A :class:`Prim` node is the primitive of an integrand from a basepoint,
 evaluated by path quadrature (:func:`integrate_path`); :func:`primitive`
@@ -28,11 +28,11 @@ import numpy as np
 
 __all__ = [
     "ExprNode", "Const", "Var", "Add", "Sub", "Mul", "Div", "Neg", "Pow",
-    "Exp", "Sqrt", "Prim", "ExprSyntaxError", "IndeterminateOrderError",
+    "Exp", "Sqrt", "Prim", "ExprSyntaxError",
     "as_expr", "parse", "evaluate", "primitive", "diff", "taylor",
     "series_mul", "series_div", "series_sqrt", "series_exp", "series_diff",
-    "to_text", "OrderResult", "order_at", "order_at_int", "integrate_path",
-    "gauss_segment", "continued_sqrt", "as_polynomial",
+    "to_text", "OrderResult", "order_at", "integrate_path",
+    "gauss_segment", "as_polynomial",
 ]
 
 
@@ -42,10 +42,6 @@ class ExprSyntaxError(ValueError):
     def __init__(self, message, position):
         self.position = position
         super().__init__(f"{message} (at offset {position})")
-
-
-class IndeterminateOrderError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -693,14 +689,6 @@ def order_at(e: ExprNode, z0: complex, radius: float = 1e-3, npoints: int = 24,
     return OrderResult(k, est, resid)
 
 
-def order_at_int(e, z0, **kw) -> int:
-    res = order_at(e, z0, **kw)
-    if res.indeterminate:
-        raise IndeterminateOrderError(
-            f"order at {z0} indeterminate (estimate {res.estimate:.3f})")
-    return res.order
-
-
 # ---------------------------------------------------------------------------
 # Path integration (composite Gauss-Legendre)
 
@@ -779,29 +767,7 @@ def primitive(integrand, z0) -> ExprNode:
 
 
 # ---------------------------------------------------------------------------
-# Branch-continuous square root along an ordered sequence
-
-def continued_sqrt(values, first=None):
-    """Square roots of ``values`` (ordered along a path), choosing signs so
-    consecutive entries stay close.  ``first`` optionally pins the leading
-    root; default is the principal branch."""
-    vals = np.asarray(values, dtype=complex)
-    s = np.sqrt(vals)
-    if s.size == 0:
-        return s
-    if first is not None and abs(first + s.flat[0]) < abs(first - s.flat[0]):
-        s = -s
-    flat = s.ravel()
-    # local flip decision; cumulative parity turns it into a global sign
-    inner = flat[1:] * np.conj(flat[:-1])
-    flips = (inner.real < 0).astype(int)
-    parity = np.concatenate([[0], np.cumsum(flips) % 2])
-    flat = np.where(parity == 1, -flat, flat)
-    return flat.reshape(s.shape)
-
-
-# ---------------------------------------------------------------------------
-# Polynomial extraction (used by the Laurent-support symmetry test)
+# Polynomial extraction (read by :func:`primitive`)
 
 def as_polynomial(e: ExprNode, max_degree=200):
     """Return {power: coeff} if ``e`` is a polynomial in z (division only by

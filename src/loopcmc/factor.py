@@ -55,7 +55,7 @@ F = X B^-1 with B^-1 read from the factor by up to 2.8e-13 (5.5e-13),
 close to the solved series of F (2.1e-13); on random loops whose
 coefficients decay by 0.9 per power, the two differ from that series by up
 to 2e-11 and 3e-12.  ``iwasawa_batch`` checks the factorization at the m
-points lambda = exp(i pi s/m), s = 0..m-1 (``loops.half_circle_values``):
+points lambda = exp(i pi s/m), s = 0..m-1 (``loops.half_circle_entries``):
 their squares are the m-th roots of unity, and X(-lambda) = s X(lambda) s,
 s = diag(1, -1), so they give the maxima over 2m points of the circle.  The
 mesh reads F and dF/dlambda at one point lambda0 the same way, from X and
@@ -63,11 +63,12 @@ B^-1 and their derivatives there.
 
 F's Fourier series is solved (``unitary_loops``) only where the loop F is
 itself the output: ``iwasawa`` and the dressed frames of
-``dressing.dress_frame``.  X and B are sampled at m roots of unity, F is
-taken there as X B(lambda)^-1 point by point, and one FFT gives its
-coefficients.  The m points determine the coefficients of m consecutive
-powers up to aliasing from m powers on, so m doubles while F's truncation
-test has not passed within the first m/2 of them.
+``dressing.dress_frame``.  X and B are sampled at m roots of unity
+(``loops.circle_entries``), F is taken there as X adj B / det B point by
+point, and one FFT gives its coefficients.  The m points determine the
+coefficients of m consecutive powers up to aliasing from m powers on, so m
+doubles while F's truncation test has not passed within the first m/2 of
+them.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loops import (LoopMat, _mul2, circle_values, half_circle_entries,
-                    half_circle_values, inv2, mul_entries, unitary_defect)
+from .loops import (LoopMat, circle_entries, half_circle_entries,
+                    mul_entries)
 
 __all__ = ["FactorResult", "FactorError", "iwasawa", "iwasawa_batch",
            "unitary_loops"]
@@ -291,17 +292,20 @@ def unitary_loops(lo, coeffs, b):
     For callers whose output is the loop F itself (``iwasawa``,
     ``dressing.dress_frame``); the mesh needs F only at one point and
     takes it from X and B^-1 there.  X and B are sampled at m roots of
-    unity, F = X B^-1 is formed there with closed-form 2x2 inverses, and
-    one FFT of F's column sums (1, 1) F gives its compact coefficients,
-    so F comes back exactly twisted.  The series of F decays geometrically
-    (the plus factor is invertible in the disc).  Its coefficients run past
-    the input band until one falls below ``TAIL_TOL`` relative to the input
+    unity (:func:`loops.circle_entries`), F = X adj B / det B is formed
+    there entry-first (:func:`loops.mul_entries`), and one FFT of F's
+    column sums (1, 1) F gives its compact coefficients, so F comes back
+    exactly twisted.  The series of F decays geometrically (the plus
+    factor is invertible in the disc).  Its coefficients run past the
+    input band until one falls below ``TAIL_TOL`` relative to the input
     scale, capped at ``nk + EXTRA``.  m starts at twice the power of two
     above the length of ``b``; the m points fix the coefficients of m
     consecutive powers up to aliasing from m powers on, so m doubles while
     the tail test has not passed within the first m/2 of them.  The
     residuals sample the ``NSAMPLE // 2`` points of the upper half circle
-    that give the maxima over ``NSAMPLE`` points of the circle.
+    that give the maxima over ``NSAMPLE`` points of the circle, the
+    unitarity residual from the entries of F F* in closed form
+    (:func:`_gram_defect`).
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     nk = coeffs.shape[1]
@@ -309,22 +313,26 @@ def unitary_loops(lo, coeffs, b):
     scale = max(float(np.max(np.abs(coeffs))), 1.0)
     m = 2 << b.shape[1].bit_length()
     while True:
-        fv = _mul2(circle_values(coeffs, lo, m), inv2(circle_values(b, 0, m)))
+        bv = circle_entries(b, 0, m)
+        det = bv[0, 0] * bv[1, 1] - bv[0, 1] * bv[1, 0]
+        binv = np.array([[bv[1, 1], -bv[0, 1]], [-bv[1, 0], bv[0, 0]]]) / det
+        fv = mul_entries(circle_entries(coeffs, lo, m), binv)
         # FFT of (1, 1) F: slot k holds the powers congruent to k mod m
-        f = np.fft.fft(fv.sum(axis=2), axis=1, norm="forward")
+        f = np.fft.fft(fv[0] + fv[1], axis=1, norm="forward")
         f = np.roll(f, -lo, axis=1)[:, :min(m // 2, nf)]
         small = np.max(np.abs(f[:, nk:]), axis=(0, 2)) < TAIL_TOL * scale
         if small.any() or m // 2 >= nf:
             break
         m *= 2
     used = nk + int(np.argmax(small)) + 1 if small.any() else nf
-    f = f[:, :used]
+    f = np.ascontiguousarray(f[:, :used].transpose(2, 1, 0))
     ms = NSAMPLE // 2
-    fv = half_circle_values(f, lo, ms)
-    resid = np.max(np.abs(_mul2(fv, half_circle_values(b, 0, ms))
-                          - half_circle_values(coeffs, lo, ms)),
-                   axis=(1, 2, 3))
-    return f, resid, unitary_defect(fv)
+    fv = half_circle_entries(f, lo, ms)
+    resid = np.max(np.abs(mul_entries(fv, half_circle_entries(b, 0, ms))
+                          - half_circle_entries(coeffs, lo, ms)),
+                   axis=(0, 1, 2))
+    # F F* - I is the conjugate of (F^T)* F^T - I
+    return f, resid, _gram_defect(fv.swapaxes(0, 1))
 
 
 def iwasawa_batch(lo, coeffs):

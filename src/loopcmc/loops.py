@@ -15,14 +15,15 @@ objects.
 Every loop operation has one batched kernel on coefficient stacks:
 
 * :func:`conv` -- the Cauchy product of one loop with a stack of loops;
-* :func:`values_at` -- values (or lambda-derivatives) at one lambda;
-* :func:`circle_values` -- values at the m-th roots of unity;
-* :func:`half_circle_values` -- values at the upper half of the 2m-th
+* :func:`entries_at` -- values and lambda-derivatives at one lambda;
+* :func:`circle_entries` -- values at the m-th roots of unity;
+* :func:`half_circle_entries` -- values at the upper half of the 2m-th
   roots of unity, which give a twisted loop's maxima over all of them;
-* :func:`unitary_defect` -- max |F F* - I| over sampled circle values;
-* :func:`inv2` -- closed-form inverses of stacked 2x2 matrices;
-* :func:`entries_at`, :func:`half_circle_entries`, :func:`mul_entries` --
-  point values entry-first and node-last, (2, 2, ..., n), for the mesh.
+* :func:`mul_entries` -- 2x2 products of point values.
+
+Point values have one layout, entry-first and node-last: the values of n
+loops at m points are an array (2, 2, m, n), entry (i, j) of every point
+and node in one contiguous plane.
 
 The :class:`LoopMat` functions (:func:`mul`, :func:`plus_defect`) are
 thin wrappers for single loops; products are exact.
@@ -33,10 +34,9 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "LoopMat", "LoopError", "identity", "hat_extend", "conv", "values_at",
-    "circle_values", "half_circle_values", "entries_at",
-    "half_circle_entries", "mul_entries", "unitary_defect", "mul",
-    "plus_defect", "inv2",
+    "LoopMat", "LoopError", "identity", "hat_extend", "conv", "entries_at",
+    "circle_entries", "half_circle_entries", "mul_entries", "mul",
+    "plus_defect",
 ]
 
 class LoopError(ValueError):
@@ -142,14 +142,6 @@ def _entry_sums(coeffs, lo, weights):
     return out
 
 
-def _parity_sums(coeffs, lo, weights):
-    """:func:`_entry_sums` of the loops ``coeffs`` (..., nk, 2) in the
-    layout of point values, (..., m, 2, 2)."""
-    lead, nk = coeffs.shape[:-2], coeffs.shape[-2]
-    vals = _entry_sums(coeffs.reshape(-1, nk, 2), lo, weights)
-    return vals.transpose(3, 2, 0, 1).reshape(lead + vals.shape[2:3] + (2, 2))
-
-
 def _lambda_weights(lo, nk, lam):
     """(nk, 2): the powers lam^p and their derivatives p lam^(p-1) of the
     slots p = lo..lo+nk-1."""
@@ -159,82 +151,37 @@ def _lambda_weights(lo, nk, lam):
                                  for k in ks]], axis=1)
 
 
-def _half_circle_weights(lo, nk, m):
-    """(nk, m): the powers lambda^p at lambda = exp(i pi s/m) of the slots
-    p = lo..lo+nk-1; reduced exponents stay exact."""
-    pw = np.outer(lo + np.arange(nk), np.arange(m)) % (2 * m)
-    return np.exp(1j * np.pi / m * pw)
-
-
-def values_at(coeffs, lo, lam, derivative=False):
-    """Values at ``lam`` of the loops ``coeffs`` (..., nk, 2) with lowest
-    power ``lo``, or their lambda-derivatives there, shaped (..., 2, 2)."""
-    pows = _lambda_weights(lo, coeffs.shape[-2], lam)[:, int(derivative)]
-    even, odd = (np.einsum("k,...kc->...c", pows[first::2],
-                           coeffs[..., first::2, :])
-                 for first in (lo % 2, 1 - lo % 2))
-    out = np.empty(even.shape[:-1] + (2, 2), dtype=complex)
-    out[..., 0, 0], out[..., 1, 1] = even[..., 0], even[..., 1]
-    out[..., 1, 0], out[..., 0, 1] = odd[..., 0], odd[..., 1]
-    return out
-
-
 def entries_at(coeffs, lo, lam):
     """Values ([..., 0, :]) and lambda-derivatives ([..., 1, :]) at ``lam``
     of the loops ``coeffs`` (n, nk, 2), entry-first: (2, 2, 2, n)."""
     return _entry_sums(coeffs, lo, _lambda_weights(lo, coeffs.shape[1], lam))
 
 
-def circle_values(coeffs, lo, m):
-    """Values at the m-th roots of unity exp(2 pi i s/m), s = 0..m-1, of the
-    loops ``coeffs`` (..., nk, 2) with lowest power ``lo``, shaped
-    (..., m, 2, 2)."""
+def circle_entries(coeffs, lo, m):
+    """Values at the m-th roots of unity exp(2 pi i s/m), s = 0..m-1, of
+    the loops ``coeffs`` (n, nk, 2) with lowest power ``lo``, entry-first:
+    (2, 2, m, n)."""
     # lambda_s^p = exp(2 pi i (s p mod m) / m): reduced exponents stay exact
-    pw = np.outer(lo + np.arange(coeffs.shape[-2]), np.arange(m)) % m
-    return _parity_sums(coeffs, lo, np.exp(2j * np.pi / m * pw))
+    pw = np.outer(lo + np.arange(coeffs.shape[1]), np.arange(m)) % m
+    return _entry_sums(coeffs, lo, np.exp(2j * np.pi / m * pw))
 
 
-def half_circle_values(coeffs, lo, m):
+def half_circle_entries(coeffs, lo, m):
     """Values at lambda = exp(i pi s/m), s = 0..m-1, of the loops
-    ``coeffs`` (..., nk, 2) with lowest power ``lo``, shaped
-    (..., m, 2, 2).
+    ``coeffs`` (n, nk, 2) with lowest power ``lo``, entry-first:
+    (2, 2, m, n).
 
     Their squares are the m-th roots of unity, so for a twisted loop,
     X(-lambda) = s X(lambda) s with s = diag(1, -1), these points give
     every entry modulus the loop takes at the 2m-th roots of unity."""
-    return _parity_sums(coeffs, lo,
-                        _half_circle_weights(lo, coeffs.shape[-2], m))
-
-
-def half_circle_entries(coeffs, lo, m):
-    """:func:`half_circle_values` of the loops ``coeffs`` (n, nk, 2),
-    entry-first: (2, 2, m, n)."""
-    return _entry_sums(coeffs, lo,
-                       _half_circle_weights(lo, coeffs.shape[1], m))
-
-
-def _mul2(a, b):
-    """Batched 2x2 matrix product, written out (matmul is slow on stacks
-    of tiny matrices)."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    for i in (0, 1):
-        for j in (0, 1):
-            out[..., i, j] = a[..., i, 0] * b[..., 0, j] \
-                + a[..., i, 1] * b[..., 1, j]
-    return out
+    pw = np.outer(lo + np.arange(coeffs.shape[1]), np.arange(m)) % (2 * m)
+    return _entry_sums(coeffs, lo, np.exp(1j * np.pi / m * pw))
 
 
 def mul_entries(a, b):
     """2x2 products of point values held entry-first, (2, 2, ...): entry
     (i, j) is a[i, 0] b[0, j] + a[i, 1] b[1, j]."""
     return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
-
-
-def unitary_defect(vals):
-    """max |F F* - I| over the sampled circle values ``vals``
-    (..., m, 2, 2), one number per leading index."""
-    gram = _mul2(vals, np.conj(np.swapaxes(vals, -1, -2)))
-    return np.max(np.abs(gram - np.eye(2)), axis=(-3, -2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -249,14 +196,3 @@ def plus_defect(a: LoopMat) -> float:
     """Distance of ``a`` from the plus loops (no negative powers): the
     largest entry of a negative power; 0 means a plus loop."""
     return float(np.max(np.abs(a.coeffs[:max(0, -a.lo)]), initial=0.0))
-
-
-def inv2(m):
-    """Inverses of a stack of 2x2 matrices, in closed form."""
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    inv = np.empty_like(m)
-    inv[..., 0, 0] = m[..., 1, 1]
-    inv[..., 1, 1] = m[..., 0, 0]
-    inv[..., 0, 1] = -m[..., 0, 1]
-    inv[..., 1, 0] = -m[..., 1, 0]
-    return inv / det[..., None, None]

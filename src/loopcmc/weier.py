@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .grid import DomainGrid, _erode
+from .grid import DomainGrid, _erode, sweep
 from .mesh import SurfaceMesh
 
 __all__ = [
@@ -203,18 +203,23 @@ def minimal_surface(w: WeierstrassData, grid: DomainGrid) -> SurfaceMesh:
 # Frame field and the holomorphic-Gauss-map residual
 
 def coordinate_frame_grid(w: WeierstrassData, grid: DomainGrid):
-    """SU(2) coordinate frame at every node, with the square-root branch of
-    mu propagated continuously from the basepoint along the sweep order."""
+    """SU(2) coordinate frame at every node the grid sweep reaches (NaN
+    elsewhere), with the square-root branch of mu carried from the
+    principal root at the basepoint along the sweep: each step takes the
+    root s of mu at its end with Re(s conj(prev)) >= 0, prev the root it
+    comes from."""
     mu = w.mu(grid.zz)
     nu = w.nu(grid.zz)
-    j0, i0 = grid.j0, grid.i0
+    root = np.sqrt(mu)
+    steps, reached = grid.walk()
+
+    def advance(prev, za, zb, k):
+        s = root[steps[k][1]]
+        return np.where((s * np.conj(prev)).real < 0, -s, s)
+
     s = np.empty_like(mu)
-    s0 = ex.continued_sqrt(mu[j0, i0:].ravel())
-    s[j0, i0:] = s0
-    s[j0, :i0 + 1] = ex.continued_sqrt(mu[j0, i0::-1])[::-1]
-    for i in range(grid.nx):
-        s[j0:, i] = ex.continued_sqrt(mu[j0:, i], first=s[j0, i])
-        s[:j0 + 1, i] = ex.continued_sqrt(mu[j0::-1, i], first=s[j0, i])[::-1]
+    s[grid.j0, grid.i0] = root[grid.j0, grid.i0]
+    sweep(grid.zz, steps, reached, s, advance)
     r = nu * s
     eu = np.abs(mu) * (1.0 + np.abs(nu) ** 2)
     pref = 1.0 / np.sqrt(eu)

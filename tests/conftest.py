@@ -84,6 +84,22 @@ def expand(coeffs, lo):
     return out
 
 
+def dense_values(coeffs, lo, lams):
+    """Values (..., m, 2, 2) of the compact loops ``coeffs`` (..., nk, 2)
+    with lowest power ``lo`` at the points ``lams`` (m,), summed over their
+    dense form."""
+    ks = lo + np.arange(np.shape(coeffs)[-2])
+    pows = np.reshape(np.asarray(lams, dtype=complex), (-1, 1)) ** ks
+    return np.einsum("sk,...kij->...sij", pows, expand(coeffs, lo))
+
+
+def unitary_gap(coeffs, lo, m=64):
+    """max |F F* - I| of the compact loops ``coeffs`` (..., nk, 2) with
+    lowest power ``lo`` over the m-th roots of unity, from dense values."""
+    f = dense_values(coeffs, lo, np.exp(2j * np.pi * np.arange(m) / m))
+    return np.max(np.abs(f @ np.conj(np.swapaxes(f, -1, -2)) - np.eye(2)))
+
+
 def off_twist(dense, lo):
     """Mask (nk, 2, 2) of the entries of a dense stack with lowest power
     ``lo`` that a twisted loop leaves zero."""

@@ -19,6 +19,11 @@ def read_report(outdir):
         return json.load(fh)
 
 
+def obj_vertices(path):
+    with open(path) as fh:
+        return sum(line.startswith("v ") for line in fh)
+
+
 class TestParsing:
     def test_parse_complex(self):
         assert parse_complex("1+2i") == 1 + 2j
@@ -180,13 +185,42 @@ class TestGallery:
             assert fh.read(3) == b"ply"
 
     def test_config_file_defaults(self, tmp_path):
+        # every key sets its flag, also one the parser has a default for
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"h": ["1"], "a": "2", "Q": "0",
                                    "grid": [11]}))
         out = tmp_path / "o"
         rc = main(["--config", str(cfg), "mesh", "--out", str(out)])
         assert rc == 0
-        assert read_report(out)["items"][0]["h"] == 1.0
+        rep = read_report(out)
+        assert rep["items"][0]["h"] == 1.0
+        assert rep["config"]["grid"] == [11]
+        assert obj_vertices(out / "mesh_h1.obj") == 121
+
+    def test_command_line_overrides_config(self, tmp_path):
+        # a flag given on the command line wins over the file's value,
+        # also for the repeatable --h, which does not add to it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"h": ["1"], "a": "2", "Q": "0",
+                                   "grid": [11], "prefix": "cfg"}))
+        out = tmp_path / "o"
+        rc = main(["--config", str(cfg), "mesh", "--grid", "9", "--h", "2",
+                   "--out", str(out)])
+        assert rc == 0
+        rep = read_report(out)
+        assert [item["h"] for item in rep["items"]] == [2.0]
+        assert rep["config"]["grid"] == [9]
+        assert obj_vertices(out / "cfg_h2.obj") == 81
+
+    def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"h": ["1"], "a": "2", "Q": "0",
+                                   "gird": [9]}))
+        rc = main(["--config", str(cfg), "mesh", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'gird'" in err
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestMeshSymmetryFlag:

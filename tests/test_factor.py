@@ -7,20 +7,25 @@ from hypothesis import given, settings, strategies as st
 
 from loopcmc import factor as fa
 from loopcmc.factor import FactorError, iwasawa, iwasawa_batch
-from loopcmc.loops import (LoopMat, _mul2, circle_values, half_circle_values,
-                           identity, mul, unitary_defect, values_at)
+from loopcmc.loops import (LoopMat, circle_entries, half_circle_entries,
+                           identity, mul)
 from conftest import (compact, expand, off_twist, rand_twisted_loop,
-                      rand_unimodular_twisted)
+                      rand_unimodular_twisted, unitary_gap)
 from test_loops import (f0_b0_closed_form, phi0_loop, plus_p_defect,
-                        random_su2)
+                        random_su2, value_at)
+
+
+def matrices(v):
+    """Entry-first point values (2, 2, m, n) as 2x2 matrices (n, m, 2, 2)."""
+    return v.transpose(3, 2, 0, 1)
 
 
 class TestIwasawa:
     def test_identity(self):
         r = iwasawa(identity())
         f, b = r.unitary_part, r.plus_part
-        assert np.allclose(values_at(f.coeffs, f.lo, 1.0), np.eye(2))
-        assert np.allclose(values_at(b.coeffs, b.lo, 1.0), np.eye(2))
+        assert np.allclose(value_at(f.coeffs, f.lo, 1.0), np.eye(2))
+        assert np.allclose(value_at(b.coeffs, b.lo, 1.0), np.eye(2))
         assert r.residual < 1e-14
 
     def test_minimal_limit_closed_form(self):
@@ -45,7 +50,7 @@ class TestIwasawa:
             r = iwasawa(x)
             assert r.residual <= 1e-9
             f = r.unitary_part
-            assert unitary_defect(circle_values(f.coeffs, f.lo, 64)) <= 1e-9
+            assert unitary_gap(f.coeffs, f.lo) <= 1e-9
             assert plus_p_defect(r.plus_part) <= 1e-9
 
     def test_uniqueness(self):
@@ -216,7 +221,7 @@ class TestCompactFactor:
         f = r.unitary_part
         dense = expand(f.coeffs, f.lo)
         assert not np.any(dense[off_twist(dense, f.lo)])
-        assert unitary_defect(circle_values(f.coeffs, f.lo, 64)) <= 1e-12
+        assert unitary_gap(f.coeffs, f.lo) <= 1e-12
         assert r.residual <= 1e-12
 
 
@@ -243,24 +248,24 @@ class TestCompactFactor:
                     b, g, ones > 0, ones, ones.astype(int))):
                 out = iwasawa_batch(-band, coeffs)
         ms = fa.NSAMPLE // 2
-        # sampled as iwasawa_batch samples them, B and B^-1 in one stack
-        xv = half_circle_values(coeffs, -band, ms)
-        bv, gv = half_circle_values(np.stack([out["b"], out["binv"]]), 0, ms)
-        fv = _mul2(xv, gv)
+        # sampled as iwasawa_batch samples them, B and B^-1 in one stack,
+        # and multiplied as dense 2x2 matrices
+        xv = matrices(half_circle_entries(coeffs, -band, ms))
+        bg = matrices(half_circle_entries(
+            np.concatenate([out["b"], out["binv"]]), 0, ms))
+        bv, gv = bg[:n], bg[n:]
+        fv = xv @ gv
         xh, bh, fh = (np.conj(np.swapaxes(v, -1, -2)) for v in (xv, bv, fv))
         norm = np.maximum(np.max(np.abs(xv), axis=(1, 2, 3)), 1.0) ** 2
-        resid = np.max(np.abs(_mul2(xh, xv) - _mul2(bh, bv)),
-                       axis=(1, 2, 3)) / norm
-        unit = np.max(np.abs(_mul2(fv, fh) - np.eye(2)), axis=(1, 2, 3))
+        resid = np.max(np.abs(xh @ xv - bh @ bv), axis=(1, 2, 3)) / norm
+        unit = np.max(np.abs(fv @ fh - np.eye(2)), axis=(1, 2, 3))
         # the sampled entry scales of the rounded results: |X*| |X| +
         # |B*| |B| (over the norm), and |X| |B^-1| |F*|, since F is itself
         # the sampled product X B^-1, or 1, the scale of F F* - I
-        gram_size = np.max(_mul2(np.abs(xh), np.abs(xv))
-                           + _mul2(np.abs(bh), np.abs(bv)),
-                           axis=(1, 2, 3)).real / norm
+        gram_size = np.max(np.abs(xh) @ np.abs(xv) + np.abs(bh) @ np.abs(bv),
+                           axis=(1, 2, 3)) / norm
         ff_size = np.maximum(np.max(
-            _mul2(_mul2(np.abs(xv), np.abs(gv)), np.abs(fh)),
-            axis=(1, 2, 3)).real, 1.0)
+            (np.abs(xv) @ np.abs(gv)) @ np.abs(fh), axis=(1, 2, 3)), 1.0)
         assert np.all(np.abs(out["residual"] - resid) <= 1e-15 * gram_size)
         assert np.all(np.abs(out["unitary_residual"] - unit)
                       <= 1e-15 * ff_size)
@@ -329,9 +334,9 @@ class TestIwasawaCore:
         rng = np.random.default_rng(600 + band)
         coeffs = twisted_chunk(rng, band)
         out = iwasawa_batch(-band, coeffs)
-        xv = circle_values(coeffs, -band, 32)
-        bv = circle_values(out["b"], 0, 32)
-        gv = circle_values(out["binv"], 0, 32)
+        xv = matrices(circle_entries(coeffs, -band, 32))
+        bv = matrices(circle_entries(out["b"], 0, 32))
+        gv = matrices(circle_entries(out["binv"], 0, 32))
         fv = xv @ gv
         fh = np.conj(np.swapaxes(fv, -1, -2))
         xh, bh = (np.conj(np.swapaxes(v, -1, -2)) for v in (xv, bv))
@@ -357,15 +362,16 @@ class TestIwasawaCore:
         coeffs = twisted_chunk(rng, band)
         out = iwasawa_batch(-band, coeffs)
         f, recon, unit_f = fa.unitary_loops(-band, coeffs, out["b"])
-        xv = circle_values(coeffs, -band, 32)
-        fv = circle_values(f, -band, 32)
+        xv = matrices(circle_entries(coeffs, -band, 32))
+        fv = matrices(circle_entries(f, -band, 32))
         fh = np.conj(np.swapaxes(fv, -1, -2))
-        bv = circle_values(out["b"], 0, 32)
+        bv = matrices(circle_entries(out["b"], 0, 32))
         resid = np.max(np.abs(fv @ bv - xv), axis=(1, 2, 3))
+        unit = np.max(np.abs(fv @ fh - np.eye(2)), axis=(1, 2, 3))
         fb_size = np.max(np.abs(fv) @ np.abs(bv), axis=(1, 2, 3))
         ff_size = np.max(np.abs(fv) @ np.abs(fh), axis=(1, 2, 3))
         assert np.all(np.abs(recon - resid) <= 1e-15 * fb_size)
-        assert np.all(np.abs(unit_f - unitary_defect(fv)) <= 1e-15 * ff_size)
+        assert np.all(np.abs(unit_f - unit) <= 1e-15 * ff_size)
 
     @pytest.mark.parametrize("band", BANDS)
     def test_inverse_row_inverts_the_factor(self, band):
@@ -379,8 +385,8 @@ class TestIwasawaCore:
         assert out["ok"].tolist() == [False] + [True] * (len(coeffs) - 1)
         assert np.array_equal(out["binv"][0, 0], [1, 1])
         assert not np.any(out["binv"][0, 1:])
-        prod = circle_values(out["b"][1:], 0, 32) \
-            @ circle_values(out["binv"][1:], 0, 32)
+        prod = matrices(circle_entries(out["b"][1:], 0, 32)) \
+            @ matrices(circle_entries(out["binv"][1:], 0, 32))
         assert np.max(np.abs(prod - np.eye(2))) <= 1e-12
 
     @pytest.mark.parametrize("band", BANDS)

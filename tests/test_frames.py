@@ -9,11 +9,11 @@ from loopcmc.frames import (FrameError, PotentialSpec, SurfaceOptions,
                             extract_curvature, flatness_residual,
                             integrate_frame, surface_from_potential)
 from loopcmc.grid import DomainGrid, walk
-from loopcmc.loops import (LoopMat, circle_values, conv, entries_at,
-                           hat_extend, identity, unitary_defect, values_at)
+from loopcmc.loops import LoopMat, conv, entries_at, hat_extend, identity
 from loopcmc.weier import WeierstrassData, minimal_surface
 from conftest import (CATENOID_MU, CATENOID_NU, KUSNER_MU, KUSNER_NU,
-                      compact, dense_loop, enneper, expand, sphere_oracle)
+                      compact, dense_loop, enneper, expand, sphere_oracle,
+                      unitary_gap)
 from test_loops import random_su2
 
 
@@ -235,8 +235,7 @@ class TestSymBobenko:
             c[1, 0, 0] = 1 / d
             c[1, 1, 1] = 1 / d
             c[2, 1, 0] = -np.conj(w) / d
-            assert unitary_defect(circle_values(compact(c, -1), -1, 64)) \
-                < 1e-12
+            assert unitary_gap(compact(c, -1), -1) < 1e-12
             pt = sym_point(dense_loop(c, -1), 1.0)
             center = np.array([0.0, 0.0, 1.0])
             assert abs(np.linalg.norm(pt - center) - 1.0) <= 1e-12
@@ -413,8 +412,7 @@ class TestSurfaceFromPotential:
         def series_at(x, lo, out, lam):
             f, _, _ = factor.unitary_loops(lo, x, out["b"])
             calls.append(len(f))
-            v = np.moveaxis(np.stack([values_at(f, lo, lam), values_at(
-                f, lo, lam, derivative=True)]), (0, 1), (-2, -1))
+            v = entries_at(f, lo, lam)
             return v[..., 0, :], v[..., 1, :]
         pot = minimal_to_potential(data, h)
         opts = SurfaceOptions(lambda0=lam0)

@@ -3,12 +3,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopcmc import loops
+from loopcmc.factor import _gram_defect
 from loopcmc.frames import _rk4_advance, _rk4_factors
-from loopcmc.loops import (LoopMat, circle_values, conv, half_circle_values,
-                           hat_extend, identity, mul, plus_defect,
-                           unitary_defect, values_at)
+from loopcmc.loops import (LoopMat, circle_entries, conv, entries_at,
+                           half_circle_entries, hat_extend, identity, mul,
+                           plus_defect)
 from conftest import (compact, dense_loop, expand, off_twist,
-                      rand_twisted_loop)
+                      rand_twisted_loop, unitary_gap)
+
+
+def value_at(coeffs, lo, lam, derivative=False):
+    """The 2x2 value (or lambda-derivative) at ``lam`` of the one loop
+    ``coeffs`` (nk, 2) with lowest power ``lo``, from :func:`entries_at`."""
+    vals = entries_at(np.asarray(coeffs)[None], lo, lam)
+    return vals[:, :, int(derivative), 0]
 
 
 def phi0_loop(g):
@@ -76,9 +84,9 @@ class TestMul:
         h = hat_extend(e0)
         hinv = hat_extend(e0.conj().T)
         p = mul(h, hinv)
-        assert np.allclose(values_at(p.coeffs, p.lo, 1.0), np.eye(2),
+        assert np.allclose(value_at(p.coeffs, p.lo, 1.0), np.eye(2),
                            atol=1e-14)
-        assert unitary_defect(circle_values(p.coeffs, p.lo, 64)) < 1e-13
+        assert unitary_gap(p.coeffs, p.lo) < 1e-13
 
     def test_explicit_factorization_recomposes(self):
         # unitary part times plus part reproduces the minimal-limit frame
@@ -141,28 +149,28 @@ class TestHatExtend:
 class TestEval:
     def test_identity_everywhere(self):
         for lam in (1.0, 1j, np.exp(0.3j)):
-            assert np.allclose(values_at(identity().coeffs, 0, lam),
+            assert np.allclose(value_at(identity().coeffs, 0, lam),
                                np.eye(2))
 
     def test_hat_extend_at_one(self):
         rng = np.random.default_rng(7)
         e0 = random_su2(rng)
         h = hat_extend(e0)
-        assert np.allclose(values_at(h.coeffs, h.lo, 1.0), e0)
+        assert np.allclose(value_at(h.coeffs, h.lo, 1.0), e0)
 
     def test_phi0_at_one(self):
         g = 0.8 - 0.1j
-        v = values_at(phi0_loop(g).coeffs, -1, 1.0)
+        v = value_at(phi0_loop(g).coeffs, -1, 1.0)
         assert np.allclose(v, np.array([[1, 0], [g, 1]]))
 
     def test_derivative_constant_zero(self):
-        assert np.allclose(values_at(identity().coeffs, 0, 1.0,
-                                     derivative=True), 0.0)
+        assert np.allclose(value_at(identity().coeffs, 0, 1.0,
+                                    derivative=True), 0.0)
 
     def test_derivative_single_power(self):
         c = np.zeros((1, 2, 2), dtype=complex)
         c[0, 0, 1] = 2.0
-        assert np.allclose(values_at(compact(c, 1), 1, 1.0, derivative=True),
+        assert np.allclose(value_at(compact(c, 1), 1, 1.0, derivative=True),
                            c[0])
 
     def test_unit_determinant_on_circle(self):
@@ -171,68 +179,57 @@ class TestEval:
         for _ in range(2):
             f = mul(f, hat_extend(random_su2(rng)))
         for lam in np.exp(2j * np.pi * np.arange(16) / 16):
-            assert abs(np.linalg.det(values_at(f.coeffs, f.lo, lam))
+            assert abs(np.linalg.det(value_at(f.coeffs, f.lo, lam))
                        - 1.0) < 1e-10
 
 
 class TestMembership:
     def test_identity_belongs_everywhere(self):
         i = identity()
-        assert unitary_defect(circle_values(i.coeffs, i.lo, 64)) <= 1e-15
+        assert unitary_gap(i.coeffs, i.lo) <= 1e-15
         assert plus_defect(i) <= 1e-15
         assert plus_p_defect(i) <= 1e-15
 
     def test_explicit_unitary_part(self):
         f, b = f0_b0_closed_form(1.1 + 0.7j)
-        assert unitary_defect(circle_values(f.coeffs, f.lo, 64)) <= 1e-12
+        assert unitary_gap(f.coeffs, f.lo) <= 1e-12
         assert plus_p_defect(b) <= 1e-14
 
     def test_nonmember_detected(self):
         assert plus_defect(phi0_loop(1.0)) == 1.0
         c = np.array([[2.0, 0.5]], dtype=complex)     # diag(2, 1/2)
-        assert unitary_defect(circle_values(c, 0, 64)) > 1.0
+        assert unitary_gap(c, 0) > 1.0
 
 
 class TestBatchedKernels:
     def test_stack_matches_per_loop(self):
-        # every kernel on a (3, 4, nk, 2) stack agrees with the LoopMat
-        # operations applied loop by loop
+        # conv on a (3, 4, nk, 2) stack agrees with the LoopMat product
+        # applied loop by loop
         rng = np.random.default_rng(10)
         lo, nk = -5, 7
         stack = rng.normal(size=(3, 4, nk, 2)) \
             + 1j * rng.normal(size=(3, 4, nk, 2))
         left = rand_twisted_loop(rng, band=2)
         prods = conv(left.coeffs, stack, lo)
-        lam = np.exp(0.7j)
-        vals = values_at(stack, lo, lam)
-        ders = values_at(stack, lo, lam, derivative=True)
-        circ = circle_values(stack, lo, 16)
-        roots = np.exp(2j * np.pi * np.arange(16) / 16)
         for j, i in np.ndindex(3, 4):
-            a = LoopMat(lo, stack[j, i])
-            p = mul(left, a)
+            p = mul(left, LoopMat(lo, stack[j, i]))
             q = LoopMat(left.lo + lo, prods[j, i])
             for k in range(q.lo, q.hi + 1):
                 assert np.allclose(q.coeff(k), p.coeff(k), atol=1e-14)
-            assert np.array_equal(vals[j, i], values_at(a.coeffs, lo, lam))
-            assert np.array_equal(ders[j, i], values_at(a.coeffs, lo, lam,
-                                                        derivative=True))
-            for s, r in enumerate(roots):
-                assert np.allclose(circ[j, i, s], values_at(a.coeffs, lo, r),
-                                   atol=1e-13)
 
     def test_unitary_defect_of_star(self):
         # F F* = I on the circle exactly when F* (the adjoint loop: power k
         # to -k, each coefficient conjugate-transposed) is the pointwise
-        # inverse there
+        # inverse there; the closed-form check of F F* - I reads it from
+        # the entry-first values of F^T
         f, _ = f0_b0_closed_form(0.5 - 0.3j)
         dense = expand(f.coeffs, f.lo)
         star = compact(np.conj(np.swapaxes(dense[::-1], -1, -2)), -f.hi)
-        fv = circle_values(f.coeffs, f.lo, 32)
-        sv = circle_values(star, -f.hi, 32)
-        assert np.allclose(sv, np.conj(np.swapaxes(fv, -1, -2)), atol=1e-14)
-        assert unitary_defect(fv) <= 1e-13
-        assert unitary_defect(2 * fv) == pytest.approx(3.0)
+        fv = circle_entries(f.coeffs[None], f.lo, 32)
+        sv = circle_entries(star[None], -f.hi, 32)
+        assert np.allclose(sv, np.conj(fv.swapaxes(0, 1)), atol=1e-14)
+        assert _gram_defect(fv.swapaxes(0, 1)) <= 1e-13
+        assert _gram_defect(2 * fv.swapaxes(0, 1)) == pytest.approx(3.0)
 
 
 def random_twisted_stack(rng, nk, lead=(3,)):
@@ -253,13 +250,14 @@ class TestUntwist:
         # entry moduli, so both halves give the same maxima
         rng = np.random.default_rng(40 + nk)
         m = 8
-        c = random_twisted_stack(rng, nk, lead=(2, 3))
-        hv = half_circle_values(c, lo, m)
-        full = circle_values(c, lo, 2 * m)
-        l1 = np.abs(expand(c, lo)).sum(axis=-3)[..., None, :, :]
-        assert hv.shape == (2, 3, m, 2, 2)
-        assert np.all(np.abs(hv - full[..., :m, :, :]) <= 1e-15 * l1)
-        assert np.all(np.abs(np.abs(full[..., m:, :, :]) - np.abs(hv))
+        c = random_twisted_stack(rng, nk, lead=(6,))
+        hv = half_circle_entries(c, lo, m)
+        full = circle_entries(c, lo, 2 * m)
+        # entry-first bound (2, 2, 1, n): the summed entry moduli
+        l1 = np.moveaxis(np.abs(expand(c, lo)).sum(axis=-3), 0, -1)[:, :, None]
+        assert hv.shape == (2, 2, m, 6)
+        assert np.all(np.abs(hv - full[:, :, :m]) <= 1e-15 * l1)
+        assert np.all(np.abs(np.abs(full[:, :, m:]) - np.abs(hv))
                       <= 1e-15 * l1)
 
 
@@ -322,21 +320,30 @@ class TestCompactLayout:
            lam_arg=st.floats(0.0, 2 * np.pi))
     def test_values_are_those_of_the_dense_form(self, seed, lo, nk, m,
                                                 lam_arg):
+        # every sampler of the entry-first layout (2, 2, points, n) against
+        # the sums of the dense coefficients: entries_at (value and
+        # lambda-derivative), half_circle_entries and circle_entries
         rng = np.random.default_rng(seed)
-        c = cplx(rng, 2, nk, 2)
+        c = cplx(rng, 3, nk, 2)
         dense = expand(c, lo)
         ks = lo + np.arange(nk)
         lam = np.exp(1j * lam_arg)
-        l1 = np.abs(dense).sum(axis=-3)
-        vals = np.einsum("k,...kij->...ij", lam ** ks, dense)
-        ders = np.einsum("k,...kij->...ij", ks * lam ** (ks - 1.0), dense)
-        assert np.all(np.abs(values_at(c, lo, lam) - vals) <= 1e-14 * l1)
-        assert np.all(np.abs(values_at(c, lo, lam, derivative=True) - ders)
+        l1 = np.moveaxis(np.abs(dense).sum(axis=-3), 0, -1)[:, :, None]
+
+        def ref(weights):
+            return np.einsum("sk,nkij->ijsn", weights, dense)
+        got = entries_at(c, lo, lam)
+        assert got.shape == (2, 2, 2, 3)
+        assert np.all(np.abs(got[:, :, :1] - ref(lam ** ks[None]))
+                      <= 1e-14 * l1)
+        assert np.all(np.abs(got[:, :, 1:] - ref(ks * lam ** (ks[None] - 1.0)))
                       <= 1e-14 * np.abs(ks).max() * l1)
-        pts = np.exp(1j * np.pi * np.arange(m) / m)
-        half = np.einsum("sk,...kij->...sij", pts[:, None] ** ks, dense)
-        assert np.all(np.abs(half_circle_values(c, lo, m) - half)
-                      <= 1e-14 * l1[..., None, :, :])
+        for sampler, q in ((half_circle_entries, 1), (circle_entries, 2)):
+            # lambda_s = exp(i pi q s/m) and its powers, reduced exactly
+            pw = q * np.outer(np.arange(m), ks) % (2 * m)
+            assert np.all(np.abs(sampler(c, lo, m)
+                                 - ref(np.exp(1j * np.pi * pw / m)))
+                          <= 1e-14 * l1)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=SEEDS, nk=st.one_of(st.integers(1, 3), st.integers(1, 26)),

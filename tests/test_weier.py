@@ -4,8 +4,9 @@ import pytest
 from loopcmc import expr as ex
 from loopcmc.frames import extract_curvature
 from loopcmc.grid import DomainGrid
-from loopcmc.weier import (InvalidDataError, WeierstrassData, initial_frame,
-                           metric_hopf, minimal_surface, pcomponent_residual)
+from loopcmc.weier import (InvalidDataError, WeierstrassData,
+                           coordinate_frame_grid, initial_frame, metric_hopf,
+                           minimal_surface, pcomponent_residual)
 from conftest import catenoid_oracle, enneper
 
 
@@ -201,6 +202,20 @@ class TestGaussMap:
     def test_holomorphy_proxy_small(self, catenoid):
         g = DomainGrid.square(0.5, 41)
         assert pcomponent_residual(catenoid, g) <= 1e-3
+
+    def test_frame_root_carried_across_the_cut(self, catenoid):
+        # the catenoid's mu = -exp(-z)/2 is negative real on y = 0, where
+        # its principal root jumps between the half planes; the sweep
+        # carries one branch of the root s, so neighbouring frames stay
+        # close and s^2 = mu
+        g = DomainGrid.square(0.5, 41)
+        frame = coordinate_frame_grid(catenoid, g)
+        mu, nu = catenoid.mu(g.zz), catenoid.nu(g.zz)
+        assert np.max(np.abs(np.diff(np.sqrt(mu), axis=0))) > 1.0
+        s = frame[..., 0, 0] * np.sqrt(np.abs(mu) * (1 + np.abs(nu) ** 2))
+        assert np.max(np.abs(s ** 2 - mu)) <= 1e-14
+        for axis in (0, 1):
+            assert np.max(np.abs(np.diff(frame, axis=axis))) <= 0.02
 
     def test_normals_unit_and_orthogonal(self, catenoid, grid21):
         mesh = minimal_surface(catenoid, grid21)

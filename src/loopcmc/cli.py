@@ -492,11 +492,54 @@ def apply_config(args):
         if unknown:
             raise ConfigError(f"{args.config}: no {args.cmd} flag named "
                               + ", ".join(map(repr, unknown)))
+        actions = _flag_actions(args.cmd)
+        config = {k: _config_value(actions[k], v, f"{args.config}: {k!r}")
+                  for k, v in config.items()}
     for source in (config, DEFAULTS[args.cmd]):
         for k, v in source.items():
             # identity tests: 0 == False, yet an explicit 0 is set
             if getattr(args, k) is None or getattr(args, k) is False:
                 setattr(args, k, v)
+
+
+def _flag_actions(cmd):
+    """{dest: argparse action} of the flags of subcommand ``cmd``."""
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in subs.choices[cmd]._actions}
+
+
+def _config_value(action, value, where):
+    """A ``--config`` value as the command line would store it through the
+    flag's ``action``: a boolean for a switch; otherwise one item, or a
+    list of them where the flag repeats or takes ``nargs`` values, each
+    spelled as on the command line and passed through the flag's ``type``
+    and ``choices``.  Anything else is a config error at ``where``."""
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise ConfigError(f"{where} must be true or false")
+        return value
+    listed = isinstance(action, argparse._AppendAction) \
+        or action.nargs not in (None, "?")
+    items = value if listed else [value]
+    if listed and not (isinstance(value, list) and value):
+        raise ConfigError(f"{where} must be a non-empty list")
+    if isinstance(action.nargs, int) and len(items) != action.nargs:
+        raise ConfigError(f"{where} must be a list of {action.nargs} values")
+    out = []
+    for item in items:
+        if not isinstance(item, (str, int, float)) or isinstance(item, bool):
+            raise ConfigError(f"{where}: {item!r} is not a flag value")
+        try:
+            v = action.type(str(item)) if action.type else str(item)
+        except ValueError:
+            raise ConfigError(f"{where}: {item!r} is not a valid "
+                              f"{action.type.__name__}")
+        if action.choices is not None and v not in action.choices:
+            raise ConfigError(f"{where}: {item!r} is not one of "
+                              + ", ".join(action.choices))
+        out.append(v)
+    return out if listed else out[0]
 
 
 def _echo_config(args):

@@ -14,8 +14,9 @@ principal branch per evaluation; continuity along a path is the caller's
 job (``weier.coordinate_frame_grid`` carries it along the grid sweep).
 
 A :class:`Prim` node is the primitive of an integrand from a basepoint,
-evaluated by path quadrature (:func:`integrate_path`); :func:`primitive`
-builds one, or a symbolic antiderivative when the integrand is polynomial.
+evaluated by path quadrature (:func:`integrate_path`) unless the caller
+passes its values to :func:`evaluate`; :func:`primitive` builds one, or a
+symbolic antiderivative when the integrand is polynomial.
 """
 
 from __future__ import annotations
@@ -152,7 +153,11 @@ class Sqrt(ExprNode):
 @dataclass(frozen=True, slots=True, repr=False)
 class Prim(ExprNode):
     """int_{z0}^{z} integrand along the horizontal-then-vertical polyline
-    of :func:`integrate_path`; its derivative is the integrand."""
+    of :func:`integrate_path`; its derivative is the integrand.
+
+    :func:`evaluate` integrates it per point unless its values are given
+    (``subs``), as ``weier.minimal_surface`` gives them on a mesh grid
+    from one cumulative pass along the grid walk."""
     integrand: ExprNode
     z0: complex
 
@@ -327,16 +332,20 @@ def parse(text: str) -> ExprNode:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def evaluate(e: ExprNode, z):
+def evaluate(e: ExprNode, z, subs=None):
     """Evaluate ``e`` at ``z`` (scalar or ndarray).
 
     Poles produce non-finite values (inf/nan) rather than raising; callers
     mask them.  The result matches the shape of ``z``.  A :class:`Prim`
-    node that occurs several times in ``e`` is integrated once.
+    node that occurs several times in ``e`` is integrated once.  ``subs``
+    holds ``(node, values)`` pairs: :class:`Prim` nodes of ``e`` (the
+    objects themselves) with their values at ``z``, known by other means;
+    those nodes are not integrated.
     """
     zz = np.asarray(z, dtype=complex)
+    prims = {id(p): np.asarray(v) for p, v in subs or ()}
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = _eval(e, zz, {})
+        out = _eval(e, zz, prims)
         out = np.asarray(out, dtype=complex)
         if out.shape != zz.shape:
             out = np.broadcast_to(out, zz.shape).copy()
@@ -347,7 +356,8 @@ def evaluate(e: ExprNode, z):
 
 def _eval(e, z, prims):
     """``e`` at the points ``z``; ``prims`` holds the values of the
-    :class:`Prim` nodes met so far in this walk, keyed by node identity."""
+    :class:`Prim` nodes given or met so far in this walk, keyed by node
+    identity."""
     if isinstance(e, Const):
         return np.full(z.shape, e.value, dtype=complex)
     if isinstance(e, Var):
@@ -692,6 +702,11 @@ def order_at(e: ExprNode, z0: complex, radius: float = 1e-3, npoints: int = 24,
 # ---------------------------------------------------------------------------
 # Path integration (composite Gauss-Legendre)
 
+# integrate_path's rule: every straight leg is cut into equal pieces of at
+# most PATH_MAX_STEP, each integrated by PATH_GL_N-point Gauss-Legendre
+PATH_MAX_STEP = 0.25
+PATH_GL_N = 12
+
 _GL_CACHE = {}
 
 
@@ -702,7 +717,7 @@ def _gl_nodes(n):
     return _GL_CACHE[n]
 
 
-def gauss_segment(f, za, zb, max_step=0.25, gl_n=12):
+def gauss_segment(f, za, zb, max_step=PATH_MAX_STEP, gl_n=PATH_GL_N):
     """Integral of callable ``f`` along the straight segments za -> zb.
 
     ``za`` and ``zb`` broadcast against each other.  Each segment is cut
@@ -737,10 +752,16 @@ def gauss_segment(f, za, zb, max_step=0.25, gl_n=12):
     return out.reshape(za_b.shape)
 
 
-def integrate_path(e: ExprNode, z0, z1, max_step=0.25, gl_n=12):
+def integrate_path(e: ExprNode, z0, z1, max_step=PATH_MAX_STEP,
+                   gl_n=PATH_GL_N):
     """Integrate ``e`` along the horizontal-then-vertical polyline from z0
     to z1; both endpoints broadcast, and the two legs of every path share
-    the :func:`gauss_segment` calls."""
+    the :func:`gauss_segment` calls.
+
+    This is the per-point rule of a :class:`Prim`.  On a mesh grid whose
+    basepoint is the primitive's, ``weier.minimal_surface`` follows the
+    same path with one cumulative pass along the grid walk instead, at
+    the same rule per edge."""
     z0, z1 = np.broadcast_arrays(np.asarray(z0, dtype=complex),
                                  np.asarray(z1, dtype=complex))
     corner = np.empty(z1.shape, dtype=complex)

@@ -13,16 +13,23 @@ tangent at the basepoint.
 Data components are expressions (``expr.ExprNode``); a primitive such as
 nu = -int Q/a is an ``expr.Prim`` node, evaluated by path quadrature, so
 every kind of data evaluates vectorised and differentiates symbolically.
+On a mesh grid a primitive that starts at the grid's basepoint is not
+integrated per point: one cumulative pass along the grid walk, which
+follows the quadrature's horizontal-then-vertical path, gives its values
+at the nodes and at the sweep's points (``_walk_primitive``), and
+``expr.evaluate`` takes them as substitutions.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr as ex
-from .grid import DomainGrid, _erode, sweep
+from .grid import DomainGrid, GridError, _erode, sweep
 from .mesh import SurfaceMesh
 
 __all__ = [
@@ -112,11 +119,10 @@ def regularity_report(w: WeierstrassData, points, radius=1e-3):
     return out
 
 
-def regularity_mask(w: WeierstrassData, grid: DomainGrid, dilate=1):
-    """Valid-node mask: data finite and the conformal factor bounded away
-    from zero (branch points and poles are excluded, then dilated)."""
-    mu = w.mu(grid.zz)
-    nu = w.nu(grid.zz)
+def regularity_mask(mu, nu, grid: DomainGrid, dilate=1):
+    """Valid-node mask from the values of mu and nu at the grid nodes: data
+    finite and the conformal factor bounded away from zero (branch points
+    and poles are excluded, then dilated)."""
     eu = np.abs(mu) * (1.0 + np.abs(nu) ** 2)
     good = np.isfinite(mu) & np.isfinite(nu) & np.isfinite(eu)
     scale = np.median(eu[good & (eu > 0)]) if np.any(good & (eu > 0)) else 1.0
@@ -126,25 +132,145 @@ def regularity_mask(w: WeierstrassData, grid: DomainGrid, dilate=1):
 
 
 # ---------------------------------------------------------------------------
+# Primitives along the grid walk
+
+# Gauss-Legendre points per edge of the integration sweep
+SWEEP_GL_N = 8
+
+
+@functools.cache
+def _edge_weights(pieces):
+    """(SWEEP_GL_N + 1, pieces * PATH_GL_N) weights taking an edge's
+    integrand values at integrate_path's points (``pieces`` equal pieces of
+    PATH_GL_N Gauss-Legendre points) to its integrals from its start to the
+    sweep's abscissae and, in the last row, to its end, per unit of the
+    edge's dz.  The piece holding an abscissa enters by the integral of its
+    values' Legendre interpolant, the pieces before it by their
+    quadrature."""
+    leg = np.polynomial.legendre
+    x, w = ex._gl_nodes(ex.PATH_GL_N)
+    n = len(x)
+    # the Lagrange basis of the nodes as Legendre series,
+    # l_m = sum_k (k + 1/2) w_m P_k(x_m) P_k, integrated from -1
+    basis = (np.arange(n)[:, None] + 0.5) * leg.legvander(x, n - 1).T * w
+    integral = leg.legint(basis, lbnd=-1, axis=0)
+    t = (ex._gl_nodes(SWEEP_GL_N)[0] + 1) / 2 * pieces
+    piece = np.minimum(t.astype(int), pieces - 1)
+    out = np.where((np.arange(pieces) < piece[:, None])[..., None], w, 0.0)
+    local = 2 * (t - piece) - 1
+    out[np.arange(SWEEP_GL_N), piece] = leg.legvander(local, n) @ integral
+    out = np.concatenate([out.reshape(SWEEP_GL_N, pieces * n),
+                          np.tile(w, (1, pieces))]) / (2 * pieces)
+    out.flags.writeable = False
+    return out
+
+
+def _edge_integrals(integrand, za, zb):
+    """Integrals of ``integrand`` over the straight edges za -> zb (n,) by
+    integrate_path's rule, (n,), and from za to each edge's sweep points,
+    (n, SWEEP_GL_N).  Edges with the same piece count share one
+    evaluation."""
+    dz = zb - za
+    pieces = np.maximum(1, np.ceil(np.abs(dz) / ex.PATH_MAX_STEP)).astype(int)
+    x = ex._gl_nodes(ex.PATH_GL_N)[0]
+    out = np.empty(dz.shape + (SWEEP_GL_N + 1,), dtype=complex)
+    for p in np.unique(pieces):
+        sel = np.flatnonzero(pieces == p)
+        ts = ((np.arange(p)[:, None] + (x + 1) / 2) / p).ravel()
+        vals = ex.evaluate(integrand, za[sel, None] + ts * dz[sel, None])
+        wt = _edge_weights(p).T
+        # two real products: with threaded BLAS, numpy's complex-by-real
+        # product of these thin matrices takes about 20 times as long
+        out[sel] = dz[sel, None] * (vals.real @ wt + 1j * (vals.imag @ wt))
+    return out[:, -1], out[:, :-1]
+
+
+def _walk_primitive(prim: ex.Prim, grid: DomainGrid):
+    """Values of ``prim`` from one cumulative pass along the walk of the
+    whole lattice (``DomainGrid.walk`` with no node masked): at the nodes,
+    (ny, nx), and, for the k-th step, at the sweep's points of its edges,
+    shaped like the step's ``_gl_stack``.  Those steps, along the basepoint
+    row and then down and up the columns, open the walk of the grid under
+    any mask.
+
+    The walk reaches every node, and every point of its edges, by
+    integrate_path's horizontal-then-vertical path from the basepoint, and
+    each edge is integrated by integrate_path's rule, so the values are
+    ``ex.evaluate(prim, points)``'s up to rounding.  ``prim`` starts at the
+    grid's basepoint node (up to the grid's node tolerance); an off-node
+    start enters as the primitive's value at the node.
+    """
+    zz = grid.zz
+    steps, reached = DomainGrid(grid.xs, grid.ys, grid.i0, grid.j0).walk()
+    starts = [np.ravel(zz[src]) for src, _ in steps]
+    total, part = _edge_integrals(
+        prim.integrand, np.concatenate(starts),
+        np.concatenate([np.ravel(zz[dst]) for _, dst in steps]))
+    bounds = np.cumsum([0] + [len(a) for a in starts])
+    points = [None] * len(steps)
+
+    def advance(prev, za, zb, k):
+        edges = slice(bounds[k], bounds[k + 1])
+        points[k] = prev[..., None] \
+            + part[edges].reshape(np.shape(prev) + (SWEEP_GL_N,))
+        return prev + total[edges].reshape(np.shape(prev))
+
+    nodes = np.zeros(zz.shape, dtype=complex)
+    sweep(zz, steps, reached, nodes, advance)
+    if prim.z0 != grid.z0:
+        shift = ex.evaluate(prim, grid.z0)
+        nodes, points = nodes + shift, [v + shift for v in points]
+    return nodes, points
+
+
+def _walk_prims(w: WeierstrassData, grid: DomainGrid):
+    """``(prim, nodes, points)`` for each primitive of mu and nu (outside
+    other primitives' integrands) that starts at the grid's basepoint
+    node, with its ``_walk_primitive`` values."""
+    found = {}
+
+    def visit(e):
+        if isinstance(e, ex.Prim):
+            found[id(e)] = e
+            return
+        for f in dataclasses.fields(e):
+            child = getattr(e, f.name)
+            if isinstance(child, ex.ExprNode):
+                visit(child)
+
+    visit(w.mu)
+    visit(w.nu)
+    out = []
+    for prim in found.values():
+        try:
+            at_basepoint = grid.index_of(prim.z0) == (grid.j0, grid.i0)
+        except GridError:
+            continue
+        if at_basepoint:
+            out.append((prim, *_walk_primitive(prim, grid)))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Integration sweeps
 
-def _gl_stack(za, zb, gl_n=8):
-    x, wgt = ex._gl_nodes(gl_n)
+def _gl_stack(za, zb):
+    x, wgt = ex._gl_nodes(SWEEP_GL_N)
     pts = za[..., None] + (x[None, :] + 1) / 2 * (zb - za)[..., None]
     return pts, wgt
 
 
-def _cumulative_grid_integral(fvec, grid: DomainGrid, gl_n=8):
+def _cumulative_grid_integral(fvec, grid: DomainGrid, width):
     """Cumulative integral of a vector-valued integrand over the grid sweep
-    from the basepoint (``DomainGrid.sweep``), one Gauss-Legendre segment
-    per edge; ``fvec(points)`` must return (..., m)."""
-    m = np.asarray(fvec(np.array([grid.z0]))).shape[-1]
-    vals = np.full((grid.ny, grid.nx, m), np.nan, dtype=complex)
+    from the basepoint (``DomainGrid.sweep``), one SWEEP_GL_N-point
+    Gauss-Legendre segment per edge; ``fvec(points, k)`` must return
+    (len(points), width) at the points of the walk's k-th step."""
+    vals = np.full((grid.ny, grid.nx, width), np.nan, dtype=complex)
     vals[grid.j0, grid.i0] = 0.0
 
     def seg(v, za, zb, k):
-        pts, wgt = _gl_stack(np.asarray(za), np.asarray(zb), gl_n)
-        fv = np.asarray(fvec(pts.reshape(-1))).reshape(pts.shape + (m,))
+        pts, wgt = _gl_stack(np.asarray(za), np.asarray(zb))
+        fv = np.reshape(fvec(pts.reshape(-1), k), pts.shape + (width,))
         return v + (zb - za)[..., None] / 2.0 * np.einsum("...gm,g->...m", fv, wgt)
 
     return grid.sweep(vals, seg)
@@ -160,23 +286,32 @@ def minimal_surface(w: WeierstrassData, grid: DomainGrid) -> SurfaceMesh:
     """Minimal surface mesh from Weierstrass data, f(z0) = 0.
 
     The integrand is swept over the grid by Gauss-Legendre segments
-    (``_cumulative_grid_integral``); mu and nu are evaluated at the
-    segments' nodes.  meta["mask_causes"] counts the masked nodes under
-    the first cause that applies: outside the grid's own mask
+    (``_cumulative_grid_integral``); mu and nu are evaluated once at the
+    nodes and at the segments' points.  A primitive (``expr.Prim``) in
+    the data that starts at the grid's basepoint takes its values there
+    from one cumulative pass along the walk (``_walk_primitive``), not
+    from a path integral per point; only the reroute steps' points
+    integrate it per point.  meta["mask_causes"] counts the masked nodes
+    under the first cause that applies: outside the grid's own mask
     (``domain``), failing ``regularity_mask`` (``regularity``), or a
     non-finite position (``position``).
     """
-    mask = regularity_mask(w, grid)
+    walked = _walk_prims(w, grid)
+    at_nodes = [(prim, nodes) for prim, nodes, _ in walked]
+    mu_vals = ex.evaluate(w.mu, grid.zz, at_nodes)
+    nu_vals = ex.evaluate(w.nu, grid.zz, at_nodes)
+    mask = regularity_mask(mu_vals, nu_vals, grid)
     if not mask[grid.j0, grid.i0]:
         raise InvalidDataError("basepoint fails the regularity conditions")
     work = grid.with_mask(mask)
 
-    def fvec(pts):
-        return _fz_components(w.mu(pts), w.nu(pts))
+    def fvec(pts, k):
+        subs = [(prim, points[k].reshape(-1))
+                for prim, _, points in walked if k < len(points)]
+        return _fz_components(ex.evaluate(w.mu, pts, subs),
+                              ex.evaluate(w.nu, pts, subs))
 
-    F = _cumulative_grid_integral(fvec, work)
-    nu_vals = w.nu(work.zz)
-    mu_vals = w.mu(work.zz)
+    F = _cumulative_grid_integral(fvec, work, 3)
     f = 2.0 * F.real
     fz = _fz_components(mu_vals, nu_vals)
     denom = 1.0 + np.abs(nu_vals) ** 2
@@ -208,6 +343,12 @@ def coordinate_frame_grid(w: WeierstrassData, grid: DomainGrid):
     principal root at the basepoint along the sweep: each step takes the
     root s of mu at its end with Re(s conj(prev)) >= 0, prev the root it
     comes from."""
+    return _frame_and_metric(w, grid)[0]
+
+
+def _frame_and_metric(w: WeierstrassData, grid: DomainGrid):
+    """``coordinate_frame_grid`` and the conformal factor e^u at the nodes,
+    from one evaluation of mu and nu there."""
     mu = w.mu(grid.zz)
     nu = w.nu(grid.zz)
     root = np.sqrt(mu)
@@ -228,7 +369,7 @@ def coordinate_frame_grid(w: WeierstrassData, grid: DomainGrid):
     frame[..., 0, 1] = pref * np.conj(r)
     frame[..., 1, 0] = -pref * r
     frame[..., 1, 1] = pref * np.conj(s)
-    return frame
+    return frame, eu
 
 
 def pcomponent_residual(w: WeierstrassData, grid: DomainGrid):
@@ -236,8 +377,7 @@ def pcomponent_residual(w: WeierstrassData, grid: DomainGrid):
     Maurer-Cartan form: the lower-left entry of F^{-1} dF/dzbar, scaled by
     e^{-u}.  Vanishes exactly when the Gauss map is holomorphic (the
     surface is minimal); the residual reproduces |H|."""
-    frame = coordinate_frame_grid(w, grid)
-    eu = np.abs(w.mu(grid.zz)) * (1 + np.abs(w.nu(grid.zz)) ** 2)
+    frame, eu = _frame_and_metric(w, grid)
     dx, dy = grid.dx, grid.dy
     dfdx = np.gradient(frame, dx, axis=1)
     dfdy = np.gradient(frame, dy, axis=0)

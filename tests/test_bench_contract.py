@@ -81,3 +81,25 @@ def test_iwasawa_counter_reads_the_compact_input(monkeypatch):
         assert len(shape) == 3 and shape[2] == 2
         assert (s.counts["nodes"], s.counts["band"]) == shape[:2]
     assert metrics["factor.band.max"][0] == max(n[1] for n in inputs)
+
+
+def test_walk_primitive_work_is_counted(monkeypatch):
+    # a Prim in minimal data: the one cumulative pass evaluates the
+    # integrand through expr.evaluate, so the traced minimal counters see
+    # it beside the node and sweep evaluations of mu and nu
+    import loopcmc.weier as weier
+    from loopcmc.convert import limit_member_data
+    from loopcmc.frames import PotentialSpec
+    from loopcmc.grid import DomainGrid
+
+    w = limit_member_data(PotentialSpec.normalized("2+z", "exp(z)", 0.0))
+    grid = DomainGrid.square(0.5, 9)
+    edges = 8 + 9 * 8
+    with installed_tracer(monkeypatch) as (spans, tracer):
+        weier.minimal_surface(w, grid)
+        metrics = spans.layer_metrics(tracer.spans)
+    calls = [s.counts["points"] for s in tracer.spans
+             if s.name == "expr.evaluate"]
+    assert 12 * edges in calls
+    assert metrics["expr.evaluate.points"][0] \
+        == 12 * edges + 2 * 81 + 2 * 8 * edges

@@ -222,6 +222,32 @@ class TestGallery:
         assert err.count("\n") == 1 and "'gird'" in err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("grid", "11"), ("trunc", "five"), ("trunc", 5.5),
+        ("format", "xyz"), ("xrange", [-1]), ("reflective", 1)])
+    def test_config_value_the_flag_rejects_is_config_error(
+            self, tmp_path, capsys, key, value):
+        # each file value goes through its flag's nargs, type and choices
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"h": ["1"], "a": "2", "Q": "0",
+                                   "grid": [11], key: value}))
+        out = tmp_path / "o"
+        rc = main(["--config", str(cfg), "mesh", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"'{key}'" in err
+        assert not out.exists()
+
+    def test_config_value_spelled_as_on_the_command_line(self, tmp_path):
+        # "5" passes --trunc's type as the command line's 5 does
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"h": ["1"], "a": "2", "Q": "0",
+                                   "grid": [11], "trunc": "5"}))
+        out = tmp_path / "o"
+        rc = main(["--config", str(cfg), "mesh", "--out", str(out)])
+        assert rc == 0
+        assert read_report(out)["config"]["trunc"] == 5
+
 
 class TestMeshSymmetryFlag:
     def test_three_node_grid_falls_back_to_bilinear(self, tmp_path):

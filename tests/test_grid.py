@@ -49,7 +49,8 @@ class TestSweep:
     def test_cumulative_integral_behind_the_wall(self, walled):
         g = walled
         vals = _cumulative_grid_integral(
-            lambda pts: ex.evaluate(ex.parse("exp(z)"), pts)[..., None], g)
+            lambda pts, k: ex.evaluate(ex.parse("exp(z)"), pts)[..., None],
+            g, 1)
         conn = reached(g)
         exact = np.exp(g.zz) - np.exp(g.z0)
         assert np.max(np.abs(vals[..., 0] - exact)[conn]) <= 1e-12

@@ -1,13 +1,20 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from loopcmc import expr as ex
-from loopcmc.frames import extract_curvature
+from loopcmc.cli import main
+from loopcmc.convert import limit_member_data
+from loopcmc.frames import PotentialSpec, extract_curvature
 from loopcmc.grid import DomainGrid
 from loopcmc.weier import (InvalidDataError, WeierstrassData,
-                           coordinate_frame_grid, initial_frame, metric_hopf,
-                           minimal_surface, pcomponent_residual)
-from conftest import catenoid_oracle, enneper
+                           _cumulative_grid_integral, _fz_components,
+                           _gl_stack, _walk_primitive, coordinate_frame_grid,
+                           initial_frame, metric_hopf, minimal_surface,
+                           pcomponent_residual)
+from conftest import ORDER5_A, ORDER5_P, catenoid_oracle, enneper
 
 
 class TestIntegrand:
@@ -131,6 +138,113 @@ class TestAntiderivativeBatch:
             rng = np.random.default_rng(n)
             q(self.Z0 + 0.7 * (rng.random(n) - 0.5 + 1j * rng.random(n) - 0.5j))
             assert 1 <= len(calls) <= 2
+
+
+def order5_data():
+    """order5's h = 0 member: nu = -int Q/a is a Prim (Q/a is polynomial
+    in value, not in form)."""
+    return limit_member_data(PotentialSpec.normalized(
+        ORDER5_A, f"({ORDER5_A})*({ORDER5_P})", 0.0))
+
+
+class TestWalkPrimitive:
+    """Primitives on a mesh grid take their values from one cumulative
+    pass along the row-then-column walk, which follows integrate_path's
+    horizontal-then-vertical path to every node and to every sweep point
+    of the basepoint row and the columns."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(nx=st.integers(2, 9), ny=st.integers(2, 9),
+           half=st.tuples(st.floats(0.02, 1.5), st.floats(0.02, 1.5)),
+           centre=st.complex_numbers(max_magnitude=1.0),
+           base=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+           poles=st.lists(st.tuples(st.floats(0, 2 * np.pi),
+                                    st.floats(1.0, 3.0),
+                                    st.complex_numbers(max_magnitude=2.0)),
+                          min_size=1, max_size=3),
+           c0=st.complex_numbers(max_magnitude=2.0), nudge=st.booleans())
+    @example(nx=9, ny=5, half=(0.1, 0.1), centre=0.2 - 0.1j, base=(0.3, 0.8),
+             poles=[(1.0, 1.0, 1.0 + 0j)], c0=0j, nudge=False)  # short
+    @example(nx=3, ny=4, half=(1.5, 1.2), centre=0j, base=(1.0, 0.0),
+             poles=[(2.0, 1.0, 1j)], c0=1 + 0j, nudge=True)  # up to 1.5 long
+    def test_values_match_integrate_path(self, nx, ny, half, centre, base,
+                                         poles, c0, nudge):
+        # nudge: the primitive starts off the basepoint node by less than
+        # the grid's node tolerance
+        if nx == ny:
+            ny += 1
+        xs = centre.real + np.linspace(-half[0], half[0], nx)
+        ys = centre.imag + np.linspace(-half[1], half[1], ny)
+        grid = DomainGrid(xs, ys, round(base[0] * (nx - 1)),
+                          round(base[1] * (ny - 1)))
+        # each pole lies at least 1.0 outside the rectangle
+        reach = np.hypot(*half)
+        integrand = ex.Const(c0)
+        for angle, gap, c in poles:
+            p = centre + (reach + gap) * np.exp(1j * angle)
+            integrand = integrand + ex.Const(c) / (ex.parse("z") - p)
+        z0 = grid.z0 + (1e-11 * min(half) * (1 - 1j) if nudge else 0)
+        nodes, points = _walk_primitive(ex.Prim(integrand, z0), grid)
+        ref_nodes = ex.integrate_path(integrand, z0, grid.zz)
+        steps, _ = grid.walk()
+        assert len(points) == len(steps) == nx + ny - 2
+        got, ref = [nodes.ravel()], [ref_nodes.ravel()]
+        for (src, dst), vals in zip(steps, points):
+            pts, _ = _gl_stack(grid.zz[src], grid.zz[dst])
+            got.append(vals.ravel())
+            ref.append(ex.integrate_path(integrand, z0, pts).ravel())
+        got, ref = np.concatenate(got), np.concatenate(ref)
+        scale = np.max(np.abs(integrand(grid.zz))) * grid.max_l1_pathlength()
+        assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+
+    def test_order5_mesh_integrates_no_path(self, monkeypatch):
+        # one quadrature per edge piece: 12 integrand points on each of the
+        # 50 + 51 * 50 edges (all shorter than 0.25), no per-point path
+        w = order5_data()
+        prim = w.nu.arg
+        assert isinstance(prim, ex.Prim)
+        paths, points = [], []
+        integrate_path, evaluate = ex.integrate_path, ex.evaluate
+
+        def counted_path(*args, **kwargs):
+            paths.append(args)
+            return integrate_path(*args, **kwargs)
+
+        def counted_evaluate(e, z, *args):
+            if e is prim.integrand:
+                points.append(np.size(z))
+            return evaluate(e, z, *args)
+        monkeypatch.setattr(ex, "integrate_path", counted_path)
+        monkeypatch.setattr(ex, "evaluate", counted_evaluate)
+        mesh = minimal_surface(w, DomainGrid.square(0.4, 51))
+        assert mesh.mask.all()
+        assert paths == []
+        assert sum(points) <= 12 * (50 + 51 * 50)
+
+    def test_reroute_around_a_zero_of_a(self, tmp_path):
+        # a = z - 0.3 vanishes on the basepoint row: its 3 x 3 block is
+        # masked and the nodes behind it are reached by rerouting, whose
+        # points integrate nu per point; the nodes in front of it keep
+        # the per-point sweep's positions
+        argv = ["mesh", "--a", "z-0.3", "--Q", "1", "--h", "0",
+                "--grid", "21", "--xrange", "-0.5", "0.5",
+                "--yrange", "-0.5", "0.5", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        with open(tmp_path / "report.json") as fh:
+            item = json.load(fh)["items"][0]
+        assert item["mask_causes"]["regularity"] == 9
+        assert sum(item["mask_causes"].values()) \
+            == round(item["masked_fraction"] * 21 * 21)
+        w = limit_member_data(PotentialSpec.normalized("z-0.3", "1", 0.0))
+        grid = DomainGrid.square(0.5, 21)
+        mesh = minimal_surface(w, grid)
+        per_point = 2.0 * _cumulative_grid_integral(
+            lambda pts, k: _fz_components(w.mu(pts), w.nu(pts)),
+            mesh.grid, 3).real
+        per_point -= per_point[grid.j0, grid.i0]
+        front = mesh.mask & (grid.zz.real <= 0.2)
+        assert np.count_nonzero(mesh.mask & ~front) > 0
+        assert np.max(np.abs(mesh.f - per_point)[front]) <= 1e-12
 
 
 class TestMetricHopf:

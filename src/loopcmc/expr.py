@@ -341,6 +341,13 @@ def evaluate(e: ExprNode, z, subs=None):
     holds ``(node, values)`` pairs: :class:`Prim` nodes of ``e`` (the
     objects themselves) with their values at ``z``, known by other means;
     those nodes are not integrated.
+
+    A subtree without ``z``, such as ``sqrt(5)``, is evaluated once as a
+    numpy scalar and broadcast, not once per point.  Its operations run
+    through the same ufunc loops as array operands do (integer powers on a
+    0-d array), so the values are bit for bit those of a constant spread
+    over ``z``; numpy's scalar arithmetic would round some products
+    differently.
     """
     zz = np.asarray(z, dtype=complex)
     prims = {id(p): np.asarray(v) for p, v in subs or ()}
@@ -357,24 +364,19 @@ def evaluate(e: ExprNode, z, subs=None):
 def _eval(e, z, prims):
     """``e`` at the points ``z``; ``prims`` holds the values of the
     :class:`Prim` nodes given or met so far in this walk, keyed by node
-    identity."""
+    identity.  A subtree without ``z`` gives a numpy scalar."""
     if isinstance(e, Const):
-        return np.full(z.shape, e.value, dtype=complex)
+        return np.complex128(e.value)
     if isinstance(e, Var):
         return z
-    if isinstance(e, Add):
-        return _eval(e.left, z, prims) + _eval(e.right, z, prims)
-    if isinstance(e, Sub):
-        return _eval(e.left, z, prims) - _eval(e.right, z, prims)
-    if isinstance(e, Mul):
-        return _eval(e.left, z, prims) * _eval(e.right, z, prims)
-    if isinstance(e, Div):
-        return _eval(e.left, z, prims) / _eval(e.right, z, prims)
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return _BINARY[type(e)](_eval(e.left, z, prims),
+                                _eval(e.right, z, prims))
     if isinstance(e, Neg):
         return -_eval(e.arg, z, prims)
     if isinstance(e, Pow):
-        base = _eval(e.base, z, prims)
-        return base ** e.power
+        # ndarray's ** takes x**2 and x**-1 to square and reciprocal
+        return np.asarray(_eval(e.base, z, prims)) ** e.power
     if isinstance(e, Exp):
         return np.exp(_eval(e.arg, z, prims))
     if isinstance(e, Sqrt):
@@ -384,6 +386,9 @@ def _eval(e, z, prims):
             prims[id(e)] = np.asarray(integrate_path(e.integrand, e.z0, z))
         return prims[id(e)]
     raise TypeError(f"not an expression node: {e!r}")
+
+
+_BINARY = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
 
 
 # ---------------------------------------------------------------------------

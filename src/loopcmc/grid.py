@@ -4,9 +4,9 @@ A :class:`DomainGrid` is a rectangular node lattice with a per-node validity
 mask.  The basepoint must be an unmasked node.  :func:`walk` is the one
 ordered list of steps from the basepoint that the frame and Weierstrass
 integrators share: along the basepoint row, then down every column at once,
-then breadth-first around masked nodes for the valid nodes that walk cut
-off.  :func:`sweep` carries a state along it; the frame integrator also
-reads it to place its substep lattice.
+then breadth-first around masked nodes, one step per tree depth, for the
+valid nodes that walk cut off.  :func:`sweep` carries a state along it;
+the frame integrator also reads it to place its substep lattice.
 """
 
 from __future__ import annotations
@@ -165,11 +165,14 @@ def walk(mask, j0, i0):
     arrays, to be taken in list order: first single nodes along the
     basepoint row, east then west; then whole rows ``(j, slice(None))``,
     down from the basepoint row and then up.  Valid nodes whose row-first
-    path crosses an invalid node are then reached one edge at a time along
-    the breadth-first tree of ``mask``.  Invalid nodes, and valid ones no
-    path of valid nodes reaches, are not reached.  The column-first walk is
-    ``walk(mask.T, i0, j0)`` with both tuples of every step reversed and the
-    reached mask transposed.
+    path crosses an invalid node are then reached along the breadth-first
+    tree of ``mask``, one step per tree depth: ``src`` and ``dst`` are
+    pairs of index arrays, the parents and the nodes at that depth in
+    visit order.  A node's parent is one depth up, or reached by the rows,
+    so it holds its state before the node's step runs.  Invalid nodes, and
+    valid ones no path of valid nodes reaches, are not reached.  The
+    column-first walk is ``walk(mask.T, i0, j0)`` with both tuples of every
+    step reversed and the reached mask transposed.
     """
     ny, nx = mask.shape
     every = slice(None)
@@ -180,10 +183,16 @@ def walk(mask, j0, i0):
     blocked = row_first_blocked(mask, j0, i0)
     reached = mask & ~blocked
     if np.any(blocked):
+        depth = np.zeros(mask.shape, dtype=int)
+        levels = {}
         for src, dst in bfs_tree(mask, j0, i0):
+            depth[dst] = depth[src] + 1
             if blocked[dst]:
-                steps.append((src, dst))
-                reached[dst] = True
+                levels.setdefault(depth[dst], []).append(src + dst)
+        for d in sorted(levels):
+            jsrc, isrc, jdst, idst = np.array(levels[d]).T
+            steps.append(((jsrc, isrc), (jdst, idst)))
+            reached[jdst, idst] = True
     return steps, reached
 
 

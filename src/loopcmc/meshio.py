@@ -20,11 +20,14 @@ row of a ``(values, 20)`` uint8 table in which 0 means "no byte":
   ``|x|`` with the double nearest the power of ten, plus ``|x|`` times that
   double's error.  The pair is made per call, from exact Python integers,
   for the exponents present only;
-* the digits come from int32/int64 division and are written as ASCII.
+* the leading digit comes from int32/int64 division, and the twelve
+  after the point from a table of ``%04d`` strings, three uint32 lookups
+  into a packed record of the field.
 
 Each block (``v``, ``vn`` and the ``f`` rows) is one ``(rows, width)``
-uint8 table, compacted once by dropping its 0 bytes.  ``%d`` face fields
-are right-aligned in the width of the largest index.
+uint8 table, compacted once by dropping its 0 bytes (``bytes.translate``),
+and blocks are made and written one at a time.  ``%d`` face fields are
+right-aligned in the width of the largest index.
 
 The double-double product is within 2e-16 of the exact one, so its
 rounding is the correctly rounded one ``%`` makes unless the exact value
@@ -52,6 +55,14 @@ _FIELD = 20                     # widest %.12e field: -1.797693134862e+308
 _SMALL, _LARGE = 1e-290, 1e290  # beyond, 10**(12 - e) or its split overflows
 _TIE = 1e-6                     # this close to a rounding tie, % decides
 _M_LO, _M_HI = 10 ** 12, 10 ** 13
+# "%04d" of 0..9999 as little-endian uint32s, and the field's leading digit
+# and three four-digit groups as fields of one packed 20-byte record
+_DIGITS4 = (np.arange(10 ** 4, dtype=np.uint16)[:, None]
+            // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10
+            + ord("0")).astype(np.uint8).view("<u4").ravel()
+_DIGIT_RECORD = np.dtype({"names": ["lead", "g0", "g1", "g2"],
+                          "formats": ["u1", "<u4", "<u4", "<u4"],
+                          "offsets": [1, 3, 7, 11], "itemsize": _FIELD})
 
 
 def _pow10_pairs(ks):
@@ -120,15 +131,17 @@ def _float_fields(x):
     out[:, 2] = ord(".")
     out[:, 15] = ord("e")
     out[:, 16] = np.where(e < 0, ord("-"), ord("+"))
-    # 13 digits as two int32 halves of 7 and 6 digits, at columns 1, 3..14
-    top = (mant // 10 ** 6).astype(np.int32)
-    low = (mant - top.astype(np.int64) * 10 ** 6).astype(np.int32)
-    for cols, v in (((1, 3, 4, 5, 6, 7, 8), top),
-                    ((9, 10, 11, 12, 13, 14), low)):
-        for col in cols[::-1]:
-            q = v // 10
-            out[:, col] = v - 10 * q + ord("0")
-            v = q
+    # 13 digits: the leading one at column 1, then three groups of four at
+    # columns 3..14, each a uint32 of its ASCII digits from one table
+    top = (mant // 10 ** 8).astype(np.int32)
+    low = (mant - top.astype(np.int64) * 10 ** 8).astype(np.int32)
+    lead = top // 10 ** 4
+    mid = low // 10 ** 4
+    rec = out.reshape(-1).view(_DIGIT_RECORD)
+    rec["lead"] = lead + ord("0")
+    rec["g0"] = _DIGITS4[top - lead * 10 ** 4]
+    rec["g1"] = _DIGITS4[mid]
+    rec["g2"] = _DIGITS4[low - mid * 10 ** 4]
     e = np.abs(e).astype(np.int32)
     out[:, 17] = np.where(e >= 100, e // 100 + ord("0"), 0)
     out[:, 18] = e // 10 % 10 + ord("0")
@@ -180,7 +193,7 @@ def _float_rows(head, table) -> bytes:
         line = (fmt % tuple(table[i].tolist())).encode()
         rows[i] = 0
         rows[i, :len(line)] = np.frombuffer(line, dtype=np.uint8)
-    return rows[rows != 0].tobytes()
+    return rows.tobytes().translate(None, b"\0")
 
 
 def _face_rows(faces) -> bytes:
@@ -194,16 +207,19 @@ def _face_rows(faces) -> bytes:
     cells[:, :, :w] = digits
     cells[:, :, w:w + 2] = ord("/")
     cells[:, :, w + 2:] = digits
-    return rows[rows != 0].tobytes()
+    return rows.tobytes().translate(None, b"\0")
 
 
 def _obj_blocks(mesh: SurfaceMesh, comment=""):
-    """The OBJ text as four byte blocks: header, ``v``, ``vn`` and ``f``."""
+    """The OBJ text as four byte blocks, made one at a time: header, ``v``,
+    ``vn`` and ``f``."""
     verts, normals, faces = mesh.vertex_table
     head = [f"# {ln}\n" for ln in comment.splitlines()]
     head.append(f"# vertices {len(verts)} faces {len(faces)}\n")
-    return ["".join(head).encode(), _float_rows(b"v", verts),
-            _float_rows(b"vn", normals), _face_rows(faces + 1)]
+    yield "".join(head).encode()
+    yield _float_rows(b"v", verts)
+    yield _float_rows(b"vn", normals)
+    yield _face_rows(faces + 1)
 
 
 def obj_bytes(mesh: SurfaceMesh, comment="") -> bytes:
@@ -229,8 +245,8 @@ def ply_bytes(mesh: SurfaceMesh) -> bytes:
 
 
 def write_mesh(mesh: SurfaceMesh, path, fmt="obj", comment="") -> None:
-    # the OBJ blocks are written as they are, not joined: one copy of the
-    # text less at the export's peak memory
+    # each OBJ block is written as it is made, not joined: the export's peak
+    # memory holds one block of text and its tables, not the whole text
     if fmt == "obj":
         blocks = _obj_blocks(mesh, comment)
     elif fmt == "ply":

@@ -13,10 +13,17 @@ tangent at the basepoint.
 Data components are expressions (``expr.ExprNode``); a primitive such as
 nu = -int Q/a is an ``expr.Prim`` node, evaluated by path quadrature, so
 every kind of data evaluates vectorised and differentiates symbolically.
-On a mesh grid a primitive that starts at the grid's basepoint is not
-integrated per point: one cumulative pass along the grid walk, which
-follows the quadrature's horizontal-then-vertical path, gives its values
-at the nodes and at the sweep's points (``_walk_primitive``), and
+
+A mesh integrates G = int (mu, mu nu, mu nu^2) dz, from which f_z's
+integral follows by linearity, in one blocked pass along the grid walk
+(``_walk_sums``): the basepoint row is one block, the column steps come
+in blocks of whole rows of at most BLOCK_POINTS Gauss-Legendre points,
+and each reroute step around masked nodes is a block.  Each block
+evaluates the data once at all its points; its nodes take cumulative
+sums from the block's source row.  A primitive that starts at the grid's
+basepoint is not integrated per point: the same pass over the whole
+lattice, edge by edge at the quadrature's own rule, gives its values at
+the nodes and at the sweep's points (``_walk_primitive``), and
 ``expr.evaluate`` takes them as substitutions.
 """
 
@@ -132,11 +139,120 @@ def regularity_mask(mu, nu, grid: DomainGrid, dilate=1):
 
 
 # ---------------------------------------------------------------------------
-# Primitives along the grid walk
+# Integration sweeps
 
 # Gauss-Legendre points per edge of the integration sweep
 SWEEP_GL_N = 8
 
+# sweep points in one block of the blocked pass (at least one row): bounds
+# the integrand arrays of one block, so peak memory does not grow with the
+# grid
+BLOCK_POINTS = 2 ** 16
+
+
+def _walk_blocks(grid: DomainGrid):
+    """The walk of ``grid`` (``DomainGrid.walk``) in blocks of chains, in
+    walk order, and the walk's reached mask.
+
+    A chain ``(src, dst)`` is consecutive steps from the node or row
+    ``src``: ``dst`` indexes the nodes or rows they reach, the steps along
+    axis 0.  The basepoint row is one block of two chains, east and west
+    (a side without edges is left out); the column steps come in blocks of
+    consecutive rows of at most BLOCK_POINTS sweep points, one row at
+    least; each reroute step is a block of one chain of one step.
+    """
+    ny, nx, j0, i0 = grid.ny, grid.nx, grid.j0, grid.i0
+    steps, reached = grid.walk()
+    row = [((j0, i0), (j0, cols)) for cols in
+           (np.arange(i0 + 1, nx), np.arange(i0 - 1, -1, -1)) if len(cols)]
+    blocks = [row] if row else []
+    per = max(1, BLOCK_POINTS // (SWEEP_GL_N * nx))
+    for rows in (np.arange(j0 + 1, ny), np.arange(j0 - 1, -1, -1)):
+        for at in range(0, len(rows), per):
+            src = (rows[at - 1] if at else j0,)
+            blocks.append([(src, (rows[at:at + per],))])
+    for src, (jdst, idst) in steps[nx + ny - 2:]:
+        blocks.append([(src, (jdst[None], idst[None]))])
+    return blocks, reached
+
+
+def _chain_ends(a, src, dst):
+    """The values of the (ny, nx) array ``a`` at the starts and the ends of
+    a chain's edges, flat in edge order."""
+    end = a[dst]
+    start = np.concatenate([a[src][None], end[:-1]])
+    return start.ravel(), end.ravel()
+
+
+def _walk_sums(grid: DomainGrid, edge_sums, width):
+    """Cumulative sums over the walk of ``grid`` from 0 at the basepoint,
+    (ny, nx, width), NaN at the nodes the walk does not reach.
+
+    ``edge_sums(za, zb, edges)`` returns (len(za), width) for the edges
+    za -> zb of one block of ``_walk_blocks``, flat; they are the walk's
+    edges ``edges``, a slice in walk order.  A chain's nodes take
+    ``np.cumsum`` from its source's value, so each node adds its edges in
+    the walk's order, as a step-by-step ``sweep`` would.
+    """
+    blocks, reached = _walk_blocks(grid)
+    vals = np.full((grid.ny, grid.nx, width), np.nan, dtype=complex)
+    vals[grid.j0, grid.i0] = 0.0
+    zz = grid.zz
+    done = 0
+    for chains in blocks:
+        starts, ends = zip(*(_chain_ends(zz, *chain) for chain in chains))
+        za, zb = np.concatenate(starts), np.concatenate(ends)
+        sums = edge_sums(za, zb, slice(done, done + len(za)))
+        done += len(za)
+        pos = 0
+        for (src, dst), n in zip(chains, map(len, ends)):
+            seed = vals[src]
+            edges = sums[pos:pos + n].reshape((-1,) + seed.shape)
+            pos += n
+            vals[dst] = np.cumsum(np.concatenate([seed[None], edges]),
+                                  axis=0)[1:]
+    vals[~reached] = np.nan
+    return vals
+
+
+def _gl_stack(za, zb):
+    x, wgt = ex._gl_nodes(SWEEP_GL_N)
+    pts = za[..., None] + (x[None, :] + 1) / 2 * (zb - za)[..., None]
+    return pts, wgt
+
+
+def _real_product(vals, weights):
+    """``vals @ weights`` for complex (n, m) ``vals`` and real (m, k)
+    ``weights``, as one real product of the interleaved real and imaginary
+    parts of ``vals``.  With threaded BLAS, numpy's complex-by-real
+    product of such thin matrices takes 20 to 60 times as long, and two
+    real products of the strided parts 3 to 4 times as long."""
+    m, k = weights.shape
+    pair = np.zeros((m, 2, k, 2))
+    pair[:, 0, :, 0] = pair[:, 1, :, 1] = weights
+    flat = np.ascontiguousarray(vals, dtype=complex).view(float)
+    return (flat @ pair.reshape(2 * m, 2 * k)).view(complex)
+
+
+def _cumulative_grid_integral(fvec, grid: DomainGrid, width):
+    """Cumulative integral of a vector-valued integrand over the walk of
+    ``grid`` from its basepoint (``_walk_sums``), (ny, nx, width): one
+    SWEEP_GL_N-point Gauss-Legendre segment per edge, one ``fvec`` call
+    per block.  ``fvec(points, edges)`` gets the sweep points of the
+    walk's edges ``edges`` (a slice in walk order), flat, SWEEP_GL_N to an
+    edge, and returns the integrand there as (width, len(points))."""
+
+    def edge_sums(za, zb, edges):
+        pts, wgt = _gl_stack(za, zb)
+        fv = np.reshape(fvec(pts.ravel(), edges), (-1, SWEEP_GL_N))
+        total = _real_product(fv, wgt[:, None]).reshape(width, -1)
+        return (zb - za)[:, None] / 2.0 * total.T
+
+    return _walk_sums(grid, edge_sums, width)
+
+
+# ---------------------------------------------------------------------------
+# Primitives along the grid walk
 
 @functools.cache
 def _edge_weights(pieces):
@@ -178,20 +294,17 @@ def _edge_integrals(integrand, za, zb):
         sel = np.flatnonzero(pieces == p)
         ts = ((np.arange(p)[:, None] + (x + 1) / 2) / p).ravel()
         vals = ex.evaluate(integrand, za[sel, None] + ts * dz[sel, None])
-        wt = _edge_weights(p).T
-        # two real products: with threaded BLAS, numpy's complex-by-real
-        # product of these thin matrices takes about 20 times as long
-        out[sel] = dz[sel, None] * (vals.real @ wt + 1j * (vals.imag @ wt))
+        out[sel] = dz[sel, None] * _real_product(vals, _edge_weights(p).T)
     return out[:, -1], out[:, :-1]
 
 
 def _walk_primitive(prim: ex.Prim, grid: DomainGrid):
     """Values of ``prim`` from one cumulative pass along the walk of the
     whole lattice (``DomainGrid.walk`` with no node masked): at the nodes,
-    (ny, nx), and, for the k-th step, at the sweep's points of its edges,
-    shaped like the step's ``_gl_stack``.  Those steps, along the basepoint
-    row and then down and up the columns, open the walk of the grid under
-    any mask.
+    (ny, nx), and at the sweep's points of the walk's edges, flat in edge
+    order, (edges, SWEEP_GL_N).  Those edges, along the basepoint row and
+    then down and up the columns, open the walk of the grid under any
+    mask, in the same order.
 
     The walk reaches every node, and every point of its edges, by
     integrate_path's horizontal-then-vertical path from the basepoint, and
@@ -200,26 +313,19 @@ def _walk_primitive(prim: ex.Prim, grid: DomainGrid):
     grid's basepoint node (up to the grid's node tolerance); an off-node
     start enters as the primitive's value at the node.
     """
-    zz = grid.zz
-    steps, reached = DomainGrid(grid.xs, grid.ys, grid.i0, grid.j0).walk()
-    starts = [np.ravel(zz[src]) for src, _ in steps]
-    total, part = _edge_integrals(
-        prim.integrand, np.concatenate(starts),
-        np.concatenate([np.ravel(zz[dst]) for _, dst in steps]))
-    bounds = np.cumsum([0] + [len(a) for a in starts])
-    points = [None] * len(steps)
-
-    def advance(prev, za, zb, k):
-        edges = slice(bounds[k], bounds[k + 1])
-        points[k] = prev[..., None] \
-            + part[edges].reshape(np.shape(prev) + (SWEEP_GL_N,))
-        return prev + total[edges].reshape(np.shape(prev))
-
-    nodes = np.zeros(zz.shape, dtype=complex)
-    sweep(zz, steps, reached, nodes, advance)
+    lattice = DomainGrid(grid.xs, grid.ys, grid.i0, grid.j0)
+    index = np.arange(grid.zz.size).reshape(grid.zz.shape)
+    src, dst = (np.concatenate(ends) for ends in zip(*(
+        _chain_ends(index, *chain)
+        for chains in _walk_blocks(lattice)[0] for chain in chains)))
+    flat = grid.zz.ravel()
+    total, part = _edge_integrals(prim.integrand, flat[src], flat[dst])
+    nodes = _walk_sums(lattice, lambda za, zb, edges: total[edges, None],
+                       1)[..., 0]
+    points = nodes.ravel()[src, None] + part
     if prim.z0 != grid.z0:
         shift = ex.evaluate(prim, grid.z0)
-        nodes, points = nodes + shift, [v + shift for v in points]
+        nodes, points = nodes + shift, points + shift
     return nodes, points
 
 
@@ -252,29 +358,7 @@ def _walk_prims(w: WeierstrassData, grid: DomainGrid):
 
 
 # ---------------------------------------------------------------------------
-# Integration sweeps
-
-def _gl_stack(za, zb):
-    x, wgt = ex._gl_nodes(SWEEP_GL_N)
-    pts = za[..., None] + (x[None, :] + 1) / 2 * (zb - za)[..., None]
-    return pts, wgt
-
-
-def _cumulative_grid_integral(fvec, grid: DomainGrid, width):
-    """Cumulative integral of a vector-valued integrand over the grid sweep
-    from the basepoint (``DomainGrid.sweep``), one SWEEP_GL_N-point
-    Gauss-Legendre segment per edge; ``fvec(points, k)`` must return
-    (len(points), width) at the points of the walk's k-th step."""
-    vals = np.full((grid.ny, grid.nx, width), np.nan, dtype=complex)
-    vals[grid.j0, grid.i0] = 0.0
-
-    def seg(v, za, zb, k):
-        pts, wgt = _gl_stack(np.asarray(za), np.asarray(zb))
-        fv = np.reshape(fvec(pts.reshape(-1), k), pts.shape + (width,))
-        return v + (zb - za)[..., None] / 2.0 * np.einsum("...gm,g->...m", fv, wgt)
-
-    return grid.sweep(vals, seg)
-
+# Minimal surface mesh
 
 def _fz_components(mu, nu):
     return np.stack([mu * (1.0 - nu ** 2),
@@ -285,16 +369,18 @@ def _fz_components(mu, nu):
 def minimal_surface(w: WeierstrassData, grid: DomainGrid) -> SurfaceMesh:
     """Minimal surface mesh from Weierstrass data, f(z0) = 0.
 
-    The integrand is swept over the grid by Gauss-Legendre segments
-    (``_cumulative_grid_integral``); mu and nu are evaluated once at the
-    nodes and at the segments' points.  A primitive (``expr.Prim``) in
-    the data that starts at the grid's basepoint takes its values there
-    from one cumulative pass along the walk (``_walk_primitive``), not
-    from a path integral per point; only the reroute steps' points
-    integrate it per point.  meta["mask_causes"] counts the masked nodes
-    under the first cause that applies: outside the grid's own mask
-    (``domain``), failing ``regularity_mask`` (``regularity``), or a
-    non-finite position (``position``).
+    The integrals G = int (mu, mu nu, mu nu^2) dz are swept over the grid
+    by Gauss-Legendre segments in row blocks (``_cumulative_grid_integral``),
+    two complex products a point; f_z integrates to F = (G0 - G2,
+    -i (G0 + G2), -2 G1) by linearity.  mu and nu are evaluated once at
+    the nodes and once per block at its segments' points.  A primitive
+    (``expr.Prim``) in the data that starts at the grid's basepoint takes
+    its values there from one cumulative pass along the walk
+    (``_walk_primitive``), not from a path integral per point; only the
+    reroute steps' points integrate it per point.  meta["mask_causes"]
+    counts the masked nodes under the first cause that applies: outside
+    the grid's own mask (``domain``), failing ``regularity_mask``
+    (``regularity``), or a non-finite position (``position``).
     """
     walked = _walk_prims(w, grid)
     at_nodes = [(prim, nodes) for prim, nodes, _ in walked]
@@ -305,13 +391,20 @@ def minimal_surface(w: WeierstrassData, grid: DomainGrid) -> SurfaceMesh:
         raise InvalidDataError("basepoint fails the regularity conditions")
     work = grid.with_mask(mask)
 
-    def fvec(pts, k):
-        subs = [(prim, points[k].reshape(-1))
-                for prim, _, points in walked if k < len(points)]
-        return _fz_components(ex.evaluate(w.mu, pts, subs),
-                              ex.evaluate(w.nu, pts, subs))
+    def products(pts, edges):
+        subs = [(prim, points[edges].reshape(-1))
+                for prim, _, points in walked if edges.stop <= len(points)]
+        mu = ex.evaluate(w.mu, pts, subs)
+        nu = ex.evaluate(w.nu, pts, subs)
+        out = np.empty((3, len(pts)), dtype=complex)
+        out[0] = mu
+        np.multiply(mu, nu, out=out[1])
+        np.multiply(out[1], nu, out=out[2])
+        return out
 
-    F = _cumulative_grid_integral(fvec, work, 3)
+    G = _cumulative_grid_integral(products, work, 3)
+    F = np.stack([G[..., 0] - G[..., 2], -1j * (G[..., 0] + G[..., 2]),
+                  -2.0 * G[..., 1]], axis=-1)
     f = 2.0 * F.real
     fz = _fz_components(mu_vals, nu_vals)
     denom = 1.0 + np.abs(nu_vals) ** 2

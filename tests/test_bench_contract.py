@@ -103,3 +103,26 @@ def test_walk_primitive_work_is_counted(monkeypatch):
     assert 12 * edges in calls
     assert metrics["expr.evaluate.points"][0] \
         == 12 * edges + 2 * 81 + 2 * 8 * edges
+
+
+def test_minimal_evaluate_calls_stay_per_block(monkeypatch):
+    # Enneper's h = 0 mesh (no Prim): mu and nu are evaluated once at the
+    # nodes and once per block of the sweep, so expr.evaluate.points keeps
+    # the formula above while the calls stay at two per block; a sweep
+    # that evaluates once per step makes about 4 n calls and fails
+    import loopcmc.weier as weier
+    from loopcmc.grid import DomainGrid
+
+    w = weier.WeierstrassData("1", "z^2")
+    for n in (51, 201):
+        grid = DomainGrid.square(1.0, n)
+        edges = (n - 1) + (n - 1) * n
+        per = max(1, weier.BLOCK_POINTS // (weier.SWEEP_GL_N * n))
+        blocks = 1 + 2 * -(-(n // 2) // per)   # the row, then columns
+        with installed_tracer(monkeypatch) as (spans, tracer):
+            mesh = weier.minimal_surface(w, grid)
+            metrics = spans.layer_metrics(tracer.spans)
+        assert mesh.mask.all()
+        assert metrics["expr.evaluate.points"][0] \
+            == 2 * n * n + 2 * weier.SWEEP_GL_N * edges
+        assert metrics["expr.evaluate.calls"][0] <= 2 + 2 * blocks

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from loopcmc import expr as ex
 from conftest import gallery_exprs, KUSNER_NU
@@ -249,6 +249,79 @@ def test_taylor_matches_iterated_diff(e, re, im):
         d = ex.diff(d)
     ref = np.array(ref)
     assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
+
+
+# trees whose leaves are mostly constants, so that many subtrees hold no z
+_EXACT = st.sampled_from([ex.ZERO, ex.ONE, ex.Const(2), ex.Const(5),
+                          ex.Const(1j)])
+_CONST_TREES = st.recursive(
+    st.one_of(st.just(ex.Z), _CONSTS, _EXACT, _CONSTS, _EXACT),
+    lambda kids: st.one_of(
+        st.builds(ex.Add, kids, kids), st.builds(ex.Sub, kids, kids),
+        st.builds(ex.Mul, kids, kids), st.builds(ex.Div, kids, kids),
+        st.builds(ex.Neg, kids), st.builds(ex.Pow, kids, st.integers(-3, 3)),
+        st.builds(ex.Exp, kids), st.builds(ex.Sqrt, kids)),
+    max_leaves=8)
+
+
+def _full_array_eval(e, z):
+    """``e`` at ``z`` with every constant spread over ``z`` as an array:
+    the reference for constants evaluated once as scalars."""
+    if isinstance(e, ex.Const):
+        return np.full(z.shape, e.value, dtype=complex)
+    if isinstance(e, ex.Var):
+        return z
+    if isinstance(e, ex.Neg):
+        return -_full_array_eval(e.arg, z)
+    if isinstance(e, ex.Pow):
+        return _full_array_eval(e.base, z) ** e.power
+    if isinstance(e, (ex.Exp, ex.Sqrt)):
+        fn = np.exp if isinstance(e, ex.Exp) else np.sqrt
+        return fn(_full_array_eval(e.arg, z))
+    a, b = _full_array_eval(e.left, z), _full_array_eval(e.right, z)
+    return {ex.Add: np.add, ex.Sub: np.subtract, ex.Mul: np.multiply,
+            ex.Div: np.divide}[type(e)](a, b)
+
+
+class TestScalarConstants:
+    """A subtree without z is evaluated once, as a numpy scalar, and gives
+    the values a constant spread over every point gives, bit for bit."""
+
+    POINTS = np.array([[0.3 + 0.1j, -0.7j, 1.2, -0.4 - 0.9j],
+                       [0.05j, 2.0 - 1.0j, -1.5 + 0.5j, 0.0]])
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None)
+    @given(e=_CONST_TREES)
+    @example(e=ex.parse("sqrt(5)*z^3 + 1"))
+    @example(e=ex.parse("2^3 - z/3"))
+    @example(e=ex.parse("1/(1-1) + z"))
+    @example(e=ex.parse("(0.1+0.2*i)*(0.3-0.7*i)^2 - (1/3)^-1*z"))
+    def test_matches_full_array_constants(self, e):
+        z = self.POINTS
+        with np.errstate(all="ignore"):
+            ref = np.asarray(_full_array_eval(e, z), dtype=complex)
+        ref = np.broadcast_to(ref, z.shape)
+        got = ex.evaluate(e, z)
+        assert got.shape == z.shape and got.dtype == complex
+        assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
+        for idx in np.ndindex(z.shape):
+            one = ex.evaluate(e, complex(z[idx]))
+            assert type(one) is complex
+            assert np.array([one]).tobytes() == got[idx].tobytes()
+
+    def test_constant_only_tree_broadcasts(self):
+        e = ex.parse("sqrt(5) + 2^3")
+        got = ex.evaluate(e, self.POINTS)
+        assert got.shape == self.POINTS.shape
+        assert np.all(got == np.sqrt(5) + 8)
+        assert type(ex.evaluate(e, 0.5j)) is complex
+        assert ex.evaluate(e, np.zeros((0, 3))).shape == (0, 3)
+
+    def test_zero_constant_denominator_is_nonfinite(self):
+        e = ex.parse("1/(1-1)")
+        for z in (0.5, self.POINTS):
+            assert not np.any(np.isfinite(ex.evaluate(e, z)))
 
 
 class TestOrderAt:

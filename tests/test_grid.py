@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from loopcmc import expr as ex
-from loopcmc.grid import DomainGrid
+from loopcmc.grid import DomainGrid, bfs_tree, row_first_blocked, sweep
 from loopcmc.weier import _cumulative_grid_integral
 
 
@@ -46,10 +46,39 @@ class TestSweep:
         assert np.max(np.abs(state - (g.zz - g.z0))[conn]) <= 1e-14
         assert np.all(np.isnan(state[~conn]))
 
+    def test_reroutes_one_step_per_tree_depth(self, walled):
+        # the rerouted nodes are reached one breadth-first depth at a
+        # time, with the states the tree's edges taken one by one give
+        g = walled
+        steps, reached = g.walk()
+        blocked = row_first_blocked(g.mask, g.j0, g.i0)
+        tree = bfs_tree(g.mask, g.j0, g.i0)
+        depth = {(g.j0, g.i0): 0}
+        for src, dst in tree:
+            depth[dst] = depth[src] + 1
+        rerouted = [(src, dst) for src, dst in tree if blocked[dst]]
+        lattice = g.nx + g.ny - 2
+        assert len(steps) - lattice == len({depth[d] for _, d in rerouted})
+        one_by_one = steps[:lattice] + rerouted
+
+        def advance(s, za, zb, k):
+            # ufuncs: on numpy scalars they round as on arrays
+            return np.multiply(s, np.exp(zb - za)) \
+                + np.exp(np.multiply(za, zb))
+        states = []
+        for walk in (steps, one_by_one):
+            state = np.full((g.ny, g.nx), np.nan, dtype=complex)
+            state[g.j0, g.i0] = 0.3
+            sweep(g.zz, walk, reached, state, advance)
+            states.append(state)
+        assert states[0].tobytes() == states[1].tobytes()
+        assert np.count_nonzero(np.isfinite(states[0])) \
+            == np.count_nonzero(reached)
+
     def test_cumulative_integral_behind_the_wall(self, walled):
         g = walled
         vals = _cumulative_grid_integral(
-            lambda pts, k: ex.evaluate(ex.parse("exp(z)"), pts)[..., None],
+            lambda pts, edges: ex.evaluate(ex.parse("exp(z)"), pts)[None],
             g, 1)
         conn = reached(g)
         exact = np.exp(g.zz) - np.exp(g.z0)

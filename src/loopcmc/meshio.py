@@ -10,38 +10,53 @@ masks at once.  PLY packs the vertices and the faces as one
 little-endian array each.  The bytes are those of a writer that goes
 vertex by vertex and cell by cell in row-major order.
 
-OBJ text is built as bytes, without ``%``.  Each ``%.12e`` field is one
-row of a ``(values, 20)`` uint8 table in which 0 means "no byte":
+OBJ text is built as bytes, without ``%``.  Each `` %.12e`` cell of a
+``v`` or ``vn`` line is one 21-byte record of its row table (a space, then
+the field), 0 meaning "no byte".  The decimal exponent ``e`` is
+``floor(log10|x|)``, moved by one where the scaled value falls outside
+``[1e12, 1e13)``, and the 13-digit mantissa is ``|x| 10**(12 - e)``
+rounded to the nearest integer.  Three stages decide it (``_mantissa``):
 
-* the decimal exponent ``e`` is ``floor(log10|x|)``, moved by one where
-  the scaled value falls outside ``[1e12, 1e13)``;
-* the 13-digit mantissa is ``|x| 10**(12 - e)`` rounded to the nearest
-  integer.  The product is a double-double: Dekker's exact TwoProduct of
-  ``|x|`` with the double nearest the power of ten, plus ``|x|`` times that
-  double's error.  The pair is made per call, from exact Python integers,
-  for the exponents present only;
-* the leading digit comes from int32/int64 division, and the twelve
-  after the point from a table of ``%04d`` strings, three uint32 lookups
-  into a packed record of the field.
+1. one product ``ph = |x| P``, ``P`` the double nearest ``10**(12 - e)``,
+   is within ``2**-52 ph`` of the exact value.  It decides every value
+   whose ``ph`` lies farther than ``2**-51 ph`` from a rounding tie and
+   rounds to an integer strictly between ``1e12`` and ``1e13 - 1``: on the
+   coordinates of a catenoid mesh, 99 % of them;
+2. the others take a double-double product: Dekker's exact TwoProduct of
+   ``|x|`` with ``P``, plus ``|x|`` times ``P``'s error, within 2e-16 of
+   the exact value;
+3. a row is formatted with ``%`` instead, and written into its place in
+   the table, when any of its values is one the arrays do not decide:
+   non-finite, ``|x|`` outside ``[1e-290, 1e290]`` (where the power of
+   ten or its split would leave the double range), or a double-double
+   mantissa within 1e-6 of a rounding tie.  Mesh data is not expected to
+   take that path.
 
-Each block (``v``, ``vn`` and the ``f`` rows) is one ``(rows, width)``
-uint8 table, compacted once by dropping its 0 bytes (``bytes.translate``),
-and blocks are made and written one at a time.  ``%d`` face fields are
-right-aligned in the width of the largest index.
+The powers of ten, with the split and error the second stage needs, are
+made per call from exact Python integers, over the exponents present.
+The fields are written in place through a record view of the row table:
+the space, the sign, the leading digit and the point as one uint32; the
+twelve digits after the point as three uint32 lookups into a table of
+``%04d`` strings; ``e``, the exponent's sign and its digits from one
+uint64 lookup into a 617-entry table indexed by exponent.  ``f`` lines
+take each `` %d//%d`` cell from a table made once over the vertex
+indices, with the ``%d`` fields right-aligned in the width of the largest
+index.
 
-The double-double product is within 2e-16 of the exact one, so its
-rounding is the correctly rounded one ``%`` makes unless the exact value
-is that close to a tie.  A row is formatted with ``%`` instead, and written
-into its place in the table, when any of its values is one the arrays do
-not decide: non-finite, ``|x|`` outside ``[1e-290, 1e290]`` (where the
-power of ten or its split would leave the double range), or a mantissa
-within 1e-6 of a rounding tie.  Mesh data is not expected to take that
-path.  There is no ``np.longdouble``: its precision depends on the
+The ``v`` and ``vn`` blocks are made in pieces of at most ``_ROWS`` lines,
+so that their tables stay small; each piece, and the ``f`` block, is one
+``(rows, width)`` uint8 table, compacted once by dropping its 0 bytes
+(``bytes.translate``).  They are made and written one at a time, to
+``path + ".part"``, which replaces ``path`` only once all of it is
+written.  There is no ``np.longdouble``: its precision depends on the
 platform (on some it is a plain double), and a long-double version of
 this formatter measured slower than ``%`` itself.
 """
 
 from __future__ import annotations
+
+import contextlib
+import os
 
 import numpy as np
 
@@ -49,48 +64,71 @@ from .mesh import SurfaceMesh
 
 __all__ = ["obj_bytes", "ply_bytes", "write_mesh"]
 
+_ROWS = 2 ** 13                 # lines per piece of a v or vn block
 _PLY_FACE = np.dtype([("n", "u1"), ("idx", "<i4", (4,))])
 
 _FIELD = 20                     # widest %.12e field: -1.797693134862e+308
 _SMALL, _LARGE = 1e-290, 1e290  # beyond, 10**(12 - e) or its split overflows
 _TIE = 1e-6                     # this close to a rounding tie, % decides
-_M_LO, _M_HI = 10 ** 12, 10 ** 13
-# "%04d" of 0..9999 as little-endian uint32s, and the field's leading digit
-# and three four-digit groups as fields of one packed 20-byte record
+_SLACK = 2.0 ** -51             # one product decides beyond this * ph
+_M_LO, _M_HI = 1e12, 1e13
+# |m - _MID| < _HALF_WIDTH: the integer m lies strictly between 1e12 and
+# 1e13 - 1, where one product decides (``_mantissa``)
+_MID, _HALF_WIDTH = (_M_LO + _M_HI - 1) / 2, (_M_HI - 1 - _M_LO) / 2
+# "%04d" of 0..9999 as little-endian uint32s
 _DIGITS4 = (np.arange(10 ** 4, dtype=np.uint16)[:, None]
             // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10
             + ord("0")).astype(np.uint8).view("<u4").ravel()
-_DIGIT_RECORD = np.dtype({"names": ["lead", "g0", "g1", "g2"],
-                          "formats": ["u1", "<u4", "<u4", "<u4"],
-                          "offsets": [1, 3, 7, 11], "itemsize": _FIELD})
+# "e%+03d" of every double exponent, -308..308, as the top five bytes of
+# a little-endian uint64
+_E_MIN = -308
+_EXPONENT = np.zeros((1 - 2 * _E_MIN, 8), dtype=np.uint8)
+_EXPONENT[:, 3:] = np.array(
+    [b"e%+03d" % e for e in range(_E_MIN, 1 - _E_MIN)],
+    dtype="S5")[:, None].view(np.uint8)
+_EXPONENT = _EXPONENT.view("<u8").ravel()
+# one " %.12e" cell: the space, sign, leading digit and point as "head",
+# three groups of four digits, then "e", the exponent's sign and digits;
+# "exp" spans the last three bytes of "g2" too and is written before it
+_CELL = np.dtype({"names": ["head", "g0", "g1", "g2", "exp"],
+                  "formats": ["<u4", "<u4", "<u4", "<u4", "<u8"],
+                  "offsets": [0, 4, 8, 12, 13], "itemsize": _FIELD + 1})
+_HEAD = ord(" ") | ord(".") << 24           # with sign << 8, digit << 16
 
 
-def _pow10_pairs(ks):
-    """Per power ``k`` in ``ks``: the double ``hi`` nearest ``10**k``, cut
-    into its top 26 significant bits ``h1`` and the rest ``h2``, and
-    ``lo``, the double nearest ``10**k - hi``.  Exact integer arithmetic;
-    int / int is correctly rounded."""
-    out = np.empty((3, len(ks)))
+def _pow10_pairs(ks, parts=4):
+    """Per power ``k`` in ``ks``: the double ``hi`` nearest ``10**k``; its
+    top 26 significant bits ``h1`` and the rest ``h2``; and ``lo``, the
+    double nearest ``10**k - hi``; or the first ``parts`` of these.  Exact
+    integer arithmetic; int / int is correctly rounded."""
+    out = np.empty((parts, len(ks)))
     for i, k in enumerate(ks):
         num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
         hi = num / den
+        if parts == 1:
+            out[0, i] = hi
+            continue
         p, q = hi.as_integer_ratio()
         drop = max(p.bit_length() - 26, 0)
         h1 = ((p >> drop) << drop) / q
-        out[:, i] = h1, hi - h1, (num * q - p * den) / (den * q)
+        out[:, i] = hi, h1, hi - h1, (num * q - p * den) / (den * q)
     return out
 
 
-def _scaled(a, e):
-    """``a * 10**(12 - e)`` for positive ``a``, as its floor (int64) and
-    its fractional part, from a double-double product."""
-    k = 12 - e
-    kmin = int(k.min())
-    present = np.flatnonzero(np.bincount(k - kmin)) + kmin
-    table = np.zeros((3, int(present[-1]) - kmin + 1))
-    table[:, present - kmin] = _pow10_pairs(present.tolist())
-    idx = k - kmin
-    h1, h2, lo = table[0][idx], table[1][idx], table[2][idx]
+def _powers(e, parts=1):
+    """The first ``parts`` rows of ``_pow10_pairs`` of the powers
+    ``12 - e`` over the range of ``e``, as a ``(parts, m)`` table, and each
+    entry of ``e``'s column in it."""
+    emax = int(e.max())
+    ks = range(12 - emax, 13 - int(e.min()))
+    return _pow10_pairs(ks, parts), emax - e
+
+
+def _double_double(a, e):
+    """``a * 10**(12 - e)`` for positive ``a``, as its floor and its
+    fractional part, from Dekker's double-double product."""
+    table, idx = _powers(e, 4)
+    h1, h2, lo = table[1][idx], table[2][idx], table[3][idx]
     c = a * 134217729.0                    # Veltkamp split of a, 2**27 + 1
     a1 = c - (c - a)
     a2 = a - a1
@@ -99,54 +137,90 @@ def _scaled(a, e):
     n = np.floor(ph)
     frac = (ph - n) + (pl + a * lo)
     carry = np.floor(frac)
-    return (n + carry).astype(np.int64), frac - carry
+    return n + carry, frac - carry
 
 
-def _float_fields(x):
-    """``'%.12e'`` fields of the float64 vector ``x`` as a ``(len(x), 20)``
-    uint8 table, 0 meaning no byte, and the mask of the values the arrays
-    do not decide; their fields are meaningless."""
-    x = np.asarray(x, dtype=np.float64)
+def _mantissa(a, e):
+    """The mantissa ``a * 10**(12 - e)`` rounded to the nearest integer
+    (float64), for positive ``a`` and ``e = floor(log10(a))``, which is
+    moved by one in place where the mantissa falls outside
+    ``[1e12, 1e13)``; and the mask of the values within ``_TIE`` of a
+    rounding tie, which the arrays do not decide.
+
+    The mantissa is first the one product ``ph = a * P``, ``P`` the double
+    nearest ``10**k``, ``k = 12 - e``.  Two roundings to nearest, each
+    within ``u = 2**-53`` of its result, bound its error:
+    ``|P - 10**k| <= u P`` and ``|ph - a P| <= u ph``, so
+    ``|ph - a 10**k| <= u ph + u a P <= (2u + u**2) ph``, which is
+    ``2**-52 ph`` up to a factor ``1 + 2**-54``.  Take ``ph`` farther than
+    ``2**-51 ph`` from a half-integer, rounding to an integer strictly
+    between ``1e12`` and ``1e13 - 1``.  The exact value is then within
+    0.003 of ``ph`` and on the same side of every half-integer, so it lies
+    in ``[1e12, 1e13)``, rounds to the same integer and does not carry;
+    and it is at least ``2**-52 ph``, over 2e-4, from a tie, so farther
+    than ``_TIE``.  Only the other values take the double-double product,
+    and ``e`` is moved for them alone."""
+    table, idx = _powers(e)
+    ph = table[0][idx]
+    ph *= a
+    mant = np.rint(ph)
+    # 0.5 - d is the distance to a tie: within ph * _SLACK, or an exact tie
+    # that rint rounds to even, the value is near
+    d = np.abs(ph - mant)
+    d += ph * _SLACK
+    near = d >= 0.5
+    near |= np.abs(mant - _MID) >= _HALF_WIDTH
+    undecided = np.zeros(a.shape, dtype=bool)
+    sub = np.flatnonzero(near)
+    if len(sub):
+        a, e_sub = a.flat[sub], e.flat[sub]
+        whole, frac = _double_double(a, e_sub)
+        off = (whole < _M_LO) | (whole >= _M_HI)
+        if off.any():
+            e_sub[off] += np.where(whole[off] < _M_LO, -1, 1)
+            whole[off], frac[off] = _double_double(a[off], e_sub[off])
+        m = whole + (frac > 0.5)
+        undecided.flat[sub] = ((m < _M_LO) | (m > _M_HI)
+                               | (np.abs(frac - 0.5) < _TIE))
+        carry = m == _M_HI
+        m[carry] = _M_LO
+        e_sub[carry] += 1
+        mant.flat[sub] = m
+        e.flat[sub] = e_sub
+    return mant, undecided
+
+
+def _float_fields(x, cells):
+    """Write the `` %.12e`` cells of the float64 array ``x`` into the
+    ``_CELL`` records ``cells`` of the same shape; return the mask of the
+    values the arrays do not decide, whose cells are meaningless."""
     a = np.abs(x)
-    zero = a == 0.0
-    undecided = ~(zero | ((a >= _SMALL) & (a <= _LARGE)))
-    a = np.where(zero | undecided, 1.0, a)
-    e = np.floor(np.log10(a)).astype(np.int64)
-    whole, frac = _scaled(a, e)
-    off = (whole < _M_LO) | (whole >= _M_HI)
-    if off.any():
-        e[off] += np.where(whole[off] < _M_LO, -1, 1)
-        whole[off], frac[off] = _scaled(a[off], e[off])
-    mant = whole + (frac > 0.5)
-    undecided |= ((mant < _M_LO) | (mant > _M_HI)
-                  | (np.abs(frac - 0.5) < _TIE))
-    carry = mant == _M_HI
-    mant[carry] = _M_LO
-    e[carry] += 1
-    mant[zero] = 0
-    e[zero] = 0
-
-    out = np.empty((len(x), _FIELD), dtype=np.uint8)
-    out[:, 0] = np.signbit(x) * np.uint8(ord("-"))
-    out[:, 2] = ord(".")
-    out[:, 15] = ord("e")
-    out[:, 16] = np.where(e < 0, ord("-"), ord("+"))
-    # 13 digits: the leading one at column 1, then three groups of four at
-    # columns 3..14, each a uint32 of its ASCII digits from one table
-    top = (mant // 10 ** 8).astype(np.int32)
-    low = (mant - top.astype(np.int64) * 10 ** 8).astype(np.int32)
-    lead = top // 10 ** 4
-    mid = low // 10 ** 4
-    rec = out.reshape(-1).view(_DIGIT_RECORD)
-    rec["lead"] = lead + ord("0")
-    rec["g0"] = _DIGITS4[top - lead * 10 ** 4]
-    rec["g1"] = _DIGITS4[mid]
-    rec["g2"] = _DIGITS4[low - mid * 10 ** 4]
-    e = np.abs(e).astype(np.int32)
-    out[:, 17] = np.where(e >= 100, e // 100 + ord("0"), 0)
-    out[:, 18] = e // 10 % 10 + ord("0")
-    out[:, 19] = e % 10 + ord("0")
-    return out, undecided
+    # zeros, non-finite values and |x| out of range: few, taken by index
+    odd = np.flatnonzero(~((a >= _SMALL) & (a <= _LARGE)))
+    a.flat[odd] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    mant, undecided = _mantissa(a, e)
+    zero = odd[x.flat[odd] == 0.0]
+    undecided.flat[odd] = True
+    undecided.flat[zero] = False
+    mant.flat[zero] = 0.0
+    e.flat[zero] = 0
+    # 13 digits: the leading one in the head, then three groups of four,
+    # each a uint32 of its ASCII digits from one table.  The quotients of
+    # these exact integers by powers of ten floor correctly in float64.
+    top = np.floor(mant / 1e8)
+    low = mant - top * 1e8
+    lead = np.floor(top / 1e4)
+    mid = np.floor(low / 1e4)
+    head = lead * 65536.0
+    head += _HEAD + (ord("0") << 16)
+    head += np.signbit(x) * float(ord("-") << 8)
+    cells["head"] = head
+    cells["exp"] = _EXPONENT[e - _E_MIN]
+    cells["g0"] = _DIGITS4[(top - lead * 1e4).astype(np.intp)]
+    cells["g1"] = _DIGITS4[mid.astype(np.intp)]
+    cells["g2"] = _DIGITS4[(low - mid * 1e4).astype(np.intp)]
+    return undecided
 
 
 def _int_fields(v):
@@ -166,16 +240,14 @@ def _int_fields(v):
     return out
 
 
-def _rows(head, n, k, w):
-    """``(n, width)`` table of the lines ``head``, then `` cell`` for each
-    of ``k`` cells of ``w`` bytes, then a newline; and the ``(n, k, w)``
-    view of the cells for the caller to fill."""
-    rows = np.empty((n, len(head) + k * (w + 1) + 1), dtype=np.uint8)
+def _rows(head, n, width):
+    """``(n, len(head) + width + 1)`` table of the lines ``head``, then
+    ``width`` bytes, then a newline; and the view of those ``width`` bytes
+    for the caller to fill."""
+    rows = np.empty((n, len(head) + width + 1), dtype=np.uint8)
     rows[:, :len(head)] = np.frombuffer(head, dtype=np.uint8)
-    body = rows[:, len(head):-1].reshape(n, k, w + 1)
-    body[:, :, 0] = ord(" ")
     rows[:, -1] = ord("\n")
-    return rows, body[:, :, 1:]
+    return rows, rows[:, len(head):-1]
 
 
 def _float_rows(head, table) -> bytes:
@@ -185,11 +257,11 @@ def _float_rows(head, table) -> bytes:
     n, k = table.shape
     if n == 0:
         return b""
-    fields, undecided = _float_fields(table.reshape(-1))
-    rows, cells = _rows(head, n, k, _FIELD)
-    cells[...] = fields.reshape(n, k, _FIELD)
+    rows, body = _rows(head, n, k * (_FIELD + 1))
+    undecided = _float_fields(np.asarray(table, dtype=np.float64),
+                              body.view(_CELL))
     fmt = head.decode() + " %.12e" * k + "\n"
-    for i in np.flatnonzero(undecided.reshape(n, k).any(axis=1)):
+    for i in np.unique(np.flatnonzero(undecided) // k):
         line = (fmt % tuple(table[i].tolist())).encode()
         rows[i] = 0
         rows[i, :len(line)] = np.frombuffer(line, dtype=np.uint8)
@@ -197,28 +269,36 @@ def _float_rows(head, table) -> bytes:
 
 
 def _face_rows(faces) -> bytes:
-    """Lines ``f a//a b//b c//c d//d`` of the 1-based ``(n, 4)`` faces."""
+    """Lines ``f a//a b//b c//c d//d`` of the 1-based ``(n, 4)`` faces.
+    Each index's cell `` a//a`` is made once, from ``_int_fields`` of every
+    index up to the largest, and gathered into the faces' rows."""
     n = len(faces)
     if n == 0:
         return b""
-    digits = _int_fields(faces.reshape(-1)).reshape(n, 4, -1)
-    w = digits.shape[-1]
-    rows, cells = _rows(b"f", n, 4, 2 * w + 2)
-    cells[:, :, :w] = digits
-    cells[:, :, w:w + 2] = ord("/")
-    cells[:, :, w + 2:] = digits
+    digits = _int_fields(np.arange(int(faces.max()) + 1))
+    w = digits.shape[1]
+    cell = np.empty((len(digits), 2 * w + 3), dtype=np.uint8)
+    cell[:, 0] = ord(" ")
+    cell[:, 1:w + 1] = digits
+    cell[:, w + 1:w + 3] = ord("/")
+    cell[:, w + 3:] = digits
+    record = np.dtype((np.void, cell.shape[1]))
+    rows, body = _rows(b"f", n, 4 * cell.shape[1])
+    body.view(record)[...] = cell.view(record)[faces, 0]
     return rows.tobytes().translate(None, b"\0")
 
 
 def _obj_blocks(mesh: SurfaceMesh, comment=""):
-    """The OBJ text as four byte blocks, made one at a time: header, ``v``,
-    ``vn`` and ``f``."""
+    """The OBJ text as byte blocks, made one at a time: the header, the
+    ``v`` and ``vn`` lines in pieces of at most ``_ROWS`` lines, and the
+    ``f`` lines."""
     verts, normals, faces = mesh.vertex_table
     head = [f"# {ln}\n" for ln in comment.splitlines()]
     head.append(f"# vertices {len(verts)} faces {len(faces)}\n")
     yield "".join(head).encode()
-    yield _float_rows(b"v", verts)
-    yield _float_rows(b"vn", normals)
+    for tag, table in ((b"v", verts), (b"vn", normals)):
+        for lo in range(0, len(table), _ROWS):
+            yield _float_rows(tag, table[lo:lo + _ROWS])
     yield _face_rows(faces + 1)
 
 
@@ -226,9 +306,11 @@ def obj_bytes(mesh: SurfaceMesh, comment="") -> bytes:
     return b"".join(_obj_blocks(mesh, comment))
 
 
-def ply_bytes(mesh: SurfaceMesh) -> bytes:
+def _ply_blocks(mesh: SurfaceMesh):
+    """The PLY file as three blocks: header, vertex array, face array (the
+    arrays as they are, no copy to bytes)."""
     verts, normals, faces = mesh.vertex_table
-    header = "\n".join([
+    yield "\n".join([
         "ply",
         "format binary_little_endian 1.0",
         f"element vertex {len(verts)}",
@@ -237,21 +319,34 @@ def ply_bytes(mesh: SurfaceMesh) -> bytes:
         f"element face {len(faces)}",
         "property list uchar int vertex_indices",
         "end_header", ""]).encode()
-    body = np.concatenate([verts, normals], axis=1).astype("<f8")
+    yield np.concatenate([verts, normals], axis=1, dtype="<f8")
     cells = np.empty(len(faces), dtype=_PLY_FACE)
     cells["n"] = 4
     cells["idx"] = faces
-    return header + body.tobytes() + cells.tobytes()
+    yield cells
+
+
+def ply_bytes(mesh: SurfaceMesh) -> bytes:
+    return b"".join(_ply_blocks(mesh))
 
 
 def write_mesh(mesh: SurfaceMesh, path, fmt="obj", comment="") -> None:
-    # each OBJ block is written as it is made, not joined: the export's peak
-    # memory holds one block of text and its tables, not the whole text
+    # each block is written as it is made, not joined: the export's peak
+    # memory holds one piece of text and its tables, not the whole text
     if fmt == "obj":
         blocks = _obj_blocks(mesh, comment)
     elif fmt == "ply":
-        blocks = [ply_bytes(mesh)]
+        blocks = _ply_blocks(mesh)
     else:
         raise ValueError(f"unknown mesh format {fmt!r}")
-    with open(path, "wb") as fh:
-        fh.writelines(blocks)
+    # a failed block leaves no partial file, and an older file at path as
+    # it was: the text goes to path + ".part", which replaces path at the end
+    part = os.fspath(path) + ".part"
+    try:
+        with open(part, "wb") as fh:
+            fh.writelines(blocks)
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(part)
+        raise

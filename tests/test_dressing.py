@@ -1,12 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from loopcmc import expr as ex
 from loopcmc.convert import minimal_to_potential
-from loopcmc.dressing import (DressingError, dress_frame, dress_surface,
-                              gauge_potential, gauge_ode_residual,
-                              h_independent_dressing, relation_residuals,
-                              wu_recursion)
+from loopcmc.dressing import (DressingError, _WuSystem, _rk4_affine,
+                              dress_frame, dress_surface, gauge_potential,
+                              gauge_ode_residual, h_independent_dressing,
+                              relation_residuals, wu_recursion)
 from loopcmc.frames import (PotentialSpec, integrate_frame,
                             surface_from_potential, extract_curvature)
 from loopcmc.grid import DomainGrid
@@ -98,7 +100,72 @@ class TestHIndependent:
         assert res.verdict
 
 
+def _wu_reference(a, atilde, Q, h, K, path):
+    """``wu_recursion`` and its checks' input the way they are built
+    without reuse: every level's jets afresh for each odd level, at z0 and
+    at the stage points, and the checks' series from a new ``_WuSystem``
+    on the samples.  Returns (b_init, jets, data)."""
+    a, atilde, Q = (ex.as_expr(e) for e in (a, atilde, Q))
+    z0, z1, ns = path
+    zs = np.linspace(complex(z0), complex(z1), ns)
+    dz = zs[1:] - zs[:-1]
+    nodes = len(zs)
+    sys_ = _WuSystem(a, atilde, Q, h, K,
+                     np.concatenate([zs, zs[:-1] + dz / 2]))
+    at0, q0 = complex(sys_.at[0, 0]), complex(sys_.q[0, 0])
+    b_init = {}
+    for n in sys_.odd:
+        aprev = sys_.jets(0, b_init)[n - 1]["a"]
+        b_init[n] = complex(aprev[1]) * at0 / q0
+    steps = np.arange(nodes - 1)
+    stage = np.concatenate([steps, nodes + steps, nodes + steps, steps + 1])
+    c1 = sys_.c1[stage, 0].reshape(4, -1)
+    bnodes, bstages = {}, {}
+    for n in sys_.odd:
+        c0 = sys_.jets(stage, bstages)[n]["c0"][:, 0].reshape(4, -1)
+        bnodes[n], bstages[n] = _rk4_affine(c1, c0, b_init[n], dz)
+    checks = _WuSystem(a, atilde, Q, h, K, zs)
+    return (b_init, checks.jets(slice(None), bnodes),
+            (checks.a, checks.at, checks.q))
+
+
 class TestWuRecursion:
+    @pytest.mark.parametrize("a, atilde, Q, path", [
+        (A_PAIR, AT_PAIR, Q_PAIR, (0j, 0.8, 81)),
+        ("1+z+0.3*z^2", "1+0.2*z", "exp(z)", (0j, 0.5 + 0.3j, 61)),
+        ("2-z", "(1-0.2*z)^2", "1+z^2/3", (0.1j, 0.6, 41))])
+    def test_levels_built_once_match_a_rebuild(self, a, atilde, Q, path):
+        # each level built once and the checks reading the recursion's own
+        # jets give the bits of a rebuild level by level
+        for h in (0.5, 2.0):
+            co = wu_recursion(a, atilde, Q, h, K=6, path=path)
+            b_init, jets, data = _wu_reference(a, atilde, Q, h, 6, path)
+            assert co.b_init == b_init
+            assert co.jets.keys() == jets.keys() == co.values.keys()
+            for n, level in jets.items():
+                assert co.jets[n].keys() == level.keys()
+                for w, series in level.items():
+                    assert np.array_equal(co.jets[n][w], series)
+                    assert np.array_equal(co.values[n][w], series[:, 0])
+            for mine, ref in zip(co.data, data):
+                assert np.array_equal(mine, ref)
+            rebuilt = dataclasses.replace(co, jets=jets, data=data)
+            assert relation_residuals(co) == relation_residuals(rebuilt)
+            assert gauge_ode_residual(co) == gauge_ode_residual(rebuilt)
+
+    def test_checks_expand_no_series(self, monkeypatch):
+        co = wu_recursion("2", "2+z", "1", 1.0, K=4, path=(0j, 0.8, 41))
+        calls = []
+        taylor = ex.taylor
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return taylor(*args, **kwargs)
+        monkeypatch.setattr(ex, "taylor", counted)
+        relation_residuals(co)
+        gauge_ode_residual(co)
+        assert calls == []
+
     def test_trivial_pair_all_zero(self):
         co = wu_recursion("2+z", "2+z", "1", 1.0, K=6, path=(0j, 0.8, 41))
         assert np.max(np.abs(co.values[0]["a"] - 1.0)) <= 1e-10

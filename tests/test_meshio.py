@@ -1,13 +1,16 @@
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loopcmc import meshio
 from loopcmc.grid import DomainGrid
 from loopcmc.mesh import SurfaceMesh
-from loopcmc.meshio import (_face_rows, _float_fields, _float_rows,
+from loopcmc.meshio import (_CELL, _face_rows, _float_fields, _float_rows,
                             _int_fields, obj_bytes, ply_bytes, write_mesh)
+from loopcmc.weier import WeierstrassData, minimal_surface
 
 
 # Reference writers: the vertex-by-vertex, cell-by-cell export the
@@ -106,7 +109,15 @@ def _nonfinite():
     return mesh
 
 
+def _catenoid(n):
+    """The h = 0 catenoid mesh of the benchmark's ``minimal`` workload on an
+    ``n`` x ``n`` grid: real mesh data, not random floats."""
+    grid = DomainGrid.make(-1.0, 1.0, n, -1.0, 1.0, n)
+    return minimal_surface(WeierstrassData("-exp(-z)/2", "-exp(z)"), grid)
+
+
 MESHES = {
+    "catenoid": lambda: _catenoid(41),
     "full": lambda: _mesh(9, 13),
     "masked": lambda: _mesh(
         11, 7, mask=np.random.default_rng(3).random((11, 7)) < 0.7, seed=1),
@@ -140,10 +151,36 @@ def test_write_mesh_formats(tmp_path):
         write_mesh(mesh, tmp_path / "m.stl", "stl")
 
 
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    mesh = MESHES["masked"]()
+    path = tmp_path / "m.obj"
+
+    def fail(faces):
+        raise RuntimeError("face block failed")
+    monkeypatch.setattr(meshio, "_face_rows", fail)
+    with pytest.raises(RuntimeError):
+        write_mesh(mesh, path, "obj")
+    assert sorted(tmp_path.iterdir()) == []
+    path.write_bytes(b"older mesh")
+    with pytest.raises(RuntimeError):
+        write_mesh(mesh, path, "obj")
+    assert sorted(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == b"older mesh"
+
+
 # The array-built %.12e and %d fields, value by value against %.
 
 def _field(row):
     return row[row != 0].tobytes().decode()
+
+
+def _float_table(x):
+    """The ``%.12e`` fields of ``x`` as a ``(len(x), 20)`` uint8 table, 0
+    meaning no byte, and the mask of the values the arrays do not decide:
+    ``_float_fields`` written into free-standing cells."""
+    cells = np.zeros(len(x), dtype=_CELL)
+    undecided = _float_fields(np.asarray(x, dtype=np.float64), cells)
+    return cells.view(np.uint8).reshape(len(x), -1)[:, 1:], undecided
 
 
 def _lines(head, table):
@@ -155,7 +192,7 @@ def _lines(head, table):
 @given(st.lists(st.floats(), min_size=1, max_size=24))
 def test_float_fields_match_percent(xs):
     x = np.array(xs)
-    fields, undecided = _float_fields(x)
+    fields, undecided = _float_table(x)
     assert fields.shape == (len(x), 20)
     assert undecided[~np.isfinite(x)].all()
     for v, row, u in zip(xs, fields, undecided):
@@ -176,7 +213,7 @@ def test_float_fields_edge_values():
         np.nextafter(roll, 0), np.nextafter(roll, np.inf),
         [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]])
     x = np.concatenate([x, -x])
-    fields, undecided = _float_fields(x)
+    fields, undecided = _float_table(x)
     for v, row, u in zip(x.tolist(), fields, undecided):
         if not u:
             assert _field(row) == "%.12e" % v
@@ -200,14 +237,57 @@ def dyadic_ties(draw):
 @settings(max_examples=300, deadline=None)
 @given(dyadic_ties())
 def test_dyadic_ties_take_the_fallback(x):
-    fields, undecided = _float_fields(np.array([x]))
+    fields, undecided = _float_table(np.array([x]))
     assert undecided[0]
     table = np.array([[x, 1.0, -x]])
     assert _float_rows(b"v", table) == _lines("v", table)
 
 
+@st.composite
+def near_one_product_bound(draw):
+    """(m + 1/2 + delta) 10**(e - 12), m of 13 digits, as the double
+    nearest the exact value: ``delta`` runs up to twice the one-product
+    bound ``2**-51 m`` on either side of the tie, both signs, with ``e``
+    across the range the arrays decide."""
+    m = draw(st.integers(10 ** 12, 10 ** 13 - 1))
+    e = draw(st.integers(-289, 289))
+    # half the draws within an eighth of the bound, where a wrong one-product
+    # rounding lands (0.2 % of them; none beyond a quarter of the bound)
+    r = Fraction(draw(st.one_of(st.integers(-2 ** 9, 2 ** 9),
+                                st.integers(-2 ** 13, 2 ** 13))), 2 ** 12)
+    sign = draw(st.sampled_from([1, -1]))
+    return sign * float((m + Fraction(1, 2) + r * m / 2 ** 51)
+                        * Fraction(10) ** (e - 12))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(near_one_product_bound(), min_size=1, max_size=64))
+def test_values_near_the_one_product_bound_match_percent(xs):
+    x = np.array(xs)
+    fields, undecided = _float_table(x)
+    for v, row, u in zip(xs, fields, undecided):
+        if not u:
+            assert _field(row) == "%.12e" % v
+    assert _float_rows(b"v", x[:, None]) == _lines("v", x[:, None])
+
+
+def test_one_product_decides_mesh_values(monkeypatch):
+    # the double-double product sees under 2 % of a catenoid's coordinates
+    verts, normals, _ = _catenoid(201).vertex_table
+    seen = []
+    double_double = meshio._double_double
+
+    def counted(a, e):
+        seen.append(a.size)
+        return double_double(a, e)
+    monkeypatch.setattr(meshio, "_double_double", counted)
+    for head, table in ((b"v", verts), (b"vn", normals)):
+        assert _float_rows(head, table) == _lines(head.decode(), table)
+    assert 0 < sum(seen) <= 0.02 * (verts.size + normals.size)
+
+
 def test_mesh_ties_take_the_fallback():
-    assert _float_fields(np.array(TIES))[1].all()
+    assert _float_table(np.array(TIES))[1].all()
 
 
 @pytest.mark.parametrize("below, above", [

@@ -78,6 +78,9 @@ def parse_h_list(values):
 
 
 def build_grid(args, z0) -> DomainGrid:
+    if min(args.grid) < 1:
+        raise ConfigError("--grid sizes must be at least 1, got "
+                          + " ".join(map(str, args.grid)))
     nx = args.grid[0]
     ny = args.grid[1] if len(args.grid) > 1 else args.grid[0]
     xr = args.xrange or [z0.real - 1.0, z0.real + 1.0]

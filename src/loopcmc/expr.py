@@ -332,15 +332,20 @@ def parse(text: str) -> ExprNode:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def evaluate(e: ExprNode, z, subs=None):
+def evaluate(e, z, subs=None):
     """Evaluate ``e`` at ``z`` (scalar or ndarray).
 
     Poles produce non-finite values (inf/nan) rather than raising; callers
-    mask them.  The result matches the shape of ``z``.  A :class:`Prim`
-    node that occurs several times in ``e`` is integrated once.  ``subs``
-    holds ``(node, values)`` pairs: :class:`Prim` nodes of ``e`` (the
-    objects themselves) with their values at ``z``, known by other means;
-    those nodes are not integrated.
+    mask them.  The result matches the shape of ``z``.  ``e`` may also be a
+    sequence of expressions, evaluated at the same points in one call: the
+    result is then a list of values, one per expression, no two of them
+    one array.  A node that occurs more than once among the expressions
+    (the same object, reached from two parents or two expressions) is
+    evaluated once and its value kept until the call returns; a
+    :class:`Prim` node is so integrated once.  ``subs`` holds ``(node,
+    values)`` pairs: :class:`Prim` nodes of ``e`` (the objects themselves)
+    with their values at ``z``, known by other means; those nodes are not
+    integrated.
 
     A subtree without ``z``, such as ``sqrt(5)``, is evaluated once as a
     numpy scalar and broadcast, not once per point.  Its operations run
@@ -349,46 +354,83 @@ def evaluate(e: ExprNode, z, subs=None):
     over ``z``; numpy's scalar arithmetic would round some products
     differently.
     """
+    many = isinstance(e, (list, tuple))
+    roots = list(e) if many else [e]
     zz = np.asarray(z, dtype=complex)
-    prims = {id(p): np.asarray(v) for p, v in subs or ()}
+    memo = {id(p): np.asarray(v) for p, v in subs or ()}
+    shared = _shared_nodes(roots)
+    outs = []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = _eval(e, zz, prims)
-        out = np.asarray(out, dtype=complex)
-        if out.shape != zz.shape:
-            out = np.broadcast_to(out, zz.shape).copy()
+        for root in roots:
+            out = np.asarray(_eval(root, zz, memo, shared), dtype=complex)
+            if out.shape != zz.shape:
+                out = np.broadcast_to(out, zz.shape).copy()
+            elif any(out is o for o in outs):
+                out = out.copy()
+            outs.append(out)
     if np.isscalar(z) or np.ndim(z) == 0:
-        return complex(out)
-    return out
+        outs = [complex(out) for out in outs]
+    return outs if many else outs[0]
 
 
-def _eval(e, z, prims):
-    """``e`` at the points ``z``; ``prims`` holds the values of the
-    :class:`Prim` nodes given or met so far in this walk, keyed by node
-    identity.  A subtree without ``z`` gives a numpy scalar."""
+def _shared_nodes(roots):
+    """Identities of the nodes that occur more than once in the expression
+    graph of ``roots``: reached from two parents, or a root reached again.
+    A :class:`Prim`'s integrand is not entered, as :func:`integrate_path`
+    evaluates it in calls of its own."""
+    seen, shared = set(), set()
+    stack = list(roots)
+    while stack:
+        e = stack.pop()
+        key = id(e)
+        if key in seen:
+            shared.add(key)
+            continue
+        seen.add(key)
+        kind = type(e)
+        if kind in _BINARY:
+            stack += (e.left, e.right)
+        elif kind is Pow:
+            stack.append(e.base)
+        elif kind in _UNARY:
+            stack.append(e.arg)
+    return shared
+
+
+def _eval(e, z, memo, shared):
+    """``e`` at the points ``z``; ``memo`` holds the values of the nodes
+    given or met so far in this call whose identities are in ``shared``,
+    keyed by identity.  A subtree without ``z`` gives a numpy scalar."""
+    key = id(e)
+    if key in memo:
+        return memo[key]
     if isinstance(e, Const):
         return np.complex128(e.value)
     if isinstance(e, Var):
         return z
     if isinstance(e, (Add, Sub, Mul, Div)):
-        return _BINARY[type(e)](_eval(e.left, z, prims),
-                                _eval(e.right, z, prims))
-    if isinstance(e, Neg):
-        return -_eval(e.arg, z, prims)
-    if isinstance(e, Pow):
+        out = _BINARY[type(e)](_eval(e.left, z, memo, shared),
+                               _eval(e.right, z, memo, shared))
+    elif isinstance(e, Neg):
+        out = -_eval(e.arg, z, memo, shared)
+    elif isinstance(e, Pow):
         # ndarray's ** takes x**2 and x**-1 to square and reciprocal
-        return np.asarray(_eval(e.base, z, prims)) ** e.power
-    if isinstance(e, Exp):
-        return np.exp(_eval(e.arg, z, prims))
-    if isinstance(e, Sqrt):
-        return np.sqrt(_eval(e.arg, z, prims))
-    if isinstance(e, Prim):
-        if id(e) not in prims:
-            prims[id(e)] = np.asarray(integrate_path(e.integrand, e.z0, z))
-        return prims[id(e)]
-    raise TypeError(f"not an expression node: {e!r}")
+        out = np.asarray(_eval(e.base, z, memo, shared)) ** e.power
+    elif isinstance(e, Exp):
+        out = np.exp(_eval(e.arg, z, memo, shared))
+    elif isinstance(e, Sqrt):
+        out = np.sqrt(_eval(e.arg, z, memo, shared))
+    elif isinstance(e, Prim):
+        out = np.asarray(integrate_path(e.integrand, e.z0, z))
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    if key in shared:
+        memo[key] = out
+    return out
 
 
 _BINARY = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
+_UNARY = (Neg, Exp, Sqrt)
 
 
 # ---------------------------------------------------------------------------

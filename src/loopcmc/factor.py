@@ -73,6 +73,7 @@ them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,6 +132,25 @@ def _gram_coeffs(coeffs):
     return out
 
 
+@functools.lru_cache(maxsize=32)
+def _halves_table(band, ncap):
+    """(2, ncap+1, ncap+1), read-only: where entry (c, i, j) of the parity
+    halves of :func:`_parity_halves` sits in a node's flat source, the
+    compact Gram (band+1, 2) raveled, then its conjugate raveled, then one
+    zero.  With d = j - i and r = i + c mod 2 the entry is
+    (P_d)_{r, r+d mod 2}: Gram entry (d, r) for 0 <= d <= band, the
+    conjugate of Gram entry (-d, r-d mod 2) for -band <= d < 0
+    (P_{-d} = P_d^H), and zero past the band."""
+    nb = band + 1
+    i = np.arange(ncap + 1)[:, None]
+    d = i.T - i
+    r = (i + np.arange(2)[:, None, None]) % 2
+    out = np.where(d >= 0, 2 * d + r, 2 * nb - 2 * d + (r - d) % 2)
+    out[:, np.abs(d) > band] = 4 * nb
+    out.flags.writeable = False
+    return out
+
+
 def _parity_halves(gram, ncap):
     """The two Hermitian halves of the block-Toeplitz section
     T[(i,r),(j,s)] = (P_{j-i})_{rs}, i, j = 0..ncap, of the reversed symbol,
@@ -138,20 +158,13 @@ def _parity_halves(gram, ncap):
 
     For a twisted symbol T vanishes unless i+r = j+s (mod 2), so T is the
     direct sum of the halves c = 0, 1, half c keeping the scalar index
-    (i, i+c mod 2) of each block index i; shaped (n, 2, ncap+1, ncap+1)."""
+    (i, i+c mod 2) of each block index i; shaped (n, 2, ncap+1, ncap+1),
+    one gather from the Gram, its conjugate and a zero by the table of
+    :func:`_halves_table`."""
     n, nb = gram.shape[:2]
-    band = nb - 1
-    m = np.arange(nb)
-    pos = np.swapaxes(gram, 1, 2)                     # d = m
-    neg = np.conj(pos[:, (np.arange(2)[:, None] + m) % 2, m])   # d = -m
-    # t[:, r, ncap+d] = (P_d)_{r, r+d mod 2} (P_{-d} = P_d^H, 0 past the
-    # band); row i of half c is t[:, i+c mod 2, ncap-i:2 ncap-i+1]
-    t = np.zeros((n, 2, 2 * ncap + 1), dtype=complex)
-    t[:, :, ncap - band:ncap] = neg[:, :, :0:-1]
-    t[:, :, ncap:ncap + nb] = pos
-    win = np.lib.stride_tricks.sliding_window_view(t, ncap + 1, axis=2)
-    idx = np.arange(ncap + 1)
-    return win[:, (idx + np.arange(2)[:, None]) % 2, ncap - idx]
+    flat = gram.reshape(n, 2 * nb)
+    src = np.concatenate([flat, np.conj(flat), np.zeros((n, 1))], axis=1)
+    return np.take(src, _halves_table(nb - 1, ncap), axis=1)
 
 
 def _section_cholesky(coeffs, ncap):

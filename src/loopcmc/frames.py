@@ -16,11 +16,16 @@ twisted extension of the initial unitary frame.  Writing the solution with
 initial value I as a series in nonpositive powers, the coefficients are
 iterated path integrals; they are integrated here by a fourth-order sweep
 over grid paths, truncated where a rigorous factorial tail bound drops
-below tolerance.  The two entries are evaluated once per mesh, on the
-lattice of every substep and half-substep point of the grid walk, and the
-sweep only indexes the fourth-order factors formed from them, node axis
-innermost.  Pointwise Iwasawa factorization X = F B of the frames then
-yields the plus factor B and its inverse, and the Sym-Bobenko formula
+below tolerance.  The two entries are evaluated in one call per mesh
+(``expr.evaluate`` of both, so the shared ``a`` once), on the lattice of
+every substep and half-substep point of the grid walk, and the sweep only
+indexes the fourth-order factors formed from them, node axis innermost.
+The walk takes one step per distance from the basepoint, both sides of it
+at once, so a step advances the two nodes, or the two rows, at that
+distance together; each node keeps its row-then-column path, and the step
+works element by element, so the frames do not depend on the pairing.
+Pointwise Iwasawa factorization X = F B of the frames then yields the
+plus factor B and its inverse, and the Sym-Bobenko formula
 
     -(1/2h) ( 2 i lam dF/dlam F^-1 + F e3 F^-1 - e3 ) at lam = lam0
 
@@ -229,10 +234,11 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
     The frame with initial value I has only nonpositive powers; its series
     coefficients are iterated path integrals advanced by a fourth-order
     step along each edge of the grid walk (``DomainGrid.walk``: the
-    basepoint row, then the columns, then breadth-first rerouting around
-    masked nodes).  The potential's entries are evaluated once, on the
-    substep lattice of that walk, and the factors of every substep of every
-    edge are formed at once (:func:`_rk4_factors`).  The result is
+    basepoint row, then the columns, one step per distance from the
+    basepoint for both sides at once, then breadth-first rerouting around
+    masked nodes).  The potential's entries are evaluated in one call, on
+    the substep lattice of that walk, and the factors of every substep of
+    every edge are formed at once (:func:`_rk4_factors`).  The result is
     premultiplied by the twisted extension of the initial frame, unless
     that frame is the identity.
 
@@ -241,8 +247,7 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
     """
     opts = options or SurfaceOptions()
     upper, lower = potential_entries(p)
-    av = np.abs(ex.evaluate(upper, grid.zz))
-    pv = np.abs(ex.evaluate(lower, grid.zz))
+    av, pv = (np.abs(v) for v in ex.evaluate((upper, lower), grid.zz))
     L = grid.max_l1_pathlength()
 
     # tighten the entry threshold until the series bound is met: domains
@@ -290,16 +295,16 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
     psi[grid.j0, grid.i0] = 0.0
     psi[grid.j0, grid.i0, -1] = 1.0         # the identity at power 0
     steps, reached = work.walk()
-    # every edge of the walk in one batch, node-last: one evaluate call per
-    # entry, then all substep factors; edge k ends at slice ends[k], and
-    # each step runs on a node-last working copy of its node or row
+    # every edge of the walk in one batch, node-last: one evaluate call for
+    # both entries, then all substep factors; edge k ends at slice ends[k],
+    # and each step runs on a node-last working copy of its nodes or rows
     zz = work.zz
     za = np.concatenate([np.ravel(zz[src]) for src, _ in steps])
     zb = np.concatenate([np.ravel(zz[dst]) for _, dst in steps])
     npts = 2 * opts.substeps + 1
     pts = za[:, None] + (zb - za)[:, None] * (np.arange(npts) / (npts - 1))
-    entries = np.stack([ex.evaluate(e, pts.ravel()).reshape(-1, npts).T
-                        for e in (lower, upper)], axis=1)
+    entries = np.stack([v.reshape(-1, npts).T for v in
+                        ex.evaluate((lower, upper), pts.ravel())], axis=1)
     r = _rk4_factors(entries, (zb - za) / opts.substeps)
     ends = np.cumsum([np.size(zz[dst]) for _, dst in steps])
 

@@ -3,9 +3,10 @@
 A :class:`DomainGrid` is a rectangular node lattice with a per-node validity
 mask.  The basepoint must be an unmasked node.  :func:`walk` is the one
 ordered list of steps from the basepoint that the frame and Weierstrass
-integrators share: along the basepoint row, then down every column at once,
-then breadth-first around masked nodes, one step per tree depth, for the
-valid nodes that walk cut off.  :func:`sweep` carries a state along it;
+integrators share: along the basepoint row, then down and up every column
+at once, one step per distance from the basepoint that carries both sides
+of it, then breadth-first around masked nodes, one step per tree depth, for
+the valid nodes that walk cut off.  :func:`sweep` carries a state along it;
 the frame integrator also reads it to place its substep lattice.
 """
 
@@ -156,30 +157,49 @@ def bfs_tree(mask, j0, i0):
     return steps
 
 
+def _pairs(n, c0):
+    """For each distance d = 1, 2, ... from ``c0`` on an axis of ``n``
+    nodes, the indices ``c0 + d`` and ``c0 - d`` that lie on it and their
+    neighbours toward ``c0``, as ``(sources, destinations)`` index arrays
+    of one or two entries."""
+    d = np.arange(1, max(c0, n - 1 - c0) + 1)
+    dst = c0 + d[:, None] * np.array([1, -1])
+    src = dst - np.array([1, -1])
+    first = (d > n - 1 - c0).astype(int)     # no node at c0 + d
+    stop = 2 - (d > c0)                      # no node at c0 - d
+    return [(s[a:b], t[a:b])
+            for s, t, a, b in zip(src, dst, first.tolist(), stop.tolist())]
+
+
 def walk(mask, j0, i0):
     """The ordered steps that carry a state from the basepoint (j0, i0) to
     the valid nodes of ``mask`` (ny, nx), and the mask of the nodes they
     reach.
 
     Each step is a pair ``(src, dst)`` of index tuples into (ny, nx)
-    arrays, to be taken in list order: first single nodes along the
-    basepoint row, east then west; then whole rows ``(j, slice(None))``,
-    down from the basepoint row and then up.  Valid nodes whose row-first
+    arrays, to be taken in list order.  The lattice steps come first, one
+    per distance ``d`` from the basepoint, each carrying both sides of it
+    at once (a side past the lattice's edge is left out): along the
+    basepoint row, the nodes at columns ``i0 + d`` and ``i0 - d`` from
+    their neighbours toward ``i0``, as ``(rows, cols)`` pairs of index
+    arrays; then down and up the columns, rows ``j0 + d`` and ``j0 - d``
+    whole from the rows toward ``j0``, as ``(rows, slice(None))``.  That is
+    ``max(i0, nx - 1 - i0) + max(j0, ny - 1 - j0)`` lattice steps, and each
+    node is reached along its row-first path.  Valid nodes whose row-first
     path crosses an invalid node are then reached along the breadth-first
     tree of ``mask``, one step per tree depth: ``src`` and ``dst`` are
     pairs of index arrays, the parents and the nodes at that depth in
-    visit order.  A node's parent is one depth up, or reached by the rows,
-    so it holds its state before the node's step runs.  Invalid nodes, and
-    valid ones no path of valid nodes reaches, are not reached.  The
-    column-first walk is ``walk(mask.T, i0, j0)`` with both tuples of every
-    step reversed and the reached mask transposed.
+    visit order.  A node's parent is one depth up, or reached by the
+    lattice steps, so it holds its state before the node's step runs.
+    Invalid nodes, and valid ones no path of valid nodes reaches, are not
+    reached.  The column-first walk is ``walk(mask.T, i0, j0)`` with both
+    tuples of every step reversed and the reached mask transposed.
     """
     ny, nx = mask.shape
     every = slice(None)
-    steps = [((j0, i - 1), (j0, i)) for i in range(i0 + 1, nx)]
-    steps += [((j0, i + 1), (j0, i)) for i in range(i0 - 1, -1, -1)]
-    steps += [((j - 1, every), (j, every)) for j in range(j0 + 1, ny)]
-    steps += [((j + 1, every), (j, every)) for j in range(j0 - 1, -1, -1)]
+    row = np.full(2, j0)
+    steps = [((row[:len(c)], s), (row[:len(c)], c)) for s, c in _pairs(nx, i0)]
+    steps += [((s, every), (c, every)) for s, c in _pairs(ny, j0)]
     blocked = row_first_blocked(mask, j0, i0)
     reached = mask & ~blocked
     if np.any(blocked):
@@ -202,9 +222,10 @@ def sweep(zz, steps, reached, state, advance):
 
     ``state`` is shaped (ny, nx, ...) and holds the basepoint value.  For
     the k-th step ``(src, dst)``, ``advance(state[src], zz[src], zz[dst],
-    k)`` returns the state carried from ``zz[src]`` to ``zz[dst]``: one
-    node's state and scalar endpoints along the basepoint row and the
-    reroutes, a whole row of states and row vectors of endpoints down the
+    k)`` returns the state carried from ``zz[src]`` to ``zz[dst]``,
+    element by element: the states of the step's nodes and vectors of
+    their endpoints along the basepoint row and the reroutes, and one or
+    two whole rows of states, with their endpoints, down and up the
     columns.  Nodes outside ``reached`` are left NaN.
     """
     for k, (src, dst) in enumerate(steps):

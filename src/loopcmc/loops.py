@@ -31,6 +31,8 @@ thin wrappers for single loops; products are exact.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -142,28 +144,46 @@ def _entry_sums(coeffs, lo, weights):
     return out
 
 
+# The weight tables depend only on the shape of a batch, its powers and
+# its points, so each is built once per shape and kept, read-only, in a
+# bounded cache.
+
+@functools.lru_cache(maxsize=64)
 def _lambda_weights(lo, nk, lam):
-    """(nk, 2): the powers lam^p and their derivatives p lam^(p-1) of the
-    slots p = lo..lo+nk-1."""
+    """(nk, 2), read-only: the powers lam^p and their derivatives
+    p lam^(p-1) of the slots p = lo..lo+nk-1, ``lam`` given as the repr of
+    a complex, which keys the cache on the signs of zero parts too."""
     lam = complex(lam)
     ks = lo + np.arange(nk)
-    return np.stack([lam ** ks, [k * lam ** (k - 1) if k != 0 else 0.0
-                                 for k in ks]], axis=1)
+    out = np.stack([lam ** ks, [k * lam ** (k - 1) if k != 0 else 0.0
+                                for k in ks]], axis=1)
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _root_powers(lo, nk, m, n):
+    """(nk, m), read-only: lambda_s^p of the slots p = lo..lo+nk-1 at the
+    points lambda_s = exp(2 pi i s/n), s = 0..m-1, as exp(2 pi i (s p mod
+    n) / n): reduced exponents stay exact."""
+    pw = np.outer(lo + np.arange(nk), np.arange(m)) % n
+    out = np.exp(2j * np.pi / n * pw)
+    out.flags.writeable = False
+    return out
 
 
 def entries_at(coeffs, lo, lam):
     """Values ([..., 0, :]) and lambda-derivatives ([..., 1, :]) at ``lam``
     of the loops ``coeffs`` (n, nk, 2), entry-first: (2, 2, 2, n)."""
-    return _entry_sums(coeffs, lo, _lambda_weights(lo, coeffs.shape[1], lam))
+    return _entry_sums(coeffs, lo, _lambda_weights(
+        lo, coeffs.shape[1], repr(complex(lam))))
 
 
 def circle_entries(coeffs, lo, m):
     """Values at the m-th roots of unity exp(2 pi i s/m), s = 0..m-1, of
     the loops ``coeffs`` (n, nk, 2) with lowest power ``lo``, entry-first:
     (2, 2, m, n)."""
-    # lambda_s^p = exp(2 pi i (s p mod m) / m): reduced exponents stay exact
-    pw = np.outer(lo + np.arange(coeffs.shape[1]), np.arange(m)) % m
-    return _entry_sums(coeffs, lo, np.exp(2j * np.pi / m * pw))
+    return _entry_sums(coeffs, lo, _root_powers(lo, coeffs.shape[1], m, m))
 
 
 def half_circle_entries(coeffs, lo, m):
@@ -174,8 +194,8 @@ def half_circle_entries(coeffs, lo, m):
     Their squares are the m-th roots of unity, so for a twisted loop,
     X(-lambda) = s X(lambda) s with s = diag(1, -1), these points give
     every entry modulus the loop takes at the 2m-th roots of unity."""
-    pw = np.outer(lo + np.arange(coeffs.shape[1]), np.arange(m)) % (2 * m)
-    return _entry_sums(coeffs, lo, np.exp(1j * np.pi / m * pw))
+    return _entry_sums(coeffs, lo,
+                       _root_powers(lo, coeffs.shape[1], m, 2 * m))
 
 
 def mul_entries(a, b):

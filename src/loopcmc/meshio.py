@@ -226,9 +226,12 @@ def _float_fields(x, cells):
 def _int_fields(v):
     """``'%d'`` fields of the non-negative integer vector ``v``, right-aligned
     in a ``(len(v), width)`` uint8 table (width of the largest), 0 meaning
-    no byte."""
+    no byte.  The digits come from int32 division where the largest value
+    fits, about three times as fast as int64 division."""
     v = np.asarray(v, dtype=np.int64)
     width = len(str(int(v.max()))) if len(v) else 1
+    if len(v) and v.max() <= np.iinfo(np.int32).max:
+        v = v.astype(np.int32)
     out = np.empty((len(v), width), dtype=np.uint8)
     for col in range(width - 1, -1, -1):
         q = v // 10

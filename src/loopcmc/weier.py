@@ -151,15 +151,18 @@ BLOCK_POINTS = 2 ** 16
 
 
 def _walk_blocks(grid: DomainGrid):
-    """The walk of ``grid`` (``DomainGrid.walk``) in blocks of chains, in
-    walk order, and the walk's reached mask.
+    """The walk of ``grid`` (``DomainGrid.walk``) in blocks of chains, and
+    the walk's reached mask.  Each node has its path in the walk; the
+    blocks take the lattice one side of the basepoint at a time, and their
+    edges, in block order, are the pass's edge order.
 
     A chain ``(src, dst)`` is consecutive steps from the node or row
     ``src``: ``dst`` indexes the nodes or rows they reach, the steps along
     axis 0.  The basepoint row is one block of two chains, east and west
     (a side without edges is left out); the column steps come in blocks of
     consecutive rows of at most BLOCK_POINTS sweep points, one row at
-    least; each reroute step is a block of one chain of one step.
+    least, down and then up; each reroute step of the walk is a block of
+    one chain of one step.
     """
     ny, nx, j0, i0 = grid.ny, grid.nx, grid.j0, grid.i0
     steps, reached = grid.walk()
@@ -171,7 +174,8 @@ def _walk_blocks(grid: DomainGrid):
         for at in range(0, len(rows), per):
             src = (rows[at - 1] if at else j0,)
             blocks.append([(src, (rows[at:at + per],))])
-    for src, (jdst, idst) in steps[nx + ny - 2:]:
+    lattice = max(i0, nx - 1 - i0) + max(j0, ny - 1 - j0)
+    for src, (jdst, idst) in steps[lattice:]:
         blocks.append([(src, (jdst[None], idst[None]))])
     return blocks, reached
 
@@ -189,10 +193,10 @@ def _walk_sums(grid: DomainGrid, edge_sums, width):
     (ny, nx, width), NaN at the nodes the walk does not reach.
 
     ``edge_sums(za, zb, edges)`` returns (len(za), width) for the edges
-    za -> zb of one block of ``_walk_blocks``, flat; they are the walk's
-    edges ``edges``, a slice in walk order.  A chain's nodes take
-    ``np.cumsum`` from its source's value, so each node adds its edges in
-    the walk's order, as a step-by-step ``sweep`` would.
+    za -> zb of one block of ``_walk_blocks``, flat; they are the pass's
+    edges ``edges``, a slice in the blocks' edge order.  A chain's nodes
+    take ``np.cumsum`` from its source's value, so each node adds the
+    edges of its path in order, as a step-by-step ``sweep`` would.
     """
     blocks, reached = _walk_blocks(grid)
     vals = np.full((grid.ny, grid.nx, width), np.nan, dtype=complex)
@@ -239,8 +243,9 @@ def _cumulative_grid_integral(fvec, grid: DomainGrid, width):
     ``grid`` from its basepoint (``_walk_sums``), (ny, nx, width): one
     SWEEP_GL_N-point Gauss-Legendre segment per edge, one ``fvec`` call
     per block.  ``fvec(points, edges)`` gets the sweep points of the
-    walk's edges ``edges`` (a slice in walk order), flat, SWEEP_GL_N to an
-    edge, and returns the integrand there as (width, len(points))."""
+    pass's edges ``edges`` (a slice in ``_walk_blocks``' edge order), flat,
+    SWEEP_GL_N to an edge, and returns the integrand there as
+    (width, len(points))."""
 
     def edge_sums(za, zb, edges):
         pts, wgt = _gl_stack(za, zb)
@@ -301,10 +306,10 @@ def _edge_integrals(integrand, za, zb):
 def _walk_primitive(prim: ex.Prim, grid: DomainGrid):
     """Values of ``prim`` from one cumulative pass along the walk of the
     whole lattice (``DomainGrid.walk`` with no node masked): at the nodes,
-    (ny, nx), and at the sweep's points of the walk's edges, flat in edge
-    order, (edges, SWEEP_GL_N).  Those edges, along the basepoint row and
-    then down and up the columns, open the walk of the grid under any
-    mask, in the same order.
+    (ny, nx), and at the sweep's points of the walk's edges, flat in
+    ``_walk_blocks``' edge order, (edges, SWEEP_GL_N).  Those edges, along
+    the basepoint row and then down and up the columns, open the blocks of
+    the grid under any mask, in the same order.
 
     The walk reaches every node, and every point of its edges, by
     integrate_path's horizontal-then-vertical path from the basepoint, and

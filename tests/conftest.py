@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loopcmc.grid import DomainGrid
+from loopcmc.grid import DomainGrid, walk
 from loopcmc.weier import WeierstrassData
 
 
@@ -26,6 +26,29 @@ def helicoid():
 
 def enneper(k):
     return WeierstrassData("1", f"z^{k}", 0j)
+
+
+def lattice_steps(nx, ny, i0, j0):
+    """The number of lattice steps of ``grid.walk``: one per distance from
+    the basepoint along the row, then one per distance along the
+    columns."""
+    return max(i0, nx - 1 - i0) + max(j0, ny - 1 - j0)
+
+
+def one_sided_walk(mask, j0, i0):
+    """A reference for ``grid.walk`` that takes one side of the basepoint
+    at a time: single nodes along the basepoint row, east then west, then
+    whole rows, down then up, then ``walk``'s own reroute steps.  Every
+    node follows the same row-then-column path as in ``walk``, so a sweep
+    that works element by element gives the same bytes along both."""
+    ny, nx = mask.shape
+    every = slice(None)
+    steps = [((j0, i - 1), (j0, i)) for i in range(i0 + 1, nx)]
+    steps += [((j0, i + 1), (j0, i)) for i in range(i0 - 1, -1, -1)]
+    steps += [((j - 1, every), (j, every)) for j in range(j0 + 1, ny)]
+    steps += [((j + 1, every), (j, every)) for j in range(j0 - 1, -1, -1)]
+    paired, reached = walk(mask, j0, i0)
+    return steps + paired[lattice_steps(nx, ny, i0, j0):], reached
 
 
 @pytest.fixture

@@ -127,6 +127,36 @@ class TestParsing:
         assert not (tmp_path / "report.json").exists()
 
 
+    @pytest.mark.parametrize("grid", [["0"], ["-3"], ["5", "0"]])
+    def test_grid_below_one_node_is_config_error(self, tmp_path, capsys,
+                                                 grid):
+        rc = main(["mesh", "--a", "1", "--Q", "1", "--h", "1", "--grid",
+                   *grid, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--grid" in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_config_grid_below_one_node_is_config_error(self, tmp_path,
+                                                        capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"h": ["1"], "a": "1", "Q": "1",
+                                   "grid": [0]}))
+        out = tmp_path / "o"
+        rc = main(["--config", str(cfg), "mesh", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--grid" in err
+        assert not out.exists()
+
+    def test_one_row_grid_still_meshes(self, tmp_path):
+        rc = main(["mesh", "--a", "1", "--Q", "1", "--h", "1", "--grid",
+                   "5", "1", "--yrange", "0", "0", "--out", str(tmp_path)])
+        assert rc == 0
+        assert read_report(tmp_path)["items"][0]["masked_fraction"] == 0.0
+        assert obj_vertices(tmp_path / "mesh_h1.obj") == 5
+
+
 class TestGallery:
     def test_sphere_radius_report(self, tmp_path):
         rc = main(["gallery", "sphere", "--out", str(tmp_path)])

@@ -324,6 +324,74 @@ class TestScalarConstants:
             assert not np.any(np.isfinite(ex.evaluate(e, z)))
 
 
+class TestSharedNodes:
+    """Several expressions in one evaluate call: a node that occurs more
+    than once among them is evaluated once, and each value is the one a
+    call of its own gives, byte for byte."""
+
+    POINTS = TestScalarConstants.POINTS
+
+    def test_shared_subtree_evaluated_once(self, monkeypatch):
+        # the potential's two entries hold a, and Q = a p holds it again
+        a = ex.parse("2+exp(z)")
+        upper = ex.Const(-0.5) * a
+        lower = ex.Div(ex.Mul(a, ex.parse("z^3")), a)
+        calls = []
+        exp = np.exp
+
+        def counted(x):
+            calls.append(np.shape(x))
+            return exp(x)
+        with monkeypatch.context() as m:
+            m.setattr(np, "exp", counted)
+            got = ex.evaluate((upper, lower), self.POINTS)
+            assert len(calls) == 1
+            apart = [ex.evaluate(e, self.POINTS) for e in (upper, lower)]
+            assert len(calls) == 2 + 1
+        for g, ref in zip(got, apart):
+            assert g.tobytes() == ref.tobytes()
+
+    def test_shared_prim_integrated_once(self, monkeypatch):
+        prim = ex.Prim(ex.parse("exp(z)/(z-3)"), 0.1j)
+        exprs = [prim * ex.Z, ex.Exp(prim) + prim]
+        calls = []
+        integrate_path = ex.integrate_path
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return integrate_path(*args, **kwargs)
+        monkeypatch.setattr(ex, "integrate_path", counted)
+        got = ex.evaluate(exprs, self.POINTS)
+        assert len(calls) == 1
+        for e, g in zip(exprs, got):
+            assert g.tobytes() == ex.evaluate(e, self.POINTS).tobytes()
+        # given values stand for the node in every expression
+        values = np.full(self.POINTS.shape, 0.5 - 2j)
+        got = ex.evaluate(exprs, self.POINTS, [(prim, values)])
+        assert len(calls) == 3
+        assert got[0].tobytes() == (values * self.POINTS).tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(t=_CONST_TREES, u=_CONST_TREES)
+    def test_matches_separate_calls(self, t, u):
+        exprs = [ex.Add(t, u), ex.Mul(t, ex.Neg(t)), t, u, t]
+        got = ex.evaluate(exprs, self.POINTS)
+        assert isinstance(got, list) and len(got) == len(exprs)
+        for e, g in zip(exprs, got):
+            assert g.shape == self.POINTS.shape and g.dtype == complex
+            assert g.tobytes() == ex.evaluate(e, self.POINTS).tobytes()
+        # equal entries come back as separate arrays
+        for i, g in enumerate(got):
+            for h in got[i + 1:]:
+                assert not np.shares_memory(g, h)
+        one = ex.evaluate(tuple(exprs), complex(self.POINTS[0, 1]))
+        for e, v in zip(exprs, one):
+            assert type(v) is complex
+            assert np.array([v]).tobytes() == np.array(
+                [ex.evaluate(e, complex(self.POINTS[0, 1]))]).tobytes()
+
+
 class TestOrderAt:
     def test_simple_zero_order(self):
         assert ex.order_at(ex.parse("z^3"), 0j).order == 3

@@ -288,6 +288,31 @@ class TestIwasawaCore:
             assert np.array_equal(halves[:, c], t[:, keep][:, :, keep])
 
     @pytest.mark.parametrize("band", BANDS)
+    def test_halves_gather_table(self, band):
+        # one gather by the cached table moves the Gram entries where the
+        # sliding window over the padded lags puts them, byte for byte
+        rng = np.random.default_rng(300 + band)
+        gram = fa._gram_coeffs(twisted_chunk(rng, band))
+        nb = gram.shape[1]
+        for ncap in (nb - 1, nb, 2 * nb + 7):
+            pos = np.swapaxes(gram, 1, 2)
+            m = np.arange(nb)
+            neg = np.conj(pos[:, (np.arange(2)[:, None] + m) % 2, m])
+            t = np.zeros((len(gram), 2, 2 * ncap + 1), dtype=complex)
+            t[:, :, ncap - nb + 1:ncap] = neg[:, :, :0:-1]
+            t[:, :, ncap:ncap + nb] = pos
+            win = np.lib.stride_tricks.sliding_window_view(t, ncap + 1,
+                                                            axis=2)
+            idx = np.arange(ncap + 1)
+            ref = win[:, (idx + np.arange(2)[:, None]) % 2, ncap - idx]
+            got = fa._parity_halves(gram, ncap)
+            assert got.shape == ref.shape
+            assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
+            table = fa._halves_table(nb - 1, ncap)
+            assert table is fa._halves_table(nb - 1, ncap)
+            assert not table.flags.writeable
+
+    @pytest.mark.parametrize("band", BANDS)
     @pytest.mark.parametrize("margin", [7, 8])     # odd and even ncap
     def test_split_cholesky_matches_dense(self, band, margin):
         rng = np.random.default_rng(200 + band)

@@ -8,12 +8,12 @@ from loopcmc.frames import (FrameError, PotentialSpec, SurfaceOptions,
                             TailBoundError, _sym_bobenko, _trimmed_band,
                             extract_curvature, flatness_residual,
                             integrate_frame, surface_from_potential)
-from loopcmc.grid import DomainGrid, walk
+from loopcmc.grid import DomainGrid, bfs_tree, row_first_blocked, walk
 from loopcmc.loops import LoopMat, conv, entries_at, hat_extend, identity
 from loopcmc.weier import WeierstrassData, minimal_surface
 from conftest import (CATENOID_MU, CATENOID_NU, KUSNER_MU, KUSNER_NU,
-                      compact, dense_loop, enneper, expand, sphere_oracle,
-                      unitary_gap)
+                      compact, dense_loop, enneper, expand, lattice_steps,
+                      one_sided_walk, sphere_oracle, unitary_gap)
 from test_loops import random_su2
 
 
@@ -144,17 +144,21 @@ class TestIntegrateFrame:
     def test_entries_evaluated_once_over_the_grid(self, mu, nu, grid,
                                                    monkeypatch):
         # the ladder masks reuse |upper| and |lower|: one grid-shaped
-        # evaluation per entry, whatever the number of rungs
+        # evaluation per entry, whatever the number of rungs, both entries
+        # in one call; a call with several expressions counts each
         pot = minimal_to_potential(WeierstrassData(mu, nu, 0j), 1.0)
-        shapes = []
+        shapes, calls = [], []
         evaluate = ex.evaluate
 
         def counted(e, z):
-            shapes.append(np.shape(z))
+            many = isinstance(e, (list, tuple))
+            shapes.extend([np.shape(z)] * (len(e) if many else 1))
+            calls.append(np.shape(z))
             return evaluate(e, z)
         monkeypatch.setattr(ex, "evaluate", counted)
         integrate_frame(pot, grid)
         assert shapes.count(grid.zz.shape) == 2
+        assert calls.count(grid.zz.shape) == 1
 
     def test_path_independence(self, catenoid, monkeypatch):
         # the column-first walk is the same steps on the transposed lattice
@@ -170,7 +174,7 @@ class TestIntegrateFrame:
             WeierstrassData(KUSNER_MU, KUSNER_NU, 0j), 1.0)
         grid = DomainGrid.square(0.85, 25)
         steps, _ = integrate_frame(pot, grid).grid.walk()
-        assert len(steps) > (grid.nx - 1) + (grid.ny - 1)
+        assert len(steps) > lattice_steps(grid.nx, grid.ny, grid.i0, grid.j0)
         assert column_first_deviation(pot, grid, monkeypatch) <= 1e-8
 
     def test_tail_bound_error(self):
@@ -178,6 +182,68 @@ class TestIntegrateFrame:
         with pytest.raises(TailBoundError):
             integrate_frame(p, DomainGrid.square(1.0, 11),
                             options=SurfaceOptions(ntrunc_cap=8))
+
+
+def reroute_depths(mask, j0, i0):
+    """The number of breadth-first depths at which the walk reroutes."""
+    blocked = row_first_blocked(mask, j0, i0)
+    depth, levels = {(j0, i0): 0}, set()
+    for src, dst in bfs_tree(mask, j0, i0):
+        depth[dst] = depth[src] + 1
+        if blocked[dst]:
+            levels.add(depth[dst])
+    return len(levels)
+
+
+SWEEP_CASES = {
+    "smyth": (WeierstrassData("1", "z^2", 0j), DomainGrid.square(0.9, 21)),
+    "off_centre": (PotentialSpec.normalized("1+0.2*z", "z^2", 1.0),
+                   DomainGrid.make(-0.3, 0.9, 17, -0.8, 0.2, 11)),
+    "e0": (WeierstrassData(CATENOID_MU, CATENOID_NU, 0j),
+           DomainGrid.square(0.8, 17)),
+    "kusner": (WeierstrassData(KUSNER_MU, KUSNER_NU, 0j),
+               DomainGrid.square(0.85, 25)),
+}
+
+
+class TestPairedSweep:
+    """The frame sweep takes one step per distance from the basepoint,
+    both sides of it at once; each node keeps its row-then-column path, so
+    the frames are those of the one-sided reference walk byte for byte."""
+
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_advances_and_bytes(self, case, monkeypatch):
+        data, grid = SWEEP_CASES[case]
+        pot = data if isinstance(data, PotentialSpec) \
+            else minimal_to_potential(data, 1.0)
+        sizes = []
+        advance = frames._rk4_advance
+
+        def counted(psi, r):
+            sizes.append(psi.shape[-1])
+            return advance(psi, r)
+        with monkeypatch.context() as m:
+            m.setattr(frames, "_rk4_advance", counted)
+            fg = integrate_frame(pot, grid)
+        work = fg.grid
+        depths = reroute_depths(work.mask, work.j0, work.i0)
+        assert len(sizes) == depths + lattice_steps(
+            work.nx, work.ny, work.i0, work.j0)
+        assert sum(sizes) == work.nx * work.ny - 1 \
+            + np.count_nonzero(row_first_blocked(work.mask, work.j0, work.i0)
+                               & work.walk()[1])
+        if case == "off_centre":
+            assert (grid.i0, grid.j0) == (4, 8)
+        if case == "e0":
+            assert not np.allclose(pot.initial_frame(), np.eye(2))
+        assert (depths > 0) == (case == "kusner")
+        with monkeypatch.context() as m:
+            m.setattr(DomainGrid, "walk",
+                      lambda g: one_sided_walk(g.mask, g.j0, g.i0))
+            ref = integrate_frame(pot, grid)
+        assert (fg.lo, fg.ntrunc) == (ref.lo, ref.ntrunc)
+        assert np.array_equal(fg.ok, ref.ok)
+        assert fg.coeffs.tobytes() == ref.coeffs.tobytes()
 
 
 class TestTimesPotential:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopcmc import expr as ex
 from loopcmc.grid import DomainGrid, bfs_tree, row_first_blocked, sweep
 from loopcmc.weier import _cumulative_grid_integral
+from conftest import lattice_steps, one_sided_walk
 
 
 @pytest.fixture
@@ -57,7 +59,7 @@ class TestSweep:
         for src, dst in tree:
             depth[dst] = depth[src] + 1
         rerouted = [(src, dst) for src, dst in tree if blocked[dst]]
-        lattice = g.nx + g.ny - 2
+        lattice = lattice_steps(g.nx, g.ny, g.i0, g.j0)
         assert len(steps) - lattice == len({depth[d] for _, d in rerouted})
         one_by_one = steps[:lattice] + rerouted
 
@@ -87,3 +89,73 @@ class TestSweep:
             & (np.abs(np.arange(g.nx) - g.i0) <= 5)[None, :]
         assert np.count_nonzero(behind) > 0
         assert np.all(np.isnan(vals[~conn]))
+
+
+@st.composite
+def masked_grids(draw):
+    """Grid shapes from 1 x n and n x 1 up, even and odd, basepoints at
+    corners, edges or off centre, and random masks that keep the
+    basepoint."""
+    nx, ny = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    i0, j0 = draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1))
+    valid = draw(st.floats(0.5, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mask = rng.random((ny, nx)) < valid
+    mask[j0, i0] = True
+    return DomainGrid(np.linspace(-1.0, 0.7, nx), np.linspace(-0.4, 1.1, ny),
+                      i0, j0, mask)
+
+
+def step_nodes(g, part):
+    """The flat node indices, in step order, of one side ``part`` of a
+    step: one node, index arrays or whole rows."""
+    return np.ravel(np.arange(g.nx * g.ny).reshape(g.ny, g.nx)[part])
+
+
+class TestWalkProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(g=masked_grids())
+    def test_each_node_reached_once_from_earlier_nodes(self, g):
+        steps, got = g.walk()
+        assert np.array_equal(got, reached(g))
+        lattice = lattice_steps(g.nx, g.ny, g.i0, g.j0)
+        assert lattice == max(g.i0, g.nx - 1 - g.i0) \
+            + max(g.j0, g.ny - 1 - g.j0)
+        assert len(steps) >= lattice
+        base = g.j0 * g.nx + g.i0
+        done = {base}
+        count = np.zeros(g.nx * g.ny, dtype=int)
+        for k, (src, dst) in enumerate(steps):
+            s, d = step_nodes(g, src), step_nodes(g, dst)
+            assert len(s) == len(d) == len(set(d))
+            # sources are the basepoint or earlier destinations, and a
+            # reroute step starts from nodes the walk reaches
+            assert set(s) <= done
+            if k >= lattice:
+                assert np.all(got.ravel()[s])
+            done |= set(d)
+            count[d] += 1
+        # the lattice steps reach every node once, the basepoint aside;
+        # the reroute steps then reach once each reached node whose
+        # row-first path the mask cuts, and no other
+        blocked = row_first_blocked(g.mask, g.j0, g.i0).ravel()
+        expect = 1 + (got.ravel() & blocked)
+        expect[base] = 0
+        assert np.array_equal(count, expect)
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=masked_grids())
+    def test_sweep_matches_the_one_sided_walk(self, g):
+        # order-sensitive advance: each node's state depends on its whole
+        # path, so equal bytes mean equal paths
+        def advance(s, za, zb, k):
+            return np.multiply(s, np.exp(zb - za)) \
+                + np.exp(np.multiply(za, zb))
+        states = []
+        for steps, reached in (g.walk(),
+                               one_sided_walk(g.mask, g.j0, g.i0)):
+            state = np.full((g.ny, g.nx), np.nan, dtype=complex)
+            state[g.j0, g.i0] = 0.3
+            sweep(g.zz, steps, reached, state, advance)
+            states.append(state)
+        assert states[0].tobytes() == states[1].tobytes()

@@ -368,3 +368,47 @@ class TestCompactLayout:
         assert not np.any(ref[..., off_twist(ref, lo)])
         assert np.array_equal(expand(got, lo).view(np.uint64),
                               ref.view(np.uint64))
+
+
+class TestWeightTables:
+    """The samplers' weight tables are built once per shape and kept in
+    bounded caches: read-only, and byte for byte the tables a fresh build
+    gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lo=st.integers(-30, 4), nk=st.integers(1, 30),
+           m=st.sampled_from([1, 2, 3, 8, 16, 32, 64]),
+           lam_arg=st.floats(0.0, 2 * np.pi))
+    def test_cached_tables_are_fresh_tables(self, lo, nk, m, lam_arg):
+        ks = lo + np.arange(nk)
+        for q, n in ((2, m), (1, 2 * m)):
+            fresh = np.exp(q * 1j * np.pi / m * (np.outer(ks, np.arange(m))
+                                                 % n))
+            got = loops._root_powers(lo, nk, m, n)
+            assert got.tobytes() == fresh.tobytes()
+            assert got is loops._root_powers(lo, nk, m, n)
+            assert not got.flags.writeable
+        lam = complex(np.exp(1j * lam_arg))
+        fresh = np.stack([lam ** ks, [k * lam ** (k - 1) if k != 0 else 0.0
+                                      for k in ks]], axis=1)
+        got = loops._lambda_weights(lo, nk, repr(lam))
+        assert got.tobytes() == fresh.tobytes()
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 0] = 0.0
+
+    def test_samplers_read_the_cached_tables(self):
+        # the samplers' values are the sums over the cached tables, and
+        # the signs of a zero part of lambda key their own table
+        rng = np.random.default_rng(3)
+        c = cplx(rng, 4, 7, 2)
+        for sampler, n in ((circle_entries, 8), (half_circle_entries, 16)):
+            first = sampler(c, -5, 8)
+            assert sampler(c, -5, 8).tobytes() == first.tobytes()
+            assert first.tobytes() == loops._entry_sums(
+                c, -5, loops._root_powers(-5, 7, 8, n)).tobytes()
+        for lam in (complex(1.0, 0.0), complex(1.0, -0.0)):
+            assert entries_at(c, -5, lam).tobytes() == loops._entry_sums(
+                c, -5, loops._lambda_weights(-5, 7, repr(lam))).tobytes()
+        assert loops._lambda_weights(-5, 7, repr(complex(1.0, 0.0))) \
+            is not loops._lambda_weights(-5, 7, repr(complex(1.0, -0.0)))

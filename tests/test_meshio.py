@@ -304,6 +304,17 @@ def test_int_fields_across_width_change(below, above):
         f"f {a}//{a} {b}//{b} {c}//{c} {d}//{d}\n".encode()
 
 
+@pytest.mark.parametrize("values", [
+    [2 ** 31 - 1], [0, 9, 2 ** 31 - 1, 10], [2 ** 31 - 1, 2 ** 31],
+    [2 ** 31, 0, 3], [10 ** 18, 2 ** 31 - 1]])
+def test_int_fields_at_the_int32_limit(values):
+    # the largest value picks int32 or int64 division; both give the same
+    # '%d' bytes on either side of 2**31
+    fields = _int_fields(np.array(values))
+    assert fields.shape == (len(values), len(str(max(values))))
+    assert [_field(row) for row in fields] == [str(v) for v in values]
+
+
 def test_format_both_builds_one_vertex_table(tmp_path, monkeypatch):
     # the OBJ and the PLY of one mesh share one vertex table, and both keep
     # the bytes of the reference writers

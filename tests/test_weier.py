@@ -15,7 +15,8 @@ from loopcmc.weier import (InvalidDataError, WeierstrassData,
                            _gl_stack, _walk_primitive, coordinate_frame_grid,
                            initial_frame, metric_hopf, minimal_surface,
                            pcomponent_residual)
-from conftest import ORDER5_A, ORDER5_P, catenoid_oracle, enneper
+from conftest import (ORDER5_A, ORDER5_P, catenoid_oracle, enneper,
+                      lattice_steps, one_sided_walk)
 
 
 class TestIntegrand:
@@ -188,8 +189,10 @@ class TestWalkPrimitive:
         nodes, points = _walk_primitive(ex.Prim(integrand, z0), grid)
         ref_nodes = ex.integrate_path(integrand, z0, grid.zz)
         steps, _ = grid.walk()
-        assert len(steps) == nx + ny - 2
-        # the points arrive flat, in the walk's edge order
+        assert len(steps) == lattice_steps(nx, ny, grid.i0, grid.j0)
+        # the points arrive flat, in the edge order of the blocked pass:
+        # the basepoint row east then west, then the rows down then up
+        steps, _ = one_sided_walk(grid.mask, grid.j0, grid.i0)
         pts = np.concatenate([_gl_stack(grid.zz[src], grid.zz[dst])[0]
                               .reshape(-1, points.shape[1])
                               for src, dst in steps])

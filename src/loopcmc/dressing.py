@@ -36,7 +36,7 @@ minimal surfaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .frames import (FrameGrid, PotentialSpec, SurfaceOptions,
                      _factor_chunks, _mask_causes, integrate_frame,
                      _assemble_mesh)
 from .grid import DomainGrid
-from .loops import LoopMat, conv, plus_defect
+from .loops import LoopMat, conv, hat_extend, mul, plus_defect
 from .mesh import SurfaceMesh
 
 __all__ = ["gauge_potential", "h_independent_dressing", "HIndependentResult",
@@ -361,12 +361,14 @@ def gauge_ode_residual(coeffs: DressingCoeffs) -> float:
 # Dressing frames and surfaces
 
 def _left_multiply(h_plus: LoopMat, fg: FrameGrid) -> FrameGrid:
-    hp = h_plus.trim(0.0)
-    return FrameGrid(lo=fg.lo + hp.lo,
-                     coeffs=conv(hp.coeffs, fg.coeffs, fg.lo),
-                     ok=fg.ok, grid=fg.grid, ntrunc=fg.ntrunc,
-                     tail_bound=fg.tail_bound,
-                     meta={**fg.meta, "dressed": True})
+    """h_plus times the frames of ``fg``, their initial frame included:
+    the twisted extension of ``fg.E0`` is folded into the dressing element,
+    so the product's frames carry no initial frame of their own."""
+    hp = mul(h_plus, hat_extend(fg.E0))
+    return replace(fg, lo=fg.lo + hp.lo,
+                   coeffs=conv(hp.coeffs, fg.coeffs, fg.lo),
+                   E0=np.eye(2, dtype=complex),
+                   meta={**fg.meta, "dressed": True})
 
 
 def dress_frame(h_plus: LoopMat, fg: FrameGrid,
@@ -410,12 +412,11 @@ def dress_frame(h_plus: LoopMat, fg: FrameGrid,
     out_co = np.zeros((ny * nx, out_hi - out_lo, 2), dtype=complex)
     for sel, lo, f in chunks:
         out_co[sel, lo - out_lo:lo - out_lo + f.shape[1]] = f
-    return FrameGrid(lo=out_lo, coeffs=out_co.reshape(ny, nx, -1, 2),
-                     ok=ok_all.reshape(ny, nx) & fg.ok, grid=fg.grid,
-                     ntrunc=fg.ntrunc, tail_bound=fg.tail_bound,
-                     meta={**fg.meta, "dressed": True, "unitary": True,
-                           "max_iwasawa_residual": max_resid,
-                           "mask_causes": causes})
+    return replace(pf, lo=out_lo, coeffs=out_co.reshape(ny, nx, -1, 2),
+                   ok=ok_all.reshape(ny, nx) & fg.ok,
+                   meta={**pf.meta, "unitary": True,
+                         "max_iwasawa_residual": max_resid,
+                         "mask_causes": causes})
 
 
 def dress_surface(h_plus: LoopMat, p: PotentialSpec, grid: DomainGrid,

@@ -33,7 +33,7 @@ __all__ = [
     "as_expr", "parse", "evaluate", "primitive", "diff", "taylor",
     "series_mul", "series_div", "series_sqrt", "series_exp", "series_diff",
     "to_text", "OrderResult", "order_at", "integrate_path",
-    "gauss_segment", "as_polynomial",
+    "gauss_segment", "interpolant_integrals", "as_polynomial",
 ]
 
 
@@ -345,7 +345,8 @@ def evaluate(e, z, subs=None):
     :class:`Prim` node is so integrated once.  ``subs`` holds ``(node,
     values)`` pairs: :class:`Prim` nodes of ``e`` (the objects themselves)
     with their values at ``z``, known by other means; those nodes are not
-    integrated.
+    integrated.  Every array returned is a new one: none is ``z`` or a
+    ``subs`` value, so a caller may write into it.
 
     A subtree without ``z``, such as ``sqrt(5)``, is evaluated once as a
     numpy scalar and broadcast, not once per point.  Its operations run
@@ -358,6 +359,9 @@ def evaluate(e, z, subs=None):
     roots = list(e) if many else [e]
     zz = np.asarray(z, dtype=complex)
     memo = {id(p): np.asarray(v) for p, v in subs or ()}
+    # arrays the result must not hand back: the points, the given values
+    # and the results so far
+    taken = [zz, *memo.values()]
     shared = _shared_nodes(roots)
     outs = []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -365,9 +369,10 @@ def evaluate(e, z, subs=None):
             out = np.asarray(_eval(root, zz, memo, shared), dtype=complex)
             if out.shape != zz.shape:
                 out = np.broadcast_to(out, zz.shape).copy()
-            elif any(out is o for o in outs):
+            elif any(out is o for o in taken):
                 out = out.copy()
             outs.append(out)
+            taken.append(out)
     if np.isscalar(z) or np.ndim(z) == 0:
         outs = [complex(out) for out in outs]
     return outs if many else outs[0]
@@ -762,6 +767,29 @@ def _gl_nodes(n):
         x, w = np.polynomial.legendre.leggauss(n)
         _GL_CACHE[n] = (x, w)
     return _GL_CACHE[n]
+
+
+def interpolant_integrals(n, pieces, targets):
+    """(len(targets) + 1, pieces * n) weights taking an edge's integrand
+    values at the points of ``pieces`` equal pieces of ``n``-point
+    Gauss-Legendre to its integrals from its start to each of ``targets``
+    (positions along the edge, 0 at its start and 1 at its end) and, in
+    the last row, to its end, per unit of the edge's dz.  The piece holding
+    a target enters by the integral of its values' Legendre interpolant,
+    the pieces before it by their quadrature."""
+    leg = np.polynomial.legendre
+    x, w = _gl_nodes(n)
+    # the Lagrange basis of the nodes as Legendre series,
+    # l_m = sum_k (k + 1/2) w_m P_k(x_m) P_k, integrated from -1
+    basis = (np.arange(n)[:, None] + 0.5) * leg.legvander(x, n - 1).T * w
+    integral = leg.legint(basis, lbnd=-1, axis=0)
+    t = np.asarray(targets) * pieces
+    piece = np.minimum(t.astype(int), pieces - 1)
+    out = np.where((np.arange(pieces) < piece[:, None])[..., None], w, 0.0)
+    local = 2 * (t - piece) - 1
+    out[np.arange(len(t)), piece] = leg.legvander(local, n) @ integral
+    return np.concatenate([out.reshape(len(t), pieces * n),
+                           np.tile(w, (1, pieces))]) / (2 * pieces)
 
 
 def gauss_segment(f, za, zb, max_step=PATH_MAX_STEP, gl_n=PATH_GL_N):

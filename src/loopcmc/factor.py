@@ -27,9 +27,15 @@ epsilon of its largest entry, and factors the nodes in band-sorted chunks,
 each at the lowest power and band of its own nodes (on the gallery this
 takes Smyth h = 1 from 24 slots to a median of 16 and a maximum of 21).
 
+The mesh factors Psi, the holomorphic frame without its initial unitary
+loop E0hat (``frames.integrate_frame``): E0hat is unitary on the circle,
+so E0hat Psi has the same P = X* X as Psi, the same B, and the unitary
+factor E0hat F.  Factoring Psi keeps the two slots E0hat adds out of every
+section.
+
 Why the frames stop at the first section: when X is polynomial in
-lambda^-1 of degree N with unit determinant (a unitary initial frame on
-the left leaves P unchanged), P is a Laurent polynomial of degree N, its
+lambda^-1 of degree N with unit determinant, P is a Laurent polynomial of
+degree N, its
 outer factor B is a polynomial of degree N (matrix Fejer-Riesz), det B = 1
 and B^-1 = adj B is one too.  The section is then exact once it holds
 about 2N blocks, and exact to rounding far sooner when B's coefficients

@@ -12,32 +12,36 @@ multiplication by it swaps the two columns of a matrix and scales them by
 with it.
 
 The holomorphic frame Phi solves d Phi = Phi eta with Phi(z0) equal to the
-twisted extension of the initial unitary frame.  Writing the solution with
-initial value I as a series in nonpositive powers, the coefficients are
-iterated path integrals; they are integrated here by a fourth-order sweep
-over grid paths, truncated where a rigorous factorial tail bound drops
-below tolerance.  The two entries are evaluated in one call per mesh
-(``expr.evaluate`` of both, so the shared ``a`` once), on the lattice of
-every substep and half-substep point of the grid walk, and the sweep only
-indexes the fourth-order factors formed from them, node axis innermost.
-The walk takes one step per distance from the basepoint, both sides of it
-at once, so a step advances the two nodes, or the two rows, at that
-distance together; each node keeps its row-then-column path, and the step
-works element by element, so the frames do not depend on the pairing.
-Pointwise Iwasawa factorization X = F B of the frames then yields the
-plus factor B and its inverse, and the Sym-Bobenko formula
+twisted extension E0hat of the initial unitary frame, so Phi = E0hat Psi
+with Psi(z0) = I.  Psi is a series in nonpositive powers whose
+coefficients are the iterated path integrals of the Dyson series, truncated
+where a rigorous factorial tail bound drops below tolerance.  They are
+integrated one series level at a time over the whole grid: level k is the
+integral of level k - 1 times the potential, taken by Gauss-Legendre
+collocation on every edge of the grid walk, and its node values are
+cumulative sums along the walk's chains (``grid.walk_chains``: the
+basepoint row east and west, the columns down and up, the reroute depths),
+so each node keeps its row-then-column path.  The two entries are
+evaluated in one call per mesh (``expr.evaluate`` of both, so the shared
+``a`` once), at the collocation points of every edge.  E0hat is unitary on
+the circle, so it leaves the plus factor of the Iwasawa splitting alone:
+the frames stay Psi, and E0hat enters at lambda0 only.  Pointwise Iwasawa
+factorization Psi = F B of the frames then yields the plus factor B and
+its inverse, and the Sym-Bobenko formula
 
     -(1/2h) ( 2 i lam dF/dlam F^-1 + F e3 F^-1 - e3 ) at lam = lam0
 
 gives the immersion.  It reads the unitary frame only at lam0, where
-F = X B^-1 and dF/dlam = dX/dlam B^-1 + X dB^-1/dlam, with B^-1 read from
-the same factorization as B, each entry one array over the nodes; the
+F = E0hat X B^-1, X = Psi, and its lambda-derivative follows by the
+product rule, with B^-1 read from the same factorization as B, each entry
+one array over the nodes; the
 point, normal, tangents and conformal factor come from those entries and
 the plus-factor normalization in closed form, not from differencing.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -46,8 +50,8 @@ import numpy as np
 from . import expr as ex
 from . import weier
 from .factor import iwasawa_batch
-from .grid import DomainGrid, _erode, sweep
-from .loops import conv, entries_at, hat_extend, mul_entries
+from .grid import DomainGrid, _erode, chain_ends, chain_sums, walk_chains
+from .loops import entries_at, hat_extend, mul_entries
 from .mesh import SurfaceMesh
 
 __all__ = [
@@ -95,13 +99,16 @@ class PotentialSpec:
 
 # A frame whose series tail bound stays above TAIL_FAIL at the truncation
 # cap is an error; nodes where a potential entry is non-finite or above
-# ENTRY_BOUND are masked, with MASK_DILATE rings around them; Iwasawa
+# ENTRY_BOUND are masked, with MASK_DILATE rings around them; the frame is
+# integrated by collocation at FRAME_GL_N Gauss-Legendre points per panel
+# of each grid edge (``SurfaceOptions.substeps`` equal panels); Iwasawa
 # factorization runs in chunks of CHUNK nodes, each node's frame cut to the
 # band outside of which its slots sum to at most TRIM_EPS of its largest
 # entry.
 TAIL_FAIL = 1e-6
 ENTRY_BOUND = 1e8
 MASK_DILATE = 1
+FRAME_GL_N = 4
 CHUNK = 256
 TRIM_EPS = float(np.finfo(float).eps)
 
@@ -120,7 +127,7 @@ MASK_CAUSES = ("domain", "entry", "unreachable", "frame", "factorization",
 class SurfaceOptions:
     ntrunc_cap: int = 24
     tail_tol: float = 1e-12
-    substeps: int = 4
+    substeps: int = 1
     lambda0: complex = 1.0 + 0j
     unitary_tol: float = 1e-6
     residual_tol: float = 1e-6
@@ -128,8 +135,13 @@ class SurfaceOptions:
 
 @dataclass
 class FrameGrid:
-    """Holomorphic frames Phi over a grid: coefficient of power lo+k at
-    slot k; ok marks nodes where integration succeeded."""
+    """Frames over a grid: coefficient of power lo+k at slot k; ok marks
+    nodes where integration succeeded.  The frames the surface is built
+    from are the twisted extension of ``E0`` times ``coeffs``:
+    ``integrate_frame`` leaves the initial frame E0 out of the coefficients
+    (they are Psi, Psi(z0) = I), as it does not change their Iwasawa plus
+    factor.  ``a`` holds the potential's ``a`` at the nodes, for the
+    metric."""
     lo: int
     coeffs: np.ndarray        # (ny, nx, nk, 2), the loops layout
     ok: np.ndarray            # (ny, nx)
@@ -137,6 +149,8 @@ class FrameGrid:
     ntrunc: int
     tail_bound: float
     meta: dict = field(default_factory=dict)
+    E0: np.ndarray = field(default_factory=lambda: np.eye(2, dtype=complex))
+    a: np.ndarray | None = None       # (ny, nx)
 
 
 # ---------------------------------------------------------------------------
@@ -180,74 +194,60 @@ def _times_potential(psi, scale):
     return psi[..., ::-1] * scale[..., None, :]
 
 
-def _rk4_factors(entries, dz):
-    """The right factors of the fourth-order substeps of a batch of edges,
-    node-last, from (lower, upper) at the 2 * substeps + 1 points of each
-    edge's substep lattice, ``entries`` (2 * substeps + 1, 2, ...), and
-    each edge's substep length ``dz`` (...).
-
-    One classical Runge-Kutta substep of d Psi/dz = Psi A(z) / lam,
-    A = [[0, upper], [lower, 0]], is the right factor I + sum_m R_m lam^-m,
-    with A0, Ah, A1 the potential at its start, middle and end:
-
-        R_1 = dz/6 (A0 + 4 Ah + A1),   R_2 = dz^2/6 (A0 Ah + Ah^2 + Ah A1),
-        R_3 = dz^3/12 Ah^2 (A0 + A1),  R_4 = dz^4/24 A0 Ah^2 A1.
-
-    Ah^2 = upper_h lower_h I is scalar, so R_1 and R_3 are off-diagonal,
-    held as (lower, upper), and R_2 and R_4 diagonal, held as their
-    diagonal.  Returns (4, substeps, 2, ...), R_m at index m - 1."""
-    dz = np.asarray(dz)
-
-    def diag(x, y):
-        # the diagonal of X Y for off-diagonal X, Y, as stacked entries
-        return x[:, ::-1] * y
-
-    a0, ah, a1 = entries[:-1:2], entries[1::2], entries[2::2]
-    sq = ah[:, :1] * ah[:, 1:]
-    return np.stack([dz / 6 * (a0 + 4 * ah + a1),
-                     dz ** 2 / 6 * (diag(a0, ah) + sq + diag(ah, a1)),
-                     dz ** 3 / 12 * sq * (a0 + a1),
-                     dz ** 4 / 24 * sq * diag(a0, a1)])
+@functools.lru_cache(maxsize=8)
+def _level_weights(panels):
+    """(m + 1, m), read-only, m = FRAME_GL_N * panels: weights taking an
+    edge's values at its collocation points (``panels`` equal panels of
+    FRAME_GL_N Gauss-Legendre points) to its integrals from its start to
+    each of those points and, in the last row, to its end, per unit of the
+    edge's dz: the integrals of their Legendre interpolant
+    (``expr.interpolant_integrals``)."""
+    out = ex.interpolant_integrals(FRAME_GL_N, panels, _panel_points(panels))
+    out.flags.writeable = False
+    return out
 
 
-def _rk4_advance(psi, r):
-    """Advance the frames ``psi`` (nk, 2, ...), node-last, holding powers
-    -(nk-1)..0 in ascending order in the ``loops`` layout, through the
-    substeps whose factors ``r`` (4, substeps, 2, ...) :func:`_rk4_factors`
-    gives.  The product with R_m lam^-m feeds slot t from slot t+m, the
-    off-diagonal R_1 and R_3 after swapping the two columns: the dense 2x2
-    step without its zeros, bit for bit."""
-    for r1, r2, r3, r4 in r.swapaxes(0, 1):
-        out = psi.copy()
-        out[:-1] += psi[1:, ::-1] * r1
-        out[:-2] += psi[2:] * r2
-        out[:-3] += psi[3:, ::-1] * r3
-        out[:-4] += psi[4:] * r4
-        psi = out
-    return psi
+def _panel_points(panels):
+    """The collocation points of an edge, as positions along it (0 at its
+    start, 1 at its end): ``panels`` equal panels of FRAME_GL_N
+    Gauss-Legendre points each."""
+    x = ex._gl_nodes(FRAME_GL_N)[0]
+    return ((np.arange(panels)[:, None] + (x + 1) / 2) / panels).ravel()
 
 
 def integrate_frame(p: PotentialSpec, grid: DomainGrid,
                     options: SurfaceOptions | None = None) -> FrameGrid:
-    """Integrate the holomorphic frame over the grid.
+    """Integrate the holomorphic frame Psi, Psi(z0) = I, over the grid.
 
-    The frame with initial value I has only nonpositive powers; its series
-    coefficients are iterated path integrals advanced by a fourth-order
-    step along each edge of the grid walk (``DomainGrid.walk``: the
-    basepoint row, then the columns, one step per distance from the
-    basepoint for both sides at once, then breadth-first rerouting around
-    masked nodes).  The potential's entries are evaluated in one call, on
-    the substep lattice of that walk, and the factors of every substep of
-    every edge are formed at once (:func:`_rk4_factors`).  The result is
-    premultiplied by the twisted extension of the initial frame, unless
-    that frame is the identity.
+    Psi has only nonpositive powers, and the coefficient of lambda^-k is
+    the k-th iterated integral of the potential: Psi_k = int Psi_(k-1) A dz
+    from the basepoint, A = [[0, upper], [lower, 0]], Psi_0 = I.  The
+    levels are integrated one at a time along the grid walk
+    (``grid.walk_chains``: the basepoint row, then the columns, then
+    breadth-first rerouting around masked nodes) by Gauss-Legendre
+    collocation: the entries are evaluated once, in one call, at
+    ``options.substeps`` equal panels of FRAME_GL_N points on every edge;
+    level k at those points, times the potential, gives every edge's
+    integrals to each point and to its end in one product with the
+    Legendre weights (:func:`_level_weights`); cumulative sums of the
+    edges' integrals along the chains give level k at the nodes, and each
+    edge's start value plus its partial integrals give it at the points.
+    That is Gauss-Legendre collocation of order 2 * FRAME_GL_N per panel,
+    solved exactly since each level only reads the one below.
+
+    The initial unitary frame E0 is not multiplied in: a unitary left
+    factor does not change the plus factor of the Iwasawa splitting, so the
+    frames stay Psi and E0 rides along for the read-out at lambda0
+    (``FrameGrid.E0``).  The values of ``a`` at the nodes, from the same
+    grid evaluation as the tail bound's, ride along for the metric.
 
     Raises TailBoundError when the rigorous factorial tail bound cannot be
     pushed below ``TAIL_FAIL`` at the truncation cap.
     """
     opts = options or SurfaceOptions()
     upper, lower = potential_entries(p)
-    av, pv = (np.abs(v) for v in ex.evaluate((upper, lower), grid.zz))
+    up_v, low_v, a_v = ex.evaluate((upper, lower, p.a), grid.zz)
+    av, pv = np.abs(up_v), np.abs(low_v)
     L = grid.max_l1_pathlength()
 
     # tighten the entry threshold until the series bound is met: domains
@@ -291,30 +291,39 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
             f"truncation {ntrunc}; shrink the domain or raise the cap")
 
     nk = ntrunc + 1
-    psi = np.full((grid.ny, grid.nx, nk, 2), np.nan, dtype=complex)
-    psi[grid.j0, grid.i0] = 0.0
-    psi[grid.j0, grid.i0, -1] = 1.0         # the identity at power 0
-    steps, reached = work.walk()
-    # every edge of the walk in one batch, node-last: one evaluate call for
-    # both entries, then all substep factors; edge k ends at slice ends[k],
-    # and each step runs on a node-last working copy of its nodes or rows
-    zz = work.zz
-    za = np.concatenate([np.ravel(zz[src]) for src, _ in steps])
-    zb = np.concatenate([np.ravel(zz[dst]) for _, dst in steps])
-    npts = 2 * opts.substeps + 1
-    pts = za[:, None] + (zb - za)[:, None] * (np.arange(npts) / (npts - 1))
-    entries = np.stack([v.reshape(-1, npts).T for v in
-                        ex.evaluate((lower, upper), pts.ravel())], axis=1)
-    r = _rk4_factors(entries, (zb - za) / opts.substeps)
-    ends = np.cumsum([np.size(zz[dst]) for _, dst in steps])
-
-    def advance(state, _za, _zb, k):
-        flat = state.reshape(-1, nk, 2)
-        out = _rk4_advance(np.ascontiguousarray(flat.transpose(1, 2, 0)),
-                           r[..., ends[k] - len(flat):ends[k]])
-        return out.transpose(2, 0, 1).reshape(state.shape)
-
-    sweep(zz, steps, reached, psi, advance)
+    chains, reached = walk_chains(work)
+    start, end = chain_ends(chains)
+    zz = work.zz.ravel()
+    dz = zz[end] - zz[start]
+    t = _panel_points(opts.substeps)
+    m = len(t)
+    # (lower, upper) times dz at the collocation points, entry-first, then
+    # point by point, the edges last in the chains' edge order: (2, m, edges)
+    ent = np.stack(ex.evaluate((lower, upper), zz[start] + t[:, None] * dz))
+    ent *= dz
+    weights = _level_weights(opts.substeps)
+    psi = np.empty((zz.size, nk, 2), dtype=complex)
+    psi[:, -1] = 1.0                         # Psi_0 = I
+    level = np.zeros((2, zz.size), dtype=complex)   # Psi_k, node-last
+    # level k's integrand at the points: Psi_(k-1) there with its columns
+    # swapped, times (lower, upper), as _times_potential forms it with the
+    # columns last; Psi_0 = I, so level 1's is (lower, upper)
+    g = ent.copy()
+    sums = np.empty((2, m + 1, len(dz)), dtype=complex)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(1, nk):
+            # every edge's integrals to its points and to its end: one
+            # real product of the weights with both columns' real and
+            # imaginary parts
+            np.matmul(weights, g.view(float), out=sums.view(float))
+            chain_sums(chains, sums[:, m].T, level.T)
+            psi[:, nk - 1 - k] = level.T
+            if k + 1 < nk:
+                at_pts = sums[:, :m]
+                at_pts += level[:, None, start]
+                np.multiply(at_pts[::-1], ent, out=g)
+    psi = psi.reshape(grid.ny, grid.nx, nk, 2)
+    psi[~reached] = np.nan
 
     ok = reached & np.all(np.isfinite(psi), axis=(2, 3))
     causes = dict.fromkeys(MASK_CAUSES, 0)
@@ -323,13 +332,9 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
     causes["unreachable"] = int(np.count_nonzero(mask & ~reached))
     causes["frame"] = int(np.count_nonzero(reached & ~ok))
     meta = {"mask_causes": causes}
-    lo, e0 = 1 - nk, p.initial_frame()
-    if not np.array_equal(e0, np.eye(2)):
-        # premultiply by the twisted initial loop (powers -1..1 at most)
-        e0hat = hat_extend(e0)
-        psi, lo = conv(e0hat.coeffs, psi, lo), lo + e0hat.lo
-    return FrameGrid(lo=lo, coeffs=psi, ok=ok, grid=work, ntrunc=ntrunc,
-                     tail_bound=tail, meta=meta)
+    return FrameGrid(lo=1 - nk, coeffs=psi, ok=ok, grid=work, ntrunc=ntrunc,
+                     tail_bound=tail, meta=meta, E0=p.initial_frame(),
+                     a=a_v)
 
 
 def _mask_causes(meta):
@@ -490,8 +495,11 @@ def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
                    opts: SurfaceOptions) -> SurfaceMesh:
     """Pointwise factorization of the holomorphic frames followed by the
     Sym-Bobenko evaluation at lambda0 (:func:`_frame_at`,
-    :func:`_sym_bobenko`), normals, tangents and the conformal factor.  An
-    off-circle lambda0 raises ValueError."""
+    :func:`_sym_bobenko`), normals, tangents and the conformal factor.  The
+    unitary factor of the twisted initial frame times the frames is that
+    frame times their unitary factor, so ``fg.E0`` enters at lambda0 only,
+    as two 2x2 products per node.  An off-circle lambda0 raises
+    ValueError."""
     lam0 = complex(opts.lambda0)
     if abs(abs(lam0) - 1.0) > 1e-12:
         raise ValueError("lambda0 must lie on the unit circle")
@@ -508,12 +516,19 @@ def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
     max_section = 0
     accepted = []
     causes = _mask_causes(fg.meta)
-    a_vals = ex.evaluate(p.a, grid.zz).reshape(-1)
+    a_vals = fg.a.reshape(-1)
+    # the twisted initial frame and its lambda-derivative at lam0, one
+    # point value each: F = E0hat F_Psi, dF = E0hat' F_Psi + E0hat dF_Psi
+    e0hat = hat_extend(fg.E0)
+    ev = entries_at(e0hat.coeffs[None], e0hat.lo, lam0)
+    e, de = ev[..., 0, :], ev[..., 1, :]
 
     for sel, lo, x, out, good in _factor_chunks(
             fg.lo, coeffs, fg.ok.reshape(-1), opts, causes):
+        fv, dfv = _frame_at(x, lo, out, lam0)
         f[sel], normal[sel], tangent = _sym_bobenko(
-            *_frame_at(x, lo, out, lam0), p.h, lam0)
+            mul_entries(e, fv), mul_entries(de, fv) + mul_entries(e, dfv),
+            p.h, lam0)
         rho = out["rho"]
         fzv[sel] = 0.5 / lam0 * (a_vals[sel] * rho ** 2)[:, None] * tangent
         rho_all[sel] = rho

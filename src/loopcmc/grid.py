@@ -6,18 +6,22 @@ ordered list of steps from the basepoint that the frame and Weierstrass
 integrators share: along the basepoint row, then down and up every column
 at once, one step per distance from the basepoint that carries both sides
 of it, then breadth-first around masked nodes, one step per tree depth, for
-the valid nodes that walk cut off.  :func:`sweep` carries a state along it;
-the frame integrator also reads it to place its substep lattice.
+the valid nodes that walk cut off.  :func:`sweep` carries a state along it
+step by step.  :func:`walk_chains` regroups its steps into chains, runs of
+steps that each continue the nodes the one before reached, and
+:func:`chain_sums` adds values along them with one cumulative sum per
+chain: the frame and Weierstrass integrators sum their edge integrals so.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["DomainGrid", "GridError", "walk", "sweep"]
+__all__ = ["DomainGrid", "GridError", "walk", "sweep", "bfs_tree", "Chain",
+           "walk_chains", "chain_ends", "chain_sums"]
 
 
 class GridError(ValueError):
@@ -137,24 +141,45 @@ def row_first_blocked(mask, j0, i0):
     return mask & (rowbad[None, :] | colbad)
 
 
+# breadth-first neighbour order (dj, di): E, W, N, S
+_NEIGHBOURS = np.array([(0, 1), (0, -1), (1, 0), (-1, 0)])
+
+
+def bfs_depths(mask, j0, i0):
+    """Breadth-first search of the valid nodes of ``mask`` from the
+    basepoint, one depth at a time: yields ``(parents, nodes)`` per depth
+    1, 2, ..., flat node indices in visit order.  Neighbours are taken in
+    E, W, N, S order, so a node's parent is the first node of the depth
+    above, in visit order, that has it as a valid neighbour: the queue
+    search's tree and order, each depth as one array operation.  A caller
+    that needs only some nodes stops iterating once it has them."""
+    ny, nx = mask.shape
+    seen = ~np.asarray(mask, dtype=bool).ravel()
+    frontier = np.array([j0 * nx + i0])
+    seen[frontier] = True
+    while len(frontier):
+        j = frontier[:, None] // nx + _NEIGHBOURS[:, 0]
+        i = frontier[:, None] % nx + _NEIGHBOURS[:, 1]
+        inside = ((j >= 0) & (j < ny) & (i >= 0) & (i < nx)).ravel()
+        cand = (j * nx + i).ravel()[inside]
+        parents = np.repeat(frontier, len(_NEIGHBOURS))[inside]
+        fresh = ~seen[cand]
+        cand, parents = cand[fresh], parents[fresh]
+        first = np.sort(np.unique(cand, return_index=True)[1])
+        frontier = cand[first]
+        seen[frontier] = True
+        if len(frontier):
+            yield parents[first], frontier
+
+
 def bfs_tree(mask, j0, i0):
     """Breadth-first spanning tree of the valid nodes from the basepoint;
     returns a list of ((jfrom, ifrom), (jto, ito)) steps in visit order.
     Deterministic: neighbors in E, W, N, S order."""
-    ny, nx = mask.shape
-    seen = np.zeros_like(mask)
-    seen[j0, i0] = True
-    steps = []
-    q = deque([(j0, i0)])
-    while q:
-        j, i = q.popleft()
-        for dj, di in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-            jj, ii = j + dj, i + di
-            if 0 <= jj < ny and 0 <= ii < nx and mask[jj, ii] and not seen[jj, ii]:
-                seen[jj, ii] = True
-                steps.append(((j, i), (jj, ii)))
-                q.append((jj, ii))
-    return steps
+    nx = mask.shape[1]
+    return [(divmod(int(p), nx), divmod(int(n), nx))
+            for parents, nodes in bfs_depths(mask, j0, i0)
+            for p, n in zip(parents, nodes)]
 
 
 def _pairs(n, c0):
@@ -202,17 +227,21 @@ def walk(mask, j0, i0):
     steps += [((s, every), (c, every)) for s, c in _pairs(ny, j0)]
     blocked = row_first_blocked(mask, j0, i0)
     reached = mask & ~blocked
-    if np.any(blocked):
-        depth = np.zeros(mask.shape, dtype=int)
-        levels = {}
-        for src, dst in bfs_tree(mask, j0, i0):
-            depth[dst] = depth[src] + 1
-            if blocked[dst]:
-                levels.setdefault(depth[dst], []).append(src + dst)
-        for d in sorted(levels):
-            jsrc, isrc, jdst, idst = np.array(levels[d]).T
+    left = np.count_nonzero(blocked)
+    if left:
+        # the search stops at the depth of the last blocked node it meets
+        want = blocked.ravel()
+        for parents, nodes in bfs_depths(mask, j0, i0):
+            sel = want[nodes]
+            if not sel.any():
+                continue
+            (jsrc, isrc), (jdst, idst) = (divmod(a[sel], nx)
+                                          for a in (parents, nodes))
             steps.append(((jsrc, isrc), (jdst, idst)))
             reached[jdst, idst] = True
+            left -= len(jdst)
+            if not left:
+                break
     return steps, reached
 
 
@@ -232,6 +261,104 @@ def sweep(zz, steps, reached, state, advance):
         state[dst] = advance(state[src], zz[src], zz[dst], k)
     state[~reached] = np.nan
     return state
+
+
+class Chain(NamedTuple):
+    """Consecutive steps of a walk, each continuing the nodes the one
+    before reached: ``seed`` (n,) holds the flat indices of the nodes the
+    first step starts from, ``nodes`` (d, n) those the d steps reach, row k
+    from row k - 1 (from ``seed`` for k = 0).  ``phase`` is where the steps
+    come from: 0 along the basepoint line one node a side, 1 whole lines,
+    2 one reroute step."""
+    seed: np.ndarray
+    nodes: np.ndarray
+    phase: int
+
+
+def _side_keys(parts, nx):
+    """The sides of lattice steps, from their index tuples ``parts``, in
+    step order: each side's key, the flat index of a single node or the
+    index of a whole line across the lines, and the position of a line's
+    index in the tuples (None for single nodes)."""
+    head = parts[0]
+    if isinstance(head[0], slice) or isinstance(head[1], slice):
+        at = int(isinstance(head[0], slice))
+        return np.hstack([p[at] for p in parts]), at
+    rows, cols = (np.hstack([p[k] for p in parts]) for k in (0, 1))
+    return rows * nx + cols, None
+
+
+def walk_chains(grid: DomainGrid):
+    """The steps of ``grid.walk()`` as chains (:class:`Chain`), and the
+    walk's reached mask.
+
+    A lattice step has one or two sides: single nodes along the basepoint
+    line, or whole lines across it.  Each side continues the chain whose
+    last node or line it starts from, or opens one; each reroute step is a
+    chain of its own.  So along the row-first walk the chains are the
+    basepoint row east and west, the columns down and up, then one per
+    reroute depth.  The chains' edges, chain by chain and each chain's
+    ``nodes`` in C order, are the walk's edges in the order
+    :func:`chain_ends` and :func:`chain_sums` take them.  Every node keeps
+    the path the walk gives it.
+    """
+    steps, reached = grid.walk()
+    ny, nx = grid.ny, grid.nx
+    index = np.arange(ny * nx).reshape(ny, nx)
+    lattice = max(grid.i0, nx - 1 - grid.i0) + max(grid.j0, ny - 1 - grid.j0)
+    lines = next((k for k, ((a, b), _) in enumerate(steps[:lattice])
+                  if isinstance(a, slice) or isinstance(b, slice)), lattice)
+    chains = []
+    for run in (steps[:lines], steps[lines:lattice]):
+        if not run:
+            continue
+        (src, at), (dst, _) = (_side_keys(parts, nx) for parts in zip(*run))
+        runs, tails = [], {}    # tails: a chain's last key -> its position
+        for a, b in zip(src.tolist(), dst.tolist()):
+            k = tails.pop(a, None)
+            if k is None:
+                k = len(runs)
+                runs.append((a, []))
+            runs[k][1].append(b)
+            tails[b] = k
+        for a, b in runs:
+            b = np.array(b)
+            if at is None:
+                chains.append(Chain(np.array([a]), b[:, None], 0))
+            elif at == 0:
+                chains.append(Chain(index[a], index[b], 1))
+            else:
+                chains.append(Chain(index[:, a], index[:, b].T, 1))
+    # a reroute step may start from nodes an earlier one reached
+    chains += [Chain(index[src].ravel(), index[dst].ravel()[None], 2)
+               for src, dst in steps[lattice:]]
+    return chains, reached
+
+
+def chain_ends(chains):
+    """The flat node indices at the starts and at the ends of the edges of
+    ``chains``, in their edge order."""
+    empty = [np.zeros(0, dtype=int)]
+    start = np.concatenate(empty + [
+        np.concatenate([c.seed[None], c.nodes[:-1]]).ravel() for c in chains])
+    end = np.concatenate(empty + [c.nodes.ravel() for c in chains])
+    return start, end
+
+
+def chain_sums(chains, edge_vals, vals):
+    """Add the values ``edge_vals`` (edges, ...) of the edges of ``chains``,
+    in their edge order, along each chain into ``vals`` (nodes, ...), flat
+    over the nodes, in place: a chain's nodes take ``np.cumsum`` from its
+    seed's value, so each node adds the edges of its path in order, as a
+    step-by-step :func:`sweep` would."""
+    pos = 0
+    for seed, nodes, _ in chains:
+        n = nodes.size
+        edges = edge_vals[pos:pos + n].reshape(nodes.shape
+                                               + edge_vals.shape[1:])
+        pos += n
+        path = np.concatenate([vals[seed][None], edges])
+        vals[nodes] = np.cumsum(path, axis=0, out=path)[1:]
 
 
 def _erode(mask, rings, outside):

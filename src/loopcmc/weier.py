@@ -36,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .grid import DomainGrid, GridError, _erode, sweep
+from .grid import (Chain, DomainGrid, GridError, _erode, chain_ends,
+                   chain_sums, sweep, walk_chains)
 from .mesh import SurfaceMesh
 
 __all__ = [
@@ -151,41 +152,28 @@ BLOCK_POINTS = 2 ** 16
 
 
 def _walk_blocks(grid: DomainGrid):
-    """The walk of ``grid`` (``DomainGrid.walk``) in blocks of chains, and
-    the walk's reached mask.  Each node has its path in the walk; the
-    blocks take the lattice one side of the basepoint at a time, and their
-    edges, in block order, are the pass's edge order.
+    """The chains of the walk of ``grid`` (``grid.walk_chains``) in
+    blocks, and the walk's reached mask.  Each node has its path in the
+    walk; the blocks' edges, in block order, are the pass's edge order.
 
-    A chain ``(src, dst)`` is consecutive steps from the node or row
-    ``src``: ``dst`` indexes the nodes or rows they reach, the steps along
-    axis 0.  The basepoint row is one block of two chains, east and west
-    (a side without edges is left out); the column steps come in blocks of
-    consecutive rows of at most BLOCK_POINTS sweep points, one row at
-    least, down and then up; each reroute step of the walk is a block of
-    one chain of one step.
+    The basepoint row is one block of its chains, east and west; the
+    column chains come in blocks of consecutive rows of at most
+    BLOCK_POINTS sweep points, one row at least, down and then up; each
+    reroute step of the walk is a block of one chain of one step.
     """
-    ny, nx, j0, i0 = grid.ny, grid.nx, grid.j0, grid.i0
-    steps, reached = grid.walk()
-    row = [((j0, i0), (j0, cols)) for cols in
-           (np.arange(i0 + 1, nx), np.arange(i0 - 1, -1, -1)) if len(cols)]
-    blocks = [row] if row else []
-    per = max(1, BLOCK_POINTS // (SWEEP_GL_N * nx))
-    for rows in (np.arange(j0 + 1, ny), np.arange(j0 - 1, -1, -1)):
-        for at in range(0, len(rows), per):
-            src = (rows[at - 1] if at else j0,)
-            blocks.append([(src, (rows[at:at + per],))])
-    lattice = max(i0, nx - 1 - i0) + max(j0, ny - 1 - j0)
-    for src, (jdst, idst) in steps[lattice:]:
-        blocks.append([(src, (jdst[None], idst[None]))])
+    chains, reached = walk_chains(grid)
+    blocks = []
+    for c in chains:
+        if c.phase == 1:
+            per = max(1, BLOCK_POINTS // (SWEEP_GL_N * c.nodes.shape[1]))
+            blocks += [[Chain(c.nodes[at - 1] if at else c.seed,
+                              c.nodes[at:at + per], 1)]
+                       for at in range(0, len(c.nodes), per)]
+        elif c.phase == 0 and blocks and blocks[-1][0].phase == 0:
+            blocks[-1].append(c)
+        else:
+            blocks.append([c])
     return blocks, reached
-
-
-def _chain_ends(a, src, dst):
-    """The values of the (ny, nx) array ``a`` at the starts and the ends of
-    a chain's edges, flat in edge order."""
-    end = a[dst]
-    start = np.concatenate([a[src][None], end[:-1]])
-    return start.ravel(), end.ravel()
 
 
 def _walk_sums(grid: DomainGrid, edge_sums, width):
@@ -194,27 +182,20 @@ def _walk_sums(grid: DomainGrid, edge_sums, width):
 
     ``edge_sums(za, zb, edges)`` returns (len(za), width) for the edges
     za -> zb of one block of ``_walk_blocks``, flat; they are the pass's
-    edges ``edges``, a slice in the blocks' edge order.  A chain's nodes
-    take ``np.cumsum`` from its source's value, so each node adds the
-    edges of its path in order, as a step-by-step ``sweep`` would.
+    edges ``edges``, a slice in the blocks' edge order.  The block's
+    chains add them up (``grid.chain_sums``).
     """
     blocks, reached = _walk_blocks(grid)
-    vals = np.full((grid.ny, grid.nx, width), np.nan, dtype=complex)
-    vals[grid.j0, grid.i0] = 0.0
-    zz = grid.zz
+    vals = np.full((grid.ny * grid.nx, width), np.nan, dtype=complex)
+    vals[grid.j0 * grid.nx + grid.i0] = 0.0
+    zz = grid.zz.ravel()
     done = 0
     for chains in blocks:
-        starts, ends = zip(*(_chain_ends(zz, *chain) for chain in chains))
-        za, zb = np.concatenate(starts), np.concatenate(ends)
-        sums = edge_sums(za, zb, slice(done, done + len(za)))
-        done += len(za)
-        pos = 0
-        for (src, dst), n in zip(chains, map(len, ends)):
-            seed = vals[src]
-            edges = sums[pos:pos + n].reshape((-1,) + seed.shape)
-            pos += n
-            vals[dst] = np.cumsum(np.concatenate([seed[None], edges]),
-                                  axis=0)[1:]
+        start, end = chain_ends(chains)
+        sums = edge_sums(zz[start], zz[end], slice(done, done + len(start)))
+        done += len(start)
+        chain_sums(chains, sums, vals)
+    vals = vals.reshape(grid.ny, grid.nx, width)
     vals[~reached] = np.nan
     return vals
 
@@ -265,23 +246,9 @@ def _edge_weights(pieces):
     integrand values at integrate_path's points (``pieces`` equal pieces of
     PATH_GL_N Gauss-Legendre points) to its integrals from its start to the
     sweep's abscissae and, in the last row, to its end, per unit of the
-    edge's dz.  The piece holding an abscissa enters by the integral of its
-    values' Legendre interpolant, the pieces before it by their
-    quadrature."""
-    leg = np.polynomial.legendre
-    x, w = ex._gl_nodes(ex.PATH_GL_N)
-    n = len(x)
-    # the Lagrange basis of the nodes as Legendre series,
-    # l_m = sum_k (k + 1/2) w_m P_k(x_m) P_k, integrated from -1
-    basis = (np.arange(n)[:, None] + 0.5) * leg.legvander(x, n - 1).T * w
-    integral = leg.legint(basis, lbnd=-1, axis=0)
-    t = (ex._gl_nodes(SWEEP_GL_N)[0] + 1) / 2 * pieces
-    piece = np.minimum(t.astype(int), pieces - 1)
-    out = np.where((np.arange(pieces) < piece[:, None])[..., None], w, 0.0)
-    local = 2 * (t - piece) - 1
-    out[np.arange(SWEEP_GL_N), piece] = leg.legvander(local, n) @ integral
-    out = np.concatenate([out.reshape(SWEEP_GL_N, pieces * n),
-                          np.tile(w, (1, pieces))]) / (2 * pieces)
+    edge's dz (``expr.interpolant_integrals``)."""
+    out = ex.interpolant_integrals(
+        ex.PATH_GL_N, pieces, (ex._gl_nodes(SWEEP_GL_N)[0] + 1) / 2)
     out.flags.writeable = False
     return out
 
@@ -319,10 +286,8 @@ def _walk_primitive(prim: ex.Prim, grid: DomainGrid):
     start enters as the primitive's value at the node.
     """
     lattice = DomainGrid(grid.xs, grid.ys, grid.i0, grid.j0)
-    index = np.arange(grid.zz.size).reshape(grid.zz.shape)
-    src, dst = (np.concatenate(ends) for ends in zip(*(
-        _chain_ends(index, *chain)
-        for chains in _walk_blocks(lattice)[0] for chain in chains)))
+    src, dst = chain_ends([c for chains in _walk_blocks(lattice)[0]
+                           for c in chains])
     flat = grid.zz.ravel()
     total, part = _edge_integrals(prim.integrand, flat[src], flat[dst])
     nodes = _walk_sums(lattice, lambda za, zb, edges: total[edges, None],

@@ -129,11 +129,12 @@ def test_minimal_evaluate_calls_stay_per_block(monkeypatch):
 
 
 def test_potential_evaluation_is_counted(monkeypatch):
-    # one 9 x 9 sphere mesh: the frame sweep evaluates both potential
-    # entries on its substep lattice in one call, and expr.evaluate.points
-    # counts that call's points once, beside the grid evaluations of the
-    # tail bound and of a for the metric; a sweep that bypassed
-    # expr.evaluate would leave the lattice out of the traced counters
+    # one 9 x 9 sphere mesh: the frame integrator evaluates both potential
+    # entries at its collocation points in one call, and
+    # expr.evaluate.points counts that call's points once, beside the one
+    # grid evaluation of the entries and of a for the tail bound and the
+    # metric; an integrator that bypassed expr.evaluate would leave the
+    # collocation points out of the traced counters
     import loopcmc.frames as frames
     from loopcmc.grid import DomainGrid
 
@@ -141,12 +142,12 @@ def test_potential_evaluation_is_counted(monkeypatch):
     grid = DomainGrid.square(0.5, 9)
     opts = frames.SurfaceOptions()
     edges = 8 + 9 * 8
-    lattice = edges * (2 * opts.substeps + 1)
+    lattice = edges * frames.FRAME_GL_N * opts.substeps
     with installed_tracer(monkeypatch) as (spans, tracer):
         frames.surface_from_potential(pot, grid, opts)
         metrics = spans.layer_metrics(tracer.spans)
     calls = [s.counts["points"] for s in tracer.spans
              if s.name == "expr.evaluate"]
     assert lattice in calls
-    assert metrics["expr.evaluate.points"][0] == lattice + 2 * 81
-    assert metrics["expr.evaluate.calls"][0] == 3
+    assert metrics["expr.evaluate.points"][0] == lattice + 81
+    assert metrics["expr.evaluate.calls"][0] == 2

@@ -12,7 +12,7 @@ from loopcmc.dressing import (DressingError, _WuSystem, _rk4_affine,
 from loopcmc.frames import (PotentialSpec, integrate_frame,
                             surface_from_potential, extract_curvature)
 from loopcmc.grid import DomainGrid
-from loopcmc.loops import LoopMat, conv, identity, mul
+from loopcmc.loops import LoopMat, conv, hat_extend, identity, mul
 from conftest import rand_unimodular_twisted
 from test_loops import plus_p_defect
 
@@ -311,12 +311,14 @@ class TestDressFrame:
         fg = integrate_frame(minimal_to_potential(catenoid, 1.0),
                              DomainGrid.square(0.8, 9))
         out = dress_frame(hp, fg)
-        prod = conv(hp.coeffs, fg.coeffs, fg.lo)
+        # the frames act with their initial frame: h+ E0hat Psi
+        hpe = mul(hp, hat_extend(fg.E0))
+        prod = conv(hpe.coeffs, fg.coeffs, fg.lo)
         first, _ = frames._trimmed_band(prod.reshape(-1, *prod.shape[2:]))
         assert len(set(first.tolist())) >= 2
         assert out.ok.all()
         for j, i in np.ndindex(out.ok.shape):
-            f = iwasawa(LoopMat(hp.lo + fg.lo, prod[j, i])).unitary_part
+            f = iwasawa(LoopMat(hpe.lo + fg.lo, prod[j, i])).unitary_part
             node = LoopMat(out.lo, out.coeffs[j, i])
             for k in range(min(f.lo, out.lo),
                            max(f.hi, out.lo + out.coeffs.shape[2] - 1) + 1):

@@ -391,6 +391,23 @@ class TestSharedNodes:
             assert np.array([v]).tobytes() == np.array(
                 [ex.evaluate(e, complex(self.POINTS[0, 1]))]).tobytes()
 
+    def test_results_are_fresh_arrays(self):
+        # z itself, or a Prim whose values are given, comes back as a new
+        # array, alone or in a list call: writing into a result leaves the
+        # caller's points and values as they were
+        z = self.POINTS.copy()
+        prim = ex.Prim(ex.parse("exp(z)"), 0j)
+        values = np.full(z.shape, 0.5 - 2j)
+        subs = [(prim, values)]
+        for e in (ex.Z, prim, [ex.Z, prim, ex.Z], [prim, prim * ex.Z]):
+            got = ex.evaluate(e, z, subs)
+            for g in (got if isinstance(got, list) else [got]):
+                assert not np.shares_memory(g, z)
+                assert not np.shares_memory(g, values)
+                g[...] = 7.0
+            assert np.array_equal(z, self.POINTS)
+            assert np.all(values == 0.5 - 2j)
+
 
 class TestOrderAt:
     def test_simple_zero_order(self):

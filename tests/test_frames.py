@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,9 @@ from conftest import (CATENOID_MU, CATENOID_NU, KUSNER_MU, KUSNER_NU,
                       compact, dense_loop, enneper, expand, lattice_steps,
                       one_sided_walk, sphere_oracle, unitary_gap)
 from test_loops import random_su2
+
+
+EPS = float(np.finfo(float).eps)
 
 
 def plane_potential(h, a0=2.0):
@@ -78,27 +83,33 @@ class TestIntegrateFrame:
             assert np.allclose(c[-fg.lo], [1, 1], atol=1e-13)
 
     def test_initial_condition(self, catenoid):
+        # the frames are Psi with Psi(z0) = I; the initial frame rides
+        # along, and its twisted extension times Psi(z0) is E0hat
         pot = minimal_to_potential(catenoid, 1.0)
         g = DomainGrid.square(0.5, 11)
         fg = integrate_frame(pot, g)
-        e0hat = hat_extend(pot.initial_frame())
-        c = LoopMat(fg.lo, fg.coeffs[g.j0, g.i0])
+        assert np.array_equal(fg.E0, pot.initial_frame())
+        assert not np.allclose(fg.E0, np.eye(2))
+        c = fg.coeffs[g.j0, g.i0]
+        assert fg.lo == -fg.ntrunc
+        assert np.array_equal(c[-1], [1, 1]) and not np.any(c[:-1])
+        e0hat = hat_extend(fg.E0)
+        x = LoopMat(fg.lo + e0hat.lo, conv(e0hat.coeffs, c[None], fg.lo)[0])
         for k in (-1, 0, 1):
-            assert np.allclose(c.coeff(k), e0hat.coeff(k), atol=1e-14)
+            assert np.allclose(x.coeff(k), e0hat.coeff(k), atol=1e-14)
 
-    def test_identity_initial_frame_skips_the_product(self):
-        # E0 = I: the frames are Psi itself, equal bit for bit to the
-        # product with the twisted identity (powers -1..1) once aligned
-        pot = PotentialSpec.normalized("2+z", "-4*z", 1.0)
-        fg = integrate_frame(pot, DomainGrid.square(0.6, 13))
-        eye = np.pad(hat_extend(np.eye(2)).coeffs, ((1, 1), (0, 0)))
-        ref = conv(eye, fg.coeffs, fg.lo)
-        assert fg.lo == 1 - fg.coeffs.shape[2] == -fg.ntrunc
-        ok = fg.ok
-        assert ok.all()
-        assert not np.any(ref[ok][:, [0, -1]])
-        assert np.array_equal(ref[ok][:, 1:-1].view(np.uint64),
-                              fg.coeffs[ok].view(np.uint64))
+    def test_identity_initial_frame_skips_the_product(self, catenoid):
+        # integrate_frame never multiplies by the initial frame: the frames
+        # of a potential with E0 are those of the same potential with
+        # E0 = I, bit for bit, in powers -ntrunc..0
+        pot = minimal_to_potential(catenoid, 1.0)
+        g = DomainGrid.square(0.6, 13)
+        fg = integrate_frame(pot, g)
+        bare = integrate_frame(dataclasses.replace(pot, E0=None), g)
+        assert np.array_equal(bare.E0, np.eye(2))
+        assert fg.lo == bare.lo == 1 - fg.coeffs.shape[2] == -fg.ntrunc
+        assert fg.ok.all() and np.array_equal(fg.ok, bare.ok)
+        assert fg.coeffs.tobytes() == bare.coeffs.tobytes()
 
     def test_flatness(self, catenoid):
         pot = minimal_to_potential(catenoid, 1.0)
@@ -125,17 +136,23 @@ class TestIntegrateFrame:
          DomainGrid.square(1.0, 11)),
         (enneper(2), DomainGrid.square(0.9, 11)),
     ], ids=["catenoid", "smyth"])
-    def test_substep_lattice_keeps_fourth_order(self, data, grid):
-        # halving the step cuts the error 16x for a fourth-order step; a
-        # misplaced half-substep point would drop the order
+    def test_panels_converge_at_gl_order(self, data, grid):
+        # Gauss-Legendre collocation of FRAME_GL_N = 4 points is of order 8
+        # at the nodes: halving the panels cuts the error by 2^8 = 256
+        # until it reaches rounding (one RK4 step per edge was off by
+        # 1.7e-8 and 1.7e-7 here, and halving it gained 16x); a misplaced
+        # point or weight drops the order
         pot = minimal_to_potential(data, 1.0)
 
-        def frame(substeps):
+        def frame(panels):
             return integrate_frame(pot, grid, SurfaceOptions(
-                substeps=substeps)).coeffs
-        ref = frame(32)
-        errs = [np.max(np.abs(frame(s) - ref)) for s in (1, 2, 4)]
-        assert errs[0] >= 12 * errs[1] and errs[1] >= 12 * errs[2]
+                substeps=panels)).coeffs
+        ref = frame(8)
+        scale = np.max(np.abs(ref))
+        errs = [np.max(np.abs(frame(p) - ref)) for p in (1, 2)]
+        assert frames.FRAME_GL_N == 4
+        assert errs[0] <= 1e-11 * scale
+        assert errs[1] <= max(errs[0] / 100, 4 * EPS * scale)
 
     @pytest.mark.parametrize("mu, nu, grid", [
         ("1", "z^2", DomainGrid.square(0.9, 61)),           # smyth, smooth
@@ -145,7 +162,7 @@ class TestIntegrateFrame:
                                                    monkeypatch):
         # the ladder masks reuse |upper| and |lower|: one grid-shaped
         # evaluation per entry, whatever the number of rungs, both entries
-        # in one call; a call with several expressions counts each
+        # and a in one call; a call with several expressions counts each
         pot = minimal_to_potential(WeierstrassData(mu, nu, 0j), 1.0)
         shapes, calls = [], []
         evaluate = ex.evaluate
@@ -157,7 +174,8 @@ class TestIntegrateFrame:
             return evaluate(e, z)
         monkeypatch.setattr(ex, "evaluate", counted)
         integrate_frame(pot, grid)
-        assert shapes.count(grid.zz.shape) == 2
+        # upper, lower, and a for the metric
+        assert shapes.count(grid.zz.shape) == 3
         assert calls.count(grid.zz.shape) == 1
 
     def test_path_independence(self, catenoid, monkeypatch):
@@ -176,6 +194,44 @@ class TestIntegrateFrame:
         steps, _ = integrate_frame(pot, grid).grid.walk()
         assert len(steps) > lattice_steps(grid.nx, grid.ny, grid.i0, grid.j0)
         assert column_first_deviation(pot, grid, monkeypatch) <= 1e-8
+
+    @pytest.mark.parametrize("data, grid, tol", [
+        (WeierstrassData(CATENOID_MU, CATENOID_NU, 0j),
+         DomainGrid.square(1.0, 41), 1e-13),
+        (enneper(2), DomainGrid.square(0.9, 61), 1e-13),
+        # rerouted around the poles, next to them
+        (WeierstrassData(KUSNER_MU, KUSNER_NU, 0j),
+         DomainGrid.square(0.85, 25), 1e-10),
+    ], ids=["catenoid", "smyth", "kusner"])
+    def test_row_and_column_first_walks_agree(self, data, grid, tol,
+                                              monkeypatch):
+        # the column-first walk drives the integrator through the same
+        # chains; the two paths to a node differ by the collocation error
+        pot = minimal_to_potential(data, 1.0)
+        fg = integrate_frame(pot, grid)
+        scale = np.max(np.abs(fg.coeffs[fg.ok]))
+        assert column_first_deviation(pot, grid, monkeypatch) <= tol * scale
+
+    @pytest.mark.parametrize("pot, grid, valid, entry", [
+        # the Jorge-Meeks 3-noid next to its ends: the entry ladder masks
+        (minimal_to_potential(WeierstrassData("1/(z^3-1)^2", "z^2"), 1.0),
+         DomainGrid.square(0.95, 41), 1471, 210),
+        # smooth data with a large range: the ladder masks most nodes
+        (PotentialSpec.normalized("exp(10*z)", "1", 1.0),
+         DomainGrid.square(1.0, 31), 62, 899),
+    ], ids=["3noid", "exp10z"])
+    def test_masked_meshes_keep_their_masks(self, pot, grid, valid, entry):
+        # which nodes have frames is decided by the entry ladder and the
+        # walk, not by the integrator: the valid nodes are those the walk
+        # reaches, every masked node is counted under its cause, and the
+        # counts are pinned
+        fg = integrate_frame(pot, grid)
+        assert np.array_equal(fg.ok, fg.grid.walk()[1])
+        mesh = surface_from_potential(pot, grid)
+        assert np.array_equal(mesh.mask, fg.ok)
+        assert np.count_nonzero(mesh.mask) == valid
+        assert mesh.meta["mask_causes"] == dict(
+            dict.fromkeys(frames.MASK_CAUSES, 0), entry=entry)
 
     def test_tail_bound_error(self):
         p = PotentialSpec.normalized("2", "-4*z", 40.0)
@@ -207,30 +263,37 @@ SWEEP_CASES = {
 
 
 class TestPairedSweep:
-    """The frame sweep takes one step per distance from the basepoint,
-    both sides of it at once; each node keeps its row-then-column path, so
-    the frames are those of the one-sided reference walk byte for byte."""
+    """The frame integrator takes the walk's steps, both sides of the
+    basepoint at once, as chains: one per side along the basepoint row and
+    the columns, and one per reroute depth.  Each node keeps its
+    row-then-column path, so the frames are those of the one-sided
+    reference walk byte for byte."""
 
     @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
     def test_advances_and_bytes(self, case, monkeypatch):
         data, grid = SWEEP_CASES[case]
         pot = data if isinstance(data, PotentialSpec) \
             else minimal_to_potential(data, 1.0)
-        sizes = []
-        advance = frames._rk4_advance
+        passes = []
+        chain_sums = frames.chain_sums
 
-        def counted(psi, r):
-            sizes.append(psi.shape[-1])
-            return advance(psi, r)
+        def counted(chains, edge_vals, vals):
+            passes.append([c.nodes.shape for c in chains])
+            return chain_sums(chains, edge_vals, vals)
         with monkeypatch.context() as m:
-            m.setattr(frames, "_rk4_advance", counted)
+            m.setattr(frames, "chain_sums", counted)
             fg = integrate_frame(pot, grid)
         work = fg.grid
-        depths = reroute_depths(work.mask, work.j0, work.i0)
-        assert len(sizes) == depths + lattice_steps(
-            work.nx, work.ny, work.i0, work.j0)
-        assert sum(sizes) == work.nx * work.ny - 1 \
-            + np.count_nonzero(row_first_blocked(work.mask, work.j0, work.i0)
+        nx, ny, i0, j0 = work.nx, work.ny, work.i0, work.j0
+        depths = reroute_depths(work.mask, j0, i0)
+        # one pass of the chains per series level, the same chains each
+        assert len(passes) == fg.ntrunc
+        assert all(shapes == passes[0] for shapes in passes)
+        sides = (i0 > 0) + (i0 < nx - 1) + (j0 > 0) + (j0 < ny - 1)
+        assert len(passes[0]) == sides + depths
+        assert sum(d for d, _ in passes[0]) == nx - 1 + ny - 1 + depths
+        assert sum(d * n for d, n in passes[0]) == nx * ny - 1 \
+            + np.count_nonzero(row_first_blocked(work.mask, j0, i0)
                                & work.walk()[1])
         if case == "off_centre":
             assert (grid.i0, grid.j0) == (4, 8)
@@ -265,6 +328,29 @@ class TestTimesPotential:
             assert got.shape == psi.shape
             assert np.max(np.abs(expand(got, lo - 1) - dense)) \
                 <= 1e-15 * np.max(np.abs(dense))
+
+class TestCollocationWeights:
+    @pytest.mark.parametrize("panels", [1, 2, 3])
+    def test_polynomials_integrate_exactly(self, panels):
+        # along an edge from 0 to 1: the last row is the composite
+        # Gauss-Legendre rule, exact to degree 2 FRAME_GL_N - 1; the others
+        # integrate each panel's interpolant up to each collocation point,
+        # exact to degree FRAME_GL_N - 1
+        n = frames.FRAME_GL_N
+        t = frames._panel_points(panels)
+        w = frames._level_weights(panels)
+        assert w.shape == (len(t) + 1, len(t)) == (n * panels + 1,
+                                                   n * panels)
+        assert np.all(np.diff(t) > 0) and 0 < t[0] and t[-1] < 1
+        assert not w.flags.writeable
+        for deg in range(2 * n):
+            got = w @ t ** deg
+            assert got[-1] == pytest.approx(1 / (deg + 1), abs=4 * EPS)
+            if deg < n:
+                assert np.max(np.abs(got[:-1] - t ** (deg + 1) / (deg + 1))) \
+                    <= 4 * EPS
+        assert abs(w[-1] @ t ** (2 * n) - 1 / (2 * n + 1)) > 1e-6 / panels ** 8
+
 
 class TestSymBobenko:
     def test_identity_maps_to_zero(self):

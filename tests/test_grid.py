@@ -1,9 +1,12 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopcmc import expr as ex
-from loopcmc.grid import DomainGrid, bfs_tree, row_first_blocked, sweep
+from loopcmc.grid import (DomainGrid, bfs_tree, chain_ends, chain_sums,
+                          row_first_blocked, sweep, walk_chains)
 from loopcmc.weier import _cumulative_grid_integral
 from conftest import lattice_steps, one_sided_walk
 
@@ -92,11 +95,12 @@ class TestSweep:
 
 
 @st.composite
-def masked_grids(draw):
+def masked_grids(draw, largest=9):
     """Grid shapes from 1 x n and n x 1 up, even and odd, basepoints at
     corners, edges or off centre, and random masks that keep the
     basepoint."""
-    nx, ny = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    nx = draw(st.integers(1, largest))
+    ny = draw(st.integers(1, largest))
     i0, j0 = draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1))
     valid = draw(st.floats(0.5, 1.0))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -159,3 +163,102 @@ class TestWalkProperties:
             sweep(g.zz, steps, reached, state, advance)
             states.append(state)
         assert states[0].tobytes() == states[1].tobytes()
+
+
+def queue_bfs(mask, j0, i0):
+    """The breadth-first spanning tree by a queue, one node at a time:
+    ((jfrom, ifrom), (jto, ito)) steps in visit order, neighbours in E, W,
+    N, S order.  The reference for ``bfs_tree`` and the walk's reroutes."""
+    ny, nx = mask.shape
+    seen = np.zeros_like(mask)
+    seen[j0, i0] = True
+    steps = []
+    q = deque([(j0, i0)])
+    while q:
+        j, i = q.popleft()
+        for dj, di in ((0, 1), (0, -1), (1, 0), (-1, 0)):
+            jj, ii = j + dj, i + di
+            if 0 <= jj < ny and 0 <= ii < nx and mask[jj, ii] \
+                    and not seen[jj, ii]:
+                seen[jj, ii] = True
+                steps.append(((j, i), (jj, ii)))
+                q.append((jj, ii))
+    return steps
+
+
+class TestBreadthFirst:
+    """The breadth-first search runs one depth at a time as array
+    operations; its tree, depths and visit order are the queue search's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=masked_grids(largest=30))
+    def test_tree_is_the_queue_search(self, g):
+        assert bfs_tree(g.mask, g.j0, g.i0) == queue_bfs(g.mask, g.j0, g.i0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=masked_grids(largest=30))
+    def test_reroutes_are_the_queue_search(self, g):
+        assert_reroutes_are_the_queue_search(g)
+
+    def test_masked_basepoint_row(self):
+        # a zero of the data on the basepoint row cuts off most of the
+        # grid: the nodes behind it are rerouted around it
+        g = DomainGrid.square(0.5, 101)
+        g = g.with_mask(np.abs(g.zz - 0.3) > 0.015)
+        assert np.count_nonzero(~g.mask) == 9
+        assert np.count_nonzero(row_first_blocked(g.mask, g.j0, g.i0)) \
+            == 2213
+        assert np.array_equal(g.walk()[1], g.mask)
+        assert_reroutes_are_the_queue_search(g)
+
+
+def assert_reroutes_are_the_queue_search(g):
+    """The walk's reroute steps are each tree depth's blocked nodes, in
+    visit order, with their parents, as the queue search finds them."""
+    steps, reached = g.walk()
+    blocked = row_first_blocked(g.mask, g.j0, g.i0)
+    depth, levels = {(g.j0, g.i0): 0}, {}
+    for src, dst in queue_bfs(g.mask, g.j0, g.i0):
+        depth[dst] = depth[src] + 1
+        if blocked[dst]:
+            levels.setdefault(depth[dst], []).append(src + dst)
+    reroutes = steps[lattice_steps(g.nx, g.ny, g.i0, g.j0):]
+    assert len(reroutes) == len(levels)
+    for ((js, is_), (jd, id_)), d in zip(reroutes, sorted(levels)):
+        assert np.stack([js, is_, jd, id_], axis=1).tolist() \
+            == [list(t) for t in levels[d]]
+
+
+class TestChains:
+    """The walk's steps regrouped into chains: each chain's cumulative sums
+    are the step-by-step sweep's, byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=masked_grids())
+    def test_chain_sums_are_the_sweep(self, g):
+        n = g.nx * g.ny
+        rng = np.random.default_rng(n)
+        # an edge's value by its two nodes' flat indices
+        table = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        index = np.arange(n, dtype=float).reshape(g.ny, g.nx)
+        chains, reached = walk_chains(g)
+        start, end = chain_ends(chains)
+        vals = np.full(n, np.nan, dtype=complex)
+        vals[g.j0 * g.nx + g.i0] = 0.3
+        chain_sums(chains, table[start, end], vals)
+        vals = vals.reshape(g.ny, g.nx)
+        vals[~reached] = np.nan
+        state = np.full((g.ny, g.nx), np.nan, dtype=complex)
+        state[g.j0, g.i0] = 0.3
+        steps, walked = g.walk()
+        sweep(index, steps, walked, state,
+              lambda s, a, b, k: s + table[a.astype(int), b.astype(int)])
+        assert np.array_equal(reached, walked)
+        assert vals.tobytes() == state.tobytes()
+        # one chain per side of the basepoint along the row and the
+        # columns, one per reroute step
+        lattice = lattice_steps(g.nx, g.ny, g.i0, g.j0)
+        sides = (g.i0 > 0) + (g.i0 < g.nx - 1) + (g.j0 > 0) + (g.j0 < g.ny - 1)
+        assert len(chains) == sides + len(steps) - lattice
+        assert len(start) == n - 1 + sum(
+            np.size(index[d]) for _, d in steps[lattice:])

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from loopcmc import loops
 from loopcmc.factor import _gram_defect
-from loopcmc.frames import _rk4_advance, _rk4_factors
 from loopcmc.loops import (LoopMat, circle_entries, conv, entries_at,
                            half_circle_entries, hat_extend, identity, mul,
                            plus_defect)
@@ -261,35 +260,6 @@ class TestUntwist:
                       <= 1e-15 * l1)
 
 
-def dense_rk4(psi, za, zb, entries, substeps):
-    """The frame sweep's fourth-order substeps on a dense stack psi
-    (..., nk, 2, 2): the same arithmetic as ``frames._rk4_factors`` and
-    ``frames._rk4_advance``, with every entry of every coefficient carried
-    and the node axes first."""
-    dz = ((np.asarray(zb, dtype=complex) - za) / substeps)[..., None]
-
-    def times_potential(x, scale):
-        return x[..., ::-1] * scale[..., None, None, :]
-
-    def diag(x, y):
-        return x[..., ::-1] * y
-
-    for s in range(substeps):
-        a0, ah, a1 = (entries[..., 2 * s + t, :] for t in range(3))
-        sq = ah[..., :1] * ah[..., 1:]
-        r1 = dz / 6 * (a0 + 4 * ah + a1)
-        r2 = dz ** 2 / 6 * (diag(a0, ah) + sq + diag(ah, a1))
-        r3 = dz ** 3 / 12 * sq * (a0 + a1)
-        r4 = dz ** 4 / 24 * sq * diag(a0, a1)
-        out = psi.copy()
-        out[..., :-1, :, :] += times_potential(psi[..., 1:, :, :], r1)
-        out[..., :-2, :, :] += psi[..., 2:, :, :] * r2[..., None, None, :]
-        out[..., :-3, :, :] += times_potential(psi[..., 3:, :, :], r3)
-        out[..., :-4, :, :] += psi[..., 4:, :, :] * r4[..., None, None, :]
-        psi = out
-    return psi
-
-
 def cplx(rng, *shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
@@ -344,30 +314,6 @@ class TestCompactLayout:
             assert np.all(np.abs(sampler(c, lo, m)
                                  - ref(np.exp(1j * np.pi * pw / m)))
                           <= 1e-14 * l1)
-
-    @settings(max_examples=60, deadline=None)
-    @given(seed=SEEDS, nk=st.one_of(st.integers(1, 3), st.integers(1, 26)),
-           substeps=st.integers(1, 4),
-           lead=st.sampled_from([(), (5,), (2, 5)]))
-    def test_rk4_step_is_bit_identical_to_dense(self, seed, nk, substeps,
-                                                lead):
-        # the compact node-last step is the dense step with the structural
-        # zeros left out: the same products and sums in the same order,
-        # also for bands of 1 to 3 slots, fewer than the four powers one
-        # substep reaches
-        rng = np.random.default_rng(seed)
-        lo = 1 - nk
-        psi = cplx(rng, *lead, nk, 2)
-        za, zb = cplx(rng, *lead), cplx(rng, *lead)
-        entries = cplx(rng, *lead, 2 * substeps + 1, 2)
-        r = _rk4_factors(np.moveaxis(entries, (-2, -1), (0, 1)),
-                         (zb - za) / substeps)
-        got = np.moveaxis(_rk4_advance(
-            np.moveaxis(psi, (-2, -1), (0, 1)).copy(), r), (0, 1), (-2, -1))
-        ref = dense_rk4(expand(psi, lo), za, zb, entries, substeps)
-        assert not np.any(ref[..., off_twist(ref, lo)])
-        assert np.array_equal(expand(got, lo).view(np.uint64),
-                              ref.view(np.uint64))
 
 
 class TestWeightTables:

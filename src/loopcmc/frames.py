@@ -31,12 +31,14 @@ its inverse, and the Sym-Bobenko formula
 
     -(1/2h) ( 2 i lam dF/dlam F^-1 + F e3 F^-1 - e3 ) at lam = lam0
 
-gives the immersion.  It reads the unitary frame only at lam0, where
-F = E0hat X B^-1, X = Psi, and its lambda-derivative follows by the
+gives the immersion.  It reads the unitary factor of Psi only at lam0,
+where it is X B^-1, X = Psi, and its lambda-derivative follows by the
 product rule, with B^-1 read from the same factorization as B, each entry
-one array over the nodes; the
-point, normal, tangents and conformal factor come from those entries and
-the plus-factor normalization in closed form, not from differencing.
+one array over the nodes; the point, normal, tangents and conformal
+factor come from those entries and the plus-factor normalization in
+closed form, not from differencing.  E0hat(lam0) lies in SU(2) and the
+Sym-Bobenko point of E0hat alone vanishes, so E0hat turns the mesh of Psi
+into the mesh of Phi by one rotation.
 """
 
 from __future__ import annotations
@@ -491,6 +493,27 @@ def _frame_at(x, lo, out, lam0):
                                  + mul_entries(x0, gv[..., 1, :]))
 
 
+# the basis E1, E2, E3 of su(2) in which _sym_bobenko gives its vectors
+_SU2_BASIS = np.array([[[0, -1j], [-1j, 0]], [[0, 1], [-1, 0]],
+                       [[1j, 0], [0, -1j]]])
+
+
+def _initial_rotation(e0, lam0):
+    """The rotation, a 3x3 matrix on the (E1, E2, E3) components of
+    :func:`_sym_bobenko`'s vectors, that turns the mesh of frames Psi into
+    the mesh of E0hat Psi, E0hat the twisted extension of ``e0``.
+
+    At lam0 on the unit circle U = E0hat(lam0) lies in SU(2), and E0hat Psi
+    has F = U F_Psi and dF = U' F_Psi + U dF_Psi there.  The Sym-Bobenko
+    point of E0hat alone vanishes at every lam, so the point, the normal
+    and the tangent direction are those of Psi conjugated by U: the
+    rotation Ad(U), whose column k holds the components of U E_k U^-1."""
+    e0hat = hat_extend(e0)
+    u = entries_at(e0hat.coeffs[None], e0hat.lo, lam0)[:, :, 0, 0]
+    images = u @ _SU2_BASIS @ u.conj().T
+    return -0.5 * np.einsum("kij,lji->lk", images, _SU2_BASIS).real
+
+
 def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
                    opts: SurfaceOptions) -> SurfaceMesh:
     """Pointwise factorization of the holomorphic frames followed by the
@@ -498,8 +521,8 @@ def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
     :func:`_sym_bobenko`), normals, tangents and the conformal factor.  The
     unitary factor of the twisted initial frame times the frames is that
     frame times their unitary factor, so ``fg.E0`` enters at lambda0 only,
-    as two 2x2 products per node.  An off-circle lambda0 raises
-    ValueError."""
+    as one rotation of the mesh (:func:`_initial_rotation`).  An off-circle
+    lambda0 raises ValueError."""
     lam0 = complex(opts.lambda0)
     if abs(abs(lam0) - 1.0) > 1e-12:
         raise ValueError("lambda0 must lie on the unit circle")
@@ -517,18 +540,11 @@ def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
     accepted = []
     causes = _mask_causes(fg.meta)
     a_vals = fg.a.reshape(-1)
-    # the twisted initial frame and its lambda-derivative at lam0, one
-    # point value each: F = E0hat F_Psi, dF = E0hat' F_Psi + E0hat dF_Psi
-    e0hat = hat_extend(fg.E0)
-    ev = entries_at(e0hat.coeffs[None], e0hat.lo, lam0)
-    e, de = ev[..., 0, :], ev[..., 1, :]
 
     for sel, lo, x, out, good in _factor_chunks(
             fg.lo, coeffs, fg.ok.reshape(-1), opts, causes):
-        fv, dfv = _frame_at(x, lo, out, lam0)
         f[sel], normal[sel], tangent = _sym_bobenko(
-            mul_entries(e, fv), mul_entries(de, fv) + mul_entries(e, dfv),
-            p.h, lam0)
+            *_frame_at(x, lo, out, lam0), p.h, lam0)
         rho = out["rho"]
         fzv[sel] = 0.5 / lam0 * (a_vals[sel] * rho ** 2)[:, None] * tangent
         rho_all[sel] = rho
@@ -537,9 +553,10 @@ def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
         accepted.append([out[k][good] for k in (
             "residual", "unitary_residual", "condition")])
 
-    f = f.reshape(ny, nx, 3)
-    normal = normal.reshape(ny, nx, 3)
-    fzv = fzv.reshape(ny, nx, 3)
+    rot = _initial_rotation(fg.E0, lam0).T
+    f = (f @ rot).reshape(ny, nx, 3)
+    normal = (normal @ rot).reshape(ny, nx, 3)
+    fzv = (fzv @ rot).reshape(ny, nx, 3)
     rho_all = rho_all.reshape(ny, nx)
     ok = ok_all.reshape(ny, nx) & fg.ok
     j0, i0 = grid.j0, grid.i0

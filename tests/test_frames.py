@@ -139,9 +139,9 @@ class TestIntegrateFrame:
     def test_panels_converge_at_gl_order(self, data, grid):
         # Gauss-Legendre collocation of FRAME_GL_N = 4 points is of order 8
         # at the nodes: halving the panels cuts the error by 2^8 = 256
-        # until it reaches rounding (one RK4 step per edge was off by
-        # 1.7e-8 and 1.7e-7 here, and halving it gained 16x); a misplaced
-        # point or weight drops the order
+        # until it reaches rounding, and one panel is already within 1e-11
+        # (a fourth-order step per edge is off by 1e-8 to 1e-7 here); a
+        # misplaced point or weight drops the order
         pot = minimal_to_potential(data, 1.0)
 
         def frame(panels):
@@ -576,6 +576,33 @@ class TestSurfaceFromPotential:
         tol = 1e-12 * ref.diameter()
         assert np.max(np.abs(mesh.f - ref.f)) <= tol
         assert np.max(np.abs(mesh.normal - ref.normal)) <= tol
+
+    @pytest.mark.parametrize("h, lam0", [(1.0, 1.0), (0.1, np.exp(0.5j))])
+    def test_initial_frame_is_a_rotation(self, catenoid, h, lam0):
+        # the mesh of Psi with E0 beside it is the mesh of the frames
+        # E0hat Psi, where E0hat enters the factorization
+        pot = minimal_to_potential(catenoid, h)
+        g = DomainGrid.square(0.8, 21)
+        opts = SurfaceOptions(lambda0=lam0)
+        fg = integrate_frame(pot, g, opts)
+        e0hat = hat_extend(fg.E0)
+        product = dataclasses.replace(
+            fg, lo=fg.lo + e0hat.lo, E0=np.eye(2),
+            coeffs=conv(e0hat.coeffs, fg.coeffs, fg.lo))
+        rot = frames._initial_rotation(fg.E0, lam0)
+        assert np.max(np.abs(rot @ rot.T - np.eye(3))) <= 4 * EPS
+        assert np.linalg.det(rot) == pytest.approx(1.0, abs=4 * EPS)
+        assert np.max(np.abs(rot - np.eye(3))) > 0.1
+        assert np.array_equal(frames._initial_rotation(np.eye(2), lam0),
+                              np.eye(3))
+        mesh = frames._assemble_mesh(pot, fg, opts)
+        ref = frames._assemble_mesh(pot, product, opts)
+        assert mesh.mask.all() and ref.mask.all()
+        tol = 1e-12 * ref.diameter()
+        for name in ("f", "normal", "fz"):
+            assert np.max(np.abs(getattr(mesh, name) - getattr(ref, name))) \
+                <= tol, name
+        assert ref.meta["max_section"] == mesh.meta["max_section"] + 2
 
     def test_rejections_are_counted_by_cause(self, monkeypatch):
         # the last four nodes of every chunk fail the factorization, the

@@ -431,5 +431,6 @@ def dress_surface(h_plus: LoopMat, p: PotentialSpec, grid: DomainGrid,
         raise DressingError("dressing acts on frames of nonzero mean curvature")
     if plus_defect(h_plus) > 1e-10:
         raise DressingError("dressing element must be a plus loop")
-    fg = integrate_frame(p, grid, options=opts)
-    return _assemble_mesh(p, _left_multiply(h_plus, fg), opts)
+    # the undressed frames are not kept while the dressed ones are factored
+    dressed = _left_multiply(h_plus, integrate_frame(p, grid, options=opts))
+    return _assemble_mesh(p, dressed, opts)

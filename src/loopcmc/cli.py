@@ -85,6 +85,12 @@ def build_grid(args, z0) -> DomainGrid:
     ny = args.grid[1] if len(args.grid) > 1 else args.grid[0]
     xr = args.xrange or [z0.real - 1.0, z0.real + 1.0]
     yr = args.yrange or [z0.imag - 1.0, z0.imag + 1.0]
+    for flag, (lo, hi), n in (("--xrange", xr, nx), ("--yrange", yr, ny)):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigError(f"{flag} bounds must be finite, got {lo} {hi}")
+        if n > 1 and lo == hi:
+            raise ConfigError(f"{flag} has zero width for {n} nodes; give "
+                              "two different bounds or one node")
     try:
         return DomainGrid.make(xr[0], xr[1], nx, yr[0], yr[1], ny, z0)
     except GridError as err:

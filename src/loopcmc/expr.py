@@ -11,7 +11,8 @@ elsewhere in the package.
 Expressions are evaluated exactly as written; there is no simplification
 beyond constant folding in derivative construction.  ``sqrt`` uses the
 principal branch per evaluation; continuity along a path is the caller's
-job (``weier.coordinate_frame_grid`` carries it along the grid sweep).
+job (``weier.coordinate_frame_grid`` carries it along the chains of the
+grid walk).
 
 A :class:`Prim` node is the primitive of an integrand from a basepoint,
 evaluated by path quadrature (:func:`integrate_path`) unless the caller

@@ -8,7 +8,7 @@ The potential in normalized form is off-diagonal,
 
 and it is held as those two entries only (``potential_entries``).  Right
 multiplication by it swaps the two columns of a matrix and scales them by
-(lower, upper), which is all the frame sweep and the flatness check do
+(lower, upper), which is all the frame integrator and the flatness check do
 with it.
 
 The holomorphic frame Phi solves d Phi = Phi eta with Phi(z0) equal to the
@@ -19,7 +19,7 @@ where a rigorous factorial tail bound drops below tolerance.  They are
 integrated one series level at a time over the whole grid: level k is the
 integral of level k - 1 times the potential, taken by Gauss-Legendre
 collocation on every edge of the grid walk, and its node values are
-cumulative sums along the walk's chains (``grid.walk_chains``: the
+cumulative sums along the walk's chains (``DomainGrid.walk``: the
 basepoint row east and west, the columns down and up, the reroute depths),
 so each node keeps its row-then-column path.  The two entries are
 evaluated in one call per mesh (``expr.evaluate`` of both, so the shared
@@ -52,7 +52,7 @@ import numpy as np
 from . import expr as ex
 from . import weier
 from .factor import iwasawa_batch
-from .grid import DomainGrid, _erode, chain_ends, chain_sums, walk_chains
+from .grid import DomainGrid, _erode, chain_ends, chain_sums
 from .loops import entries_at, hat_extend, mul_entries
 from .mesh import SurfaceMesh
 
@@ -224,8 +224,8 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
     Psi has only nonpositive powers, and the coefficient of lambda^-k is
     the k-th iterated integral of the potential: Psi_k = int Psi_(k-1) A dz
     from the basepoint, A = [[0, upper], [lower, 0]], Psi_0 = I.  The
-    levels are integrated one at a time along the grid walk
-    (``grid.walk_chains``: the basepoint row, then the columns, then
+    levels are integrated one at a time along the chains of the grid walk
+    (``DomainGrid.walk``: the basepoint row, then the columns, then
     breadth-first rerouting around masked nodes) by Gauss-Legendre
     collocation: the entries are evaluated once, in one call, at
     ``options.substeps`` equal panels of FRAME_GL_N points on every edge;
@@ -293,7 +293,7 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
             f"truncation {ntrunc}; shrink the domain or raise the cap")
 
     nk = ntrunc + 1
-    chains, reached = walk_chains(work)
+    chains, reached = work.walk()
     start, end = chain_ends(chains)
     zz = work.zz.ravel()
     dz = zz[end] - zz[start]

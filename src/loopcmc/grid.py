@@ -1,14 +1,12 @@
 """Rectangular sampling grids on a domain in the complex plane.
 
 A :class:`DomainGrid` is a rectangular node lattice with a per-node validity
-mask.  The basepoint must be an unmasked node.  :func:`walk` is the one
-ordered list of steps from the basepoint that the frame and Weierstrass
-integrators share: along the basepoint row, then down and up every column
-at once, one step per distance from the basepoint that carries both sides
-of it, then breadth-first around masked nodes, one step per tree depth, for
-the valid nodes that walk cut off.  :func:`sweep` carries a state along it
-step by step.  :func:`walk_chains` regroups its steps into chains, runs of
-steps that each continue the nodes the one before reached, and
+mask.  The basepoint must be an unmasked node.  :func:`walk` gives the one
+set of paths from the basepoint that the frame and Weierstrass integrators
+share, as chains (:class:`Chain`), runs of steps that each continue the
+nodes the one before reached: the basepoint row east and west, the columns
+down and up, whole rows a step, then breadth-first around masked nodes,
+one chain per tree depth, for the valid nodes those cut off.
 :func:`chain_sums` adds values along them with one cumulative sum per
 chain: the frame and Weierstrass integrators sum their edge integrals so.
 """
@@ -20,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["DomainGrid", "GridError", "walk", "sweep", "bfs_tree", "Chain",
-           "walk_chains", "chain_ends", "chain_sums"]
+__all__ = ["DomainGrid", "GridError", "walk", "bfs_tree", "Chain",
+           "chain_ends", "chain_sums"]
 
 
 class GridError(ValueError):
@@ -123,10 +121,6 @@ class DomainGrid:
         """:func:`walk` over this grid's nodes and mask."""
         return walk(self.mask, self.j0, self.i0)
 
-    def sweep(self, state, advance):
-        """:func:`sweep` along this grid's :meth:`walk`."""
-        return sweep(self.zz, *self.walk(), state, advance)
-
 
 def row_first_blocked(mask, j0, i0):
     """Valid nodes whose row-first path from the basepoint crosses an
@@ -182,49 +176,47 @@ def bfs_tree(mask, j0, i0):
             for p, n in zip(parents, nodes)]
 
 
-def _pairs(n, c0):
-    """For each distance d = 1, 2, ... from ``c0`` on an axis of ``n``
-    nodes, the indices ``c0 + d`` and ``c0 - d`` that lie on it and their
-    neighbours toward ``c0``, as ``(sources, destinations)`` index arrays
-    of one or two entries."""
-    d = np.arange(1, max(c0, n - 1 - c0) + 1)
-    dst = c0 + d[:, None] * np.array([1, -1])
-    src = dst - np.array([1, -1])
-    first = (d > n - 1 - c0).astype(int)     # no node at c0 + d
-    stop = 2 - (d > c0)                      # no node at c0 - d
-    return [(s[a:b], t[a:b])
-            for s, t, a, b in zip(src, dst, first.tolist(), stop.tolist())]
+class Chain(NamedTuple):
+    """Consecutive steps of a walk, each continuing the nodes the one
+    before reached: ``seed`` (n,) holds the flat indices of the nodes the
+    first step starts from, ``nodes`` (d, n) those the d steps reach, row k
+    from row k - 1 (from ``seed`` for k = 0).  ``phase`` is where the steps
+    come from: 0 along the basepoint line one node a step, 1 whole lines a
+    step, 2 one reroute step."""
+    seed: np.ndarray
+    nodes: np.ndarray
+    phase: int
 
 
 def walk(mask, j0, i0):
-    """The ordered steps that carry a state from the basepoint (j0, i0) to
-    the valid nodes of ``mask`` (ny, nx), and the mask of the nodes they
-    reach.
+    """The chains (:class:`Chain`) that carry values from the basepoint
+    (j0, i0) to the valid nodes of ``mask`` (ny, nx), and the mask of the
+    nodes they reach.
 
-    Each step is a pair ``(src, dst)`` of index tuples into (ny, nx)
-    arrays, to be taken in list order.  The lattice steps come first, one
-    per distance ``d`` from the basepoint, each carrying both sides of it
-    at once (a side past the lattice's edge is left out): along the
-    basepoint row, the nodes at columns ``i0 + d`` and ``i0 - d`` from
-    their neighbours toward ``i0``, as ``(rows, cols)`` pairs of index
-    arrays; then down and up the columns, rows ``j0 + d`` and ``j0 - d``
-    whole from the rows toward ``j0``, as ``(rows, slice(None))``.  That is
-    ``max(i0, nx - 1 - i0) + max(j0, ny - 1 - j0)`` lattice steps, and each
-    node is reached along its row-first path.  Valid nodes whose row-first
-    path crosses an invalid node are then reached along the breadth-first
-    tree of ``mask``, one step per tree depth: ``src`` and ``dst`` are
-    pairs of index arrays, the parents and the nodes at that depth in
-    visit order.  A node's parent is one depth up, or reached by the
-    lattice steps, so it holds its state before the node's step runs.
-    Invalid nodes, and valid ones no path of valid nodes reaches, are not
-    reached.  The column-first walk is ``walk(mask.T, i0, j0)`` with both
-    tuples of every step reversed and the reached mask transposed.
+    The chains come in this order, a side with no node left out: the
+    basepoint row east, then west, from the basepoint one node a step
+    (phase 0); the columns down, then up, from row ``j0`` one whole row a
+    step (phase 1).  So every node is reached along its row-first path.
+    Valid nodes whose row-first path crosses an invalid node are then
+    reached along the breadth-first tree of ``mask``, one chain of one step
+    per tree depth (phase 2): ``seed`` holds the parents and ``nodes`` the
+    nodes at that depth, in visit order.  A node's parent is one depth up,
+    or reached by the lattice chains, so it holds its value before the
+    node's chain runs.  Invalid nodes, and valid ones no path of valid
+    nodes reaches, are not reached.  The chains' edges, chain by chain and
+    each chain's ``nodes`` in C order, are the walk's edges in the order
+    :func:`chain_ends` and :func:`chain_sums` take them.  The column-first
+    walk is ``walk(mask.T, i0, j0)`` with every flat index taken to the
+    untransposed lattice and the reached mask transposed.
     """
     ny, nx = mask.shape
-    every = slice(None)
-    row = np.full(2, j0)
-    steps = [((row[:len(c)], s), (row[:len(c)], c)) for s, c in _pairs(nx, i0)]
-    steps += [((s, every), (c, every)) for s, c in _pairs(ny, j0)]
+    index = np.arange(ny * nx).reshape(ny, nx)
+    base = index[j0, i0:i0 + 1]
+    lattice = [(base, index[j0, i0 + 1:, None], 0),
+               (base, index[j0, :i0][::-1, None], 0),
+               (index[j0], index[j0 + 1:], 1),
+               (index[j0], index[:j0][::-1], 1)]
+    chains = [Chain(*c) for c in lattice if len(c[1])]
     blocked = row_first_blocked(mask, j0, i0)
     reached = mask & ~blocked
     left = np.count_nonzero(blocked)
@@ -235,103 +227,11 @@ def walk(mask, j0, i0):
             sel = want[nodes]
             if not sel.any():
                 continue
-            (jsrc, isrc), (jdst, idst) = (divmod(a[sel], nx)
-                                          for a in (parents, nodes))
-            steps.append(((jsrc, isrc), (jdst, idst)))
-            reached[jdst, idst] = True
-            left -= len(jdst)
+            chains.append(Chain(parents[sel], nodes[sel][None], 2))
+            reached.flat[nodes[sel]] = True
+            left -= np.count_nonzero(sel)
             if not left:
                 break
-    return steps, reached
-
-
-def sweep(zz, steps, reached, state, advance):
-    """Carry a state along the ``steps`` of a :func:`walk` over the lattice
-    ``zz`` (ny, nx) and return ``state``, filled in place.
-
-    ``state`` is shaped (ny, nx, ...) and holds the basepoint value.  For
-    the k-th step ``(src, dst)``, ``advance(state[src], zz[src], zz[dst],
-    k)`` returns the state carried from ``zz[src]`` to ``zz[dst]``,
-    element by element: the states of the step's nodes and vectors of
-    their endpoints along the basepoint row and the reroutes, and one or
-    two whole rows of states, with their endpoints, down and up the
-    columns.  Nodes outside ``reached`` are left NaN.
-    """
-    for k, (src, dst) in enumerate(steps):
-        state[dst] = advance(state[src], zz[src], zz[dst], k)
-    state[~reached] = np.nan
-    return state
-
-
-class Chain(NamedTuple):
-    """Consecutive steps of a walk, each continuing the nodes the one
-    before reached: ``seed`` (n,) holds the flat indices of the nodes the
-    first step starts from, ``nodes`` (d, n) those the d steps reach, row k
-    from row k - 1 (from ``seed`` for k = 0).  ``phase`` is where the steps
-    come from: 0 along the basepoint line one node a side, 1 whole lines,
-    2 one reroute step."""
-    seed: np.ndarray
-    nodes: np.ndarray
-    phase: int
-
-
-def _side_keys(parts, nx):
-    """The sides of lattice steps, from their index tuples ``parts``, in
-    step order: each side's key, the flat index of a single node or the
-    index of a whole line across the lines, and the position of a line's
-    index in the tuples (None for single nodes)."""
-    head = parts[0]
-    if isinstance(head[0], slice) or isinstance(head[1], slice):
-        at = int(isinstance(head[0], slice))
-        return np.hstack([p[at] for p in parts]), at
-    rows, cols = (np.hstack([p[k] for p in parts]) for k in (0, 1))
-    return rows * nx + cols, None
-
-
-def walk_chains(grid: DomainGrid):
-    """The steps of ``grid.walk()`` as chains (:class:`Chain`), and the
-    walk's reached mask.
-
-    A lattice step has one or two sides: single nodes along the basepoint
-    line, or whole lines across it.  Each side continues the chain whose
-    last node or line it starts from, or opens one; each reroute step is a
-    chain of its own.  So along the row-first walk the chains are the
-    basepoint row east and west, the columns down and up, then one per
-    reroute depth.  The chains' edges, chain by chain and each chain's
-    ``nodes`` in C order, are the walk's edges in the order
-    :func:`chain_ends` and :func:`chain_sums` take them.  Every node keeps
-    the path the walk gives it.
-    """
-    steps, reached = grid.walk()
-    ny, nx = grid.ny, grid.nx
-    index = np.arange(ny * nx).reshape(ny, nx)
-    lattice = max(grid.i0, nx - 1 - grid.i0) + max(grid.j0, ny - 1 - grid.j0)
-    lines = next((k for k, ((a, b), _) in enumerate(steps[:lattice])
-                  if isinstance(a, slice) or isinstance(b, slice)), lattice)
-    chains = []
-    for run in (steps[:lines], steps[lines:lattice]):
-        if not run:
-            continue
-        (src, at), (dst, _) = (_side_keys(parts, nx) for parts in zip(*run))
-        runs, tails = [], {}    # tails: a chain's last key -> its position
-        for a, b in zip(src.tolist(), dst.tolist()):
-            k = tails.pop(a, None)
-            if k is None:
-                k = len(runs)
-                runs.append((a, []))
-            runs[k][1].append(b)
-            tails[b] = k
-        for a, b in runs:
-            b = np.array(b)
-            if at is None:
-                chains.append(Chain(np.array([a]), b[:, None], 0))
-            elif at == 0:
-                chains.append(Chain(index[a], index[b], 1))
-            else:
-                chains.append(Chain(index[:, a], index[:, b].T, 1))
-    # a reroute step may start from nodes an earlier one reached
-    chains += [Chain(index[src].ravel(), index[dst].ravel()[None], 2)
-               for src, dst in steps[lattice:]]
     return chains, reached
 
 
@@ -349,8 +249,8 @@ def chain_sums(chains, edge_vals, vals):
     """Add the values ``edge_vals`` (edges, ...) of the edges of ``chains``,
     in their edge order, along each chain into ``vals`` (nodes, ...), flat
     over the nodes, in place: a chain's nodes take ``np.cumsum`` from its
-    seed's value, so each node adds the edges of its path in order, as a
-    step-by-step :func:`sweep` would."""
+    seed's value, so each node adds the edges of its path in order, one
+    by one."""
     pos = 0
     for seed, nodes, _ in chains:
         n = nodes.size

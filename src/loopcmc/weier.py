@@ -15,16 +15,17 @@ nu = -int Q/a is an ``expr.Prim`` node, evaluated by path quadrature, so
 every kind of data evaluates vectorised and differentiates symbolically.
 
 A mesh integrates G = int (mu, mu nu, mu nu^2) dz, from which f_z's
-integral follows by linearity, in one blocked pass along the grid walk
-(``_walk_sums``): the basepoint row is one block, the column steps come
-in blocks of whole rows of at most BLOCK_POINTS Gauss-Legendre points,
-and each reroute step around masked nodes is a block.  Each block
-evaluates the data once at all its points; its nodes take cumulative
-sums from the block's source row.  A primitive that starts at the grid's
-basepoint is not integrated per point: the same pass over the whole
-lattice, edge by edge at the quadrature's own rule, gives its values at
-the nodes and at the sweep's points (``_walk_primitive``), and
-``expr.evaluate`` takes them as substitutions.
+integral follows by linearity, in one blocked pass along the chains of
+the grid walk (``DomainGrid.walk``, ``_walk_sums``): the basepoint row's
+chains are one block, the column chains come in blocks of whole rows of
+at most BLOCK_POINTS Gauss-Legendre points, and each reroute chain around
+masked nodes is a block.  Each block evaluates the data once at all its
+points; its nodes take cumulative sums from the block's source row.  A
+primitive that starts at the grid's basepoint is not integrated per
+point: the same pass over the whole lattice, edge by edge at the
+quadrature's own rule, gives its values at the nodes and at the sweep's
+points (``_walk_primitive``), and ``expr.evaluate`` takes them as
+substitutions.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .grid import (Chain, DomainGrid, GridError, _erode, chain_ends,
-                   chain_sums, sweep, walk_chains)
+from .grid import Chain, DomainGrid, GridError, _erode, chain_ends, chain_sums
 from .mesh import SurfaceMesh
 
 __all__ = [
@@ -152,16 +152,16 @@ BLOCK_POINTS = 2 ** 16
 
 
 def _walk_blocks(grid: DomainGrid):
-    """The chains of the walk of ``grid`` (``grid.walk_chains``) in
+    """The chains of the walk of ``grid`` (``DomainGrid.walk``) in
     blocks, and the walk's reached mask.  Each node has its path in the
     walk; the blocks' edges, in block order, are the pass's edge order.
 
     The basepoint row is one block of its chains, east and west; the
     column chains come in blocks of consecutive rows of at most
     BLOCK_POINTS sweep points, one row at least, down and then up; each
-    reroute step of the walk is a block of one chain of one step.
+    reroute chain of the walk is a block of its own.
     """
-    chains, reached = walk_chains(grid)
+    chains, reached = grid.walk()
     blocks = []
     for c in chains:
         if c.phase == 1:
@@ -176,16 +176,16 @@ def _walk_blocks(grid: DomainGrid):
     return blocks, reached
 
 
-def _walk_sums(grid: DomainGrid, edge_sums, width):
+def _walk_sums(grid: DomainGrid, blocks, reached, edge_sums, width):
     """Cumulative sums over the walk of ``grid`` from 0 at the basepoint,
-    (ny, nx, width), NaN at the nodes the walk does not reach.
+    (ny, nx, width), NaN at the nodes the walk does not reach: ``blocks``
+    and ``reached`` are ``_walk_blocks(grid)``.
 
     ``edge_sums(za, zb, edges)`` returns (len(za), width) for the edges
-    za -> zb of one block of ``_walk_blocks``, flat; they are the pass's
-    edges ``edges``, a slice in the blocks' edge order.  The block's
-    chains add them up (``grid.chain_sums``).
+    za -> zb of one block, flat; they are the pass's edges ``edges``, a
+    slice in the blocks' edge order.  The block's chains add them up
+    (``grid.chain_sums``).
     """
-    blocks, reached = _walk_blocks(grid)
     vals = np.full((grid.ny * grid.nx, width), np.nan, dtype=complex)
     vals[grid.j0 * grid.nx + grid.i0] = 0.0
     zz = grid.zz.ravel()
@@ -234,7 +234,7 @@ def _cumulative_grid_integral(fvec, grid: DomainGrid, width):
         total = _real_product(fv, wgt[:, None]).reshape(width, -1)
         return (zb - za)[:, None] / 2.0 * total.T
 
-    return _walk_sums(grid, edge_sums, width)
+    return _walk_sums(grid, *_walk_blocks(grid), edge_sums, width)
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +286,12 @@ def _walk_primitive(prim: ex.Prim, grid: DomainGrid):
     start enters as the primitive's value at the node.
     """
     lattice = DomainGrid(grid.xs, grid.ys, grid.i0, grid.j0)
-    src, dst = chain_ends([c for chains in _walk_blocks(lattice)[0]
-                           for c in chains])
+    blocks, reached = _walk_blocks(lattice)
+    src, dst = chain_ends([c for chains in blocks for c in chains])
     flat = grid.zz.ravel()
     total, part = _edge_integrals(prim.integrand, flat[src], flat[dst])
-    nodes = _walk_sums(lattice, lambda za, zb, edges: total[edges, None],
-                       1)[..., 0]
+    nodes = _walk_sums(lattice, blocks, reached,
+                       lambda za, zb, edges: total[edges, None], 1)[..., 0]
     points = nodes.ravel()[src, None] + part
     if prim.z0 != grid.z0:
         shift = ex.evaluate(prim, grid.z0)
@@ -401,11 +401,12 @@ def minimal_surface(w: WeierstrassData, grid: DomainGrid) -> SurfaceMesh:
 # Frame field and the holomorphic-Gauss-map residual
 
 def coordinate_frame_grid(w: WeierstrassData, grid: DomainGrid):
-    """SU(2) coordinate frame at every node the grid sweep reaches (NaN
+    """SU(2) coordinate frame at every node the grid walk reaches (NaN
     elsewhere), with the square-root branch of mu carried from the
-    principal root at the basepoint along the sweep: each step takes the
-    root s of mu at its end with Re(s conj(prev)) >= 0, prev the root it
-    comes from."""
+    principal root at the basepoint along the walk's chains
+    (``DomainGrid.walk``), one row of a chain at a time: each step takes
+    the root s of mu at its end with Re(s conj(prev)) >= 0, prev the root
+    it comes from."""
     return _frame_and_metric(w, grid)[0]
 
 
@@ -414,16 +415,18 @@ def _frame_and_metric(w: WeierstrassData, grid: DomainGrid):
     from one evaluation of mu and nu there."""
     mu = w.mu(grid.zz)
     nu = w.nu(grid.zz)
-    root = np.sqrt(mu)
-    steps, reached = grid.walk()
-
-    def advance(prev, za, zb, k):
-        s = root[steps[k][1]]
-        return np.where((s * np.conj(prev)).real < 0, -s, s)
-
-    s = np.empty_like(mu)
-    s[grid.j0, grid.i0] = root[grid.j0, grid.i0]
-    sweep(grid.zz, steps, reached, s, advance)
+    root = np.sqrt(mu).ravel()
+    chains, reached = grid.walk()
+    s = np.empty_like(root)
+    base = grid.j0 * grid.nx + grid.i0
+    s[base] = root[base]
+    for seed, nodes, _ in chains:
+        prev = s[seed]
+        for row in nodes:
+            r = root[row]
+            prev = s[row] = np.where((r * np.conj(prev)).real < 0, -r, r)
+    s = s.reshape(mu.shape)
+    s[~reached] = np.nan
     r = nu * s
     eu = np.abs(mu) * (1.0 + np.abs(nu) ** 2)
     pref = 1.0 / np.sqrt(eu)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loopcmc.grid import DomainGrid, walk
+from loopcmc.grid import Chain, DomainGrid, bfs_tree
 from loopcmc.weier import WeierstrassData
 
 
@@ -28,27 +28,62 @@ def enneper(k):
     return WeierstrassData("1", f"z^{k}", 0j)
 
 
-def lattice_steps(nx, ny, i0, j0):
-    """The number of lattice steps of ``grid.walk``: one per distance from
-    the basepoint along the row, then one per distance along the
-    columns."""
-    return max(i0, nx - 1 - i0) + max(j0, ny - 1 - j0)
+def walk_edges(mask, j0, i0):
+    """A reference for ``grid.walk``, one edge at a time, built node by
+    node: the (parent, node) pairs of flat node indices in the walk's edge
+    order, and the mask of the nodes the walk reaches.
 
-
-def one_sided_walk(mask, j0, i0):
-    """A reference for ``grid.walk`` that takes one side of the basepoint
-    at a time: single nodes along the basepoint row, east then west, then
-    whole rows, down then up, then ``walk``'s own reroute steps.  Every
-    node follows the same row-then-column path as in ``walk``, so a sweep
-    that works element by element gives the same bytes along both."""
+    Every node but the basepoint first takes the last edge of its
+    row-first path: along the basepoint row east, then west, then down and
+    then up the columns, one row at a time.  Each valid node whose
+    row-first path crosses an invalid node, and that ``bfs_tree`` reaches,
+    then takes its edge from its tree parent, in the tree's visit order.
+    The last edge into a node ends its path; the nodes reached are the
+    valid ones whose row-first path is clear, and the rerouted ones."""
     ny, nx = mask.shape
-    every = slice(None)
-    steps = [((j0, i - 1), (j0, i)) for i in range(i0 + 1, nx)]
-    steps += [((j0, i + 1), (j0, i)) for i in range(i0 - 1, -1, -1)]
-    steps += [((j - 1, every), (j, every)) for j in range(j0 + 1, ny)]
-    steps += [((j + 1, every), (j, every)) for j in range(j0 - 1, -1, -1)]
-    paired, reached = walk(mask, j0, i0)
-    return steps + paired[lattice_steps(nx, ny, i0, j0):], reached
+
+    def clear(j, i):
+        # the row-first path from the basepoint to (j, i) crosses no
+        # invalid node
+        return all(mask[j0, k] for k in range(min(i0, i), max(i0, i) + 1)) \
+            and all(mask[k, i] for k in range(min(j0, j), max(j0, j) + 1))
+
+    edges = [((j0, i - 1), (j0, i)) for i in range(i0 + 1, nx)]
+    edges += [((j0, i + 1), (j0, i)) for i in range(i0 - 1, -1, -1)]
+    edges += [((j - 1, i), (j, i)) for j in range(j0 + 1, ny)
+              for i in range(nx)]
+    edges += [((j + 1, i), (j, i)) for j in range(j0 - 1, -1, -1)
+              for i in range(nx)]
+    reached = np.zeros((ny, nx), dtype=bool)
+    for j, i in np.ndindex(ny, nx):
+        reached[j, i] = bool(mask[j, i]) and clear(j, i)
+    for src, dst in bfs_tree(mask, j0, i0):
+        if not clear(*dst):
+            edges.append((src, dst))
+            reached[dst] = True
+    return [(a * nx + b, c * nx + d) for (a, b), (c, d) in edges], reached
+
+
+def walk_paths(mask, j0, i0):
+    """{node: its path}, the flat indices of the edges' ends from the
+    basepoint to the node, for each node ``walk_edges`` reaches."""
+    edges, reached = walk_edges(mask, j0, i0)
+    parent = {node: src for src, node in edges}
+    paths = {}
+    for node in np.flatnonzero(reached).tolist():
+        path = [node]
+        while path[-1] in parent:
+            path.append(parent[path[-1]])
+        paths[node] = path[::-1]
+    return paths
+
+
+def one_edge_walk(g):
+    """``walk_edges`` of the grid ``g`` as ``DomainGrid.walk`` returns a
+    walk: one chain of one step per edge, in the same edge order."""
+    edges, reached = walk_edges(g.mask, g.j0, g.i0)
+    return [Chain(np.array([a]), np.array([[b]]), 2)
+            for a, b in edges], reached
 
 
 @pytest.fixture

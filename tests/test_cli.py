@@ -149,6 +149,34 @@ class TestParsing:
         assert err.count("\n") == 1 and "--grid" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--xrange", "0", "0"], ["--yrange", "1", "1"],
+        ["--xrange", "nan", "1"], ["--yrange", "-1", "nan"],
+        ["--xrange", "0", "inf"]],
+        ids=["x_zero_width", "y_zero_width", "x_nan", "y_nan", "x_inf"])
+    def test_degenerate_range_is_config_error(self, tmp_path, capsys, flags):
+        # coincident nodes, or bounds the grid cannot place
+        rc = main(["mesh", "--a", "1", "--Q", "1", "--h", "1", "--grid", "5",
+                   *flags, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and flags[0] in err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("xrange", [0, 0]), ("yrange", ["nan", 1])])
+    def test_config_degenerate_range_is_config_error(self, tmp_path, capsys,
+                                                     key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"h": ["1"], "a": "1", "Q": "1",
+                                   "grid": [5], key: value}))
+        out = tmp_path / "o"
+        rc = main(["--config", str(cfg), "mesh", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"--{key}" in err
+        assert not out.exists()
+
     def test_one_row_grid_still_meshes(self, tmp_path):
         rc = main(["mesh", "--a", "1", "--Q", "1", "--h", "1", "--grid",
                    "5", "1", "--yrange", "0", "0", "--out", str(tmp_path)])

@@ -10,12 +10,13 @@ from loopcmc.frames import (FrameError, PotentialSpec, SurfaceOptions,
                             TailBoundError, _sym_bobenko, _trimmed_band,
                             extract_curvature, flatness_residual,
                             integrate_frame, surface_from_potential)
-from loopcmc.grid import DomainGrid, bfs_tree, row_first_blocked, walk
+from loopcmc.grid import (Chain, DomainGrid, bfs_tree, row_first_blocked,
+                          walk)
 from loopcmc.loops import LoopMat, conv, entries_at, hat_extend, identity
 from loopcmc.weier import WeierstrassData, minimal_surface
 from conftest import (CATENOID_MU, CATENOID_NU, KUSNER_MU, KUSNER_NU,
-                      compact, dense_loop, enneper, expand, lattice_steps,
-                      one_sided_walk, sphere_oracle, unitary_gap)
+                      compact, dense_loop, enneper, expand, one_edge_walk,
+                      sphere_oracle, unitary_gap)
 from test_loops import random_su2
 
 
@@ -35,13 +36,16 @@ def sym_point(loop, h, lam0=1.0):
 
 def column_first_deviation(pot, grid, monkeypatch):
     """Max deviation between the row-first frames and those of the
-    column-first walk, which is the same steps on the transposed lattice;
+    column-first walk, which is the same chains on the transposed lattice;
     both must reach the same nodes."""
     row = integrate_frame(pot, grid)
 
     def col_first(g):
-        steps, reached = walk(g.mask.T, g.i0, g.j0)
-        return [(s[::-1], d[::-1]) for s, d in steps], reached.T
+        chains, reached = walk(g.mask.T, g.i0, g.j0)
+        # flat indices of the transposed lattice -> of the grid's
+        flat = np.arange(g.ny * g.nx).reshape(g.ny, g.nx).T.ravel()
+        return [Chain(flat[c.seed], flat[c.nodes], c.phase)
+                for c in chains], reached.T
     with monkeypatch.context() as m:
         m.setattr(DomainGrid, "walk", col_first)
         col = integrate_frame(pot, grid)
@@ -178,8 +182,22 @@ class TestIntegrateFrame:
         assert shapes.count(grid.zz.shape) == 3
         assert calls.count(grid.zz.shape) == 1
 
+    def test_walks_the_grid_once(self, monkeypatch):
+        # every series level takes the chains of one walk
+        walks = []
+        walk = DomainGrid.walk
+
+        def counted(g):
+            walks.append(g)
+            return walk(g)
+        monkeypatch.setattr(DomainGrid, "walk", counted)
+        fg = integrate_frame(PotentialSpec.normalized("2", "-4*z", 1.0),
+                             DomainGrid.square(0.5, 21))
+        assert fg.ntrunc > 1
+        assert len(walks) == 1 and walks[0] is fg.grid
+
     def test_path_independence(self, catenoid, monkeypatch):
-        # the column-first walk is the same steps on the transposed lattice
+        # the column-first walk is the same chains on the transposed lattice
         pot = minimal_to_potential(catenoid, 1.0)
         dev = column_first_deviation(pot, DomainGrid.square(1.0, 41),
                                      monkeypatch)
@@ -191,8 +209,8 @@ class TestIntegrateFrame:
         pot = minimal_to_potential(
             WeierstrassData(KUSNER_MU, KUSNER_NU, 0j), 1.0)
         grid = DomainGrid.square(0.85, 25)
-        steps, _ = integrate_frame(pot, grid).grid.walk()
-        assert len(steps) > lattice_steps(grid.nx, grid.ny, grid.i0, grid.j0)
+        chains, _ = integrate_frame(pot, grid).grid.walk()
+        assert any(c.phase == 2 for c in chains)
         assert column_first_deviation(pot, grid, monkeypatch) <= 1e-8
 
     @pytest.mark.parametrize("data, grid, tol", [
@@ -265,11 +283,11 @@ SWEEP_CASES = {
 
 
 class TestPairedSweep:
-    """The frame integrator takes the walk's steps, both sides of the
-    basepoint at once, as chains: one per side along the basepoint row and
-    the columns, and one per reroute depth.  Each node keeps its
-    row-then-column path, so the frames are those of the one-sided
-    reference walk byte for byte."""
+    """The frame integrator takes the walk's chains, one per side of the
+    basepoint along its row and the columns, and one per reroute depth,
+    in one pass per series level.  Each node keeps its row-then-column
+    path, so the frames are those of the reference walk that takes one
+    edge at a time (``conftest.walk_edges``) byte for byte."""
 
     @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
     def test_advances_and_bytes(self, case, monkeypatch):
@@ -303,8 +321,7 @@ class TestPairedSweep:
             assert not np.allclose(pot.initial_frame(), np.eye(2))
         assert (depths > 0) == (case == "kusner")
         with monkeypatch.context() as m:
-            m.setattr(DomainGrid, "walk",
-                      lambda g: one_sided_walk(g.mask, g.j0, g.i0))
+            m.setattr(DomainGrid, "walk", one_edge_walk)
             ref = integrate_frame(pot, grid)
         assert (fg.lo, fg.ntrunc) == (ref.lo, ref.ntrunc)
         assert np.array_equal(fg.ok, ref.ok)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopcmc import expr as ex
-from loopcmc.grid import (DomainGrid, bfs_tree, chain_ends, chain_sums,
-                          row_first_blocked, sweep, walk_chains)
+from loopcmc.grid import (Chain, DomainGrid, bfs_tree, chain_ends,
+                          chain_sums, row_first_blocked)
 from loopcmc.weier import _cumulative_grid_integral
-from conftest import lattice_steps, one_sided_walk
+from conftest import walk_paths
 
 
 @pytest.fixture
@@ -38,13 +38,36 @@ def reached(g):
         out = grown
 
 
+def carry(g, chains, edge_value, reached, start=0.3):
+    """``start`` at the basepoint carried along ``chains`` (a walk of
+    ``g``) by ``chain_sums``, each edge adding ``edge_value(a, b)`` of its
+    flat end indices, (ny, nx), NaN outside ``reached``."""
+    a, b = chain_ends(chains)
+    vals = np.full(g.nx * g.ny, np.nan, dtype=complex)
+    vals[g.j0 * g.nx + g.i0] = start
+    chain_sums(chains, edge_value(a, b), vals)
+    vals = vals.reshape(g.ny, g.nx)
+    vals[~reached] = np.nan
+    return vals
+
+
+def edge_table(g):
+    """Random complex values of the edges of ``g``, by their two ends'
+    flat indices."""
+    n = g.nx * g.ny
+    rng = np.random.default_rng(n)
+    table = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return lambda a, b: table[a, b]
+
+
 class TestSweep:
     def test_reroute_reaches_every_connected_node(self, walled):
         g = walled
-        state = np.full((g.ny, g.nx), np.nan, dtype=complex)
-        state[g.j0, g.i0] = 0.0
-        g.sweep(state, lambda s, za, zb, k: s + (zb - za))
+        chains, got = g.walk()
+        zz = g.zz.ravel()
+        state = carry(g, chains, lambda a, b: zz[b] - zz[a], got, 0.0)
         conn = reached(g)
+        assert np.array_equal(got, conn)
         assert np.count_nonzero(g.mask & ~conn) == 1
         # the nodes right behind the wall are only reached by rerouting
         assert conn[g.j0 + 5, g.i0]
@@ -53,29 +76,24 @@ class TestSweep:
 
     def test_reroutes_one_step_per_tree_depth(self, walled):
         # the rerouted nodes are reached one breadth-first depth at a
-        # time, with the states the tree's edges taken one by one give
+        # time, with the values the tree's edges taken one by one give
         g = walled
-        steps, reached = g.walk()
+        chains, reached = g.walk()
         blocked = row_first_blocked(g.mask, g.j0, g.i0)
         tree = bfs_tree(g.mask, g.j0, g.i0)
         depth = {(g.j0, g.i0): 0}
         for src, dst in tree:
             depth[dst] = depth[src] + 1
         rerouted = [(src, dst) for src, dst in tree if blocked[dst]]
-        lattice = lattice_steps(g.nx, g.ny, g.i0, g.j0)
-        assert len(steps) - lattice == len({depth[d] for _, d in rerouted})
-        one_by_one = steps[:lattice] + rerouted
-
-        def advance(s, za, zb, k):
-            # ufuncs: on numpy scalars they round as on arrays
-            return np.multiply(s, np.exp(zb - za)) \
-                + np.exp(np.multiply(za, zb))
-        states = []
-        for walk in (steps, one_by_one):
-            state = np.full((g.ny, g.nx), np.nan, dtype=complex)
-            state[g.j0, g.i0] = 0.3
-            sweep(g.zz, walk, reached, state, advance)
-            states.append(state)
+        lattice = [c for c in chains if c.phase < 2]
+        assert len(chains) - len(lattice) \
+            == len({depth[d] for _, d in rerouted})
+        flat = np.arange(g.nx * g.ny).reshape(g.ny, g.nx)
+        one_by_one = lattice + [Chain(flat[src][None], flat[dst][None, None],
+                                      2) for src, dst in rerouted]
+        edge_value = edge_table(g)
+        states = [carry(g, walk, edge_value, reached)
+                  for walk in (chains, one_by_one)]
         assert states[0].tobytes() == states[1].tobytes()
         assert np.count_nonzero(np.isfinite(states[0])) \
             == np.count_nonzero(reached)
@@ -110,59 +128,43 @@ def masked_grids(draw, largest=9):
                       i0, j0, mask)
 
 
-def step_nodes(g, part):
-    """The flat node indices, in step order, of one side ``part`` of a
-    step: one node, index arrays or whole rows."""
-    return np.ravel(np.arange(g.nx * g.ny).reshape(g.ny, g.nx)[part])
-
-
 class TestWalkProperties:
     @settings(max_examples=150, deadline=None)
     @given(g=masked_grids())
     def test_each_node_reached_once_from_earlier_nodes(self, g):
-        steps, got = g.walk()
+        chains, got = g.walk()
         assert np.array_equal(got, reached(g))
-        lattice = lattice_steps(g.nx, g.ny, g.i0, g.j0)
-        assert lattice == max(g.i0, g.nx - 1 - g.i0) \
-            + max(g.j0, g.ny - 1 - g.j0)
-        assert len(steps) >= lattice
+        # the lattice chains: the basepoint row east and west, one node a
+        # step, then the columns down and up, one whole row a step; a side
+        # with no node has no chain
+        phases = [c.phase for c in chains]
+        assert phases == sorted(phases)
+        lengths = {p: [len(c.nodes) for c in chains if c.phase == p]
+                   for p in (0, 1)}
+        assert lengths[0] == [d for d in (g.nx - 1 - g.i0, g.i0) if d]
+        assert lengths[1] == [d for d in (g.ny - 1 - g.j0, g.j0) if d]
+        assert all(c.nodes.shape[1] == (1, g.nx, len(c.seed))[c.phase]
+                   for c in chains)
         base = g.j0 * g.nx + g.i0
         done = {base}
         count = np.zeros(g.nx * g.ny, dtype=int)
-        for k, (src, dst) in enumerate(steps):
-            s, d = step_nodes(g, src), step_nodes(g, dst)
-            assert len(s) == len(d) == len(set(d))
-            # sources are the basepoint or earlier destinations, and a
-            # reroute step starts from nodes the walk reaches
-            assert set(s) <= done
-            if k >= lattice:
-                assert np.all(got.ravel()[s])
-            done |= set(d)
-            count[d] += 1
-        # the lattice steps reach every node once, the basepoint aside;
-        # the reroute steps then reach once each reached node whose
+        for c in chains:
+            for s, d in zip([c.seed, *c.nodes[:-1]], c.nodes):
+                assert len(s) == len(d) == len(set(d.tolist()))
+                # sources are the basepoint or earlier destinations, and a
+                # reroute step starts from nodes the walk reaches
+                assert set(s.tolist()) <= done
+                if c.phase == 2:
+                    assert np.all(got.ravel()[s])
+                done |= set(d.tolist())
+                count[d] += 1
+        # the lattice chains reach every node once, the basepoint aside;
+        # the reroute chains then reach once each reached node whose
         # row-first path the mask cuts, and no other
         blocked = row_first_blocked(g.mask, g.j0, g.i0).ravel()
         expect = 1 + (got.ravel() & blocked)
         expect[base] = 0
         assert np.array_equal(count, expect)
-
-    @settings(max_examples=100, deadline=None)
-    @given(g=masked_grids())
-    def test_sweep_matches_the_one_sided_walk(self, g):
-        # order-sensitive advance: each node's state depends on its whole
-        # path, so equal bytes mean equal paths
-        def advance(s, za, zb, k):
-            return np.multiply(s, np.exp(zb - za)) \
-                + np.exp(np.multiply(za, zb))
-        states = []
-        for steps, reached in (g.walk(),
-                               one_sided_walk(g.mask, g.j0, g.i0)):
-            state = np.full((g.ny, g.nx), np.nan, dtype=complex)
-            state[g.j0, g.i0] = 0.3
-            sweep(g.zz, steps, reached, state, advance)
-            states.append(state)
-        assert states[0].tobytes() == states[1].tobytes()
 
 
 def queue_bfs(mask, j0, i0):
@@ -213,52 +215,48 @@ class TestBreadthFirst:
 
 
 def assert_reroutes_are_the_queue_search(g):
-    """The walk's reroute steps are each tree depth's blocked nodes, in
+    """The walk's reroute chains are each tree depth's blocked nodes, in
     visit order, with their parents, as the queue search finds them."""
-    steps, reached = g.walk()
+    chains, reached = g.walk()
     blocked = row_first_blocked(g.mask, g.j0, g.i0)
     depth, levels = {(g.j0, g.i0): 0}, {}
     for src, dst in queue_bfs(g.mask, g.j0, g.i0):
         depth[dst] = depth[src] + 1
         if blocked[dst]:
             levels.setdefault(depth[dst], []).append(src + dst)
-    reroutes = steps[lattice_steps(g.nx, g.ny, g.i0, g.j0):]
+    reroutes = [c for c in chains if c.phase == 2]
     assert len(reroutes) == len(levels)
-    for ((js, is_), (jd, id_)), d in zip(reroutes, sorted(levels)):
+    for c, d in zip(reroutes, sorted(levels)):
+        assert c.nodes.shape == (1, len(c.seed))
+        (js, is_), (jd, id_) = (divmod(a, g.nx) for a in (c.seed, c.nodes[0]))
         assert np.stack([js, is_, jd, id_], axis=1).tolist() \
             == [list(t) for t in levels[d]]
 
 
 class TestChains:
-    """The walk's steps regrouped into chains: each chain's cumulative sums
-    are the step-by-step sweep's, byte for byte."""
+    """The walk's chains, summed by ``chain_sums``: each node's value is
+    the sum of the edges of its row-then-column path, or of its
+    breadth-first reroute, added one by one, byte for byte."""
 
     @settings(max_examples=150, deadline=None)
     @given(g=masked_grids())
-    def test_chain_sums_are_the_sweep(self, g):
-        n = g.nx * g.ny
-        rng = np.random.default_rng(n)
-        # an edge's value by its two nodes' flat indices
-        table = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        index = np.arange(n, dtype=float).reshape(g.ny, g.nx)
-        chains, reached = walk_chains(g)
-        start, end = chain_ends(chains)
-        vals = np.full(n, np.nan, dtype=complex)
-        vals[g.j0 * g.nx + g.i0] = 0.3
-        chain_sums(chains, table[start, end], vals)
-        vals = vals.reshape(g.ny, g.nx)
-        vals[~reached] = np.nan
-        state = np.full((g.ny, g.nx), np.nan, dtype=complex)
-        state[g.j0, g.i0] = 0.3
-        steps, walked = g.walk()
-        sweep(index, steps, walked, state,
-              lambda s, a, b, k: s + table[a.astype(int), b.astype(int)])
-        assert np.array_equal(reached, walked)
-        assert vals.tobytes() == state.tobytes()
+    def test_chain_sums_are_the_path_sums(self, g):
+        edge_value = edge_table(g)
+        chains, reached = g.walk()
+        vals = carry(g, chains, edge_value, reached).ravel()
+        ref = np.full(g.nx * g.ny, np.nan, dtype=complex)
+        for node, path in walk_paths(g.mask, g.j0, g.i0).items():
+            v = 0.3 + 0j
+            for a, b in zip(path, path[1:]):
+                v = v + complex(edge_value(a, b))
+            ref[node] = v
+        assert np.array_equal(reached.ravel(), np.isfinite(ref))
+        assert vals.tobytes() == ref.tobytes()
         # one chain per side of the basepoint along the row and the
-        # columns, one per reroute step
-        lattice = lattice_steps(g.nx, g.ny, g.i0, g.j0)
+        # columns, one per reroute depth
+        start, _ = chain_ends(chains)
+        depths = sum(c.phase == 2 for c in chains)
         sides = (g.i0 > 0) + (g.i0 < g.nx - 1) + (g.j0 > 0) + (g.j0 < g.ny - 1)
-        assert len(chains) == sides + len(steps) - lattice
-        assert len(start) == n - 1 + sum(
-            np.size(index[d]) for _, d in steps[lattice:])
+        assert len(chains) == sides + depths
+        assert len(start) == g.nx * g.ny - 1 + np.count_nonzero(
+            reached & row_first_blocked(g.mask, g.j0, g.i0))

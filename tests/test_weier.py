@@ -16,7 +16,7 @@ from loopcmc.weier import (InvalidDataError, WeierstrassData,
                            initial_frame, metric_hopf, minimal_surface,
                            pcomponent_residual)
 from conftest import (ORDER5_A, ORDER5_P, catenoid_oracle, enneper,
-                      lattice_steps, one_sided_walk)
+                      walk_edges)
 
 
 class TestIntegrand:
@@ -188,14 +188,13 @@ class TestWalkPrimitive:
         z0 = grid.z0 + (1e-11 * min(half) * (1 - 1j) if nudge else 0)
         nodes, points = _walk_primitive(ex.Prim(integrand, z0), grid)
         ref_nodes = ex.integrate_path(integrand, z0, grid.zz)
-        steps, _ = grid.walk()
-        assert len(steps) == lattice_steps(nx, ny, grid.i0, grid.j0)
+        chains, _ = grid.walk()
+        assert all(c.phase < 2 for c in chains)
         # the points arrive flat, in the edge order of the blocked pass:
         # the basepoint row east then west, then the rows down then up
-        steps, _ = one_sided_walk(grid.mask, grid.j0, grid.i0)
-        pts = np.concatenate([_gl_stack(grid.zz[src], grid.zz[dst])[0]
-                              .reshape(-1, points.shape[1])
-                              for src, dst in steps])
+        src, dst = np.array(walk_edges(grid.mask, grid.j0, grid.i0)[0]).T
+        zz = grid.zz.ravel()
+        pts = _gl_stack(zz[src], zz[dst])[0]
         assert points.shape == pts.shape
         got = np.concatenate([nodes.ravel(), points.ravel()])
         ref = np.concatenate([ref_nodes.ravel(),
@@ -226,6 +225,20 @@ class TestWalkPrimitive:
         assert mesh.mask.all()
         assert paths == []
         assert sum(points) <= 12 * (50 + 51 * 50)
+
+    def test_order5_mesh_walks_the_grid_twice(self, monkeypatch):
+        # one walk of the whole lattice for the primitive's values, shared
+        # by its edge integrals and its cumulative pass, and one of the
+        # masked grid for the mesh's integral
+        walks = []
+        walk = DomainGrid.walk
+
+        def counted(g):
+            walks.append(g)
+            return walk(g)
+        monkeypatch.setattr(DomainGrid, "walk", counted)
+        minimal_surface(order5_data(), DomainGrid.square(0.5, 51))
+        assert len(walks) == 2
 
     def test_reroute_around_a_zero_of_a(self, tmp_path):
         # a = z - 0.3 vanishes on the basepoint row: its 3 x 3 block is
@@ -296,10 +309,10 @@ class TestBlockedIntegral:
         got = _cumulative_grid_integral(
             lambda pts, edges: _fz_components(self.W.mu(pts),
                                               self.W.nu(pts)).T, grid, 3)
-        steps, reached = grid.walk()
+        chains, reached = grid.walk()
         assert np.array_equal(np.all(np.isfinite(got), axis=-1), reached)
         if shape == "wall":
-            assert len(steps) > len(xs) + len(ys) - 2
+            assert any(c.phase == 2 for c in chains)
         ref, scale = self.reference(grid)
         assert np.max(np.abs(got - ref)[reached]) <= 1e-13 * scale
 

@@ -88,9 +88,9 @@ def build_grid(args, z0) -> DomainGrid:
     for flag, (lo, hi), n in (("--xrange", xr, nx), ("--yrange", yr, ny)):
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ConfigError(f"{flag} bounds must be finite, got {lo} {hi}")
-        if n > 1 and lo == hi:
-            raise ConfigError(f"{flag} has zero width for {n} nodes; give "
-                              "two different bounds or one node")
+        if n > 1 and lo >= hi:
+            raise ConfigError(f"{flag} must increase for {n} nodes, got "
+                              f"{lo} {hi}; give lo < hi or one node")
     try:
         return DomainGrid.make(xr[0], xr[1], nx, yr[0], yr[1], ny, z0)
     except GridError as err:
@@ -119,9 +119,11 @@ def build_options(args) -> SurfaceOptions:
     return opts
 
 
-def load_data(args):
+def load_data(args, from_basepoint=True):
     """The one data source of a command: a WeierstrassData from --mu/--nu
-    or a PotentialSpec (h = 0) from --a/--Q."""
+    or a PotentialSpec (h = 0) from --a/--Q.  A potential that the command
+    integrates ``from_basepoint`` must have ``a`` finite and nonzero and
+    Q/a finite there."""
     has_classical = bool(getattr(args, "mu", None)) or bool(getattr(args, "nu", None))
     has_normalized = bool(getattr(args, "a", None)) or bool(getattr(args, "Q", None))
     if has_classical == has_normalized:
@@ -134,9 +136,19 @@ def load_data(args):
             return WeierstrassData(args.mu, args.nu, z0)
         if not (args.a and args.Q):
             raise ConfigError("normalized data needs both --a and --Q")
-        return PotentialSpec.normalized(args.a, args.Q, 0.0, z0)
+        p = PotentialSpec.normalized(args.a, args.Q, 0.0, z0)
     except ex.ExprSyntaxError as err:
         raise ConfigError(f"bad expression: {err}")
+    if not from_basepoint:
+        return p
+    # the frame starts at z0, and nu = -int Q/a from there
+    with np.errstate(all="ignore"):
+        a0, lower0 = ex.evaluate((p.a, ex.Div(p.Q, p.a)), z0)
+    if not (np.isfinite(a0) and a0 != 0 and np.isfinite(lower0)):
+        raise ConfigError(f"a = {a0} and Q/a = {lower0} at the basepoint "
+                          f"{z0}: a must be finite and nonzero and Q/a "
+                          "finite there; pick another --basepoint")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +333,7 @@ def cmd_convert(args):
 
 
 def cmd_check(args):
-    data = load_data(args)
+    data = load_data(args, from_basepoint=False)
     report = {"command": "check", "checks": {}}
     samples = ring_samples(args.sample_radius, 24, data.z0)
     if args.symmetry:

@@ -11,8 +11,7 @@ elsewhere in the package.
 Expressions are evaluated exactly as written; there is no simplification
 beyond constant folding in derivative construction.  ``sqrt`` uses the
 principal branch per evaluation; continuity along a path is the caller's
-job (``weier.coordinate_frame_grid`` carries it along the chains of the
-grid walk).
+job.
 
 A :class:`Prim` node is the primitive of an integrand from a basepoint,
 evaluated by path quadrature (:func:`integrate_path`) unless the caller
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -34,7 +33,8 @@ __all__ = [
     "as_expr", "parse", "evaluate", "primitive", "diff", "taylor",
     "series_mul", "series_div", "series_sqrt", "series_exp", "series_diff",
     "to_text", "OrderResult", "order_at", "integrate_path",
-    "gauss_segment", "interpolant_integrals", "as_polynomial",
+    "gauss_segment", "panel_points", "interpolant_integrals",
+    "as_polynomial",
 ]
 
 
@@ -760,6 +760,10 @@ def order_at(e: ExprNode, z0: complex, radius: float = 1e-3, npoints: int = 24,
 PATH_MAX_STEP = 0.25
 PATH_GL_N = 12
 
+# the collocation rule along the grid walk, shared by the frame integrator
+# and the h = 0 sweep: WALK_GL_N Gauss-Legendre points per panel of an edge
+WALK_GL_N = 4
+
 _GL_CACHE = {}
 
 
@@ -770,27 +774,37 @@ def _gl_nodes(n):
     return _GL_CACHE[n]
 
 
-def interpolant_integrals(n, pieces, targets):
-    """(len(targets) + 1, pieces * n) weights taking an edge's integrand
-    values at the points of ``pieces`` equal pieces of ``n``-point
-    Gauss-Legendre to its integrals from its start to each of ``targets``
-    (positions along the edge, 0 at its start and 1 at its end) and, in
-    the last row, to its end, per unit of the edge's dz.  The piece holding
-    a target enters by the integral of its values' Legendre interpolant,
-    the pieces before it by their quadrature."""
+def panel_points(n, panels):
+    """The points of ``panels`` equal panels of ``n``-point Gauss-Legendre
+    each, as positions along an edge (0 at its start, 1 at its end)."""
+    x = _gl_nodes(n)[0]
+    return ((np.arange(panels)[:, None] + (x + 1) / 2) / panels).ravel()
+
+
+@lru_cache(maxsize=32)
+def interpolant_integrals(n, pieces, panels):
+    """(WALK_GL_N * panels + 1, n * pieces), read-only: weights taking an
+    edge's integrand values at ``panel_points(n, pieces)`` to its integrals
+    from its start to each of the walk's collocation points
+    ``panel_points(WALK_GL_N, panels)`` and, in the last row, to its end,
+    per unit of the edge's dz.  The piece holding a point enters by the
+    integral of its values' Legendre interpolant, the pieces before it by
+    their quadrature."""
     leg = np.polynomial.legendre
     x, w = _gl_nodes(n)
     # the Lagrange basis of the nodes as Legendre series,
     # l_m = sum_k (k + 1/2) w_m P_k(x_m) P_k, integrated from -1
     basis = (np.arange(n)[:, None] + 0.5) * leg.legvander(x, n - 1).T * w
     integral = leg.legint(basis, lbnd=-1, axis=0)
-    t = np.asarray(targets) * pieces
+    t = panel_points(WALK_GL_N, panels) * pieces
     piece = np.minimum(t.astype(int), pieces - 1)
     out = np.where((np.arange(pieces) < piece[:, None])[..., None], w, 0.0)
     local = 2 * (t - piece) - 1
     out[np.arange(len(t)), piece] = leg.legvander(local, n) @ integral
-    return np.concatenate([out.reshape(len(t), pieces * n),
-                           np.tile(w, (1, pieces))]) / (2 * pieces)
+    out = np.concatenate([out.reshape(len(t), pieces * n),
+                          np.tile(w, (1, pieces))]) / (2 * pieces)
+    out.flags.writeable = False
+    return out
 
 
 def gauss_segment(f, za, zb, max_step=PATH_MAX_STEP, gl_n=PATH_GL_N):
@@ -810,10 +824,10 @@ def gauss_segment(f, za, zb, max_step=PATH_MAX_STEP, gl_n=PATH_GL_N):
     pieces = np.where(length == 0.0, 0,
                       np.maximum(1, np.ceil(length / max_step))).astype(int)
     out = np.zeros(dz.shape, dtype=complex)
-    x, w = _gl_nodes(gl_n)
+    w = _gl_nodes(gl_n)[1]
     for p in np.unique(pieces[pieces > 0]):
         sel = np.flatnonzero(pieces == p)
-        ts = ((np.arange(p)[:, None] + (x[None, :] + 1) / 2) / p).ravel()
+        ts = panel_points(gl_n, p)
         pts = start[sel, None] + ts[None, :] * dz[sel, None]
         vals = np.asarray(f(pts.ravel())).reshape(len(sel), p * gl_n)
         total = np.sum(vals * np.tile(w, p), axis=-1)

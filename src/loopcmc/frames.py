@@ -43,7 +43,6 @@ into the mesh of Phi by one rotation.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -101,16 +100,13 @@ class PotentialSpec:
 
 # A frame whose series tail bound stays above TAIL_FAIL at the truncation
 # cap is an error; nodes where a potential entry is non-finite or above
-# ENTRY_BOUND are masked, with MASK_DILATE rings around them; the frame is
-# integrated by collocation at FRAME_GL_N Gauss-Legendre points per panel
-# of each grid edge (``SurfaceOptions.substeps`` equal panels); Iwasawa
+# ENTRY_BOUND are masked, with MASK_DILATE rings around them; Iwasawa
 # factorization runs in chunks of CHUNK nodes, each node's frame cut to the
 # band outside of which its slots sum to at most TRIM_EPS of its largest
 # entry.
 TAIL_FAIL = 1e-6
 ENTRY_BOUND = 1e8
 MASK_DILATE = 1
-FRAME_GL_N = 4
 CHUNK = 256
 TRIM_EPS = float(np.finfo(float).eps)
 
@@ -196,27 +192,6 @@ def _times_potential(psi, scale):
     return psi[..., ::-1] * scale[..., None, :]
 
 
-@functools.lru_cache(maxsize=8)
-def _level_weights(panels):
-    """(m + 1, m), read-only, m = FRAME_GL_N * panels: weights taking an
-    edge's values at its collocation points (``panels`` equal panels of
-    FRAME_GL_N Gauss-Legendre points) to its integrals from its start to
-    each of those points and, in the last row, to its end, per unit of the
-    edge's dz: the integrals of their Legendre interpolant
-    (``expr.interpolant_integrals``)."""
-    out = ex.interpolant_integrals(FRAME_GL_N, panels, _panel_points(panels))
-    out.flags.writeable = False
-    return out
-
-
-def _panel_points(panels):
-    """The collocation points of an edge, as positions along it (0 at its
-    start, 1 at its end): ``panels`` equal panels of FRAME_GL_N
-    Gauss-Legendre points each."""
-    x = ex._gl_nodes(FRAME_GL_N)[0]
-    return ((np.arange(panels)[:, None] + (x + 1) / 2) / panels).ravel()
-
-
 def integrate_frame(p: PotentialSpec, grid: DomainGrid,
                     options: SurfaceOptions | None = None) -> FrameGrid:
     """Integrate the holomorphic frame Psi, Psi(z0) = I, over the grid.
@@ -227,14 +202,15 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
     levels are integrated one at a time along the chains of the grid walk
     (``DomainGrid.walk``: the basepoint row, then the columns, then
     breadth-first rerouting around masked nodes) by Gauss-Legendre
-    collocation: the entries are evaluated once, in one call, at
-    ``options.substeps`` equal panels of FRAME_GL_N points on every edge;
-    level k at those points, times the potential, gives every edge's
-    integrals to each point and to its end in one product with the
-    Legendre weights (:func:`_level_weights`); cumulative sums of the
-    edges' integrals along the chains give level k at the nodes, and each
-    edge's start value plus its partial integrals give it at the points.
-    That is Gauss-Legendre collocation of order 2 * FRAME_GL_N per panel,
+    collocation, the rule the h = 0 sweep shares: the entries are
+    evaluated once, in one call, at ``options.substeps`` equal panels of
+    ``expr.WALK_GL_N`` points on every edge (``expr.panel_points``); level
+    k at those points, times the potential, gives every edge's integrals
+    to each point and to its end in one product with the Legendre weights
+    (``expr.interpolant_integrals``); cumulative sums of the edges'
+    integrals along the chains give level k at the nodes, and each edge's
+    start value plus its partial integrals give it at the points.  That is
+    Gauss-Legendre collocation of order 2 * ``expr.WALK_GL_N`` per panel,
     solved exactly since each level only reads the one below.
 
     The initial unitary frame E0 is not multiplied in: a unitary left
@@ -297,13 +273,14 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
     start, end = chain_ends(chains)
     zz = work.zz.ravel()
     dz = zz[end] - zz[start]
-    t = _panel_points(opts.substeps)
+    t = ex.panel_points(ex.WALK_GL_N, opts.substeps)
     m = len(t)
     # (lower, upper) times dz at the collocation points, entry-first, then
     # point by point, the edges last in the chains' edge order: (2, m, edges)
     ent = np.stack(ex.evaluate((lower, upper), zz[start] + t[:, None] * dz))
     ent *= dz
-    weights = _level_weights(opts.substeps)
+    weights = ex.interpolant_integrals(ex.WALK_GL_N, opts.substeps,
+                                       opts.substeps)
     psi = np.empty((zz.size, nk, 2), dtype=complex)
     psi[:, -1] = 1.0                         # Psi_0 = I
     level = np.zeros((2, zz.size), dtype=complex)   # Psi_k, node-last

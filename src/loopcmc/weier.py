@@ -16,22 +16,23 @@ every kind of data evaluates vectorised and differentiates symbolically.
 
 A mesh integrates G = int (mu, mu nu, mu nu^2) dz, from which f_z's
 integral follows by linearity, in one blocked pass along the chains of
-the grid walk (``DomainGrid.walk``, ``_walk_sums``): the basepoint row's
-chains are one block, the column chains come in blocks of whole rows of
-at most BLOCK_POINTS Gauss-Legendre points, and each reroute chain around
-masked nodes is a block.  Each block evaluates the data once at all its
-points; its nodes take cumulative sums from the block's source row.  A
-primitive that starts at the grid's basepoint is not integrated per
-point: the same pass over the whole lattice, edge by edge at the
-quadrature's own rule, gives its values at the nodes and at the sweep's
-points (``_walk_primitive``), and ``expr.evaluate`` takes them as
-substitutions.
+the grid walk (``DomainGrid.walk``, ``_walk_sums``) by the frame
+integrator's collocation rule: ``expr.WALK_GL_N`` = 4 Gauss-Legendre
+points per edge (``expr.panel_points``, ``expr.interpolant_integrals``),
+one rule for both integrators.  The basepoint row's chains are one block,
+the column chains come in blocks of whole rows of at most BLOCK_POINTS
+points, and each reroute chain around masked nodes is a block.  Each
+block evaluates the data once at all its points; its nodes take
+cumulative sums from the block's source row.  A primitive that starts at
+the grid's basepoint is not integrated per point: the same pass over the
+whole lattice, edge by edge at the quadrature's own rule, gives its
+values at the nodes and at the sweep's points (``_walk_primitive``), and
+``expr.evaluate`` takes them as substitutions.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,6 @@ from .mesh import SurfaceMesh
 __all__ = [
     "WeierstrassData", "InvalidDataError", "minimal_surface", "metric_hopf",
     "initial_frame", "regularity_mask", "regularity_report",
-    "coordinate_frame_grid", "pcomponent_residual",
 ]
 
 
@@ -142,9 +142,6 @@ def regularity_mask(mu, nu, grid: DomainGrid, dilate=1):
 # ---------------------------------------------------------------------------
 # Integration sweeps
 
-# Gauss-Legendre points per edge of the integration sweep
-SWEEP_GL_N = 8
-
 # sweep points in one block of the blocked pass (at least one row): bounds
 # the integrand arrays of one block, so peak memory does not grow with the
 # grid
@@ -165,7 +162,7 @@ def _walk_blocks(grid: DomainGrid):
     blocks = []
     for c in chains:
         if c.phase == 1:
-            per = max(1, BLOCK_POINTS // (SWEEP_GL_N * c.nodes.shape[1]))
+            per = max(1, BLOCK_POINTS // (ex.WALK_GL_N * c.nodes.shape[1]))
             blocks += [[Chain(c.nodes[at - 1] if at else c.seed,
                               c.nodes[at:at + per], 1)]
                        for at in range(0, len(c.nodes), per)]
@@ -200,39 +197,24 @@ def _walk_sums(grid: DomainGrid, blocks, reached, edge_sums, width):
     return vals
 
 
-def _gl_stack(za, zb):
-    x, wgt = ex._gl_nodes(SWEEP_GL_N)
-    pts = za[..., None] + (x[None, :] + 1) / 2 * (zb - za)[..., None]
-    return pts, wgt
-
-
-def _real_product(vals, weights):
-    """``vals @ weights`` for complex (n, m) ``vals`` and real (m, k)
-    ``weights``, as one real product of the interleaved real and imaginary
-    parts of ``vals``.  With threaded BLAS, numpy's complex-by-real
-    product of such thin matrices takes 20 to 60 times as long, and two
-    real products of the strided parts 3 to 4 times as long."""
-    m, k = weights.shape
-    pair = np.zeros((m, 2, k, 2))
-    pair[:, 0, :, 0] = pair[:, 1, :, 1] = weights
-    flat = np.ascontiguousarray(vals, dtype=complex).view(float)
-    return (flat @ pair.reshape(2 * m, 2 * k)).view(complex)
-
-
 def _cumulative_grid_integral(fvec, grid: DomainGrid, width):
     """Cumulative integral of a vector-valued integrand over the walk of
     ``grid`` from its basepoint (``_walk_sums``), (ny, nx, width): one
-    SWEEP_GL_N-point Gauss-Legendre segment per edge, one ``fvec`` call
-    per block.  ``fvec(points, edges)`` gets the sweep points of the
-    pass's edges ``edges`` (a slice in ``_walk_blocks``' edge order), flat,
-    SWEEP_GL_N to an edge, and returns the integrand there as
+    ``expr.WALK_GL_N``-point Gauss-Legendre panel per edge, the frame
+    integrator's rule, and one ``fvec`` call per block.  ``fvec(points,
+    edges)`` gets the sweep points of the pass's edges ``edges`` (a slice
+    in ``_walk_blocks``' edge order), flat, points first and edges last
+    ``(WALK_GL_N, edges)``, and returns the integrand there as
     (width, len(points))."""
+    t = ex.panel_points(ex.WALK_GL_N, 1)
+    weights = ex.interpolant_integrals(ex.WALK_GL_N, 1, 1)[-1]
 
     def edge_sums(za, zb, edges):
-        pts, wgt = _gl_stack(za, zb)
-        fv = np.reshape(fvec(pts.ravel(), edges), (-1, SWEEP_GL_N))
-        total = _real_product(fv, wgt[:, None]).reshape(width, -1)
-        return (zb - za)[:, None] / 2.0 * total.T
+        dz = zb - za
+        vals = np.ascontiguousarray(np.reshape(
+            fvec((za + t[:, None] * dz).ravel(), edges),
+            (width, len(t), -1)), dtype=complex)
+        return ((weights @ vals.view(float)).view(complex) * dz).T
 
     return _walk_sums(grid, *_walk_blocks(grid), edge_sums, width)
 
@@ -240,43 +222,31 @@ def _cumulative_grid_integral(fvec, grid: DomainGrid, width):
 # ---------------------------------------------------------------------------
 # Primitives along the grid walk
 
-@functools.cache
-def _edge_weights(pieces):
-    """(SWEEP_GL_N + 1, pieces * PATH_GL_N) weights taking an edge's
-    integrand values at integrate_path's points (``pieces`` equal pieces of
-    PATH_GL_N Gauss-Legendre points) to its integrals from its start to the
-    sweep's abscissae and, in the last row, to its end, per unit of the
-    edge's dz (``expr.interpolant_integrals``)."""
-    out = ex.interpolant_integrals(
-        ex.PATH_GL_N, pieces, (ex._gl_nodes(SWEEP_GL_N)[0] + 1) / 2)
-    out.flags.writeable = False
-    return out
-
-
 def _edge_integrals(integrand, za, zb):
     """Integrals of ``integrand`` over the straight edges za -> zb (n,) by
     integrate_path's rule, (n,), and from za to each edge's sweep points,
-    (n, SWEEP_GL_N).  Edges with the same piece count share one
+    (WALK_GL_N, n).  Edges with the same piece count share one
     evaluation."""
     dz = zb - za
     pieces = np.maximum(1, np.ceil(np.abs(dz) / ex.PATH_MAX_STEP)).astype(int)
-    x = ex._gl_nodes(ex.PATH_GL_N)[0]
-    out = np.empty(dz.shape + (SWEEP_GL_N + 1,), dtype=complex)
+    out = np.empty((ex.WALK_GL_N + 1,) + dz.shape, dtype=complex)
     for p in np.unique(pieces):
         sel = np.flatnonzero(pieces == p)
-        ts = ((np.arange(p)[:, None] + (x + 1) / 2) / p).ravel()
-        vals = ex.evaluate(integrand, za[sel, None] + ts * dz[sel, None])
-        out[sel] = dz[sel, None] * _real_product(vals, _edge_weights(p).T)
-    return out[:, -1], out[:, :-1]
+        ts = ex.panel_points(ex.PATH_GL_N, p)
+        vals = np.ascontiguousarray(ex.evaluate(
+            integrand, za[sel] + ts[:, None] * dz[sel]), dtype=complex)
+        weights = ex.interpolant_integrals(ex.PATH_GL_N, p, 1)
+        out[:, sel] = dz[sel] * (weights @ vals.view(float)).view(complex)
+    return out[-1], out[:-1]
 
 
 def _walk_primitive(prim: ex.Prim, grid: DomainGrid):
     """Values of ``prim`` from one cumulative pass along the walk of the
     whole lattice (``DomainGrid.walk`` with no node masked): at the nodes,
-    (ny, nx), and at the sweep's points of the walk's edges, flat in
-    ``_walk_blocks``' edge order, (edges, SWEEP_GL_N).  Those edges, along
-    the basepoint row and then down and up the columns, open the blocks of
-    the grid under any mask, in the same order.
+    (ny, nx), and at the sweep's points of the walk's edges, the edges
+    last in ``_walk_blocks``' edge order, (WALK_GL_N, edges).  Those
+    edges, along the basepoint row and then down and up the columns, open
+    the blocks of the grid under any mask, in the same order.
 
     The walk reaches every node, and every point of its edges, by
     integrate_path's horizontal-then-vertical path from the basepoint, and
@@ -292,7 +262,7 @@ def _walk_primitive(prim: ex.Prim, grid: DomainGrid):
     total, part = _edge_integrals(prim.integrand, flat[src], flat[dst])
     nodes = _walk_sums(lattice, blocks, reached,
                        lambda za, zb, edges: total[edges, None], 1)[..., 0]
-    points = nodes.ravel()[src, None] + part
+    points = nodes.ravel()[src] + part
     if prim.z0 != grid.z0:
         shift = ex.evaluate(prim, grid.z0)
         nodes, points = nodes + shift, points + shift
@@ -340,8 +310,9 @@ def minimal_surface(w: WeierstrassData, grid: DomainGrid) -> SurfaceMesh:
     """Minimal surface mesh from Weierstrass data, f(z0) = 0.
 
     The integrals G = int (mu, mu nu, mu nu^2) dz are swept over the grid
-    by Gauss-Legendre segments in row blocks (``_cumulative_grid_integral``),
-    two complex products a point; f_z integrates to F = (G0 - G2,
+    in row blocks at 4 Gauss-Legendre points per edge, the frame
+    integrator's rule (``_cumulative_grid_integral``), two complex products
+    a point; f_z integrates to F = (G0 - G2,
     -i (G0 + G2), -2 G1) by linearity.  mu and nu are evaluated once at
     the nodes and once per block at its segments' points.  A primitive
     (``expr.Prim``) in the data that starts at the grid's basepoint takes
@@ -362,8 +333,8 @@ def minimal_surface(w: WeierstrassData, grid: DomainGrid) -> SurfaceMesh:
     work = grid.with_mask(mask)
 
     def products(pts, edges):
-        subs = [(prim, points[edges].reshape(-1))
-                for prim, _, points in walked if edges.stop <= len(points)]
+        subs = [(prim, points[:, edges].reshape(-1))
+                for prim, _, points in walked if edges.stop <= points.shape[1]]
         mu = ex.evaluate(w.mu, pts, subs)
         nu = ex.evaluate(w.nu, pts, subs)
         out = np.empty((3, len(pts)), dtype=complex)
@@ -395,61 +366,3 @@ def minimal_surface(w: WeierstrassData, grid: DomainGrid) -> SurfaceMesh:
             "mask_causes": causes}
     return SurfaceMesh(grid=work, h=0.0, f=f, normal=normal, eu=eu, fz=fz,
                        mask=good, meta=meta)
-
-
-# ---------------------------------------------------------------------------
-# Frame field and the holomorphic-Gauss-map residual
-
-def coordinate_frame_grid(w: WeierstrassData, grid: DomainGrid):
-    """SU(2) coordinate frame at every node the grid walk reaches (NaN
-    elsewhere), with the square-root branch of mu carried from the
-    principal root at the basepoint along the walk's chains
-    (``DomainGrid.walk``), one row of a chain at a time: each step takes
-    the root s of mu at its end with Re(s conj(prev)) >= 0, prev the root
-    it comes from."""
-    return _frame_and_metric(w, grid)[0]
-
-
-def _frame_and_metric(w: WeierstrassData, grid: DomainGrid):
-    """``coordinate_frame_grid`` and the conformal factor e^u at the nodes,
-    from one evaluation of mu and nu there."""
-    mu = w.mu(grid.zz)
-    nu = w.nu(grid.zz)
-    root = np.sqrt(mu).ravel()
-    chains, reached = grid.walk()
-    s = np.empty_like(root)
-    base = grid.j0 * grid.nx + grid.i0
-    s[base] = root[base]
-    for seed, nodes, _ in chains:
-        prev = s[seed]
-        for row in nodes:
-            r = root[row]
-            prev = s[row] = np.where((r * np.conj(prev)).real < 0, -r, r)
-    s = s.reshape(mu.shape)
-    s[~reached] = np.nan
-    r = nu * s
-    eu = np.abs(mu) * (1.0 + np.abs(nu) ** 2)
-    pref = 1.0 / np.sqrt(eu)
-    frame = np.empty(mu.shape + (2, 2), dtype=complex)
-    frame[..., 0, 0] = pref * s
-    frame[..., 0, 1] = pref * np.conj(r)
-    frame[..., 1, 0] = -pref * r
-    frame[..., 1, 1] = pref * np.conj(s)
-    return frame, eu
-
-
-def pcomponent_residual(w: WeierstrassData, grid: DomainGrid):
-    """Max over interior nodes of the forbidden component of the frame's
-    Maurer-Cartan form: the lower-left entry of F^{-1} dF/dzbar, scaled by
-    e^{-u}.  Vanishes exactly when the Gauss map is holomorphic (the
-    surface is minimal); the residual reproduces |H|."""
-    frame, eu = _frame_and_metric(w, grid)
-    dx, dy = grid.dx, grid.dy
-    dfdx = np.gradient(frame, dx, axis=1)
-    dfdy = np.gradient(frame, dy, axis=0)
-    dzbar = 0.5 * (dfdx + 1j * dfdy)
-    inv = np.linalg.inv(frame)
-    v = np.einsum("...ij,...jk->...ik", inv, dzbar)
-    inner = grid.interior(1)
-    vals = np.abs(v[..., 1, 0]) / np.maximum(eu, 1e-300)
-    return float(np.max(vals[inner], initial=0.0))

@@ -87,6 +87,7 @@ def test_walk_primitive_work_is_counted(monkeypatch):
     # a Prim in minimal data: the one cumulative pass evaluates the
     # integrand through expr.evaluate, so the traced minimal counters see
     # it beside the node and sweep evaluations of mu and nu
+    from loopcmc import expr as ex
     import loopcmc.weier as weier
     from loopcmc.convert import limit_member_data
     from loopcmc.frames import PotentialSpec
@@ -102,7 +103,7 @@ def test_walk_primitive_work_is_counted(monkeypatch):
              if s.name == "expr.evaluate"]
     assert 12 * edges in calls
     assert metrics["expr.evaluate.points"][0] \
-        == 12 * edges + 2 * 81 + 2 * 8 * edges
+        == 12 * edges + 2 * 81 + 2 * ex.WALK_GL_N * edges
 
 
 def test_minimal_evaluate_calls_stay_per_block(monkeypatch):
@@ -110,6 +111,7 @@ def test_minimal_evaluate_calls_stay_per_block(monkeypatch):
     # nodes and once per block of the sweep, so expr.evaluate.points keeps
     # the formula above while the calls stay at two per block; a sweep
     # that evaluates once per step makes about 4 n calls and fails
+    from loopcmc import expr as ex
     import loopcmc.weier as weier
     from loopcmc.grid import DomainGrid
 
@@ -117,14 +119,14 @@ def test_minimal_evaluate_calls_stay_per_block(monkeypatch):
     for n in (51, 201):
         grid = DomainGrid.square(1.0, n)
         edges = (n - 1) + (n - 1) * n
-        per = max(1, weier.BLOCK_POINTS // (weier.SWEEP_GL_N * n))
+        per = max(1, weier.BLOCK_POINTS // (ex.WALK_GL_N * n))
         blocks = 1 + 2 * -(-(n // 2) // per)   # the row, then columns
         with installed_tracer(monkeypatch) as (spans, tracer):
             mesh = weier.minimal_surface(w, grid)
             metrics = spans.layer_metrics(tracer.spans)
         assert mesh.mask.all()
         assert metrics["expr.evaluate.points"][0] \
-            == 2 * n * n + 2 * weier.SWEEP_GL_N * edges
+            == 2 * n * n + 2 * ex.WALK_GL_N * edges
         assert metrics["expr.evaluate.calls"][0] <= 2 + 2 * blocks
 
 
@@ -135,6 +137,7 @@ def test_potential_evaluation_is_counted(monkeypatch):
     # grid evaluation of the entries and of a for the tail bound and the
     # metric; an integrator that bypassed expr.evaluate would leave the
     # collocation points out of the traced counters
+    from loopcmc import expr as ex
     import loopcmc.frames as frames
     from loopcmc.grid import DomainGrid
 
@@ -142,7 +145,7 @@ def test_potential_evaluation_is_counted(monkeypatch):
     grid = DomainGrid.square(0.5, 9)
     opts = frames.SurfaceOptions()
     edges = 8 + 9 * 8
-    lattice = edges * frames.FRAME_GL_N * opts.substeps
+    lattice = edges * ex.WALK_GL_N * opts.substeps
     with installed_tracer(monkeypatch) as (spans, tracer):
         frames.surface_from_potential(pot, grid, opts)
         metrics = spans.layer_metrics(tracer.spans)

@@ -13,7 +13,8 @@ from loopcmc.frames import (FrameError, PotentialSpec, SurfaceOptions,
 from loopcmc.grid import (Chain, DomainGrid, bfs_tree, row_first_blocked,
                           walk)
 from loopcmc.loops import LoopMat, conv, entries_at, hat_extend, identity
-from loopcmc.weier import WeierstrassData, minimal_surface
+from loopcmc.weier import (WeierstrassData, _cumulative_grid_integral,
+                           minimal_surface)
 from conftest import (CATENOID_MU, CATENOID_NU, KUSNER_MU, KUSNER_NU,
                       compact, dense_loop, enneper, expand, one_edge_walk,
                       sphere_oracle, unitary_gap)
@@ -141,7 +142,7 @@ class TestIntegrateFrame:
         (enneper(2), DomainGrid.square(0.9, 11)),
     ], ids=["catenoid", "smyth"])
     def test_panels_converge_at_gl_order(self, data, grid):
-        # Gauss-Legendre collocation of FRAME_GL_N = 4 points is of order 8
+        # Gauss-Legendre collocation of WALK_GL_N = 4 points is of order 8
         # at the nodes: halving the panels cuts the error by 2^8 = 256
         # until it reaches rounding, and one panel is already within 1e-11
         # (a fourth-order step per edge is off by 1e-8 to 1e-7 here); a
@@ -154,7 +155,7 @@ class TestIntegrateFrame:
         ref = frame(8)
         scale = np.max(np.abs(ref))
         errs = [np.max(np.abs(frame(p) - ref)) for p in (1, 2)]
-        assert frames.FRAME_GL_N == 4
+        assert ex.WALK_GL_N == 4
         assert errs[0] <= 1e-11 * scale
         assert errs[1] <= max(errs[0] / 100, 4 * EPS * scale)
 
@@ -352,12 +353,12 @@ class TestCollocationWeights:
     @pytest.mark.parametrize("panels", [1, 2, 3])
     def test_polynomials_integrate_exactly(self, panels):
         # along an edge from 0 to 1: the last row is the composite
-        # Gauss-Legendre rule, exact to degree 2 FRAME_GL_N - 1; the others
+        # Gauss-Legendre rule, exact to degree 2 WALK_GL_N - 1; the others
         # integrate each panel's interpolant up to each collocation point,
-        # exact to degree FRAME_GL_N - 1
-        n = frames.FRAME_GL_N
-        t = frames._panel_points(panels)
-        w = frames._level_weights(panels)
+        # exact to degree WALK_GL_N - 1
+        n = ex.WALK_GL_N
+        t = ex.panel_points(n, panels)
+        w = ex.interpolant_integrals(n, panels, panels)
         assert w.shape == (len(t) + 1, len(t)) == (n * panels + 1,
                                                    n * panels)
         assert np.all(np.diff(t) > 0) and 0 < t[0] and t[-1] < 1
@@ -369,6 +370,32 @@ class TestCollocationWeights:
                 assert np.max(np.abs(got[:-1] - t ** (deg + 1) / (deg + 1))) \
                     <= 4 * EPS
         assert abs(w[-1] @ t ** (2 * n) - 1 / (2 * n + 1)) > 1e-6 / panels ** 8
+
+    @pytest.mark.parametrize("walled", [False, True], ids=["plain", "walled"])
+    def test_one_rule_serves_both_integrators(self, walled):
+        # Psi_1 = int (lower, upper) dz along the walk: the frame
+        # integrator's lambda^-1 slot is the h = 0 sweep's integral of the
+        # two entries, to rounding, on a plain grid and on one whose wall
+        # above the basepoint reroutes the nodes behind it.  The edges are
+        # long enough that a sweep at 5 points per edge is 3e-13 of the
+        # scale off
+        pot = PotentialSpec.normalized("1 + z/3", "exp(2*z)", 0.1)
+        grid = DomainGrid.square(1.0, 9)
+        if walled:
+            mask = np.ones((grid.ny, grid.nx), dtype=bool)
+            mask[grid.j0 + 1, grid.i0 - 2:grid.i0 + 3] = False
+            grid = grid.with_mask(mask)
+        fg = integrate_frame(pot, grid)
+        chains, reached = fg.grid.walk()
+        assert any(c.phase == 2 for c in chains) == walled
+        entries = frames.potential_entries(pot)[::-1]
+        sweep = _cumulative_grid_integral(
+            lambda pts, edges: np.stack(ex.evaluate(entries, pts)),
+            fg.grid, 2)
+        size = max(np.max(np.abs(ex.evaluate(e, grid.zz))) for e in entries)
+        assert np.array_equal(fg.ok, reached)
+        assert np.max(np.abs(fg.coeffs[..., -2, :] - sweep)[reached]) \
+            <= 1e-14 * size * grid.max_l1_pathlength()
 
 
 class TestSymBobenko:

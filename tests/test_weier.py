@@ -6,17 +6,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from loopcmc import expr as ex
 from loopcmc import weier
-from loopcmc.cli import main
+from loopcmc.cli import curvature_summary, main
 from loopcmc.convert import limit_member_data
 from loopcmc.frames import PotentialSpec, extract_curvature
 from loopcmc.grid import DomainGrid
 from loopcmc.weier import (InvalidDataError, WeierstrassData,
                            _cumulative_grid_integral, _fz_components,
-                           _gl_stack, _walk_primitive, coordinate_frame_grid,
-                           initial_frame, metric_hopf, minimal_surface,
-                           pcomponent_residual)
-from conftest import (ORDER5_A, ORDER5_P, catenoid_oracle, enneper,
-                      walk_edges)
+                           _walk_primitive, initial_frame, metric_hopf,
+                           minimal_surface)
+from conftest import (KUSNER_MU, KUSNER_NU, ORDER5_A, ORDER5_P,
+                      catenoid_oracle, enneper, walk_edges)
 
 
 class TestIntegrand:
@@ -194,7 +193,8 @@ class TestWalkPrimitive:
         # the basepoint row east then west, then the rows down then up
         src, dst = np.array(walk_edges(grid.mask, grid.j0, grid.i0)[0]).T
         zz = grid.zz.ravel()
-        pts = _gl_stack(zz[src], zz[dst])[0]
+        t = ex.panel_points(ex.WALK_GL_N, 1)
+        pts = zz[src] + t[:, None] * (zz[dst] - zz[src])
         assert points.shape == pts.shape
         got = np.concatenate([nodes.ravel(), points.ravel()])
         ref = np.concatenate([ref_nodes.ravel(),
@@ -397,22 +397,18 @@ class TestRegularityReport:
 
 class TestGaussMap:
     def test_holomorphy_proxy_small(self, catenoid):
-        g = DomainGrid.square(0.5, 41)
-        assert pcomponent_residual(catenoid, g) <= 1e-3
-
-    def test_frame_root_carried_across_the_cut(self, catenoid):
-        # the catenoid's mu = -exp(-z)/2 is negative real on y = 0, where
-        # its principal root jumps between the half planes; the sweep
-        # carries one branch of the root s, so neighbouring frames stay
-        # close and s^2 = mu
-        g = DomainGrid.square(0.5, 41)
-        frame = coordinate_frame_grid(catenoid, g)
-        mu, nu = catenoid.mu(g.zz), catenoid.nu(g.zz)
-        assert np.max(np.abs(np.diff(np.sqrt(mu), axis=0))) > 1.0
-        s = frame[..., 0, 0] * np.sqrt(np.abs(mu) * (1 + np.abs(nu) ** 2))
-        assert np.max(np.abs(s ** 2 - mu)) <= 1e-14
-        for axis in (0, 1):
-            assert np.max(np.abs(np.diff(frame, axis=axis))) <= 0.02
+        # a minimal surface has H = 0: on the Weierstrass meshes the
+        # curvature read-out, which differences the analytic f_z once,
+        # stays within its own difference error of that against the
+        # curvature scale (7.5e-11, 2.3e-15 and 2.4e-7 measured)
+        for w, half, bound in (
+                (catenoid, 1.0, 1e-9), (enneper(2), 1.0, 1e-13),
+                (WeierstrassData(KUSNER_MU, KUSNER_NU, 0j), 0.3, 1e-6)):
+            mesh = minimal_surface(w, DomainGrid.square(half, 41))
+            summary = curvature_summary(mesh)
+            assert summary["valid_nodes"] == 37 * 37
+            assert summary["h_num_max_err"] \
+                <= bound * summary["kappa_scale_median"]
 
     def test_normals_unit_and_orthogonal(self, catenoid, grid21):
         mesh = minimal_surface(catenoid, grid21)

@@ -24,6 +24,7 @@ GOLDEN_JOBS = (
     ("helicoid", ["gallery", "helicoid"]),
     ("smyth", ["gallery", "smyth"]),
     ("kusner", ["gallery", "kusner"]),
+    ("enneper", ["gallery", "enneper"]),
 )
 
 

@@ -447,14 +447,14 @@ def surface_from_potential(p: PotentialSpec | weier.WeierstrassData,
     loop-group construction.  ``convert.member`` picks the carrier for a
     given h.  Factorization or integration failures mask nodes instead of
     aborting the mesh."""
+    opts = options or SurfaceOptions()
     if isinstance(p, PotentialSpec) and p.h != 0.0:
-        opts = options or SurfaceOptions()
         fg = integrate_frame(p, grid, options=opts)
         return _assemble_mesh(p, fg, opts)
     from . import convert
     w = p if isinstance(p, weier.WeierstrassData) \
         else convert.limit_member_data(p)
-    return weier.minimal_surface(w, grid)
+    return weier.minimal_surface(w, grid, opts.substeps)
 
 
 def _frame_at(x, lo, out, lam0):

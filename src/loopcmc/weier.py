@@ -15,18 +15,17 @@ nu = -int Q/a is an ``expr.Prim`` node, evaluated by path quadrature, so
 every kind of data evaluates vectorised and differentiates symbolically.
 
 A mesh integrates G = int (mu, mu nu, mu nu^2) dz, from which f_z's
-integral follows by linearity, in one blocked pass along the chains of
-the grid walk (``DomainGrid.walk``, ``_walk_sums``) by the frame
-integrator's collocation rule: ``expr.WALK_GL_N`` = 4 Gauss-Legendre
-points per edge (``expr.panel_points``, ``expr.interpolant_integrals``),
-one rule for both integrators.  The basepoint row's chains are one block,
-the column chains come in blocks of whole rows of at most BLOCK_POINTS
-points, and each reroute chain around masked nodes is a block.  Each
-block evaluates the data once at all its points; its nodes take
-cumulative sums from the block's source row.  A primitive that starts at
-the grid's basepoint is not integrated per point: the same pass over the
-whole lattice, edge by edge at the quadrature's own rule, gives its
-values at the nodes and at the sweep's points (``_walk_primitive``), and
+integral follows by linearity, in one pass along the chains of the grid
+walk (``DomainGrid.walk``) by the frame integrator's collocation rule:
+``expr.WALK_GL_N`` = 4 Gauss-Legendre points per panel of an edge
+(``expr.panel_points``, ``expr.interpolant_integrals``), one rule for both
+integrators.  The data are evaluated over the walk's edges in slices of
+at most BLOCK_POINTS points, every edge's integral goes into one array,
+and one ``grid.chain_sums`` over all the chains gives the nodes.  A
+primitive that starts at the grid's basepoint is not integrated per
+point: one pass over the whole lattice, edge by edge at the quadrature's
+own rule, gives its values at the nodes and at the points of every edge
+of the sweep, reroute edges included (``_walk_primitive``), and
 ``expr.evaluate`` takes them as substitutions.
 """
 
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .grid import Chain, DomainGrid, GridError, _erode, chain_ends, chain_sums
+from .grid import DomainGrid, GridError, _erode, chain_ends, chain_sums
 from .mesh import SurfaceMesh
 
 __all__ = [
@@ -140,136 +139,113 @@ def regularity_mask(mu, nu, grid: DomainGrid, dilate=1):
 
 
 # ---------------------------------------------------------------------------
-# Integration sweeps
+# Integration along the grid walk
 
-# sweep points in one block of the blocked pass (at least one row): bounds
-# the integrand arrays of one block, so peak memory does not grow with the
-# grid
+# sweep points in one slice of the pass (at least one edge): bounds the
+# integrand arrays of a slice, so peak memory does not grow with the grid
 BLOCK_POINTS = 2 ** 16
 
 
-def _walk_blocks(grid: DomainGrid):
-    """The chains of the walk of ``grid`` (``DomainGrid.walk``) in
-    blocks, and the walk's reached mask.  Each node has its path in the
-    walk; the blocks' edges, in block order, are the pass's edge order.
-
-    The basepoint row is one block of its chains, east and west; the
-    column chains come in blocks of consecutive rows of at most
-    BLOCK_POINTS sweep points, one row at least, down and then up; each
-    reroute chain of the walk is a block of its own.
-    """
-    chains, reached = grid.walk()
-    blocks = []
-    for c in chains:
-        if c.phase == 1:
-            per = max(1, BLOCK_POINTS // (ex.WALK_GL_N * c.nodes.shape[1]))
-            blocks += [[Chain(c.nodes[at - 1] if at else c.seed,
-                              c.nodes[at:at + per], 1)]
-                       for at in range(0, len(c.nodes), per)]
-        elif c.phase == 0 and blocks and blocks[-1][0].phase == 0:
-            blocks[-1].append(c)
-        else:
-            blocks.append([c])
-    return blocks, reached
-
-
-def _walk_sums(grid: DomainGrid, blocks, reached, edge_sums, width):
-    """Cumulative sums over the walk of ``grid`` from 0 at the basepoint,
-    (ny, nx, width), NaN at the nodes the walk does not reach: ``blocks``
-    and ``reached`` are ``_walk_blocks(grid)``.
-
-    ``edge_sums(za, zb, edges)`` returns (len(za), width) for the edges
-    za -> zb of one block, flat; they are the pass's edges ``edges``, a
-    slice in the blocks' edge order.  The block's chains add them up
-    (``grid.chain_sums``).
-    """
-    vals = np.full((grid.ny * grid.nx, width), np.nan, dtype=complex)
-    vals[grid.j0 * grid.nx + grid.i0] = 0.0
+def _cumulative_grid_integral(fvec, grid: DomainGrid, width, walk=None,
+                              panels=1):
+    """Cumulative integral of a vector-valued integrand over the walk of
+    ``grid`` from 0 at its basepoint, (ny, nx, width), NaN at the nodes the
+    walk does not reach; ``walk`` is ``grid.walk()``, walked here if not
+    given.  Each edge takes ``panels`` equal ``expr.WALK_GL_N``-point
+    Gauss-Legendre panels, the frame integrator's rule, and one
+    ``grid.chain_sums`` over all the walk's chains adds the edges' integrals
+    up.  The integrand is evaluated over the walk's edges in their edge
+    order, in slices of at most BLOCK_POINTS points: ``fvec(points,
+    edges)`` gets the points of the edges ``edges`` (a slice), flat, points
+    first and edges last ``(WALK_GL_N * panels, edges)``, and returns the
+    integrand there as (width, len(points))."""
+    chains, reached = walk or grid.walk()
+    start, end = chain_ends(chains)
     zz = grid.zz.ravel()
-    done = 0
-    for chains in blocks:
-        start, end = chain_ends(chains)
-        sums = edge_sums(zz[start], zz[end], slice(done, done + len(start)))
-        done += len(start)
-        chain_sums(chains, sums, vals)
+    t = ex.panel_points(ex.WALK_GL_N, panels)
+    weights = ex.interpolant_integrals(ex.WALK_GL_N, panels, panels)[-1]
+    sums = np.empty((len(start), width), dtype=complex)
+    per = max(1, BLOCK_POINTS // len(t))
+    for at in range(0, len(start), per):
+        edges = slice(at, at + per)
+        za = zz[start[edges]]
+        dz = zz[end[edges]] - za
+        vals = np.ascontiguousarray(np.reshape(
+            fvec((za + t[:, None] * dz).ravel(), edges),
+            (width, len(t), -1)), dtype=complex)
+        sums[edges] = ((weights @ vals.view(float)).view(complex) * dz).T
+        del vals    # not held through the next slice's evaluation
+    vals = np.full((zz.size, width), np.nan, dtype=complex)
+    vals[grid.j0 * grid.nx + grid.i0] = 0.0
+    chain_sums(chains, sums, vals)
     vals = vals.reshape(grid.ny, grid.nx, width)
     vals[~reached] = np.nan
     return vals
 
 
-def _cumulative_grid_integral(fvec, grid: DomainGrid, width):
-    """Cumulative integral of a vector-valued integrand over the walk of
-    ``grid`` from its basepoint (``_walk_sums``), (ny, nx, width): one
-    ``expr.WALK_GL_N``-point Gauss-Legendre panel per edge, the frame
-    integrator's rule, and one ``fvec`` call per block.  ``fvec(points,
-    edges)`` gets the sweep points of the pass's edges ``edges`` (a slice
-    in ``_walk_blocks``' edge order), flat, points first and edges last
-    ``(WALK_GL_N, edges)``, and returns the integrand there as
-    (width, len(points))."""
-    t = ex.panel_points(ex.WALK_GL_N, 1)
-    weights = ex.interpolant_integrals(ex.WALK_GL_N, 1, 1)[-1]
-
-    def edge_sums(za, zb, edges):
-        dz = zb - za
-        vals = np.ascontiguousarray(np.reshape(
-            fvec((za + t[:, None] * dz).ravel(), edges),
-            (width, len(t), -1)), dtype=complex)
-        return ((weights @ vals.view(float)).view(complex) * dz).T
-
-    return _walk_sums(grid, *_walk_blocks(grid), edge_sums, width)
-
-
 # ---------------------------------------------------------------------------
 # Primitives along the grid walk
 
-def _edge_integrals(integrand, za, zb):
+def _edge_integrals(integrand, za, zb, panels):
     """Integrals of ``integrand`` over the straight edges za -> zb (n,) by
-    integrate_path's rule, (n,), and from za to each edge's sweep points,
-    (WALK_GL_N, n).  Edges with the same piece count share one
-    evaluation."""
+    integrate_path's rule, (n,), and from za to each edge's points of the
+    walk's rule at ``panels`` panels, (WALK_GL_N * panels, n).  Edges with
+    the same piece count share one evaluation."""
     dz = zb - za
     pieces = np.maximum(1, np.ceil(np.abs(dz) / ex.PATH_MAX_STEP)).astype(int)
-    out = np.empty((ex.WALK_GL_N + 1,) + dz.shape, dtype=complex)
+    out = np.empty((ex.WALK_GL_N * panels + 1,) + dz.shape, dtype=complex)
     for p in np.unique(pieces):
         sel = np.flatnonzero(pieces == p)
         ts = ex.panel_points(ex.PATH_GL_N, p)
         vals = np.ascontiguousarray(ex.evaluate(
             integrand, za[sel] + ts[:, None] * dz[sel]), dtype=complex)
-        weights = ex.interpolant_integrals(ex.PATH_GL_N, p, 1)
+        weights = ex.interpolant_integrals(ex.PATH_GL_N, p, panels)
         out[:, sel] = dz[sel] * (weights @ vals.view(float)).view(complex)
     return out[-1], out[:-1]
 
 
-def _walk_primitive(prim: ex.Prim, grid: DomainGrid):
+def _walk_primitive(prim: ex.Prim, grid: DomainGrid, panels):
     """Values of ``prim`` from one cumulative pass along the walk of the
     whole lattice (``DomainGrid.walk`` with no node masked): at the nodes,
-    (ny, nx), and at the sweep's points of the walk's edges, the edges
-    last in ``_walk_blocks``' edge order, (WALK_GL_N, edges).  Those
-    edges, along the basepoint row and then down and up the columns, open
-    the blocks of the grid under any mask, in the same order.
+    (ny, nx), and a function ``points(chains)`` that gives them at the
+    points of every edge of ``chains``, the chains of the walk of the grid
+    under any mask, in their edge order, (WALK_GL_N * panels, edges).
+    Those chains open with the lattice walk's, the basepoint row and then
+    the columns, in the same order, whatever the mask: their points take
+    the lattice pass's values.  Each later (reroute) edge's points take
+    the lattice value at the edge's start plus the edge's partial
+    integrals (``_edge_integrals``).
 
-    The walk reaches every node, and every point of its edges, by
+    The lattice walk reaches every node, and every point of its edges, by
     integrate_path's horizontal-then-vertical path from the basepoint, and
     each edge is integrated by integrate_path's rule, so the values are
-    ``ex.evaluate(prim, points)``'s up to rounding.  ``prim`` starts at the
-    grid's basepoint node (up to the grid's node tolerance); an off-node
-    start enters as the primitive's value at the node.
+    ``ex.evaluate(prim, points)``'s up to rounding.  A reroute edge's
+    points are reached off that path: where the integrand is holomorphic
+    between the two paths, the values differ from it by the quadrature
+    error.  ``prim`` starts at the grid's basepoint node (up to the grid's
+    node tolerance); an off-node start enters as the primitive's value at
+    the node.
     """
-    lattice = DomainGrid(grid.xs, grid.ys, grid.i0, grid.j0)
-    blocks, reached = _walk_blocks(lattice)
-    src, dst = chain_ends([c for chains in blocks for c in chains])
+    lattice, _ = DomainGrid(grid.xs, grid.ys, grid.i0, grid.j0).walk()
+    src, dst = chain_ends(lattice)
     flat = grid.zz.ravel()
-    total, part = _edge_integrals(prim.integrand, flat[src], flat[dst])
-    nodes = _walk_sums(lattice, blocks, reached,
-                       lambda za, zb, edges: total[edges, None], 1)[..., 0]
-    points = nodes.ravel()[src] + part
-    if prim.z0 != grid.z0:
-        shift = ex.evaluate(prim, grid.z0)
-        nodes, points = nodes + shift, points + shift
-    return nodes, points
+    total, part = _edge_integrals(prim.integrand, flat[src], flat[dst],
+                                  panels)
+    nodes = np.zeros(flat.size, dtype=complex)
+    chain_sums(lattice, total, nodes)
+    part += nodes[src]
+    shift = ex.evaluate(prim, grid.z0) if prim.z0 != grid.z0 else 0.0
+
+    def points(chains):
+        start, end = chain_ends(chains[len(lattice):])
+        rest = _edge_integrals(prim.integrand, flat[start], flat[end],
+                               panels)[1]
+        return np.concatenate([part, rest + nodes[start]], axis=1) + shift
+
+    return nodes.reshape(grid.ny, grid.nx) + shift, points
 
 
-def _walk_prims(w: WeierstrassData, grid: DomainGrid):
+def _walk_prims(w: WeierstrassData, grid: DomainGrid, panels):
     """``(prim, nodes, points)`` for each primitive of mu and nu (outside
     other primitives' integrands) that starts at the grid's basepoint
     node, with its ``_walk_primitive`` values."""
@@ -293,7 +269,7 @@ def _walk_prims(w: WeierstrassData, grid: DomainGrid):
         except GridError:
             continue
         if at_basepoint:
-            out.append((prim, *_walk_primitive(prim, grid)))
+            out.append((prim, *_walk_primitive(prim, grid, panels)))
     return out
 
 
@@ -306,44 +282,44 @@ def _fz_components(mu, nu):
                      -2.0 * mu * nu], axis=-1)
 
 
-def minimal_surface(w: WeierstrassData, grid: DomainGrid) -> SurfaceMesh:
+def minimal_surface(w: WeierstrassData, grid: DomainGrid,
+                    panels=1) -> SurfaceMesh:
     """Minimal surface mesh from Weierstrass data, f(z0) = 0.
 
-    The integrals G = int (mu, mu nu, mu nu^2) dz are swept over the grid
-    in row blocks at 4 Gauss-Legendre points per edge, the frame
-    integrator's rule (``_cumulative_grid_integral``), two complex products
-    a point; f_z integrates to F = (G0 - G2,
-    -i (G0 + G2), -2 G1) by linearity.  mu and nu are evaluated once at
-    the nodes and once per block at its segments' points.  A primitive
-    (``expr.Prim``) in the data that starts at the grid's basepoint takes
-    its values there from one cumulative pass along the walk
-    (``_walk_primitive``), not from a path integral per point; only the
-    reroute steps' points integrate it per point.  meta["mask_causes"]
-    counts the masked nodes under the first cause that applies: outside
-    the grid's own mask (``domain``), failing ``regularity_mask``
-    (``regularity``), or a non-finite position (``position``).
+    The integrals G = int (mu, mu nu, mu nu^2) dz are swept over the walk
+    of the masked grid at ``panels`` panels of 4 Gauss-Legendre points per
+    edge, the frame integrator's rule (``_cumulative_grid_integral``), two
+    complex products a point; f_z integrates to F = (G0 - G2,
+    -i (G0 + G2), -2 G1) by linearity.  mu and nu are evaluated in one
+    call at the nodes and in one call per slice of the sweep's edges.  A
+    primitive (``expr.Prim``) in the data that starts at the grid's
+    basepoint takes its values at the nodes and at every sweep point from
+    one cumulative pass along the lattice's walk (``_walk_primitive``),
+    never from a path integral per point.  meta["mask_causes"] counts the
+    masked nodes under the first cause that applies: outside the grid's
+    own mask (``domain``), failing ``regularity_mask`` (``regularity``), or
+    a non-finite position (``position``).
     """
-    walked = _walk_prims(w, grid)
-    at_nodes = [(prim, nodes) for prim, nodes, _ in walked]
-    mu_vals = ex.evaluate(w.mu, grid.zz, at_nodes)
-    nu_vals = ex.evaluate(w.nu, grid.zz, at_nodes)
+    walked = _walk_prims(w, grid, panels)
+    mu_vals, nu_vals = ex.evaluate(
+        (w.mu, w.nu), grid.zz, [(prim, nodes) for prim, nodes, _ in walked])
     mask = regularity_mask(mu_vals, nu_vals, grid)
     if not mask[grid.j0, grid.i0]:
         raise InvalidDataError("basepoint fails the regularity conditions")
     work = grid.with_mask(mask)
+    walk = work.walk()
+    at_points = [(prim, points(walk[0])) for prim, _, points in walked]
 
     def products(pts, edges):
-        subs = [(prim, points[:, edges].reshape(-1))
-                for prim, _, points in walked if edges.stop <= points.shape[1]]
-        mu = ex.evaluate(w.mu, pts, subs)
-        nu = ex.evaluate(w.nu, pts, subs)
+        mu, nu = ex.evaluate((w.mu, w.nu), pts, [
+            (prim, vals[:, edges].ravel()) for prim, vals in at_points])
         out = np.empty((3, len(pts)), dtype=complex)
         out[0] = mu
         np.multiply(mu, nu, out=out[1])
         np.multiply(out[1], nu, out=out[2])
         return out
 
-    G = _cumulative_grid_integral(products, work, 3)
+    G = _cumulative_grid_integral(products, work, 3, walk, panels)
     F = np.stack([G[..., 0] - G[..., 2], -1j * (G[..., 0] + G[..., 2]),
                   -2.0 * G[..., 1]], axis=-1)
     f = 2.0 * F.real

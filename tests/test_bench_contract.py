@@ -86,7 +86,8 @@ def test_iwasawa_counter_reads_the_compact_input(monkeypatch):
 def test_walk_primitive_work_is_counted(monkeypatch):
     # a Prim in minimal data: the one cumulative pass evaluates the
     # integrand through expr.evaluate, so the traced minimal counters see
-    # it beside the node and sweep evaluations of mu and nu
+    # it beside the node and sweep evaluations of mu and nu, one call for
+    # both
     from loopcmc import expr as ex
     import loopcmc.weier as weier
     from loopcmc.convert import limit_member_data
@@ -103,14 +104,15 @@ def test_walk_primitive_work_is_counted(monkeypatch):
              if s.name == "expr.evaluate"]
     assert 12 * edges in calls
     assert metrics["expr.evaluate.points"][0] \
-        == 12 * edges + 2 * 81 + 2 * ex.WALK_GL_N * edges
+        == 12 * edges + 81 + ex.WALK_GL_N * edges
 
 
 def test_minimal_evaluate_calls_stay_per_block(monkeypatch):
-    # Enneper's h = 0 mesh (no Prim): mu and nu are evaluated once at the
-    # nodes and once per block of the sweep, so expr.evaluate.points keeps
-    # the formula above while the calls stay at two per block; a sweep
-    # that evaluates once per step makes about 4 n calls and fails
+    # Enneper's h = 0 mesh (no Prim): mu and nu are evaluated in one call
+    # at the nodes and in one call per slice of the sweep's edges, of at
+    # most BLOCK_POINTS points, so expr.evaluate.points keeps the formula
+    # above while the calls stay at one per slice; a sweep that evaluates
+    # once per step makes about 4 n calls and fails
     from loopcmc import expr as ex
     import loopcmc.weier as weier
     from loopcmc.grid import DomainGrid
@@ -119,15 +121,14 @@ def test_minimal_evaluate_calls_stay_per_block(monkeypatch):
     for n in (51, 201):
         grid = DomainGrid.square(1.0, n)
         edges = (n - 1) + (n - 1) * n
-        per = max(1, weier.BLOCK_POINTS // (ex.WALK_GL_N * n))
-        blocks = 1 + 2 * -(-(n // 2) // per)   # the row, then columns
+        slices = -(-ex.WALK_GL_N * edges // weier.BLOCK_POINTS)
         with installed_tracer(monkeypatch) as (spans, tracer):
             mesh = weier.minimal_surface(w, grid)
             metrics = spans.layer_metrics(tracer.spans)
         assert mesh.mask.all()
         assert metrics["expr.evaluate.points"][0] \
-            == 2 * n * n + 2 * ex.WALK_GL_N * edges
-        assert metrics["expr.evaluate.calls"][0] <= 2 + 2 * blocks
+            == n * n + ex.WALK_GL_N * edges
+        assert metrics["expr.evaluate.calls"][0] <= 1 + slices
 
 
 def test_potential_evaluation_is_counted(monkeypatch):

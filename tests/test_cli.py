@@ -186,6 +186,19 @@ class TestParsing:
         assert read_report(tmp_path)["items"][0]["masked_fraction"] == 0.0
         assert obj_vertices(tmp_path / "mesh_h1.obj") == 5
 
+    def test_substeps_reach_an_h0_mesh(self, tmp_path):
+        # the h = 0 sweep integrates at --substeps panels per edge, as the
+        # frame integrator does: the catenoid's f_z is not a polynomial, so
+        # the positions move
+        meshes = []
+        for n in ("1", "3"):
+            out = tmp_path / n
+            assert main(["mesh", "--mu=-exp(-z)/2", "--nu=-exp(z)", "--h",
+                         "0", "--grid", "21", "--substeps", n,
+                         "--out", str(out)]) == 0
+            meshes.append((out / "mesh_h0.obj").read_bytes())
+        assert meshes[0] != meshes[1]
+
 
 class TestGallery:
     def test_sphere_radius_report(self, tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from loopcmc import expr as ex
 from loopcmc.grid import (Chain, DomainGrid, bfs_tree, chain_ends,
-                          chain_sums, row_first_blocked)
+                          chain_sums, row_first_blocked, walk)
 from loopcmc.weier import _cumulative_grid_integral
 from conftest import walk_paths
 
@@ -165,6 +165,23 @@ class TestWalkProperties:
         expect = 1 + (got.ravel() & blocked)
         expect[base] = 0
         assert np.array_equal(count, expect)
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=masked_grids())
+    def test_lattice_chains_do_not_depend_on_the_mask(self, g):
+        # the basepoint row's and the columns' chains are those of the
+        # walk of the unmasked lattice, in its order, and come before
+        # every reroute chain: the h = 0 pass reads the masked walk's
+        # first edges from its primitives' pass over the lattice
+        chains, _ = walk(g.mask, g.j0, g.i0)
+        lattice, _ = walk(np.ones_like(g.mask), g.j0, g.i0)
+        assert all(c.phase < 2 for c in lattice)
+        assert len(chains) >= len(lattice)
+        assert all(c.phase == 2 for c in chains[len(lattice):])
+        for c, ref in zip(chains, lattice):
+            assert c.phase == ref.phase
+            assert np.array_equal(c.seed, ref.seed)
+            assert np.array_equal(c.nodes, ref.nodes)
 
 
 def queue_bfs(mask, j0, i0):

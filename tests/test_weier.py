@@ -35,6 +35,23 @@ class TestMinimalSurface:
         mesh = minimal_surface(catenoid, grid21)
         assert np.allclose(mesh.f[grid21.j0, grid21.i0], 0.0)
 
+    def test_panels_refine_the_sweep(self, catenoid):
+        # --substeps reaches the h = 0 sweep: f_z of the catenoid is not a
+        # polynomial, so the 4-point rule's error on one panel per edge
+        # shows against per-node quadrature, and halving the panels cuts
+        # it by the rule's order
+        grid = DomainGrid.square(1.0, 5)
+        mu, nu = catenoid.mu, catenoid.nu
+        ref = 2.0 * np.stack([ex.integrate_path(e, grid.z0, grid.zz) for e in
+                              (mu * (1 - nu ** 2), -1j * mu * (1 + nu ** 2),
+                               -2 * mu * nu)], axis=-1).real
+        size = np.max(np.abs(ref))
+        err = [np.max(np.abs(minimal_surface(catenoid, grid, panels).f - ref))
+               for panels in (1, 2, 4)]
+        assert err[0] <= 1e-11 * size
+        assert err[1] <= 1e-13 * size < err[0]
+        assert err[2] <= 1e-15 * size < err[1]
+
     def test_catenoid_closed_form(self, catenoid, grid41):
         mesh = minimal_surface(catenoid, grid41)
         err = np.linalg.norm(mesh.f - catenoid_oracle(grid41), axis=-1)
@@ -150,9 +167,11 @@ def order5_data():
 
 class TestWalkPrimitive:
     """Primitives on a mesh grid take their values from one cumulative
-    pass along the row-then-column walk, which follows integrate_path's
-    horizontal-then-vertical path to every node and to every sweep point
-    of the basepoint row and the columns."""
+    pass along the row-then-column walk of the lattice, which follows
+    integrate_path's horizontal-then-vertical path to every node and to
+    every sweep point of the basepoint row and the columns; a reroute
+    edge's points add the edge's own partial integrals to its start
+    node's value."""
 
     @settings(max_examples=30, deadline=None)
     @given(nx=st.integers(2, 9), ny=st.integers(2, 9),
@@ -163,21 +182,33 @@ class TestWalkPrimitive:
                                     st.floats(1.0, 3.0),
                                     st.complex_numbers(max_magnitude=2.0)),
                           min_size=1, max_size=3),
-           c0=st.complex_numbers(max_magnitude=2.0), nudge=st.booleans())
+           c0=st.complex_numbers(max_magnitude=2.0), nudge=st.booleans(),
+           wall=st.booleans(), panels=st.integers(1, 3))
     @example(nx=9, ny=5, half=(0.1, 0.1), centre=0.2 - 0.1j, base=(0.3, 0.8),
-             poles=[(1.0, 1.0, 1.0 + 0j)], c0=0j, nudge=False)  # short
+             poles=[(1.0, 1.0, 1.0 + 0j)], c0=0j, nudge=False,
+             wall=False, panels=1)  # short
     @example(nx=3, ny=4, half=(1.5, 1.2), centre=0j, base=(1.0, 0.0),
-             poles=[(2.0, 1.0, 1j)], c0=1 + 0j, nudge=True)  # up to 1.5 long
+             poles=[(2.0, 1.0, 1j)], c0=1 + 0j, nudge=True,
+             wall=False, panels=1)  # up to 1.5 long
+    @example(nx=3, ny=4, half=(1.5, 1.2), centre=0j, base=(1.0, 0.0),
+             poles=[(2.0, 1.0, 1j)], c0=1 + 0j, nudge=True,
+             wall=True, panels=2)  # long reroute edges, rows and columns
     def test_values_match_integrate_path(self, nx, ny, half, centre, base,
-                                         poles, c0, nudge):
+                                         poles, c0, nudge, wall, panels):
         # nudge: the primitive starts off the basepoint node by less than
-        # the grid's node tolerance
+        # the grid's node tolerance; wall: the node next to the basepoint
+        # in its column is masked, so the walk reroutes the nodes behind
+        # it; panels: the sweep's panels per edge (--substeps)
         if nx == ny:
             ny += 1
+        ny = max(ny, 4) if wall else ny
         xs = centre.real + np.linspace(-half[0], half[0], nx)
         ys = centre.imag + np.linspace(-half[1], half[1], ny)
-        grid = DomainGrid(xs, ys, round(base[0] * (nx - 1)),
-                          round(base[1] * (ny - 1)))
+        i0, j0 = round(base[0] * (nx - 1)), round(base[1] * (ny - 1))
+        mask = np.ones((ny, nx), dtype=bool)
+        if wall:
+            mask[j0 + (1 if j0 + 2 < ny else -1), i0] = False
+        grid = DomainGrid(xs, ys, i0, j0, mask)
         # each pole lies at least 1.0 outside the rectangle
         reach = np.hypot(*half)
         integrand = ex.Const(c0)
@@ -185,15 +216,16 @@ class TestWalkPrimitive:
             p = centre + (reach + gap) * np.exp(1j * angle)
             integrand = integrand + ex.Const(c) / (ex.parse("z") - p)
         z0 = grid.z0 + (1e-11 * min(half) * (1 - 1j) if nudge else 0)
-        nodes, points = _walk_primitive(ex.Prim(integrand, z0), grid)
+        nodes, points = _walk_primitive(ex.Prim(integrand, z0), grid, panels)
         ref_nodes = ex.integrate_path(integrand, z0, grid.zz)
         chains, _ = grid.walk()
-        assert all(c.phase < 2 for c in chains)
-        # the points arrive flat, in the edge order of the blocked pass:
-        # the basepoint row east then west, then the rows down then up
+        assert any(c.phase == 2 for c in chains) == wall
+        points = points(chains)
+        # the points arrive flat, in the walk's edge order: the basepoint
+        # row east then west, the rows down then up, then the reroutes
         src, dst = np.array(walk_edges(grid.mask, grid.j0, grid.i0)[0]).T
         zz = grid.zz.ravel()
-        t = ex.panel_points(ex.WALK_GL_N, 1)
+        t = ex.panel_points(ex.WALK_GL_N, panels)
         pts = zz[src] + t[:, None] * (zz[dst] - zz[src])
         assert points.shape == pts.shape
         got = np.concatenate([nodes.ravel(), points.ravel()])
@@ -240,11 +272,13 @@ class TestWalkPrimitive:
         minimal_surface(order5_data(), DomainGrid.square(0.5, 51))
         assert len(walks) == 2
 
-    def test_reroute_around_a_zero_of_a(self, tmp_path):
+    def test_reroute_around_a_zero_of_a(self, tmp_path, monkeypatch):
         # a = z - 0.3 vanishes on the basepoint row: its 3 x 3 block is
         # masked and the nodes behind it are reached by rerouting, whose
-        # points integrate nu per point; the nodes in front of it keep
-        # the per-point sweep's positions
+        # points take nu from the lattice pass too, with no path integral
+        # per point and no walk beyond the lattice's and the masked
+        # grid's; the nodes in front of it keep the per-point sweep's
+        # positions
         argv = ["mesh", "--a", "z-0.3", "--Q", "1", "--h", "0",
                 "--grid", "21", "--xrange", "-0.5", "0.5",
                 "--yrange", "-0.5", "0.5", "--out", str(tmp_path)]
@@ -256,7 +290,23 @@ class TestWalkPrimitive:
             == round(item["masked_fraction"] * 21 * 21)
         w = limit_member_data(PotentialSpec.normalized("z-0.3", "1", 0.0))
         grid = DomainGrid.square(0.5, 21)
-        mesh = minimal_surface(w, grid)
+        paths, walks = [], []
+        integrate_path, walk = ex.integrate_path, DomainGrid.walk
+
+        def counted(*args, **kwargs):
+            paths.append(args)
+            return integrate_path(*args, **kwargs)
+
+        def counted_walk(g):
+            walks.append(g)
+            return walk(g)
+        with monkeypatch.context() as m:
+            m.setattr(ex, "integrate_path", counted)
+            m.setattr(DomainGrid, "walk", counted_walk)
+            mesh = minimal_surface(w, grid)
+        assert paths == []
+        assert len(walks) == 2
+        assert any(c.phase == 2 for c in mesh.grid.walk()[0])
         per_point = 2.0 * _cumulative_grid_integral(
             lambda pts, edges: _fz_components(w.mu(pts), w.nu(pts)).T,
             mesh.grid, 3).real
@@ -267,8 +317,8 @@ class TestWalkPrimitive:
 
 
 class TestBlockedIntegral:
-    """The blocked pass (one integrand call per block of rows, node values
-    by cumulative sums from the block's source row) against per-node
+    """The pass (one integrand call per slice of the walk's edges, node
+    values by one cumulative sum along the walk's chains) against per-node
     quadrature of f_z.  The data make f_z a polynomial of degree 6, which
     both the sweep's and integrate_path's rules integrate exactly, so the
     two differ by rounding only, whatever path the walk takes."""
@@ -289,8 +339,8 @@ class TestBlockedIntegral:
                                        "wall"])
     @pytest.mark.parametrize("bound", [None, 16])
     def test_matches_per_node_quadrature(self, shape, bound, monkeypatch):
-        # bound 16: two edges' points, so every row of columns is wider
-        # than a block and takes a block of its own
+        # bound 16: four edges' points, so the slices cut the rows and
+        # the chains
         if bound is not None:
             monkeypatch.setattr(weier, "BLOCK_POINTS", bound)
         xs, ys = np.linspace(-0.7, 0.5, 13), np.linspace(-0.3, 0.9, 8)

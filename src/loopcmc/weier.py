@@ -146,20 +146,19 @@ def regularity_mask(mu, nu, grid: DomainGrid, dilate=1):
 BLOCK_POINTS = 2 ** 16
 
 
-def _cumulative_grid_integral(fvec, grid: DomainGrid, width, walk=None,
+def _cumulative_grid_integral(fvec, grid: DomainGrid, width, walk,
                               panels=1):
     """Cumulative integral of a vector-valued integrand over the walk of
     ``grid`` from 0 at its basepoint, (ny, nx, width), NaN at the nodes the
-    walk does not reach; ``walk`` is ``grid.walk()``, walked here if not
-    given.  Each edge takes ``panels`` equal ``expr.WALK_GL_N``-point
-    Gauss-Legendre panels, the frame integrator's rule, and one
-    ``grid.chain_sums`` over all the walk's chains adds the edges' integrals
-    up.  The integrand is evaluated over the walk's edges in their edge
-    order, in slices of at most BLOCK_POINTS points: ``fvec(points,
-    edges)`` gets the points of the edges ``edges`` (a slice), flat, points
-    first and edges last ``(WALK_GL_N * panels, edges)``, and returns the
-    integrand there as (width, len(points))."""
-    chains, reached = walk or grid.walk()
+    walk does not reach; ``walk`` is ``grid.walk()``.  Each edge takes
+    ``panels`` equal ``expr.WALK_GL_N``-point Gauss-Legendre panels, the
+    frame integrator's rule, and one ``grid.chain_sums`` over all the walk's
+    chains adds the edges' integrals up.  The integrand is evaluated over
+    the walk's edges in their edge order, in slices of at most BLOCK_POINTS
+    points: ``fvec(points, edges)`` gets the points of the edges ``edges``
+    (a slice), flat, points first and edges last ``(WALK_GL_N * panels,
+    edges)``, and returns the integrand there as (width, len(points))."""
+    chains, reached = walk
     start, end = chain_ends(chains)
     zz = grid.zz.ravel()
     t = ex.panel_points(ex.WALK_GL_N, panels)
@@ -206,25 +205,23 @@ def _edge_integrals(integrand, za, zb, panels):
 
 def _walk_primitive(prim: ex.Prim, grid: DomainGrid, panels):
     """Values of ``prim`` from one cumulative pass along the walk of the
-    whole lattice (``DomainGrid.walk`` with no node masked): at the nodes,
+    whole lattice (``DomainGrid.walk`` with no node masked) at the nodes,
     (ny, nx), and a function ``points(chains)`` that gives them at the
-    points of every edge of ``chains``, the chains of the walk of the grid
-    under any mask, in their edge order, (WALK_GL_N * panels, edges).
-    Those chains open with the lattice walk's, the basepoint row and then
-    the columns, in the same order, whatever the mask: their points take
-    the lattice pass's values.  Each later (reroute) edge's points take
-    the lattice value at the edge's start plus the edge's partial
-    integrals (``_edge_integrals``).
+    points of every edge of ``chains`` (the walk of the grid under any
+    mask), in their edge order, (WALK_GL_N * panels, edges), and at the
+    nodes continued along ``chains``, (ny, nx).  Those chains open with
+    the lattice walk's, in the same order, whatever the mask, and take the
+    lattice pass's values; the later (reroute) chains continue them by
+    their edges' integrals (``_edge_integrals``), as the pass does.
 
-    The lattice walk reaches every node, and every point of its edges, by
-    integrate_path's horizontal-then-vertical path from the basepoint, and
-    each edge is integrated by integrate_path's rule, so the values are
-    ``ex.evaluate(prim, points)``'s up to rounding.  A reroute edge's
-    points are reached off that path: where the integrand is holomorphic
-    between the two paths, the values differ from it by the quadrature
-    error.  ``prim`` starts at the grid's basepoint node (up to the grid's
-    node tolerance); an off-node start enters as the primitive's value at
-    the node.
+    The lattice walk follows integrate_path's horizontal-then-vertical
+    path to every node and every point of its edges, at integrate_path's
+    rule, so its values are ``ex.evaluate(prim, points)``'s up to
+    rounding.  A rerouted node's two values differ by the quadrature
+    error where the integrand is holomorphic between the two paths, and
+    by the residue where they enclose a pole.  ``prim`` starts at the
+    grid's basepoint node (up to the grid's node tolerance); an off-node
+    start enters as the primitive's value at the node.
     """
     lattice, _ = DomainGrid(grid.xs, grid.ys, grid.i0, grid.j0).walk()
     src, dst = chain_ends(lattice)
@@ -234,15 +231,25 @@ def _walk_primitive(prim: ex.Prim, grid: DomainGrid, panels):
     nodes = np.zeros(flat.size, dtype=complex)
     chain_sums(lattice, total, nodes)
     part += nodes[src]
-    shift = ex.evaluate(prim, grid.z0) if prim.z0 != grid.z0 else 0.0
+    if prim.z0 != grid.z0:
+        shift = ex.evaluate(prim, grid.z0)
+        nodes += shift
+        part += shift
 
     def points(chains):
-        start, end = chain_ends(chains[len(lattice):])
-        rest = _edge_integrals(prim.integrand, flat[start], flat[end],
-                               panels)[1]
-        return np.concatenate([part, rest + nodes[start]], axis=1) + shift
+        rest = chains[len(lattice):]
+        if not rest:
+            return part, nodes.reshape(grid.zz.shape)
+        start, end = chain_ends(rest)
+        total, at = _edge_integrals(prim.integrand, flat[start], flat[end],
+                                    panels)
+        along = nodes.copy()
+        chain_sums(rest, total, along)
+        at += along[start]
+        return (np.concatenate([part, at], axis=1),
+                along.reshape(grid.zz.shape))
 
-    return nodes.reshape(grid.ny, grid.nx) + shift, points
+    return nodes.reshape(grid.zz.shape), points
 
 
 def _walk_prims(w: WeierstrassData, grid: DomainGrid, panels):
@@ -297,8 +304,10 @@ def minimal_surface(w: WeierstrassData, grid: DomainGrid,
     one cumulative pass along the lattice's walk (``_walk_primitive``),
     never from a path integral per point.  meta["mask_causes"] counts the
     masked nodes under the first cause that applies: outside the grid's
-    own mask (``domain``), failing ``regularity_mask`` (``regularity``), or
-    a non-finite position (``position``).
+    own mask (``domain``), failing ``regularity_mask`` (``regularity``), a
+    primitive's value at a rerouted node not the lattice's, as behind a
+    zero of ``a`` in nu = -int Q/a (``path``, listed where it masks a
+    node), or a non-finite position (``position``).
     """
     walked = _walk_prims(w, grid, panels)
     mu_vals, nu_vals = ex.evaluate(
@@ -308,7 +317,13 @@ def minimal_surface(w: WeierstrassData, grid: DomainGrid,
         raise InvalidDataError("basepoint fails the regularity conditions")
     work = grid.with_mask(mask)
     walk = work.walk()
-    at_points = [(prim, points(walk[0])) for prim, _, points in walked]
+    at_points, path = [], np.zeros_like(mask)
+    for prim, nodes, points in walked:
+        vals, along = points(walk[0])
+        at_points.append((prim, vals))
+        # nu_vals there and the sweep's integrand are different branches
+        scale = np.abs(nodes[mask & np.isfinite(nodes)]).max(initial=0.0)
+        path |= ~(np.abs(along - nodes) <= 1e-6 * scale)
 
     def products(pts, edges):
         mu, nu = ex.evaluate((w.mu, w.nu), pts, [
@@ -329,14 +344,18 @@ def minimal_surface(w: WeierstrassData, grid: DomainGrid,
                        -2.0 * nu_vals.imag / denom,
                        (1.0 - np.abs(nu_vals) ** 2) / denom], axis=-1)
     eu = np.abs(mu_vals) * denom
-    good = mask & np.all(np.isfinite(f), axis=-1)
+    path &= mask
+    good = mask & ~path & np.all(np.isfinite(f), axis=-1)
     jj, ii = work.j0, work.i0
     f -= f[jj, ii]
-    # good lies inside mask, and mask inside the grid's mask
-    n_grid, n_mask, n_good = (int(np.count_nonzero(m))
-                              for m in (grid.mask, mask, good))
+    # good lies inside mask & ~path, and mask inside the grid's mask
+    n_grid, n_mask, n_path, n_good = (int(np.count_nonzero(m))
+                                      for m in (grid.mask, mask, path, good))
     causes = {"domain": grid.mask.size - n_grid,
-              "regularity": n_grid - n_mask, "position": n_mask - n_good}
+              "regularity": n_grid - n_mask,
+              "position": n_mask - n_path - n_good}
+    if n_path:
+        causes["path"] = n_path
     meta = {"kind": "weierstrass", "ntrunc": 0, "tail_bound": 0.0,
             "max_iwasawa_residual": 0.0, "max_unitary_residual": 0.0,
             "mask_causes": causes}

@@ -391,7 +391,7 @@ class TestCollocationWeights:
         entries = frames.potential_entries(pot)[::-1]
         sweep = _cumulative_grid_integral(
             lambda pts, edges: np.stack(ex.evaluate(entries, pts)),
-            fg.grid, 2)
+            fg.grid, 2, (chains, reached))
         size = max(np.max(np.abs(ex.evaluate(e, grid.zz))) for e in entries)
         assert np.array_equal(fg.ok, reached)
         assert np.max(np.abs(fg.coeffs[..., -2, :] - sweep)[reached]) \

@@ -102,7 +102,7 @@ class TestSweep:
         g = walled
         vals = _cumulative_grid_integral(
             lambda pts, edges: ex.evaluate(ex.parse("exp(z)"), pts)[None],
-            g, 1)
+            g, 1, g.walk())
         conn = reached(g)
         exact = np.exp(g.zz) - np.exp(g.z0)
         assert np.max(np.abs(vals[..., 0] - exact)[conn]) <= 1e-12

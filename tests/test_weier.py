@@ -220,7 +220,7 @@ class TestWalkPrimitive:
         ref_nodes = ex.integrate_path(integrand, z0, grid.zz)
         chains, _ = grid.walk()
         assert any(c.phase == 2 for c in chains) == wall
-        points = points(chains)
+        points, along = points(chains)
         # the points arrive flat, in the walk's edge order: the basepoint
         # row east then west, the rows down then up, then the reroutes
         src, dst = np.array(walk_edges(grid.mask, grid.j0, grid.i0)[0]).T
@@ -228,8 +228,10 @@ class TestWalkPrimitive:
         t = ex.panel_points(ex.WALK_GL_N, panels)
         pts = zz[src] + t[:, None] * (zz[dst] - zz[src])
         assert points.shape == pts.shape
-        got = np.concatenate([nodes.ravel(), points.ravel()])
-        ref = np.concatenate([ref_nodes.ravel(),
+        # the poles lie outside the rectangle, so the values continued
+        # along the reroutes are the lattice's too
+        got = np.concatenate([nodes.ravel(), along.ravel(), points.ravel()])
+        ref = np.concatenate([ref_nodes.ravel(), ref_nodes.ravel(),
                               ex.integrate_path(integrand, z0, pts).ravel()])
         scale = np.max(np.abs(integrand(grid.zz))) * grid.max_l1_pathlength()
         assert np.max(np.abs(got - ref)) <= 1e-13 * scale
@@ -278,7 +280,8 @@ class TestWalkPrimitive:
         # points take nu from the lattice pass too, with no path integral
         # per point and no walk beyond the lattice's and the masked
         # grid's; the nodes in front of it keep the per-point sweep's
-        # positions
+        # positions, and the nodes behind the zero, where nu = -int 1/a
+        # along the walk is not the lattice's, are masked under "path"
         argv = ["mesh", "--a", "z-0.3", "--Q", "1", "--h", "0",
                 "--grid", "21", "--xrange", "-0.5", "0.5",
                 "--yrange", "-0.5", "0.5", "--out", str(tmp_path)]
@@ -286,6 +289,7 @@ class TestWalkPrimitive:
         with open(tmp_path / "report.json") as fh:
             item = json.load(fh)["items"][0]
         assert item["mask_causes"]["regularity"] == 9
+        assert item["mask_causes"]["path"] > 0
         assert sum(item["mask_causes"].values()) \
             == round(item["masked_fraction"] * 21 * 21)
         w = limit_member_data(PotentialSpec.normalized("z-0.3", "1", 0.0))
@@ -309,11 +313,35 @@ class TestWalkPrimitive:
         assert any(c.phase == 2 for c in mesh.grid.walk()[0])
         per_point = 2.0 * _cumulative_grid_integral(
             lambda pts, edges: _fz_components(w.mu(pts), w.nu(pts)).T,
-            mesh.grid, 3).real
+            mesh.grid, 3, mesh.grid.walk()).real
         per_point -= per_point[grid.j0, grid.i0]
         front = mesh.mask & (grid.zz.real <= 0.2)
         assert np.count_nonzero(mesh.mask & ~front) > 0
         assert np.max(np.abs(mesh.f - per_point)[front]) <= 1e-12
+
+    @pytest.mark.parametrize("a", ["z-0.3", "z-0.3-0.3*i", "(z-0.3)^2"])
+    def test_nodes_behind_a_zero_of_a_are_masked_or_consistent(self, a):
+        # nu = -int Q/a has a pole of its integrand at the zero; every node
+        # left valid has positions whose central differences are the
+        # mesh's own 2 Re f_z to the differences' O(dx^2), behind the zero
+        # as in front of it (2.5 times |f_x| off behind z - 0.3 when the
+        # rerouted nodes kept the lattice's nu)
+        w = limit_member_data(PotentialSpec.normalized(a, "1", 0.0))
+        grid = DomainGrid.square(0.5, 21)
+        mesh = minimal_surface(w, grid)
+        assert mesh.meta["mask_causes"]["regularity"] == 9
+        assert mesh.meta["mask_causes"]["path"] > 0
+        assert np.count_nonzero(~mesh.mask) \
+            == sum(mesh.meta["mask_causes"].values())
+        f, m = mesh.f, mesh.mask
+        both = m[:, 2:] & m[:, :-2] & m[:, 1:-1]
+        fx = (f[:, 2:] - f[:, :-2]) / (2 * (grid.xs[1] - grid.xs[0]))
+        ref = 2.0 * mesh.fz[:, 1:-1].real
+        err = np.linalg.norm(fx - ref, axis=-1) \
+            / np.linalg.norm(ref, axis=-1)
+        behind = both & (grid.zz[:, 1:-1].real > 0.2)
+        assert np.count_nonzero(behind) > 0
+        assert np.max(err[both]) <= 0.15
 
 
 class TestBlockedIntegral:
@@ -356,10 +384,11 @@ class TestBlockedIntegral:
             mask[5, 4:12] = False
         grid = DomainGrid(xs, ys, min(9, len(xs) - 1), min(2, len(ys) - 1),
                           mask)
+        chains, reached = grid.walk()
         got = _cumulative_grid_integral(
             lambda pts, edges: _fz_components(self.W.mu(pts),
-                                              self.W.nu(pts)).T, grid, 3)
-        chains, reached = grid.walk()
+                                              self.W.nu(pts)).T,
+            grid, 3, (chains, reached))
         assert np.array_equal(np.all(np.isfinite(got), axis=-1), reached)
         if shape == "wall":
             assert any(c.phase == 2 for c in chains)

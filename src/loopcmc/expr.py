@@ -851,8 +851,8 @@ def integrate_path(e: ExprNode, z0, z1, max_step=PATH_MAX_STEP,
     This is the per-point rule of a :class:`Prim`.  On a mesh grid whose
     basepoint is the primitive's, ``weier.minimal_surface`` follows the
     same path with one cumulative pass along the walk of the lattice
-    instead, at the same rule per edge, and takes the points of a reroute
-    edge from its start node's value and that edge's own integrals."""
+    instead, at the same rule per edge, and continues the values along
+    the walk's reroute chains by their own edges' integrals."""
     z0, z1 = np.broadcast_arrays(np.asarray(z0, dtype=complex),
                                  np.asarray(z1, dtype=complex))
     corner = np.empty(z1.shape, dtype=complex)

@@ -25,8 +25,10 @@ and one ``grid.chain_sums`` over all the chains gives the nodes.  A
 primitive that starts at the grid's basepoint is not integrated per
 point: one pass over the whole lattice, edge by edge at the quadrature's
 own rule, gives its values at the nodes and at the points of every edge
-of the sweep, reroute edges included (``_walk_primitive``), and
-``expr.evaluate`` takes them as substitutions.
+of the sweep; the reroute chains continue them by their own edges'
+integrals (``_walk_primitive``), and a rerouted node where that is not
+the lattice's value is masked.  ``expr.evaluate`` takes the values as
+substitutions.
 """
 
 from __future__ import annotations

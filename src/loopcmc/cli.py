@@ -191,7 +191,8 @@ def mesh_item_report(mesh: SurfaceMesh, name):
     }
     for key in ("ntrunc", "tail_bound", "max_iwasawa_residual",
                 "max_unitary_residual", "max_condition", "condition_p99",
-                "max_section", "mask_causes", "lambda0"):
+                "max_section", "mask_causes", "lambda0", "mirrored_rows",
+                "mirror_deviation"):
         if key in mesh.meta:
             v = mesh.meta[key]
             rep[key] = (complex(v).real if key == "lambda0" and

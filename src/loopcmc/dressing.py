@@ -363,11 +363,13 @@ def gauge_ode_residual(coeffs: DressingCoeffs) -> float:
 def _left_multiply(h_plus: LoopMat, fg: FrameGrid) -> FrameGrid:
     """h_plus times the frames of ``fg``, their initial frame included:
     the twisted extension of ``fg.E0`` is folded into the dressing element,
-    so the product's frames carry no initial frame of their own."""
+    so the product's frames carry no initial frame of their own.  The
+    product is factored on the whole grid, mirrored frames too: a dressing
+    element need not keep the reflection."""
     hp = mul(h_plus, hat_extend(fg.E0))
     return replace(fg, lo=fg.lo + hp.lo,
                    coeffs=conv(hp.coeffs, fg.coeffs, fg.lo),
-                   E0=np.eye(2, dtype=complex),
+                   E0=np.eye(2, dtype=complex), mirror=False,
                    meta={**fg.meta, "dressed": True})
 
 

@@ -39,6 +39,18 @@ factor come from those entries and the plus-factor normalization in
 closed form, not from differencing.  E0hat(lam0) lies in SU(2) and the
 Sym-Bobenko point of E0hat alone vanishes, so E0hat turns the mesh of Psi
 into the mesh of Phi by one rotation.
+
+Symmetries associated with the basepoint are preserved under the
+deformation.  A potential real on the real axis, with the basepoint on
+it, has Psi(zbar) = conj Psi(z) coefficient by coefficient, so at a real
+lam0 the mesh of Psi satisfies f(zbar) = R f(z), R = diag(1, -1, 1).  When
+the node values of the potential and the grid show that symmetry about
+the basepoint row, the frames are integrated and factored from the row
+below the basepoint's on, and the mesh of the other rows is the mirror
+image of theirs, taken before the rotation by E0hat; the row below the
+basepoint's is computed as well, and its distance from its mirror image
+is reported, so the mirrored mesh is checked, not symmetric by
+construction.
 """
 
 from __future__ import annotations
@@ -109,6 +121,9 @@ ENTRY_BOUND = 1e8
 MASK_DILATE = 1
 CHUNK = 256
 TRIM_EPS = float(np.finfo(float).eps)
+# a reflective member is mirrored when the rows it fills hold at least one
+# chunk of nodes
+MIRROR_MIN_NODES = 256
 
 # Why a node is masked, in pipeline order: outside the grid's own mask; an
 # entry of the potential non-finite or above the entry bound, or within
@@ -139,7 +154,9 @@ class FrameGrid:
     ``integrate_frame`` leaves the initial frame E0 out of the coefficients
     (they are Psi, Psi(z0) = I), as it does not change their Iwasawa plus
     factor.  ``a`` holds the potential's ``a`` at the nodes, for the
-    metric."""
+    metric.  ``mirror`` marks the frames of a reflective member, whose rows
+    0 .. j0 - 2 are the conjugates of rows ny - 1 .. j0 + 2 (see
+    ``integrate_frame``): the mesh factors rows j0 - 1 on only."""
     lo: int
     coeffs: np.ndarray        # (ny, nx, nk, 2), the loops layout
     ok: np.ndarray            # (ny, nx)
@@ -149,6 +166,7 @@ class FrameGrid:
     meta: dict = field(default_factory=dict)
     E0: np.ndarray = field(default_factory=lambda: np.eye(2, dtype=complex))
     a: np.ndarray | None = None       # (ny, nx)
+    mirror: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +237,14 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
     (``FrameGrid.E0``).  The values of ``a`` at the nodes, from the same
     grid evaluation as the tail bound's, ride along for the metric.
 
+    A reflective member (:func:`_reflective`, decided from those node
+    values and the mask) is walked and integrated from row j0 - 1 on; the
+    frames of rows 0 .. j0 - 2 are the conjugates of those of rows ny - 1
+    .. j0 + 2, their mirror images, which the mirrored paths reach
+    (``FrameGrid.mirror``).  The mask is mirror-symmetric and every masked
+    node has its MASK_DILATE >= 1 ring masked, so the walked rows reach the
+    nodes of theirs that the whole grid's walk reaches.
+
     Raises TailBoundError when the rigorous factorial tail bound cannot be
     pushed below ``TAIL_FAIL`` at the truncation cap.
     """
@@ -268,10 +294,16 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
             f"series tail bound {tail:.3e} above {TAIL_FAIL:.1e} at "
             f"truncation {ntrunc}; shrink the domain or raise the cap")
 
+    # a reflective member walks rows j0 - 1 on only; the rows below are the
+    # conjugates of their mirror images
+    mirror = _reflective(grid, mask, opts.lambda0, (a_v, low_v))
+    top = grid.j0 - 1 if mirror else 0
+    part = DomainGrid(grid.xs, grid.ys[top:], grid.i0, grid.j0 - top,
+                      mask[top:]) if mirror else work
     nk = ntrunc + 1
-    chains, reached = work.walk()
+    chains, reached = part.walk()
     start, end = chain_ends(chains)
-    zz = work.zz.ravel()
+    zz = part.zz.ravel()
     dz = zz[end] - zz[start]
     t = ex.panel_points(ex.WALK_GL_N, opts.substeps)
     m = len(t)
@@ -281,9 +313,10 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
     ent *= dz
     weights = ex.interpolant_integrals(ex.WALK_GL_N, opts.substeps,
                                        opts.substeps)
-    psi = np.empty((zz.size, nk, 2), dtype=complex)
-    psi[:, -1] = 1.0                         # Psi_0 = I
-    level = np.zeros((2, zz.size), dtype=complex)   # Psi_k, node-last
+    psi = np.empty((grid.ny * grid.nx, nk, 2), dtype=complex)
+    own = psi[top * grid.nx:]                # the walked rows
+    own[:, -1] = 1.0                         # Psi_0 = I
+    level = np.zeros((zz.size, 2), dtype=complex)   # Psi_k, a row a node
     # level k's integrand at the points: Psi_(k-1) there with its columns
     # swapped, times (lower, upper), as _times_potential forms it with the
     # columns last; Psi_0 = I, so level 1's is (lower, upper)
@@ -295,13 +328,17 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
             # real product of the weights with both columns' real and
             # imaginary parts
             np.matmul(weights, g.view(float), out=sums.view(float))
-            chain_sums(chains, sums[:, m].T, level.T)
-            psi[:, nk - 1 - k] = level.T
+            chain_sums(chains, sums[:, m].T, level)
+            own[:, nk - 1 - k] = level
             if k + 1 < nk:
                 at_pts = sums[:, :m]
-                at_pts += level[:, None, start]
+                at_pts += level[start].T[:, None]
                 np.multiply(at_pts[::-1], ent, out=g)
     psi = psi.reshape(grid.ny, grid.nx, nk, 2)
+    reached = np.concatenate([np.zeros((top, grid.nx), dtype=bool), reached])
+    if mirror:
+        psi[:top] = np.conj(psi[:grid.j0 + 1:-1])
+        reached[:top] = reached[:grid.j0 + 1:-1]
     psi[~reached] = np.nan
 
     ok = reached & np.all(np.isfinite(psi), axis=(2, 3))
@@ -313,7 +350,34 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
     meta = {"mask_causes": causes}
     return FrameGrid(lo=1 - nk, coeffs=psi, ok=ok, grid=work, ntrunc=ntrunc,
                      tail_bound=tail, meta=meta, E0=p.initial_frame(),
-                     a=a_v)
+                     a=a_v, mirror=mirror)
+
+
+def _reflective(grid: DomainGrid, mask, lam0, entries):
+    """Whether a member is mirrored about the basepoint row: Psi(zbar) =
+    conj Psi(z), coefficient by coefficient, so rows 0 .. j0 - 2 of the
+    frames are the conjugates of rows ny - 1 .. j0 + 2.
+
+    That holds when the basepoint row lies on the real axis and the grid is
+    its own mirror image about it (to 1e-12 of the row spacing), the mask
+    is too, and the potential is real on the real axis: ``entries`` (a,
+    Q/a) at the nodes, conjugate at mirrored nodes of the mask to within
+    1e-14 of their largest value.  The mesh reads the frames at a real
+    lambda0 only, where F(zbar) = conj F(z) gives the reflected surface.
+    Grids whose mirrored rows hold fewer than ``MIRROR_MIN_NODES`` nodes
+    are not mirrored."""
+    j0, ys = grid.j0, grid.ys
+    tol = 1e-12 * abs(grid.dy)
+    if (grid.ny != 2 * j0 + 1 or (j0 - 1) * grid.nx < MIRROR_MIN_NODES
+            or complex(lam0).imag != 0 or abs(ys[j0]) > tol
+            or np.max(np.abs(ys + ys[::-1] - 2 * ys[j0])) > tol
+            or not np.array_equal(mask, mask[::-1])):
+        return False
+    for v in entries:
+        gap = np.abs(v[::-1] - np.conj(v))[mask]
+        if not np.max(gap) <= 1e-14 * np.max(np.abs(v[mask])):
+            return False
+    return True
 
 
 def _mask_causes(meta):
@@ -407,7 +471,7 @@ def _trimmed_band(coeffs):
 
 def _factor_chunks(lo, coeffs, ok, opts: SurfaceOptions, causes):
     """Pointwise Iwasawa factorization of the flat frames ``coeffs``
-    (n, nk, 2), lowest power ``lo``, at the nodes where ``ok`` holds.
+    (n, nk, 2), lowest power ``lo``, at the nodes where ``ok`` is nonzero.
 
     Each node is cut to the band its own frame needs (:func:`_trimmed_band`);
     the nodes are stably sorted by that band and factored in slices of
@@ -416,7 +480,9 @@ def _factor_chunks(lo, coeffs, ok, opts: SurfaceOptions, causes):
     indices, the chunk's lowest power and its frames cut to its band, the
     ``iwasawa_batch`` output, and the nodes whose factorization succeeded
     within ``opts.residual_tol`` and ``opts.unitary_tol``.  The rejected
-    nodes are added to ``causes`` under their first failed check."""
+    nodes are added to ``causes`` under their first failed check, each
+    counted ``ok`` times: a bool mask counts every node once, a count the
+    grid nodes a node stands for."""
     idx = np.nonzero(ok)[0]
     first, stop = _trimmed_band(coeffs[idx])
     order = np.argsort(stop - first, kind="stable")
@@ -431,7 +497,7 @@ def _factor_chunks(lo, coeffs, ok, opts: SurfaceOptions, causes):
                 ("factorization", out["ok"]),
                 ("residual", out["residual"] < opts.residual_tol),
                 ("unitarity", out["unitary_residual"] < opts.unitary_tol)):
-            causes[cause] += int(np.count_nonzero(accepted & ~passed))
+            causes[cause] += int(np.sum(ok[sel][accepted & ~passed]))
             accepted &= passed
         yield sel, chunk_lo, chunk, out, accepted
 
@@ -499,12 +565,23 @@ def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
     unitary factor of the twisted initial frame times the frames is that
     frame times their unitary factor, so ``fg.E0`` enters at lambda0 only,
     as one rotation of the mesh (:func:`_initial_rotation`).  An off-circle
-    lambda0 raises ValueError."""
+    lambda0 raises ValueError.
+
+    Mirrored frames (``fg.mirror``) are factored from row j0 - 1 on.  F is
+    then conj F of the mirror image, so rows 0 .. j0 - 2 take the points
+    and normals R x, the tangents R conj(f_z), and the conformal factor and
+    the mask of their mirror images, R = diag(1, -1, 1), before the
+    rotation by E0 turns the plane of reflection.  Row j0 - 1 is both
+    factored and mirrored: ``mirror_deviation`` is the largest distance
+    between the two, a fraction of the diameter.  The mask causes and the
+    residual and condition statistics count every grid node, a mirrored
+    node with its mirror image's values."""
     lam0 = complex(opts.lambda0)
     if abs(abs(lam0) - 1.0) > 1e-12:
         raise ValueError("lambda0 must lie on the unit circle")
     grid = fg.grid
     ny, nx = grid.ny, grid.nx
+    j0, i0 = grid.j0, grid.i0
     nk = fg.coeffs.shape[2]
 
     coeffs = fg.coeffs.reshape(ny * nx, nk, 2)
@@ -513,13 +590,20 @@ def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
     fzv = np.full((ny * nx, 3), np.nan, dtype=complex)
     rho_all = np.full(ny * nx, np.nan)
     ok_all = np.zeros(ny * nx, dtype=bool)
+    # the grid nodes each factored node stands for
+    count = fg.ok.astype(np.intp)
+    top = j0 - 1 if fg.mirror else 0
+    if fg.mirror:
+        count[:top] = 0
+        count[j0 + 2:] *= 2
+    count = count.reshape(-1)
     max_section = 0
     accepted = []
     causes = _mask_causes(fg.meta)
     a_vals = fg.a.reshape(-1)
 
     for sel, lo, x, out, good in _factor_chunks(
-            fg.lo, coeffs, fg.ok.reshape(-1), opts, causes):
+            fg.lo, coeffs, count, opts, causes):
         f[sel], normal[sel], tangent = _sym_bobenko(
             *_frame_at(x, lo, out, lam0), p.h, lam0)
         rho = out["rho"]
@@ -528,34 +612,52 @@ def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
         ok_all[sel] = good
         max_section = max(max_section, int(np.max(out["section"])))
         accepted.append([out[k][good] for k in (
-            "residual", "unitary_residual", "condition")])
+            "residual", "unitary_residual", "condition")] + [count[sel][good]])
 
+    if fg.mirror:
+        refl = np.array([1.0, -1.0, 1.0])
+        f2, n2, fz2, rho2, ok2 = (v.reshape((ny, nx) + v.shape[1:]) for v in (
+            f, normal, fzv, rho_all, ok_all))
+        image = slice(None, j0 + 1, -1)     # rows ny - 1 .. j0 + 2
+        both = ok2[j0 - 1] & ok2[j0 + 1]
+        deviation = float(np.max(np.linalg.norm(
+            f2[j0 - 1, both] - refl * f2[j0 + 1, both], axis=-1),
+            initial=0.0))
+        f2[:top] = refl * f2[image]
+        n2[:top] = refl * n2[image]
+        fz2[:top] = refl * np.conj(fz2[image])
+        rho2[:top] = rho2[image]
+        ok2[:top] = ok2[image]
     rot = _initial_rotation(fg.E0, lam0).T
     f = (f @ rot).reshape(ny, nx, 3)
     normal = (normal @ rot).reshape(ny, nx, 3)
     fzv = (fzv @ rot).reshape(ny, nx, 3)
     rho_all = rho_all.reshape(ny, nx)
     ok = ok_all.reshape(ny, nx) & fg.ok
-    j0, i0 = grid.j0, grid.i0
     if not ok[j0, i0]:
         raise FrameError("factorization failed at the basepoint")
     f -= f[j0, i0]
     eu = 0.5 * np.abs(a_vals.reshape(ny, nx)) * rho_all ** 2
-    # over the accepted nodes, which hold the basepoint
-    resid, unit, cond = (np.concatenate(a) for a in zip(*accepted))
+    # over the accepted nodes, which hold the basepoint, each as many times
+    # as the grid nodes it stands for
+    resid, unit, cond, times = (np.concatenate(a) for a in zip(*accepted))
     meta = {
         "kind": "dpw", "h": p.h, "ntrunc": fg.ntrunc,
         "tail_bound": fg.tail_bound, "lambda0": lam0,
         "max_iwasawa_residual": float(np.max(resid)),
         "max_unitary_residual": float(np.max(unit)),
         "max_condition": float(np.max(cond)),
-        "condition_p99": float(np.percentile(cond, 99)),
+        "condition_p99": float(np.percentile(np.repeat(cond, times), 99)),
         "max_section": max_section,
         "mask_causes": causes,
         "dressed": bool(fg.meta.get("dressed", False)),
     }
-    return SurfaceMesh(grid=fg.grid, h=p.h, f=f, normal=normal, eu=eu,
+    mesh = SurfaceMesh(grid=fg.grid, h=p.h, f=f, normal=normal, eu=eu,
                        fz=fzv, mask=ok, meta=meta)
+    if fg.mirror:
+        meta["mirrored_rows"] = top
+        meta["mirror_deviation"] = deviation / (mesh.diameter() or 1.0)
+    return mesh
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ chain: the frame and Weierstrass integrators sum their edge integrals so.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -248,17 +249,22 @@ def chain_ends(chains):
 def chain_sums(chains, edge_vals, vals):
     """Add the values ``edge_vals`` (edges, ...) of the edges of ``chains``,
     in their edge order, along each chain into ``vals`` (nodes, ...), flat
-    over the nodes, in place: a chain's nodes take ``np.cumsum`` from its
-    seed's value, so each node adds the edges of its path in order, one
-    by one."""
+    over the nodes and C-contiguous, in place: a chain's nodes take
+    ``np.cumsum`` from its seed's value, so each node adds the edges of its
+    path in order, one by one.  The sums are scattered a node at a time as
+    one opaque item (a ``np.void`` view of its row), not value by value."""
+    row = np.dtype((np.void, vals.itemsize * math.prod(vals.shape[1:])))
+    rows = vals.reshape(len(vals), -1, copy=False).view(row)[:, 0]
     pos = 0
     for seed, nodes, _ in chains:
         n = nodes.size
         edges = edge_vals[pos:pos + n].reshape(nodes.shape
                                                + edge_vals.shape[1:])
         pos += n
-        path = np.concatenate([vals[seed][None], edges])
-        vals[nodes] = np.cumsum(path, axis=0, out=path)[1:]
+        path = np.empty((len(nodes) + 1,) + edges.shape[1:], vals.dtype)
+        path[0], path[1:] = vals[seed], edges
+        np.cumsum(path, axis=0, out=path)
+        rows[nodes] = path[1:].reshape(nodes.shape + (-1,)).view(row)[..., 0]
 
 
 def _erode(mask, rings, outside):

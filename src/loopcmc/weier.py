@@ -191,17 +191,22 @@ def _edge_integrals(integrand, za, zb, panels):
     """Integrals of ``integrand`` over the straight edges za -> zb (n,) by
     integrate_path's rule, (n,), and from za to each edge's points of the
     walk's rule at ``panels`` panels, (WALK_GL_N * panels, n).  Edges with
-    the same piece count share one evaluation."""
+    the same piece count are evaluated together, in slices of at most
+    BLOCK_POINTS points, as the pass slices its edges."""
     dz = zb - za
     pieces = np.maximum(1, np.ceil(np.abs(dz) / ex.PATH_MAX_STEP)).astype(int)
     out = np.empty((ex.WALK_GL_N * panels + 1,) + dz.shape, dtype=complex)
     for p in np.unique(pieces):
-        sel = np.flatnonzero(pieces == p)
         ts = ex.panel_points(ex.PATH_GL_N, p)
-        vals = np.ascontiguousarray(ex.evaluate(
-            integrand, za[sel] + ts[:, None] * dz[sel]), dtype=complex)
         weights = ex.interpolant_integrals(ex.PATH_GL_N, p, panels)
-        out[:, sel] = dz[sel] * (weights @ vals.view(float)).view(complex)
+        same = np.flatnonzero(pieces == p)
+        per = max(1, BLOCK_POINTS // len(ts))
+        for at in range(0, len(same), per):
+            sel = same[at:at + per]
+            vals = np.ascontiguousarray(ex.evaluate(
+                integrand, za[sel] + ts[:, None] * dz[sel]), dtype=complex)
+            out[:, sel] = dz[sel] * (weights @ vals.view(float)).view(complex)
+            del vals    # not held through the next slice's evaluation
     return out[-1], out[:-1]
 
 

@@ -155,3 +155,51 @@ def test_potential_evaluation_is_counted(monkeypatch):
     assert lattice in calls
     assert metrics["expr.evaluate.points"][0] == lattice + 81
     assert metrics["expr.evaluate.calls"][0] == 2
+
+
+def _sphere_counts(monkeypatch, Q):
+    # a 41 x 41 mesh of a = 1 and the given Q at h = 1: the traced
+    # factorization nodes, evaluate points and evaluate calls, and the mesh
+    import loopcmc.frames as frames
+    from loopcmc.grid import DomainGrid
+
+    pot = frames.PotentialSpec.normalized("1", Q, 1.0)
+    with installed_tracer(monkeypatch) as (spans, tracer):
+        mesh = frames.surface_from_potential(pot, DomainGrid.square(0.5, 41))
+        metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["factor.ok_ratio"][0] == 1.0
+    assert metrics["factor.max_unitary_residual"][0] \
+        == mesh.meta["max_unitary_residual"]
+    assert metrics["factor.max_condition"][0] == mesh.meta["max_condition"]
+    assert metrics["frames.integrate_frame.nodes"][0] == 41 * 41
+    assert mesh.mask.all()
+    return (metrics["factor.iwasawa_batch.nodes"][0],
+            metrics["expr.evaluate.points"][0],
+            metrics["expr.evaluate.calls"][0], mesh)
+
+
+def test_mirrored_member_counts_half_the_grid(monkeypatch):
+    # sphere data, real on the real axis: rows j0 - 1 = 19 to 40 are
+    # walked, collocated and factored, 22 rows of 41 nodes; the grid
+    # evaluation of the entries and of a still covers every node
+    from loopcmc import expr as ex
+
+    nodes, points, calls, mesh = _sphere_counts(monkeypatch, "0")
+    edges = 40 + 21 * 41
+    assert mesh.meta["mirrored_rows"] == 19
+    assert nodes == 22 * 41
+    assert points == edges * ex.WALK_GL_N + 41 * 41
+    assert calls == 2
+
+
+def test_non_reflective_twin_counts_the_whole_grid(monkeypatch):
+    # the same grid with Q = i/2, not real on the real axis: every node is
+    # walked, collocated and factored
+    from loopcmc import expr as ex
+
+    nodes, points, calls, mesh = _sphere_counts(monkeypatch, "0.5*i")
+    edges = 40 + 40 * 41
+    assert "mirrored_rows" not in mesh.meta
+    assert nodes == 41 * 41
+    assert points == edges * ex.WALK_GL_N + 41 * 41
+    assert calls == 2

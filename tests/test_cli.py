@@ -230,6 +230,22 @@ class TestGallery:
         assert checks["rotational_data_residual"] <= 1e-12
         assert checks["rotational_mesh_deviation"] <= 1e-5
 
+    def test_mirror_is_reported(self, tmp_path):
+        # the catenoid is real on the real axis: rows 0 .. 18 of its 41 x 41
+        # grid are the mirror image of rows 40 .. 22, and row 19 is
+        # computed as well, as the check of the mirror; the helicoid is not
+        rc = main(["gallery", "catenoid", "--h", "0.1",
+                   "--out", str(tmp_path / "c")])
+        assert rc == 0
+        item = read_report(tmp_path / "c")["items"][0]
+        assert item["mirrored_rows"] == 19
+        assert 0 <= item["mirror_deviation"] <= 1e-14
+        rc = main(["gallery", "helicoid", "--h", "0.1",
+                   "--out", str(tmp_path / "h")])
+        assert rc == 0
+        item = read_report(tmp_path / "h")["items"][0]
+        assert "mirrored_rows" not in item and "mirror_deviation" not in item
+
     def test_trunc_cap_is_honored(self, tmp_path):
         # smyth h = 1 needs a series order above 4: the cap must not be
         # raised behind the flag, so the run fails as `mesh` does

@@ -13,6 +13,7 @@ from loopcmc.frames import (FrameError, PotentialSpec, SurfaceOptions,
 from loopcmc.grid import (Chain, DomainGrid, bfs_tree, row_first_blocked,
                           walk)
 from loopcmc.loops import LoopMat, conv, entries_at, hat_extend, identity
+from loopcmc.symmetry import SymmetrySpec, verify_mesh_symmetry
 from loopcmc.weier import (WeierstrassData, _cumulative_grid_integral,
                            minimal_surface)
 from conftest import (CATENOID_MU, CATENOID_NU, KUSNER_MU, KUSNER_NU,
@@ -678,6 +679,159 @@ class TestSurfaceFromPotential:
         cf = extract_curvature(mesh, stencil=2)
         assert np.all(np.isfinite(mesh.f[mesh.mask]))
         assert np.nanmax(np.abs(cf.H[cf.valid] - 1.0)) <= 0.05
+
+
+def full_grid(monkeypatch):
+    """Make every member run on the whole grid, as if none were
+    reflective."""
+    monkeypatch.setattr(frames, "_reflective", lambda *args: False)
+
+
+class TestMirror:
+    """A member whose potential is real on the real axis, with the
+    basepoint on it, is integrated and factored from the row below the
+    basepoint's on, and the other rows are its mirror image."""
+
+    CATENOID = WeierstrassData(CATENOID_MU, CATENOID_NU, 0j)
+
+    def test_reflective_member_is_mirrored(self):
+        pot = minimal_to_potential(self.CATENOID, 1.0)
+        grid = DomainGrid.square(0.8, 41)
+        fg = integrate_frame(pot, grid)
+        assert fg.mirror and fg.coeffs.shape[:2] == (41, 41)
+        j0 = grid.j0
+        assert np.array_equal(fg.coeffs[:j0 - 1],
+                              np.conj(fg.coeffs[:j0 + 1:-1]))
+        mesh = surface_from_potential(pot, grid)
+        assert mesh.meta["mirrored_rows"] == j0 - 1
+        assert 0 <= mesh.meta["mirror_deviation"] <= 1e-14
+        assert frames.MIRROR_MIN_NODES <= (j0 - 1) * grid.nx
+        # the mesh check pairs row j0 - 1, computed, with row j0 + 1
+        assert verify_mesh_symmetry(mesh, SymmetrySpec.reflective()) <= 1e-14
+
+    @pytest.mark.parametrize("case", [
+        "helicoid", "kusner", "lambda0", "off_axis", "even_ny",
+        "asymmetric_mask", "small_grid"])
+    def test_refused(self, case):
+        data = self.CATENOID
+        grid = DomainGrid.square(0.8, 41)
+        opts = SurfaceOptions()
+        if case == "helicoid":
+            data = WeierstrassData("-i*exp(-z)/2", CATENOID_NU, 0j)
+        elif case == "kusner":
+            data = WeierstrassData(KUSNER_MU, KUSNER_NU, 0j)
+            grid = DomainGrid.square(0.3, 41)
+        elif case == "lambda0":
+            # an associated-family member reads the frames off the axis
+            opts = SurfaceOptions(lambda0=np.exp(0.5j))
+        elif case == "off_axis":
+            # plane data are symmetric about every row; the basepoint row
+            # is not the real axis
+            data = plane_potential(1.0)
+            grid = DomainGrid.square(0.8, 41, z0=0.2j)
+        elif case == "even_ny":
+            grid = DomainGrid.make(-0.8, 0.8, 41, -0.8, 0.84, 42)
+            assert grid.j0 == 20
+        elif case == "asymmetric_mask":
+            mask = np.ones((41, 41), dtype=bool)
+            mask[3, 7] = False
+            grid = grid.with_mask(mask)
+        elif case == "small_grid":
+            grid = DomainGrid.square(0.8, 21)
+        pot = data if isinstance(data, PotentialSpec) \
+            else minimal_to_potential(data, 1.0)
+        fg = integrate_frame(pot, grid, opts)
+        assert not fg.mirror
+        mesh = surface_from_potential(pot, grid, opts)
+        assert "mirrored_rows" not in mesh.meta
+        assert "mirror_deviation" not in mesh.meta
+
+    def test_dressed_frames_are_factored_in_full(self, monkeypatch):
+        from loopcmc.dressing import _left_multiply
+        pot = minimal_to_potential(self.CATENOID, 1.0)
+        fg = integrate_frame(pot, DomainGrid.square(0.8, 41))
+        assert fg.mirror
+        dressed = _left_multiply(identity(), fg)
+        assert not dressed.mirror
+        calls = []
+        batch = frames.iwasawa_batch
+
+        def record(lo, coeffs):
+            calls.append(len(coeffs))
+            return batch(lo, coeffs)
+        monkeypatch.setattr(frames, "iwasawa_batch", record)
+        mesh = frames._assemble_mesh(pot, dressed, SurfaceOptions())
+        assert sum(calls) == 41 * 41
+        assert "mirrored_rows" not in mesh.meta
+
+    def test_masked_3noid_counts_the_whole_grid(self, monkeypatch):
+        # the Jorge-Meeks 3-noid next to its ends, whose masks are mirror
+        # images: the mirrored mesh keeps the valid nodes and the causes of
+        # the whole grid's run
+        pot = minimal_to_potential(WeierstrassData("1/(z^3-1)^2", "z^2"), 1.0)
+        grid = DomainGrid.square(0.95, 41)
+        fg = integrate_frame(pot, grid)
+        mesh = surface_from_potential(pot, grid)
+        full_grid(monkeypatch)
+        ref = surface_from_potential(pot, grid)
+        assert fg.mirror and "mirrored_rows" not in ref.meta
+        assert np.array_equal(fg.ok, fg.grid.walk()[1])
+        assert np.array_equal(mesh.mask, ref.mask)
+        assert np.count_nonzero(mesh.mask) == 1471
+        assert mesh.meta["mask_causes"] == ref.meta["mask_causes"] == dict(
+            dict.fromkeys(frames.MASK_CAUSES, 0), entry=210)
+
+    @pytest.mark.parametrize("data, h, half, n", [
+        (WeierstrassData("1", "z^2"), 1.0, 0.9, 41),
+        (WeierstrassData(CATENOID_MU, CATENOID_NU), 0.1, 1.0, 41),
+        (WeierstrassData(CATENOID_MU, CATENOID_NU), 10.0, 0.15, 41),
+    ], ids=["smyth", "catenoid_0.1", "catenoid_10"])
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_matches_the_whole_grid(self, data, h, half, n, seed,
+                                    monkeypatch):
+        # with a random SU(2) initial frame, which turns the plane of
+        # reflection, the mirror is taken before the rotation
+        pot = minimal_to_potential(data, h)
+        if seed is not None:
+            pot = dataclasses.replace(
+                pot, E0=random_su2(np.random.default_rng(seed)))
+        grid = DomainGrid.square(half, n)
+        mesh = surface_from_potential(pot, grid)
+        full_grid(monkeypatch)
+        ref = surface_from_potential(pot, grid)
+        assert mesh.meta["mirrored_rows"] == grid.j0 - 1
+        assert np.array_equal(mesh.mask, ref.mask) and mesh.mask.all()
+        tol = 1e-14 * ref.diameter()
+        assert np.max(np.abs(mesh.f - ref.f)) <= tol
+        assert np.max(np.abs(mesh.normal - ref.normal)) <= 1e-14
+        scale = np.max(np.abs(ref.fz))
+        assert np.max(np.abs(mesh.fz - ref.fz)) <= 1e-14 * scale
+        assert np.max(np.abs(mesh.eu - ref.eu)) <= 1e-14 * np.max(ref.eu)
+        # the statistics of the whole grid, a mirrored node with its mirror
+        # image's values
+        for key in ("max_condition", "condition_p99"):
+            assert mesh.meta[key] == pytest.approx(ref.meta[key], rel=1e-12)
+        for key in ("max_unitary_residual", "max_iwasawa_residual"):
+            assert mesh.meta[key] <= 2 * ref.meta[key] + EPS, key
+
+    def test_rejections_count_their_mirror_images(self, monkeypatch):
+        # the last node of every chunk fails its residual: a rejected node
+        # below row j0 + 2 masks its mirror image too, and each masked node
+        # is counted once
+        def flag(lo, coeffs):
+            out = factor.iwasawa_batch(lo, coeffs)
+            out["residual"][-1] = 1.0
+            return out
+        monkeypatch.setattr(frames, "iwasawa_batch", flag)
+        pot = minimal_to_potential(self.CATENOID, 1.0)
+        grid = DomainGrid.square(0.8, 41)
+        mesh = surface_from_potential(pot, grid)
+        masked = np.count_nonzero(~mesh.mask)
+        j0 = grid.j0
+        assert masked > np.count_nonzero(~mesh.mask[j0 - 1:])
+        assert mesh.meta["mask_causes"] == dict(
+            dict.fromkeys(frames.MASK_CAUSES, 0), residual=masked)
+        assert np.array_equal(mesh.mask[:j0 - 1], mesh.mask[:j0 + 1:-1])
 
 
 class TestExtractCurvature:

@@ -780,6 +780,10 @@ class TestMirror:
         assert np.count_nonzero(mesh.mask) == 1471
         assert mesh.meta["mask_causes"] == ref.meta["mask_causes"] == dict(
             dict.fromkeys(frames.MASK_CAUSES, 0), entry=210)
+        # the rerouted nodes too: their paths enclose no pole
+        ok = mesh.mask
+        assert np.max(np.abs(mesh.f[ok] - ref.f[ok])) \
+            <= 1e-14 * ref.diameter()
 
     @pytest.mark.parametrize("data, h, half, n", [
         (WeierstrassData("1", "z^2"), 1.0, 0.9, 41),

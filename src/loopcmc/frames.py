@@ -121,9 +121,6 @@ ENTRY_BOUND = 1e8
 MASK_DILATE = 1
 CHUNK = 256
 TRIM_EPS = float(np.finfo(float).eps)
-# a reflective member is mirrored when the rows it fills hold at least one
-# chunk of nodes
-MIRROR_MIN_NODES = 256
 
 # Why a node is masked, in pipeline order: outside the grid's own mask; an
 # entry of the potential non-finite or above the entry bound, or within
@@ -359,17 +356,16 @@ def _reflective(grid: DomainGrid, mask, lam0, entries):
     frames are the conjugates of rows ny - 1 .. j0 + 2.
 
     That holds when the basepoint row lies on the real axis and the grid is
-    its own mirror image about it (to 1e-12 of the row spacing), the mask
+    its own mirror image about it (to 1e-12 of the row spacing), with at
+    least one row to fill (j0 >= 2), the mask
     is too, and the potential is real on the real axis: ``entries`` (a,
     Q/a) at the nodes, conjugate at mirrored nodes of the mask to within
     1e-14 of their largest value.  The mesh reads the frames at a real
-    lambda0 only, where F(zbar) = conj F(z) gives the reflected surface.
-    Grids whose mirrored rows hold fewer than ``MIRROR_MIN_NODES`` nodes
-    are not mirrored."""
+    lambda0 only, where F(zbar) = conj F(z) gives the reflected surface."""
     j0, ys = grid.j0, grid.ys
     tol = 1e-12 * abs(grid.dy)
-    if (grid.ny != 2 * j0 + 1 or (j0 - 1) * grid.nx < MIRROR_MIN_NODES
-            or complex(lam0).imag != 0 or abs(ys[j0]) > tol
+    if (j0 < 2 or grid.ny != 2 * j0 + 1 or complex(lam0).imag != 0
+            or abs(ys[j0]) > tol
             or np.max(np.abs(ys + ys[::-1] - 2 * ys[j0])) > tol
             or not np.array_equal(mask, mask[::-1])):
         return False

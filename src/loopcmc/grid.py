@@ -253,8 +253,10 @@ def chain_sums(chains, edge_vals, vals):
     ``np.cumsum`` from its seed's value, so each node adds the edges of its
     path in order, one by one.  The sums are scattered a node at a time as
     one opaque item (a ``np.void`` view of its row), not value by value."""
+    if not vals.flags.c_contiguous:
+        raise ValueError("chain_sums writes into C-contiguous values only")
     row = np.dtype((np.void, vals.itemsize * math.prod(vals.shape[1:])))
-    rows = vals.reshape(len(vals), -1, copy=False).view(row)[:, 0]
+    rows = vals.reshape(len(vals), -1).view(row)[:, 0]
     pos = 0
     for seed, nodes, _ in chains:
         n = nodes.size

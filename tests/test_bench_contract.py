@@ -33,28 +33,53 @@ def test_traced_names_resolve(monkeypatch):
     assert frames.integrate_frame is original
 
 
-def test_iwasawa_counter_reads_the_factor_output(monkeypatch):
-    # one 9 x 9 sphere mesh: the counter of every factorization call reads
-    # the output keys of iwasawa_batch that the per-layer metrics use
+def _traced_sphere(monkeypatch, Q):
+    # one traced 9 x 9 mesh of a = 1 and the given Q at h = 1: the mesh,
+    # the spans and the per-layer metrics
     import loopcmc.frames as frames
     from loopcmc.grid import DomainGrid
 
-    pot = frames.PotentialSpec.normalized("1", "0", 1.0)
+    pot = frames.PotentialSpec.normalized("1", Q, 1.0)
     with installed_tracer(monkeypatch) as (spans, tracer):
         mesh = frames.surface_from_potential(pot, DomainGrid.square(0.5, 9))
         metrics = spans.layer_metrics(tracer.spans)
-    calls = [s for s in tracer.spans if s.name == "factor.iwasawa_batch"]
+    return mesh, tracer.spans, metrics
+
+
+def _factored_nodes(monkeypatch, Q):
+    # the counter of every factorization call reads the output keys of
+    # iwasawa_batch that the per-layer metrics use; the traced factored
+    # nodes, and the mesh
+    mesh, traced, metrics = _traced_sphere(monkeypatch, Q)
+    calls = [s for s in traced if s.name == "factor.iwasawa_batch"]
     assert calls
     for s in calls:
         assert {"good", "max_residual", "max_unitary",
                 "max_condition"} <= set(s.counts)
-    assert metrics["factor.iwasawa_batch.nodes"][0] == 81
+    assert metrics["frames.integrate_frame.nodes"][0] == 81
     assert metrics["factor.ok_ratio"][0] == 1.0
     assert metrics["factor.max_unitary_residual"][0] \
         == mesh.meta["max_unitary_residual"]
     assert metrics["factor.max_residual"][0] \
         == mesh.meta["max_iwasawa_residual"]
     assert metrics["factor.max_condition"][0] == mesh.meta["max_condition"]
+    assert mesh.mask.all()
+    return metrics["factor.iwasawa_batch.nodes"][0], mesh
+
+
+def test_iwasawa_counter_reads_the_factor_output(monkeypatch):
+    # sphere data, real on the real axis: the member is mirrored, and rows
+    # j0 - 1 = 3 to 8 are factored, 6 rows of 9 nodes
+    nodes, mesh = _factored_nodes(monkeypatch, "0")
+    assert mesh.meta["mirrored_rows"] == 3
+    assert nodes == 6 * 9
+
+
+def test_iwasawa_counter_reads_the_factor_output_non_reflective(monkeypatch):
+    # Q = i/2 is not real on the real axis: every node is factored
+    nodes, mesh = _factored_nodes(monkeypatch, "0.5*i")
+    assert "mirrored_rows" not in mesh.meta
+    assert nodes == 81
 
 
 def test_iwasawa_counter_reads_the_compact_input(monkeypatch):
@@ -131,75 +156,34 @@ def test_minimal_evaluate_calls_stay_per_block(monkeypatch):
         assert metrics["expr.evaluate.calls"][0] <= 1 + slices
 
 
-def test_potential_evaluation_is_counted(monkeypatch):
-    # one 9 x 9 sphere mesh: the frame integrator evaluates both potential
-    # entries at its collocation points in one call, and
-    # expr.evaluate.points counts that call's points once, beside the one
-    # grid evaluation of the entries and of a for the tail bound and the
-    # metric; an integrator that bypassed expr.evaluate would leave the
-    # collocation points out of the traced counters
+def _evaluated_points(monkeypatch, Q, edges):
+    # the frame integrator evaluates both potential entries at its
+    # collocation points, those of the given number of walked edges, in
+    # one call, and expr.evaluate.points counts that call's points once,
+    # beside the one grid evaluation of the entries and of a for the tail
+    # bound and the metric; an integrator that bypassed expr.evaluate
+    # would leave the collocation points out of the traced counters
     from loopcmc import expr as ex
-    import loopcmc.frames as frames
-    from loopcmc.grid import DomainGrid
+    from loopcmc.frames import SurfaceOptions
 
-    pot = frames.PotentialSpec.normalized("1", "0", 1.0)
-    grid = DomainGrid.square(0.5, 9)
-    opts = frames.SurfaceOptions()
-    edges = 8 + 9 * 8
-    lattice = edges * ex.WALK_GL_N * opts.substeps
-    with installed_tracer(monkeypatch) as (spans, tracer):
-        frames.surface_from_potential(pot, grid, opts)
-        metrics = spans.layer_metrics(tracer.spans)
-    calls = [s.counts["points"] for s in tracer.spans
-             if s.name == "expr.evaluate"]
+    lattice = edges * ex.WALK_GL_N * SurfaceOptions().substeps
+    mesh, traced, metrics = _traced_sphere(monkeypatch, Q)
+    calls = [s.counts["points"] for s in traced if s.name == "expr.evaluate"]
     assert lattice in calls
     assert metrics["expr.evaluate.points"][0] == lattice + 81
     assert metrics["expr.evaluate.calls"][0] == 2
+    return mesh
 
 
-def _sphere_counts(monkeypatch, Q):
-    # a 41 x 41 mesh of a = 1 and the given Q at h = 1: the traced
-    # factorization nodes, evaluate points and evaluate calls, and the mesh
-    import loopcmc.frames as frames
-    from loopcmc.grid import DomainGrid
-
-    pot = frames.PotentialSpec.normalized("1", Q, 1.0)
-    with installed_tracer(monkeypatch) as (spans, tracer):
-        mesh = frames.surface_from_potential(pot, DomainGrid.square(0.5, 41))
-        metrics = spans.layer_metrics(tracer.spans)
-    assert metrics["factor.ok_ratio"][0] == 1.0
-    assert metrics["factor.max_unitary_residual"][0] \
-        == mesh.meta["max_unitary_residual"]
-    assert metrics["factor.max_condition"][0] == mesh.meta["max_condition"]
-    assert metrics["frames.integrate_frame.nodes"][0] == 41 * 41
-    assert mesh.mask.all()
-    return (metrics["factor.iwasawa_batch.nodes"][0],
-            metrics["expr.evaluate.points"][0],
-            metrics["expr.evaluate.calls"][0], mesh)
+def test_potential_evaluation_is_counted(monkeypatch):
+    # sphere data, mirrored: rows j0 - 1 = 3 to 8 are walked, 8 edges
+    # along the basepoint row and 5 down each of the 9 columns
+    mesh = _evaluated_points(monkeypatch, "0", 8 + 9 * 5)
+    assert mesh.meta["mirrored_rows"] == 3
 
 
-def test_mirrored_member_counts_half_the_grid(monkeypatch):
-    # sphere data, real on the real axis: rows j0 - 1 = 19 to 40 are
-    # walked, collocated and factored, 22 rows of 41 nodes; the grid
-    # evaluation of the entries and of a still covers every node
-    from loopcmc import expr as ex
-
-    nodes, points, calls, mesh = _sphere_counts(monkeypatch, "0")
-    edges = 40 + 21 * 41
-    assert mesh.meta["mirrored_rows"] == 19
-    assert nodes == 22 * 41
-    assert points == edges * ex.WALK_GL_N + 41 * 41
-    assert calls == 2
-
-
-def test_non_reflective_twin_counts_the_whole_grid(monkeypatch):
-    # the same grid with Q = i/2, not real on the real axis: every node is
-    # walked, collocated and factored
-    from loopcmc import expr as ex
-
-    nodes, points, calls, mesh = _sphere_counts(monkeypatch, "0.5*i")
-    edges = 40 + 40 * 41
+def test_potential_evaluation_is_counted_non_reflective(monkeypatch):
+    # Q = i/2: the whole grid is walked, 8 edges along the basepoint row
+    # and 8 down each column
+    mesh = _evaluated_points(monkeypatch, "0.5*i", 8 + 9 * 8)
     assert "mirrored_rows" not in mesh.meta
-    assert nodes == 41 * 41
-    assert points == edges * ex.WALK_GL_N + 41 * 41
-    assert calls == 2

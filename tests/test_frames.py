@@ -185,7 +185,8 @@ class TestIntegrateFrame:
         assert calls.count(grid.zz.shape) == 1
 
     def test_walks_the_grid_once(self, monkeypatch):
-        # every series level takes the chains of one walk
+        # every series level takes the chains of one walk: of rows j0 - 1
+        # on for this reflective member, of the whole grid otherwise
         walks = []
         walk = DomainGrid.walk
 
@@ -193,9 +194,16 @@ class TestIntegrateFrame:
             walks.append(g)
             return walk(g)
         monkeypatch.setattr(DomainGrid, "walk", counted)
-        fg = integrate_frame(PotentialSpec.normalized("2", "-4*z", 1.0),
-                             DomainGrid.square(0.5, 21))
-        assert fg.ntrunc > 1
+        pot = PotentialSpec.normalized("2", "-4*z", 1.0)
+        grid = DomainGrid.square(0.5, 21)
+        fg = integrate_frame(pot, grid)
+        assert fg.mirror and fg.ntrunc > 1
+        assert len(walks) == 1
+        assert np.array_equal(walks[0].zz, grid.zz[grid.j0 - 1:])
+        walks.clear()
+        full_grid(monkeypatch)
+        fg = integrate_frame(pot, grid)
+        assert not fg.mirror and fg.ntrunc > 1
         assert len(walks) == 1 and walks[0] is fg.grid
 
     def test_path_independence(self, catenoid, monkeypatch):
@@ -289,23 +297,32 @@ class TestPairedSweep:
     basepoint along its row and the columns, and one per reroute depth,
     in one pass per series level.  Each node keeps its row-then-column
     path, so the frames are those of the reference walk that takes one
-    edge at a time (``conftest.walk_edges``) byte for byte."""
+    edge at a time (``conftest.walk_edges``) byte for byte.  A reflective
+    member walks rows j0 - 1 on, and both fill the other rows by the same
+    reflection."""
 
     @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
     def test_advances_and_bytes(self, case, monkeypatch):
         data, grid = SWEEP_CASES[case]
         pot = data if isinstance(data, PotentialSpec) \
             else minimal_to_potential(data, 1.0)
-        passes = []
+        passes, walked = [], []
         chain_sums = frames.chain_sums
+        walk = DomainGrid.walk
 
         def counted(chains, edge_vals, vals):
             passes.append([c.nodes.shape for c in chains])
             return chain_sums(chains, edge_vals, vals)
+
+        def recorded(g):
+            walked.append(g)
+            return walk(g)
         with monkeypatch.context() as m:
             m.setattr(frames, "chain_sums", counted)
+            m.setattr(DomainGrid, "walk", recorded)
             fg = integrate_frame(pot, grid)
-        work = fg.grid
+        assert fg.mirror == (case in ("smyth", "e0"))
+        work, = walked
         nx, ny, i0, j0 = work.nx, work.ny, work.i0, work.j0
         depths = reroute_depths(work.mask, j0, i0)
         # one pass of the chains per series level, the same chains each
@@ -571,7 +588,10 @@ class TestSurfaceFromPotential:
                                                   monkeypatch):
         # the 99th percentile of the accepted nodes' condition estimates,
         # next to their maximum; a node rejected for its residual does not
-        # count, and the value repeats exactly
+        # count, and the value repeats exactly.  On the whole grid, where
+        # each factored node is one grid node (the mirrored count:
+        # TestMirror.test_condition_p99_of_the_whole_grid)
+        full_grid(monkeypatch)
         conds = []
 
         def record(lo, coeffs):
@@ -605,7 +625,9 @@ class TestSurfaceFromPotential:
     def test_closed_form_matches_series(self, data, h, grid, lam0,
                                         monkeypatch):
         # F(lam0) = X(lam0) B^-1(lam0) and its derivative give the mesh
-        # that summing the solved Fourier series of F at lam0 gives
+        # that summing the solved Fourier series of F at lam0 gives; at the
+        # real lam0 the members are mirrored, and both factor the rows from
+        # j0 - 1 on
         calls = []
 
         def series_at(x, lo, out, lam):
@@ -618,7 +640,10 @@ class TestSurfaceFromPotential:
         mesh = surface_from_potential(pot, grid, opts)
         monkeypatch.setattr(frames, "_frame_at", series_at)
         ref = surface_from_potential(pot, grid, opts)
-        assert sum(calls) == grid.nx * grid.ny
+        top = mesh.meta.get("mirrored_rows", 0)
+        assert top == (grid.j0 - 1 if lam0 == 1.0 else 0)
+        assert ref.meta.get("mirrored_rows", 0) == top
+        assert sum(calls) == grid.nx * (grid.ny - top)
         assert mesh.mask.all() and ref.mask.all()
         tol = 1e-12 * ref.diameter()
         assert np.max(np.abs(mesh.f - ref.f)) <= tol
@@ -705,13 +730,12 @@ class TestMirror:
         mesh = surface_from_potential(pot, grid)
         assert mesh.meta["mirrored_rows"] == j0 - 1
         assert 0 <= mesh.meta["mirror_deviation"] <= 1e-14
-        assert frames.MIRROR_MIN_NODES <= (j0 - 1) * grid.nx
         # the mesh check pairs row j0 - 1, computed, with row j0 + 1
         assert verify_mesh_symmetry(mesh, SymmetrySpec.reflective()) <= 1e-14
 
     @pytest.mark.parametrize("case", [
         "helicoid", "kusner", "lambda0", "off_axis", "even_ny",
-        "asymmetric_mask", "small_grid"])
+        "asymmetric_mask", "three_rows"])
     def test_refused(self, case):
         data = self.CATENOID
         grid = DomainGrid.square(0.8, 41)
@@ -736,8 +760,10 @@ class TestMirror:
             mask = np.ones((41, 41), dtype=bool)
             mask[3, 7] = False
             grid = grid.with_mask(mask)
-        elif case == "small_grid":
-            grid = DomainGrid.square(0.8, 21)
+        elif case == "three_rows":
+            # no row to fill: row j0 - 1 = 0 is computed anyway
+            grid = DomainGrid.make(-0.8, 0.8, 41, -0.04, 0.04, 3)
+            assert grid.j0 == 1
         pot = data if isinstance(data, PotentialSpec) \
             else minimal_to_potential(data, 1.0)
         fg = integrate_frame(pot, grid, opts)
@@ -817,6 +843,46 @@ class TestMirror:
             assert mesh.meta[key] == pytest.approx(ref.meta[key], rel=1e-12)
         for key in ("max_unitary_residual", "max_iwasawa_residual"):
             assert mesh.meta[key] <= 2 * ref.meta[key] + EPS, key
+
+    def test_condition_p99_of_the_whole_grid(self, monkeypatch):
+        # the grid of test_condition_p99_of_the_accepted_nodes, mirrored:
+        # the percentile of the accepted nodes of the whole grid, a node
+        # of row j0 + 2 on standing for its mirror image too, and the
+        # rejected nodes masking their mirror images as well
+        conds, weights, rejected = [], [], []
+        grid = DomainGrid.square(0.8, 21)
+        j0 = grid.j0
+
+        def record(lo, coeffs):
+            out = factor.iwasawa_batch(lo, coeffs)
+            out["residual"][-1] = 1.0
+            out["condition"][-1] = 1e9
+            return out
+        chunks = frames._factor_chunks
+
+        def rows(*args):
+            for sel, lo, x, out, good in chunks(*args):
+                weight = np.where(sel // grid.nx >= j0 + 2, 2, 1)
+                conds.append(out["condition"][good])
+                weights.append(weight[good])
+                rejected.append(weight[~good])
+                yield sel, lo, x, out, good
+        monkeypatch.setattr(frames, "iwasawa_batch", record)
+        monkeypatch.setattr(frames, "_factor_chunks", rows)
+        monkeypatch.setattr(frames, "CHUNK", 64)
+        pot = minimal_to_potential(self.CATENOID, 1.0)
+        mesh = surface_from_potential(pot, grid)
+        meta = mesh.meta
+        assert meta["mirrored_rows"] == j0 - 1
+        assert sum(len(c) + len(r) for c, r in zip(conds, rejected)) \
+            == grid.nx * (grid.ny - j0 + 1)
+        rejected = np.concatenate(rejected)
+        assert np.count_nonzero(~mesh.mask) == np.sum(rejected) \
+            == meta["mask_causes"]["residual"] > len(rejected)
+        cond = np.repeat(np.concatenate(conds), np.concatenate(weights))
+        assert meta["max_condition"] == np.max(cond) < 1e9
+        assert meta["condition_p99"] == np.percentile(cond, 99)
+        assert 1.0 <= meta["condition_p99"] < meta["max_condition"]
 
     def test_rejections_count_their_mirror_images(self, monkeypatch):
         # the last node of every chunk fails its residual: a rejected node

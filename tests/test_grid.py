@@ -277,3 +277,16 @@ class TestChains:
         assert len(chains) == sides + depths
         assert len(start) == g.nx * g.ny - 1 + np.count_nonzero(
             reached & row_first_blocked(g.mask, g.j0, g.i0))
+
+    def test_chain_sums_write_contiguous_values_only(self):
+        # the sums are scattered as whole rows of the values; a strided
+        # view is refused rather than written through a copy
+        g = DomainGrid.square(1.0, 5)
+        chains, _ = g.walk()
+        edges = np.ones((g.nx * g.ny - 1, 2))
+        vals = np.zeros((g.nx * g.ny, 2))
+        chain_sums(chains, edges, vals)
+        assert vals[g.j0 * g.nx + g.i0].tolist() == [0.0, 0.0]
+        assert np.max(vals) == g.nx // 2 + g.ny // 2
+        with pytest.raises(ValueError, match="C-contiguous"):
+            chain_sums(chains, edges, np.zeros((2, g.nx * g.ny)).T)

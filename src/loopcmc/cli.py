@@ -188,10 +188,11 @@ def mesh_item_report(mesh: SurfaceMesh, name):
         "h": mesh.h,
         "masked_fraction": mesh.masked_fraction(),
         "diameter": mesh.diameter(),
+        "factored_nodes": mesh.meta.get("factored_nodes", 0),
     }
     for key in ("ntrunc", "tail_bound", "max_iwasawa_residual",
                 "max_unitary_residual", "max_condition", "condition_p99",
-                "max_section", "mask_causes", "lambda0", "mirrored_rows",
+                "max_section", "mask_causes", "lambda0", "mirrored",
                 "mirror_deviation"):
         if key in mesh.meta:
             v = mesh.meta[key]

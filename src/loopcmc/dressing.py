@@ -369,7 +369,7 @@ def _left_multiply(h_plus: LoopMat, fg: FrameGrid) -> FrameGrid:
     hp = mul(h_plus, hat_extend(fg.E0))
     return replace(fg, lo=fg.lo + hp.lo,
                    coeffs=conv(hp.coeffs, fg.coeffs, fg.lo),
-                   E0=np.eye(2, dtype=complex), mirror=False,
+                   E0=np.eye(2, dtype=complex), mirror=(),
                    meta={**fg.meta, "dressed": True})
 
 

@@ -41,20 +41,34 @@ Sym-Bobenko point of E0hat alone vanishes, so E0hat turns the mesh of Psi
 into the mesh of Phi by one rotation.
 
 Symmetries associated with the basepoint are preserved under the
-deformation.  A potential real on the real axis, with the basepoint on
-it, has Psi(zbar) = conj Psi(z) coefficient by coefficient, so at a real
-lam0 the mesh of Psi satisfies f(zbar) = R f(z), R = diag(1, -1, 1).  When
-the node values of the potential and the grid show that symmetry about
-the basepoint row, the frames are integrated and factored from the row
-below the basepoint's on, and the mesh of the other rows is the mirror
-image of theirs, taken before the rotation by E0hat; the row below the
-basepoint's is computed as well, and its distance from its mirror image
-is reported, so the mirrored mesh is checked, not symmetric by
-construction.
+deformation (Dorfmeister and Haak, "On symmetries of constant mean
+curvature surfaces I", Tohoku Math. J. 50, 1998).  For a reflection sigma
+of the grid through the basepoint, z -> zbar about the basepoint row or
+z -> -zbar about its column, the frames may satisfy
+
+    Psi(sigma z, lam) = D conj Psi(z, conj(nu lam)) D^-1,   D = diag(1, d),
+
+with unimodular nu and d: the coefficient of lam^p in entry (r, c) at the
+image node is the conjugate of the partner's times nu^p d_r / d_c, d_0 = 1,
+d_1 = d.  That holds when the potential's entries do, upper(sigma z) =
+s conj(nu) conj(d) conj(upper(z)) and lower(sigma z) = s conj(nu) d
+conj(lower(z)), s = 1 for the row and -1 for the column; the same map then
+carries the Iwasawa factors over, so the unitary factor at lam0 of an
+image node is the map of its partner's.  When the node values of the
+potential and the grid show such symmetries (:class:`Reflection`), the
+frames are integrated and factored on the fundamental domain only, the
+rows from the one below the basepoint's on and, with a column reflection,
+the columns from the one left of it on; every other node takes its
+partner's frames and factors through the map.  The row and the column
+next to the basepoint's on the far side are computed as well, and their
+distance from the images of their partners is reported, so the mirrored
+mesh is checked, not symmetric by construction.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -151,9 +165,13 @@ class FrameGrid:
     ``integrate_frame`` leaves the initial frame E0 out of the coefficients
     (they are Psi, Psi(z0) = I), as it does not change their Iwasawa plus
     factor.  ``a`` holds the potential's ``a`` at the nodes, for the
-    metric.  ``mirror`` marks the frames of a reflective member, whose rows
-    0 .. j0 - 2 are the conjugates of rows ny - 1 .. j0 + 2 (see
-    ``integrate_frame``): the mesh factors rows j0 - 1 on only."""
+    metric.  ``mirror`` holds the reflections (:class:`Reflection`) the
+    frames are symmetric under, empty for most members: ``integrate_frame``
+    integrates the fundamental domain only, rows j0 - 1 .. with a row
+    reflection and columns i0 - 1 .. with a column reflection, and fills
+    every other node from its partner by the reflections' map, so the
+    table covers the whole grid; the mesh factors the fundamental domain
+    only."""
     lo: int
     coeffs: np.ndarray        # (ny, nx, nk, 2), the loops layout
     ok: np.ndarray            # (ny, nx)
@@ -163,7 +181,43 @@ class FrameGrid:
     meta: dict = field(default_factory=dict)
     E0: np.ndarray = field(default_factory=lambda: np.eye(2, dtype=complex))
     a: np.ndarray | None = None       # (ny, nx)
-    mirror: bool = False
+    mirror: tuple = ()
+
+
+@dataclass(frozen=True)
+class Reflection:
+    """A reflection of the grid through the basepoint that the frames keep:
+    ``axis`` "row" is z -> zbar about the basepoint row, "col" is z -> -zbar
+    about its column, and Psi(sigma z, lam) = D conj Psi(z, conj(nu lam))
+    D^-1 with D = diag(1, d).  ``nu`` is 1 or i (-nu with -d is the same
+    map on twisted loops), so the sampled checks of ``iwasawa_batch``, at
+    the half-circle points, read the same at an image node as at its
+    partner; ``d`` is unimodular."""
+    axis: str
+    nu: complex
+    d: complex
+
+    def image(self, coeffs, lo, out=None):
+        """The loops at the image nodes (written to ``out`` when given)
+        from ``coeffs`` (..., nk, 2), the loops at their partners with
+        lowest power ``lo``: the coefficient of lam^p in entry (r, c) is
+        conjugated and multiplied by nu^p d_r / d_c, d_0 = 1, d_1 = d (the
+        slot's column c holds row (p + c) mod 2)."""
+        out = np.conj(coeffs, out=out)
+        out *= _image_scale(self, lo, coeffs.shape[-2])
+        return out
+
+
+@functools.lru_cache(maxsize=64)
+def _image_scale(r: Reflection, lo, nk):
+    """(nk, 2), read-only: nu^p d_r / d_c of each slot p = lo .. lo + nk - 1
+    and column c of the compact layout."""
+    p = lo + np.arange(nk)[:, None]
+    nu_p = np.array([r.nu ** k for k in range(4)])[p % 4]
+    d_row = np.where((p + np.arange(2)) % 2, r.d, 1.0)
+    out = nu_p * d_row / np.array([1.0, r.d])
+    out.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +288,14 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
     (``FrameGrid.E0``).  The values of ``a`` at the nodes, from the same
     grid evaluation as the tail bound's, ride along for the metric.
 
-    A reflective member (:func:`_reflective`, decided from those node
-    values and the mask) is walked and integrated from row j0 - 1 on; the
-    frames of rows 0 .. j0 - 2 are the conjugates of those of rows ny - 1
-    .. j0 + 2, their mirror images, which the mirrored paths reach
-    (``FrameGrid.mirror``).  The mask is mirror-symmetric and every masked
-    node has its MASK_DILATE >= 1 ring masked, so the walked rows reach the
-    nodes of theirs that the whole grid's walk reaches.
+    A symmetric member (:func:`_reflections`, decided from those node
+    values and the mask) is walked and integrated on its fundamental
+    domain, rows j0 - 1 .. and, with a column reflection, columns i0 - 1
+    ..; every other node takes the frames of its partner through the
+    reflections' map (:meth:`Reflection.image`), which the mirrored paths
+    reach (``FrameGrid.mirror``).  The mask is mirror-symmetric and every
+    masked node has its MASK_DILATE >= 1 ring masked, so the walked nodes
+    are reached where the whole grid's walk reaches them.
 
     Raises TailBoundError when the rigorous factorial tail bound cannot be
     pushed below ``TAIL_FAIL`` at the truncation cap.
@@ -291,14 +346,16 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
             f"series tail bound {tail:.3e} above {TAIL_FAIL:.1e} at "
             f"truncation {ntrunc}; shrink the domain or raise the cap")
 
-    # a reflective member walks rows j0 - 1 on only; the rows below are the
-    # conjugates of their mirror images
-    mirror = _reflective(grid, mask, opts.lambda0, (a_v, low_v))
-    top = grid.j0 - 1 if mirror else 0
-    part = DomainGrid(grid.xs, grid.ys[top:], grid.i0, grid.j0 - top,
-                      mask[top:]) if mirror else work
+    # a symmetric member walks its fundamental domain only; every other
+    # node takes its partner's frames through the reflections' map
+    mirror = _reflections(grid, mask, (up_v, low_v))
+    axes = {r.axis for r in mirror}
+    top = grid.j0 - 1 if "row" in axes else 0
+    left = grid.i0 - 1 if "col" in axes else 0
+    part = DomainGrid(grid.xs[left:], grid.ys[top:], grid.i0 - left,
+                      grid.j0 - top, mask[top:, left:]) if mirror else work
     nk = ntrunc + 1
-    chains, reached = part.walk()
+    chains, part_reached = part.walk()
     start, end = chain_ends(chains)
     zz = part.zz.ravel()
     dz = zz[end] - zz[start]
@@ -310,9 +367,9 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
     ent *= dz
     weights = ex.interpolant_integrals(ex.WALK_GL_N, opts.substeps,
                                        opts.substeps)
-    psi = np.empty((grid.ny * grid.nx, nk, 2), dtype=complex)
-    own = psi[top * grid.nx:]                # the walked rows
-    own[:, -1] = 1.0                         # Psi_0 = I
+    psi = np.empty((grid.ny, grid.nx, nk, 2), dtype=complex)
+    own = psi[top:, left:]                   # the walked nodes
+    own[:, :, -1] = 1.0                      # Psi_0 = I
     level = np.zeros((zz.size, 2), dtype=complex)   # Psi_k, a row a node
     # level k's integrand at the points: Psi_(k-1) there with its columns
     # swapped, times (lower, upper), as _times_potential forms it with the
@@ -326,16 +383,16 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
             # imaginary parts
             np.matmul(weights, g.view(float), out=sums.view(float))
             chain_sums(chains, sums[:, m].T, level)
-            own[:, nk - 1 - k] = level
+            own[:, :, nk - 1 - k] = level.reshape(part.ny, part.nx, 2)
             if k + 1 < nk:
                 at_pts = sums[:, :m]
                 at_pts += level[start].T[:, None]
                 np.multiply(at_pts[::-1], ent, out=g)
-    psi = psi.reshape(grid.ny, grid.nx, nk, 2)
-    reached = np.concatenate([np.zeros((top, grid.nx), dtype=bool), reached])
-    if mirror:
-        psi[:top] = np.conj(psi[:grid.j0 + 1:-1])
-        reached[:top] = reached[:grid.j0 + 1:-1]
+    reached = np.zeros((grid.ny, grid.nx), dtype=bool)
+    reached[top:, left:] = part_reached
+    for image, partner, r in _image_blocks(mirror, grid.j0, grid.i0):
+        r.image(psi[partner], 1 - nk, out=psi[image])
+        reached[image] = reached[partner]
     psi[~reached] = np.nan
 
     ok = reached & np.all(np.isfinite(psi), axis=(2, 3))
@@ -350,30 +407,82 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
                      a=a_v, mirror=mirror)
 
 
-def _reflective(grid: DomainGrid, mask, lam0, entries):
-    """Whether a member is mirrored about the basepoint row: Psi(zbar) =
-    conj Psi(z), coefficient by coefficient, so rows 0 .. j0 - 2 of the
-    frames are the conjugates of rows ny - 1 .. j0 + 2.
+_I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 
-    That holds when the basepoint row lies on the real axis and the grid is
-    its own mirror image about it (to 1e-12 of the row spacing), with at
-    least one row to fill (j0 >= 2), the mask
-    is too, and the potential is real on the real axis: ``entries`` (a,
-    Q/a) at the nodes, conjugate at mirrored nodes of the mask to within
-    1e-14 of their largest value.  The mesh reads the frames at a real
-    lambda0 only, where F(zbar) = conj F(z) gives the reflected surface."""
-    j0, ys = grid.j0, grid.ys
-    tol = 1e-12 * abs(grid.dy)
-    if (j0 < 2 or grid.ny != 2 * j0 + 1 or complex(lam0).imag != 0
-            or abs(ys[j0]) > tol
-            or np.max(np.abs(ys + ys[::-1] - 2 * ys[j0])) > tol
-            or not np.array_equal(mask, mask[::-1])):
-        return False
-    for v in entries:
-        gap = np.abs(v[::-1] - np.conj(v))[mask]
-        if not np.max(gap) <= 1e-14 * np.max(np.abs(v[mask])):
-            return False
-    return True
+
+def _reflections(grid: DomainGrid, mask, entries):
+    """The reflections of the grid through the basepoint that the frames
+    keep, as a tuple of :class:`Reflection`, row before column; empty when
+    there are none.
+
+    A reflection needs the grid and the mask to be their own mirror images
+    about the basepoint row (column), which lies on the real (imaginary)
+    axis, to 1e-12 of the spacing, with at least one row (column) to fill:
+    j0 >= 2 (i0 >= 2).  It needs the potential's entries ``(upper,
+    lower)`` at the nodes to satisfy upper(sigma z) = c conj(upper(z)) and
+    lower(sigma z) = conj(nu)^2 conj(c) conj(lower(z)) at every node of the
+    mask, to 1e-14 of their largest value there, for one unimodular phase
+    c and nu = 1 or i; c is read at upper's largest node, and d = s
+    conj(nu c), s = 1 for the row and -1 for the column (see the module
+    docstring)."""
+    found = []
+    for axis, coords, c0, step, s, flip in (
+            ("row", grid.ys, grid.j0, grid.dy, 1.0, lambda v: v[::-1]),
+            ("col", grid.xs, grid.i0, grid.dx, -1.0, lambda v: v[:, ::-1])):
+        tol = 1e-12 * abs(step)
+        if (c0 < 2 or len(coords) != 2 * c0 + 1 or abs(coords[c0]) > tol
+                or np.max(np.abs(coords + coords[::-1])) > tol
+                or not np.array_equal(mask, flip(mask))):
+            continue
+        # the entries at the mask's nodes and at their mirror images
+        up, low = (v[mask] for v in entries)
+        up_img, low_img = (flip(v)[mask] for v in entries)
+        peak = np.argmax(np.abs(up))
+        if up[peak] == 0:
+            continue
+        c = up_img[peak] / np.conj(up[peak])
+        c /= abs(c)
+        # c carries one node's rounding: within 1e-14 of a power of i it is
+        # that power, so data real or imaginary on the axis map exactly
+        near = _I_POWERS[round(2 * np.angle(c) / np.pi) % 4]
+        if abs(c - near) <= 1e-14:
+            c = near
+        if not _matches(up_img, c * np.conj(up)):
+            continue
+        for nu in (1 + 0j, 1j):
+            if _matches(low_img, np.conj(nu * nu * c) * np.conj(low)):
+                d = complex(s * np.conj(nu * c))
+                found.append(Reflection(axis, nu, d))
+                break
+    return tuple(found)
+
+
+def _matches(values, expected):
+    """Whether ``values`` equal ``expected`` to 1e-14 of the largest of
+    ``expected``."""
+    return bool(np.max(np.abs(values - expected))
+                <= 1e-14 * np.max(np.abs(expected)))
+
+
+def _image_blocks(mirror, j0, i0):
+    """The blocks of nodes outside the fundamental domain of the
+    reflections ``mirror``, as ``(image, partner, reflection)``: index
+    pairs of (ny, nx) tables, row j0 - 2 - k the image of row j0 + 2 + k
+    and column i0 - 2 - k that of column i0 + 2 + k.  Filled in order, the
+    first reflection's block is the part of its half that lies in the
+    other's domain, and the second's is its whole half, read from the
+    first's result."""
+    pending = {r.axis for r in mirror}
+    for r in mirror:
+        pending.discard(r.axis)
+        if r.axis == "row":
+            cols = slice(i0 - 1 if "col" in pending else 0, None)
+            yield ((slice(None, j0 - 1), cols),
+                   (slice(None, j0 + 1, -1), cols), r)
+        else:
+            rows = slice(j0 - 1 if "row" in pending else 0, None)
+            yield ((rows, slice(None, i0 - 1)),
+                   (rows, slice(None, i0 + 1, -1)), r)
 
 
 def _mask_causes(meta):
@@ -519,14 +628,14 @@ def surface_from_potential(p: PotentialSpec | weier.WeierstrassData,
     return weier.minimal_surface(w, grid, opts.substeps)
 
 
-def _frame_at(x, lo, out, lam0):
+def _frame_at(x, lo, binv, lam0):
     """F and dF/dlambda at ``lam0``, entry-first (2, 2, n) each, of the
     Iwasawa factors of the loops ``x`` (n, nk, 2) with lowest power ``lo``,
-    from the plus factors' inverses ``out["binv"]`` (powers 0..) of their
-    ``iwasawa_batch`` output ``out``: F = X B^-1 holds at every point of
-    the circle, so F(lam0) = X(lam0) B^-1(lam0) and, by the product rule,
-    dF = dX B^-1 + X dB^-1 there; no Fourier series of F is needed."""
-    xv, gv = entries_at(x, lo, lam0), entries_at(out["binv"], 0, lam0)
+    from the inverses ``binv`` (n, nb, 2) of their plus factors (powers
+    0..): F = X B^-1 holds at every point of the circle, so F(lam0) =
+    X(lam0) B^-1(lam0) and, by the product rule, dF = dX B^-1 + X dB^-1
+    there; no Fourier series of F is needed."""
+    xv, gv = entries_at(x, lo, lam0), entries_at(binv, 0, lam0)
     x0, g0 = xv[..., 0, :], gv[..., 0, :]
     return mul_entries(x0, g0), (mul_entries(xv[..., 1, :], g0)
                                  + mul_entries(x0, gv[..., 1, :]))
@@ -563,15 +672,21 @@ def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
     as one rotation of the mesh (:func:`_initial_rotation`).  An off-circle
     lambda0 raises ValueError.
 
-    Mirrored frames (``fg.mirror``) are factored from row j0 - 1 on.  F is
-    then conj F of the mirror image, so rows 0 .. j0 - 2 take the points
-    and normals R x, the tangents R conj(f_z), and the conformal factor and
-    the mask of their mirror images, R = diag(1, -1, 1), before the
-    rotation by E0 turns the plane of reflection.  Row j0 - 1 is both
-    factored and mirrored: ``mirror_deviation`` is the largest distance
-    between the two, a fraction of the diameter.  The mask causes and the
-    residual and condition statistics count every grid node, a mirrored
-    node with its mirror image's values."""
+    Frames symmetric under reflections (``fg.mirror``) are factored on
+    their fundamental domain only.  The reflections' map carries a
+    partner's frame X and plus factor inverse B^-1 to the image node's
+    (:meth:`Reflection.image`), so every image node is read out the same
+    way as a factored one, from its partner's factors mapped, at any
+    lambda0 of the circle; it takes its partner's rho and mask, and its own
+    ``a``.  The row next to the basepoint's on the far side of a row
+    reflection, and the column of a column reflection, are both factored
+    and read out from their partners: ``mirror_deviation`` is the largest
+    distance between the two, a fraction of the diameter.  The mask causes
+    and the residual and condition statistics count every grid node, an
+    image node with its partner's values; the map keeps the half-circle
+    sample points of the checks (nu = 1 or i), so those are the values a
+    factorization of the image node would sample.  ``factored_nodes`` is
+    the number of nodes factored."""
     lam0 = complex(opts.lambda0)
     if abs(abs(lam0) - 1.0) > 1e-12:
         raise ValueError("lambda0 must lie on the unit circle")
@@ -588,42 +703,51 @@ def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
     ok_all = np.zeros(ny * nx, dtype=bool)
     # the grid nodes each factored node stands for
     count = fg.ok.astype(np.intp)
-    top = j0 - 1 if fg.mirror else 0
-    if fg.mirror:
-        count[:top] = 0
-        count[j0 + 2:] *= 2
+    for r in fg.mirror:
+        if r.axis == "row":
+            count[:j0 - 1] = 0
+            count[j0 + 2:] *= 2
+        else:
+            count[:, :i0 - 1] = 0
+            count[:, i0 + 2:] *= 2
     count = count.reshape(-1)
-    max_section = 0
-    accepted = []
+    # the compositions of the reflections, the identity first
+    group = [g for n in range(len(fg.mirror) + 1)
+             for g in itertools.combinations(fg.mirror, n)]
+    max_section = factored = 0
+    accepted, overlaps = [], []
     causes = _mask_causes(fg.meta)
     a_vals = fg.a.reshape(-1)
 
     for sel, lo, x, out, good in _factor_chunks(
             fg.lo, coeffs, count, opts, causes):
-        f[sel], normal[sel], tangent = _sym_bobenko(
-            *_frame_at(x, lo, out, lam0), p.h, lam0)
-        rho = out["rho"]
-        fzv[sel] = 0.5 / lam0 * (a_vals[sel] * rho ** 2)[:, None] * tangent
-        rho_all[sel] = rho
-        ok_all[sel] = good
+        factored += len(sel)
+        # the chunk's nodes read out as themselves and as each of their
+        # images, in one batch; kept where they fill a node or check one
+        rows, cols = np.divmod(sel, nx)
+        fill, check, at = (np.concatenate(v) for v in zip(*(
+            _images(g, rows, cols, j0, i0, nx) for g in group)))
+        take = fill | check
+        point, nrm, tangent = _read_out(group, x, lo, out["binv"], take,
+                                        p.h, lam0)
+        at, fill = at[take], fill[take]
+        src = np.tile(np.arange(len(sel)), len(group))[take]
+        rho, ok = out["rho"][src], good[src]
+        dest = at[fill]
+        f[dest], normal[dest] = point[fill], nrm[fill]
+        fzv[dest] = 0.5 / lam0 * (a_vals[dest] * rho[fill] ** 2)[:, None] \
+            * tangent[fill]
+        rho_all[dest], ok_all[dest] = rho[fill], ok[fill]
+        overlaps.append((at[~fill], point[~fill], ok[~fill]))
         max_section = max(max_section, int(np.max(out["section"])))
         accepted.append([out[k][good] for k in (
             "residual", "unitary_residual", "condition")] + [count[sel][good]])
 
-    if fg.mirror:
-        refl = np.array([1.0, -1.0, 1.0])
-        f2, n2, fz2, rho2, ok2 = (v.reshape((ny, nx) + v.shape[1:]) for v in (
-            f, normal, fzv, rho_all, ok_all))
-        image = slice(None, j0 + 1, -1)     # rows ny - 1 .. j0 + 2
-        both = ok2[j0 - 1] & ok2[j0 + 1]
-        deviation = float(np.max(np.linalg.norm(
-            f2[j0 - 1, both] - refl * f2[j0 + 1, both], axis=-1),
-            initial=0.0))
-        f2[:top] = refl * f2[image]
-        n2[:top] = refl * n2[image]
-        fz2[:top] = refl * np.conj(fz2[image])
-        rho2[:top] = rho2[image]
-        ok2[:top] = ok2[image]
+    deviation = 0.0
+    for at, point, ok in overlaps:
+        both = ok & ok_all[at]
+        deviation = max(deviation, float(np.max(np.linalg.norm(
+            f[at[both]] - point[both], axis=-1), initial=0.0)))
     rot = _initial_rotation(fg.E0, lam0).T
     f = (f @ rot).reshape(ny, nx, 3)
     normal = (normal @ rot).reshape(ny, nx, 3)
@@ -647,13 +771,57 @@ def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
         "max_section": max_section,
         "mask_causes": causes,
         "dressed": bool(fg.meta.get("dressed", False)),
+        "factored_nodes": factored,
     }
     mesh = SurfaceMesh(grid=fg.grid, h=p.h, f=f, normal=normal, eu=eu,
                        fz=fzv, mask=ok, meta=meta)
     if fg.mirror:
-        meta["mirrored_rows"] = top
+        meta["mirrored"] = [{"axis": r.axis, "nu": r.nu, "d": r.d}
+                            for r in fg.mirror]
         meta["mirror_deviation"] = deviation / (mesh.diameter() or 1.0)
     return mesh
+
+
+def _read_out(group, x, lo, binv, take, h, lam0):
+    """:func:`_sym_bobenko` at ``lam0`` of the loops ``x`` (n, nk, 2),
+    lowest power ``lo``, with plus factor inverses ``binv``, and of their
+    images under each composition of reflections in ``group`` (the
+    identity first), stacked in that order and kept where ``take``: each
+    composition's loops are the image of its first reflections' by its
+    last (:meth:`Reflection.image`)."""
+    xs = np.empty((len(group),) + x.shape, dtype=complex)
+    binvs = np.empty((len(group),) + binv.shape, dtype=complex)
+    xs[0], binvs[0] = x, binv
+    for k, g in enumerate(group[1:], 1):
+        base = group.index(g[:-1])
+        g[-1].image(xs[base], lo, out=xs[k])
+        g[-1].image(binvs[base], 0, out=binvs[k])
+    frame, dframe = _frame_at(xs.reshape((-1,) + x.shape[1:]), lo,
+                              binvs.reshape((-1,) + binv.shape[1:]), lam0)
+    return _sym_bobenko(frame[..., take], dframe[..., take], h, lam0)
+
+
+def _images(g, rows, cols, j0, i0, nx):
+    """For the factored nodes at ``rows``, ``cols`` and the composition
+    ``g`` of reflections: the nodes whose image under ``g`` lies outside
+    the fundamental domain, each reflected coordinate at least two past the
+    basepoint's (the images fill every node outside it once); for one
+    reflection, the nodes one past, whose images are the factored row or
+    column on the far side (the overlap check); and every node's image, a
+    flat index on a grid of ``nx`` columns."""
+    fill = np.ones(len(rows), dtype=bool)
+    check = np.zeros(len(rows), dtype=bool)
+    for r in g:
+        if r.axis == "row":
+            fill &= rows >= j0 + 2
+            check = rows == j0 + 1
+            rows = 2 * j0 - rows
+        else:
+            fill &= cols >= i0 + 2
+            check = cols == i0 + 1
+            cols = 2 * i0 - cols
+    check &= len(g) == 1
+    return fill, check, rows * nx + cols
 
 
 # ---------------------------------------------------------------------------

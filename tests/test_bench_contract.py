@@ -67,19 +67,37 @@ def _factored_nodes(monkeypatch, Q):
     return metrics["factor.iwasawa_batch.nodes"][0], mesh
 
 
+# Q with neither reflection of the grid through the basepoint: Q(zbar) is
+# not a constant phase times conj Q(z), nor is Q(-zbar)
+ASYMMETRIC_Q = "0.5*i + 0.25*z + 0.125*z^2"
+
+
+def _axes(mesh):
+    return [r["axis"] for r in mesh.meta.get("mirrored", [])]
+
+
 def test_iwasawa_counter_reads_the_factor_output(monkeypatch):
-    # sphere data, real on the real axis: the member is mirrored, and rows
-    # j0 - 1 = 3 to 8 are factored, 6 rows of 9 nodes
+    # sphere data, symmetric about the basepoint row and column: the
+    # fundamental domain, rows and columns j0 - 1 = 3 to 8, is factored,
+    # 6 x 6 nodes
     nodes, mesh = _factored_nodes(monkeypatch, "0")
-    assert mesh.meta["mirrored_rows"] == 3
-    assert nodes == 6 * 9
+    assert _axes(mesh) == ["row", "col"]
+    assert nodes == mesh.meta["factored_nodes"] == 6 * 6
 
 
 def test_iwasawa_counter_reads_the_factor_output_non_reflective(monkeypatch):
-    # Q = i/2 is not real on the real axis: every node is factored
-    nodes, mesh = _factored_nodes(monkeypatch, "0.5*i")
-    assert "mirrored_rows" not in mesh.meta
-    assert nodes == 81
+    # data that neither reflection keeps: every node is factored
+    import loopcmc.frames as frames
+    from loopcmc import expr as ex
+    from loopcmc.grid import DomainGrid
+
+    grid = DomainGrid.square(0.5, 9)
+    pot = frames.PotentialSpec.normalized("1", ASYMMETRIC_Q, 1.0)
+    entries = ex.evaluate(frames.potential_entries(pot), grid.zz)
+    assert frames._reflections(grid, grid.mask, entries) == ()
+    nodes, mesh = _factored_nodes(monkeypatch, ASYMMETRIC_Q)
+    assert "mirrored" not in mesh.meta
+    assert nodes == mesh.meta["factored_nodes"] == 81
 
 
 def test_iwasawa_counter_reads_the_compact_input(monkeypatch):
@@ -176,14 +194,15 @@ def _evaluated_points(monkeypatch, Q, edges):
 
 
 def test_potential_evaluation_is_counted(monkeypatch):
-    # sphere data, mirrored: rows j0 - 1 = 3 to 8 are walked, 8 edges
-    # along the basepoint row and 5 down each of the 9 columns
-    mesh = _evaluated_points(monkeypatch, "0", 8 + 9 * 5)
-    assert mesh.meta["mirrored_rows"] == 3
+    # sphere data, mirrored: the fundamental domain, rows and columns
+    # j0 - 1 = 3 to 8, is walked, 5 edges along the basepoint row and 5
+    # down each of its 6 columns
+    mesh = _evaluated_points(monkeypatch, "0", 5 + 6 * 5)
+    assert _axes(mesh) == ["row", "col"]
 
 
 def test_potential_evaluation_is_counted_non_reflective(monkeypatch):
-    # Q = i/2: the whole grid is walked, 8 edges along the basepoint row
-    # and 8 down each column
-    mesh = _evaluated_points(monkeypatch, "0.5*i", 8 + 9 * 8)
-    assert "mirrored_rows" not in mesh.meta
+    # data that neither reflection keeps: the whole grid is walked, 8
+    # edges along the basepoint row and 8 down each column
+    mesh = _evaluated_points(monkeypatch, ASYMMETRIC_Q, 8 + 9 * 8)
+    assert "mirrored" not in mesh.meta

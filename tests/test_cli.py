@@ -231,20 +231,31 @@ class TestGallery:
         assert checks["rotational_mesh_deviation"] <= 1e-5
 
     def test_mirror_is_reported(self, tmp_path):
-        # the catenoid is real on the real axis: rows 0 .. 18 of its 41 x 41
-        # grid are the mirror image of rows 40 .. 22, and row 19 is
-        # computed as well, as the check of the mirror; the helicoid is not
-        rc = main(["gallery", "catenoid", "--h", "0.1",
-                   "--out", str(tmp_path / "c")])
+        # the catenoid is real on the real axis and on the imaginary one:
+        # the quadrant of rows and columns 19 .. 40 of its 41 x 41 grid is
+        # factored, and row 19 and column 19 are also read out from their
+        # partners, as the check of the mirror; the helicoid's reflections
+        # are twisted (Q is imaginary on the real axis), and Enneper's
+        # h = 0 mesh factors nothing
+        expect = {
+            "catenoid": [{"axis": "row", "nu": [1.0, 0.0], "d": [1.0, 0.0]},
+                         {"axis": "col", "nu": [1.0, 0.0], "d": [-1.0, 0.0]}],
+            "helicoid": [{"axis": "row", "nu": [0.0, 1.0], "d": [0.0, -1.0]},
+                         {"axis": "col", "nu": [0.0, 1.0], "d": [0.0, 1.0]}],
+        }
+        for name, mirrored in expect.items():
+            rc = main(["gallery", name, "--h", "0.1",
+                       "--out", str(tmp_path / name)])
+            assert rc == 0
+            item = read_report(tmp_path / name)["items"][0]
+            assert item["mirrored"] == mirrored
+            assert item["factored_nodes"] == 22 * 22
+            assert 0 <= item["mirror_deviation"] <= 1e-14
+        rc = main(["gallery", "enneper", "--out", str(tmp_path / "e")])
         assert rc == 0
-        item = read_report(tmp_path / "c")["items"][0]
-        assert item["mirrored_rows"] == 19
-        assert 0 <= item["mirror_deviation"] <= 1e-14
-        rc = main(["gallery", "helicoid", "--h", "0.1",
-                   "--out", str(tmp_path / "h")])
-        assert rc == 0
-        item = read_report(tmp_path / "h")["items"][0]
-        assert "mirrored_rows" not in item and "mirror_deviation" not in item
+        item = read_report(tmp_path / "e")["items"][0]
+        assert "mirrored" not in item and "mirror_deviation" not in item
+        assert item["factored_nodes"] == 0
 
     def test_trunc_cap_is_honored(self, tmp_path):
         # smyth h = 1 needs a series order above 4: the cap must not be

@@ -2,14 +2,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopcmc import expr as ex
 from loopcmc import factor, frames
-from loopcmc.convert import minimal_to_potential
+from loopcmc.convert import member, minimal_to_potential
 from loopcmc.frames import (FrameError, PotentialSpec, SurfaceOptions,
                             TailBoundError, _sym_bobenko, _trimmed_band,
                             extract_curvature, flatness_residual,
                             integrate_frame, surface_from_potential)
+from loopcmc.gallery import get_entry
 from loopcmc.grid import (Chain, DomainGrid, bfs_tree, row_first_blocked,
                           walk)
 from loopcmc.loops import LoopMat, conv, entries_at, hat_extend, identity
@@ -185,8 +187,9 @@ class TestIntegrateFrame:
         assert calls.count(grid.zz.shape) == 1
 
     def test_walks_the_grid_once(self, monkeypatch):
-        # every series level takes the chains of one walk: of rows j0 - 1
-        # on for this reflective member, of the whole grid otherwise
+        # every series level takes the chains of one walk: of the
+        # fundamental domain, rows and columns from j0 - 1 and i0 - 1 on,
+        # for this member symmetric about both, of the whole grid otherwise
         walks = []
         walk = DomainGrid.walk
 
@@ -197,9 +200,10 @@ class TestIntegrateFrame:
         pot = PotentialSpec.normalized("2", "-4*z", 1.0)
         grid = DomainGrid.square(0.5, 21)
         fg = integrate_frame(pot, grid)
-        assert fg.mirror and fg.ntrunc > 1
+        assert axes(fg) == ("row", "col") and fg.ntrunc > 1
         assert len(walks) == 1
-        assert np.array_equal(walks[0].zz, grid.zz[grid.j0 - 1:])
+        assert np.array_equal(walks[0].zz,
+                              grid.zz[grid.j0 - 1:, grid.i0 - 1:])
         walks.clear()
         full_grid(monkeypatch)
         fg = integrate_frame(pot, grid)
@@ -297,9 +301,9 @@ class TestPairedSweep:
     basepoint along its row and the columns, and one per reroute depth,
     in one pass per series level.  Each node keeps its row-then-column
     path, so the frames are those of the reference walk that takes one
-    edge at a time (``conftest.walk_edges``) byte for byte.  A reflective
-    member walks rows j0 - 1 on, and both fill the other rows by the same
-    reflection."""
+    edge at a time (``conftest.walk_edges``) byte for byte.  A symmetric
+    member walks its fundamental domain, and both fill the other nodes by
+    the same reflections."""
 
     @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
     def test_advances_and_bytes(self, case, monkeypatch):
@@ -321,7 +325,8 @@ class TestPairedSweep:
             m.setattr(frames, "chain_sums", counted)
             m.setattr(DomainGrid, "walk", recorded)
             fg = integrate_frame(pot, grid)
-        assert fg.mirror == (case in ("smyth", "e0"))
+        assert axes(fg) == {"smyth": ("row", "col"), "e0": ("row", "col"),
+                            "kusner": ("row",), "off_centre": ()}[case]
         work, = walked
         nx, ny, i0, j0 = work.nx, work.ny, work.i0, work.j0
         depths = reroute_depths(work.mask, j0, i0)
@@ -625,13 +630,16 @@ class TestSurfaceFromPotential:
     def test_closed_form_matches_series(self, data, h, grid, lam0,
                                         monkeypatch):
         # F(lam0) = X(lam0) B^-1(lam0) and its derivative give the mesh
-        # that summing the solved Fourier series of F at lam0 gives; at the
-        # real lam0 the members are mirrored, and both factor the rows from
-        # j0 - 1 on
+        # that summing the solved Fourier series of F at lam0 gives, F of
+        # the loops X read out, an image node's mapped from its partner's
+        # and factored again here; the members are mirrored about both
+        # axes, at any lam0, and both factor the quadrant of rows and
+        # columns from j0 - 1 on
         calls = []
 
-        def series_at(x, lo, out, lam):
-            f, _, _ = factor.unitary_loops(lo, x, out["b"])
+        def series_at(x, lo, binv, lam):
+            b = factor.iwasawa_batch(lo, x)["b"]
+            f, _, _ = factor.unitary_loops(lo, x, b)
             calls.append(len(f))
             v = entries_at(f, lo, lam)
             return v[..., 0, :], v[..., 1, :]
@@ -640,10 +648,13 @@ class TestSurfaceFromPotential:
         mesh = surface_from_potential(pot, grid, opts)
         monkeypatch.setattr(frames, "_frame_at", series_at)
         ref = surface_from_potential(pot, grid, opts)
-        top = mesh.meta.get("mirrored_rows", 0)
-        assert top == (grid.j0 - 1 if lam0 == 1.0 else 0)
-        assert ref.meta.get("mirrored_rows", 0) == top
-        assert sum(calls) == grid.nx * (grid.ny - top)
+        side = grid.nx - grid.i0 + 1
+        assert [r["axis"] for r in mesh.meta["mirrored"]] == ["row", "col"]
+        assert mesh.meta["factored_nodes"] == ref.meta["factored_nodes"] \
+            == side * side
+        # the quadrant's nodes once as factored and once mapped by each
+        # reflection and by both
+        assert sum(calls) == 4 * side * side
         assert mesh.mask.all() and ref.mask.all()
         tol = 1e-12 * ref.diameter()
         assert np.max(np.abs(mesh.f - ref.f)) <= tol
@@ -658,8 +669,10 @@ class TestSurfaceFromPotential:
         opts = SurfaceOptions(lambda0=lam0)
         fg = integrate_frame(pot, g, opts)
         e0hat = hat_extend(fg.E0)
+        # E0hat Psi is factored on the whole grid: the reflections' map is
+        # that of Psi
         product = dataclasses.replace(
-            fg, lo=fg.lo + e0hat.lo, E0=np.eye(2),
+            fg, lo=fg.lo + e0hat.lo, E0=np.eye(2), mirror=(),
             coeffs=conv(e0hat.coeffs, fg.coeffs, fg.lo))
         rot = frames._initial_rotation(fg.E0, lam0)
         assert np.max(np.abs(rot @ rot.T - np.eye(3))) <= 4 * EPS
@@ -679,7 +692,11 @@ class TestSurfaceFromPotential:
     def test_rejections_are_counted_by_cause(self, monkeypatch):
         # the last four nodes of every chunk fail the factorization, the
         # residual, the unitarity, and both residuals: each masked node is
-        # counted once, under its first failed check
+        # counted once, under its first failed check.  On the whole grid,
+        # where each factored node is one grid node (the mirrored count:
+        # TestMirror.test_rejections_count_their_mirror_images)
+        full_grid(monkeypatch)
+
         def flag(lo, coeffs, *args, **kwargs):
             out = factor.iwasawa_batch(lo, coeffs, *args, **kwargs)
             out["ok"][-1] = False
@@ -708,14 +725,82 @@ class TestSurfaceFromPotential:
 
 def full_grid(monkeypatch):
     """Make every member run on the whole grid, as if none were
-    reflective."""
-    monkeypatch.setattr(frames, "_reflective", lambda *args: False)
+    symmetric."""
+    monkeypatch.setattr(frames, "_reflections", lambda *args: ())
+
+
+def axes(fg):
+    """The axes of the reflections a FrameGrid is mirrored about."""
+    return tuple(r.axis for r in fg.mirror)
+
+
+def assert_matches_whole_grid(mesh, ref, tol):
+    """``mesh`` is ``ref``, the whole grid's mesh: the same mask and mask
+    causes, positions within ``tol`` of the diameter, and normals, f_z and
+    the conformal factor within 1e-13 of their largest value."""
+    assert np.array_equal(mesh.mask, ref.mask)
+    assert mesh.meta["mask_causes"] == ref.meta["mask_causes"]
+    ok = ref.mask
+    assert np.max(np.abs(mesh.f - ref.f)[ok]) <= tol * ref.diameter()
+    for name in ("normal", "fz", "eu"):
+        got, want = getattr(mesh, name)[ok], getattr(ref, name)[ok]
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), \
+            name
+
+
+# the (nu, d) of each reflection of the gallery's loop-group members,
+# measured by brute force over nu, d in {1, -1, i, -i} on whole-grid frames
+GALLERY_REFLECTIONS = {
+    "sphere": {"row": (1, 1), "col": (1, -1)},
+    "catenoid": {"row": (1, 1), "col": (1, -1)},
+    "helicoid": {"row": (1j, -1j), "col": (1j, 1j)},
+    "smyth": {"row": (1, 1), "col": (1j, 1j)},
+    "order5": {"row": (1, 1)},
+    "kusner": {"row": (1j, -1j)},
+}
+GALLERY_CASES = [(name, h, None) for name in GALLERY_REFLECTIONS
+                 for h in get_entry(name).h_list] + [
+    ("catenoid", 0.1, "lambda0"), ("helicoid", 0.1, "E0")]
+
+
+def _poly(coeffs):
+    return " + ".join(f"({c!r})*z^{k}" for k, c in coeffs.items())
+
+
+@st.composite
+def symmetric_data(draw):
+    """Random data with real coefficients times phases: a = e^(i alpha) p,
+    p nonvanishing on the grid (|p(0)| >= 1, the other terms at most 0.6),
+    even or not; Q = e^(i beta) q, q even, odd or of both parities, beta a
+    multiple of pi/4.  Returns the potential, the grid and the axes the
+    data keep: the row for beta a multiple of pi/2, the column as well
+    when p is even and q even or odd."""
+    size = st.floats(0.2, 0.5) | st.floats(-0.5, -0.2)
+    alpha = draw(st.floats(0.0, 2 * np.pi))
+    k = draw(st.integers(0, 7))
+    even_a = draw(st.booleans())
+    parity = draw(st.sampled_from(["even", "odd", "both"]))
+    p = {0: draw(st.sampled_from([1.0, -1.2])), 2: draw(size)}
+    if not even_a:
+        p[1] = draw(size)
+    powers = {"even": (0, 2), "odd": (1, 3), "both": (0, 1, 2)}[parity]
+    q = {n: draw(size) for n in powers}
+    a = f"exp(({alpha!r})*i)*({_poly(p)})"
+    Q = f"exp(({k * np.pi / 4!r})*i)*({_poly(q)})"
+    nx, ny = (draw(st.sampled_from(range(9, 22, 2))) for _ in range(2))
+    grid = DomainGrid.make(-0.5, 0.5, nx, -0.5, 0.5, ny)
+    keep = ()
+    if k % 2 == 0:
+        keep = ("row", "col") if even_a and parity != "both" else ("row",)
+    return PotentialSpec.normalized(a, Q, 1.0), grid, keep
 
 
 class TestMirror:
-    """A member whose potential is real on the real axis, with the
-    basepoint on it, is integrated and factored from the row below the
-    basepoint's on, and the other rows are its mirror image."""
+    """A member whose frames keep reflections of the grid through the
+    basepoint is integrated and factored on the fundamental domain, the
+    rows and columns from the ones before the basepoint's on, and every
+    other node is read out from its partner's factors through the
+    reflections' map."""
 
     CATENOID = WeierstrassData(CATENOID_MU, CATENOID_NU, 0j)
 
@@ -723,36 +808,39 @@ class TestMirror:
         pot = minimal_to_potential(self.CATENOID, 1.0)
         grid = DomainGrid.square(0.8, 41)
         fg = integrate_frame(pot, grid)
-        assert fg.mirror and fg.coeffs.shape[:2] == (41, 41)
-        j0 = grid.j0
+        assert axes(fg) == ("row", "col")
+        assert fg.coeffs.shape[:2] == (41, 41)
+        row, col = fg.mirror
+        j0, i0 = grid.j0, grid.i0
         assert np.array_equal(fg.coeffs[:j0 - 1],
-                              np.conj(fg.coeffs[:j0 + 1:-1]))
+                              row.image(fg.coeffs[:j0 + 1:-1], fg.lo))
+        assert np.array_equal(fg.coeffs[:, :i0 - 1],
+                              col.image(fg.coeffs[:, :i0 + 1:-1], fg.lo))
         mesh = surface_from_potential(pot, grid)
-        assert mesh.meta["mirrored_rows"] == j0 - 1
+        assert mesh.meta["mirrored"] == [
+            {"axis": "row", "nu": 1, "d": 1}, {"axis": "col", "nu": 1, "d": -1}]
+        assert mesh.meta["factored_nodes"] == (41 - j0 + 1) * (41 - i0 + 1)
         assert 0 <= mesh.meta["mirror_deviation"] <= 1e-14
-        # the mesh check pairs row j0 - 1, computed, with row j0 + 1
         assert verify_mesh_symmetry(mesh, SymmetrySpec.reflective()) <= 1e-14
 
-    @pytest.mark.parametrize("case", [
-        "helicoid", "kusner", "lambda0", "off_axis", "even_ny",
-        "asymmetric_mask", "three_rows"])
+    REFUSED = {"off_axis": ("col",), "off_axis_column": ("row",),
+               "even_ny": ("col",), "asymmetric_mask": (),
+               "three_rows": ("col",), "phase": ()}
+
+    @pytest.mark.parametrize("case", list(REFUSED))
     def test_refused(self, case):
+        # the reflections a case keeps; the other is refused
+        keep = self.REFUSED[case]
         data = self.CATENOID
         grid = DomainGrid.square(0.8, 41)
-        opts = SurfaceOptions()
-        if case == "helicoid":
-            data = WeierstrassData("-i*exp(-z)/2", CATENOID_NU, 0j)
-        elif case == "kusner":
-            data = WeierstrassData(KUSNER_MU, KUSNER_NU, 0j)
-            grid = DomainGrid.square(0.3, 41)
-        elif case == "lambda0":
-            # an associated-family member reads the frames off the axis
-            opts = SurfaceOptions(lambda0=np.exp(0.5j))
-        elif case == "off_axis":
+        if case == "off_axis":
             # plane data are symmetric about every row; the basepoint row
             # is not the real axis
             data = plane_potential(1.0)
             grid = DomainGrid.square(0.8, 41, z0=0.2j)
+        elif case == "off_axis_column":
+            data = plane_potential(1.0)
+            grid = DomainGrid.square(0.8, 41, z0=0.2)
         elif case == "even_ny":
             grid = DomainGrid.make(-0.8, 0.8, 41, -0.8, 0.84, 42)
             assert grid.j0 == 20
@@ -764,13 +852,20 @@ class TestMirror:
             # no row to fill: row j0 - 1 = 0 is computed anyway
             grid = DomainGrid.make(-0.8, 0.8, 41, -0.04, 0.04, 3)
             assert grid.j0 == 1
+        elif case == "phase":
+            # Q(zbar) = exp(i/2) conj Q(z) needs nu^2 = exp(-i/2), whose
+            # map would move the sampled checks' points; Q(-zbar) is no
+            # phase times conj Q(z)
+            data = PotentialSpec.normalized("1", "exp(0.25*i)*(1 + z)", 1.0)
         pot = data if isinstance(data, PotentialSpec) \
             else minimal_to_potential(data, 1.0)
-        fg = integrate_frame(pot, grid, opts)
-        assert not fg.mirror
-        mesh = surface_from_potential(pot, grid, opts)
-        assert "mirrored_rows" not in mesh.meta
-        assert "mirror_deviation" not in mesh.meta
+        fg = integrate_frame(pot, grid)
+        assert axes(fg) == keep
+        mesh = surface_from_potential(pot, grid)
+        if not keep:
+            assert "mirrored" not in mesh.meta
+            assert "mirror_deviation" not in mesh.meta
+            assert mesh.meta["factored_nodes"] == np.count_nonzero(fg.ok)
 
     def test_dressed_frames_are_factored_in_full(self, monkeypatch):
         from loopcmc.dressing import _left_multiply
@@ -787,8 +882,8 @@ class TestMirror:
             return batch(lo, coeffs)
         monkeypatch.setattr(frames, "iwasawa_batch", record)
         mesh = frames._assemble_mesh(pot, dressed, SurfaceOptions())
-        assert sum(calls) == 41 * 41
-        assert "mirrored_rows" not in mesh.meta
+        assert sum(calls) == mesh.meta["factored_nodes"] == 41 * 41
+        assert "mirrored" not in mesh.meta
 
     def test_masked_3noid_counts_the_whole_grid(self, monkeypatch):
         # the Jorge-Meeks 3-noid next to its ends, whose masks are mirror
@@ -800,7 +895,7 @@ class TestMirror:
         mesh = surface_from_potential(pot, grid)
         full_grid(monkeypatch)
         ref = surface_from_potential(pot, grid)
-        assert fg.mirror and "mirrored_rows" not in ref.meta
+        assert axes(fg) == ("row",) and "mirrored" not in ref.meta
         assert np.array_equal(fg.ok, fg.grid.walk()[1])
         assert np.array_equal(mesh.mask, ref.mask)
         assert np.count_nonzero(mesh.mask) == 1471
@@ -819,8 +914,8 @@ class TestMirror:
     @pytest.mark.parametrize("seed", [None, 3])
     def test_matches_the_whole_grid(self, data, h, half, n, seed,
                                     monkeypatch):
-        # with a random SU(2) initial frame, which turns the plane of
-        # reflection, the mirror is taken before the rotation
+        # with a random SU(2) initial frame, which turns the planes of
+        # reflection, the map is taken before the rotation
         pot = minimal_to_potential(data, h)
         if seed is not None:
             pot = dataclasses.replace(
@@ -829,29 +924,77 @@ class TestMirror:
         mesh = surface_from_potential(pot, grid)
         full_grid(monkeypatch)
         ref = surface_from_potential(pot, grid)
-        assert mesh.meta["mirrored_rows"] == grid.j0 - 1
-        assert np.array_equal(mesh.mask, ref.mask) and mesh.mask.all()
-        tol = 1e-14 * ref.diameter()
-        assert np.max(np.abs(mesh.f - ref.f)) <= tol
-        assert np.max(np.abs(mesh.normal - ref.normal)) <= 1e-14
-        scale = np.max(np.abs(ref.fz))
-        assert np.max(np.abs(mesh.fz - ref.fz)) <= 1e-14 * scale
-        assert np.max(np.abs(mesh.eu - ref.eu)) <= 1e-14 * np.max(ref.eu)
-        # the statistics of the whole grid, a mirrored node with its mirror
-        # image's values
+        assert [r["axis"] for r in mesh.meta["mirrored"]] == ["row", "col"]
+        assert mesh.mask.all()
+        assert_matches_whole_grid(mesh, ref, 1e-14)
+        # the statistics of the whole grid, an image node with its
+        # partner's values
         for key in ("max_condition", "condition_p99"):
             assert mesh.meta[key] == pytest.approx(ref.meta[key], rel=1e-12)
         for key in ("max_unitary_residual", "max_iwasawa_residual"):
             assert mesh.meta[key] <= 2 * ref.meta[key] + EPS, key
 
+    @pytest.mark.parametrize("name, h, variant", GALLERY_CASES, ids=[
+        f"{name}-{h:g}" + (f"-{v}" if v else "")
+        for name, h, v in GALLERY_CASES])
+    def test_gallery_member_matches_the_whole_grid(self, name, h, variant,
+                                                   monkeypatch):
+        # every symmetric gallery member at its pinned h, twisted
+        # reflections included, also at an off-axis lambda0 and with a
+        # random SU(2) initial frame: the reflections found are the
+        # measured ones, the quadrant (a half without a column reflection)
+        # is factored, and the mesh is the whole grid's; near-minimal
+        # members to the 1/h rounding floor of their positions
+        entry = get_entry(name)
+        pot = member(entry.data, h)
+        grid = entry.grid_for(h)
+        opts = SurfaceOptions()
+        if variant == "lambda0":
+            opts = SurfaceOptions(lambda0=np.exp(1j * np.pi / 7))
+        elif variant == "E0":
+            pot = dataclasses.replace(
+                pot, E0=random_su2(np.random.default_rng(5)))
+        mesh = surface_from_potential(pot, grid, opts)
+        full_grid(monkeypatch)
+        ref = surface_from_potential(pot, grid, opts)
+        want = GALLERY_REFLECTIONS[name]
+        assert [(r["axis"], r["nu"], r["d"]) for r in mesh.meta["mirrored"]] \
+            == [(axis, nu, d) for axis, (nu, d) in want.items()]
+        rows = grid.ny - grid.j0 + 1
+        cols = grid.nx - grid.i0 + 1 if "col" in want else grid.nx
+        assert mesh.meta["factored_nodes"] == rows * cols
+        assert ref.meta["factored_nodes"] == grid.nx * grid.ny
+        assert mesh.mask.all()
+        assert_matches_whole_grid(mesh, ref, 1e-13 if h >= 0.1 else 1e-5)
+        assert mesh.meta["mirror_deviation"] \
+            <= (1e-14 if h >= 0.1 else 1e-5)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=symmetric_data())
+    def test_random_symmetric_data_match_the_whole_grid(self, case):
+        # the decision keeps exactly the reflections the data have, with
+        # any phase d, and a mirrored mesh is the whole grid's
+        pot, grid, keep = case
+        fg = integrate_frame(pot, grid)
+        assert axes(fg) == keep
+        for r in fg.mirror:
+            assert r.nu in (1, 1j) and abs(abs(r.d) - 1) <= 1e-15
+        mesh = frames._assemble_mesh(pot, fg, SurfaceOptions())
+        assert mesh.meta["max_unitary_residual"] <= 1e-10
+        if keep:
+            whole = dataclasses.replace(fg, mirror=())
+            ref = frames._assemble_mesh(pot, whole, SurfaceOptions())
+            assert_matches_whole_grid(mesh, ref, 1e-12)
+
     def test_condition_p99_of_the_whole_grid(self, monkeypatch):
         # the grid of test_condition_p99_of_the_accepted_nodes, mirrored:
         # the percentile of the accepted nodes of the whole grid, a node
-        # of row j0 + 2 on standing for its mirror image too, and the
-        # rejected nodes masking their mirror images as well
+        # of the quadrant standing for its images too (two past the
+        # basepoint's row and column, each doubles), and the rejected
+        # nodes masking their images as well
         conds, weights, rejected = [], [], []
         grid = DomainGrid.square(0.8, 21)
-        j0 = grid.j0
+        j0, i0 = grid.j0, grid.i0
 
         def record(lo, coeffs):
             out = factor.iwasawa_batch(lo, coeffs)
@@ -862,7 +1005,8 @@ class TestMirror:
 
         def rows(*args):
             for sel, lo, x, out, good in chunks(*args):
-                weight = np.where(sel // grid.nx >= j0 + 2, 2, 1)
+                j, i = np.divmod(sel, grid.nx)
+                weight = (1 + (j >= j0 + 2)) * (1 + (i >= i0 + 2))
                 conds.append(out["condition"][good])
                 weights.append(weight[good])
                 rejected.append(weight[~good])
@@ -873,9 +1017,10 @@ class TestMirror:
         pot = minimal_to_potential(self.CATENOID, 1.0)
         mesh = surface_from_potential(pot, grid)
         meta = mesh.meta
-        assert meta["mirrored_rows"] == j0 - 1
+        assert [r["axis"] for r in meta["mirrored"]] == ["row", "col"]
         assert sum(len(c) + len(r) for c, r in zip(conds, rejected)) \
-            == grid.nx * (grid.ny - j0 + 1)
+            == meta["factored_nodes"] \
+            == (grid.nx - i0 + 1) * (grid.ny - j0 + 1)
         rejected = np.concatenate(rejected)
         assert np.count_nonzero(~mesh.mask) == np.sum(rejected) \
             == meta["mask_causes"]["residual"] > len(rejected)
@@ -886,8 +1031,8 @@ class TestMirror:
 
     def test_rejections_count_their_mirror_images(self, monkeypatch):
         # the last node of every chunk fails its residual: a rejected node
-        # below row j0 + 2 masks its mirror image too, and each masked node
-        # is counted once
+        # of the quadrant masks its images too, and each masked node is
+        # counted once
         def flag(lo, coeffs):
             out = factor.iwasawa_batch(lo, coeffs)
             out["residual"][-1] = 1.0
@@ -897,11 +1042,13 @@ class TestMirror:
         grid = DomainGrid.square(0.8, 41)
         mesh = surface_from_potential(pot, grid)
         masked = np.count_nonzero(~mesh.mask)
-        j0 = grid.j0
-        assert masked > np.count_nonzero(~mesh.mask[j0 - 1:])
+        j0, i0 = grid.j0, grid.i0
+        assert masked > np.count_nonzero(~mesh.mask[j0 - 1:, i0 - 1:])
         assert mesh.meta["mask_causes"] == dict(
             dict.fromkeys(frames.MASK_CAUSES, 0), residual=masked)
         assert np.array_equal(mesh.mask[:j0 - 1], mesh.mask[:j0 + 1:-1])
+        assert np.array_equal(mesh.mask[:, :i0 - 1],
+                              mesh.mask[:, :i0 + 1:-1])
 
 
 class TestExtractCurvature:

@@ -92,10 +92,10 @@ class TestMeshSymmetry:
     def test_catenoid_reflective_mesh(self, catenoid, monkeypatch):
         # on the whole grid: a mirrored member's rows below j0 - 1 are the
         # reflection of the others by construction
-        monkeypatch.setattr(frames, "_reflective", lambda *args: False)
+        monkeypatch.setattr(frames, "_reflections", lambda *args: ())
         g = DomainGrid.square(1.0, 41)
         mesh = surface_from_potential(minimal_to_potential(catenoid, 1.0), g)
-        assert "mirrored_rows" not in mesh.meta
+        assert "mirrored" not in mesh.meta
         dev = verify_mesh_symmetry(mesh, SymmetrySpec.reflective())
         assert dev <= 1e-8
 

@@ -381,6 +381,12 @@ def cmd_dress(args):
         return 0
     if not args.atilde:
         raise ConfigError("give --rho (gauge data) or --atilde (find element)")
+    # every h is checked before any work: the recursion and the meshes
+    # need h != 0, and the h = 0 gauge is the h-independent element
+    h_list = parse_h_list(args.h) if args.h else []
+    if 0.0 in h_list:
+        raise ConfigError("dress needs nonzero --h values; at h = 0 only the "
+                          "h-independent element applies")
     at_e = ex.parse(args.atilde)
     res = h_independent_dressing(a_e, at_e, q_e, z0)
     report["h_independent"] = {
@@ -393,12 +399,13 @@ def cmd_dress(args):
     print(f"b1 = {report['h_independent']['b1']}")
     print(f"h-independent: {'yes' if res.verdict else 'no'} "
           f"(max |db1/dz| = {res.max_db1:.3e})")
-    if args.h:
-        h_list = parse_h_list(args.h)
+    if h_list:
+        # one recursion; every h's gauge is its rescaling
+        first = wu_recursion(a_e, at_e, q_e, h_list[0], K=args.K,
+                             path=(z0, z0 + 0.8, 81))
         wu = {}
         for h in h_list:
-            co = wu_recursion(a_e, at_e, q_e, h, K=args.K,
-                              path=(z0, z0 + 0.8, 81))
+            co = first.at_h(h)
             rr = relation_residuals(co)
             high = 0.0
             for n, d in co.values.items():
@@ -419,7 +426,11 @@ def cmd_dress(args):
             both = dressed.mask & direct.mask
             dev = float(np.max(np.linalg.norm(
                 dressed.f[both] - direct.f[both], axis=-1)))
-            report["cross_check"] = {"h": h, "max_deviation": dev}
+            report["cross_check"] = {
+                "h": h, "max_deviation": dev,
+                "mirrored": dressed.meta.get("mirrored", []),
+                "factored_nodes": {"dressed": dressed.meta["factored_nodes"],
+                                   "direct": direct.meta["factored_nodes"]}}
             print(f"dressed-vs-direct max deviation at h={h:g}: {dev:.3e}")
             os.makedirs(args.out, exist_ok=True)
             write_mesh(dressed, os.path.join(args.out, "dressed.obj"), "obj")

@@ -24,6 +24,12 @@ stage points of the path comes from one batched evaluation given the lower
 levels' stage inputs, which is the same arithmetic as stepping all levels
 jointly.
 
+The potentials are linear in h, and the recursion is homogeneous under
+h -> t h with b_n -> t^-(n-1)/2 b_n, c_n -> t^-(n+1)/2 c_n and
+a_n, d_n -> t^-n/2 a_n, d_n (integer powers: n is odd for b, c and even
+for a, d).  One run at one h therefore gives every other nonzero h
+(:meth:`DressingCoeffs.at_h`).
+
 The gauge extends to the minimal limit exactly when it is constant in the
 mean curvature, which pins W+ to
 
@@ -32,6 +38,11 @@ mean curvature, which pins W+ to
 
 giving the distinguished dressing elements h+ = W+(z0)^{-1} that act on
 minimal surfaces.
+
+Dressing keeps the reflections of the grid through the basepoint that the
+frames keep (``FrameGrid.mirror``) whose map fixes the dressing element,
+as criterion 8's [[1, -0.1 lam], [0, 1]] fixes the row's: the dressed
+mesh is then factored on the fundamental domain only.
 """
 
 from __future__ import annotations
@@ -45,8 +56,8 @@ from . import expr as ex
 from .factor import iwasawa_batch  # noqa: F401
 from .factor import unitary_loops
 from .frames import (FrameGrid, PotentialSpec, SurfaceOptions,
-                     _factor_chunks, _mask_causes, integrate_frame,
-                     _assemble_mesh)
+                     _factor_chunks, _mask_causes, _matches,
+                     integrate_frame, _assemble_mesh)
 from .grid import DomainGrid
 from .loops import LoopMat, conv, hat_extend, mul, plus_defect
 from .mesh import SurfaceMesh
@@ -127,7 +138,8 @@ def h_independent_dressing(a, atilde, Q, z0=0j, samples=None) -> HIndependentRes
 
 @dataclass
 class DressingCoeffs:
-    """Gauge coefficients sampled along a path from the basepoint."""
+    """Gauge coefficients sampled along a path from the basepoint, at mean
+    curvature ``h``; :meth:`at_h` gives them at any other nonzero h."""
     z: np.ndarray
     h: float
     K: int
@@ -140,6 +152,28 @@ class DressingCoeffs:
     # Taylor series of (a, atilde, Q) and ``_WuSystem.jets`` of every level
     data: tuple = None
     jets: dict = None
+
+    def at_h(self, h) -> DressingCoeffs:
+        """The coefficients at mean curvature ``h``, rescaled from these
+        without a new recursion: with r = self.h / h, b_n and b_init[n]
+        take r^((n-1)/2), c_n r^((n+1)/2) and a_n, d_n r^(n/2), in
+        ``values`` and ``jets`` alike (``data`` does not depend on h).  At
+        a power-of-two ratio this is the direct run's result bit for bit;
+        otherwise it carries the rounding of r's powers."""
+        h = float(h)
+        if h == 0:
+            raise DressingError(
+                "use h_independent_dressing for the h = 0 gauge")
+        r = self.h / h
+        shift = {"b": -1, "c": 1, "a": 0, "d": 0}
+        jets = {n: {w: s * r ** ((n + shift[w]) // 2) for w, s in lv.items()}
+                for n, lv in self.jets.items()}
+        return replace(
+            self, h=h, jets=jets,
+            values={n: {w: s[:, 0] for w, s in lv.items()}
+                    for n, lv in jets.items()},
+            b_init={n: v * r ** ((n - 1) // 2)
+                    for n, v in self.b_init.items()})
 
 
 class _WuSystem:
@@ -255,7 +289,9 @@ def wu_recursion(a, atilde, Q, h, K=6, path=(0j, 1.0, 200),
     the segment from the basepoint z0 to z1.  The linear ODEs for the odd
     coefficients are advanced by fourth-order steps, one level at a time;
     even coefficients are algebraic in the series.  ``b_init`` overrides
-    the regularity-forced initial values.
+    the regularity-forced initial values.  The result at one h gives every
+    other nonzero h by rescaling (:meth:`DressingCoeffs.at_h`), so a job
+    over several h runs the recursion once.
 
     Requires h != 0 and a, atilde and Q finite and nonvanishing at every
     node and step midpoint of the path, basepoint included.
@@ -362,14 +398,21 @@ def gauge_ode_residual(coeffs: DressingCoeffs) -> float:
 
 def _left_multiply(h_plus: LoopMat, fg: FrameGrid) -> FrameGrid:
     """h_plus times the frames of ``fg``, their initial frame included:
-    the twisted extension of ``fg.E0`` is folded into the dressing element,
-    so the product's frames carry no initial frame of their own.  The
-    product is factored on the whole grid, mirrored frames too: a dressing
-    element need not keep the reflection."""
+    the twisted extension of ``fg.E0`` is folded into the dressing element
+    hp, so the product's frames carry no initial frame of their own.
+
+    A reflection of ``fg.mirror`` is kept exactly when its map
+    (:meth:`Reflection.image`) fixes hp, to 1e-14 of hp's largest
+    coefficient: Psi(sigma z) = D conj Psi(z) D^-1 then gives the same for
+    hp Psi, and the mesh factors the fundamental domain only.  A
+    reflection that hp breaks is dropped; with none kept (the catenoid's
+    E0hat breaks both) the product is factored on the whole grid."""
     hp = mul(h_plus, hat_extend(fg.E0))
+    mirror = tuple(r for r in fg.mirror
+                   if _matches(r.image(hp.coeffs, hp.lo), hp.coeffs))
     return replace(fg, lo=fg.lo + hp.lo,
                    coeffs=conv(hp.coeffs, fg.coeffs, fg.lo),
-                   E0=np.eye(2, dtype=complex), mirror=(),
+                   E0=np.eye(2, dtype=complex), mirror=mirror,
                    meta={**fg.meta, "dressed": True})
 
 
@@ -379,7 +422,9 @@ def dress_frame(h_plus: LoopMat, fg: FrameGrid,
     frames; factorization failures mark nodes invalid.  A node is kept when
     its factorization passes the pointwise checks of ``_factor_chunks``
     and the series of its unitary part passes its own reconstruction and
-    unitarity checks (``factor.unitary_loops``).
+    unitarity checks (``factor.unitary_loops``).  Every node is factored,
+    image nodes too; the reflections that the product keeps
+    (:func:`_left_multiply`) ride along in the result.
 
     ``fg`` may hold holomorphic frames or already-unitary frames (repeated
     dressing); the group law dress(h2, dress(h1, .)) = dress(h2 h1, .)

@@ -565,6 +565,35 @@ class TestDress:
         assert rc == 0
         assert "non_finite" not in read_report(tmp_path)
 
+    @pytest.mark.parametrize("hs", ["0,1", "1,0"])
+    def test_zero_h_rejected_before_any_work(self, hs, tmp_path, capsys,
+                                             monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+        for name in ("h_independent_dressing", "wu_recursion"):
+            monkeypatch.setattr(cli, name, refuse)
+        rc = main(["dress", "--a", "(1+0.1*z)^2", "--Q", "1",
+                   "--atilde", "1", "--h", hs, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--h" in err and "h_independent_dressing" not in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_cross_check_reports_the_mirror(self, tmp_path):
+        # criterion 8's job: the element keeps the row reflection of the
+        # dressed frames, so 22 of 41 rows are factored; the direct
+        # constant data keep both reflections, a 22 x 22 quadrant
+        rc = main(["dress", "--a", "(1+0.1*z)^2", "--Q", "1",
+                   "--atilde", "1", "--h", "0.5,1,2", "--K", "6",
+                   "--grid", "41", "--xrange", "-0.8", "0.8",
+                   "--yrange", "-0.8", "0.8", "--out", str(tmp_path)])
+        assert rc == 0
+        cross = read_report(tmp_path)["cross_check"]
+        assert cross["mirrored"] == [
+            {"axis": "row", "nu": [1.0, 0.0], "d": [1.0, 0.0]}]
+        assert cross["factored_nodes"] == {"dressed": 902, "direct": 484}
+        assert cross["max_deviation"] <= 1e-4
+
     def test_cross_check_creates_missing_out_dir(self, tmp_path):
         out = tmp_path / "missing" / "nested"
         rc = main(["dress", "--a", "(1+0.1*z)^2", "--Q", "1",

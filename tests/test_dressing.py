@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -220,6 +221,8 @@ class TestWuRecursion:
     def test_h_zero_rejected(self):
         with pytest.raises(DressingError):
             wu_recursion("2", "2+z", "1", 0.0)
+        with pytest.raises(DressingError):
+            wu_recursion("2", "2+z", "1", 1.0, K=2).at_h(0.0)
 
     def test_q_zero_on_path_rejected(self):
         with pytest.raises(DressingError):
@@ -238,6 +241,92 @@ class TestWuRecursion:
             wu_recursion("(0.5-z)^2", "1", "1", 1.0, K=6, path=(0j, 0.8, 81))
         with pytest.raises(DressingError):
             wu_recursion("1", "(0.5-z)^2", "1", 1.0, K=6, path=(0j, 0.8, 81))
+
+
+def assert_rescaled(got, want, rtol):
+    """``got`` (rescaled) holds ``want``'s (a direct run's) h and its
+    coefficients, the values and the jets of every level and key within
+    ``rtol`` of that array's largest entry, bit for bit when ``rtol`` is
+    0; the checks' data are the same arrays."""
+    assert got.h == want.h
+    assert got.jets.keys() == want.jets.keys() == got.values.keys()
+    for n, level in want.jets.items():
+        assert got.jets[n].keys() == level.keys()
+        for w, series in level.items():
+            for mine, ref in ((got.jets[n][w], series),
+                              (got.values[n][w], want.values[n][w])):
+                assert np.max(np.abs(mine - ref)) \
+                    <= rtol * np.max(np.abs(ref)), (n, w)
+    assert got.b_init.keys() == want.b_init.keys()
+    for n, v in want.b_init.items():
+        assert abs(got.b_init[n] - v) <= rtol * abs(v), n
+    for mine, ref in zip(got.data, want.data):
+        assert np.array_equal(mine, ref)
+
+
+class TestAtH:
+    """The recursion is homogeneous in h: one run rescaled gives every
+    other h's coefficients."""
+
+    PAIRS = [(A_PAIR, AT_PAIR, Q_PAIR, (0j, 0.8, 81)),
+             ("1+z+0.3*z^2", "1+0.2*z", "exp(z)", (0j, 0.5 + 0.3j, 61))]
+
+    @pytest.mark.parametrize("a, atilde, Q, path", PAIRS,
+                             ids=["criterion8", "generic"])
+    @pytest.mark.parametrize("h", [0.3, -0.7, 7.0, 1e-3])
+    def test_matches_a_direct_run(self, a, atilde, Q, path, h):
+        base = wu_recursion(a, atilde, Q, 1.0, K=6, path=path)
+        direct = wu_recursion(a, atilde, Q, h, K=6, path=path)
+        assert_rescaled(base.at_h(h), direct, 1e-14)
+
+    @pytest.mark.parametrize("a, atilde, Q, path", PAIRS,
+                             ids=["criterion8", "generic"])
+    def test_power_of_two_ratios_are_bit_identical(self, a, atilde, Q, path):
+        # the rescaling multiplies by powers of two, as the recursion's
+        # own arithmetic at the other h does
+        base = wu_recursion(a, atilde, Q, 0.5, K=6, path=path)
+        for h in (1.0, 2.0, -4.0, 0.125, 0.5):
+            direct = wu_recursion(a, atilde, Q, h, K=6, path=path)
+            assert_rescaled(base.at_h(h), direct, 0.0)
+            assert relation_residuals(base.at_h(h)) \
+                == relation_residuals(direct)
+
+    def test_custom_initial_values_are_rescaled(self):
+        b_init = {1: 0.25, 3: 0.1 + 0.2j, 5: -0.05j}
+        path = (0j, 0.5, 41)
+        base = wu_recursion("2", "2+z", "1", 1.0, K=6, path=path,
+                            b_init=b_init)
+        for h, rtol in ((0.3, 1e-14), (-0.7, 1e-14), (4.0, 0.0)):
+            want = {n: v * (1.0 / h) ** ((n - 1) // 2)
+                    for n, v in b_init.items()}
+            got = base.at_h(h)
+            assert got.b_init == pytest.approx(want, rel=1e-15)
+            direct = wu_recursion("2", "2+z", "1", h, K=6, path=path,
+                                  b_init=got.b_init)
+            assert_rescaled(got, direct, rtol)
+
+    def test_dress_job_runs_one_recursion(self, tmp_path, monkeypatch):
+        from loopcmc import cli
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return wu_recursion(*args, **kwargs)
+        monkeypatch.setattr(cli, "wu_recursion", counted)
+        rc = cli.main(["dress", "--a", A_PAIR, "--Q", Q_PAIR,
+                       "--atilde", AT_PAIR, "--h", "0.5,1,2", "--K", "6",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        assert calls == [0.5]
+        with open(tmp_path / "report.json") as fh:
+            wu = json.load(fh)["wu_recursion"]
+        assert list(wu) == ["h=0.5", "h=1", "h=2"]
+        for h in (0.5, 1.0, 2.0):
+            co = wu_recursion(A_PAIR, AT_PAIR, Q_PAIR, h, K=6,
+                              path=(0j, 0.8, 81))
+            assert wu[f"h={h:g}"] == {
+                "max_relation_residual": max(relation_residuals(co).values()),
+                "max_higher_coefficient": higher_coefficient_max(co)}
 
 
 class TestDressFrame:

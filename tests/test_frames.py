@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from loopcmc import expr as ex
 from loopcmc import factor, frames
 from loopcmc.convert import member, minimal_to_potential
+from loopcmc.dressing import (_left_multiply, dress_frame, dress_surface,
+                              h_independent_dressing)
 from loopcmc.frames import (FrameError, PotentialSpec, SurfaceOptions,
                             TailBoundError, _sym_bobenko, _trimmed_band,
                             extract_curvature, flatness_residual,
@@ -867,8 +869,10 @@ class TestMirror:
             assert "mirror_deviation" not in mesh.meta
             assert mesh.meta["factored_nodes"] == np.count_nonzero(fg.ok)
 
-    def test_dressed_frames_are_factored_in_full(self, monkeypatch):
-        from loopcmc.dressing import _left_multiply
+    def test_element_breaking_the_reflection_is_factored_in_full(
+            self, monkeypatch):
+        # the catenoid's twisted initial frame E0hat, folded into the
+        # element, is fixed by neither reflection's map
         pot = minimal_to_potential(self.CATENOID, 1.0)
         fg = integrate_frame(pot, DomainGrid.square(0.8, 41))
         assert fg.mirror
@@ -884,6 +888,75 @@ class TestMirror:
         mesh = frames._assemble_mesh(pot, dressed, SurfaceOptions())
         assert sum(calls) == mesh.meta["factored_nodes"] == 41 * 41
         assert "mirrored" not in mesh.meta
+
+    CONSTANT = PotentialSpec.normalized("1", "1", 1.0)
+    # criterion 8: (1 + 0.1 z)^2 and Q = 1 are real on the real axis, and
+    # the element [[1, -0.1 lam], [0, 1]] is real too
+    CRIT8 = PotentialSpec.normalized("(1+0.1*z)^2", "1", 1.0)
+
+    def test_element_keeping_the_reflection_is_mirrored(self):
+        res = h_independent_dressing("(1+0.1*z)^2", "1", "1")
+        grid = DomainGrid.square(0.8, 41)
+        fg = integrate_frame(self.CRIT8, grid)
+        assert axes(fg) == ("row",)
+        dressed = _left_multiply(res.h_plus, fg)
+        assert dressed.mirror == fg.mirror
+        mesh = frames._assemble_mesh(self.CRIT8, dressed, SurfaceOptions())
+        assert mesh.meta["mirrored"] == [{"axis": "row", "nu": 1, "d": 1}]
+        assert mesh.meta["factored_nodes"] == (41 - grid.j0 + 1) * 41 == 902
+        ref = frames._assemble_mesh(
+            self.CRIT8, dataclasses.replace(dressed, mirror=()),
+            SurfaceOptions())
+        assert ref.meta["factored_nodes"] == 41 * 41
+        assert mesh.mask.all()
+        assert_matches_whole_grid(mesh, ref, 1e-13)
+        # dress_surface takes the same path
+        full = dress_surface(res.h_plus, self.CRIT8, grid)
+        assert full.meta["factored_nodes"] == 902
+        assert np.array_equal(full.f, mesh.f)
+        # dress_frame factors every node: its output is the whole grid's,
+        # bit for bit
+        got = dress_frame(res.h_plus, fg)
+        want = dress_frame(res.h_plus, dataclasses.replace(fg, mirror=()))
+        assert got.mirror == fg.mirror and want.mirror == ()
+        assert got.lo == want.lo and got.meta == want.meta
+        for name in ("coeffs", "ok"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=st.fixed_dictionaries({
+        name: st.sampled_from(["zero", "real", "imaginary", "complex"])
+        for name in ("b1", "b3")} | {
+        "a": st.sampled_from(["real", "complex"]),
+        "size": st.floats(0.05, 0.3), "phase": st.floats(0.1, 1.4)}))
+    def test_random_elements_keep_the_reflections_they_fix(self, case):
+        # [[a, b1 lam + b3 lam^3], [0, 1/a]] on constant data, which keep
+        # the row with (nu, d) = (1, 1) and the column with (1, -1): the
+        # row's map conjugates every entry, the column's also negates the
+        # upper-right one, so the row is kept iff a, b1 and b3 are real and
+        # the column iff a is real and b1, b3 are imaginary
+        unit = {"zero": 0.0, "real": 1.0, "imaginary": 1j,
+                "complex": np.exp(1j * case["phase"])}
+        a = 1.0 + case["size"] * unit[case["a"]]
+        b1, b3 = (case["size"] * unit[case[k]] for k in ("b1", "b3"))
+        hp = LoopMat(0, [[a, 1 / a], [0, b1], [0, 0], [0, b3]])
+        fg = integrate_frame(self.CONSTANT, DomainGrid.square(0.6, 15))
+        assert [(r.axis, r.nu, r.d) for r in fg.mirror] == [
+            ("row", 1, 1), ("col", 1, -1)]
+        kinds = {case[k] for k in ("a", "b1", "b3")}
+        keep = (("row",) if kinds <= {"zero", "real"} else ()) + (
+            ("col",) if case["a"] == "real"
+            and {case["b1"], case["b3"]} <= {"zero", "imaginary"} else ())
+        dressed = _left_multiply(hp, fg)
+        assert axes(dressed) == keep
+        mesh = frames._assemble_mesh(self.CONSTANT, dressed, SurfaceOptions())
+        ref = frames._assemble_mesh(
+            self.CONSTANT, dataclasses.replace(dressed, mirror=()),
+            SurfaceOptions())
+        assert mesh.meta["factored_nodes"] == {
+            (): 15 * 15, ("row",): 9 * 15, ("col",): 9 * 15,
+            ("row", "col"): 9 * 9}[keep]
+        assert_matches_whole_grid(mesh, ref, 1e-13)
 
     def test_masked_3noid_counts_the_whole_grid(self, monkeypatch):
         # the Jorge-Meeks 3-noid next to its ends, whose masks are mirror

@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -190,7 +191,7 @@ def mesh_item_report(mesh: SurfaceMesh, name):
         "diameter": mesh.diameter(),
         "factored_nodes": mesh.meta.get("factored_nodes", 0),
     }
-    for key in ("ntrunc", "tail_bound", "max_iwasawa_residual",
+    for key in ("ntrunc", "tail_bound", "panels", "max_iwasawa_residual",
                 "max_unitary_residual", "max_condition", "condition_p99",
                 "max_section", "mask_causes", "lambda0", "mirrored",
                 "mirror_deviation"):
@@ -373,6 +374,14 @@ def cmd_dress(args):
     z0, a_e, q_e = p.z0, p.a, p.Q
     report = {"command": "dress"}
     if args.rho:
+        # the gauge reads the data only: a flag of the --atilde job given
+        # with it (on the command line or in --config) would be ignored
+        ignored = [f"--{k}" for k in ("h", "K", "grid", "xrange", "yrange",
+                                      "trunc", "tol", "substeps", "lambda0")
+                   if k in args.given]
+        if ignored:
+            raise ConfigError("--rho gauges the data only; it takes no "
+                              + ", ".join(ignored))
         at_e, q2 = gauge_potential(a_e, q_e, ex.parse(args.rho))
         report["dressed"] = {"a": ex.to_text(at_e), "Q": ex.to_text(q2)}
         print(f"dressed a = {report['dressed']['a']}")
@@ -511,7 +520,8 @@ def apply_config(args):
     JSON object of the ``--config`` file, then from the command's
     ``DEFAULTS``.  The file's keys are flag names as the namespace holds
     them (``sample_radius`` for ``--sample-radius``); a key that is no flag
-    of the command is a config error."""
+    of the command is a config error.  ``args.given`` holds the keys the
+    command line or the file set, before the defaults."""
     config = {}
     if args.config:
         try:
@@ -529,6 +539,8 @@ def apply_config(args):
         actions = _flag_actions(args.cmd)
         config = {k: _config_value(actions[k], v, f"{args.config}: {k!r}")
                   for k, v in config.items()}
+    args.given = set(config) | {k for k, v in vars(args).items()
+                                if v is not None and v is not False}
     for source in (config, DEFAULTS[args.cmd]):
         for k, v in source.items():
             # identity tests: 0 == False, yet an explicit 0 is set
@@ -578,7 +590,7 @@ def _config_value(action, value, where):
 
 def _echo_config(args):
     # paths are excluded so identical jobs yield identical report bytes
-    skip = {"func", "config", "out"}
+    skip = {"func", "config", "out", "given"}
     out = {}
     for k, v in sorted(vars(args).items()):
         if k in skip or v is None:
@@ -679,6 +691,11 @@ def build_parser():
     gp.add_argument("--lambda0")
     _add_out_flags(gp)
     gp.set_defaults(func=cmd_gallery)
+    # a word that starts with a minus sign and a digit is a value, not a
+    # flag: "--h -1,1" reads as "--h=-1,1" (the stock parsers take "-1,1"
+    # and "-1e-3" for flags, "expected one argument")
+    for parser in (ap, *sub.choices.values()):
+        parser._negative_number_matcher = re.compile(r"-\.?\d")
     return ap
 
 

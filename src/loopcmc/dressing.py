@@ -55,9 +55,8 @@ from . import expr as ex
 # not called here: perfbench/spans.py traces dress jobs by wrapping this name
 from .factor import iwasawa_batch  # noqa: F401
 from .factor import unitary_loops
-from .frames import (FrameGrid, PotentialSpec, SurfaceOptions,
-                     _factor_chunks, _mask_causes, _matches,
-                     integrate_frame, _assemble_mesh)
+from .frames import (FrameGrid, PotentialSpec, SurfaceOptions, _factor_chunks,
+                     _matches, integrate_frame, _assemble_mesh)
 from .grid import DomainGrid
 from .loops import LoopMat, conv, hat_extend, mul, plus_defect
 from .mesh import SurfaceMesh
@@ -438,7 +437,7 @@ def dress_frame(h_plus: LoopMat, fg: FrameGrid,
     flat = pf.coeffs.reshape(ny * nx, -1, 2)
     ok_all = np.zeros(ny * nx, dtype=bool)
     max_resid = 0.0
-    causes = _mask_causes(fg.meta)
+    causes = dict(fg.meta["mask_causes"])
     # each chunk is cut to its own band, so its unitary parts start at its
     # own power: place every chunk at its lowest power in one common window
     chunks = []

@@ -14,16 +14,14 @@ with it.
 The holomorphic frame Phi solves d Phi = Phi eta with Phi(z0) equal to the
 twisted extension E0hat of the initial unitary frame, so Phi = E0hat Psi
 with Psi(z0) = I.  Psi is a series in nonpositive powers whose
-coefficients are the iterated path integrals of the Dyson series, truncated
-where a rigorous factorial tail bound drops below tolerance.  They are
-integrated one series level at a time over the whole grid: level k is the
-integral of level k - 1 times the potential, taken by Gauss-Legendre
-collocation on every edge of the grid walk, and its node values are
-cumulative sums along the walk's chains (``DomainGrid.walk``: the
-basepoint row east and west, the columns down and up, the reroute depths),
-so each node keeps its row-then-column path.  The two entries are
-evaluated in one call per mesh (``expr.evaluate`` of both, so the shared
-``a`` once), at the collocation points of every edge.  E0hat is unitary on
+coefficients are the iterated path integrals of the Dyson series,
+truncated at the largest order a node's own path needs by their factorial
+tail bound (Blanes, Casas, Oteo and Ros, Phys. Rep. 470, 2009) and
+integrated one series level at a time over the whole grid, by
+Gauss-Legendre collocation along the grid walk's chains with as many
+panels per edge as the collocation error estimate asks for
+(:func:`integrate_frame`), so each node keeps its row-then-column path.
+E0hat is unitary on
 the circle, so it leaves the plus factor of the Iwasawa splitting alone:
 the frames stay Psi, and E0hat enters at lambda0 only.  Pointwise Iwasawa
 factorization Psi = F B of the frames then yields the plus factor B and
@@ -83,17 +81,13 @@ from .mesh import SurfaceMesh
 
 __all__ = [
     "PotentialSpec", "SurfaceOptions", "FrameGrid", "FrameError",
-    "TailBoundError", "potential_entries", "integrate_frame",
+    "potential_entries", "integrate_frame",
     "flatness_residual", "surface_from_potential", "extract_curvature",
     "CurvatureField",
 ]
 
 
 class FrameError(ArithmeticError):
-    pass
-
-
-class TailBoundError(FrameError):
     pass
 
 
@@ -124,27 +118,28 @@ class PotentialSpec:
         return np.eye(2, dtype=complex)
 
 
-# A frame whose series tail bound stays above TAIL_FAIL at the truncation
-# cap is an error; nodes where a potential entry is non-finite or above
-# ENTRY_BOUND are masked, with MASK_DILATE rings around them; Iwasawa
-# factorization runs in chunks of CHUNK nodes, each node's frame cut to the
-# band outside of which its slots sum to at most TRIM_EPS of its largest
-# entry.
+# A node whose series tail bound stays above TAIL_FAIL at the truncation
+# cap is masked, and so is one whose quadrature estimate does at PANEL_CAP
+# panels per edge, and nodes with a non-finite potential entry, with
+# MASK_DILATE rings around them; Iwasawa factorization runs in chunks of
+# CHUNK nodes, each node's frame cut to the band outside of which its
+# slots sum to at most TRIM_EPS of its largest entry.
 TAIL_FAIL = 1e-6
-ENTRY_BOUND = 1e8
+PANEL_CAP = 8
 MASK_DILATE = 1
 CHUNK = 256
 TRIM_EPS = float(np.finfo(float).eps)
 
 # Why a node is masked, in pipeline order: outside the grid's own mask; an
-# entry of the potential non-finite or above the entry bound, or within
-# MASK_DILATE rings of one; not reached from the basepoint; a non-finite
-# frame; a factorization not converged or not positive definite; the
-# factorization residual, or the unitarity residual, over its tolerance.
-# meta["mask_causes"] counts every masked node once, under the first cause
-# that applies.
-MASK_CAUSES = ("domain", "entry", "unreachable", "frame", "factorization",
-               "residual", "unitarity")
+# entry of the potential non-finite, or within MASK_DILATE rings of one;
+# not reached from the basepoint; the series tail bound, or the
+# quadrature estimate, of its path above TAIL_FAIL at its cap; a
+# non-finite frame; a factorization not converged or not positive
+# definite; the factorization residual, or the unitarity residual, over
+# its tolerance.  meta["mask_causes"] counts every masked node once, under
+# the first cause that applies.
+MASK_CAUSES = ("domain", "entry", "unreachable", "tail", "quadrature",
+               "frame", "factorization", "residual", "unitarity")
 
 
 @dataclass
@@ -160,13 +155,15 @@ class SurfaceOptions:
 @dataclass
 class FrameGrid:
     """Frames over a grid: coefficient of power lo+k at slot k; ok marks
-    nodes where integration succeeded.  The frames the surface is built
-    from are the twisted extension of ``E0`` times ``coeffs``:
-    ``integrate_frame`` leaves the initial frame E0 out of the coefficients
-    (they are Psi, Psi(z0) = I), as it does not change their Iwasawa plus
-    factor.  ``a`` holds the potential's ``a`` at the nodes, for the
-    metric.  ``mirror`` holds the reflections (:class:`Reflection`) the
-    frames are symmetric under, empty for most members: ``integrate_frame``
+    nodes where integration succeeded; ``ntrunc`` = -lo is the largest
+    order their paths need, ``tail_bound`` their largest tail bound at it,
+    and ``meta`` holds the ``mask_causes`` and the ``panels`` per edge.
+    The frames the surface is built from are the twisted extension of
+    ``E0`` times ``coeffs``: ``integrate_frame`` leaves E0 out (they are
+    Psi, Psi(z0) = I), as it does not change their Iwasawa plus factor.
+    ``a`` holds the potential's ``a`` at the nodes, for the metric.
+    ``mirror`` holds the reflections (:class:`Reflection`) the frames are
+    symmetric under, empty for most members: ``integrate_frame``
     integrates the fundamental domain only, rows j0 - 1 .. with a row
     reflection and columns i0 - 1 .. with a column reflection, and fills
     every other node from its partner by the reflections' map, so the
@@ -224,23 +221,46 @@ def _image_scale(r: Reflection, lo, nk):
 # Truncation order from the iterated-integral tail bound
 
 def _tail_term(k, L, ma, mb):
-    # words of length k alternate the two off-diagonal entries
-    lead = max(ma, mb) if k % 2 else 1.0
-    return 4.0 * L ** k / math.factorial(k) * (ma * mb) ** (k // 2) * lead
+    """The bound of the series tail from level k on, four times that of
+    level k, on a path of length L along which |upper| and |lower| stay
+    within ma and mb (node by node for arrays): level k's entries are
+    iterated integrals of words of k alternating entries, each at most
+    L^k / k! times ma and mb to the powers the word takes."""
+    lead = np.maximum(ma, mb) if k % 2 else 1.0
+    return 4.0 * L ** k * math.exp(-math.lgamma(k + 1)) \
+        * (ma * mb) ** (k // 2) * lead
 
 
-def choose_ntrunc(L, ma, mb, tol=1e-12, cap=24):
-    """Smallest series order whose first omitted term is below tol; returns
-    (order, bound-of-omitted-tail)."""
-    best = None
-    for n in range(1, cap + 1):
-        t = _tail_term(n + 1, L, ma, mb)
-        if t <= tol:
-            best = (n, t)
-            break
-    if best is None:
-        best = (cap, _tail_term(cap + 1, L, ma, mb))
-    return best
+def _path_bounds(chains, end, reached, entries, dz, nodes, err,
+                 opts: SurfaceOptions):
+    """``(ntrunc, tail_bound, over, coarse)`` of a walk's nodes from their
+    paths' lengths (the ``chains``' |dz|) and maxima of ``entries`` (lower,
+    upper) at the edges' points, (2, m, edges), and ``nodes`` at ``end``:
+    ``over`` and ``coarse`` mark a bound, or quadrature estimate ``err``,
+    above TAIL_FAIL; ``ntrunc`` is the other ``reached`` nodes' largest
+    order, the smallest n whose ``_tail_term(n + 1, ...)`` meets the
+    tolerance, and ``tail_bound`` their largest bound at it."""
+    length = np.zeros(len(nodes))
+    chain_sums(chains, np.abs(dz), length)
+    peak = np.abs(nodes)
+    chain_sums(chains, np.maximum(np.max(np.abs(entries), axis=1).T,
+                                  peak[end]), peak, np.maximum)
+    mb, ma = peak.T
+    order = np.zeros(len(nodes), dtype=int)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for n in range(1, opts.ntrunc_cap + 1):
+            bound = _tail_term(n + 1, length, ma, mb)
+            order[(order == 0) & (bound <= opts.tail_tol)] = n
+            if order.all():
+                break
+        over = (order == 0) & ~(bound <= TAIL_FAIL)
+        coarse = ~(err <= TAIL_FAIL)
+        order[order == 0] = opts.ntrunc_cap
+        keep = reached.ravel() & ~over & ~coarse
+        ntrunc = int(np.max(order[keep], initial=1))
+        tail = float(np.max(_tail_term(ntrunc + 1, length[keep], ma[keep],
+                                       mb[keep]), initial=0.0))
+    return ntrunc, tail, over, coarse
 
 
 # ---------------------------------------------------------------------------
@@ -269,82 +289,47 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
     the k-th iterated integral of the potential: Psi_k = int Psi_(k-1) A dz
     from the basepoint, A = [[0, upper], [lower, 0]], Psi_0 = I.  The
     levels are integrated one at a time along the chains of the grid walk
-    (``DomainGrid.walk``: the basepoint row, then the columns, then
-    breadth-first rerouting around masked nodes) by Gauss-Legendre
-    collocation, the rule the h = 0 sweep shares: the entries are
-    evaluated once, in one call, at ``options.substeps`` equal panels of
-    ``expr.WALK_GL_N`` points on every edge (``expr.panel_points``); level
-    k at those points, times the potential, gives every edge's integrals
-    to each point and to its end in one product with the Legendre weights
-    (``expr.interpolant_integrals``); cumulative sums of the edges'
-    integrals along the chains give level k at the nodes, and each edge's
-    start value plus its partial integrals give it at the points.  That is
-    Gauss-Legendre collocation of order 2 * ``expr.WALK_GL_N`` per panel,
-    solved exactly since each level only reads the one below.
+    (``DomainGrid.walk``) by Gauss-Legendre collocation of order 2 *
+    ``expr.WALK_GL_N`` per panel, the rule the h = 0 sweep shares: level
+    k at the points of every edge (``expr.panel_points``), times the
+    potential, gives the edges' integrals to each point and to their ends
+    in one product with the Legendre weights (``expr.interpolant_integrals``);
+    cumulative sums along the chains give level k at the nodes, and each
+    edge's start value plus its partial integrals give it at the points.
+
+    The panels start at ``options.substeps``, and while a node that the
+    tail bound keeps has a quadrature estimate above ``options.tail_tol``
+    they double, to at most ``PANEL_CAP`` (``meta["panels"]``).  Each
+    node's series order comes from its path's length and largest entries
+    (:func:`_path_bounds`); a node whose tail bound stays above
+    ``TAIL_FAIL`` at ``options.ntrunc_cap`` is masked under ``tail``, one
+    whose quadrature estimate does at the last panels under ``quadrature``
+    (neither falls along a path, so no kept node's path runs through a
+    masked one), and every node is integrated to the largest order a kept
+    node needs.  Nodes with a non-finite entry, and their MASK_DILATE
+    rings, are masked under ``entry`` before the walk.
 
     The initial unitary frame E0 is not multiplied in: a unitary left
     factor does not change the plus factor of the Iwasawa splitting, so the
     frames stay Psi and E0 rides along for the read-out at lambda0
     (``FrameGrid.E0``).  The values of ``a`` at the nodes, from the same
-    grid evaluation as the tail bound's, ride along for the metric.
+    grid evaluation as the entries', ride along for the metric.
 
-    A symmetric member (:func:`_reflections`, decided from those node
-    values and the mask) is walked and integrated on its fundamental
-    domain, rows j0 - 1 .. and, with a column reflection, columns i0 - 1
-    ..; every other node takes the frames of its partner through the
-    reflections' map (:meth:`Reflection.image`), which the mirrored paths
-    reach (``FrameGrid.mirror``).  The mask is mirror-symmetric and every
-    masked node has its MASK_DILATE >= 1 ring masked, so the walked nodes
-    are reached where the whole grid's walk reaches them.
-
-    Raises TailBoundError when the rigorous factorial tail bound cannot be
-    pushed below ``TAIL_FAIL`` at the truncation cap.
+    A symmetric member (:func:`_reflections`, from those node values and
+    the mask) is walked and integrated on its fundamental domain, rows j0 -
+    1 .. and, with a column reflection, columns i0 - 1 ..; every other node
+    takes the frames and path masks of its partner through the reflections'
+    map (:meth:`Reflection.image`, ``FrameGrid.mirror``).  The mask is
+    mirror-symmetric with MASK_DILATE >= 1 rings, so the walked nodes are
+    reached where the whole grid's walk reaches them.
     """
     opts = options or SurfaceOptions()
     upper, lower = potential_entries(p)
     up_v, low_v, a_v = ex.evaluate((upper, lower, p.a), grid.zz)
-    av, pv = np.abs(up_v), np.abs(low_v)
-    L = grid.max_l1_pathlength()
-
-    # tighten the entry threshold until the series bound is met: domains
-    # containing potential singularities lose a band around them instead of
-    # aborting the whole mesh.  The ladder engages when an entry is
-    # non-finite or the largest entry exceeds 1e2 times the median, which
-    # smooth data with a large range meets as well (exp(10 z) on a 31-node
-    # grid keeps 62 of 961 nodes); only uniformly large data fails the
-    # bound unmasked.  Per-node truncation from each node's own path (on
-    # the ROADMAP) is to replace this rule.
-    biggest = np.maximum(av, pv)
-    finite = np.isfinite(biggest) & grid.mask
-    med = float(np.median(biggest[finite])) if np.any(finite) else 0.0
-    singular = (not np.all(finite[grid.mask])) or (
-        np.any(finite) and float(np.max(biggest[finite])) > 1e2 * max(med, 1e-12))
-    if singular:
-        ladder = (ENTRY_BOUND, 1e4, 1e2, 30.0, 10.0, 3.0)
-    else:
-        ladder = (ENTRY_BOUND,)
-    mask = tail = None
-    for bound in ladder:
-        # nodes whose entries are finite and below the bound, eroded by
-        # MASK_DILATE rings; the basepoint always stays
-        cand = _erode((biggest < bound) & grid.mask, MASK_DILATE, outside=True)
-        cand[grid.j0, grid.i0] = True
-        ma = float(np.max(av[cand], initial=0.0))
-        mb = float(np.max(pv[cand], initial=0.0))
-        n_cand, t_cand = choose_ntrunc(L, ma, mb, opts.tail_tol,
-                                       opts.ntrunc_cap)
-        if not math.isfinite(t_cand):    # non-finite data: no bound at all
-            t_cand = math.inf
-        if mask is None or t_cand < tail:
-            mask, tail, used_n = cand, t_cand, n_cand
-        if tail <= opts.tail_tol:
-            break
-    ntrunc = used_n
+    mask = _erode(np.isfinite(up_v) & np.isfinite(low_v) & grid.mask,
+                  MASK_DILATE, outside=True)
+    mask[grid.j0, grid.i0] = True
     work = grid.with_mask(mask)
-    if not tail <= TAIL_FAIL:
-        raise TailBoundError(
-            f"series tail bound {tail:.3e} above {TAIL_FAIL:.1e} at "
-            f"truncation {ntrunc}; shrink the domain or raise the cap")
 
     # a symmetric member walks its fundamental domain only; every other
     # node takes its partner's frames through the reflections' map
@@ -354,19 +339,33 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
     left = grid.i0 - 1 if "col" in axes else 0
     part = DomainGrid(grid.xs[left:], grid.ys[top:], grid.i0 - left,
                       grid.j0 - top, mask[top:, left:]) if mirror else work
-    nk = ntrunc + 1
     chains, part_reached = part.walk()
     start, end = chain_ends(chains)
     zz = part.zz.ravel()
     dz = zz[end] - zz[start]
-    t = ex.panel_points(ex.WALK_GL_N, opts.substeps)
-    m = len(t)
-    # (lower, upper) times dz at the collocation points, entry-first, then
-    # point by point, the edges last in the chains' edge order: (2, m, edges)
-    ent = np.stack(ex.evaluate((lower, upper), zz[start] + t[:, None] * dz))
+    nodes = np.stack((low_v, up_v), axis=-1)[top:, left:].reshape(-1, 2)
+    panels, err = opts.substeps, np.zeros(len(zz))
+    while True:
+        # (lower, upper) at the collocation points, then at those of the
+        # rule one point finer, (2, points, edges) in the chains' edge
+        # order: the rules' integrals differ by about the collocation error
+        m = ex.WALK_GL_N * panels
+        t = [ex.panel_points(ex.WALK_GL_N + d, panels) for d in (0, 1)]
+        both = np.stack(ex.evaluate((lower, upper), zz[start] + np.concatenate(
+            t)[:, None] * dz))
+        ent = both[:, :m]
+        weights = ex.interpolant_integrals(ex.WALK_GL_N, panels, panels)
+        finer = ex.interpolant_integrals(ex.WALK_GL_N + 1, panels, 1)[-1]
+        chain_sums(chains, np.abs(dz) * np.max(np.abs(
+            finer @ both[:, m:] - weights[-1] @ ent), axis=0), err)
+        ntrunc, tail, part_over, part_coarse = _path_bounds(
+            chains, end, part_reached, ent, dz, nodes, err, opts)
+        if panels * 2 > PANEL_CAP or np.all(
+                err[part_reached.ravel() & ~part_over] <= opts.tail_tol):
+            break
+        panels *= 2
     ent *= dz
-    weights = ex.interpolant_integrals(ex.WALK_GL_N, opts.substeps,
-                                       opts.substeps)
+    nk = ntrunc + 1
     psi = np.empty((grid.ny, grid.nx, nk, 2), dtype=complex)
     own = psi[top:, left:]                   # the walked nodes
     own[:, :, -1] = 1.0                      # Psi_0 = I
@@ -388,20 +387,26 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
                 at_pts = sums[:, :m]
                 at_pts += level[start].T[:, None]
                 np.multiply(at_pts[::-1], ent, out=g)
-    reached = np.zeros((grid.ny, grid.nx), dtype=bool)
-    reached[top:, left:] = part_reached
+    # reached, over the tail bound, coarse in the quadrature estimate
+    state = np.zeros((3, grid.ny, grid.nx), dtype=bool)
+    state[:, top:, left:] = np.reshape(
+        [part_reached.ravel(), part_over, part_coarse], (3, part.ny, part.nx))
     for image, partner, r in _image_blocks(mirror, grid.j0, grid.i0):
         r.image(psi[partner], 1 - nk, out=psi[image])
-        reached[image] = reached[partner]
-    psi[~reached] = np.nan
+        state[(slice(None), *image)] = state[(slice(None), *partner)]
+    reached, over, coarse = state
+    kept = reached & ~over & ~coarse
+    psi[~kept] = np.nan
 
-    ok = reached & np.all(np.isfinite(psi), axis=(2, 3))
+    ok = kept & np.all(np.isfinite(psi), axis=(2, 3))
     causes = dict.fromkeys(MASK_CAUSES, 0)
     causes["domain"] = int(np.count_nonzero(~grid.mask))
     causes["entry"] = int(np.count_nonzero(grid.mask & ~mask))
     causes["unreachable"] = int(np.count_nonzero(mask & ~reached))
-    causes["frame"] = int(np.count_nonzero(reached & ~ok))
-    meta = {"mask_causes": causes}
+    causes["tail"] = int(np.count_nonzero(reached & over))
+    causes["quadrature"] = int(np.count_nonzero(reached & ~over & coarse))
+    causes["frame"] = int(np.count_nonzero(kept & ~ok))
+    meta = {"mask_causes": causes, "panels": panels}
     return FrameGrid(lo=1 - nk, coeffs=psi, ok=ok, grid=work, ntrunc=ntrunc,
                      tail_bound=tail, meta=meta, E0=p.initial_frame(),
                      a=a_v, mirror=mirror)
@@ -483,13 +488,6 @@ def _image_blocks(mirror, j0, i0):
             rows = slice(j0 - 1 if "row" in pending else 0, None)
             yield ((rows, slice(None, i0 - 1)),
                    (rows, slice(None, i0 + 1, -1)), r)
-
-
-def _mask_causes(meta):
-    """A fresh count per cause of ``MASK_CAUSES``, starting from the
-    counts in ``meta`` (a FrameGrid's, which cover the nodes it does not
-    mark ok)."""
-    return {c: meta.get("mask_causes", {}).get(c, 0) for c in MASK_CAUSES}
 
 
 def flatness_residual(p: PotentialSpec, fg: FrameGrid, samples=20, seed=0):
@@ -716,7 +714,7 @@ def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
              for g in itertools.combinations(fg.mirror, n)]
     max_section = factored = 0
     accepted, overlaps = [], []
-    causes = _mask_causes(fg.meta)
+    causes = dict(fg.meta["mask_causes"])
     a_vals = fg.a.reshape(-1)
 
     for sel, lo, x, out, good in _factor_chunks(
@@ -763,7 +761,8 @@ def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
     resid, unit, cond, times = (np.concatenate(a) for a in zip(*accepted))
     meta = {
         "kind": "dpw", "h": p.h, "ntrunc": fg.ntrunc,
-        "tail_bound": fg.tail_bound, "lambda0": lam0,
+        "tail_bound": fg.tail_bound, "panels": fg.meta["panels"],
+        "lambda0": lam0,
         "max_iwasawa_residual": float(np.max(resid)),
         "max_unitary_residual": float(np.max(unit)),
         "max_condition": float(np.max(cond)),

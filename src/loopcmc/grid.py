@@ -7,8 +7,8 @@ share, as chains (:class:`Chain`), runs of steps that each continue the
 nodes the one before reached: the basepoint row east and west, the columns
 down and up, whole rows a step, then breadth-first around masked nodes,
 one chain per tree depth, for the valid nodes those cut off.
-:func:`chain_sums` adds values along them with one cumulative sum per
-chain: the frame and Weierstrass integrators sum their edge integrals so.
+:func:`chain_sums` accumulates values along them, one cumulative sum (or
+maximum) per chain: the integrators' edge integrals, the paths' lengths.
 """
 
 from __future__ import annotations
@@ -108,12 +108,6 @@ class DomainGrid:
     def interior(self, ring=1):
         """Mask of nodes whose full (2*ring+1)-square neighborhood is valid."""
         return _erode(self.mask, ring, outside=False)
-
-    def max_l1_pathlength(self):
-        """Worst-case |dx|+|dy| from the basepoint to any node."""
-        lx = max(abs(self.xs[-1] - self.xs[self.i0]), abs(self.xs[0] - self.xs[self.i0]))
-        ly = max(abs(self.ys[-1] - self.ys[self.j0]), abs(self.ys[0] - self.ys[self.j0]))
-        return lx + ly
 
     def with_mask(self, mask):
         return DomainGrid(self.xs, self.ys, self.i0, self.j0, mask)
@@ -246,13 +240,14 @@ def chain_ends(chains):
     return start, end
 
 
-def chain_sums(chains, edge_vals, vals):
+def chain_sums(chains, edge_vals, vals, op=np.add):
     """Add the values ``edge_vals`` (edges, ...) of the edges of ``chains``,
     in their edge order, along each chain into ``vals`` (nodes, ...), flat
     over the nodes and C-contiguous, in place: a chain's nodes take
-    ``np.cumsum`` from its seed's value, so each node adds the edges of its
-    path in order, one by one.  The sums are scattered a node at a time as
-    one opaque item (a ``np.void`` view of its row), not value by value."""
+    ``op.accumulate`` from its seed's value, so each node adds the edges of
+    its path in order, one by one (``np.maximum``: keeps their largest).
+    The results are scattered a node at a time as one opaque item (a
+    ``np.void`` view of its row), not value by value."""
     if not vals.flags.c_contiguous:
         raise ValueError("chain_sums writes into C-contiguous values only")
     row = np.dtype((np.void, vals.itemsize * math.prod(vals.shape[1:])))
@@ -265,7 +260,7 @@ def chain_sums(chains, edge_vals, vals):
         pos += n
         path = np.empty((len(nodes) + 1,) + edges.shape[1:], vals.dtype)
         path[0], path[1:] = vals[seed], edges
-        np.cumsum(path, axis=0, out=path)
+        op.accumulate(path, axis=0, out=path)
         rows[nodes] = path[1:].reshape(nodes.shape + (-1,)).view(row)[..., 0]
 
 

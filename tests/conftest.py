@@ -86,6 +86,12 @@ def one_edge_walk(g):
             for a, b in edges], reached
 
 
+def max_l1_pathlength(grid):
+    """The longest |dx| + |dy| from the basepoint to a node of ``grid``."""
+    return float(np.max(np.abs(grid.xs - grid.z0.real))
+                 + np.max(np.abs(grid.ys - grid.z0.imag)))
+
+
 @pytest.fixture
 def grid21():
     return DomainGrid.square(1.0, 21)

@@ -176,15 +176,17 @@ def test_minimal_evaluate_calls_stay_per_block(monkeypatch):
 
 def _evaluated_points(monkeypatch, Q, edges):
     # the frame integrator evaluates both potential entries at its
-    # collocation points, those of the given number of walked edges, in
-    # one call, and expr.evaluate.points counts that call's points once,
-    # beside the one grid evaluation of the entries and of a for the tail
-    # bound and the metric; an integrator that bypassed expr.evaluate
-    # would leave the collocation points out of the traced counters
+    # collocation points, those of the given number of walked edges, and
+    # at the points of the rule one point finer for its quadrature
+    # estimate, in one call, and expr.evaluate.points counts that call's
+    # points once, beside the one grid evaluation of the entries and of a
+    # for the tail bound and the metric; an integrator that bypassed
+    # expr.evaluate would leave the collocation points out of the traced
+    # counters
     from loopcmc import expr as ex
     from loopcmc.frames import SurfaceOptions
 
-    lattice = edges * ex.WALK_GL_N * SurfaceOptions().substeps
+    lattice = edges * (2 * ex.WALK_GL_N + 1) * SurfaceOptions().substeps
     mesh, traced, metrics = _traced_sphere(monkeypatch, Q)
     calls = [s.counts["points"] for s in traced if s.name == "expr.evaluate"]
     assert lattice in calls

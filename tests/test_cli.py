@@ -24,6 +24,16 @@ def obj_vertices(path):
         return sum(line.startswith("v ") for line in fh)
 
 
+def assert_partial(item, nodes, cap):
+    """The report ``item`` of a mesh of ``nodes`` nodes is a partial mesh
+    cut by the series cap: its order within ``cap``, nodes masked under
+    tail, and every masked node counted once."""
+    causes = item["mask_causes"]
+    masked = round(item["masked_fraction"] * nodes)
+    assert item["ntrunc"] <= cap and causes["tail"] > 0
+    assert sum(causes.values()) == masked < nodes
+
+
 class TestParsing:
     def test_parse_complex(self):
         assert parse_complex("1+2i") == 1 + 2j
@@ -53,11 +63,14 @@ class TestParsing:
                    "--out", str(tmp_path)])
         assert rc == 2
 
-    def test_numerical_failure_exit_code(self, tmp_path):
-        # absurd mean curvature on a large domain exceeds the series cap
+    def test_series_cap_gives_a_partial_mesh(self, tmp_path):
+        # absurd mean curvature on a large domain: the paths of most nodes
+        # need a series order above the cap, so those nodes are masked
+        # under tail and the rest make a partial mesh that says why
         rc = main(["mesh", "--a", "2", "--Q=-4*z", "--h", "80",
                    "--grid", "11", "--out", str(tmp_path)])
-        assert rc == 3
+        assert rc == 0
+        assert_partial(read_report(tmp_path)["items"][0], 11 * 11, cap=24)
 
     def test_pole_at_basepoint_fails_cleanly(self, tmp_path, capsys):
         # Q/a = 1/z has a pole at the basepoint: at h = 1 the frame has no
@@ -74,18 +87,40 @@ class TestParsing:
             assert not out.exists()
 
     def test_masked_nodes_say_why(self, tmp_path):
-        # exp(10 z) spans a range of e^20 over the square: the entry-bound
-        # ladder masks most of the grid, and the report counts each masked
-        # node under its cause
+        # exp(10 z) spans a range of e^20 over the square: the nodes whose
+        # paths run far into the large end need more than the series cap,
+        # and the report counts each masked node under its cause
         rc = main(["mesh", "--a", "exp(10*z)", "--Q", "1", "--h", "1",
                    "--grid", "31", "--out", str(tmp_path)])
         assert rc == 0
         item = read_report(tmp_path)["items"][0]
         causes = item["mask_causes"]
         masked = round(item["masked_fraction"] * 31 * 31)
-        assert masked > 0.9 * 31 * 31
+        assert masked == causes["tail"] == 572
         assert sum(causes.values()) == masked
-        assert causes["entry"] == masked
+
+    @pytest.mark.parametrize("cmd", [
+        ["mesh", "--a", "2", "--Q=-4*z", "--grid", "11"],
+        ["gallery", "sphere"],
+        ["dress", "--a", "(1+0.1*z)^2", "--Q", "1", "--atilde", "1",
+         "--K", "2"],
+    ], ids=["mesh", "gallery", "dress"])
+    def test_negative_h_list(self, tmp_path, cmd):
+        # a list that starts with a minus sign is a value, not a flag
+        rc = main(cmd + ["--h", "-1,1", "--out", str(tmp_path)])
+        assert rc == 0
+        rep = read_report(tmp_path)
+        if cmd[0] == "dress":
+            assert list(rep["wu_recursion"]) == ["h=-1", "h=1"]
+        else:
+            assert [item["h"] for item in rep["items"]] == [-1.0, 1.0]
+
+    def test_negative_h_convert(self, tmp_path):
+        # convert takes one h, which reads as a value when negative too
+        rc = main(["convert", "--mu=-exp(-z)/2", "--nu=-exp(z)", "--h", "-1",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert read_report(tmp_path)["potential"]["h"] == -1.0
 
     def test_weierstrass_masked_nodes_say_why(self, tmp_path):
         # the double pole of mu at 0.3 fails the regularity mask; the
@@ -259,10 +294,12 @@ class TestGallery:
 
     def test_trunc_cap_is_honored(self, tmp_path):
         # smyth h = 1 needs a series order above 4: the cap must not be
-        # raised behind the flag, so the run fails as `mesh` does
+        # raised behind the flag, so the nodes whose paths need more are
+        # masked, as `mesh` masks them
         rc = main(["gallery", "smyth", "--h", "1", "--trunc", "4",
                    "--out", str(tmp_path)])
-        assert rc == 3
+        assert rc == 0
+        assert_partial(read_report(tmp_path)["items"][0], 61 * 61, cap=4)
 
     def test_unknown_entry(self, tmp_path):
         assert main(["gallery", "nope", "--out", str(tmp_path)]) == 2
@@ -518,6 +555,27 @@ class TestDress:
         zs = np.array([0.2, 0.5 + 0.1j])
         assert np.allclose(ex.evaluate(ex.parse(rep["dressed"]["a"]), zs),
                            2 + zs)
+
+    def test_rho_refuses_the_flags_it_ignores(self, tmp_path, capsys):
+        # the gauge reads only the data: each flag of the --atilde job,
+        # given on the command line or in --config, is named and refused;
+        # the defaults of --grid and --K are not given flags
+        base = ["dress", "--a", "2+z", "--Q", "1", "--rho", "1"]
+        rc = main(base + ["--h", "0", "--grid", "11", "--K", "3",
+                          "--xrange", "-1", "1", "--trunc", "5", "--tol",
+                          "1e-9", "--substeps", "2", "--lambda0", "1",
+                          "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.split(": ")[-1] == (
+            "--rho gauges the data only; it takes no --h, --K, --grid, "
+            "--xrange, --trunc, --tol, --substeps, --lambda0\n")
+        assert not (tmp_path / "report.json").exists()
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"yrange": [-1, 1]}))
+        assert main(["--config", str(cfg)] + base) == 2
+        assert capsys.readouterr().err.endswith("it takes no --yrange\n")
+        assert main(base + ["--out", str(tmp_path)]) == 0
 
     def test_h_independent_report(self, tmp_path):
         rc = main(["dress", "--a", "(1+0.1*z)^2", "--Q", "1",

@@ -2,7 +2,8 @@
 imports is used there, every module the package imports is the standard
 library, numpy or the package itself, every name a package module's
 ``__all__`` lists exists, and every name it defines at module level is
-either exported or read somewhere in the package.
+either exported or read somewhere in the package.  README's Reports
+section names every mask cause of ``frames.MASK_CAUSES``.
 
 Names listed in the module's ``__all__`` (re-exports) and import lines
 marked ``# noqa`` (kept on purpose, e.g. for a tracer that wraps the name)
@@ -15,6 +16,8 @@ import pathlib
 import sys
 
 import pytest
+
+from loopcmc import frames
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "loopcmc"
@@ -171,3 +174,10 @@ def test_check_flags_an_unreferenced_name(tmp_path):
                  "    pass\n")
     b.write_text("from a import TAIL\n")
     assert unreferenced_names(a, [a, b]) == ["_dead", "Unused"]
+
+
+def test_readme_reports_name_every_mask_cause():
+    # a cause cannot be added or renamed without its documentation
+    text = (TESTS.parent / "README.md").read_text()
+    reports = text[text.index("### Reports"):text.index("### Expression")]
+    assert [c for c in frames.MASK_CAUSES if f"`{c}`" not in reports] == []

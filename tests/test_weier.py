@@ -16,7 +16,8 @@ from loopcmc.weier import (InvalidDataError, WeierstrassData,
                            _walk_primitive, initial_frame, metric_hopf,
                            minimal_surface)
 from conftest import (KUSNER_MU, KUSNER_NU, ORDER5_A, ORDER5_P,
-                      catenoid_oracle, enneper, walk_edges)
+                      catenoid_oracle, enneper, max_l1_pathlength,
+                      walk_edges)
 
 
 class TestIntegrand:
@@ -234,7 +235,7 @@ class TestWalkPrimitive:
         got = np.concatenate([nodes.ravel(), along.ravel(), points.ravel()])
         ref = np.concatenate([ref_nodes.ravel(), ref_nodes.ravel(),
                               ex.integrate_path(integrand, z0, pts).ravel()])
-        scale = np.max(np.abs(integrand(grid.zz))) * grid.max_l1_pathlength()
+        scale = np.max(np.abs(integrand(grid.zz))) * max_l1_pathlength(grid)
         assert np.max(np.abs(got - ref)) <= 1e-13 * scale
 
     def test_order5_mesh_integrates_no_path(self, monkeypatch):
@@ -403,7 +404,7 @@ class TestBlockedIntegral:
                         (mu * (1 - nu ** 2), -1j * mu * (1 + nu ** 2),
                          -2 * mu * nu)], axis=-1)
         size = np.max(np.abs(_fz_components(mu(grid.zz), nu(grid.zz))))
-        return ref, size * grid.max_l1_pathlength()
+        return ref, size * max_l1_pathlength(grid)
 
     @pytest.mark.parametrize("shape", ["wide", "one_row", "one_column",
                                        "wall"])

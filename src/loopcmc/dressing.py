@@ -13,16 +13,17 @@ determined by a first-order recursion: a0 = 1/d0 = sqrt(a/atilde), a linear
 ODE for each b_n whose inhomogeneity involves the previous even
 coefficient, algebraic formulas for c_n and for the even levels.  The
 recursion here keeps every coefficient as normalized Taylor coefficients
-u^(m)/m! at every sample point (series arithmetic of ``expr.taylor``), so
-the ODE right-hand sides and the residual checks are exact up to the ODE
-integration itself.
+u^(m)/m! at every sample and collocation point of the path (series
+arithmetic of ``expr.taylor``), so the ODE right-hand sides and the
+residual checks are exact up to the quadrature; a0 keeps the basepoint's
+principal branch along the path.
 
 The b-system is not affine (a_{n+1} contains b_1 c_1), but it is
 lower-triangular: b_n' = c1 b_n + c0_n, where c0_n depends only on the
-levels below n.  RK4 therefore runs one odd level at a time: c0_n at all
-stage points of the path comes from one batched evaluation given the lower
-levels' stage inputs, which is the same arithmetic as stepping all levels
-jointly.
+levels below n, and c1 = -qa'/(2 qa) does not depend on h.  With the
+integrating factor s = exp(-int c1), (s b_n)' = s c0_n: each odd level is
+one quadrature, on the grid walk's collocation rule (``expr.WALK_GL_N``
+points per step), of c0_n at the points from the lower levels there.
 
 The potentials are linear in h, and the recursion is homogeneous under
 h -> t h with b_n -> t^-(n-1)/2 b_n, c_n -> t^-(n+1)/2 c_n and
@@ -56,7 +57,7 @@ from . import expr as ex
 from .factor import iwasawa_batch  # noqa: F401
 from .factor import unitary_loops
 from .frames import (FrameGrid, PotentialSpec, SurfaceOptions, _factor_chunks,
-                     _matches, integrate_frame, _assemble_mesh)
+                     _image_blocks, _matches, integrate_frame, _assemble_mesh)
 from .grid import DomainGrid
 from .loops import LoopMat, conv, hat_extend, mul, plus_defect
 from .mesh import SurfaceMesh
@@ -176,8 +177,10 @@ class DressingCoeffs:
 
 
 class _WuSystem:
-    """Taylor series of all gauge coefficients at the points ``z``, given
-    the values of the b_n there.
+    """Taylor series of all gauge coefficients at the points ``z``, in
+    order along a path from the basepoint ``z[0]``, given the values of the
+    b_n there.  a0 = sqrt(a/atilde) starts at its principal value at z[0]
+    and keeps that branch from point to point, d0 = 1/a0.
 
     With qa = Q/(a atilde) and g_n = a_(n-1)'/a, the odd levels solve
     2 qa b_n' + qa' b_n = g_n' and give c_n = (2/h) (g_n - qa b_n); the even
@@ -198,6 +201,11 @@ class _WuSystem:
                 "a, atilde and Q must be finite and nonvanishing along the "
                 "path, basepoint included")
         self.a0 = ex.series_sqrt(ex.series_div(self.a, self.at))
+        # a0 continued from its principal value at z0: the series flips
+        # sign wherever the next point's principal value turns by more
+        # than a right angle
+        turn = np.real(self.a0[1:, 0] * np.conj(self.a0[:-1, 0])) < 0
+        self.a0[1:][np.cumsum(turn) % 2 == 1] *= -1
         self.d0 = ex.series_div(ex.taylor(ex.ONE, z, depth), self.a0)
         self.qa = ex.series_div(self.q, ex.series_mul(self.a, self.at))
         # b_n' = c1 b_n + c0_n
@@ -245,38 +253,10 @@ class _WuSystem:
                       "d": 0.5 * mul(d0, s) + div(bprime, self.h * a)}
         return out
 
-    def default_b_init(self):
-        """Regularity-forced initial values b_n(z0) = a_(n-1)'(z0)
-        atilde(z0) / Q(z0) at the first point (the minimal-limit-compatible
-        choice).  The even level n-1 only involves lower odd coefficients,
-        so the values are determined sequentially."""
-        at0, q0 = complex(self.at[0, 0]), complex(self.q[0, 0])
-        init, levels = {}, None
-        for n in self.odd:
-            levels = self.jets(0, init, levels)
-            init[n] = complex(levels[n - 1]["a"][1]) * at0 / q0
-        return init
 
-
-def _rk4_affine(c1, c0, b0, dz):
-    """Fourth-order steps of b' = c1 b + c0 from b0; rows 0..3 of ``c1`` and
-    ``c0`` hold their values at the four stage points of every step.
-    Returns b at the nodes and the stage inputs, flattened like ``c0``."""
-    c1, c0 = c1.tolist(), c0.tolist()
-    b = [complex(b0)]
-    stages = []
-    for t, step in enumerate(dz.tolist()):
-        y1 = b[-1]
-        k1 = c1[0][t] * y1 + c0[0][t]
-        y2 = y1 + step / 2 * k1
-        k2 = c1[1][t] * y2 + c0[1][t]
-        y3 = y1 + step / 2 * k2
-        k3 = c1[2][t] * y3 + c0[2][t]
-        y4 = y1 + step * k3
-        k4 = c1[3][t] * y4 + c0[3][t]
-        b.append(y1 + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
-        stages.append((y1, y2, y3, y4))
-    return np.array(b), np.array(stages, dtype=complex).T.ravel()
+def _along(nodes, points):
+    # values at the samples and at each step's points (steps, m), in order
+    return np.append(np.hstack([nodes[:-1, None], points]), nodes[-1])
 
 
 def wu_recursion(a, atilde, Q, h, K=6, path=(0j, 1.0, 200),
@@ -285,15 +265,18 @@ def wu_recursion(a, atilde, Q, h, K=6, path=(0j, 1.0, 200),
     basepoint.
 
     ``path`` is (z0, z1, nsamples): ``nsamples`` equally spaced points of
-    the segment from the basepoint z0 to z1.  The linear ODEs for the odd
-    coefficients are advanced by fourth-order steps, one level at a time;
-    even coefficients are algebraic in the series.  ``b_init`` overrides
-    the regularity-forced initial values.  The result at one h gives every
-    other nonzero h by rescaling (:meth:`DressingCoeffs.at_h`), so a job
-    over several h runs the recursion once.
+    the segment from the basepoint z0 to z1.  Each odd level is one
+    cumulative quadrature of (s b_n)' = s c0_n (``expr.WALK_GL_N`` points
+    per step, ``expr.interpolant_integrals``): its integrals to the points
+    give b_n there for the next level's c0, those to the step ends give it
+    at the samples.  The initial values are the regularity-forced
+    b_n(z0) = a_(n-1)'(z0) atilde(z0) / Q(z0), the minimal-limit-compatible
+    choice, unless ``b_init`` gives them (a level it omits starts at 0).
+    The result at one h gives every other nonzero h by rescaling
+    (:meth:`DressingCoeffs.at_h`), so a job over several h runs it once.
 
     Requires h != 0 and a, atilde and Q finite and nonvanishing at every
-    node and step midpoint of the path, basepoint included.
+    sample and collocation point of the path, basepoint included.
     """
     if h == 0:
         raise DressingError("use h_independent_dressing for the h = 0 gauge")
@@ -302,37 +285,40 @@ def wu_recursion(a, atilde, Q, h, K=6, path=(0j, 1.0, 200),
     Q = ex.as_expr(Q)
     z0, z1, ns = path
     zs = np.linspace(complex(z0), complex(z1), int(ns))
-    dz = zs[1:] - zs[:-1]
-    nodes = len(zs)
+    dz = (zs[1:] - zs[:-1])[:, None]
+    m = ex.WALK_GL_N
+    weights = ex.interpolant_integrals(m, 1, 1).T
     sys_ = _WuSystem(a, atilde, Q, float(h), int(K),
-                     np.concatenate([zs, zs[:-1] + dz / 2]))
-    if b_init is None:
-        b_init = sys_.default_b_init()
-    else:
-        b_init = {int(n): complex(v) for n, v in b_init.items()}
-        for n in sys_.odd:
-            b_init.setdefault(n, 0.0)
+                     _along(zs, zs[:-1, None] + ex.panel_points(m, 1) * dz))
+    given = b_init is not None
+    b_init = {int(n): complex(v) for n, v in (b_init or {}).items()}
+    at0, q0 = complex(sys_.at[0, 0]), complex(sys_.q[0, 0])
+    nodes = np.arange(len(zs)) * (m + 1)
+    pts = nodes[:-1, None] + np.arange(1, m + 1)
 
-    # RK4 stage points of every step: z_t, the midpoint twice, z_(t+1)
-    steps = np.arange(nodes - 1)
-    stage = np.concatenate([steps, nodes + steps, nodes + steps, steps + 1])
-    c1 = sys_.c1[stage, 0].reshape(4, -1)
-    bnodes, bstages, levels = {}, {}, None
+    def integral(f):
+        # from z0 to every sample and point, of f given at the points
+        part = (f @ weights) * dz
+        ends = np.concatenate([[0.0], np.cumsum(part[:, -1])])
+        return _along(ends, ends[:-1, None] + part[:, :-1])
+
+    factor = np.exp(-integral(sys_.c1[pts, 0]))
+    b, levels = {}, None
     for n in sys_.odd:
         # level n only sees lower levels, so it can be integrated on its own
-        levels = sys_.jets(stage, bstages, levels)
-        c0 = levels[n]["c0"][:, 0].reshape(4, -1)
-        bnodes[n], bstages[n] = _rk4_affine(c1, c0, b_init[n], dz)
-    # the stage jets end here: held past the loop, they raised the dress
-    # job's peak resident memory by about 0.4 MB
-    del levels
-    sel = slice(0, nodes)
-    jets = sys_.jets(sel, bnodes)
+        levels = sys_.jets(slice(None), b, levels)
+        # the regularity-forced value comes from level n - 1 at z0
+        b_init.setdefault(n, 0.0 if given else
+                          complex(levels[n - 1]["a"][0, 1]) * at0 / q0)
+        c0 = levels[n]["c0"][pts, 0]
+        b[n] = (b_init[n] + integral(factor[pts] * c0)) / factor
+    jets = {n: {w: s[nodes] for w, s in lv.items()}
+            for n, lv in sys_.jets(slice(None), b, levels).items()}
     values = {n: {w: s[:, 0] for w, s in jets[n].items()} for n in jets}
     return DressingCoeffs(z=zs, h=float(h), K=int(K), values=values,
                           b_init=b_init, a_expr=a, atilde_expr=atilde,
                           Q_expr=Q,
-                          data=(sys_.a[sel], sys_.at[sel], sys_.q[sel]),
+                          data=(sys_.a[nodes], sys_.at[nodes], sys_.q[nodes]),
                           jets=jets)
 
 
@@ -399,20 +385,32 @@ def _left_multiply(h_plus: LoopMat, fg: FrameGrid) -> FrameGrid:
     """h_plus times the frames of ``fg``, their initial frame included:
     the twisted extension of ``fg.E0`` is folded into the dressing element
     hp, so the product's frames carry no initial frame of their own.
+    ``h_plus`` must be a plus loop.
 
     A reflection of ``fg.mirror`` is kept exactly when its map
     (:meth:`Reflection.image`) fixes hp, to 1e-14 of hp's largest
     coefficient: Psi(sigma z) = D conj Psi(z) D^-1 then gives the same for
-    hp Psi, and the mesh factors the fundamental domain only.  A
-    reflection that hp breaks is dropped; with none kept (the catenoid's
-    E0hat breaks both) the product is factored on the whole grid."""
+    hp Psi.  The product is taken on the kept reflections' fundamental
+    domain and mapped to the other nodes, as ``integrate_frame`` fills
+    them; with none kept (the catenoid's E0hat breaks both) on the whole
+    grid."""
+    if plus_defect(h_plus) > 1e-10:
+        raise DressingError("dressing element must be a plus loop")
     hp = mul(h_plus, hat_extend(fg.E0))
     mirror = tuple(r for r in fg.mirror
                    if _matches(r.image(hp.coeffs, hp.lo), hp.coeffs))
-    return replace(fg, lo=fg.lo + hp.lo,
-                   coeffs=conv(hp.coeffs, fg.coeffs, fg.lo),
-                   E0=np.eye(2, dtype=complex), mirror=mirror,
-                   meta={**fg.meta, "dressed": True})
+    axes = {r.axis for r in mirror}
+    j0, i0 = fg.grid.j0, fg.grid.i0
+    own = (slice(j0 - 1 if "row" in axes else 0, None),
+           slice(i0 - 1 if "col" in axes else 0, None))
+    lo = fg.lo + hp.lo
+    ny, nx, nk = fg.coeffs.shape[:3]
+    coeffs = np.empty((ny, nx, nk + len(hp.coeffs) - 1, 2), dtype=complex)
+    coeffs[own] = conv(hp.coeffs, fg.coeffs[own], fg.lo)
+    for image, partner, r in _image_blocks(mirror, j0, i0):
+        r.image(coeffs[partner], lo, out=coeffs[image])
+    return replace(fg, lo=lo, coeffs=coeffs, E0=np.eye(2, dtype=complex),
+                   mirror=mirror, meta={**fg.meta, "dressed": True})
 
 
 def dress_frame(h_plus: LoopMat, fg: FrameGrid,
@@ -422,16 +420,15 @@ def dress_frame(h_plus: LoopMat, fg: FrameGrid,
     its factorization passes the pointwise checks of ``_factor_chunks``
     and the series of its unitary part passes its own reconstruction and
     unitarity checks (``factor.unitary_loops``).  Every node is factored,
-    image nodes too; the reflections that the product keeps
-    (:func:`_left_multiply`) ride along in the result.
+    image nodes too, whose products :func:`_left_multiply` maps from their
+    partners'; the reflections that the product keeps ride along in the
+    result.
 
     ``fg`` may hold holomorphic frames or already-unitary frames (repeated
     dressing); the group law dress(h2, dress(h1, .)) = dress(h2 h1, .)
     holds up to factorization accuracy either way.
     """
     opts = options or SurfaceOptions()
-    if plus_defect(h_plus) > 1e-10:
-        raise DressingError("dressing element must be a plus loop")
     pf = _left_multiply(h_plus, fg)
     ny, nx = pf.coeffs.shape[:2]
     flat = pf.coeffs.reshape(ny * nx, -1, 2)
@@ -475,8 +472,6 @@ def dress_surface(h_plus: LoopMat, p: PotentialSpec, grid: DomainGrid,
     opts = options or SurfaceOptions()
     if p.h == 0:
         raise DressingError("dressing acts on frames of nonzero mean curvature")
-    if plus_defect(h_plus) > 1e-10:
-        raise DressingError("dressing element must be a plus loop")
     # the undressed frames are not kept while the dressed ones are factored
     dressed = _left_multiply(h_plus, integrate_frame(p, grid, options=opts))
     return _assemble_mesh(p, dressed, opts)

@@ -6,7 +6,7 @@ import pytest
 
 from loopcmc import expr as ex
 from loopcmc.convert import minimal_to_potential
-from loopcmc.dressing import (DressingError, _WuSystem, _rk4_affine,
+from loopcmc.dressing import (DressingError, _WuSystem, _left_multiply,
                               dress_frame, dress_surface, gauge_potential,
                               gauge_ode_residual, h_independent_dressing,
                               relation_residuals, wu_recursion)
@@ -104,27 +104,37 @@ class TestHIndependent:
 def _wu_reference(a, atilde, Q, h, K, path):
     """``wu_recursion`` and its checks' input the way they are built
     without reuse: every level's jets afresh for each odd level, at z0 and
-    at the stage points, and the checks' series from a new ``_WuSystem``
-    on the samples.  Returns (b_init, jets, data)."""
+    at the collocation points, and the checks' series from a new
+    ``_WuSystem`` on the samples.  Returns (b_init, jets, data)."""
     a, atilde, Q = (ex.as_expr(e) for e in (a, atilde, Q))
     z0, z1, ns = path
     zs = np.linspace(complex(z0), complex(z1), ns)
-    dz = zs[1:] - zs[:-1]
-    nodes = len(zs)
+    dz = (zs[1:] - zs[:-1])[:, None]
+    m = ex.WALK_GL_N
+    pts = zs[:-1, None] + ex.panel_points(m, 1) * dz
     sys_ = _WuSystem(a, atilde, Q, h, K,
-                     np.concatenate([zs, zs[:-1] + dz / 2]))
+                     np.append(np.hstack([zs[:-1, None], pts]), zs[-1]))
     at0, q0 = complex(sys_.at[0, 0]), complex(sys_.q[0, 0])
     b_init = {}
     for n in sys_.odd:
         aprev = sys_.jets(0, b_init)[n - 1]["a"]
         b_init[n] = complex(aprev[1]) * at0 / q0
-    steps = np.arange(nodes - 1)
-    stage = np.concatenate([steps, nodes + steps, nodes + steps, steps + 1])
-    c1 = sys_.c1[stage, 0].reshape(4, -1)
-    bnodes, bstages = {}, {}
+    # (s b_n)' = s c0_n with s = exp(-int c1), by the weights' integrals
+    # over each step to its points and its end
+    index = np.arange(pts.size + len(pts)).reshape(-1, m + 1)[:, 1:]
+    weights = ex.interpolant_integrals(m, 1, 1)
+
+    def integrals(f):
+        part = (f @ weights.T) * dz
+        ends = np.concatenate([[0.0], np.cumsum(part[:, -1])])
+        return ends, ends[:-1, None] + part[:, :-1]
+    s_nodes, s_pts = (np.exp(-v) for v in integrals(sys_.c1[index, 0]))
+    bnodes, bpts = {}, {}
     for n in sys_.odd:
-        c0 = sys_.jets(stage, bstages)[n]["c0"][:, 0].reshape(4, -1)
-        bnodes[n], bstages[n] = _rk4_affine(c1, c0, b_init[n], dz)
+        c0 = sys_.jets(index, bpts)[n]["c0"][..., 0]
+        at_nodes, at_pts = integrals(s_pts * c0)
+        bnodes[n] = (b_init[n] + at_nodes) / s_nodes
+        bpts[n] = (b_init[n] + at_pts) / s_pts
     checks = _WuSystem(a, atilde, Q, h, K, zs)
     return (b_init, checks.jets(slice(None), bnodes),
             (checks.a, checks.at, checks.q))
@@ -153,6 +163,39 @@ class TestWuRecursion:
             rebuilt = dataclasses.replace(co, jets=jets, data=data)
             assert relation_residuals(co) == relation_residuals(rebuilt)
             assert gauge_ode_residual(co) == gauge_ode_residual(rebuilt)
+
+    @pytest.mark.parametrize("a, atilde, Q, path", [
+        ("1+z^2", "2", "1+z", (0j, 1.0, 200)),
+        ("1+z^2", "2", "1+z", (0j, 0.8, 81)),
+        (A_PAIR, AT_PAIR, Q_PAIR, (0j, 0.8, 81))],
+        ids=["generic", "generic-dress-path", "criterion8"])
+    def test_converged_at_the_path_end(self, a, atilde, Q, path):
+        # the step error, which no residual check sees: the odd
+        # coefficients at the path's end are those of a much finer run
+        z0, z1, _ = path
+        co = wu_recursion(a, atilde, Q, 1.0, K=6, path=path)
+        fine = wu_recursion(a, atilde, Q, 1.0, K=6, path=(z0, z1, 6401))
+        for n in (1, 3, 5):
+            for w in ("b", "c"):
+                assert abs(co.values[n][w][-1] - fine.values[n][w][-1]) \
+                    <= 1e-13, (n, w)
+
+    def test_a0_continued_across_the_branch_cut(self):
+        # a/atilde crosses the negative real axis at z = 0.2: a0 keeps the
+        # basepoint's principal branch along the path, so it ends at minus
+        # the principal root, and the levels above it converge
+        a = "-1-0.1*i+0.5*i*z"
+        co = wu_recursion(a, "1", "1", 1.0, K=4, path=(0j, 0.8, 81))
+        fine = wu_recursion(a, "1", "1", 1.0, K=4, path=(0j, 0.8, 801))
+        a0 = co.values[0]["a"]
+        assert a0[0] == pytest.approx(np.sqrt(-1 - 0.1j), abs=1e-15)
+        assert a0[-1] == pytest.approx(-np.sqrt(-1 + 0.3j), abs=1e-15)
+        assert np.max(np.abs(np.diff(a0))) <= 0.01
+        for n in (1, 3):
+            assert abs(co.values[n]["b"][-1] - fine.values[n]["b"][-1]) \
+                <= 1e-13, n
+        assert max(relation_residuals(co).values()) <= 1e-9
+        assert gauge_ode_residual(co) <= 1e-9
 
     def test_checks_expand_no_series(self, monkeypatch):
         co = wu_recursion("2", "2+z", "1", 1.0, K=4, path=(0j, 0.8, 41))
@@ -451,6 +494,22 @@ class TestDressFrame:
         with pytest.raises(AssertionError):
             dress_frame(hp, integrate_frame(pot, g))
 
+    @pytest.mark.parametrize("b1, kept", [
+        (0.1, ("row",)), (0.1j, ("col",)), (0.0, ("row", "col"))])
+    def test_image_nodes_take_their_partners_products(self, b1, kept):
+        # the product is taken on the fundamental domain of the reflections
+        # it keeps, the column's twisted by d = -1, and mapped to the other
+        # nodes: those hold the whole grid's product to rounding
+        fg = integrate_frame(PotentialSpec.normalized("1", "1", 1.0),
+                             DomainGrid.square(0.6, 15))
+        hp = LoopMat(0, [[1.2, 1 / 1.2], [0.0, b1]])
+        dressed = _left_multiply(hp, fg)
+        assert tuple(r.axis for r in dressed.mirror) == kept
+        whole = conv(mul(hp, hat_extend(fg.E0)).coeffs, fg.coeffs, fg.lo)
+        assert dressed.coeffs.shape == whole.shape
+        assert np.max(np.abs(dressed.coeffs - whole)) \
+            <= 1e-15 * np.max(np.abs(whole))
+
     def test_hopf_invariant_under_dressing(self):
         res = h_independent_dressing(A_PAIR, AT_PAIR, Q_PAIR)
         g = DomainGrid.square(0.8, 31)
@@ -462,5 +521,8 @@ class TestDressFrame:
     def test_rejects_non_plus(self):
         bad = LoopMat(-1, [[1.0, 0.0], [1.0, 1.0]])    # (1, 0) at power -1
         p = PotentialSpec.normalized("2", "0", 1.0)
+        grid = DomainGrid.square(0.3, 5)
         with pytest.raises(DressingError):
-            dress_surface(bad, p, DomainGrid.square(0.3, 5))
+            dress_surface(bad, p, grid)
+        with pytest.raises(DressingError):
+            dress_frame(bad, integrate_frame(p, grid))

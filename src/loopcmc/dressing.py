@@ -57,8 +57,8 @@ from . import expr as ex
 from .factor import iwasawa_batch  # noqa: F401
 from .factor import unitary_loops
 from .frames import (FrameGrid, PotentialSpec, SurfaceOptions, _factor_chunks,
-                     _image_blocks, _matches, integrate_frame, _assemble_mesh)
-from .grid import DomainGrid
+                     integrate_frame, _assemble_mesh)
+from .grid import DomainGrid, fundamental_domain, image_blocks, matches
 from .loops import LoopMat, conv, hat_extend, mul, plus_defect
 from .mesh import SurfaceMesh
 
@@ -398,16 +398,13 @@ def _left_multiply(h_plus: LoopMat, fg: FrameGrid) -> FrameGrid:
         raise DressingError("dressing element must be a plus loop")
     hp = mul(h_plus, hat_extend(fg.E0))
     mirror = tuple(r for r in fg.mirror
-                   if _matches(r.image(hp.coeffs, hp.lo), hp.coeffs))
-    axes = {r.axis for r in mirror}
-    j0, i0 = fg.grid.j0, fg.grid.i0
-    own = (slice(j0 - 1 if "row" in axes else 0, None),
-           slice(i0 - 1 if "col" in axes else 0, None))
+                   if matches(r.image(hp.coeffs, hp.lo), hp.coeffs))
+    own, _ = fundamental_domain(fg.grid, mirror)
     lo = fg.lo + hp.lo
     ny, nx, nk = fg.coeffs.shape[:3]
     coeffs = np.empty((ny, nx, nk + len(hp.coeffs) - 1, 2), dtype=complex)
     coeffs[own] = conv(hp.coeffs, fg.coeffs[own], fg.lo)
-    for image, partner, r in _image_blocks(mirror, j0, i0):
+    for image, partner, r in image_blocks(mirror, fg.grid.j0, fg.grid.i0):
         r.image(coeffs[partner], lo, out=coeffs[image])
     return replace(fg, lo=lo, coeffs=coeffs, E0=np.eye(2, dtype=complex),
                    mirror=mirror, meta={**fg.meta, "dressed": True})

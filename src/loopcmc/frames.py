@@ -75,7 +75,8 @@ import numpy as np
 from . import expr as ex
 from . import weier
 from .factor import iwasawa_batch
-from .grid import DomainGrid, _erode, chain_ends, chain_sums
+from .grid import (DomainGrid, _erode, chain_ends, chain_sums,
+                   fundamental_domain, image_blocks, matches, reflections)
 from .loops import entries_at, hat_extend, mul_entries
 from .mesh import SurfaceMesh
 
@@ -334,16 +335,12 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
     # a symmetric member walks its fundamental domain only; every other
     # node takes its partner's frames through the reflections' map
     mirror = _reflections(grid, mask, (up_v, low_v))
-    axes = {r.axis for r in mirror}
-    top = grid.j0 - 1 if "row" in axes else 0
-    left = grid.i0 - 1 if "col" in axes else 0
-    part = DomainGrid(grid.xs[left:], grid.ys[top:], grid.i0 - left,
-                      grid.j0 - top, mask[top:, left:]) if mirror else work
+    own, part = fundamental_domain(work, mirror)
     chains, part_reached = part.walk()
     start, end = chain_ends(chains)
     zz = part.zz.ravel()
     dz = zz[end] - zz[start]
-    nodes = np.stack((low_v, up_v), axis=-1)[top:, left:].reshape(-1, 2)
+    nodes = np.stack((low_v, up_v), axis=-1)[own].reshape(-1, 2)
     panels, err = opts.substeps, np.zeros(len(zz))
     while True:
         # (lower, upper) at the collocation points, then at those of the
@@ -367,8 +364,8 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
     ent *= dz
     nk = ntrunc + 1
     psi = np.empty((grid.ny, grid.nx, nk, 2), dtype=complex)
-    own = psi[top:, left:]                   # the walked nodes
-    own[:, :, -1] = 1.0                      # Psi_0 = I
+    walked = psi[own]
+    walked[:, :, -1] = 1.0                   # Psi_0 = I
     level = np.zeros((zz.size, 2), dtype=complex)   # Psi_k, a row a node
     # level k's integrand at the points: Psi_(k-1) there with its columns
     # swapped, times (lower, upper), as _times_potential forms it with the
@@ -382,16 +379,16 @@ def integrate_frame(p: PotentialSpec, grid: DomainGrid,
             # imaginary parts
             np.matmul(weights, g.view(float), out=sums.view(float))
             chain_sums(chains, sums[:, m].T, level)
-            own[:, :, nk - 1 - k] = level.reshape(part.ny, part.nx, 2)
+            walked[:, :, nk - 1 - k] = level.reshape(part.ny, part.nx, 2)
             if k + 1 < nk:
                 at_pts = sums[:, :m]
                 at_pts += level[start].T[:, None]
                 np.multiply(at_pts[::-1], ent, out=g)
     # reached, over the tail bound, coarse in the quadrature estimate
     state = np.zeros((3, grid.ny, grid.nx), dtype=bool)
-    state[:, top:, left:] = np.reshape(
+    state[(slice(None),) + own] = np.reshape(
         [part_reached.ravel(), part_over, part_coarse], (3, part.ny, part.nx))
-    for image, partner, r in _image_blocks(mirror, grid.j0, grid.i0):
+    for image, partner, r in image_blocks(mirror, grid.j0, grid.i0):
         r.image(psi[partner], 1 - nk, out=psi[image])
         state[(slice(None), *image)] = state[(slice(None), *partner)]
     reached, over, coarse = state
@@ -420,28 +417,22 @@ def _reflections(grid: DomainGrid, mask, entries):
     keep, as a tuple of :class:`Reflection`, row before column; empty when
     there are none.
 
-    A reflection needs the grid and the mask to be their own mirror images
-    about the basepoint row (column), which lies on the real (imaginary)
-    axis, to 1e-12 of the spacing, with at least one row (column) to fill:
-    j0 >= 2 (i0 >= 2).  It needs the potential's entries ``(upper,
+    A reflection needs the grid and the mask to admit it
+    (``grid.reflections``).  It needs the potential's entries ``(upper,
     lower)`` at the nodes to satisfy upper(sigma z) = c conj(upper(z)) and
     lower(sigma z) = conj(nu)^2 conj(c) conj(lower(z)) at every node of the
-    mask, to 1e-14 of their largest value there, for one unimodular phase
-    c and nu = 1 or i; c is read at upper's largest node, and d = s
-    conj(nu c), s = 1 for the row and -1 for the column (see the module
-    docstring)."""
+    mask, to 1e-14 of their largest value there (``grid.matches``; the
+    relation is its own mirror image, so one half is checked), for one
+    unimodular phase c and nu = 1 or i; c is read at upper's largest node,
+    and d = s conj(nu c), s = 1 for the row and -1 for the column (see the
+    module docstring)."""
     found = []
-    for axis, coords, c0, step, s, flip in (
-            ("row", grid.ys, grid.j0, grid.dy, 1.0, lambda v: v[::-1]),
-            ("col", grid.xs, grid.i0, grid.dx, -1.0, lambda v: v[:, ::-1])):
-        tol = 1e-12 * abs(step)
-        if (c0 < 2 or len(coords) != 2 * c0 + 1 or abs(coords[c0]) > tol
-                or np.max(np.abs(coords + coords[::-1])) > tol
-                or not np.array_equal(mask, flip(mask))):
-            continue
-        # the entries at the mask's nodes and at their mirror images
-        up, low = (v[mask] for v in entries)
-        up_img, low_img = (flip(v)[mask] for v in entries)
+    for axis, s, half, image in reflections(grid, mask):
+        # the entries at the mask's nodes of one half and at their mirror
+        # images
+        m = mask[half]
+        up, low = (v[half][m] for v in entries)
+        up_img, low_img = (v[image][m] for v in entries)
         peak = np.argmax(np.abs(up))
         if up[peak] == 0:
             continue
@@ -452,42 +443,14 @@ def _reflections(grid: DomainGrid, mask, entries):
         near = _I_POWERS[round(2 * np.angle(c) / np.pi) % 4]
         if abs(c - near) <= 1e-14:
             c = near
-        if not _matches(up_img, c * np.conj(up)):
+        if not matches(up_img, c * np.conj(up)):
             continue
         for nu in (1 + 0j, 1j):
-            if _matches(low_img, np.conj(nu * nu * c) * np.conj(low)):
+            if matches(low_img, np.conj(nu * nu * c) * np.conj(low)):
                 d = complex(s * np.conj(nu * c))
                 found.append(Reflection(axis, nu, d))
                 break
     return tuple(found)
-
-
-def _matches(values, expected):
-    """Whether ``values`` equal ``expected`` to 1e-14 of the largest of
-    ``expected``."""
-    return bool(np.max(np.abs(values - expected))
-                <= 1e-14 * np.max(np.abs(expected)))
-
-
-def _image_blocks(mirror, j0, i0):
-    """The blocks of nodes outside the fundamental domain of the
-    reflections ``mirror``, as ``(image, partner, reflection)``: index
-    pairs of (ny, nx) tables, row j0 - 2 - k the image of row j0 + 2 + k
-    and column i0 - 2 - k that of column i0 + 2 + k.  Filled in order, the
-    first reflection's block is the part of its half that lies in the
-    other's domain, and the second's is its whole half, read from the
-    first's result."""
-    pending = {r.axis for r in mirror}
-    for r in mirror:
-        pending.discard(r.axis)
-        if r.axis == "row":
-            cols = slice(i0 - 1 if "col" in pending else 0, None)
-            yield ((slice(None, j0 - 1), cols),
-                   (slice(None, j0 + 1, -1), cols), r)
-        else:
-            rows = slice(j0 - 1 if "row" in pending else 0, None)
-            yield ((rows, slice(None, i0 - 1)),
-                   (rows, slice(None, i0 + 1, -1)), r)
 
 
 def flatness_residual(p: PotentialSpec, fg: FrameGrid, samples=20, seed=0):

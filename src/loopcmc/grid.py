@@ -9,6 +9,13 @@ down and up, whole rows a step, then breadth-first around masked nodes,
 one chain per tree depth, for the valid nodes those cut off.
 :func:`chain_sums` accumulates values along them, one cumulative sum (or
 maximum) per chain: the integrators' edge integrals, the paths' lengths.
+
+A grid and a mask that are their own mirror images about the basepoint
+row, or column, admit a reflection through the basepoint
+(:func:`reflections`); the integrators decide from their node values
+whether their data keep it (:func:`matches`), then integrate the
+fundamental domain only (:func:`fundamental_domain`) and fill every other
+node from its partner (:func:`image_blocks`).
 """
 
 from __future__ import annotations
@@ -20,7 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = ["DomainGrid", "GridError", "walk", "bfs_tree", "Chain",
-           "chain_ends", "chain_sums"]
+           "chain_ends", "chain_sums", "reflections", "matches",
+           "fundamental_domain", "image_blocks"]
 
 
 class GridError(ValueError):
@@ -262,6 +270,82 @@ def chain_sums(chains, edge_vals, vals, op=np.add):
         path[0], path[1:] = vals[seed], edges
         op.accumulate(path, axis=0, out=path)
         rows[nodes] = path[1:].reshape(nodes.shape + (-1,)).view(row)[..., 0]
+
+
+def reflections(grid: DomainGrid, mask):
+    """The reflections of ``grid`` through its basepoint that the grid and
+    ``mask`` (ny, nx) keep, row before column, as ``(axis, sign, half,
+    image)``: ``axis`` "row" is z -> zbar about the basepoint row and "col"
+    is z -> -zbar about the basepoint column, ``sign`` is the map's
+    derivative (1 for the row, -1 for the column), ``half`` indexes the
+    nodes of (ny, nx, ...) tables from the basepoint row (column) on and
+    ``image`` their mirror images, in the same order.  A relation between
+    a node's values and its image's that is its own mirror image holds at
+    every node once it holds on ``half``.  A reflection needs the
+    basepoint row (column) on the real (imaginary) axis and the
+    coordinates and the mask their own mirror images about it, to 1e-12 of
+    the spacing, with at least one row (column) to fill: j0 >= 2
+    (i0 >= 2).  Whether the data keep it is for the caller to decide from
+    their node values."""
+    out = []
+    j0, i0 = grid.j0, grid.i0
+    for axis, coords, c0, step, sign, half, image in (
+            ("row", grid.ys, j0, grid.dy, 1.0, (slice(j0, None),),
+             (slice(j0, None, -1),)),
+            ("col", grid.xs, i0, grid.dx, -1.0,
+             (slice(None), slice(i0, None)),
+             (slice(None), slice(i0, None, -1)))):
+        tol = 1e-12 * abs(step)
+        if (c0 >= 2 and len(coords) == 2 * c0 + 1 and abs(coords[c0]) <= tol
+                and np.max(np.abs(coords + coords[::-1])) <= tol
+                and np.array_equal(mask[half], mask[image])):
+            out.append((axis, sign, half, image))
+    return out
+
+
+def matches(values, expected):
+    """Whether ``values`` equal ``expected`` to 1e-14 of the largest of
+    ``expected``."""
+    return bool(np.max(np.abs(values - expected))
+                <= 1e-14 * np.max(np.abs(expected)))
+
+
+def fundamental_domain(grid: DomainGrid, mirror):
+    """The fundamental domain of the reflections ``mirror`` (each with an
+    ``axis``, "row" or "col"), as ``(own, part)``: ``own`` indexes its
+    nodes in (ny, nx) tables, the rows from j0 - 1 on with a row
+    reflection and the columns from i0 - 1 on with a column one, and
+    ``part`` is the grid over them, with its mask; with no reflection,
+    ``grid`` itself."""
+    axes = {r.axis for r in mirror}
+    top = grid.j0 - 1 if "row" in axes else 0
+    left = grid.i0 - 1 if "col" in axes else 0
+    own = (slice(top, None), slice(left, None))
+    if not mirror:
+        return own, grid
+    return own, DomainGrid(grid.xs[left:], grid.ys[top:], grid.i0 - left,
+                           grid.j0 - top, grid.mask[own])
+
+
+def image_blocks(mirror, j0, i0):
+    """The blocks of nodes outside the fundamental domain of the
+    reflections ``mirror``, as ``(image, partner, reflection)``: index
+    pairs of (ny, nx) tables, row j0 - 2 - k the image of row j0 + 2 + k
+    and column i0 - 2 - k that of column i0 + 2 + k.  Filled in order, the
+    first reflection's block is the part of its half that lies in the
+    other's domain, and the second's is its whole half, read from the
+    first's result."""
+    pending = {r.axis for r in mirror}
+    for r in mirror:
+        pending.discard(r.axis)
+        if r.axis == "row":
+            cols = slice(i0 - 1 if "col" in pending else 0, None)
+            yield ((slice(None, j0 - 1), cols),
+                   (slice(None, j0 + 1, -1), cols), r)
+        else:
+            rows = slice(j0 - 1 if "row" in pending else 0, None)
+            yield ((rows, slice(None, i0 - 1)),
+                   (rows, slice(None, i0 + 1, -1)), r)
 
 
 def _erode(mask, rings, outside):

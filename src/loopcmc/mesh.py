@@ -37,9 +37,6 @@ class SurfaceMesh:
     def basepoint_index(self):
         return self.grid.j0, self.grid.i0
 
-    def valid_points(self):
-        return self.f[self.mask]
-
     @cached_property
     def vertex_table(self):
         """(vertices, normals, faces) of the valid nodes in row order and
@@ -56,12 +53,12 @@ class SurfaceMesh:
 
     def diameter(self):
         """Bounding-box diagonal of the valid points (used to normalize
-        symmetry deviations)."""
-        pts = self.valid_points()
-        if len(pts) == 0:
+        symmetry deviations), one coordinate at a time: each is gathered
+        into a contiguous array, where its extremes take one pass."""
+        if not self.mask.any():
             return 0.0
-        span = pts.max(axis=0) - pts.min(axis=0)
-        return float(np.linalg.norm(span))
+        return float(np.linalg.norm(
+            [np.ptp(self.f[..., k][self.mask]) for k in range(3)]))
 
     def masked_fraction(self):
         return 1.0 - float(np.count_nonzero(self.mask)) / self.mask.size

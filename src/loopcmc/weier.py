@@ -29,22 +29,31 @@ of the sweep; the reroute chains continue them by their own edges'
 integrals (``_walk_primitive``), and a rerouted node where that is not
 the lattice's value is masked.  ``expr.evaluate`` takes the values as
 substitutions.
+
+At h = 0 the reflections through the basepoint that the deformation
+keeps are the Schwarz reflection principle (Dierkes, Hildebrandt and
+Sauvigny, "Minimal Surfaces", Springer 2010): for sigma z = zbar or -zbar,
+f_z(sigma z) sigma' = R conj f_z(z) gives f(sigma z) = R f(z) along
+mirrored paths.  A mesh whose f_z keeps one with R a diagonal sign matrix
+is swept on the fundamental domain only (``minimal_surface``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import expr as ex
-from .grid import DomainGrid, GridError, _erode, chain_ends, chain_sums
+from .grid import (DomainGrid, GridError, _erode, chain_ends, chain_sums,
+                   fundamental_domain, image_blocks, matches, reflections)
 from .mesh import SurfaceMesh
 
 __all__ = [
-    "WeierstrassData", "InvalidDataError", "minimal_surface", "metric_hopf",
-    "initial_frame", "regularity_mask", "regularity_report",
+    "WeierstrassData", "InvalidDataError", "minimal_surface",
+    "initial_frame", "regularity_mask",
 ]
 
 
@@ -89,43 +98,6 @@ def initial_frame(w: WeierstrassData) -> np.ndarray:
     a0 = s0 / den
     b0 = np.conj(nu0 * s0) / den
     return np.array([[a0, b0], [-np.conj(b0), np.conj(a0)]], dtype=complex)
-
-
-def metric_hopf(w: WeierstrassData):
-    """Conformal factor evaluator e^u = |mu| (1 + |nu|^2) and the Hopf
-    function Q = -2 mu nu_z as an expression."""
-
-    def eu(z):
-        return np.abs(w.mu(z)) * (1.0 + np.abs(w.nu(z)) ** 2)
-
-    return eu, ex.Const(-2.0) * w.mu * ex.diff(w.nu)
-
-
-def regularity_report(w: WeierstrassData, points, radius=1e-3):
-    """Order-based regularity classification at sample points: the surface
-    is regular where Ord(mu) = 0 with Ord(nu) >= 0, or where
-    0 <= Ord(mu) = -2 Ord(nu); mu nu^2 must be holomorphic throughout.
-
-    The orders come from the two-circle fit.  Returns one dict per point
-    with the orders and flags; ambiguous fits surface as order None with
-    regular=False.
-    """
-    munu2 = ex.Mul(w.mu, ex.Pow(w.nu, 2))
-    out = []
-    for z in points:
-        z = complex(z)
-        om = ex.order_at(w.mu, z, radius=radius).order
-        on = ex.order_at(w.nu, z, radius=radius).order
-        o2 = ex.order_at(munu2, z, radius=radius).order
-        if om is None or on is None:
-            regular = False
-        else:
-            regular = (om == 0 and on >= 0) or (0 <= om == -2 * on)
-        holo = o2 is not None and o2 >= 0
-        out.append({"z": z, "ord_mu": om, "ord_nu": on,
-                    "ord_mu_nu2": o2, "regular": regular,
-                    "mu_nu2_holomorphic": holo})
-    return out
 
 
 def regularity_mask(mu, nu, grid: DomainGrid, dilate=1):
@@ -213,13 +185,15 @@ def _edge_integrals(integrand, za, zb, panels):
 def _walk_primitive(prim: ex.Prim, grid: DomainGrid, panels):
     """Values of ``prim`` from one cumulative pass along the walk of the
     whole lattice (``DomainGrid.walk`` with no node masked) at the nodes,
-    (ny, nx), and a function ``points(chains)`` that gives them at the
-    points of every edge of ``chains`` (the walk of the grid under any
-    mask), in their edge order, (WALK_GL_N * panels, edges), and at the
-    nodes continued along ``chains``, (ny, nx).  Those chains open with
-    the lattice walk's, in the same order, whatever the mask, and take the
-    lattice pass's values; the later (reroute) chains continue them by
-    their edges' integrals (``_edge_integrals``), as the pass does.
+    (ny, nx), and a function ``points(chains, own)`` that gives them at the
+    points of every edge of ``chains``, the walk of the part ``own`` of the
+    grid (``grid.fundamental_domain``, the whole grid by default) under any
+    mask, in their edge order, (WALK_GL_N * panels, edges), and at the
+    nodes of that part continued along ``chains``.  The lattice chains of
+    such a walk (phases 0 and 1) take the lattice edges into the nodes
+    they reach, so they take the lattice pass's values, read by the node
+    each edge ends at; the later (reroute) chains continue them by their
+    edges' integrals (``_edge_integrals``), as the pass does.
 
     The lattice walk follows integrate_path's horizontal-then-vertical
     path to every node and every point of its edges, at integrate_path's
@@ -242,19 +216,28 @@ def _walk_primitive(prim: ex.Prim, grid: DomainGrid, panels):
         shift = ex.evaluate(prim, grid.z0)
         nodes += shift
         part += shift
+    # every node but the basepoint ends one lattice edge: its place in
+    # the lattice's edge order
+    edge_to = np.empty(flat.size, dtype=int)
+    edge_to[dst] = np.arange(len(dst))
+    index = np.arange(flat.size).reshape(grid.zz.shape)
 
-    def points(chains):
-        rest = chains[len(lattice):]
+    def points(chains, own=(slice(None), slice(None))):
+        sub = index[own]
+        along = nodes[sub]
+        rest = [c for c in chains if c.phase == 2]
+        start, end = (sub.ravel()[e] for e in chain_ends(chains))
+        n = len(end) - sum(c.nodes.size for c in rest)
+        # the lattice chains do not depend on the mask: on the whole grid
+        # they are the lattice walk's, edge for edge
+        lat = part if sub.size == flat.size else part[:, edge_to[end[:n]]]
         if not rest:
-            return part, nodes.reshape(grid.zz.shape)
-        start, end = chain_ends(rest)
-        total, at = _edge_integrals(prim.integrand, flat[start], flat[end],
-                                    panels)
-        along = nodes.copy()
-        chain_sums(rest, total, along)
-        at += along[start]
-        return (np.concatenate([part, at], axis=1),
-                along.reshape(grid.zz.shape))
+            return lat, along
+        total, at = _edge_integrals(prim.integrand, flat[start[n:]],
+                                    flat[end[n:]], panels)
+        chain_sums(rest, total, along.reshape(-1))
+        at += along.reshape(-1)[chain_ends(rest)[0]]
+        return np.concatenate([lat, at], axis=1), along
 
     return nodes.reshape(grid.zz.shape), points
 
@@ -296,6 +279,40 @@ def _fz_components(mu, nu):
                      -2.0 * mu * nu], axis=-1)
 
 
+class Reflection(NamedTuple):
+    """A reflection of the grid through the basepoint that the surface
+    keeps: ``axis`` "row" is z -> zbar about the basepoint row, "col" is
+    z -> -zbar about its column, and f(sigma z) = R f(z) with R the
+    diagonal sign matrix of ``R`` (three of 1 and -1)."""
+    axis: str
+    R: tuple
+
+
+def _reflections(grid: DomainGrid, mask, fz):
+    """The reflections of the grid through the basepoint that the surface
+    keeps, as a tuple of :class:`Reflection`, row before column; empty when
+    there are none.
+
+    A reflection sigma needs the grid and the mask to admit it
+    (``grid.reflections``), and the node values ``fz`` (ny, nx, 3) of f_z
+    to satisfy fz_k(sigma z) sigma' = s_k conj(fz_k(z)) at every node of
+    the mask, to 1e-14 of their largest value there (``grid.matches``; the
+    relation is its own mirror image, so one half is checked), with
+    s_k = 1 or -1 read off the sign of sum fz_k(sigma z) sigma' fz_k(z).
+    Then f(sigma z) = R f(z) along mirrored paths from the basepoint,
+    R = diag(s) (Schwarz reflection)."""
+    # masked nodes compare as zeros, which the mask's symmetry pairs up
+    phi = fz if mask.all() else np.where(mask[..., None], fz, 0)
+    found = []
+    for axis, sign, half, image in reflections(grid, mask):
+        vals, img = phi[half], phi[image]
+        s = np.where(sign * np.einsum("ijk,ijk->k", img, vals).real < 0,
+                     -1, 1)
+        if matches(img, (sign * s) * np.conj(vals)):
+            found.append(Reflection(axis, tuple(s.tolist())))
+    return tuple(found)
+
+
 def minimal_surface(w: WeierstrassData, grid: DomainGrid,
                     panels=1) -> SurfaceMesh:
     """Minimal surface mesh from Weierstrass data, f(z0) = 0.
@@ -309,12 +326,26 @@ def minimal_surface(w: WeierstrassData, grid: DomainGrid,
     primitive (``expr.Prim``) in the data that starts at the grid's
     basepoint takes its values at the nodes and at every sweep point from
     one cumulative pass along the lattice's walk (``_walk_primitive``),
-    never from a path integral per point.  meta["mask_causes"] counts the
-    masked nodes under the first cause that applies: outside the grid's
-    own mask (``domain``), failing ``regularity_mask`` (``regularity``), a
-    primitive's value at a rerouted node not the lattice's, as behind a
-    zero of ``a`` in nu = -int Q/a (``path``, listed where it masks a
-    node), or a non-finite position (``position``).
+    never from a path integral per point.
+
+    A surface that keeps reflections of the grid through the basepoint
+    (:func:`_reflections`, from f_z at the nodes and the mask) is swept on
+    their fundamental domain only (``grid.fundamental_domain``), the rows
+    from j0 - 1 on and, with a column reflection, the columns from i0 - 1
+    on; every other node takes R f of its partner, and its path mask
+    (``grid.image_blocks``).  meta["mirrored"] lists them, each as its
+    ``axis`` and the diagonal ``R``, and meta["mirror_deviation"] is the
+    largest distance between row j0 - 1 (column i0 - 1) as swept and R f
+    of row j0 + 1 (column i0 + 1), a fraction of the diameter.  The
+    normals, f_z and the conformal factor are pointwise in mu and nu, and
+    are taken at every node.
+
+    meta["mask_causes"] counts the masked nodes under the first cause that
+    applies: outside the grid's own mask (``domain``), failing
+    ``regularity_mask`` (``regularity``), a primitive's value at a
+    rerouted node not the lattice's, as behind a zero of ``a`` in
+    nu = -int Q/a (``path``, listed where it masks a node), or a
+    non-finite position (``position``).
     """
     walked = _walk_prims(w, grid, panels)
     mu_vals, nu_vals = ex.evaluate(
@@ -322,15 +353,18 @@ def minimal_surface(w: WeierstrassData, grid: DomainGrid,
     mask = regularity_mask(mu_vals, nu_vals, grid)
     if not mask[grid.j0, grid.i0]:
         raise InvalidDataError("basepoint fails the regularity conditions")
+    fz = _fz_components(mu_vals, nu_vals)
+    mirror = _reflections(grid, mask, fz)
     work = grid.with_mask(mask)
-    walk = work.walk()
+    own, part = fundamental_domain(work, mirror)
+    walk = part.walk()
     at_points, path = [], np.zeros_like(mask)
     for prim, nodes, points in walked:
-        vals, along = points(walk[0])
+        vals, along = points(walk[0], own)
         at_points.append((prim, vals))
         # nu_vals there and the sweep's integrand are different branches
         scale = np.abs(nodes[mask & np.isfinite(nodes)]).max(initial=0.0)
-        path |= ~(np.abs(along - nodes) <= 1e-6 * scale)
+        path[own] |= ~(np.abs(along - nodes[own]) <= 1e-6 * scale)
 
     def products(pts, edges):
         mu, nu = ex.evaluate((w.mu, w.nu), pts, [
@@ -341,11 +375,15 @@ def minimal_surface(w: WeierstrassData, grid: DomainGrid,
         np.multiply(out[1], nu, out=out[2])
         return out
 
-    G = _cumulative_grid_integral(products, work, 3, walk, panels)
-    F = np.stack([G[..., 0] - G[..., 2], -1j * (G[..., 0] + G[..., 2]),
-                  -2.0 * G[..., 1]], axis=-1)
-    f = 2.0 * F.real
-    fz = _fz_components(mu_vals, nu_vals)
+    G = _cumulative_grid_integral(products, part, 3, walk, panels)
+    f = np.empty((grid.ny, grid.nx, 3))
+    f[own] = 2.0 * np.stack([G[..., 0] - G[..., 2],
+                             -1j * (G[..., 0] + G[..., 2]),
+                             -2.0 * G[..., 1]], axis=-1).real
+    jj, ii = work.j0, work.i0
+    for image, partner, r in image_blocks(mirror, jj, ii):
+        np.multiply(f[partner], r.R, out=f[image])
+        path[image] = path[partner]
     denom = 1.0 + np.abs(nu_vals) ** 2
     normal = np.stack([2.0 * nu_vals.real / denom,
                        -2.0 * nu_vals.imag / denom,
@@ -353,7 +391,6 @@ def minimal_surface(w: WeierstrassData, grid: DomainGrid,
     eu = np.abs(mu_vals) * denom
     path &= mask
     good = mask & ~path & np.all(np.isfinite(f), axis=-1)
-    jj, ii = work.j0, work.i0
     f -= f[jj, ii]
     # good lies inside mask & ~path, and mask inside the grid's mask
     n_grid, n_mask, n_path, n_good = (int(np.count_nonzero(m))
@@ -366,5 +403,16 @@ def minimal_surface(w: WeierstrassData, grid: DomainGrid,
     meta = {"kind": "weierstrass", "ntrunc": 0, "tail_bound": 0.0,
             "max_iwasawa_residual": 0.0, "max_unitary_residual": 0.0,
             "mask_causes": causes}
-    return SurfaceMesh(grid=work, h=0.0, f=f, normal=normal, eu=eu, fz=fz,
+    mesh = SurfaceMesh(grid=work, h=0.0, f=f, normal=normal, eu=eu, fz=fz,
                        mask=good, meta=meta)
+    if mirror:
+        deviation = 0.0
+        for r in mirror:
+            near, far = (((jj - 1,), (jj + 1,)) if r.axis == "row"
+                         else ((slice(None), ii - 1), (slice(None), ii + 1)))
+            both = good[near] & good[far]
+            deviation = max(deviation, float(np.max(np.linalg.norm(
+                f[near][both] - r.R * f[far][both], axis=-1), initial=0.0)))
+        meta["mirrored"] = [{"axis": r.axis, "R": list(r.R)} for r in mirror]
+        meta["mirror_deviation"] = deviation / (mesh.diameter() or 1.0)
+    return mesh

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from loopcmc import expr as ex
 from loopcmc.grid import Chain, DomainGrid, bfs_tree
 from loopcmc.weier import WeierstrassData
 
@@ -26,6 +27,43 @@ def helicoid():
 
 def enneper(k):
     return WeierstrassData("1", f"z^{k}", 0j)
+
+
+def metric_hopf(w: WeierstrassData):
+    """Conformal factor evaluator e^u = |mu| (1 + |nu|^2) and the Hopf
+    function Q = -2 mu nu_z as an expression."""
+
+    def eu(z):
+        return np.abs(w.mu(z)) * (1.0 + np.abs(w.nu(z)) ** 2)
+
+    return eu, ex.Const(-2.0) * w.mu * ex.diff(w.nu)
+
+
+def regularity_report(w: WeierstrassData, points, radius=1e-3):
+    """Order-based regularity classification at sample points: the surface
+    is regular where Ord(mu) = 0 with Ord(nu) >= 0, or where
+    0 <= Ord(mu) = -2 Ord(nu); mu nu^2 must be holomorphic throughout.
+
+    The orders come from the two-circle fit.  Returns one dict per point
+    with the orders and flags; ambiguous fits surface as order None with
+    regular=False.
+    """
+    munu2 = ex.Mul(w.mu, ex.Pow(w.nu, 2))
+    out = []
+    for z in points:
+        z = complex(z)
+        om = ex.order_at(w.mu, z, radius=radius).order
+        on = ex.order_at(w.nu, z, radius=radius).order
+        o2 = ex.order_at(munu2, z, radius=radius).order
+        if om is None or on is None:
+            regular = False
+        else:
+            regular = (om == 0 and on >= 0) or (0 <= om == -2 * on)
+        holo = o2 is not None and o2 >= 0
+        out.append({"z": z, "ord_mu": om, "ord_nu": on,
+                    "ord_mu_nu2": o2, "regular": regular,
+                    "mu_nu2_holomorphic": holo})
+    return out
 
 
 def walk_edges(mask, j0, i0):

@@ -126,52 +126,100 @@ def test_iwasawa_counter_reads_the_compact_input(monkeypatch):
     assert metrics["factor.band.max"][0] == max(n[1] for n in inputs)
 
 
-def test_walk_primitive_work_is_counted(monkeypatch):
-    # a Prim in minimal data: the one cumulative pass evaluates the
-    # integrand through expr.evaluate, so the traced minimal counters see
-    # it beside the node and sweep evaluations of mu and nu, one call for
-    # both
-    from loopcmc import expr as ex
+def _traced_prim_mesh(monkeypatch, Q):
+    # one traced 9 x 9 h = 0 mesh of a = 2 + z and the given Q, whose nu =
+    # -int Q/a is a Prim: the mesh, the points of every expr.evaluate
+    # call and the per-layer metrics
     import loopcmc.weier as weier
     from loopcmc.convert import limit_member_data
     from loopcmc.frames import PotentialSpec
     from loopcmc.grid import DomainGrid
 
-    w = limit_member_data(PotentialSpec.normalized("2+z", "exp(z)", 0.0))
-    grid = DomainGrid.square(0.5, 9)
-    edges = 8 + 9 * 8
+    w = limit_member_data(PotentialSpec.normalized("2+z", Q, 0.0))
     with installed_tracer(monkeypatch) as (spans, tracer):
-        weier.minimal_surface(w, grid)
+        mesh = weier.minimal_surface(w, DomainGrid.square(0.5, 9))
         metrics = spans.layer_metrics(tracer.spans)
     calls = [s.counts["points"] for s in tracer.spans
              if s.name == "expr.evaluate"]
+    return mesh, calls, metrics
+
+
+def test_walk_primitive_work_is_counted(monkeypatch):
+    # a Prim in minimal data: the one cumulative pass evaluates the
+    # integrand through expr.evaluate, so the traced minimal counters see
+    # it beside the node and sweep evaluations of mu and nu, one call for
+    # both.  The pass takes every edge of the lattice, 8 along the
+    # basepoint row and 8 down each column, for the values at every node;
+    # exp(z)/(2 + z) is real on the real axis, so the mesh keeps the row
+    # reflection and the sweep takes the fundamental domain's edges only,
+    # rows j0 - 1 = 3 to 8: 8 along the basepoint row and 5 down each
+    # column
+    from loopcmc import expr as ex
+
+    mesh, calls, metrics = _traced_prim_mesh(monkeypatch, "exp(z)")
+    assert _axes(mesh) == ["row"]
+    lattice, sweep = 8 + 9 * 8, 8 + 9 * 5
+    assert 12 * lattice in calls
+    assert metrics["expr.evaluate.points"][0] \
+        == 12 * lattice + 81 + ex.WALK_GL_N * sweep
+
+
+def test_walk_primitive_work_is_counted_non_reflective(monkeypatch):
+    # Q/a not real on the real axis: neither reflection holds, and the
+    # sweep takes every lattice edge too
+    from loopcmc import expr as ex
+
+    mesh, calls, metrics = _traced_prim_mesh(monkeypatch, "exp((1+i)*z)")
+    assert "mirrored" not in mesh.meta
+    edges = 8 + 9 * 8
     assert 12 * edges in calls
     assert metrics["expr.evaluate.points"][0] \
         == 12 * edges + 81 + ex.WALK_GL_N * edges
 
 
-def test_minimal_evaluate_calls_stay_per_block(monkeypatch):
-    # Enneper's h = 0 mesh (no Prim): mu and nu are evaluated in one call
-    # at the nodes and in one call per slice of the sweep's edges, of at
-    # most BLOCK_POINTS points, so expr.evaluate.points keeps the formula
-    # above while the calls stay at one per slice; a sweep that evaluates
-    # once per step makes about 4 n calls and fails
+def _minimal_evaluations(monkeypatch, w, n, edges):
+    # mu and nu are evaluated in one call at the n x n nodes and in one
+    # call per slice of the given number of swept edges, of at most
+    # BLOCK_POINTS points, so expr.evaluate.points counts both while the
+    # calls stay at one per slice; a sweep that evaluates once per step
+    # makes about 4 n calls and fails
     from loopcmc import expr as ex
     import loopcmc.weier as weier
     from loopcmc.grid import DomainGrid
 
-    w = weier.WeierstrassData("1", "z^2")
+    slices = -(-ex.WALK_GL_N * edges // weier.BLOCK_POINTS)
+    with installed_tracer(monkeypatch) as (spans, tracer):
+        mesh = weier.minimal_surface(w, DomainGrid.square(1.0, n))
+        metrics = spans.layer_metrics(tracer.spans)
+    assert mesh.mask.all()
+    assert metrics["expr.evaluate.points"][0] \
+        == n * n + ex.WALK_GL_N * edges
+    assert metrics["expr.evaluate.calls"][0] <= 1 + slices
+    return mesh
+
+
+def test_minimal_evaluate_calls_stay_per_block(monkeypatch):
+    # Enneper's h = 0 mesh (no Prim) keeps both reflections: the quadrant
+    # of m = n - j0 + 1 = (n + 3) / 2 rows and columns is swept, m - 1
+    # edges along the basepoint row and m - 1 down each of its m columns
+    import loopcmc.weier as weier
+
     for n in (51, 201):
-        grid = DomainGrid.square(1.0, n)
-        edges = (n - 1) + (n - 1) * n
-        slices = -(-ex.WALK_GL_N * edges // weier.BLOCK_POINTS)
-        with installed_tracer(monkeypatch) as (spans, tracer):
-            mesh = weier.minimal_surface(w, grid)
-            metrics = spans.layer_metrics(tracer.spans)
-        assert mesh.mask.all()
-        assert metrics["expr.evaluate.points"][0] \
-            == n * n + ex.WALK_GL_N * edges
-        assert metrics["expr.evaluate.calls"][0] <= 1 + slices
+        m = (n + 3) // 2
+        mesh = _minimal_evaluations(monkeypatch, weier.WeierstrassData(
+            "1", "z^2"), n, (m - 1) + (m - 1) * m)
+        assert _axes(mesh) == ["row", "col"]
+
+
+def test_minimal_evaluate_calls_stay_per_block_non_reflective(monkeypatch):
+    # data that neither reflection keeps: the whole grid is swept, n - 1
+    # edges along the basepoint row and n - 1 down each column
+    import loopcmc.weier as weier
+
+    w = weier.WeierstrassData("1 + 0.3*z + 0.2*i*z^2", "z + 0.1*i")
+    for n in (51, 201):
+        mesh = _minimal_evaluations(monkeypatch, w, n, (n - 1) + (n - 1) * n)
+        assert "mirrored" not in mesh.meta
 
 
 def _evaluated_points(monkeypatch, Q, edges):

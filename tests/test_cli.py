@@ -270,8 +270,9 @@ class TestGallery:
         # the quadrant of rows and columns 19 .. 40 of its 41 x 41 grid is
         # factored, and row 19 and column 19 are also read out from their
         # partners, as the check of the mirror; the helicoid's reflections
-        # are twisted (Q is imaginary on the real axis), and Enneper's
-        # h = 0 mesh factors nothing
+        # are twisted (Q is imaginary on the real axis); Enneper's h = 0
+        # mesh factors nothing, and keeps both reflections with the sign
+        # matrices R = diag(1, -1, 1) and diag(-1, 1, -1)
         expect = {
             "catenoid": [{"axis": "row", "nu": [1.0, 0.0], "d": [1.0, 0.0]},
                          {"axis": "col", "nu": [1.0, 0.0], "d": [-1.0, 0.0]}],
@@ -289,7 +290,9 @@ class TestGallery:
         rc = main(["gallery", "enneper", "--out", str(tmp_path / "e")])
         assert rc == 0
         item = read_report(tmp_path / "e")["items"][0]
-        assert "mirrored" not in item and "mirror_deviation" not in item
+        assert item["mirrored"] == [{"axis": "row", "R": [1, -1, 1]},
+                                    {"axis": "col", "R": [-1, 1, -1]}]
+        assert 0 <= item["mirror_deviation"] <= 1e-14
         assert item["factored_nodes"] == 0
 
     def test_trunc_cap_is_honored(self, tmp_path):

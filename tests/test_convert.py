@@ -7,8 +7,8 @@ from loopcmc.convert import (classify_point, family, limit_member_data,
                              potential_to_minimal, validate_orders)
 from loopcmc.frames import PotentialSpec, extract_curvature
 from loopcmc.grid import DomainGrid
-from loopcmc.weier import WeierstrassData, metric_hopf
-from conftest import enneper
+from loopcmc.weier import WeierstrassData
+from conftest import enneper, metric_hopf, regularity_report
 
 
 def ring(radius=0.6, count=40, center=0j):
@@ -277,7 +277,6 @@ class TestRoundTripPrimitive:
         assert np.max(np.abs(ex.evaluate(pot.Q, zs) - ex.evaluate(q, zs))) <= 1e-12
 
     def test_regularity_classified(self, spec):
-        from loopcmc.weier import regularity_report
         rows = regularity_report(limit_member_data(spec), [0j, 0.3 - 0.2j])
         assert all(r["ord_mu"] == 0 and r["ord_nu"] >= 0 for r in rows)
         assert all(r["regular"] and r["mu_nu2_holomorphic"] for r in rows)

@@ -339,3 +339,31 @@ def test_format_both_builds_one_vertex_table(tmp_path, monkeypatch):
         assert obj == _reference_obj(mesh, f"mesh h={h}")
         assert (tmp_path / f"mesh_h{h}.ply").read_bytes() \
             == _reference_ply(mesh)
+
+
+def _reference_diameter(mesh):
+    # the bounding-box diagonal reduced over the (n, 3) valid points
+    pts = mesh.f[mesh.mask]
+    if len(pts) == 0:
+        return 0.0
+    return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("valid", ["random", "one", "none", "all"])
+def test_diameter_matches_the_point_reduction(seed, valid):
+    # min and max are exact, so reducing one coordinate at a time gives
+    # the same bits as reducing the points along their first axis
+    rng = np.random.default_rng(seed)
+    # odd sizes keep the basepoint 0 on a node
+    ny, nx = 2 * rng.integers(0, 15) + 1, 2 * rng.integers(1, 15) + 1
+    mask = {"random": rng.random((ny, nx)) < rng.random(),
+            "one": np.zeros((ny, nx), dtype=bool),
+            "none": np.zeros((ny, nx), dtype=bool),
+            "all": np.ones((ny, nx), dtype=bool)}[valid]
+    if valid == "one":
+        mask[rng.integers(ny), rng.integers(nx)] = True
+    mesh = _mesh(ny, nx, mask, seed)
+    assert mesh.diameter() == _reference_diameter(mesh)
+    if valid in ("one", "none"):
+        assert mesh.diameter() == 0.0

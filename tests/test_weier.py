@@ -13,10 +13,10 @@ from loopcmc.frames import PotentialSpec, extract_curvature
 from loopcmc.grid import DomainGrid
 from loopcmc.weier import (InvalidDataError, WeierstrassData,
                            _cumulative_grid_integral, _fz_components,
-                           _walk_primitive, initial_frame, metric_hopf,
-                           minimal_surface)
-from conftest import (KUSNER_MU, KUSNER_NU, ORDER5_A, ORDER5_P,
-                      catenoid_oracle, enneper, max_l1_pathlength,
+                           _walk_primitive, initial_frame, minimal_surface)
+from conftest import (CATENOID_MU, CATENOID_NU, HELICOID_MU, KUSNER_MU,
+                      KUSNER_NU, ORDER5_A, ORDER5_P, catenoid_oracle, enneper,
+                      max_l1_pathlength, metric_hopf, regularity_report,
                       walk_edges)
 
 
@@ -287,11 +287,14 @@ class TestWalkPrimitive:
         assert len(sizes) > 1 and max(sizes) <= 100
         assert sum(sizes) == 12 * (20 + 21 * 20)
 
-    def test_primitive_pass_memory_is_bounded(self):
+    def test_primitive_pass_memory_is_bounded(self, monkeypatch):
         # on 201 x 201 nodes the traced peak of the order5 mesh, whose nu is
         # a Prim, stays within twice that of Enneper's, which has none (it
         # read 46 MB against 12 MB when every lattice edge was evaluated in
-        # one call)
+        # one call); both on the whole grid, as if neither were symmetric
+        # (mirrored, Enneper sweeps a quadrant and order5 half the grid)
+        monkeypatch.setattr(weier, "_reflections", lambda *args: ())
+
         def peak(w, grid):
             tracemalloc.start()
             try:
@@ -497,21 +500,18 @@ class TestInitialFrame:
 
 class TestRegularityReport:
     def test_enneper_regular_at_zero(self):
-        from loopcmc.weier import regularity_report
         rows = regularity_report(enneper(2), [0j, 0.5 + 0.2j])
         assert all(r["regular"] and r["mu_nu2_holomorphic"] for r in rows)
 
     def test_compensated_zero_of_mu(self):
         # mu = z^2, nu = 1/z: Ord(mu) = 2 = -2 Ord(nu): regular, and
         # mu nu^2 = 1 holomorphic
-        from loopcmc.weier import regularity_report, WeierstrassData
         w = WeierstrassData("z^2", "1/z", 1.0 + 0j)
         row = regularity_report(w, [0j])[0]
         assert row["ord_mu"] == 2 and row["ord_nu"] == -1
         assert row["regular"] and row["mu_nu2_holomorphic"]
 
     def test_odd_zero_not_regular(self):
-        from loopcmc.weier import regularity_report, WeierstrassData
         w = WeierstrassData("z", "1", 1.0 + 0j)
         row = regularity_report(w, [0j])[0]
         assert not row["regular"]
@@ -541,3 +541,159 @@ class TestGaussMap:
                              [mesh.mask])) <= 1e-10
         assert np.max(np.abs(np.einsum("...i,...i", fy, mesh.normal)
                              [mesh.mask])) <= 1e-10
+
+
+def whole_grid(monkeypatch):
+    """Make every h = 0 mesh run on the whole grid, as if none were
+    symmetric."""
+    monkeypatch.setattr(weier, "_reflections", lambda *args: ())
+
+
+def reflections(mesh):
+    """The (axis, R) of each reflection an h = 0 mesh is mirrored about."""
+    return [(r["axis"], tuple(r["R"])) for r in mesh.meta.get("mirrored", [])]
+
+
+def assert_matches_whole_grid(mesh, ref):
+    """``mesh`` is ``ref``, the whole grid's mesh: the same mask and mask
+    causes, positions within 1e-14 of the diameter, and the bytes of the
+    normals, f_z and the conformal factor, which are taken at every node
+    either way."""
+    assert np.array_equal(mesh.mask, ref.mask)
+    assert mesh.meta["mask_causes"] == ref.meta["mask_causes"]
+    ok = ref.mask
+    assert np.max(np.abs(mesh.f - ref.f)[ok], initial=0.0) \
+        <= 1e-14 * ref.diameter()
+    for name in ("normal", "fz", "eu"):
+        assert getattr(mesh, name).tobytes() == getattr(ref, name).tobytes()
+
+
+def _poly(coeffs):
+    return " + ".join(f"({float(c.real)!r} + ({float(c.imag)!r})*i)*z^{k}"
+                      for k, c in coeffs.items())
+
+
+@st.composite
+def weierstrass_data(draw):
+    """Random low-degree data: mu = m (1 + small terms), of both parities
+    or even, and nu of both parities, even or odd.  ``kind`` "real" draws
+    real coefficients, "imaginary" makes mu i times such a polynomial, and
+    "complex" turns every coefficient by its own phase away from the
+    axes.  Returns the data, the grid and the reflections (axis, R) the
+    mesh keeps: the row for real and imaginary kinds, R = k (1, -1, 1)
+    with k = 1 for a real mu and -1 for an imaginary one; the column as
+    well when mu is even and nu even (e = 1) or odd (e = -1), R = k (-1,
+    1, -e)."""
+    size = st.floats(0.1, 0.4) | st.floats(-0.4, -0.1)
+    kind = draw(st.sampled_from(["real", "imaginary", "complex"]))
+    mu_even = draw(st.booleans())
+    nu_parity = draw(st.sampled_from(["even", "odd", "both"]))
+    mu = {0: draw(st.sampled_from([1.0, -1.2])), 2: draw(size)}
+    if not mu_even:
+        mu[1] = draw(size)
+    nu = {k: draw(size) for k in {"even": (0, 2), "odd": (1, 3),
+                                  "both": (0, 1, 2)}[nu_parity]}
+    if kind == "complex":
+        for coeffs in (mu, nu):
+            for k in coeffs:
+                coeffs[k] *= np.exp(1j * draw(st.floats(0.2, 1.3)))
+    mu_text = ("i*" if kind == "imaginary" else "") + f"({_poly(mu)})"
+    nx, ny = (draw(st.sampled_from(range(9, 22, 2))) for _ in range(2))
+    grid = DomainGrid.make(-0.5, 0.5, nx, -0.5, 0.5, ny)
+    keep = []
+    if kind != "complex":
+        k = 1 if kind == "real" else -1
+        keep.append(("row", (k, -k, k)))
+        if mu_even and nu_parity != "both":
+            e = 1 if nu_parity == "even" else -1
+            keep.append(("col", (-k, k, -k * e)))
+    return WeierstrassData(mu_text, _poly(nu)), grid, keep
+
+
+# the reflections (axis, R) of the minimal workload's members, on its
+# grids: the sign matrices of ROADMAP item 6's table
+MINIMAL_MEMBERS = {
+    "catenoid": ((CATENOID_MU, CATENOID_NU), 1.0, 201,
+                 [("row", (1, -1, 1)), ("col", (1, 1, -1))]),
+    "helicoid": ((HELICOID_MU, CATENOID_NU), 1.0, 201,
+                 [("row", (-1, 1, -1)), ("col", (-1, -1, 1))]),
+    "enneper": (("1", "z^2"), 1.0, 201,
+                [("row", (1, -1, 1)), ("col", (-1, 1, -1))]),
+    "kusner": ((KUSNER_MU, KUSNER_NU), 0.3, 201, [("row", (-1, 1, -1))]),
+    "order5": (None, 0.4, 51, [("row", (1, -1, 1))]),
+}
+
+
+class TestMirror:
+    """An h = 0 mesh whose f_z keeps reflections of the grid through the
+    basepoint, f_z(sigma z) sigma' = R conj f_z(z) with R a diagonal sign
+    matrix, is swept on the fundamental domain, and every other node takes
+    R f of its partner (Schwarz reflection)."""
+
+    @pytest.mark.parametrize("name", list(MINIMAL_MEMBERS))
+    def test_minimal_members(self, name, monkeypatch):
+        data, half, n, want = MINIMAL_MEMBERS[name]
+        w = order5_data() if data is None else WeierstrassData(*data)
+        grid = DomainGrid.square(half, n)
+        mesh = minimal_surface(w, grid)
+        whole_grid(monkeypatch)
+        ref = minimal_surface(w, grid)
+        assert reflections(mesh) == want and reflections(ref) == []
+        assert 0 <= mesh.meta["mirror_deviation"] <= 1e-14
+        assert mesh.mask.all()
+        assert_matches_whole_grid(mesh, ref)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=weierstrass_data())
+    def test_random_data_match_the_whole_grid(self, case):
+        # real coefficients and imaginary mu keep the row, and the column
+        # as well with the parities above; generic complex ones neither
+        w, grid, keep = case
+        mesh = minimal_surface(w, grid)
+        assert reflections(mesh) == keep
+        assert ("mirror_deviation" in mesh.meta) == bool(keep)
+        with pytest.MonkeyPatch.context() as m:
+            whole_grid(m)
+            ref = minimal_surface(w, grid)
+        assert_matches_whole_grid(mesh, ref)
+
+    def test_sweeps_the_fundamental_domain(self, monkeypatch):
+        # Kusner's data keep the row: the walk, and the sweep's points,
+        # cover rows j0 - 1 .. of the grid only
+        walks, points = [], []
+        walk, sweep = DomainGrid.walk, weier._cumulative_grid_integral
+
+        def counted_walk(g):
+            walks.append(g)
+            return walk(g)
+
+        def counted_sweep(fvec, g, *args):
+            points.append(g.zz.size)
+            return sweep(fvec, g, *args)
+        monkeypatch.setattr(DomainGrid, "walk", counted_walk)
+        monkeypatch.setattr(weier, "_cumulative_grid_integral", counted_sweep)
+        grid = DomainGrid.square(0.3, 41)
+        minimal_surface(WeierstrassData(KUSNER_MU, KUSNER_NU), grid)
+        assert [g.zz.shape for g in walks] == [(41 - grid.j0 + 1, 41)]
+        assert np.array_equal(walks[0].zz, grid.zz[grid.j0 - 1:])
+        assert points == [walks[0].zz.size]
+
+    def test_zero_of_a_between_nodes(self, tmp_path, monkeypatch):
+        # a = z - 0.31 is real on the real axis: nu = -int 1/a and the
+        # mesh keep the row, with the whole grid's masks and causes (the
+        # positions behind the zero are not a surface either way)
+        argv = ["mesh", "--a", "z-0.31", "--Q", "1", "--h", "0",
+                "--grid", "21", "--xrange", "-0.5", "0.5",
+                "--yrange", "-0.5", "0.5", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        with open(tmp_path / "report.json") as fh:
+            item = json.load(fh)["items"][0]
+        assert item["mirrored"] == [{"axis": "row", "R": [1, -1, 1]}]
+        w = limit_member_data(PotentialSpec.normalized("z-0.31", "1", 0.0))
+        grid = DomainGrid.square(0.5, 21)
+        mesh = minimal_surface(w, grid)
+        whole_grid(monkeypatch)
+        ref = minimal_surface(w, grid)
+        assert np.array_equal(mesh.mask, ref.mask)
+        assert mesh.meta["mask_causes"] == ref.meta["mask_causes"] \
+            == item["mask_causes"]

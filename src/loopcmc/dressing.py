@@ -57,7 +57,7 @@ from . import expr as ex
 from .factor import iwasawa_batch  # noqa: F401
 from .factor import unitary_loops
 from .frames import (FrameGrid, PotentialSpec, SurfaceOptions, _factor_chunks,
-                     integrate_frame, _assemble_mesh)
+                     _mark_failures, _tally, integrate_frame, _assemble_mesh)
 from .grid import DomainGrid, fundamental_domain, image_blocks, matches
 from .loops import LoopMat, conv, hat_extend, mul, plus_defect
 from .mesh import SurfaceMesh
@@ -429,22 +429,20 @@ def dress_frame(h_plus: LoopMat, fg: FrameGrid,
     pf = _left_multiply(h_plus, fg)
     ny, nx = pf.coeffs.shape[:2]
     flat = pf.coeffs.reshape(ny * nx, -1, 2)
-    ok_all = np.zeros(ny * nx, dtype=bool)
+    failed = np.full(ny * nx, -1)
     max_resid = 0.0
-    causes = dict(fg.meta["mask_causes"])
     # each chunk is cut to its own band, so its unitary parts start at its
     # own power: place every chunk at its lowest power in one common window
     chunks = []
-    for sel, lo, x, out, good in _factor_chunks(
-            pf.lo, flat, fg.ok.reshape(-1), opts, causes):
+    for sel, lo, x, out, bad in _factor_chunks(
+            pf.lo, flat, fg.ok.reshape(-1), opts):
         # the returned loop F is its own series: check it as a loop too
         f, recon, unit = unitary_loops(lo, x, out["b"])
-        for cause, passed in (("residual", recon < opts.residual_tol),
-                              ("unitarity", unit < opts.unitary_tol)):
-            causes[cause] += int(np.count_nonzero(good & ~passed))
-            good &= passed
+        good = _mark_failures(bad, (
+            ("residual", recon < opts.residual_tol),
+            ("unitarity", unit < opts.unitary_tol))) < 0
         chunks.append((sel, lo, f))
-        ok_all[sel] = good
+        failed[sel] = bad
         max_resid = max(max_resid, float(np.max(out["residual"][good],
                                                 initial=0.0)))
     out_lo = min((lo for _, lo, _ in chunks), default=pf.lo)
@@ -453,10 +451,11 @@ def dress_frame(h_plus: LoopMat, fg: FrameGrid,
     for sel, lo, f in chunks:
         out_co[sel, lo - out_lo:lo - out_lo + f.shape[1]] = f
     return replace(pf, lo=out_lo, coeffs=out_co.reshape(ny, nx, -1, 2),
-                   ok=ok_all.reshape(ny, nx) & fg.ok,
+                   ok=(failed < 0).reshape(ny, nx) & fg.ok,
                    meta={**pf.meta, "unitary": True,
                          "max_iwasawa_residual": max_resid,
-                         "mask_causes": causes})
+                         "mask_causes": _tally(fg.meta["mask_causes"],
+                                               failed)})
 
 
 def dress_surface(h_plus: LoopMat, p: PotentialSpec, grid: DomainGrid,

@@ -51,22 +51,25 @@ image node is the conjugate of the partner's times nu^p d_r / d_c, d_0 = 1,
 d_1 = d.  That holds when the potential's entries do, upper(sigma z) =
 s conj(nu) conj(d) conj(upper(z)) and lower(sigma z) = s conj(nu) d
 conj(lower(z)), s = 1 for the row and -1 for the column; the same map then
-carries the Iwasawa factors over, so the unitary factor at lam0 of an
-image node is the map of its partner's.  When the node values of the
-potential and the grid show such symmetries (:class:`Reflection`), the
-frames are integrated and factored on the fundamental domain only, the
-rows from the one below the basepoint's on and, with a column reflection,
-the columns from the one left of it on; every other node takes its
-partner's frames and factors through the map.  The row and the column
-next to the basepoint's on the far side are computed as well, and their
-distance from the images of their partners is reported, so the mirrored
-mesh is checked, not symmetric by construction.
+carries the Iwasawa factors over, so the unitary factor of an image node
+is F(sigma z, lam) = D conj F(z, conj(nu lam)) D^-1.  When the node
+values of the potential and the grid show such symmetries
+(:class:`Reflection`), the frames are integrated and factored on the
+fundamental domain only (``grid.fundamental_domain``), the rows from the
+one below the basepoint's on and, with a column reflection, the columns
+from the one left of it on.  Every other node takes its partner's frames
+through the map, and the mesh reads each factored node out once, at the
+orbit of lam0 under lam -> conj(nu lam) (lam0 alone for nu = 1 at lam0 =
+1), into whole-grid tables whose image nodes are filled from their
+partners (``grid.image_blocks``).  The row and the column next to the
+basepoint's on the far side are computed as well, and their distance from
+the images of their partners is reported (``grid.mirror_deviation``), so
+the mirrored mesh is checked, not symmetric by construction.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -76,7 +79,8 @@ from . import expr as ex
 from . import weier
 from .factor import iwasawa_batch
 from .grid import (DomainGrid, _erode, chain_ends, chain_sums,
-                   fundamental_domain, image_blocks, matches, reflections)
+                   fundamental_domain, image_blocks, matches,
+                   mirror_deviation, reflections)
 from .loops import entries_at, hat_extend, mul_entries
 from .mesh import SurfaceMesh
 
@@ -204,6 +208,21 @@ class Reflection:
         out = np.conj(coeffs, out=out)
         out *= _image_scale(self, lo, coeffs.shape[-2])
         return out
+
+    def image_values(self, vals, points, out=None):
+        """F and dF/dlambda (last axis) at the image nodes from ``vals``
+        (..., 2, 2, m, 2), their partners' at the ``points`` of
+        :func:`_orbit`: D conj F(conj(nu lam)) D^-1 and nu times that of
+        dF/dlambda, a twisted loop's F(-mu) read as s F(mu) s and
+        dF/dlambda(-mu) as -s dF/dlambda(mu) s, s = diag(1, -1)."""
+        src, scale = [], np.empty((2, 2, len(points), 2), dtype=complex)
+        for k, lam in enumerate(points):
+            w = np.conj(self.nu * lam)
+            sign = 1.0 if w in points else -1.0
+            src.append(points.index(sign * w))
+            entry = np.array([[1.0, sign / self.d], [sign * self.d, 1.0]])
+            scale[:, :, k] = entry[..., None] * [1.0, sign * self.nu]
+        return np.multiply(np.conj(vals[..., src, :]), scale, out=out)
 
 
 @functools.lru_cache(maxsize=64)
@@ -535,20 +554,18 @@ def _trimmed_band(coeffs):
     return first, coeffs.shape[1] - last
 
 
-def _factor_chunks(lo, coeffs, ok, opts: SurfaceOptions, causes):
+def _factor_chunks(lo, coeffs, ok, opts: SurfaceOptions):
     """Pointwise Iwasawa factorization of the flat frames ``coeffs``
-    (n, nk, 2), lowest power ``lo``, at the nodes where ``ok`` is nonzero.
+    (n, nk, 2), lowest power ``lo``, at the nodes of the mask ``ok``.
 
     Each node is cut to the band its own frame needs (:func:`_trimmed_band`);
     the nodes are stably sorted by that band and factored in slices of
     ``CHUNK``, each at the lowest power and band of its own nodes.  Yields
-    ``(indices, chunk_lo, chunk, out, accepted)`` per chunk: the node
+    ``(indices, chunk_lo, chunk, out, failed)`` per chunk: the node
     indices, the chunk's lowest power and its frames cut to its band, the
-    ``iwasawa_batch`` output, and the nodes whose factorization succeeded
-    within ``opts.residual_tol`` and ``opts.unitary_tol``.  The rejected
-    nodes are added to ``causes`` under their first failed check, each
-    counted ``ok`` times: a bool mask counts every node once, a count the
-    grid nodes a node stands for."""
+    ``iwasawa_batch`` output, and per node the first check it fails
+    (:func:`_mark_failures`): converged, residual within
+    ``opts.residual_tol``, unitarity within ``opts.unitary_tol``."""
     idx = np.nonzero(ok)[0]
     first, stop = _trimmed_band(coeffs[idx])
     order = np.argsort(stop - first, kind="stable")
@@ -558,14 +575,28 @@ def _factor_chunks(lo, coeffs, ok, opts: SurfaceOptions, causes):
         k0, k1 = first[part].min(), stop[part].max()
         chunk_lo, chunk = lo + int(k0), coeffs[sel, k0:k1]
         out = iwasawa_batch(chunk_lo, chunk)
-        accepted = np.ones(len(sel), dtype=bool)
-        for cause, passed in (
-                ("factorization", out["ok"]),
-                ("residual", out["residual"] < opts.residual_tol),
-                ("unitarity", out["unitary_residual"] < opts.unitary_tol)):
-            causes[cause] += int(np.sum(ok[sel][accepted & ~passed]))
-            accepted &= passed
-        yield sel, chunk_lo, chunk, out, accepted
+        failed = _mark_failures(np.full(len(sel), -1), (
+            ("factorization", out["ok"]),
+            ("residual", out["residual"] < opts.residual_tol),
+            ("unitarity", out["unitary_residual"] < opts.unitary_tol)))
+        yield sel, chunk_lo, chunk, out, failed
+
+
+def _mark_failures(failed, checks):
+    """``failed``, per node the index in MASK_CAUSES of the first check it
+    fails, -1 for none, with the ``checks`` after those already marked:
+    (cause, passed) pairs in order, ``passed`` one bool per node."""
+    for cause, passed in checks:
+        failed[(failed < 0) & ~passed] = MASK_CAUSES.index(cause)
+    return failed
+
+
+def _tally(causes, failed):
+    """The mask cause counts ``causes`` plus the nodes of ``failed``
+    (:func:`_mark_failures`), each under its cause."""
+    counts = np.bincount(failed[failed >= 0], minlength=len(MASK_CAUSES))
+    return {name: causes[name] + int(n)
+            for name, n in zip(MASK_CAUSES, counts)}
 
 
 def surface_from_potential(p: PotentialSpec | weier.WeierstrassData,
@@ -589,17 +620,33 @@ def surface_from_potential(p: PotentialSpec | weier.WeierstrassData,
     return weier.minimal_surface(w, grid, opts.substeps)
 
 
-def _frame_at(x, lo, binv, lam0):
-    """F and dF/dlambda at ``lam0``, entry-first (2, 2, n) each, of the
+def _frame_at(x, lo, binv, points):
+    """F and dF/dlambda at each of ``points``, (2, 2, m, 2, n) entry-first
+    as ``entries_at`` gives them ([..., 0, :] F, [..., 1, :] dF), of the
     Iwasawa factors of the loops ``x`` (n, nk, 2) with lowest power ``lo``,
     from the inverses ``binv`` (n, nb, 2) of their plus factors (powers
-    0..): F = X B^-1 holds at every point of the circle, so F(lam0) =
-    X(lam0) B^-1(lam0) and, by the product rule, dF = dX B^-1 + X dB^-1
+    0..): F = X B^-1 holds at every point of the circle, so F(lam) =
+    X(lam) B^-1(lam) and, by the product rule, dF = dX B^-1 + X dB^-1
     there; no Fourier series of F is needed."""
-    xv, gv = entries_at(x, lo, lam0), entries_at(binv, 0, lam0)
+    xv, gv = entries_at(x, lo, points), entries_at(binv, 0, points)
     x0, g0 = xv[..., 0, :], gv[..., 0, :]
-    return mul_entries(x0, g0), (mul_entries(xv[..., 1, :], g0)
-                                 + mul_entries(x0, gv[..., 1, :]))
+    return np.stack([mul_entries(x0, g0),
+                     mul_entries(xv[..., 1, :], g0)
+                     + mul_entries(x0, gv[..., 1, :])], axis=-2)
+
+
+def _orbit(mirror, lam0):
+    """The points of the circle at which an image node of the reflections
+    ``mirror`` needs its partner's F (:meth:`Reflection.image_values`):
+    lam0's orbit under the maps lam -> conj(nu lam), closed under
+    composition, one of each pair lam, -lam; lam0 first."""
+    points = [lam0]
+    for lam in points:
+        for r in mirror:
+            w = np.conj(r.nu * lam)
+            if w not in points and -w not in points:
+                points.append(w)
+    return points
 
 
 # the basis E1, E2, E3 of su(2) in which _sym_bobenko gives its vectors
@@ -634,94 +681,69 @@ def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
     lambda0 raises ValueError.
 
     Frames symmetric under reflections (``fg.mirror``) are factored on
-    their fundamental domain only.  The reflections' map carries a
-    partner's frame X and plus factor inverse B^-1 to the image node's
-    (:meth:`Reflection.image`), so every image node is read out the same
-    way as a factored one, from its partner's factors mapped, at any
-    lambda0 of the circle; it takes its partner's rho and mask, and its own
-    ``a``.  The row next to the basepoint's on the far side of a row
-    reflection, and the column of a column reflection, are both factored
-    and read out from their partners: ``mirror_deviation`` is the largest
-    distance between the two, a fraction of the diameter.  The mask causes
-    and the residual and condition statistics count every grid node, an
-    image node with its partner's values; the map keeps the half-circle
-    sample points of the checks (nu = 1 or i), so those are the values a
-    factorization of the image node would sample.  ``factored_nodes`` is
-    the number of nodes factored."""
+    their fundamental domain only, each node read out once, at lambda0's
+    orbit (:func:`_orbit`), into whole-grid tables with its rho, first
+    failed check and statistics; the image nodes are filled from their
+    partners (``grid.image_blocks``, :meth:`Reflection.image_values`), and
+    one Sym-Bobenko evaluation covers the grid, each node with its own
+    ``a``.  ``mirror_deviation`` checks the fill, as a fraction of the
+    diameter.  The mask causes and the statistics count every grid node;
+    the map keeps the half-circle sample points of the checks (nu = 1 or
+    i), so those are the values a factorization of an image node would
+    sample.  ``factored_nodes`` is the number of nodes factored."""
     lam0 = complex(opts.lambda0)
     if abs(abs(lam0) - 1.0) > 1e-12:
         raise ValueError("lambda0 must lie on the unit circle")
     grid = fg.grid
     ny, nx = grid.ny, grid.nx
-    j0, i0 = grid.j0, grid.i0
-    nk = fg.coeffs.shape[2]
-
-    coeffs = fg.coeffs.reshape(ny * nx, nk, 2)
-    f = np.full((ny * nx, 3), np.nan)
-    normal = np.full((ny * nx, 3), np.nan)
-    fzv = np.full((ny * nx, 3), np.nan, dtype=complex)
-    rho_all = np.full(ny * nx, np.nan)
-    ok_all = np.zeros(ny * nx, dtype=bool)
-    # the grid nodes each factored node stands for
-    count = fg.ok.astype(np.intp)
-    for r in fg.mirror:
-        if r.axis == "row":
-            count[:j0 - 1] = 0
-            count[j0 + 2:] *= 2
-        else:
-            count[:, :i0 - 1] = 0
-            count[:, i0 + 2:] *= 2
-    count = count.reshape(-1)
-    # the compositions of the reflections, the identity first
-    group = [g for n in range(len(fg.mirror) + 1)
-             for g in itertools.combinations(fg.mirror, n)]
+    own, _ = fundamental_domain(grid, fg.mirror)
+    factor = np.zeros((ny, nx), dtype=bool)
+    factor[own] = fg.ok[own]
+    points = _orbit(fg.mirror, lam0)
+    # per node: F and dF/dlambda at the points, (2, 2, points, 2); rho,
+    # residual, unitarity residual and condition; the first failed check
+    vals = np.full((ny, nx, 2, 2, len(points), 2), np.nan, dtype=complex)
+    stats = np.full((ny, nx, 4), np.nan)
+    failed = np.full((ny, nx), -1)
     max_section = factored = 0
-    accepted, overlaps = [], []
-    causes = dict(fg.meta["mask_causes"])
-    a_vals = fg.a.reshape(-1)
-
-    for sel, lo, x, out, good in _factor_chunks(
-            fg.lo, coeffs, count, opts, causes):
+    for sel, lo, x, out, bad in _factor_chunks(
+            fg.lo, fg.coeffs.reshape(ny * nx, -1, 2), factor.ravel(), opts):
         factored += len(sel)
-        # the chunk's nodes read out as themselves and as each of their
-        # images, in one batch; kept where they fill a node or check one
-        rows, cols = np.divmod(sel, nx)
-        fill, check, at = (np.concatenate(v) for v in zip(*(
-            _images(g, rows, cols, j0, i0, nx) for g in group)))
-        take = fill | check
-        point, nrm, tangent = _read_out(group, x, lo, out["binv"], take,
-                                        p.h, lam0)
-        at, fill = at[take], fill[take]
-        src = np.tile(np.arange(len(sel)), len(group))[take]
-        rho, ok = out["rho"][src], good[src]
-        dest = at[fill]
-        f[dest], normal[dest] = point[fill], nrm[fill]
-        fzv[dest] = 0.5 / lam0 * (a_vals[dest] * rho[fill] ** 2)[:, None] \
-            * tangent[fill]
-        rho_all[dest], ok_all[dest] = rho[fill], ok[fill]
-        overlaps.append((at[~fill], point[~fill], ok[~fill]))
+        at = np.unravel_index(sel, (ny, nx))
+        vals[at] = np.moveaxis(_frame_at(x, lo, out["binv"], points), -1, 0)
+        stats[at] = np.stack([out[k] for k in (
+            "rho", "residual", "unitary_residual", "condition")], axis=-1)
+        failed[at] = bad
         max_section = max(max_section, int(np.max(out["section"])))
-        accepted.append([out[k][good] for k in (
-            "residual", "unitary_residual", "condition")] + [count[sel][good]])
+    for image, partner, r in image_blocks(fg.mirror, grid.j0, grid.i0):
+        r.image_values(vals[partner], points, out=vals[image])
+        stats[image], failed[image] = stats[partner], failed[partner]
 
-    deviation = 0.0
-    for at, point, ok in overlaps:
-        both = ok & ok_all[at]
-        deviation = max(deviation, float(np.max(np.linalg.norm(
-            f[at[both]] - point[both], axis=-1), initial=0.0)))
+    def read_out(at):
+        # the Sym-Bobenko evaluation of node-first values at lambda0
+        entry = np.moveaxis(at[..., 0, :], 0, -1)
+        return _sym_bobenko(entry[:, :, 0], entry[:, :, 1], p.h, lam0)
+
+    rho = stats[..., 0]
+    f = np.full((ny, nx, 3), np.nan)
+    normal = np.full((ny, nx, 3), np.nan)
+    fzv = np.full((ny, nx, 3), np.nan, dtype=complex)
+    f[fg.ok], normal[fg.ok], tangent = read_out(vals[fg.ok])
+    fzv[fg.ok] = 0.5 / lam0 * (fg.a[fg.ok] * rho[fg.ok] ** 2)[:, None] \
+        * tangent
+    ok = fg.ok & (failed < 0)
+    deviation = mirror_deviation(
+        fg.mirror, grid.j0, grid.i0, f, ok,
+        lambda r, far: read_out(r.image_values(vals[far], points))[0])
     rot = _initial_rotation(fg.E0, lam0).T
-    f = (f @ rot).reshape(ny, nx, 3)
-    normal = (normal @ rot).reshape(ny, nx, 3)
-    fzv = (fzv @ rot).reshape(ny, nx, 3)
-    rho_all = rho_all.reshape(ny, nx)
-    ok = ok_all.reshape(ny, nx) & fg.ok
-    if not ok[j0, i0]:
+    f, normal, fzv = ((v.reshape(-1, 3) @ rot).reshape(ny, nx, 3)
+                      for v in (f, normal, fzv))
+    if not ok[grid.j0, grid.i0]:
         raise FrameError("factorization failed at the basepoint")
-    f -= f[j0, i0]
-    eu = 0.5 * np.abs(a_vals.reshape(ny, nx)) * rho_all ** 2
-    # over the accepted nodes, which hold the basepoint, each as many times
-    # as the grid nodes it stands for
-    resid, unit, cond, times = (np.concatenate(a) for a in zip(*accepted))
+    f -= f[grid.j0, grid.i0]
+    eu = 0.5 * np.abs(fg.a) * rho ** 2
+    # over the accepted nodes of the whole grid, which hold the basepoint
+    _, resid, unit, cond = stats[ok].T
     meta = {
         "kind": "dpw", "h": p.h, "ntrunc": fg.ntrunc,
         "tail_bound": fg.tail_bound, "panels": fg.meta["panels"],
@@ -729,9 +751,9 @@ def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
         "max_iwasawa_residual": float(np.max(resid)),
         "max_unitary_residual": float(np.max(unit)),
         "max_condition": float(np.max(cond)),
-        "condition_p99": float(np.percentile(np.repeat(cond, times), 99)),
+        "condition_p99": float(np.percentile(cond, 99)),
         "max_section": max_section,
-        "mask_causes": causes,
+        "mask_causes": _tally(fg.meta["mask_causes"], failed),
         "dressed": bool(fg.meta.get("dressed", False)),
         "factored_nodes": factored,
     }
@@ -742,48 +764,6 @@ def _assemble_mesh(p: PotentialSpec, fg: FrameGrid,
                             for r in fg.mirror]
         meta["mirror_deviation"] = deviation / (mesh.diameter() or 1.0)
     return mesh
-
-
-def _read_out(group, x, lo, binv, take, h, lam0):
-    """:func:`_sym_bobenko` at ``lam0`` of the loops ``x`` (n, nk, 2),
-    lowest power ``lo``, with plus factor inverses ``binv``, and of their
-    images under each composition of reflections in ``group`` (the
-    identity first), stacked in that order and kept where ``take``: each
-    composition's loops are the image of its first reflections' by its
-    last (:meth:`Reflection.image`)."""
-    xs = np.empty((len(group),) + x.shape, dtype=complex)
-    binvs = np.empty((len(group),) + binv.shape, dtype=complex)
-    xs[0], binvs[0] = x, binv
-    for k, g in enumerate(group[1:], 1):
-        base = group.index(g[:-1])
-        g[-1].image(xs[base], lo, out=xs[k])
-        g[-1].image(binvs[base], 0, out=binvs[k])
-    frame, dframe = _frame_at(xs.reshape((-1,) + x.shape[1:]), lo,
-                              binvs.reshape((-1,) + binv.shape[1:]), lam0)
-    return _sym_bobenko(frame[..., take], dframe[..., take], h, lam0)
-
-
-def _images(g, rows, cols, j0, i0, nx):
-    """For the factored nodes at ``rows``, ``cols`` and the composition
-    ``g`` of reflections: the nodes whose image under ``g`` lies outside
-    the fundamental domain, each reflected coordinate at least two past the
-    basepoint's (the images fill every node outside it once); for one
-    reflection, the nodes one past, whose images are the factored row or
-    column on the far side (the overlap check); and every node's image, a
-    flat index on a grid of ``nx`` columns."""
-    fill = np.ones(len(rows), dtype=bool)
-    check = np.zeros(len(rows), dtype=bool)
-    for r in g:
-        if r.axis == "row":
-            fill &= rows >= j0 + 2
-            check = rows == j0 + 1
-            rows = 2 * j0 - rows
-        else:
-            fill &= cols >= i0 + 2
-            check = cols == i0 + 1
-            cols = 2 * i0 - cols
-    check &= len(g) == 1
-    return fill, check, rows * nx + cols
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ A grid and a mask that are their own mirror images about the basepoint
 row, or column, admit a reflection through the basepoint
 (:func:`reflections`); the integrators decide from their node values
 whether their data keep it (:func:`matches`), then integrate the
-fundamental domain only (:func:`fundamental_domain`) and fill every other
-node from its partner (:func:`image_blocks`).
+fundamental domain only (:func:`fundamental_domain`), fill every other
+node from its partner (:func:`image_blocks`) and check the fill
+(:func:`mirror_deviation`); no other module counts from the basepoint.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 __all__ = ["DomainGrid", "GridError", "walk", "bfs_tree", "Chain",
            "chain_ends", "chain_sums", "reflections", "matches",
-           "fundamental_domain", "image_blocks"]
+           "fundamental_domain", "image_blocks", "mirror_deviation"]
 
 
 class GridError(ValueError):
@@ -346,6 +347,26 @@ def image_blocks(mirror, j0, i0):
             rows = slice(j0 - 1 if "row" in pending else 0, None)
             yield ((rows, slice(None, i0 - 1)),
                    (rows, slice(None, i0 + 1, -1)), r)
+
+
+def mirror_deviation(mirror, j0, i0, f, good, image):
+    """The largest distance between the positions ``f`` (ny, nx, 3) of row
+    j0 - 1 (column i0 - 1) and ``image(r, far)``, (n, 3), those that the
+    reflection ``r`` of ``mirror`` maps them to from the nodes ``far``
+    (an index pair) of row j0 + 1 (column i0 + 1), over the pairs where
+    ``good`` (ny, nx) holds at both, 0.0 with none: both rows lie in the
+    fundamental domain, so this checks the fill."""
+    worst = 0.0
+    for r in mirror:
+        if r.axis == "row":
+            both = np.flatnonzero(good[j0 - 1] & good[j0 + 1])
+            near, far = (j0 - 1, both), (j0 + 1, both)
+        else:
+            both = np.flatnonzero(good[:, i0 - 1] & good[:, i0 + 1])
+            near, far = (both, i0 - 1), (both, i0 + 1)
+        worst = max(worst, float(np.max(np.linalg.norm(
+            f[near] - image(r, far), axis=-1), initial=0.0)))
+    return worst
 
 
 def _erode(mask, rings, outside):

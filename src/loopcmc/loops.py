@@ -15,7 +15,8 @@ objects.
 Every loop operation has one batched kernel on coefficient stacks:
 
 * :func:`conv` -- the Cauchy product of one loop with a stack of loops;
-* :func:`entries_at` -- values and lambda-derivatives at one lambda;
+* :func:`entries_at` -- values and lambda-derivatives at one lambda or
+  at several;
 * :func:`circle_entries` -- values at the m-th roots of unity;
 * :func:`half_circle_entries` -- values at the upper half of the 2m-th
   roots of unity, which give a twisted loop's maxima over all of them;
@@ -174,9 +175,12 @@ def _root_powers(lo, nk, m, n):
 
 def entries_at(coeffs, lo, lam):
     """Values ([..., 0, :]) and lambda-derivatives ([..., 1, :]) at ``lam``
-    of the loops ``coeffs`` (n, nk, 2), entry-first: (2, 2, 2, n)."""
-    return _entry_sums(coeffs, lo, _lambda_weights(
-        lo, coeffs.shape[1], repr(complex(lam))))
+    of the loops ``coeffs`` (n, nk, 2), entry-first: (2, 2, 2, n); at each
+    of a sequence of m points ``lam``, (2, 2, m, 2, n), from one sum."""
+    out = _entry_sums(coeffs, lo, np.concatenate([_lambda_weights(
+        lo, coeffs.shape[1], repr(complex(p))) for p in np.atleast_1d(lam)],
+        axis=1))
+    return out if np.ndim(lam) == 0 else out.reshape(2, 2, len(lam), 2, -1)
 
 
 def circle_entries(coeffs, lo, m):

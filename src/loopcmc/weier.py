@@ -48,7 +48,8 @@ import numpy as np
 
 from . import expr as ex
 from .grid import (DomainGrid, GridError, _erode, chain_ends, chain_sums,
-                   fundamental_domain, image_blocks, matches, reflections)
+                   fundamental_domain, image_blocks, matches,
+                   mirror_deviation, reflections)
 from .mesh import SurfaceMesh
 
 __all__ = [
@@ -100,12 +101,11 @@ def initial_frame(w: WeierstrassData) -> np.ndarray:
     return np.array([[a0, b0], [-np.conj(b0), np.conj(a0)]], dtype=complex)
 
 
-def regularity_mask(mu, nu, grid: DomainGrid, dilate=1):
-    """Valid-node mask from the values of mu and nu at the grid nodes: data
-    finite and the conformal factor bounded away from zero (branch points
-    and poles are excluded, then dilated)."""
-    eu = np.abs(mu) * (1.0 + np.abs(nu) ** 2)
-    good = np.isfinite(mu) & np.isfinite(nu) & np.isfinite(eu)
+def regularity_mask(eu, grid: DomainGrid, dilate=1):
+    """Valid-node mask from ``eu`` = |mu|(1 + |nu|^2) at the grid nodes:
+    finite (so are mu and nu) and bounded away from zero and infinity
+    (branch points and poles are excluded, then dilated)."""
+    good = np.isfinite(eu)
     scale = np.median(eu[good & (eu > 0)]) if np.any(good & (eu > 0)) else 1.0
     good &= eu > 1e-12 * scale
     good &= eu < 1e12 * scale
@@ -274,8 +274,8 @@ def _walk_prims(w: WeierstrassData, grid: DomainGrid, panels):
 # Minimal surface mesh
 
 def _fz_components(mu, nu):
-    return np.stack([mu * (1.0 - nu ** 2),
-                     -1j * mu * (1.0 + nu ** 2),
+    nu2 = nu ** 2
+    return np.stack([mu * (1.0 - nu2), -1j * mu * (1.0 + nu2),
                      -2.0 * mu * nu], axis=-1)
 
 
@@ -350,7 +350,9 @@ def minimal_surface(w: WeierstrassData, grid: DomainGrid,
     walked = _walk_prims(w, grid, panels)
     mu_vals, nu_vals = ex.evaluate(
         (w.mu, w.nu), grid.zz, [(prim, nodes) for prim, nodes, _ in walked])
-    mask = regularity_mask(mu_vals, nu_vals, grid)
+    denom = 1.0 + np.abs(nu_vals) ** 2
+    eu = np.abs(mu_vals) * denom
+    mask = regularity_mask(eu, grid)
     if not mask[grid.j0, grid.i0]:
         raise InvalidDataError("basepoint fails the regularity conditions")
     fz = _fz_components(mu_vals, nu_vals)
@@ -384,11 +386,9 @@ def minimal_surface(w: WeierstrassData, grid: DomainGrid,
     for image, partner, r in image_blocks(mirror, jj, ii):
         np.multiply(f[partner], r.R, out=f[image])
         path[image] = path[partner]
-    denom = 1.0 + np.abs(nu_vals) ** 2
     normal = np.stack([2.0 * nu_vals.real / denom,
                        -2.0 * nu_vals.imag / denom,
                        (1.0 - np.abs(nu_vals) ** 2) / denom], axis=-1)
-    eu = np.abs(mu_vals) * denom
     path &= mask
     good = mask & ~path & np.all(np.isfinite(f), axis=-1)
     f -= f[jj, ii]
@@ -406,13 +406,8 @@ def minimal_surface(w: WeierstrassData, grid: DomainGrid,
     mesh = SurfaceMesh(grid=work, h=0.0, f=f, normal=normal, eu=eu, fz=fz,
                        mask=good, meta=meta)
     if mirror:
-        deviation = 0.0
-        for r in mirror:
-            near, far = (((jj - 1,), (jj + 1,)) if r.axis == "row"
-                         else ((slice(None), ii - 1), (slice(None), ii + 1)))
-            both = good[near] & good[far]
-            deviation = max(deviation, float(np.max(np.linalg.norm(
-                f[near][both] - r.R * f[far][both], axis=-1), initial=0.0)))
+        deviation = mirror_deviation(mirror, jj, ii, f, good,
+                                     lambda r, far: r.R * f[far])
         meta["mirrored"] = [{"axis": r.axis, "R": list(r.R)} for r in mirror]
         meta["mirror_deviation"] = deviation / (mesh.diameter() or 1.0)
     return mesh

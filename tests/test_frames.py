@@ -744,18 +744,16 @@ class TestSurfaceFromPotential:
                                         monkeypatch):
         # F(lam0) = X(lam0) B^-1(lam0) and its derivative give the mesh
         # that summing the solved Fourier series of F at lam0 gives, F of
-        # the loops X read out, an image node's mapped from its partner's
-        # and factored again here; the members are mirrored about both
-        # axes, at any lam0, and both factor the quadrant of rows and
-        # columns from j0 - 1 on
+        # the factored loops X read out at lam0's orbit; the members are
+        # mirrored about both axes, at any lam0, and both factor the
+        # quadrant of rows and columns from j0 - 1 on
         calls = []
 
-        def series_at(x, lo, binv, lam):
+        def series_at(x, lo, binv, points):
             b = factor.iwasawa_batch(lo, x)["b"]
             f, _, _ = factor.unitary_loops(lo, x, b)
             calls.append(len(f))
-            v = entries_at(f, lo, lam)
-            return v[..., 0, :], v[..., 1, :]
+            return entries_at(f, lo, points)
         pot = minimal_to_potential(data, h)
         opts = SurfaceOptions(lambda0=lam0)
         mesh = surface_from_potential(pot, grid, opts)
@@ -765,9 +763,8 @@ class TestSurfaceFromPotential:
         assert [r["axis"] for r in mesh.meta["mirrored"]] == ["row", "col"]
         assert mesh.meta["factored_nodes"] == ref.meta["factored_nodes"] \
             == side * side
-        # the quadrant's nodes once as factored and once mapped by each
-        # reflection and by both
-        assert sum(calls) == 4 * side * side
+        # the quadrant's nodes, each read out once
+        assert sum(calls) == side * side
         assert mesh.mask.all() and ref.mask.all()
         tol = 1e-12 * ref.diameter()
         assert np.max(np.abs(mesh.f - ref.f)) <= tol
@@ -874,7 +871,9 @@ GALLERY_REFLECTIONS = {
 }
 GALLERY_CASES = [(name, h, None) for name in GALLERY_REFLECTIONS
                  for h in get_entry(name).h_list] + [
-    ("catenoid", 0.1, "lambda0"), ("helicoid", 0.1, "E0")]
+    ("catenoid", 0.1, "lambda0"), ("helicoid", 0.1, "E0"),
+    ("helicoid", 0.1, "lambda0"), ("smyth", 1.0, "lambda0"),
+    ("kusner", 1.0, "lambda0")]
 
 
 def _poly(coeffs):
@@ -913,7 +912,7 @@ class TestMirror:
     """A member whose frames keep reflections of the grid through the
     basepoint is integrated and factored on the fundamental domain, the
     rows and columns from the ones before the basepoint's on, and every
-    other node is read out from its partner's factors through the
+    other node takes its partner's frames and read-out through the
     reflections' map."""
 
     CATENOID = WeierstrassData(CATENOID_MU, CATENOID_NU, 0j)
@@ -1155,6 +1154,29 @@ class TestMirror:
         assert mesh.meta["mirror_deviation"] \
             <= (1e-14 if h >= 0.1 else 1e-5)
 
+    @pytest.mark.parametrize("name, h, points", [
+        ("catenoid", 0.1, 1), ("helicoid", 0.1, 2), ("kusner", 1.0, 2)])
+    def test_read_out_evaluates_each_factored_node_on_an_orbit(
+            self, name, h, points, monkeypatch):
+        # at lambda0 = 1 the orbit of the reflections' maps lam ->
+        # conj(nu lam) is {1} for the catenoid (nu = 1) and {1, -i} for the
+        # twisted helicoid and Kusner (nu = i): F is evaluated there at each
+        # factored node, and every image node takes it through the maps
+        evaluated = []
+        frame_at = frames._frame_at
+
+        def count(*args):
+            out = frame_at(*args)
+            # F and dF/dlambda, (2, 2) each, per point and node
+            evaluated.append(np.size(out) // 8)
+            return out
+        monkeypatch.setattr(frames, "_frame_at", count)
+        entry = get_entry(name)
+        mesh = surface_from_potential(member(entry.data, h),
+                                      entry.grid_for(h))
+        assert mesh.meta["mirrored"] and mesh.mask.all()
+        assert sum(evaluated) == points * mesh.meta["factored_nodes"]
+
     @settings(max_examples=30, deadline=None)
     @given(case=symmetric_data())
     def test_random_symmetric_data_match_the_whole_grid(self, case):
@@ -1190,13 +1212,14 @@ class TestMirror:
         chunks = frames._factor_chunks
 
         def rows(*args):
-            for sel, lo, x, out, good in chunks(*args):
+            for sel, lo, x, out, failed in chunks(*args):
+                good = failed < 0
                 j, i = np.divmod(sel, grid.nx)
                 weight = (1 + (j >= j0 + 2)) * (1 + (i >= i0 + 2))
                 conds.append(out["condition"][good])
                 weights.append(weight[good])
                 rejected.append(weight[~good])
-                yield sel, lo, x, out, good
+                yield sel, lo, x, out, failed
         monkeypatch.setattr(frames, "iwasawa_batch", record)
         monkeypatch.setattr(frames, "_factor_chunks", rows)
         monkeypatch.setattr(frames, "CHUNK", 64)

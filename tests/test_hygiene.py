@@ -2,8 +2,9 @@
 imports is used there, every module the package imports is the standard
 library, numpy or the package itself, every name a package module's
 ``__all__`` lists exists, and every name it defines at module level is
-either exported or read somewhere in the package.  README's Reports
-section names every mask cause of ``frames.MASK_CAUSES``.
+either exported or read somewhere in the package.  No module but ``grid``
+counts rows or columns from the basepoint's.  README's Reports section
+names every mask cause of ``frames.MASK_CAUSES``.
 
 Names listed in the module's ``__all__`` (re-exports) and import lines
 marked ``# noqa`` (kept on purpose, e.g. for a tracer that wraps the name)
@@ -174,6 +175,49 @@ def test_check_flags_an_unreferenced_name(tmp_path):
                  "    pass\n")
     b.write_text("from a import TAIL\n")
     assert unreferenced_names(a, [a, b]) == ["_dead", "Unused"]
+
+
+BASEPOINT = {"j0", "i0", "jj", "ii"}
+
+
+def _basepoint(node):
+    """Whether ``node`` names a basepoint index: j0, i0, jj or ii, bare or
+    as an attribute (``grid.j0``)."""
+    return (isinstance(node, ast.Name) and node.id in BASEPOINT
+            or isinstance(node, ast.Attribute) and node.attr in BASEPOINT)
+
+
+def basepoint_arithmetic(path):
+    """(line, source) of each sum or difference of a basepoint index and an
+    integer: rows or columns counted from the basepoint's, the layout of the
+    fundamental domain, which ``grid`` alone keeps."""
+    text = path.read_text()
+    out = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op,
+                                                      (ast.Add, ast.Sub)):
+            pair = (node.left, node.right)
+            if any(_basepoint(a) for a in pair) and any(
+                    isinstance(b, ast.Constant) and type(b.value) is int
+                    for b in pair):
+                out.append((node.lineno, ast.get_source_segment(text, node)))
+    return sorted(out)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "grid.py"], ids=lambda p: p.name)
+def test_only_grid_counts_from_the_basepoint(path):
+    assert basepoint_arithmetic(path) == []
+
+
+def test_check_flags_basepoint_arithmetic(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("def f(grid, j0, i0, a):\n"
+                   "    a[:j0 - 1] = 0\n"
+                   "    a[:, 2 + i0] = a[j0, i0] + 1\n"
+                   "    return a[grid.j0 + 2], a[j0 - i0]\n")
+    assert basepoint_arithmetic(src) == [(2, "j0 - 1"), (3, "2 + i0"),
+                                         (4, "grid.j0 + 2")]
 
 
 def test_readme_reports_name_every_mask_cause():
